@@ -194,16 +194,62 @@
 // All F_p hot-path arithmetic runs on a word-sized engine
 // (internal/fastfield): Montgomery multiplication over uint64 built on
 // bits.Mul64, packed []uint64 coefficient vectors, and an
-// allocation-free multi-point Horner pass, with the math/big
+// allocation-free multi-point Horner pass (below four points each point's
+// chain is split four ways by degree mod 4: one chain is bound by the
+// multiplier's latency, not its throughput), with the math/big
 // implementation kept as the reference and fallback for moduli over 62
 // bits and for the Z[x]/(r(x)) ring. The server memoizes hot (node,
 // point) evaluations in a bounded LRU cache, and the seed-only client
 // regenerates share pads straight into packed form, caching the hottest
-// pads (pad-cache hit/miss counters appear in every Stats snapshot).
+// pads (pad-cache hit/miss counters appear in every Stats snapshot). The
+// HMAC-DRBG behind the pads owns its two SHA-256 digests for life and
+// restores their keyed states instead of building a crypto/hmac per key,
+// so a pad costs its SHA-256 blocks and a handful of objects, not dozens
+// (on a small heap the collector otherwise runs in the middle of a cold
+// walk).
 // Differential tests pin both arithmetic stacks to each other at every
 // layer; BENCH_2.json records the measured effect (a //tag lookup over
 // 1000 nodes in F_257 dropped from ~1.6 s to ~14 ms on the reference
 // host).
+//
+// # Read path
+//
+// A query is a sequence of waves, and a protocol round is one wave, not
+// one node. Each step evaluates its frontier in one EvalNodes wave per
+// tree level (split into concurrent batches under Opts.Parallelism), then
+// applies the §4.3 answer rule: a zero node with no zero child is a
+// definite match, a zero node with a zero child is ambiguous and is
+// resolved by reconstructing the node's and its children's polynomials
+// and solving eq. (2) for the tag. That resolution is not a rare
+// verification path — a descendant lookup over a deep document recovers
+// hundreds of tags, and the polynomials are about nine tenths of a
+// query's bytes — so a step's ambiguous candidates are resolved together
+// (core's recoverNodeTags, which VerifyFull's re-check of every match
+// shares): their (node + children) key sets are deduplicated and fetched
+// in chunks of about 1 MiB (a constant derived from the ring's degree
+// bound: 1,024 polynomials on F_257, far under wire.MaxFrameSize), the
+// fetch of the next chunk is in flight while the current one is solved,
+// and a chunk of eight or more recoveries spreads its solves over the
+// idle cores. Rounds per query are therefore O(steps), matches and the
+// first reported error keep candidate order, and every recovery keeps
+// the full (x − t)·Q = f consistency check that catches a lying server.
+// Fetches carry the query's context (core.FetchPolysWithCtx), so a
+// sampled query's trace id and deadline budget ride those frames too.
+//
+// On word-sized F_p rings a share polynomial is its []uint64 coefficient
+// vector from the store file to the eq. (2) solve: the loader decodes
+// each node straight into sharing.Node.Packed (checked canonical for the
+// ring: coefficients below p, at most n of them), server.Local hands that
+// vector out, the poly word codec (AppendWords/DecodeWords, byte-identical
+// to Poly.MarshalBinary) writes and reads the frame, core.NodePoly carries
+// Words, MultiServer Lagrange-combines the members' words in place and
+// tag recovery adds the packed client share and solves on words. The
+// big.Int form survives where a coefficient is negative or wider than a
+// word (the Z[x]/(r(x)) ring, F_p moduli over 62 bits, a tampering
+// server, a hand-edited store file, trees built through the reference
+// walks) — NodePoly.Big, Node.Poly and the big.Int RecoverTag take those —
+// and as the reference seam (Node.Polynomial, NodePoly.Polynomial) the
+// differential tests compare against.
 //
 // # Outsourcing pipeline
 //
@@ -214,8 +260,9 @@
 // both tree walks run on a bounded worker pool (Config.Parallelism; the
 // result is byte-identical at every setting because every node's pad
 // derives from its own path-keyed DRBG stream). The share tree keeps the
-// packed vectors and materializes big.Int polynomials only on demand
-// (marshalling, polynomial fetches). sharing.SplitSequential is the
+// packed vectors — saving and serving read them as they are — and
+// materializes big.Int polynomials only at the reference seam
+// (Node.Polynomial). sharing.SplitSequential is the
 // retained sequential big.Int-boundary reference, differentially tested
 // against the packed walk at the split, combine and full
 // Outsource→Search levels.
@@ -372,7 +419,7 @@
 //     (server.Daemon.WriteStall) is disconnected as a slow consumer
 //     rather than pinning buffers forever.
 //   - Zero-downtime store reload (Daemon.SwapStore, sss-server -reload
-//     + SIGHUP): atomically replace the served share store behind an
+//   - SIGHUP): atomically replace the served share store behind an
 //     epoch counter. In-flight requests finish on the store they
 //     started on; the replacement must announce byte-identical ring
 //     parameters or it is refused. Whole-tree daemons only — shard

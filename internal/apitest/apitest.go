@@ -238,7 +238,7 @@ func Run(t *testing.T, r ring.Ring, mk Maker) {
 			if got[i].NumChildren != want[i].NumChildren {
 				t.Errorf("%s: %d children, want %d", want[i].Key, got[i].NumChildren, want[i].NumChildren)
 			}
-			if !got[i].Poly.Equal(want[i].Poly) {
+			if !got[i].Polynomial().Equal(want[i].Polynomial()) {
 				t.Errorf("%s: polynomial differs from reference share", want[i].Key)
 			}
 		}

@@ -25,7 +25,7 @@ func ComparePolys(got, want []core.NodePoly) error {
 		if got[i].NumChildren != want[i].NumChildren {
 			return fmt.Errorf("%s: %d children, want %d", want[i].Key, got[i].NumChildren, want[i].NumChildren)
 		}
-		if !got[i].Poly.Equal(want[i].Poly) {
+		if !got[i].Polynomial().Equal(want[i].Polynomial()) {
 			return fmt.Errorf("%s: polynomial differs from reference share", want[i].Key)
 		}
 	}

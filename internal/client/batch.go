@@ -101,7 +101,8 @@ func (b *Batcher) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points 
 	return b.merger.Eval(ctx, keys, points)
 }
 
-// FetchPolysCtx passes through (the rare verification path).
+// FetchPolysCtx passes through: the engine batches a step's polynomial
+// fetches itself.
 func (b *Batcher) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return b.inner.FetchPolysCtx(ctx, keys)
 }

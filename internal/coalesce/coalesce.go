@@ -41,8 +41,10 @@
 // contract — answers are read-only (the engine combines them into fresh
 // big.Ints, the daemon serialises them).
 //
-// FetchPolys and Prune pass through unbatched: fetches are the rare
-// verification path and prunes are advisory.
+// FetchPolys and Prune pass through unbatched: the engine already asks
+// for a whole step's polynomials in a few large deduplicated fetches
+// (core's recoverNodeTags), so there is little left to merge across
+// sessions, and prunes are advisory.
 //
 // The merging engine itself (per-signature drains, dedup, distribution)
 // lives in Merger and is shared with the client-side micro-batcher
@@ -110,6 +112,10 @@ func (s *Server) SetObserver(o *obs.Observer) {
 // requests, deduplicated evaluations).
 func (s *Server) Counters() *metrics.Counters { return s.counters }
 
+// Queued returns the coalescer's queue depth: requests waiting for a
+// merged pass behind one in flight.
+func (s *Server) Queued() int { return s.merger.Queued() }
+
 // Inner returns the wrapped API.
 func (s *Server) Inner() core.ServerAPI { return s.inner }
 
@@ -138,8 +144,8 @@ func (s *Server) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points [
 	return s.merger.Eval(ctx, keys, points)
 }
 
-// FetchPolys implements core.ServerAPI (pass-through: the verification
-// path is rare and polynomial-sized, not worth merging).
+// FetchPolys implements core.ServerAPI (pass-through: the client batches
+// a step's fetches itself, and a response is polynomial-sized).
 func (s *Server) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return s.inner.FetchPolys(keys)
 }

@@ -118,6 +118,18 @@ func (m *Merger) Eval(ctx context.Context, keys []drbg.NodeKey, points []*big.In
 	}
 }
 
+// Queued returns how many requests are waiting for their signature's next
+// merged pass (requests inside a pass in flight are not counted).
+func (m *Merger) Queued() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, group := range m.pending {
+		n += len(group)
+	}
+	return n
+}
+
 // drain serves one signature's queue until it is empty, then retires.
 // Requests arriving while a pass is in flight are taken by the next loop
 // iteration — that accumulation window is where cross-session merging

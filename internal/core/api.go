@@ -30,11 +30,53 @@ type NodeEval struct {
 	NumChildren int
 }
 
-// NodePoly is the server's answer to a polynomial fetch (verification).
+// NodePoly is the server's answer to a polynomial fetch: one node's share
+// polynomial and child count.
+//
+// The polynomial travels as machine words wherever it has a word form —
+// every share of a word-sized F_p ring does — so the fetch path (store →
+// server.Local → wire → MultiServer combine → tag recovery) never boxes a
+// coefficient. Big is set instead, and Words left nil, only for a
+// polynomial with a negative or wider-than-a-word coefficient
+// (IntQuotient, F_p moduli over 62 bits, a tampering server) and for trees
+// built through the big.Int reference path. Both empty is the zero
+// polynomial. Read-only once returned, like every answer.
 type NodePoly struct {
-	Key         drbg.NodeKey
-	Poly        poly.Poly
+	Key drbg.NodeKey
+	// Words holds the coefficients in ascending degree; not necessarily
+	// reduced or trimmed (consumers reduce, the codec trims). Authoritative
+	// when Big is zero.
+	Words []uint64
+	// Big is the big.Int form; authoritative when non-zero.
+	Big         poly.Poly
 	NumChildren int
+}
+
+// Polynomial returns the share polynomial in the big.Int boundary
+// representation — the reference seam; the word path never calls it.
+func (a NodePoly) Polynomial() poly.Poly {
+	if !a.Big.IsZero() {
+		return a.Big
+	}
+	return poly.NewUint64(a.Words)
+}
+
+// WordCoeffs returns the coefficients as machine words (read-only: the
+// result may be Words itself). ok=false — a negative or wider-than-a-word
+// coefficient — sends the caller to Polynomial.
+func (a NodePoly) WordCoeffs() (w []uint64, ok bool) {
+	if a.Big.IsZero() {
+		return a.Words, true
+	}
+	return a.Big.Uint64Coeffs(nil)
+}
+
+// BinarySize is the polynomial's encoded size on the wire and on disk.
+func (a NodePoly) BinarySize() int {
+	if !a.Big.IsZero() {
+		return a.Big.BinarySize()
+	}
+	return poly.WordsSize(a.Words)
 }
 
 // ServerAPI is the full server-side capability the protocol needs. It is
@@ -55,8 +97,12 @@ type ServerAPI interface {
 	// EvalNodes evaluates the server share of each keyed node at each of
 	// the given points, in order. Unknown keys are an error.
 	EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]NodeEval, error)
-	// FetchPolys returns the server share polynomial of each keyed node —
-	// the expensive path used only for verification/disambiguation.
+	// FetchPolys returns the server share polynomial of each keyed node,
+	// in order — what the §4.3 answer rule needs to resolve an ambiguous
+	// zero node (and VerifyFull to re-check a match). Not a rare path: a
+	// descendant lookup over a deep document recovers hundreds of tags,
+	// and polynomials are most of a query's bytes. The engine asks for a
+	// whole step's candidates in a few large calls, see recoverNodeTags.
 	FetchPolys(keys []drbg.NodeKey) ([]NodePoly, error)
 	// Prune tells the server the given subtrees are dead for the current
 	// query, so it can release per-query state. Advisory: the in-process
@@ -84,6 +130,22 @@ func EvalNodesWithCtx(ctx context.Context, api ServerAPI, keys []drbg.NodeKey, p
 		return ce.EvalNodesCtx(ctx, keys, points)
 	}
 	return api.EvalNodes(keys, points)
+}
+
+// CtxFetcher is CtxEvaler's counterpart for polynomial fetches, exposed
+// by the same context-propagating implementations.
+type CtxFetcher interface {
+	FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]NodePoly, error)
+}
+
+// FetchPolysWithCtx fetches via api, forwarding ctx when api supports it,
+// so a sampled query's trace ID and deadline budget ride its fetch frames
+// too.
+func FetchPolysWithCtx(ctx context.Context, api ServerAPI, keys []drbg.NodeKey) ([]NodePoly, error) {
+	if cf, ok := api.(CtxFetcher); ok {
+		return cf.FetchPolysCtx(ctx, keys)
+	}
+	return api.FetchPolys(keys)
 }
 
 // VerifyLevel controls how much the client re-checks the server.

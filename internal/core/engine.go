@@ -27,6 +27,9 @@ type Engine struct {
 	api      ServerAPI
 	counters *metrics.Counters
 	obsv     *obs.Observer
+	// chunkPolys is how many polynomials one fetch of a tag-recovery wave
+	// asks for (see chunkPolys): fixed by the ring, not an option.
+	chunkPolys int
 }
 
 // NewEngine assembles a query engine with a seed-derived client share
@@ -70,12 +73,13 @@ func NewEngineWithShares(r ring.Ring, shares sharing.ShareSource, m *mapping.Map
 		counters = &metrics.Counters{}
 	}
 	return &Engine{
-		ring:     r,
-		shares:   shares,
-		mapping:  m,
-		api:      api,
-		counters: counters,
-		obsv:     obs.Default(),
+		ring:       r,
+		shares:     shares,
+		mapping:    m,
+		api:        api,
+		counters:   counters,
+		obsv:       obs.Default(),
+		chunkPolys: chunkPolys(r),
 	}
 }
 

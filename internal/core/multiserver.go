@@ -360,12 +360,19 @@ func (m *MultiServer) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, poi
 // FetchPolys implements ServerAPI: reconstruct the single-server share
 // polynomial coefficient-wise (Lagrange at zero is linear, so it commutes
 // with the coefficient view). On fast-path rings all coefficients of a
-// node combine in one Montgomery pass over the members' packed coefficient
-// vectors; a member polynomial that refuses to pack sends that node to
-// the big.Int path.
+// node combine in one Montgomery pass straight over the members' word
+// vectors (the Montgomery product reduces unreduced words, so nothing is
+// copied first); a member polynomial without a word form sends that node
+// to the big.Int path.
 func (m *MultiServer) FetchPolys(keys []drbg.NodeKey) ([]NodePoly, error) {
+	return m.FetchPolysCtx(context.Background(), keys)
+}
+
+// FetchPolysCtx implements CtxFetcher: every member leg runs under the
+// caller's ctx, as in EvalNodesCtx.
+func (m *MultiServer) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]NodePoly, error) {
 	per, xs, err := memberCall(m, func(mem MultiMember) ([]NodePoly, error) {
-		answers, err := mem.API.FetchPolys(keys)
+		answers, err := FetchPolysWithCtx(ctx, mem.API, keys)
 		if err != nil {
 			return nil, err
 		}
@@ -378,57 +385,63 @@ func (m *MultiServer) FetchPolys(keys []drbg.NodeKey) ([]NodePoly, error) {
 		return nil, err
 	}
 	lag := m.lagrange(xs)
-	ff := m.ring.Fast()
 	rows := make([][]uint64, len(per))
 	out := make([]NodePoly, len(keys))
 	for i, key := range keys {
 		nch := per[0][i].NumChildren
-		maxLen := 0
 		for j := range per {
 			if per[j][i].NumChildren != nch {
 				return nil, fmt.Errorf("core: member servers disagree on the child count of %s", key)
 			}
-			if l := per[j][i].Poly.Len(); l > maxLen {
-				maxLen = l
-			}
 		}
 		if lag != nil {
 			packed := true
+			maxLen := 0
 			for j := range per {
-				row, ok := per[j][i].Poly.Uint64Coeffs(rows[j][:0])
+				row, ok := per[j][i].WordCoeffs()
 				if !ok {
 					packed = false
 					break
 				}
-				ff.ReduceVec(row, row)
 				rows[j] = row
+				if len(row) > maxLen {
+					maxLen = len(row)
+				}
 			}
 			if packed {
 				dst := make([]uint64, maxLen)
 				lag.CombineVec(dst, rows)
-				out[i] = NodePoly{Key: key, Poly: poly.NewUint64(dst), NumChildren: nch}
+				out[i] = NodePoly{Key: key, Words: dst, NumChildren: nch}
 				continue
 			}
 		}
-		p, err := m.combinePolyBig(key, per, xs, i, maxLen)
+		p, err := m.combinePolyBig(key, per, xs, i)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = NodePoly{Key: key, Poly: p, NumChildren: nch}
+		out[i] = NodePoly{Key: key, Big: p, NumChildren: nch}
 	}
 	return out, nil
 }
 
 // combinePolyBig is the big.Int coefficient-wise reconstruction of one
 // node's share polynomial — the fallback and ablation path.
-func (m *MultiServer) combinePolyBig(key drbg.NodeKey, per [][]NodePoly, xs []uint32, i, maxLen int) (poly.Poly, error) {
+func (m *MultiServer) combinePolyBig(key drbg.NodeKey, per [][]NodePoly, xs []uint32, i int) (poly.Poly, error) {
 	zero := big.NewInt(0)
 	f := m.ring.Field()
+	polys := make([]poly.Poly, len(per))
+	maxLen := 0
+	for j := range per {
+		polys[j] = per[j][i].Polynomial()
+		if l := polys[j].Len(); l > maxLen {
+			maxLen = l
+		}
+	}
 	coeffs := make([]*big.Int, maxLen)
 	shares := make([]shamir.Share, len(per))
 	for c := 0; c < maxLen; c++ {
 		for j := range per {
-			shares[j] = shamir.Share{X: xs[j], Y: per[j][i].Poly.Coeff(c)}
+			shares[j] = shamir.Share{X: xs[j], Y: polys[j].Coeff(c)}
 		}
 		v, err := shamir.InterpolateAt(f, shares, zero, m.k)
 		if err != nil {

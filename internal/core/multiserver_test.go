@@ -335,7 +335,7 @@ func TestMultiServerCombineDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range keys {
-			if !fp[i].Poly.Equal(sp[i].Poly) {
+			if !fp[i].Polynomial().Equal(sp[i].Polynomial()) {
 				t.Fatalf("k=%d n=%d key %s: fast/big FetchPolys polynomials differ", tc.k, tc.n, keys[i])
 			}
 		}

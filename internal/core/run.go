@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 	"time"
 
 	"sssearch/internal/drbg"
 	"sssearch/internal/obs"
+	"sssearch/internal/parwalk"
 	"sssearch/internal/poly"
 	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
@@ -449,102 +451,279 @@ func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.Node
 	for _, st := range childStates {
 		childZero[st.ks] = st.sums[0].Sign() == 0
 	}
-	for _, c := range cands {
-		anyZeroChild := false
+	// A zero node with a zero child is ambiguous: node and some descendant
+	// chain both contain the tag. The step's ambiguous candidates are
+	// resolved together, by one wave of tag recoveries.
+	ambiguous := make([]bool, len(cands))
+	var jobs []tagJob
+	for ci, c := range cands {
 		for j := 0; j < c.nch; j++ {
 			if childZero[c.key.Child(uint32(j)).String()] {
-				anyZeroChild = true
+				ambiguous[ci] = true
 				break
 			}
 		}
-		if !anyZeroChild {
+		if ambiguous[ci] && r.opts.Verify != VerifyNone {
+			jobs = append(jobs, tagJob{key: c.key, nch: c.nch})
+		}
+	}
+	tags, failed, err := r.recoverNodeTags(jobs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: resolving %s: %w", jobs[failed].key, err)
+	}
+	ji := 0
+	for ci, c := range cands {
+		switch {
+		case !ambiguous[ci]:
 			// Definite: the (x - point) factor must be the node's own.
 			matches = append(matches, c.key)
-			continue
-		}
-		// Ambiguous: node and some descendant chain both contain the tag.
-		if r.opts.Verify == VerifyNone {
+		case r.opts.Verify == VerifyNone:
 			unresolved = append(unresolved, c.key)
-			continue
-		}
-		tag, err := r.recoverNodeTag(c.key, c.nch)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: resolving %s: %w", c.key, err)
-		}
-		if tag.Cmp(cur) == 0 {
-			matches = append(matches, c.key)
+		default:
+			if tags[ji].Cmp(cur) == 0 {
+				matches = append(matches, c.key)
+			}
+			ji++
 		}
 	}
 	return matches, unresolved, nil
 }
 
-// fetchPolys wraps the API call with metrics.
-func (r *run) fetchPolys(keys []drbg.NodeKey) (map[string]NodePoly, error) {
-	if len(keys) == 0 {
-		return map[string]NodePoly{}, nil
+// tagJob is one tag recovery of a wave: a node and its child count.
+type tagJob struct {
+	key drbg.NodeKey
+	nch int
+}
+
+// fetchChunkBytes is the response size one polynomial fetch of a wave aims
+// for: large enough that a step's recoveries cost a handful of round
+// trips instead of one each, small enough to stay far under
+// wire.MaxFrameSize and to let the solve of one chunk overlap the fetch of
+// the next.
+const fetchChunkBytes = 1 << 20
+
+// maxChunkPolys caps a chunk where the degree bound says little about the
+// polynomial's size (IntQuotient coefficients grow with the document).
+const maxChunkPolys = 4096
+
+// parallelSolveMin is the number of recoveries in a chunk from which the
+// solves spread over the idle cores; below it the goroutine hand-offs cost
+// more than they save.
+const parallelSolveMin = 8
+
+// chunkPolys is how many polynomials one fetch asks for: fetchChunkBytes at
+// about four wire bytes per coefficient (sign, length, one or two
+// magnitude bytes on the word-sized rings).
+func chunkPolys(r ring.Ring) int {
+	return max(1, min(maxChunkPolys, fetchChunkBytes/(4*r.DegreeBound())))
+}
+
+// fetchChunk is one polynomial fetch of a wave: the deduplicated (node +
+// children) keys of a run of consecutive jobs.
+type fetchChunk struct {
+	first int // index of the chunk's first job in the wave
+	keys  []drbg.NodeKey
+	// sets[s] locates job first+s in keys: its node, then its children in
+	// order.
+	sets [][]int
+}
+
+// planChunks cuts the wave into chunks of at most budget polynomials. A
+// job's key set is never split, so a node with more children than the
+// budget gets a chunk of its own.
+func planChunks(jobs []tagJob, budget int) []fetchChunk {
+	var chunks []fetchChunk
+	var cur fetchChunk
+	pos := map[string]int{}
+	for ji, job := range jobs {
+		if len(cur.keys) > 0 && len(cur.keys)+job.nch+1 > budget {
+			chunks = append(chunks, cur)
+			cur = fetchChunk{first: ji}
+			pos = map[string]int{}
+		}
+		set := make([]int, 0, job.nch+1)
+		add := func(k drbg.NodeKey) {
+			ks := k.String()
+			i, ok := pos[ks]
+			if !ok {
+				i = len(cur.keys)
+				pos[ks] = i
+				cur.keys = append(cur.keys, k)
+			}
+			set = append(set, i)
+		}
+		add(job.key)
+		for c := 0; c < job.nch; c++ {
+			add(job.key.Child(uint32(c)))
+		}
+		cur.sets = append(cur.sets, set)
 	}
-	answers, err := r.e.api.FetchPolys(keys)
+	return append(chunks, cur)
+}
+
+// recoverNodeTags solves eq. (2) for the tag of every job: it reconstructs
+// the polynomials of each node and its children and recovers the node's
+// tag value, with the full consistency check. The server polynomials
+// arrive in a few large deduplicated fetches instead of one per node, the
+// fetch of chunk k+1 is in flight while chunk k is solved, and a chunk's
+// solves spread over the idle cores. On error, failed is the first job in
+// wave order that could not be resolved and tags[:failed] are valid.
+func (r *run) recoverNodeTags(jobs []tagJob) (tags []*big.Int, failed int, err error) {
+	if len(jobs) == 0 {
+		return nil, 0, nil
+	}
+	chunks := planChunks(jobs, r.e.chunkPolys)
+	tags = make([]*big.Int, len(jobs))
+	type fetched struct {
+		polys []NodePoly
+		err   error
+	}
+	fetch := func(c *fetchChunk) fetched {
+		polys, err := r.fetchPolys(c.keys)
+		return fetched{polys, err}
+	}
+	cur := fetch(&chunks[0])
+	for ci := range chunks {
+		c := &chunks[ci]
+		var next chan fetched
+		if ci+1 < len(chunks) {
+			next = make(chan fetched, 1)
+			go func(c *fetchChunk) { next <- fetch(c) }(&chunks[ci+1])
+		}
+		failed, err = c.first, cur.err
+		if err == nil {
+			failed, err = r.solveChunk(c, cur.polys, tags[c.first:])
+		}
+		if next != nil {
+			cur = <-next // on the error path too: the fetch goroutine never outlives the wave
+		}
+		if err != nil {
+			return tags, failed, err
+		}
+	}
+	return tags, 0, nil
+}
+
+// fetchPolys asks the server for the share polynomials of keys, under the
+// query's context, and checks that it answered for exactly those keys.
+func (r *run) fetchPolys(keys []drbg.NodeKey) ([]NodePoly, error) {
+	answers, err := FetchPolysWithCtx(r.ctx, r.e.api, keys)
 	if err != nil {
 		return nil, err
+	}
+	if len(answers) != len(keys) {
+		return nil, fmt.Errorf("core: server returned %d polynomials for %d keys", len(answers), len(keys))
+	}
+	bytes := 0
+	for i, a := range answers {
+		if !slices.Equal(a.Key, keys[i]) {
+			return nil, fmt.Errorf("core: server omitted polynomial for %s", keys[i])
+		}
+		bytes += a.BinarySize()
 	}
 	r.e.counters.AddRound()
 	r.e.counters.AddPolysFetched(len(answers))
-	out := make(map[string]NodePoly, len(answers))
-	for _, a := range answers {
-		r.e.counters.AddPolyBytes(a.Poly.BinarySize())
-		aks := a.Key.String()
-		r.childCount[aks] = a.NumChildren
-		out[aks] = a
-	}
-	return out, nil
+	r.e.counters.AddPolyBytes(bytes)
+	return answers, nil
 }
 
-// reconstructPoly adds the client share to a fetched server share.
-func (r *run) reconstructPoly(answers map[string]NodePoly, key drbg.NodeKey) (poly.Poly, error) {
-	ans, ok := answers[key.String()]
-	if !ok {
-		return poly.Poly{}, fmt.Errorf("core: server omitted polynomial for %s", key)
+// solveChunk recovers the tag of every job of one fetched chunk into tags
+// (aligned with c.sets). On error, failed is the wave index of the first
+// job, in order, that could not be resolved.
+func (r *run) solveChunk(c *fetchChunk, polys []NodePoly, tags []*big.Int) (failed int, err error) {
+	par := 1
+	if len(c.sets) >= parallelSolveMin {
+		par = 0 // GOMAXPROCS
 	}
-	cs, err := r.e.shares.Share(key)
-	if err != nil {
-		return poly.Poly{}, err
+	// Reconstruct every polynomial of the chunk once, in words, however
+	// many jobs share it.
+	recon, fp := r.reconstructPacked(c.keys, polys, par)
+	errs := make([]error, len(c.sets))
+	pool := parwalk.New(par)
+	for s := range c.sets {
+		s := s // pre-1.22 loop-var capture
+		pool.Do(func() { tags[s], errs[s] = r.recoverJob(c, c.sets[s], polys, recon, fp) })
 	}
-	return r.e.ring.Add(cs, ans.Poly), nil
+	pool.Wait() // the tasks report through errs
+	for s, err := range errs {
+		if err != nil {
+			return c.first + s, err
+		}
+	}
+	return 0, nil
 }
 
-// recoverNodeTag reconstructs the full polynomials of a node and its
-// children and solves eq. (2) for the node's tag value.
-func (r *run) recoverNodeTag(key drbg.NodeKey, nch int) (*big.Int, error) {
-	keys := make([]drbg.NodeKey, 0, nch+1)
-	keys = append(keys, key)
-	for i := 0; i < nch; i++ {
-		keys = append(keys, key.Child(uint32(i)))
+// reconstructPacked adds the client share to each fetched server share in
+// the word representation: server words arrive as words, client shares
+// arrive packed from the share source, and the sums land in one slab.
+// recon[i] stays nil where key i has no word form — the fast path is off,
+// the source has no packed shares, or a polynomial has out-of-word
+// coefficients or is over-long (a tampering server, StaticSource over
+// unreduced figure values) — and the jobs using it take the big.Int path,
+// which Reduces. Server words are reduced here: only a file loader
+// vouches for canonical words, the wire does not.
+func (r *run) reconstructPacked(keys []drbg.NodeKey, polys []NodePoly, par int) ([][]uint64, *ring.FpCyclotomic) {
+	fp, okRing := r.e.ring.(*ring.FpCyclotomic)
+	src, okSrc := r.e.shares.(sharing.PackedShareSource)
+	if !okRing || fp.Fast() == nil || !okSrc {
+		return nil, nil
 	}
-	answers, err := r.fetchPolys(keys)
-	if err != nil {
-		return nil, err
+	ff := fp.Fast()
+	n := fp.DegreeBound()
+	recon := make([][]uint64, len(keys))
+	slab := make([]uint64, len(keys)*n)
+	pool := parwalk.New(par)
+	for i := range keys {
+		i := i // pre-1.22 loop-var capture
+		pool.Do(func() {
+			sv, ok := polys[i].WordCoeffs()
+			if !ok || len(sv) > n {
+				return
+			}
+			cv, ok, err := src.PackedShare(keys[i])
+			if err != nil || !ok || len(cv) > n {
+				return // the big.Int path asks the source again and reports
+			}
+			sum := slab[i*n : (i+1)*n : (i+1)*n]
+			copy(sum, cv)
+			for j, v := range sv {
+				sum[j] = ff.Add(sum[j], ff.Reduce(v))
+			}
+			recon[i] = sum
+		})
 	}
-	if tag, ok, err := r.recoverNodeTagPacked(answers, key, keys); ok {
-		if err != nil {
-			r.e.counters.AddVerifyFailure()
-			return nil, err
+	pool.Wait()
+	return recon, fp
+}
+
+// recoverJob solves eq. (2) for one job of a chunk: on the reconstructed
+// word vectors when every polynomial of its set has one, through the
+// big.Int reference path otherwise.
+func (r *run) recoverJob(c *fetchChunk, set []int, polys []NodePoly, recon [][]uint64, fp *ring.FpCyclotomic) (*big.Int, error) {
+	packed := recon != nil
+	for _, i := range set {
+		packed = packed && recon[i] != nil
+	}
+	var tag *big.Int
+	var err error
+	if packed {
+		children := make([][]uint64, len(set)-1)
+		for j, i := range set[1:] {
+			children[j] = recon[i]
 		}
-		return tag, nil
-	}
-	f, err := r.reconstructPoly(answers, key)
-	if err != nil {
-		return nil, err
-	}
-	children := make([]poly.Poly, nch)
-	for i := 0; i < nch; i++ {
-		cp, err := r.reconstructPoly(answers, key.Child(uint32(i)))
-		if err != nil {
-			return nil, err
+		tag, err = polyenc.RecoverTagPacked(fp, recon[set[0]], children)
+	} else {
+		full := make([]poly.Poly, len(set))
+		for j, i := range set {
+			cs, shareErr := r.e.shares.Share(c.keys[i])
+			if shareErr != nil {
+				return nil, shareErr
+			}
+			full[j] = r.e.ring.Add(cs, polys[i].Polynomial())
 		}
-		children[i] = cp
+		tag, err = polyenc.RecoverTag(r.e.ring, full[0], full[1:])
 	}
 	r.e.counters.AddTagRecovered()
-	tag, err := polyenc.RecoverTag(r.e.ring, f, children)
 	if err != nil {
 		r.e.counters.AddVerifyFailure()
 		return nil, err
@@ -552,59 +731,27 @@ func (r *run) recoverNodeTag(key drbg.NodeKey, nch int) (*big.Int, error) {
 	return tag, nil
 }
 
-// recoverNodeTagPacked is the fast-path tag recovery: server polynomials
-// pack once, client shares arrive packed from the share source, and the
-// reconstruction plus eq. (2) solve stay in the word representation end
-// to end. ok=false falls back to the big.Int path (fast path off, source
-// without packed shares, or a polynomial with out-of-word coefficients —
-// e.g. a tampering server).
-func (r *run) recoverNodeTagPacked(answers map[string]NodePoly, key drbg.NodeKey, keys []drbg.NodeKey) (*big.Int, bool, error) {
-	fp, okRing := r.e.ring.(*ring.FpCyclotomic)
-	if !okRing || fp.Fast() == nil {
-		return nil, false, nil
-	}
-	src, okSrc := r.e.shares.(sharing.PackedShareSource)
-	if !okSrc {
-		return nil, false, nil
-	}
-	vecs := make([][]uint64, len(keys))
-	for i, k := range keys {
-		ans, ok := answers[k.String()]
-		if !ok {
-			return nil, false, fmt.Errorf("core: server omitted polynomial for %s", k)
-		}
-		sv, ok := fp.Pack(ans.Poly)
-		if !ok || len(sv) > fp.DegreeBound() {
-			return nil, false, nil
-		}
-		cv, ok, err := src.PackedShare(k)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok || len(cv) > fp.DegreeBound() {
-			// Over-long externally supplied shares (StaticSource over
-			// unreduced figure values) take the big.Int path, which Reduces.
-			return nil, false, nil
-		}
-		vecs[i] = fp.AddPacked(cv, sv)
-	}
-	r.e.counters.AddTagRecovered()
-	tag, err := polyenc.RecoverTagPacked(fp, vecs[0], vecs[1:])
-	return tag, true, err
-}
-
-// verifyMatches re-derives each reported match's tag and compares it with
-// the query point (VerifyFull).
+// verifyMatches re-derives each reported match's tag, all matches in one
+// wave, and compares it with the query point (VerifyFull). The first
+// failure in match order is the one reported.
 func (r *run) verifyMatches(keys []drbg.NodeKey, point *big.Int, wildcard bool) error {
-	for _, k := range keys {
-		tag, err := r.recoverNodeTag(k, r.childCount[k.String()])
-		if err != nil {
-			return fmt.Errorf("core: verification of %s failed: %w", k, err)
-		}
-		if !wildcard && tag.Cmp(point) != 0 {
+	jobs := make([]tagJob, len(keys))
+	for i, k := range keys {
+		jobs[i] = tagJob{key: k, nch: r.childCount[k.String()]}
+	}
+	tags, failed, err := r.recoverNodeTags(jobs)
+	checked := len(keys)
+	if err != nil {
+		checked = failed
+	}
+	for i, k := range keys[:checked] {
+		if !wildcard && tags[i].Cmp(point) != 0 {
 			r.e.counters.AddVerifyFailure()
-			return fmt.Errorf("core: server cheated: node %s has tag %s, query point %s", k, tag, point)
+			return fmt.Errorf("core: server cheated: node %s has tag %s, query point %s", k, tags[i], point)
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("core: verification of %s failed: %w", keys[failed], err)
 	}
 	return nil
 }

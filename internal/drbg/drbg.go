@@ -10,9 +10,9 @@
 package drbg
 
 import (
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -66,18 +66,41 @@ func (s Seed) String() string { return hex.EncodeToString(s[:]) }
 type Generator struct {
 	k [sha256.Size]byte
 	v [sha256.Size]byte
-	// mac is the HMAC keyed with k, reused (via Reset) across the many
-	// v = HMAC(k, v) chain steps of a bulk Read: rebuilding the keyed
-	// state per block used to dominate share-pad generation. Lazily
-	// rebuilt whenever k changes. The output stream is bit-identical to
-	// the one-HMAC-per-call construction.
-	mac hash.Hash
+
+	// HMAC(k, ·) is computed on two SHA-256 digests the generator owns for
+	// its whole life, not through crypto/hmac: one share pad re-keys seven
+	// times, and an hmac.New per key costs two digests, two pads and two
+	// marshalled states — most of what a cold query would allocate.
+	// istate and ostate are the digests' states after absorbing k^ipad and
+	// k^opad, restored at the start of every HMAC instead of re-hashing
+	// the pads. The output stream is bit-identical to HMAC_DRBG over
+	// crypto/hmac (pinned by the tests).
+	inner, outer   hash.Hash
+	keyed          bool // istate and ostate belong to the current k
+	istate, ostate []byte
+	// Backing store and scratch live here because anything handed to a
+	// hash.Hash method escapes.
+	istore, ostore [stateCap]byte
+	pad            [sha256.BlockSize]byte
+	sum            [sha256.Size]byte
 }
+
+// stateCap holds a marshalled SHA-256 state (108 bytes) with room to spare.
+const stateCap = 128
+
+// binaryAppender is encoding.BinaryAppender (Go 1.24), spelled out so older
+// toolchains build; their digests marshal into a fresh slice instead.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// Domain-separation bytes of the HMAC_DRBG update function.
+var sep0, sep1 = []byte{0x00}, []byte{0x01}
 
 // New instantiates a generator from seed and an optional personalization
 // string (domain separation between independent uses of the same seed).
 func New(seed Seed, personalization []byte) *Generator {
-	g := &Generator{}
+	g := &Generator{inner: sha256.New(), outer: sha256.New()}
 	for i := range g.v {
 		g.v[i] = 0x01
 	}
@@ -86,38 +109,74 @@ func New(seed Seed, personalization []byte) *Generator {
 	return g
 }
 
-func (g *Generator) hmacK(parts ...[]byte) [sha256.Size]byte {
-	if g.mac == nil {
-		g.mac = hmac.New(sha256.New, g.k[:])
+// keyedState absorbs k xor the HMAC pad byte into h and returns h's state,
+// marshalled into store where the toolchain can. crypto/sha256 digests have
+// marshalled since Go 1.10; one that does not is a broken build.
+func (g *Generator) keyedState(h hash.Hash, padByte byte, store []byte) []byte {
+	for i := range g.pad {
+		g.pad[i] = padByte
 	}
-	m := g.mac
-	m.Reset()
-	for _, p := range parts {
-		m.Write(p)
+	for i, b := range g.k {
+		g.pad[i] ^= b
 	}
-	var out [sha256.Size]byte
-	m.Sum(out[:0])
+	h.Reset()
+	h.Write(g.pad[:])
+	var state []byte
+	var err error
+	if a, ok := h.(binaryAppender); ok {
+		state, err = a.AppendBinary(store)
+	} else {
+		state, err = h.(encoding.BinaryMarshaler).MarshalBinary()
+	}
+	if err != nil {
+		panic("drbg: saving SHA-256 state: " + err.Error())
+	}
+	return state
+}
+
+// restore puts h back into a state keyedState saved.
+func restore(h hash.Hash, state []byte) {
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		panic("drbg: restoring SHA-256 state: " + err.Error())
+	}
+}
+
+// hmacK is HMAC-SHA256(k, a || b || c).
+func (g *Generator) hmacK(a, b, c []byte) (out [sha256.Size]byte) {
+	if !g.keyed {
+		g.istate = g.keyedState(g.inner, 0x36, g.istore[:0])
+		g.ostate = g.keyedState(g.outer, 0x5c, g.ostore[:0])
+		g.keyed = true
+	}
+	restore(g.inner, g.istate)
+	g.inner.Write(a)
+	g.inner.Write(b)
+	g.inner.Write(c)
+	digest := g.inner.Sum(g.sum[:0])
+	restore(g.outer, g.ostate)
+	g.outer.Write(digest)
+	copy(out[:], g.outer.Sum(g.sum[:0]))
 	return out
 }
 
 // update is the HMAC_DRBG state-update function.
 func (g *Generator) update(data []byte) {
-	g.k = g.hmacK(g.v[:], []byte{0x00}, data)
-	g.mac = nil // k changed: rebuild the keyed state on next use
-	g.v = g.hmacK(g.v[:])
+	g.k = g.hmacK(g.v[:], sep0, data)
+	g.keyed = false
+	g.v = g.hmacK(g.v[:], nil, nil)
 	if len(data) == 0 {
 		return
 	}
-	g.k = g.hmacK(g.v[:], []byte{0x01}, data)
-	g.mac = nil
-	g.v = g.hmacK(g.v[:])
+	g.k = g.hmacK(g.v[:], sep1, data)
+	g.keyed = false
+	g.v = g.hmacK(g.v[:], nil, nil)
 }
 
 // Read fills p with deterministic pseudo-random bytes. It never fails.
 func (g *Generator) Read(p []byte) (int, error) {
 	n := len(p)
 	for len(p) > 0 {
-		g.v = g.hmacK(g.v[:])
+		g.v = g.hmacK(g.v[:], nil, nil)
 		c := copy(p, g.v[:])
 		p = p[c:]
 	}

@@ -183,6 +183,55 @@ func TestEvalDifferential(t *testing.T) {
 	}
 }
 
+// TestEvalFewPointsDifferential: below horner4Points EvalMany splits the
+// polynomial into four chains; every length around the group size and the
+// ring sizes in use, with one to three points, must agree with the plain
+// single-chain Horner pass.
+func TestEvalFewPointsDifferential(t *testing.T) {
+	single := func(f *Field, coeffs []uint64, x uint64) uint64 {
+		xm := f.MForm(x)
+		var acc uint64
+		for i := len(coeffs) - 1; i >= 0; i-- {
+			acc = f.Add(f.MRed(acc, xm), coeffs[i])
+		}
+		return acc
+	}
+	lengths := []int{255, 256, 257, 1282}
+	for n := 0; n <= 13; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, p := range testPrimes {
+		f, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(p) ^ 0x4c4))
+		for _, n := range lengths {
+			coeffs := make([]uint64, n)
+			for i := range coeffs {
+				coeffs[i] = rng.Uint64() % p
+			}
+			if n > 0 && n%2 == 0 {
+				coeffs[n-1] = p - 1 // extreme leading coefficient
+			}
+			for pts := 1; pts < horner4Points; pts++ {
+				xs := append([]uint64{}, edgeValues(p)...)
+				rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+				xs = append(xs[:pts-1:pts-1], rng.Uint64()%p)
+				xsM := make([]uint64, pts)
+				f.MFormVec(xsM, xs)
+				dst := make([]uint64, pts)
+				f.EvalMany(coeffs, xsM, dst)
+				for j, x := range xs {
+					if want := single(f, coeffs, x); dst[j] != want {
+						t.Fatalf("p=%d n=%d, %d points: EvalMany(x=%d) = %d, single chain %d", p, n, pts, x, dst[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEvalManyAllocationFree(t *testing.T) {
 	f, err := New(257)
 	if err != nil {

@@ -26,25 +26,28 @@ const maxMarshalCoeffs = 1 << 24
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (p Poly) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 8+len(p.c)*9)
-	buf = binary.AppendUvarint(buf, uint64(len(p.c)))
+	return p.AppendBinary(make([]byte, 0, 8+len(p.c)*9))
+}
+
+// AppendBinary appends the canonical encoding of p to dst.
+func (p Poly) AppendBinary(dst []byte) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(p.c)))
 	for _, v := range p.c {
 		switch v.Sign() {
 		case 0:
-			buf = append(buf, 0)
+			dst = append(dst, 0)
+			continue
 		case 1:
-			buf = append(buf, 1)
-			b := v.Bytes()
-			buf = binary.AppendUvarint(buf, uint64(len(b)))
-			buf = append(buf, b...)
+			dst = append(dst, 1)
 		case -1:
-			buf = append(buf, 2)
-			b := v.Bytes()
-			buf = binary.AppendUvarint(buf, uint64(len(b)))
-			buf = append(buf, b...)
+			dst = append(dst, 2)
 		}
+		nb := (v.BitLen() + 7) / 8
+		dst = binary.AppendUvarint(dst, uint64(nb))
+		dst = append(dst, make([]byte, nb)...)
+		v.FillBytes(dst[len(dst)-nb:])
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // BinarySize returns len(MarshalBinary()) without allocating — transfer
@@ -69,15 +72,6 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// AppendBinary appends the canonical encoding of p to dst.
-func (p Poly) AppendBinary(dst []byte) ([]byte, error) {
-	b, err := p.MarshalBinary()
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, b...), nil
 }
 
 // UnmarshalBinary decodes a polynomial previously encoded with

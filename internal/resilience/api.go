@@ -34,8 +34,13 @@ func (a *API) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points []*b
 
 // FetchPolys implements core.ServerAPI.
 func (a *API) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
-	return Do(context.Background(), a.Policy, func(ctx context.Context) ([]core.NodePoly, error) {
-		return a.Inner.FetchPolys(keys)
+	return a.FetchPolysCtx(context.Background(), keys)
+}
+
+// FetchPolysCtx implements core.CtxFetcher, retried like EvalNodesCtx.
+func (a *API) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.NodePoly, error) {
+	return Do(ctx, a.Policy, func(ctx context.Context) ([]core.NodePoly, error) {
+		return core.FetchPolysWithCtx(ctx, a.Inner, keys)
 	})
 }
 
@@ -49,3 +54,4 @@ func (a *API) Prune(keys []drbg.NodeKey) error {
 
 var _ core.ServerAPI = (*API)(nil)
 var _ core.CtxEvaler = (*API)(nil)
+var _ core.CtxFetcher = (*API)(nil)

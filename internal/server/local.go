@@ -216,7 +216,9 @@ func (s *Local) evalNodesFast(keys []drbg.NodeKey, points []*big.Int) ([]core.No
 	return out, nil
 }
 
-// FetchPolys implements core.ServerAPI.
+// FetchPolys implements core.ServerAPI. A node that holds its share as
+// words hands out that very vector (shared, read-only) — nothing is boxed
+// or copied between the store file and the response frame.
 func (s *Local) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	out := make([]core.NodePoly, len(keys))
 	for i, k := range keys {
@@ -224,7 +226,10 @@ func (s *Local) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		out[i] = core.NodePoly{Key: k, Poly: node.Polynomial(), NumChildren: len(node.Children)}
+		out[i] = core.NodePoly{Key: k, Words: node.Packed, NumChildren: len(node.Children)}
+		if node.Packed == nil {
+			out[i].Big = node.Poly
+		}
 	}
 	return out, nil
 }

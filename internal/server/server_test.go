@@ -81,7 +81,7 @@ func TestFetchPolysMatchesTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	node, _ := local.Tree().Lookup(drbg.NodeKey{1})
-	if !r.Equal(answers[0].Poly, node.Polynomial()) {
+	if !r.Equal(answers[0].Polynomial(), node.Polynomial()) {
 		t.Error("fetched polynomial differs from stored")
 	}
 	if answers[0].NumChildren != 1 {
@@ -118,7 +118,7 @@ func TestTampererCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp[0].Poly.Equal(hp[0].Poly) {
+	if dp[0].Polynomial().Equal(hp[0].Polynomial()) {
 		t.Error("poly not tampered")
 	}
 	if tam.PolyTampered != 1 {

@@ -62,7 +62,8 @@ func (t *Tamperer) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 		if out[i].Key.String() != target {
 			continue
 		}
-		out[i].Poly = out[i].Poly.Add(poly.One())
+		// Through the big.Int form: the sum may leave the canonical range.
+		out[i] = core.NodePoly{Key: out[i].Key, Big: out[i].Polynomial().Add(poly.One()), NumChildren: out[i].NumChildren}
 		t.PolyTampered++
 	}
 	return out, nil

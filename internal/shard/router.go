@@ -240,9 +240,14 @@ func (r *Router) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points [
 
 // FetchPolys implements core.ServerAPI.
 func (r *Router) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
+	return r.FetchPolysCtx(context.Background(), keys)
+}
+
+// FetchPolysCtx implements core.CtxFetcher, routed like EvalNodesCtx.
+func (r *Router) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return scatter(r, keys, func(s int, sub []drbg.NodeKey) ([]core.NodePoly, error) {
 		return groupCall(r, s, func(api core.ServerAPI) ([]core.NodePoly, error) {
-			return api.FetchPolys(sub)
+			return core.FetchPolysWithCtx(ctx, api, sub)
 		})
 	})
 }

@@ -86,8 +86,8 @@ func TestManifestValidate(t *testing.T) {
 	bad := []*Manifest{
 		nil,
 		{Shards: 0, Entries: []Entry{{Prefix: drbg.NodeKey{}, Shard: 0}}},
-		{Shards: 2, Entries: []Entry{{Prefix: drbg.NodeKey{0}, Shard: 0}}},                                  // no root entry
-		{Shards: 2, Entries: []Entry{{Prefix: drbg.NodeKey{}, Shard: 2}}},                                   // owner out of range
+		{Shards: 2, Entries: []Entry{{Prefix: drbg.NodeKey{0}, Shard: 0}}},                                    // no root entry
+		{Shards: 2, Entries: []Entry{{Prefix: drbg.NodeKey{}, Shard: 2}}},                                     // owner out of range
 		{Shards: 2, Entries: []Entry{{Prefix: drbg.NodeKey{}, Shard: 0}, {Prefix: drbg.NodeKey{}, Shard: 1}}}, // duplicate
 	}
 	for i, m := range bad {
@@ -286,7 +286,7 @@ func TestRouterMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range wantP {
-				if !gotP[i].Poly.Equal(wantP[i].Poly) {
+				if !gotP[i].Polynomial().Equal(wantP[i].Polynomial()) {
 					t.Fatalf("%s: fetched polynomial differs", wantP[i].Key)
 				}
 			}
@@ -413,11 +413,11 @@ func TestManifestSubtreeShards(t *testing.T) {
 		key  drbg.NodeKey
 		want []int
 	}{
-		{drbg.NodeKey{}, []int{0, 1, 2, 3}},  // root subtree touches everything
-		{drbg.NodeKey{1}, []int{1, 2}},       // /1 has /1/0 carved out to shard 2
-		{drbg.NodeKey{1, 0}, []int{2}},       // leaf range
-		{drbg.NodeKey{0}, []int{0}},          // spine-only subtree
-		{drbg.NodeKey{3, 4, 5}, []int{3}},    // below a leaf range
+		{drbg.NodeKey{}, []int{0, 1, 2, 3}}, // root subtree touches everything
+		{drbg.NodeKey{1}, []int{1, 2}},      // /1 has /1/0 carved out to shard 2
+		{drbg.NodeKey{1, 0}, []int{2}},      // leaf range
+		{drbg.NodeKey{0}, []int{0}},         // spine-only subtree
+		{drbg.NodeKey{3, 4, 5}, []int{3}},   // below a leaf range
 	}
 	for _, c := range cases {
 		got := man.SubtreeShards(c.key)
@@ -563,7 +563,7 @@ func TestReplicatedRouterFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range gotP {
-		if !gotP[i].Poly.Equal(wantP[i].Poly) {
+		if !gotP[i].Polynomial().Equal(wantP[i].Polynomial()) {
 			t.Fatalf("poly %s diverged after failover", keys[i])
 		}
 	}

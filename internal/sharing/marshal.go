@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"sssearch/internal/poly"
+	"sssearch/internal/ring"
 )
 
 // Binary layout of a share tree (preorder):
@@ -33,8 +34,9 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 			return
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(n.Children)))
-		buf, err = n.Polynomial().AppendBinary(buf)
-		if err != nil {
+		if n.Packed != nil {
+			buf = poly.AppendWords(buf, n.Packed)
+		} else if buf, err = n.Poly.AppendBinary(buf); err != nil {
 			return
 		}
 		for _, c := range n.Children {
@@ -45,9 +47,10 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 	return buf, err
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The ring is
+// unknown here, so every node decodes into the big.Int form.
 func (t *Tree) UnmarshalBinary(data []byte) error {
-	tree, rest, err := DecodeTree(data)
+	tree, rest, err := DecodeTree(nil, data)
 	if err != nil {
 		return err
 	}
@@ -58,8 +61,20 @@ func (t *Tree) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// DecodeTree decodes one share tree from the front of data.
-func DecodeTree(data []byte) (*Tree, []byte, error) {
+// DecodeTree decodes one share tree from the front of data, for ring r.
+//
+// When r is an F_p ring with the word-sized fast path, a node polynomial
+// decodes straight into Node.Packed — no big.Int is built — provided it is
+// canonical for r: every coefficient below p and at most DegreeBound of
+// them. That check is what lets server.Local hand Packed to the Montgomery
+// kernels unreduced. A polynomial that is not canonical (a hand-edited or
+// foreign file) and every polynomial of any other ring — nil included —
+// decode into Node.Poly, the big.Int form that consumers reduce.
+func DecodeTree(r ring.Ring, data []byte) (*Tree, []byte, error) {
+	fp, _ := r.(*ring.FpCyclotomic)
+	if fp != nil && fp.Fast() == nil {
+		fp = nil
+	}
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, nil, errors.New("sharing: bad node count")
@@ -69,7 +84,7 @@ func DecodeTree(data []byte) (*Tree, []byte, error) {
 	}
 	data = data[k:]
 	remaining := n
-	root, data, err := decodeNode(data, &remaining)
+	root, data, err := decodeNode(fp, data, &remaining)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -79,7 +94,7 @@ func DecodeTree(data []byte) (*Tree, []byte, error) {
 	return &Tree{Root: root}, data, nil
 }
 
-func decodeNode(data []byte, remaining *uint64) (*Node, []byte, error) {
+func decodeNode(fp *ring.FpCyclotomic, data []byte, remaining *uint64) (*Node, []byte, error) {
 	if *remaining == 0 {
 		return nil, nil, errors.New("sharing: more nodes than declared")
 	}
@@ -92,21 +107,47 @@ func decodeNode(data []byte, remaining *uint64) (*Node, []byte, error) {
 		return nil, nil, fmt.Errorf("sharing: child count %d exceeds remaining nodes %d", nc, *remaining)
 	}
 	data = data[k:]
-	p, rest, err := poly.DecodePoly(data)
-	if err != nil {
-		return nil, nil, err
+	node := &Node{}
+	if w, rest, ok := decodeCanonical(fp, data); ok {
+		// w is non-nil even for the zero polynomial, and Packed != nil is
+		// what marks the word form authoritative.
+		node.Packed, data = w, rest
+	} else {
+		p, rest, err := poly.DecodePoly(data)
+		if err != nil {
+			return nil, nil, err
+		}
+		node.Poly, data = p, rest
 	}
-	data = rest
-	node := &Node{Poly: p}
 	for i := uint64(0); i < nc; i++ {
 		var c *Node
-		c, data, err = decodeNode(data, remaining)
+		var err error
+		c, data, err = decodeNode(fp, data, remaining)
 		if err != nil {
 			return nil, nil, err
 		}
 		node.Children = append(node.Children, c)
 	}
 	return node, data, nil
+}
+
+// decodeCanonical decodes one polynomial into words when fp is non-nil and
+// the polynomial is canonical for it (see DecodeTree).
+func decodeCanonical(fp *ring.FpCyclotomic, data []byte) ([]uint64, []byte, bool) {
+	if fp == nil {
+		return nil, nil, false
+	}
+	w, rest, ok := poly.DecodeWords(data)
+	if !ok || len(w) > fp.DegreeBound() {
+		return nil, nil, false
+	}
+	p := fp.Fast().P()
+	for _, v := range w {
+		if v >= p {
+			return nil, nil, false
+		}
+	}
+	return w, rest, true
 }
 
 // ByteSize returns the serialized size of the tree in bytes — the storage

@@ -37,47 +37,35 @@ import (
 const ShareLabel = "sss/client-share/v2"
 
 // Node is one node of a share tree. Exactly one of Poly and Packed is
-// authoritative: trees built through the big.Int path (unmarshal,
-// Materialize, the sequential reference walks, hand-rolled fixtures)
-// carry Poly; trees from the packed split and the packed MultiSplit
-// carry Packed and materialize Poly on demand through Polynomial().
-// Readers that cannot know the tree's provenance must go through
-// Polynomial().
+// authoritative: trees built through the big.Int path (Materialize, the
+// sequential reference walks, hand-rolled fixtures, files loaded for a
+// ring without the word-sized fast path) carry Poly; trees from the
+// packed split, the packed MultiSplit and files loaded for a fast F_p
+// ring carry Packed. Readers that cannot know the tree's provenance must
+// go through Polynomial().
 type Node struct {
 	// Poly is the big.Int boundary representation of the share
 	// polynomial; the zero value on packed trees (see Polynomial).
 	Poly poly.Poly
 	// Packed, when non-nil, is the canonical word-sized share polynomial
-	// ([]uint64 coefficients, full ring length, ascending degree) left
-	// behind by the packed split so server.Local can index share
-	// polynomials without re-packing and the split never boxes
-	// coefficients it may never serve. Serialization reads it through
-	// Polynomial; unmarshaled trees re-pack lazily. Shared read-only.
+	// ([]uint64 coefficients < p, ascending degree, at most the ring's
+	// degree bound of them — full length from the split, trimmed from a
+	// file). server.Local evaluates and serves it, and MarshalBinary
+	// writes it, as it is: the serving path never boxes a coefficient.
+	// Shared read-only.
 	Packed   []uint64
 	Children []*Node
-	// boxed caches the Polynomial() materialization of Packed, so
-	// repeated polynomial fetches over a packed tree (FetchPolys batches,
-	// reconstruction) box each node once instead of per call. Benign
-	// last-writer-wins race: every racer stores an identical value.
-	boxed atomic.Pointer[poly.Poly]
 }
 
 // Polynomial returns the node's share polynomial in the big.Int boundary
-// representation, materializing it from the packed mirror when that is
-// the authoritative form. The first materialization is cached on the
-// node (nodes are immutable after the split), so hot paths keep working
-// on Packed while cold paths (marshal, polynomial fetches,
-// reconstruction) pay one boxing pass per node, not per call.
+// representation, boxing the packed form on every call — the reference
+// seam (reconstruction, the sequential walks, tests); the serving path
+// reads Packed.
 func (n *Node) Polynomial() poly.Poly {
 	if n.Packed == nil {
 		return n.Poly
 	}
-	if p := n.boxed.Load(); p != nil {
-		return *p
-	}
-	p := poly.NewUint64(n.Packed)
-	n.boxed.Store(&p)
-	return p
+	return poly.NewUint64(n.Packed)
 }
 
 // Tree is a share tree: one polynomial per document node, mirroring the

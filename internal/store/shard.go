@@ -132,7 +132,7 @@ func ReadShard(data []byte) (ring.Ring, *sharing.Tree, *shard.Manifest, int, err
 	if err != nil {
 		return fail(fmt.Errorf("store: ring: %w", err))
 	}
-	tree, trailing, err := sharing.DecodeTree(rest[plen:])
+	tree, trailing, err := sharing.DecodeTree(r, rest[plen:])
 	if err != nil {
 		return fail(fmt.Errorf("store: tree: %w", err))
 	}

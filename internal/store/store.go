@@ -108,7 +108,7 @@ func ReadServer(data []byte) (ring.Ring, *sharing.Tree, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: ring: %w", err)
 	}
-	tree, trailing, err := sharing.DecodeTree(rest[plen:])
+	tree, trailing, err := sharing.DecodeTree(r, rest[plen:])
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: tree: %w", err)
 	}

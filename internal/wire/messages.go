@@ -296,8 +296,9 @@ func AppendFetchResp(dst []byte, r FetchResp) ([]byte, error) {
 	for _, a := range r.Answers {
 		dst = AppendKey(dst, a.Key)
 		dst = binary.AppendUvarint(dst, uint64(a.NumChildren))
-		dst, err = a.Poly.AppendBinary(dst)
-		if err != nil {
+		if a.Big.IsZero() {
+			dst = poly.AppendWords(dst, a.Words)
+		} else if dst, err = a.Big.AppendBinary(dst); err != nil {
 			return nil, err
 		}
 	}
@@ -329,12 +330,17 @@ func DecodeFetchResp(data []byte) (FetchResp, error) {
 		if k <= 0 || nch > maxListLen {
 			return FetchResp{}, errors.New("wire: bad child count")
 		}
-		p, rest2, err := poly.DecodePoly(rest[k:])
-		if err != nil {
-			return FetchResp{}, err
+		// Words when the polynomial has a word form; the big.Int decoder
+		// takes the rest (wide or negative coefficients) and reports
+		// malformed input.
+		a := core.NodePoly{Key: key, NumChildren: int(nch)}
+		var ok bool
+		if a.Words, data, ok = poly.DecodeWords(rest[k:]); !ok {
+			if a.Big, data, err = poly.DecodePoly(rest[k:]); err != nil {
+				return FetchResp{}, err
+			}
 		}
-		out.Answers[i] = core.NodePoly{Key: key, NumChildren: int(nch), Poly: p}
-		data = rest2
+		out.Answers[i] = a
 	}
 	if len(data) != 0 {
 		return FetchResp{}, errors.New("wire: trailing bytes in fetch response")

@@ -215,7 +215,7 @@ func TestFetchMessages(t *testing.T) {
 	resp := FetchResp{
 		ID: 9,
 		Answers: []core.NodePoly{
-			{Key: drbg.NodeKey{0, 1}, NumChildren: 3, Poly: poly.FromInt64(45, 265)},
+			{Key: drbg.NodeKey{0, 1}, NumChildren: 3, Big: poly.FromInt64(45, 265)},
 		},
 	}
 	payload, err := EncodeFetchResp(resp)
@@ -226,8 +226,67 @@ func TestFetchMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decR.Answers[0].NumChildren != 3 || !decR.Answers[0].Poly.Equal(poly.FromInt64(45, 265)) {
+	if decR.Answers[0].NumChildren != 3 || !decR.Answers[0].Polynomial().Equal(poly.FromInt64(45, 265)) {
 		t.Errorf("fetch resp = %+v", decR.Answers[0])
+	}
+}
+
+// TestFetchRespWordsAndBigIntAlike: a FetchResp encodes to the same bytes
+// whether an answer carries its polynomial as words or in the big.Int
+// form, and decodes into words exactly when every coefficient fits one.
+func TestFetchRespWordsAndBigIntAlike(t *testing.T) {
+	words := []uint64{45, 0, 265, 1<<64 - 1, 0, 0} // unreduced and untrimmed on purpose
+	asWords := FetchResp{ID: 4, Answers: []core.NodePoly{
+		{Key: drbg.NodeKey{2}, NumChildren: 1, Words: words},
+		{Key: drbg.NodeKey{3}}, // the zero polynomial
+	}}
+	asBig := FetchResp{ID: 4, Answers: []core.NodePoly{
+		{Key: drbg.NodeKey{2}, NumChildren: 1, Big: poly.NewUint64(words)},
+		{Key: drbg.NodeKey{3}},
+	}}
+	a, err := EncodeFetchResp(asWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EncodeFetchResp(asBig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("word form encodes to %x, big.Int form to %x", a, b)
+	}
+	dec, err := DecodeFetchResp(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := dec.Answers[0]
+	if !got.Big.IsZero() || len(got.Words) != 4 || !got.Polynomial().Equal(poly.NewUint64(words)) {
+		t.Fatalf("decoded %+v, want the four significant words", got)
+	}
+	if !dec.Answers[1].Polynomial().IsZero() {
+		t.Fatalf("zero polynomial decoded to %+v", dec.Answers[1])
+	}
+
+	// Negative or wider than a word: only the big.Int form can carry it.
+	for _, p := range []poly.Poly{
+		poly.FromInt64(7, -1),
+		poly.New(big.NewInt(7), new(big.Int).Lsh(big.NewInt(1), 64)),
+	} {
+		payload, err := EncodeFetchResp(FetchResp{ID: 5, Answers: []core.NodePoly{{Key: drbg.NodeKey{1}, Big: p}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeFetchResp(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := dec.Answers[0]
+		if got.Words != nil || !got.Big.Equal(p) {
+			t.Fatalf("%s decoded to %+v, want the big.Int form", p, got)
+		}
+		if _, ok := got.WordCoeffs(); ok {
+			t.Fatalf("%s claims a word form", p)
+		}
 	}
 }
 

@@ -240,11 +240,13 @@ func TestTraceCoalescedLegsShareID(t *testing.T) {
 
 	const leaderID, followerB, followerC = 0x5e7_1d_000a, 0x5e7_1d_000b, 0x5e7_1d_000c
 
-	// Leader occupies the drain; its pass is blocked inside the gate.
+	// Leader occupies the drain; its pass is blocked inside the gate. It
+	// asks at the followers' point vector: the coalescer queues per point
+	// signature, so only then is the drain the followers wait behind busy.
 	leadErr := make(chan error, 1)
 	go func() {
 		ctx, _ := sampledCtx(leaderID)
-		_, err := s.EvalNodesCtx(ctx, f.Keys[:1], f.Points[:1])
+		_, err := s.EvalNodesCtx(ctx, f.Keys[:1], f.Points)
 		leadErr <- err
 	}()
 	<-g.entered
@@ -270,7 +272,7 @@ func TestTraceCoalescedLegsShareID(t *testing.T) {
 			}
 		}(id)
 	}
-	time.Sleep(100 * time.Millisecond) // let both followers enqueue
+	waitFor(t, "both followers to queue behind the leader's pass", func() bool { return s.Queued() == 2 })
 	close(g.release)
 	wg.Wait()
 	if err := <-leadErr; err != nil {
@@ -298,6 +300,56 @@ func TestTraceCoalescedLegsShareID(t *testing.T) {
 	if passes[1].keys != len(f.Keys) {
 		t.Fatalf("merged pass evaluated %d keys, want %d deduplicated", passes[1].keys, len(f.Keys))
 	}
+}
+
+// TestTraceFetchLegCarriesQueryID proves the fetch leg keeps the query's
+// context: a sampled engine query that fetches polynomials (VerifyFull
+// re-derives every match) reaches the daemon as a fetch frame under the
+// query's own trace id, not as an untraced request.
+func TestTraceFetchLegCarriesQueryID(t *testing.T) {
+	prev := obs.SampleEvery()
+	obs.SetSampleEvery(1)
+	defer obs.SetSampleEvery(prev)
+
+	f := apitest.NewFixture(t, ring.MustFp(257))
+	addr, daemonObs := serveTraced(t, f.Reference)
+	remote, err := client.Dial(addr, &metrics.Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	eng := core.NewEngine(f.Ring, f.Seed, f.Mapping, remote, nil)
+	clientObs := &obs.Observer{}
+	eng.SetObserver(clientObs)
+
+	for _, tag := range []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"} {
+		clientObs.Slow.Reset()
+		res, err := eng.Lookup(tag, core.Opts{Verify: core.VerifyFull})
+		if errors.Is(err, core.ErrUnknownTag) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.PolysFetched == 0 {
+			continue
+		}
+		queries := clientObs.Slow.Entries()
+		if len(queries) != 1 || queries[0].Op != "query" {
+			t.Fatalf("client slow log after one sampled query: %+v", queries)
+		}
+		id := queries[0].TraceID
+		waitFor(t, "the daemon to log a fetch span under the query's trace id", func() bool {
+			for _, e := range daemonObs.Slow.Entries() {
+				if e.TraceID == id && e.Op == "fetch" {
+					return true
+				}
+			}
+			return false
+		})
+		return
+	}
+	t.Fatal("no fixture tag made the engine fetch polynomials")
 }
 
 // TestTraceV2DowngradeStripsTrace proves v2 interop with sampling on: a
