@@ -80,11 +80,20 @@
 // fixed set of connections. Old endpoints still work: version 1 peers get
 // the strict request/response loop.
 //
-// Inside a query, core.Opts.Parallelism splits each evaluation wave into
-// concurrent batches, and core.MultiServer fans a k-of-n deployment out
-// in parallel, Lagrange-combining the per-server summands — so adding
-// share servers adds throughput rather than latency. Run the comparison
-// with:
+// Inside a query, a large evaluation wave (512 keys and up) is two
+// concurrent legs that meet at the sum (§4.3 only needs both numbers at
+// the very end): the server evaluates its shares while the client
+// regenerates and evaluates its own for the keys it asked about, in
+// blocks of 32 keys spread over the idle cores. A large tag-recovery
+// fetch does the same with the client's share pads. Both helpers are
+// joined before the wave returns, on every error path; a smaller wave
+// runs its two legs one after the other on the calling goroutine. This
+// is why sharing.ShareSource implementations must be safe for concurrent
+// use. core.Opts.Parallelism is a different axis — it splits a wave into
+// concurrent server batches — and core.MultiServer fans a k-of-n
+// deployment out in parallel, Lagrange-combining the per-server summands —
+// so adding share servers adds throughput rather than latency. Run the
+// comparison with:
 //
 //	go run ./cmd/sss-bench -exp concurrent
 //	go test -bench 'BenchmarkMultiServer4' -benchtime 20x .
@@ -216,7 +225,19 @@
 //
 // A query is a sequence of waves, and a protocol round is one wave, not
 // one node. Each step evaluates its frontier in one EvalNodes wave per
-// tree level (split into concurrent batches under Opts.Parallelism), then
+// tree level (split into concurrent batches under Opts.Parallelism). The
+// seed-only client of §4.2 pays for its storage at this point — it
+// regenerates every visited node's share from the HMAC-DRBG — and on a
+// large wave that work runs beside the server's evaluation of the same
+// keys, not after it: the engine computes the summands of the keys it
+// requested while EvalNodes is in flight, joins, checks that answer i is
+// for key i and adds. Client share arithmetic therefore overlaps wire and
+// store_eval: on a single-server path the obs stages of a query over a
+// large document (and the benchmark's layer sum) add up to more than its
+// wall time by design, and the client's CPU per query is what it was.
+// Waves under 512 keys keep the two legs in sequence — the large ones
+// carry the gain, and the stages of a small query still sum to its wall
+// time. The step then
 // applies the §4.3 answer rule: a zero node with no zero child is a
 // definite match, a zero node with a zero child is ambiguous and is
 // resolved by reconstructing the node's and its children's polynomials
@@ -228,13 +249,15 @@
 // shares): their (node + children) key sets are deduplicated and fetched
 // in chunks of about 1 MiB (a constant derived from the ring's degree
 // bound: 1,024 polynomials on F_257, far under wire.MaxFrameSize), the
-// fetch of the next chunk is in flight while the current one is solved,
-// and a chunk of eight or more recoveries spreads its solves over the
-// idle cores. Rounds per query are therefore O(steps), matches and the
+// client regenerates a large chunk's share pads while its fetch is in
+// flight, the fetch of the next chunk is in flight while the current one is
+// solved, and a chunk of eight or more recoveries spreads its solves over
+// the idle cores. Rounds per query are therefore O(steps), matches and the
 // first reported error keep candidate order, and every recovery keeps
 // the full (x − t)·Q = f consistency check that catches a lying server.
-// Fetches carry the query's context (core.FetchPolysWithCtx), so a
-// sampled query's trace id and deadline budget ride those frames too.
+// Fetches and the prune notice that ends a descendant scan carry the
+// query's context (core.FetchPolysWithCtx, core.PruneWithCtx), so a
+// sampled query's trace id and deadline budget ride every frame it sends.
 //
 // On word-sized F_p rings a share polynomial is its []uint64 coefficient
 // vector from the store file to the eq. (2) solve: the loader decodes

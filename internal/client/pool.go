@@ -280,7 +280,10 @@ func (p *Pool) redialMember(m *poolMember) {
 // connection is healthy; the daemon is busy). Consecutive sheds trip the
 // pool-wide breaker and subsequent calls fail fast until the cooldown
 // probe. Visiting every member without success surfaces the last
-// transport error.
+// transport error, marked resilience.ErrTransient: every error on that
+// path passed transportFault, which accepts faults (ErrClosed, a checksum
+// or magic mismatch) that resilience.Retryable alone does not know, so the
+// exhaustion must stay retryable for a policy above the pool.
 func poolCall[T any](p *Pool, call func(r *Remote) (T, error)) (T, error) {
 	var zero T
 	if !p.breaker.Allow() {
@@ -318,7 +321,7 @@ func poolCall[T any](p *Pool, call func(r *Remote) (T, error)) (T, error) {
 		p.counters.AddRetries(1)
 	}
 	p.breaker.Record(lastErr)
-	return zero, fmt.Errorf("client: pool members exhausted: %w", lastErr)
+	return zero, fmt.Errorf("client: pool members exhausted: %w (%w)", lastErr, resilience.ErrTransient)
 }
 
 // EvalNodesCtx is EvalNodes with context cancellation.

@@ -1,8 +1,14 @@
 package client
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"testing"
+
+	"sssearch/internal/resilience"
+	"sssearch/internal/wire"
 )
 
 // TestPoolPickCounterOverflow: the round-robin index must stay in range
@@ -52,5 +58,54 @@ func TestNewPoolRejectsNil(t *testing.T) {
 	}
 	if p.Size() != 2 {
 		t.Fatalf("Size = %d, want 2", p.Size())
+	}
+}
+
+// TestPoolExhaustionIsRetryable: poolCall reaches "members exhausted" only
+// over errors transportFault accepted, so whatever the last member failed
+// with — including the faults resilience.Retryable does not know by itself
+// — the exhaustion is transport-class for a retry policy above the pool,
+// and still names its cause. A semantic error returns at once, unmarked.
+func TestPoolExhaustionIsRetryable(t *testing.T) {
+	semantic := &wire.RemoteError{Message: "unknown node"}
+	cases := []struct {
+		name      string
+		cause     error
+		exhausted bool
+	}{
+		{"sessionClosed", ErrClosed, true},
+		{"wrappedSessionClosed", fmt.Errorf("client: eval: %w", ErrClosed), true},
+		{"checksum", wire.ErrChecksum, true},
+		{"badMagic", wire.ErrBadMagic, true},
+		{"eof", io.EOF, true},
+		{"serverAnswer", semantic, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewPool([]*Remote{{}, {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls := 0
+			_, err = poolCall(p, func(*Remote) (struct{}, error) {
+				calls++
+				return struct{}{}, tc.cause
+			})
+			if !errors.Is(err, tc.cause) {
+				t.Fatalf("error %q lost its cause %q", err, tc.cause)
+			}
+			if !tc.exhausted {
+				if calls != 1 || resilience.Retryable(err) {
+					t.Fatalf("semantic error: %d calls, retryable=%v; want one call, terminal", calls, resilience.Retryable(err))
+				}
+				return
+			}
+			if calls != p.Size() {
+				t.Fatalf("%d calls over %d members", calls, p.Size())
+			}
+			if !resilience.Retryable(err) {
+				t.Fatalf("exhaustion over %q is not retryable: %q", tc.cause, err)
+			}
+		})
 	}
 }

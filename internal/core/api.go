@@ -148,6 +148,22 @@ func FetchPolysWithCtx(ctx context.Context, api ServerAPI, keys []drbg.NodeKey) 
 	return api.FetchPolys(keys)
 }
 
+// CtxPruner is CtxEvaler's counterpart for prune notices, exposed by the
+// same context-propagating implementations.
+type CtxPruner interface {
+	PruneCtx(ctx context.Context, keys []drbg.NodeKey) error
+}
+
+// PruneWithCtx prunes via api, forwarding ctx when api supports it, so the
+// last frame of a sampled query carries its trace ID and deadline budget
+// like every frame before it.
+func PruneWithCtx(ctx context.Context, api ServerAPI, keys []drbg.NodeKey) error {
+	if cp, ok := api.(CtxPruner); ok {
+		return cp.PruneCtx(ctx, keys)
+	}
+	return api.Prune(keys)
+}
+
 // VerifyLevel controls how much the client re-checks the server.
 type VerifyLevel int
 

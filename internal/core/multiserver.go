@@ -458,10 +458,16 @@ func (m *MultiServer) combinePolyBig(key drbg.NodeKey, per [][]NodePoly, xs []ui
 // otherwise-answerable query. Straggler acknowledgements drain into a
 // buffered channel.
 func (m *MultiServer) Prune(keys []drbg.NodeKey) error {
+	return m.PruneCtx(context.Background(), keys)
+}
+
+// PruneCtx implements CtxPruner: every member's notice runs under the
+// caller's ctx, as in EvalNodesCtx.
+func (m *MultiServer) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
 	if m.Sequential {
 		var firstErr error
 		for _, mem := range m.members {
-			if err := mem.API.Prune(keys); err == nil {
+			if err := PruneWithCtx(ctx, mem.API, keys); err == nil {
 				return nil
 			} else if firstErr == nil {
 				firstErr = err
@@ -471,7 +477,7 @@ func (m *MultiServer) Prune(keys []drbg.NodeKey) error {
 	}
 	ch := make(chan error, len(m.members))
 	for _, mem := range m.members {
-		go func(mem MultiMember) { ch <- mem.API.Prune(keys) }(mem)
+		go func(mem MultiMember) { ch <- PruneWithCtx(ctx, mem.API, keys) }(mem)
 	}
 	var firstErr error
 	for range m.members {

@@ -269,29 +269,149 @@ func (r *run) evalKeys(keys []drbg.NodeKey, points []*big.Int) ([]sumState, erro
 	return out, nil
 }
 
-// evalBatch asks the server for one batch of keys and merges the combined
-// sums into the caches. Safe to call from concurrent batch goroutines (the
-// ServerAPI contract requires concurrent-safe implementations; the cache
-// merge is locked, the big-integer combining runs outside the lock).
-// effIdx holds the interned index of each eff point.
+// overlapMinKeys is the number of keys from which an evaluation wave (or a
+// fetch chunk) becomes two concurrent legs, the client's spread over the
+// idle cores. A smaller wave runs as it always did — the server call, then
+// the client's shares, on the calling goroutine: the large waves carry the
+// whole gain (CHANGES.md, PR 13, has the runs), and a sequential small wave
+// keeps the per-stage ledger of a small query exact.
+const overlapMinKeys = 512
+
+// shareBlockKeys is how many keys one task of the client's leg covers:
+// about half a millisecond of cold pad regeneration, tens of microseconds
+// on cached pads.
+const shareBlockKeys = 32
+
+// twoLegs runs the two legs of a wave over n keys — the server call and the
+// client's share work — and returns the server call's error. From
+// overlapMinKeys keys on they run at once, the server call on a goroutine of
+// its own and the client's work on the calling one, and twoLegs returns
+// when both have finished: the helper never outlives the wave. Below, the
+// client's work follows a successful server call.
+func twoLegs(n int, server func() error, client func()) error {
+	if n < overlapMinKeys {
+		if err := server(); err != nil {
+			return err
+		}
+		client()
+		return nil
+	}
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		err = server()
+	}()
+	client()
+	<-done
+	return err
+}
+
+// keyBlocks runs f over [0, n) in blocks of shareBlockKeys on a
+// GOMAXPROCS-wide pool (one block runs on the calling goroutine). f must
+// write only into slots of its own range.
+func keyBlocks(n int, f func(lo, hi int)) {
+	if n <= shareBlockKeys {
+		f(0, n)
+		return
+	}
+	pool := parwalk.New(0) // GOMAXPROCS
+	for lo := 0; lo < n; lo += shareBlockKeys {
+		lo, hi := lo, min(lo+shareBlockKeys, n)
+		pool.Do(func() { f(lo, hi) })
+	}
+	pool.Wait() // f reports through its slots
+}
+
+// clientSummands evaluates the client share of every key at every eff
+// point: one share regeneration serves all points when the source supports
+// multi-point evaluation. Each block stops at its first error, so the
+// lowest failing index is the first error in wave order; cvs is valid
+// below it. failed is len(keys) on success.
+func (r *run) clientSummands(keys []drbg.NodeKey, eff []*big.Int) (cvs [][]*big.Int, failed int, err error) {
+	cvs = make([][]*big.Int, len(keys))
+	if len(eff) == 0 {
+		// Wildcard-only waves need no share work at all — the server round
+		// still runs to learn child counts.
+		return cvs, len(keys), nil
+	}
+	multi, isMulti := r.e.shares.(sharing.MultiPointSource)
+	errs := make([]error, len(keys))
+	block := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if isMulti {
+				if cvs[i], errs[i] = multi.EvalShares(keys[i], eff); errs[i] == nil && len(cvs[i]) != len(eff) {
+					errs[i] = fmt.Errorf("core: share source returned %d values for %d points", len(cvs[i]), len(eff))
+				}
+			} else {
+				cvs[i] = make([]*big.Int, len(eff))
+				for j, p := range eff {
+					if cvs[i][j], errs[i] = r.e.shares.EvalShare(keys[i], p); errs[i] != nil {
+						break
+					}
+				}
+			}
+			if errs[i] != nil {
+				return
+			}
+		}
+	}
+	if len(keys) < overlapMinKeys {
+		block(0, len(keys))
+	} else {
+		keyBlocks(len(keys), block)
+	}
+	for i, err := range errs {
+		if err != nil {
+			return cvs, i, err
+		}
+	}
+	return cvs, len(keys), nil
+}
+
+// evalBatch evaluates one batch of keys and merges the combined sums into
+// the caches. The wave is two concurrent legs that meet at the sum: the
+// server evaluates its shares while the client regenerates and evaluates
+// its own, for the keys it asked about. Safe to call from concurrent batch
+// goroutines (the ServerAPI and ShareSource contracts require
+// concurrent-safe implementations; the cache merge is locked). effIdx
+// holds the interned index of each eff point.
 func (r *run) evalBatch(batch []drbg.NodeKey, eff []*big.Int, effIdx []int) error {
-	answers, err := EvalNodesWithCtx(r.ctx, r.e.api, batch, eff)
+	var (
+		answers  []NodeEval
+		cvs      [][]*big.Int
+		shareBad int
+		shareErr error
+		arith    time.Duration
+	)
+	// A server error wins over a share-source error; after it, the first
+	// error in wave order is the one reported.
+	err := twoLegs(len(batch), func() (err error) {
+		answers, err = EvalNodesWithCtx(r.ctx, r.e.api, batch, eff)
+		return err
+	}, func() {
+		start := time.Now()
+		cvs, shareBad, shareErr = r.clientSummands(batch, eff)
+		arith = time.Since(start)
+	})
 	if err != nil {
 		return err
 	}
-	if len(answers) != len(batch) {
-		return fmt.Errorf("core: server returned %d answers for %d keys", len(answers), len(batch))
-	}
-	// Everything below is the client's own share arithmetic: pad/share
-	// regeneration plus the modular sums combining client and server
-	// summands. Timed as one block per batch — per-node timing would cost
-	// more than the work it measures on cached paths.
-	arithStart := time.Now()
+	// The client's own share arithmetic — the summands above plus the
+	// modular sums below — is timed as one block per batch: per-node timing
+	// would cost more than the work it measures on cached paths. On a large
+	// wave the summands were computed beside the server's evaluation, so
+	// this time is part of what the wave waited for only where it was the
+	// longer leg.
+	sumStart := time.Now()
 	defer func() {
-		d := time.Since(arithStart)
+		d := arith + time.Since(sumStart)
 		r.e.obsv.Observe(obs.StageShareArith, d)
 		obs.SpanFrom(r.ctx).Add(obs.StageShareArith, d)
 	}()
+	if len(answers) != len(batch) {
+		return fmt.Errorf("core: server returned %d answers for %d keys", len(answers), len(batch))
+	}
 	// The evaluation modulus of each point is fixed for the whole batch;
 	// resolve it once instead of once per (node, point).
 	mods := make([]*big.Int, len(eff))
@@ -300,43 +420,28 @@ func (r *run) evalBatch(batch []drbg.NodeKey, eff []*big.Int, effIdx []int) erro
 			return fmt.Errorf("core: point %s: %w", p, err)
 		}
 	}
-	multi, isMulti := r.e.shares.(sharing.MultiPointSource)
-	for _, ans := range answers {
+	for i, ans := range answers {
+		// The summands were computed for batch[i]: an answer in another
+		// order, or for a key that was not asked, must not be added to them.
+		if !slices.Equal(ans.Key, batch[i]) {
+			return fmt.Errorf("core: server answered for %s where %s was asked", ans.Key, batch[i])
+		}
 		if len(ans.Values) != len(eff) {
 			return fmt.Errorf("core: server returned %d values for %d points", len(ans.Values), len(eff))
 		}
-		// Client share summands: one share regeneration serves all points
-		// when the source supports multi-point evaluation. Wildcard-only
-		// waves (eff empty) need no share work at all — the server round
-		// still ran to learn child counts.
-		var cvs []*big.Int
-		switch {
-		case len(eff) == 0:
-		case isMulti:
-			if cvs, err = multi.EvalShares(ans.Key, eff); err != nil {
-				return err
-			}
-			if len(cvs) != len(eff) {
-				return fmt.Errorf("core: share source returned %d values for %d points", len(cvs), len(eff))
-			}
-		default:
-			cvs = make([]*big.Int, len(eff))
-			for i, p := range eff {
-				if cvs[i], err = r.e.shares.EvalShare(ans.Key, p); err != nil {
-					return err
-				}
-			}
+		if i == shareBad {
+			return shareErr
 		}
 		sums := make([]*big.Int, len(eff))
-		for i := range eff {
-			sum := new(big.Int).Add(cvs[i], ans.Values[i])
-			sums[i] = sum.Mod(sum, mods[i])
+		for j := range eff {
+			sum := new(big.Int).Add(cvs[i][j], ans.Values[j])
+			sums[j] = sum.Mod(sum, mods[j])
 		}
 		aks := ans.Key.String()
 		r.mu.Lock()
 		r.childCount[aks] = ans.NumChildren
-		for i := range eff {
-			r.sumCache[sumKey{node: aks, pt: effIdx[i]}] = sums[i]
+		for j := range eff {
+			r.sumCache[sumKey{node: aks, pt: effIdx[j]}] = sums[j]
 		}
 		r.mu.Unlock()
 	}
@@ -411,7 +516,7 @@ func (r *run) scanDescendants(roots []drbg.NodeKey, pts []*big.Int) ([]sumState,
 	}
 	if len(pruned) > 0 {
 		r.e.counters.AddPruned(len(pruned))
-		if err := r.e.api.Prune(pruned); err != nil {
+		if err := PruneWithCtx(r.ctx, r.e.api, pruned); err != nil {
 			return nil, err
 		}
 	}
@@ -526,6 +631,10 @@ type fetchChunk struct {
 	// sets[s] locates job first+s in keys: its node, then its children in
 	// order.
 	sets [][]int
+	// pads[i] is the client share of keys[i] in words, regenerated while
+	// the chunk's fetch is in flight (see packedShares); nil where key i has
+	// none.
+	pads [][]uint64
 }
 
 // planChunks cuts the wave into chunks of at most budget polynomials. A
@@ -565,6 +674,7 @@ func planChunks(jobs []tagJob, budget int) []fetchChunk {
 // the polynomials of each node and its children and recovers the node's
 // tag value, with the full consistency check. The server polynomials
 // arrive in a few large deduplicated fetches instead of one per node, the
+// client regenerates a chunk's share pads while its fetch is in flight, the
 // fetch of chunk k+1 is in flight while chunk k is solved, and a chunk's
 // solves spread over the idle cores. On error, failed is the first job in
 // wave order that could not be resolved and tags[:failed] are valid.
@@ -578,9 +688,14 @@ func (r *run) recoverNodeTags(jobs []tagJob) (tags []*big.Int, failed int, err e
 		polys []NodePoly
 		err   error
 	}
-	fetch := func(c *fetchChunk) fetched {
-		polys, err := r.fetchPolys(c.keys)
-		return fetched{polys, err}
+	fetch := func(c *fetchChunk) (f fetched) {
+		f.err = twoLegs(len(c.keys), func() (err error) {
+			f.polys, err = r.fetchPolys(c.keys)
+			return err
+		}, func() {
+			c.pads = r.packedShares(c.keys)
+		})
+		return f
 	}
 	cur := fetch(&chunks[0])
 	for ci := range chunks {
@@ -637,7 +752,7 @@ func (r *run) solveChunk(c *fetchChunk, polys []NodePoly, tags []*big.Int) (fail
 	}
 	// Reconstruct every polynomial of the chunk once, in words, however
 	// many jobs share it.
-	recon, fp := r.reconstructPacked(c.keys, polys, par)
+	recon, fp := r.reconstructPacked(c.pads, polys)
 	errs := make([]error, len(c.sets))
 	pool := parwalk.New(par)
 	for s := range c.sets {
@@ -653,46 +768,62 @@ func (r *run) solveChunk(c *fetchChunk, polys []NodePoly, tags []*big.Int) (fail
 	return 0, nil
 }
 
-// reconstructPacked adds the client share to each fetched server share in
-// the word representation: server words arrive as words, client shares
-// arrive packed from the share source, and the sums land in one slab.
-// recon[i] stays nil where key i has no word form — the fast path is off,
-// the source has no packed shares, or a polynomial has out-of-word
-// coefficients or is over-long (a tampering server, StaticSource over
-// unreduced figure values) — and the jobs using it take the big.Int path,
-// which Reduces. Server words are reduced here: only a file loader
-// vouches for canonical words, the wire does not.
-func (r *run) reconstructPacked(keys []drbg.NodeKey, polys []NodePoly, par int) ([][]uint64, *ring.FpCyclotomic) {
+// packedShares regenerates the client share of every key in the word
+// representation, spread over the idle cores. The result is nil when the
+// engine has no word path (the fast path is off, or the source has no
+// packed shares), and pads[i] is nil where the source has no packed form
+// for key i or failed on it: the jobs using it take the big.Int path, which
+// asks the source again and reports.
+func (r *run) packedShares(keys []drbg.NodeKey) [][]uint64 {
 	fp, okRing := r.e.ring.(*ring.FpCyclotomic)
 	src, okSrc := r.e.shares.(sharing.PackedShareSource)
 	if !okRing || fp.Fast() == nil || !okSrc {
+		return nil
+	}
+	n := fp.DegreeBound()
+	pads := make([][]uint64, len(keys))
+	keyBlocks(len(keys), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if cv, ok, err := src.PackedShare(keys[i]); err == nil && ok && len(cv) <= n {
+				pads[i] = cv
+			}
+		}
+	})
+	return pads
+}
+
+// reconstructPacked adds the client share to each fetched server share in
+// the word representation: server words arrive as words, client shares
+// were regenerated packed beside the fetch (pads), and the sums land in
+// one slab. recon[i] stays nil where key i has no word form — no pad (see
+// packedShares), or a polynomial with out-of-word coefficients or
+// over-long (a tampering server, StaticSource over unreduced figure
+// values) — and the jobs using it take the big.Int path, which Reduces.
+// Server words are reduced here: only a file loader vouches for canonical
+// words, the wire does not.
+func (r *run) reconstructPacked(pads [][]uint64, polys []NodePoly) ([][]uint64, *ring.FpCyclotomic) {
+	if pads == nil {
 		return nil, nil
 	}
+	fp := r.e.ring.(*ring.FpCyclotomic) // packedShares made pads for it
 	ff := fp.Fast()
 	n := fp.DegreeBound()
-	recon := make([][]uint64, len(keys))
-	slab := make([]uint64, len(keys)*n)
-	pool := parwalk.New(par)
-	for i := range keys {
-		i := i // pre-1.22 loop-var capture
-		pool.Do(func() {
+	recon := make([][]uint64, len(pads))
+	slab := make([]uint64, len(pads)*n)
+	keyBlocks(len(pads), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			sv, ok := polys[i].WordCoeffs()
-			if !ok || len(sv) > n {
-				return
-			}
-			cv, ok, err := src.PackedShare(keys[i])
-			if err != nil || !ok || len(cv) > n {
-				return // the big.Int path asks the source again and reports
+			if !ok || len(sv) > n || pads[i] == nil {
+				continue
 			}
 			sum := slab[i*n : (i+1)*n : (i+1)*n]
-			copy(sum, cv)
+			copy(sum, pads[i])
 			for j, v := range sv {
 				sum[j] = ff.Add(sum[j], ff.Reduce(v))
 			}
 			recon[i] = sum
-		})
-	}
-	pool.Wait()
+		}
+	})
 	return recon, fp
 }
 

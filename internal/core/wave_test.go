@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sssearch/internal/core"
 	"sssearch/internal/drbg"
@@ -288,6 +293,393 @@ func TestWaveOutOfWordCoefficientTakesBigIntPath(t *testing.T) {
 		}
 		if shares.packed.Load() == 0 {
 			t.Fatalf("%s: the rest of the wave left the word path", name)
+		}
+	}
+}
+
+// packedMulti is what every share source of the package offers and the
+// engine type-asserts for.
+type packedMulti interface {
+	sharing.MultiPointSource
+	sharing.PackedShareSource
+}
+
+// waveTap sits on both seams of an engine — ServerAPI and share source —
+// and logs what crosses them: every EvalNodes wave (keys, in order) and
+// every EvalShares key, in call order. It can fail either leg, and in
+// lockstep mode it imposes the sequential schedule the overlapped wave
+// replaced: no share of a wave is evaluated until the wave's server call
+// has returned.
+type waveTap struct {
+	core.ServerAPI
+	packedMulti
+
+	mu       sync.Mutex
+	cond     *sync.Cond
+	waves    [][]string // EvalNodes key strings, one entry per wave with points
+	evals    []string   // EvalShares key strings in call order
+	answered int        // keys of waves the server has answered (lockstep)
+	lockstep bool
+
+	// serverErr fails every EvalNodes below the root's wave — once the
+	// share leg has been seen computing there when awaitShares is set.
+	serverErr   error
+	awaitShares bool
+	sharesSeen  chan struct{} // closed by the first EvalShares below the root
+	seenOnce    sync.Once
+	// shareErrs fails EvalShares on the keyed nodes; noPacked makes
+	// PackedShare report no packed form for them, packedErr makes it fail.
+	shareErrs map[string]error
+	noPacked  map[string]bool
+	packedErr map[string]error
+	bigShares atomic.Int64
+}
+
+func newWaveTap(api core.ServerAPI, src packedMulti) *waveTap {
+	t := &waveTap{ServerAPI: api, packedMulti: src, sharesSeen: make(chan struct{})}
+	t.cond = sync.NewCond(&t.mu)
+	return t
+}
+
+func (w *waveTap) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
+	if len(points) > 0 {
+		ks := make([]string, len(keys))
+		for i, k := range keys {
+			ks[i] = k.String()
+		}
+		w.mu.Lock()
+		w.waves = append(w.waves, ks)
+		w.mu.Unlock()
+	}
+	if w.serverErr != nil && len(keys[0]) > 0 {
+		if w.awaitShares {
+			select {
+			case <-w.sharesSeen:
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("no share was evaluated while the server call was in flight")
+			}
+		}
+		return nil, w.serverErr
+	}
+	out, err := w.ServerAPI.EvalNodes(keys, points)
+	if len(points) > 0 {
+		w.mu.Lock()
+		w.answered += len(keys)
+		w.mu.Unlock()
+		w.cond.Broadcast()
+	}
+	return out, err
+}
+
+func (w *waveTap) EvalShares(key drbg.NodeKey, points []*big.Int) ([]*big.Int, error) {
+	if len(key) > 0 {
+		w.seenOnce.Do(func() { close(w.sharesSeen) })
+	}
+	ks := key.String()
+	w.mu.Lock()
+	n := len(w.evals)
+	w.evals = append(w.evals, ks)
+	// One EvalShares per key per wave: call n belongs to an answered wave
+	// exactly when n keys or more have been answered.
+	for w.lockstep && n >= w.answered {
+		w.cond.Wait()
+	}
+	w.mu.Unlock()
+	if err := w.shareErrs[ks]; err != nil {
+		return nil, err
+	}
+	return w.packedMulti.EvalShares(key, points)
+}
+
+func (w *waveTap) PackedShare(key drbg.NodeKey) ([]uint64, bool, error) {
+	ks := key.String()
+	if err := w.packedErr[ks]; err != nil {
+		return nil, false, err
+	}
+	if w.noPacked[ks] {
+		return nil, false, nil
+	}
+	return w.packedMulti.PackedShare(key)
+}
+
+func (w *waveTap) Share(key drbg.NodeKey) (poly.Poly, error) {
+	w.bigShares.Add(1)
+	return w.packedMulti.Share(key)
+}
+
+// evalsByWave cuts the EvalShares log at the wave sizes and returns each
+// wave's keys sorted — the multiset the wave evaluated. Waves are
+// sequential and join both legs, so the log has no interleaving to undo.
+func (w *waveTap) evalsByWave(t *testing.T) [][]string {
+	t.Helper()
+	var out [][]string
+	off := 0
+	for wi, wave := range w.waves {
+		if off+len(wave) > len(w.evals) {
+			t.Fatalf("wave %d asked the server about %d keys, the share source saw %d calls in all", wi, len(wave), len(w.evals)-off)
+		}
+		got := append([]string(nil), w.evals[off:off+len(wave)]...)
+		sort.Strings(got)
+		out = append(out, got)
+		off += len(wave)
+	}
+	if off != len(w.evals) {
+		t.Fatalf("%d EvalShares calls beyond the %d the waves account for", len(w.evals)-off, off)
+	}
+	return out
+}
+
+// wideDoc is a three-level document: width subtrees under the root,
+// alternating <a><b/><a/></a> (ambiguous for //a) and <b><a/></b>. At
+// overlappedWidth every evaluation wave below the root and the
+// tag-recovery chunks of //a are large enough to run as two legs, at twice
+// that also when Opts.Parallelism splits a wave into two server batches.
+const overlappedWidth = 600 // the engine's overlapMinKeys, with room
+
+func wideDoc(t *testing.T, width int) *xmltree.Node {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < width; i++ {
+		if i%2 == 0 {
+			sb.WriteString("<a><b/><a/></a>")
+		} else {
+			sb.WriteString("<b><a/></b>")
+		}
+	}
+	sb.WriteString("</r>")
+	doc, err := xmltree.ParseString(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// shareSourceKinds are the three kinds of client share source.
+var shareSourceKinds = []string{"SeedClient", "SharedPadCache", "StaticSource"}
+
+// shareSource builds one kind of client share source over the stack, fresh
+// (cold caches) on every call.
+func (s *waveStack) shareSource(t *testing.T, kind string) packedMulti {
+	t.Helper()
+	switch kind {
+	case "SeedClient":
+		return sharing.NewSeedClient(s.r, s.seed)
+	case "SharedPadCache":
+		return sharing.NewSharedPadCache(s.r, s.seed).NewClient()
+	}
+	clientTree, err := sharing.Materialize(s.r, s.seed, s.srv.Tree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := sharing.NewStaticSource(s.r, clientTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return static
+}
+
+// TestOverlappedWaveMatchesSequential pins the two-leg wave to the
+// sequential one it replaced: the reference run is held in lockstep on one
+// core (server call, then the shares, in batch order), the overlapped runs
+// are free at GOMAXPROCS 1, 2 and 8. Same matches, same unresolved set,
+// same Stats, and every wave evaluates the share of exactly the keys it
+// asked the server about, once each.
+func TestOverlappedWaveMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	doc := wideDoc(t, overlappedWidth)
+	vocab := []string{"r", "a", "b"}
+	queries := [][]string{{"//a", "//a/b", "/r/*/a"}, {"//a", "/r/b/a"}}
+	for ri, r := range []ring.Ring{ring.MustFp(257), ring.MustIntQuotient(1, 0, 1)} {
+		st := newWaveStack(t, r, doc, vocab, byte(120+ri))
+		for _, qs := range queries[ri] {
+			q := xpath.MustParse(qs)
+			want := oracleKeys(doc, q)
+			run := func(src packedMulti, procs int, lockstep bool) (*core.Result, *waveTap) {
+				runtime.GOMAXPROCS(procs)
+				tap := newWaveTap(st.srv, src)
+				tap.lockstep = lockstep
+				res, err := core.NewEngineWithShares(r, tap, st.m, tap, nil).Query(q, core.Opts{Verify: core.VerifyFull})
+				if err != nil {
+					t.Fatalf("%s %s procs %d lockstep %v: %v", r.Name(), qs, procs, lockstep, err)
+				}
+				return res, tap
+			}
+			for _, name := range shareSourceKinds {
+				ref, refTap := run(st.shareSource(t, name), 1, true)
+				if !sameSet(keySet(ref.Matches), want) {
+					t.Fatalf("%s %s %s: sequential reference disagrees with the plaintext oracle", r.Name(), qs, name)
+				}
+				// On one core in lockstep the share calls are the batch, in order.
+				var asked []string
+				for _, wave := range refTap.waves {
+					asked = append(asked, wave...)
+				}
+				if !slices.Equal(refTap.evals, asked) {
+					t.Fatalf("%s %s %s: sequential reference evaluated shares of\n%v\nthe waves asked about\n%v", r.Name(), qs, name, refTap.evals, asked)
+				}
+				refWaves := refTap.evalsByWave(t)
+				for _, procs := range []int{1, 2, 8} {
+					res, tap := run(st.shareSource(t, name), procs, false)
+					id := fmt.Sprintf("%s %s %s GOMAXPROCS %d", r.Name(), qs, name, procs)
+					if keyStrings(res.Matches) != keyStrings(ref.Matches) || keyStrings(res.Unresolved) != keyStrings(ref.Unresolved) {
+						t.Fatalf("%s: matches %s unresolved %s, sequential %s / %s", id, keyStrings(res.Matches), keyStrings(res.Unresolved), keyStrings(ref.Matches), keyStrings(ref.Unresolved))
+					}
+					if res.Stats != ref.Stats {
+						t.Fatalf("%s: stats\n%+v\nsequential\n%+v", id, res.Stats, ref.Stats)
+					}
+					waves := tap.evalsByWave(t)
+					if len(waves) != len(refWaves) {
+						t.Fatalf("%s: %d waves, sequential %d", id, len(waves), len(refWaves))
+					}
+					for wi := range waves {
+						if !slices.Equal(waves[wi], refWaves[wi]) {
+							t.Fatalf("%s: wave %d evaluated shares of %v, sequential %v", id, wi, waves[wi], refWaves[wi])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// settledGoroutines polls until the goroutine count is back at (or under)
+// base: a helper that has handed over its result may not have exited yet.
+func settledGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestOverlappedWaveErrors: whichever leg fails, the wave reports the
+// error the sequential wave reported — the server's first, else the share
+// source's at the lowest key in wave order — and no helper goroutine
+// outlives the call.
+func TestOverlappedWaveErrors(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	doc := wideDoc(t, 2*overlappedWidth)
+	r := ring.MustFp(257)
+	st := newWaveStack(t, r, doc, []string{"r", "a", "b"}, 130)
+	srvErr := errors.New("injected server fault")
+	// The second wave of //a holds the root's children — two legs, the
+	// client's in blocks, also when it is split into two server batches.
+	early, late := drbg.NodeKey{5}, drbg.NodeKey{1100}
+	earlyErr, lateErr := errors.New("injected share fault at /5"), errors.New("injected share fault at /1100")
+	cases := []struct {
+		name  string
+		setup func(*waveTap)
+		want  error
+	}{
+		{"serverWhileSharesCompute", func(w *waveTap) { w.serverErr, w.awaitShares = srvErr, true }, srvErr},
+		{"shareAtOneKey", func(w *waveTap) { w.shareErrs = map[string]error{late.String(): lateErr} }, lateErr},
+		{"shareAtTwoKeysInTwoBlocks", func(w *waveTap) {
+			w.shareErrs = map[string]error{late.String(): lateErr, early.String(): earlyErr}
+		}, earlyErr},
+		{"bothLegs", func(w *waveTap) {
+			w.serverErr, w.awaitShares = srvErr, true
+			w.shareErrs = map[string]error{early.String(): earlyErr}
+		}, srvErr},
+	}
+	for _, tc := range cases {
+		for _, parallelism := range []int{0, 2} {
+			tap := newWaveTap(st.srv, sharing.NewSeedClient(r, st.seed))
+			tc.setup(tap)
+			eng := core.NewEngineWithShares(r, tap, st.m, tap, nil)
+			base := runtime.NumGoroutine()
+			_, err := eng.Lookup("a", core.Opts{Parallelism: parallelism})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s parallelism %d: error %v, want %v", tc.name, parallelism, err, tc.want)
+			}
+			if n := settledGoroutines(base); n > base {
+				t.Fatalf("%s parallelism %d: %d goroutines after the failed query, %d before it", tc.name, parallelism, n, base)
+			}
+		}
+	}
+}
+
+// unfaithfulServer answers an evaluation wave of two keys or more in
+// another order, or for a key nobody asked about.
+type unfaithfulServer struct {
+	core.ServerAPI
+	substitute drbg.NodeKey // nil: swap the first two answers instead
+}
+
+func (u *unfaithfulServer) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
+	out, err := u.ServerAPI.EvalNodes(keys, points)
+	if err != nil || len(out) < 2 {
+		return out, err
+	}
+	out = append([]core.NodeEval(nil), out...)
+	if u.substitute != nil {
+		out[1].Key = u.substitute
+	} else {
+		out[0], out[1] = out[1], out[0]
+	}
+	return out, nil
+}
+
+// TestWaveRejectsMisaddressedAnswers: the client's summands are computed
+// for the keys it asked about, so an answer in another order, or for
+// another key, is refused by name instead of being cached under the wrong
+// node (or surfacing later as a missing cached sum).
+func TestWaveRejectsMisaddressedAnswers(t *testing.T) {
+	doc := wideDoc(t, 6)
+	for _, r := range []ring.Ring{ring.MustFp(257), ring.MustIntQuotient(1, 0, 1)} {
+		st := newWaveStack(t, r, doc, []string{"r", "a", "b"}, 140)
+		for name, srv := range map[string]*unfaithfulServer{
+			"reordered":   {ServerAPI: st.srv},
+			"substituted": {ServerAPI: st.srv, substitute: drbg.NodeKey{4}},
+		} {
+			_, err := st.engine(srv, 0).Lookup("a", core.Opts{})
+			if err == nil {
+				t.Fatalf("%s %s: the query succeeded", r.Name(), name)
+			}
+			// The root's children are the first wave of two keys or more: the
+			// reordered one fails at /0, the substituted one at /1.
+			first, second := drbg.NodeKey{0}, drbg.NodeKey{1}
+			if msg := err.Error(); !strings.Contains(msg, "where "+first.String()+" was asked") && !strings.Contains(msg, "where "+second.String()+" was asked") {
+				t.Fatalf("%s %s: error %q does not name the key that was asked", r.Name(), name, err)
+			}
+		}
+	}
+}
+
+// TestWavePadFailureTakesBigIntPath: a key whose pad could not be
+// regenerated beside the fetch — the source failed on it, or has no packed
+// form for it — sends exactly the recoveries that use it through the
+// big.Int path, which asks the source again; the rest of the chunk stays
+// on words and the answer is unchanged.
+func TestWavePadFailureTakesBigIntPath(t *testing.T) {
+	doc := wideDoc(t, overlappedWidth)
+	r := ring.MustFp(257)
+	st := newWaveStack(t, r, doc, []string{"r", "a", "b"}, 150)
+	q := xpath.MustParse("//a")
+	want := oracleKeys(doc, q)
+	victim := drbg.NodeKey{4, 1} // the <a> child of an ambiguous <a>: in one key set
+	for name, setup := range map[string]func(*waveTap){
+		"clean":       func(*waveTap) {},
+		"noPackedFor": func(w *waveTap) { w.noPacked = map[string]bool{victim.String(): true} },
+		"packedFails": func(w *waveTap) { w.packedErr = map[string]error{victim.String(): errors.New("injected pad fault")} },
+	} {
+		tap := newWaveTap(st.srv, sharing.NewSeedClient(r, st.seed))
+		setup(tap)
+		res, err := core.NewEngineWithShares(r, tap, st.m, tap, nil).Query(q, core.Opts{Verify: core.VerifyResolve})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameSet(keySet(res.Matches), want) {
+			t.Fatalf("%s: matches %v, want %v", name, res.Matches, want)
+		}
+		// The recovery of /4 uses three polynomials: /4, /4/0 and /4/1.
+		wantBig := int64(3)
+		if name == "clean" {
+			wantBig = 0
+		}
+		if got := tap.bigShares.Load(); got != wantBig {
+			t.Fatalf("%s: %d big.Int share reconstructions, want %d", name, got, wantBig)
 		}
 	}
 }

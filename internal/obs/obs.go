@@ -30,7 +30,11 @@ type Stage int
 const (
 	// StageShareArith is the client-side share arithmetic of one
 	// evaluation batch: pad/share evaluation plus the modular sums that
-	// combine client and server summands.
+	// combine client and server summands. On a large batch the evaluation
+	// runs beside the batch's server call (StageWire, StageStoreEval), not
+	// after it, so on a single-server path the stages of a query over a
+	// large document sum to more than its wall time by design: this stage
+	// is on the blocking chain only where it is the longer leg.
 	StageShareArith Stage = iota
 	// StageBatchWait is the time an EvalNodes call spent queued in the
 	// client-side micro-batcher before its merged flush started.

@@ -46,8 +46,13 @@ func (a *API) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.No
 
 // Prune implements core.ServerAPI.
 func (a *API) Prune(keys []drbg.NodeKey) error {
-	_, err := Do(context.Background(), a.Policy, func(ctx context.Context) (struct{}, error) {
-		return struct{}{}, a.Inner.Prune(keys)
+	return a.PruneCtx(context.Background(), keys)
+}
+
+// PruneCtx implements core.CtxPruner, retried like EvalNodesCtx.
+func (a *API) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
+	_, err := Do(ctx, a.Policy, func(ctx context.Context) (struct{}, error) {
+		return struct{}{}, core.PruneWithCtx(ctx, a.Inner, keys)
 	})
 	return err
 }
@@ -55,3 +60,4 @@ func (a *API) Prune(keys []drbg.NodeKey) error {
 var _ core.ServerAPI = (*API)(nil)
 var _ core.CtxEvaler = (*API)(nil)
 var _ core.CtxFetcher = (*API)(nil)
+var _ core.CtxPruner = (*API)(nil)

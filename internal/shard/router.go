@@ -260,6 +260,12 @@ func (r *Router) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core
 // about its pruned ones, so errors are collected rather than
 // first-ack-wins.
 func (r *Router) Prune(keys []drbg.NodeKey) error {
+	return r.PruneCtx(context.Background(), keys)
+}
+
+// PruneCtx implements core.CtxPruner, every shard's notice under the
+// caller's ctx.
+func (r *Router) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -283,7 +289,7 @@ func (r *Router) Prune(keys []drbg.NodeKey) error {
 	r.counters.RecordBatch(shards)
 	prune := func(s int, keys []drbg.NodeKey) error {
 		_, err := groupCall(r, s, func(api core.ServerAPI) (struct{}, error) {
-			return struct{}{}, api.Prune(keys)
+			return struct{}{}, core.PruneWithCtx(ctx, api, keys)
 		})
 		return err
 	}

@@ -13,6 +13,13 @@ import (
 // regenerated from a seed (SeedClient, the paper's §4.2 storage-optimal
 // mode), held in a materialized tree (StaticSource), or — in tests — the
 // paper's published figure values verbatim.
+//
+// Implementations must be safe for concurrent use, every method with every
+// other: the query engine computes the client summands of a large
+// evaluation wave, and the pads of a tag-recovery chunk, in blocks on every
+// core while the server's call is in flight, and concurrent queries share
+// one source.
+// Results are read-only once returned.
 type ShareSource interface {
 	// Share returns the client share polynomial of the keyed node.
 	Share(key drbg.NodeKey) (poly.Poly, error)
@@ -25,7 +32,8 @@ type ShareSource interface {
 // materialization (or DRBG regeneration) serves every active query point
 // in a single polynomial pass. The query engine type-asserts for it and
 // falls back to per-point EvalShare calls otherwise; results are
-// identical either way.
+// identical either way. EvalShares is called from several goroutines at
+// once, like every ShareSource method.
 type MultiPointSource interface {
 	ShareSource
 	// EvalShares evaluates the node's client share at every point, in
@@ -38,7 +46,8 @@ type MultiPointSource interface {
 // polynomials without crossing the big.Int boundary. ok=false means the
 // source has no packed form for that node (fast path off, or out-of-word
 // coefficients); callers fall back to Share. Returned vectors are shared
-// — read only.
+// — read only — and PackedShare is called from several goroutines at once,
+// like every ShareSource method.
 type PackedShareSource interface {
 	ShareSource
 	PackedShare(key drbg.NodeKey) (vec []uint64, ok bool, err error)
