@@ -251,10 +251,20 @@
 // bound: 1,024 polynomials on F_257, far under wire.MaxFrameSize), the
 // client regenerates a large chunk's share pads while its fetch is in
 // flight, the fetch of the next chunk is in flight while the current one is
-// solved, and a chunk of eight or more recoveries spreads its solves over
-// the idle cores. Rounds per query are therefore O(steps), matches and the
-// first reported error keep candidate order, and every recovery keeps
-// the full (x − t)·Q = f consistency check that catches a lying server.
+// solved, and a chunk of more than eight recoveries spreads its solves, in
+// blocks of eight, over the idle cores. Rounds per query are therefore
+// O(steps), matches and the first reported error keep candidate order, and
+// every recovery keeps the full (x − t)·Q = f consistency check that
+// catches a lying server: Q = ∏ children is one multi-factor product, the
+// first invertible coefficient of Q gives t, and all n coefficient
+// equations Q[i-1] − t·Q[i] = f[i] are then checked in one pass over Q.
+// The resolve pipeline allocates per chunk, not per polynomial: a fetch
+// response is encoded into a frame sized once and decoded into one
+// coefficient slab (poly.WordSlab, never larger than the bytes present),
+// the reconstructed sums of a chunk share another, and a block of solves
+// shares one scratch product, so a recovery allocates only its result. The
+// solve time of each wave is the tag_recover stage of internal/obs; the
+// fetch it waited for is the wire's.
 // Fetches and the prune notice that ends a descendant scan carry the
 // query's context (core.FetchPolysWithCtx, core.PruneWithCtx), so a
 // sampled query's trace id and deadline budget ride every frame it sends.
@@ -308,31 +318,68 @@
 // that order, so the field always contains a primitive n-th root of
 // unity and the length-n DFT diagonalizes the ring product in-field.
 // Per ring the transform state is built lazily on the first
-// transform-sized product and cached for the ring's lifetime — 8n bytes
-// of twiddle table plus pooled scratch, immutable after construction and
-// shared read-only across goroutines. Routing rules:
+// transform-sized product and cached for the ring's lifetime — at most
+// 12n bytes of twiddle tables plus pooled scratch, immutable after
+// construction and shared read-only across goroutines. It is also what a
+// descendant query spends its client time in: every eq. (2) tag recovery
+// is one multi-factor product (see "Read path").
 //
-//   - When n factors into primes ≤ 61, the mixed-radix Cooley-Tukey
-//     transform runs directly over F_p.
+// The kernel. n = m·2^k with m odd. A power-of-two length (F_257,
+// F_65537) is one iterative in-place pass: the source is loaded in
+// bit-reversed order, zero-padded on the way and fused with the first
+// butterfly stage, and the remaining k-1 stages run over twiddles stored
+// stage by stage (so the destination must not overlap the source, and a
+// source longer than n panics like a wrong destination length). Odd
+// prime factors ≤ 61 are peeled by a recursive decimation with one generic
+// butterfly per radix, which leaves m interleaved subsequences for the
+// same power-of-two kernel (F_97: 3·2^5, F_12289: 3·2^12). There is one
+// transform direction — the inverse is the forward transform read
+// backwards, which its 1/n scaling pass does on its way — and one path per
+// radix; fastfield's naiveDFT, ring.MulPackedSchoolbook and SetNTT(false)
+// are the oracles.
+//
+// Deferred reduction. In a radix-2 butterfly (a, b) → (a + b·w, a − b·w)
+// only the product needs a reduction: a Montgomery product takes any
+// 64-bit operand against a canonical one and returns a canonical value,
+// so the sums may grow by a multiple of p per stage as long as a word
+// holds them. Values entering the stage of half-width h are below h·p;
+// the kernel defers exactly when 2^k·p ≤ 2^64 (p below 2^56 at n = 256:
+// every in-field ring) and the consumer — the pointwise product, the
+// inverse's scaling, or one reducing pass for the public Transform —
+// reduces in a multiplication it performs anyway. The 62-bit auxiliary
+// primes of the convolution fallback fail the bound and keep every
+// butterfly exactly reduced. TestNTTDeferredReductionBound drives the
+// largest deferred modulus on the fastest-growing inputs.
+//
+// Routing rules (ring.MulPackedInto, MulPackedProdInto; re-measure with
+// BenchmarkMulPackedCutover before touching a constant):
+//
+//   - When n factors into primes ≤ 61 the transform runs directly over
+//     F_p. One transform costs fastfield.TransformCost(n) schoolbook
+//     coefficient pairs — half a pair per element and radix-2 stage, r+1
+//     per element and odd radix r — and a product routes to it when
+//     la·lb reaches 3.5 of those (three transforms plus the pointwise and
+//     scaling passes): 3,584 pairs, 60×60, on F_257. Pays 6.6 µs against
+//     the schoolbook loop's 154 µs on a full 256×256 product.
 //   - When n has a larger prime factor, the engine computes the exact
 //     integer convolution through power-of-two NTTs over one or two
-//     63-bit auxiliary primes with a CRT lift — still O(n log n), at a
-//     higher constant (it engages at a correspondingly higher size bar).
-//   - Short products stay schoolbook: a product routes to the transform
-//     only when its schoolbook cost (la·lb coefficient pairs) exceeds
-//     the measured transform cost, ≈ 5·n·log2(n) pair-equivalents
-//     (calibrated by BenchmarkNTT256Mul vs BenchmarkSchoolbook256Mul).
-//     Multi-factor products (ring.MulPackedProd — the shape the
-//     bottom-up tree encode emits at every interior node) amortize
-//     further: each factor is transformed once, multiplied pointwise
-//     into one accumulator, and a single inverse transform recovers the
-//     coefficients.
+//     62-bit auxiliary primes with a CRT lift — still O(n log n), at a
+//     higher constant: it engages at 3·m·log₂m pairs for transform
+//     length m. Pays 26 µs against 77 µs at 192×192 on F_227.
+//   - Multi-factor products (ring.MulPackedProd — the shape the
+//     bottom-up tree encode emits at every interior node, and a tag
+//     recovery's ∏ children) amortize further: each factor is
+//     transformed once, multiplied pointwise into one accumulator, and a
+//     single inverse transform recovers the coefficients, so k factors
+//     cost (k+1)/3 of a pairwise product and route to the transform when
+//     the left-to-right schoolbook fold would cost more. Pays 22 µs
+//     against 186 µs for eight 64-coefficient factors on F_257.
 //
 // ring.SetNTT(false) forces every product back to schoolbook (the
 // ablation), and SetFast(false) still drops to the big.Int reference;
-// differential and fuzz tests pin all three against each other on both
-// smooth (F_257) and fallback (F_227, F_1283) rings, across the cutover
-// seam.
+// differential and fuzz tests pin all three against each other on
+// power-of-two (F_257), mixed (F_97, F_769, F_12289) and fallback (F_227,
+// F_1283) rings, across each cutover seam.
 //
 // sharing.MultiSplit's k-of-n Shamir share generation runs on the same
 // packed engine and the same bounded worker pool as Split: one 32-byte
@@ -460,11 +507,11 @@
 //
 // # Observability
 //
-// The serving stack is traceable end to end (internal/obs). Eight stages
+// The serving stack is traceable end to end (internal/obs). Nine stages
 // of a request's life — client share arithmetic, batcher flush wait, wire
 // round trip, daemon admission wait, worker dispatch, coalescer merge
-// wait, store evaluation, response writer-queue residency — are each
-// timed into a lock-free log-bucketed histogram (atomic buckets, so the
+// wait, store evaluation, response writer-queue residency, and the
+// client's eq. (2) tag-recovery solves, once per wave — are each timed into a lock-free log-bucketed histogram (atomic buckets, so the
 // hot path never takes a lock; snapshots merge exactly, so per-daemon
 // histograms aggregate across a fleet).
 //

@@ -307,17 +307,17 @@ func twoLegs(n int, server func() error, client func()) error {
 	return err
 }
 
-// keyBlocks runs f over [0, n) in blocks of shareBlockKeys on a
-// GOMAXPROCS-wide pool (one block runs on the calling goroutine). f must
-// write only into slots of its own range.
-func keyBlocks(n int, f func(lo, hi int)) {
-	if n <= shareBlockKeys {
+// blocks runs f over [0, n) in blocks of size on a GOMAXPROCS-wide pool
+// (one block runs on the calling goroutine). f must write only into slots
+// of its own range.
+func blocks(n, size int, f func(lo, hi int)) {
+	if n <= size {
 		f(0, n)
 		return
 	}
 	pool := parwalk.New(0) // GOMAXPROCS
-	for lo := 0; lo < n; lo += shareBlockKeys {
-		lo, hi := lo, min(lo+shareBlockKeys, n)
+	for lo := 0; lo < n; lo += size {
+		lo, hi := lo, min(lo+size, n)
 		pool.Do(func() { f(lo, hi) })
 	}
 	pool.Wait() // f reports through its slots
@@ -359,7 +359,7 @@ func (r *run) clientSummands(keys []drbg.NodeKey, eff []*big.Int) (cvs [][]*big.
 	if len(keys) < overlapMinKeys {
 		block(0, len(keys))
 	} else {
-		keyBlocks(len(keys), block)
+		blocks(len(keys), shareBlockKeys, block)
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -611,10 +611,17 @@ const fetchChunkBytes = 1 << 20
 // polynomial's size (IntQuotient coefficients grow with the document).
 const maxChunkPolys = 4096
 
-// parallelSolveMin is the number of recoveries in a chunk from which the
-// solves spread over the idle cores; below it the goroutine hand-offs cost
-// more than they save.
-const parallelSolveMin = 8
+// solveBlockJobs is how many recoveries of a chunk one task solves over one
+// scratch product: a chunk of up to that many is solved inline, because the
+// goroutine hand-offs would cost more than they save, and a larger one
+// spreads its blocks over the idle cores.
+const solveBlockJobs = 8
+
+// solveScratch is what the word-path recoveries of one block share.
+type solveScratch struct {
+	q        []uint64   // ∏qᵢ, see polyenc.RecoverTagPackedScratch
+	children [][]uint64 // the current job's child vectors
+}
 
 // chunkPolys is how many polynomials one fetch asks for: fetchChunkBytes at
 // about four wire bytes per coefficient (sign, length, one or two
@@ -684,6 +691,13 @@ func (r *run) recoverNodeTags(jobs []tagJob) (tags []*big.Int, failed int, err e
 	}
 	chunks := planChunks(jobs, r.e.chunkPolys)
 	tags = make([]*big.Int, len(jobs))
+	// One observation per wave: the time spent solving, not the time spent
+	// waiting for a fetch (that is the wire's).
+	var solve time.Duration
+	defer func() {
+		r.e.obsv.Observe(obs.StageTagRecover, solve)
+		obs.SpanFrom(r.ctx).Add(obs.StageTagRecover, solve)
+	}()
 	type fetched struct {
 		polys []NodePoly
 		err   error
@@ -707,7 +721,9 @@ func (r *run) recoverNodeTags(jobs []tagJob) (tags []*big.Int, failed int, err e
 		}
 		failed, err = c.first, cur.err
 		if err == nil {
+			start := time.Now()
 			failed, err = r.solveChunk(c, cur.polys, tags[c.first:])
+			solve += time.Since(start)
 		}
 		if next != nil {
 			cur = <-next // on the error path too: the fetch goroutine never outlives the wave
@@ -743,23 +759,24 @@ func (r *run) fetchPolys(keys []drbg.NodeKey) ([]NodePoly, error) {
 }
 
 // solveChunk recovers the tag of every job of one fetched chunk into tags
-// (aligned with c.sets). On error, failed is the wave index of the first
-// job, in order, that could not be resolved.
+// (aligned with c.sets). The jobs run in blocks over the idle cores, and a
+// block's word-path solves share one scratch product, so a recovery
+// allocates only its result. On error, failed is the wave index of the
+// first job, in order, that could not be resolved.
 func (r *run) solveChunk(c *fetchChunk, polys []NodePoly, tags []*big.Int) (failed int, err error) {
-	par := 1
-	if len(c.sets) >= parallelSolveMin {
-		par = 0 // GOMAXPROCS
-	}
 	// Reconstruct every polynomial of the chunk once, in words, however
 	// many jobs share it.
 	recon, fp := r.reconstructPacked(c.pads, polys)
 	errs := make([]error, len(c.sets))
-	pool := parwalk.New(par)
-	for s := range c.sets {
-		s := s // pre-1.22 loop-var capture
-		pool.Do(func() { tags[s], errs[s] = r.recoverJob(c, c.sets[s], polys, recon, fp) })
-	}
-	pool.Wait() // the tasks report through errs
+	blocks(len(c.sets), solveBlockJobs, func(lo, hi int) {
+		var sc solveScratch
+		if fp != nil {
+			sc.q = make([]uint64, fp.DegreeBound())
+		}
+		for s := lo; s < hi; s++ {
+			tags[s], errs[s] = r.recoverJob(c, c.sets[s], polys, recon, fp, &sc)
+		}
+	})
 	for s, err := range errs {
 		if err != nil {
 			return c.first + s, err
@@ -782,7 +799,7 @@ func (r *run) packedShares(keys []drbg.NodeKey) [][]uint64 {
 	}
 	n := fp.DegreeBound()
 	pads := make([][]uint64, len(keys))
-	keyBlocks(len(keys), func(lo, hi int) {
+	blocks(len(keys), shareBlockKeys, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if cv, ok, err := src.PackedShare(keys[i]); err == nil && ok && len(cv) <= n {
 				pads[i] = cv
@@ -810,7 +827,7 @@ func (r *run) reconstructPacked(pads [][]uint64, polys []NodePoly) ([][]uint64, 
 	n := fp.DegreeBound()
 	recon := make([][]uint64, len(pads))
 	slab := make([]uint64, len(pads)*n)
-	keyBlocks(len(pads), func(lo, hi int) {
+	blocks(len(pads), shareBlockKeys, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sv, ok := polys[i].WordCoeffs()
 			if !ok || len(sv) > n || pads[i] == nil {
@@ -830,7 +847,7 @@ func (r *run) reconstructPacked(pads [][]uint64, polys []NodePoly) ([][]uint64, 
 // recoverJob solves eq. (2) for one job of a chunk: on the reconstructed
 // word vectors when every polynomial of its set has one, through the
 // big.Int reference path otherwise.
-func (r *run) recoverJob(c *fetchChunk, set []int, polys []NodePoly, recon [][]uint64, fp *ring.FpCyclotomic) (*big.Int, error) {
+func (r *run) recoverJob(c *fetchChunk, set []int, polys []NodePoly, recon [][]uint64, fp *ring.FpCyclotomic, sc *solveScratch) (*big.Int, error) {
 	packed := recon != nil
 	for _, i := range set {
 		packed = packed && recon[i] != nil
@@ -838,11 +855,11 @@ func (r *run) recoverJob(c *fetchChunk, set []int, polys []NodePoly, recon [][]u
 	var tag *big.Int
 	var err error
 	if packed {
-		children := make([][]uint64, len(set)-1)
-		for j, i := range set[1:] {
-			children[j] = recon[i]
+		sc.children = sc.children[:0]
+		for _, i := range set[1:] {
+			sc.children = append(sc.children, recon[i])
 		}
-		tag, err = polyenc.RecoverTagPacked(fp, recon[set[0]], children)
+		tag, err = polyenc.RecoverTagPackedScratch(fp, sc.q, recon[set[0]], sc.children)
 	} else {
 		full := make([]poly.Poly, len(set))
 		for j, i := range set {

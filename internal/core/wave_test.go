@@ -17,6 +17,7 @@ import (
 	"sssearch/internal/core"
 	"sssearch/internal/drbg"
 	"sssearch/internal/mapping"
+	"sssearch/internal/obs"
 	"sssearch/internal/poly"
 	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
@@ -135,9 +136,24 @@ func TestWaveMatchesPerCandidatePath(t *testing.T) {
 					}
 					for _, budget := range []int{0, 6} {
 						counted := &fetchCounter{ServerAPI: st.srv}
-						res, err := st.engine(counted, budget).Query(q, core.Opts{Verify: level})
+						eng, observed := st.engine(counted, budget), &obs.Observer{}
+						eng.SetObserver(observed)
+						began := time.Now()
+						res, err := eng.Query(q, core.Opts{Verify: level})
+						wall := time.Since(began)
 						if err != nil {
 							t.Fatalf("%s budget %d: %v", name, budget, err)
+						}
+						// The tag_recover stage sees each wave once — at the
+						// ring's own budget a wave is one fetch — and only its
+						// solve time, which the query's wall time contains.
+						solved := observed.Stage(obs.StageTagRecover).Snapshot()
+						if budget == 0 && solved.Count != uint64(counted.fetches.Load()) {
+							t.Fatalf("%s: %d tag_recover observations for %d waves", name, solved.Count, counted.fetches.Load())
+						}
+						if (solved.Count > 0) != (res.Stats.TagsRecovered > 0) || time.Duration(solved.Sum) > wall {
+							t.Fatalf("%s budget %d: tag_recover observed %d waves, %v, for %d recoveries in %v",
+								name, budget, solved.Count, time.Duration(solved.Sum), res.Stats.TagsRecovered, wall)
 						}
 						if keyStrings(res.Matches) != keyStrings(ref.Matches) {
 							t.Fatalf("%s budget %d: matches %s, per-candidate %s", name, budget, keyStrings(res.Matches), keyStrings(ref.Matches))
@@ -164,8 +180,8 @@ func TestWaveMatchesPerCandidatePath(t *testing.T) {
 			}
 		}
 	}
-	if maxRecovered < 8 {
-		t.Fatalf("largest wave recovered %d tags: the parallel solve (8 and up) never ran", maxRecovered)
+	if maxRecovered <= 8 {
+		t.Fatalf("largest wave recovered %d tags: the parallel solve (more than 8) never ran", maxRecovered)
 	}
 }
 

@@ -167,11 +167,17 @@ func (f *Field) MForm(a uint64) uint64 {
 // Montgomery form (b = x·R mod p) the result is the plain product a·x mod
 // p — the shape every inner loop here uses.
 func (f *Field) MRed(a, b uint64) uint64 {
+	return mred(a, b, f.p, f.pInv)
+}
+
+// mred is MRed on constants the caller holds in registers: a loop that
+// stores between products cannot keep f's fields there itself.
+func mred(a, b, p, pInv uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
-	h, _ := bits.Mul64(lo*f.pInv, f.p)
-	r := hi - h + f.p
-	if r >= f.p {
-		r -= f.p
+	h, _ := bits.Mul64(lo*pInv, p)
+	r := hi - h + p
+	if r >= p {
+		r -= p
 	}
 	return r
 }

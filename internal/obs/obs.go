@@ -57,6 +57,12 @@ const (
 	// StageWriterQueue is a response's residency in the daemon's bounded
 	// write queue: enqueue to written-to-socket.
 	StageWriterQueue
+	// StageTagRecover is the client-side solve of one wave of eq. (2) tag
+	// recoveries: reconstructing the fetched polynomials and recovering and
+	// checking every tag, summed over the wave's chunks. The fetch those
+	// solves waited for is StageWire's (and overlaps the previous chunk's
+	// solve), so it is not counted here.
+	StageTagRecover
 
 	// NumStages is the number of instrumented stages.
 	NumStages int = iota
@@ -71,6 +77,7 @@ var stageNames = [NumStages]string{
 	"coalesce_wait",
 	"store_eval",
 	"writer_queue",
+	"tag_recover",
 }
 
 func (s Stage) String() string {

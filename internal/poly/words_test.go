@@ -14,6 +14,7 @@ import (
 // succeeds, and agree on coefficients and remaining bytes.
 func checkDecodeWords(t *testing.T, data []byte) {
 	t.Helper()
+	checkWordSlab(t, data)
 	w, rest, ok := DecodeWords(data)
 	p, refRest, err := DecodePoly(data)
 	var ref []uint64
@@ -45,6 +46,52 @@ func checkDecodeWords(t *testing.T, data []byte) {
 	want, _ := p.MarshalBinary()
 	if got := AppendWords(nil, w); !bytes.Equal(got, want) {
 		t.Fatalf("re-encoding %x, reference %x", got, want)
+	}
+}
+
+// checkWordSlab pins the slab decoder to DecodeWords on one input, decoded
+// after a polynomial that dirtied the slab: the same verdict, words and
+// rest, a vector its neighbours cannot be reached from, and nothing taken
+// for a refused input.
+func checkWordSlab(t *testing.T, data []byte) {
+	t.Helper()
+	var slab WordSlab
+	first, _, ok := slab.Decode([]byte{3, 1, 1, 9, 1, 1, 8, 1, 1, 7, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC})
+	if !ok || len(first) != 3 {
+		t.Fatalf("slab refused the priming polynomial: %v %v", first, ok)
+	}
+	before := len(slab.free)
+	w, rest, ok := slab.Decode(data)
+	ref, refRest, refOK := DecodeWords(data)
+	if ok != refOK {
+		t.Fatalf("slab ok=%v, DecodeWords ok=%v on %x", ok, refOK, data)
+	}
+	if !ok {
+		if len(slab.free) != before {
+			t.Fatalf("refused input %x took %d words from the slab", data, before-len(slab.free))
+		}
+		return
+	}
+	if w == nil || len(w) != len(ref) || !bytes.Equal(rest, refRest) {
+		t.Fatalf("slab decoded %v rest %x, DecodeWords %v rest %x, on %x", w, rest, ref, refRest, data)
+	}
+	for i := range w {
+		if w[i] != ref[i] {
+			t.Fatalf("slab word %d = %d, DecodeWords %d, on %x", i, w[i], ref[i], data)
+		}
+	}
+	_ = append(w, 0xDEAD) // must reallocate, not write into the slab
+	if first[0] != 9 || first[1] != 8 || first[2] != 7 {
+		t.Fatalf("decoding %x overwrote the polynomial before it: %v", data, first)
+	}
+	next, _, ok := slab.Decode([]byte{1, 1, 1, 6})
+	if !ok || len(next) != 1 || next[0] != 6 {
+		t.Fatalf("slab decode after %x: %v %v", data, next, ok)
+	}
+	for i := range w {
+		if w[i] != ref[i] {
+			t.Fatalf("appending to and decoding after %x changed word %d", data, i)
+		}
 	}
 }
 
@@ -147,6 +194,23 @@ func hostileWordInputs() [][]byte {
 		{1, 1, 2, 0, 7, 0xAA},                // leading zero byte, trailing data
 		binary.AppendUvarint(nil, maxMarshalCoeffs+1),
 		append(binary.AppendUvarint([]byte{1, 1}, maxCoeffBytes+1), 1),
+		// The straight-line path's own edges: one- and two-byte magnitudes
+		// that are zero or carry a leading zero, at the very end of the
+		// input (under four bytes left) and not, a two-byte length varint
+		// spelling one, and a negative sign over a zero magnitude.
+		{1, 1, 1, 0},                     // positive sign over the magnitude 00: zero
+		{1, 1, 1, 7},                     // the last coefficient has only three bytes left
+		{2, 1, 1, 7, 1, 1, 9},            // … and the one before it has more
+		{1, 1, 2, 0, 0},                  // two zero magnitude bytes
+		{2, 1, 2, 0, 7, 1, 2, 1, 0},      // 7 with a leading zero, then 256
+		{1, 1, 2, 1},                     // two-byte magnitude cut after one
+		{1, 1, 0x81, 0x00, 5},            // length 1 as an over-long varint
+		{1, 2, 1, 0},                     // negative sign, magnitude 00: zero
+		{1, 2, 0},                        // negative sign, empty magnitude: zero
+		{2, 1, 1, 4, 2, 2, 0, 0, 0xBB},   // … after a coefficient, before trailing data
+		{1, 2, 1, 1},                     // −1
+		{3, 1, 1, 5, 0, 1, 1, 6},         // a zero between two fast-path coefficients
+		binary.AppendUvarint(nil, 1<<20), // a count and nothing else
 	}
 }
 
@@ -164,6 +228,47 @@ func TestDecodeWordsAgreesOnHostileInputs(t *testing.T) {
 	}
 }
 
+// TestDecodeWordsTruncatedPrefixes: every proper prefix of a valid encoding
+// is refused or decodes as DecodePoly decodes it — never a panic, never a
+// polynomial the reference does not see.
+func TestDecodeWordsTruncatedPrefixes(t *testing.T) {
+	for _, w := range wordCases() {
+		data := AppendWords(nil, w)
+		for cut := 0; cut < len(data); cut++ {
+			checkDecodeWords(t, data[:cut])
+		}
+	}
+}
+
+// TestDecodeWordsHostileCountAllocatesNothing: a coefficient count larger
+// than the bytes that follow is refused before any vector is made, by
+// DecodeWords and by the slab, and a slab never holds more words than the
+// message has bytes.
+func TestDecodeWordsHostileCountAllocatesNothing(t *testing.T) {
+	hostile := append(binary.AppendUvarint(nil, 1<<20), bytes.Repeat([]byte{0}, 1000)...)
+	if n := testing.AllocsPerRun(50, func() {
+		var slab WordSlab
+		if _, _, ok := DecodeWords(hostile); ok {
+			t.Fatal("DecodeWords accepted a count past the input")
+		}
+		if _, _, ok := slab.Decode(hostile); ok {
+			t.Fatal("WordSlab accepted a count past the input")
+		}
+	}); n != 0 {
+		t.Fatalf("refusing a hostile count allocated %v times", n)
+	}
+	// The honest extreme: a message of nothing but zero coefficients, one
+	// byte each. The slab grows to them and no further.
+	zeros := append(binary.AppendUvarint(nil, 1000), bytes.Repeat([]byte{0}, 1000)...)
+	var slab WordSlab
+	if w, _, ok := slab.Decode(zeros); !ok || len(w) != 0 {
+		t.Fatalf("all-zero polynomial decoded to %v, %v", w, ok)
+	}
+	if got := cap(slab.free) + 1000; got > len(zeros) {
+		t.Fatalf("slab holds %d words for a %d-byte message", got, len(zeros))
+	}
+}
+
 // FuzzDecodeWords: on any input, DecodeWords accepts exactly what
 // DecodePoly followed by Uint64Coeffs accepts, and agrees with it.
 func FuzzDecodeWords(f *testing.F) {
@@ -172,6 +277,11 @@ func FuzzDecodeWords(f *testing.F) {
 	}
 	for _, data := range hostileWordInputs() {
 		f.Add(data)
+	}
+	// Cut inside a one-byte, a two-byte and a wide coefficient.
+	cut := AppendWords(nil, []uint64{200, 256, 1 << 40, 3})
+	for _, n := range []int{2, 3, 5, 7, 9, len(cut) - 1} {
+		f.Add(cut[:n])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeWords(t, data)

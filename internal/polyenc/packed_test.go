@@ -1,10 +1,14 @@
 package polyenc
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"sssearch/internal/drbg"
 	"sssearch/internal/mapping"
+	"sssearch/internal/poly"
 	"sssearch/internal/ring"
 	"sssearch/internal/workload"
 )
@@ -151,4 +155,136 @@ func TestEncodeLemma3RejectionPacked(t *testing.T) {
 		// flagged path also works.
 		t.Skip("no overflow drawn for this vocabulary")
 	}
+}
+
+// TestRecoverTagPackedCorruptionDifferential: for every single-coefficient
+// change of f or of a child — each position moved by one and to a random
+// other value — RecoverTagPacked answers exactly as the big.Int RecoverTag
+// does on a SetFast(false) ring: the same tag, or the same ErrInconsistent /
+// ErrNoEquation. An independent search over every t pins what the answer
+// must be: the one t with (x − t)·Q = f coefficient for coefficient, and
+// ErrInconsistent when there is none. Zero, one and five children; the five
+// are long enough that their product takes the transform path.
+func TestRecoverTagPackedCorruptionDifferential(t *testing.T) {
+	const p = 257
+	fast := ring.MustFp(p)
+	ref := ring.MustFp(p)
+	ref.SetFast(false)
+	ff := fast.Fast()
+	n := fast.DegreeBound()
+	rng := rand.New(rand.NewSource(41))
+
+	// subtree returns ∏(x − c) over deg random tags.
+	subtree := func(deg int) []uint64 {
+		q := []uint64{1}
+		for i := 0; i < deg; i++ {
+			q = trimPacked(fast.MulPackedSchoolbook(q, []uint64{ff.Neg(uint64(1 + rng.Intn(p-2))), 1}))
+		}
+		return q
+	}
+	// satisfying lists every t with (x − t)·Q = f, Q by the schoolbook fold.
+	satisfying := func(f []uint64, children [][]uint64) (ts []uint64) {
+		q := make([]uint64, n)
+		q[0] = 1
+		for _, c := range children {
+			q = fast.MulPackedSchoolbook(q, c)
+		}
+		for cand := uint64(0); cand < p; cand++ {
+			ok := true
+			for i := 0; i < n && ok; i++ {
+				var want uint64
+				if i < len(f) {
+					want = f[i]
+				}
+				ok = ff.Sub(q[(i+n-1)%n], ff.Mul(cand, q[i])) == want
+			}
+			if ok {
+				ts = append(ts, cand)
+			}
+		}
+		return ts
+	}
+	check := func(what string, f []uint64, children [][]uint64) {
+		t.Helper()
+		got, gotErr := RecoverTagPacked(fast, f, children)
+		boxed := make([]poly.Poly, len(children))
+		for i, c := range children {
+			boxed[i] = poly.NewUint64(c)
+		}
+		want, wantErr := RecoverTag(ref, poly.NewUint64(f), boxed)
+		switch {
+		case wantErr == nil:
+			if gotErr != nil || got.Cmp(want) != 0 {
+				t.Fatalf("%s: packed (%v, %v), big.Int reference tag %v", what, got, gotErr, want)
+			}
+		case errors.Is(wantErr, ErrInconsistent):
+			if !errors.Is(gotErr, ErrInconsistent) {
+				t.Fatalf("%s: packed (%v, %v), big.Int reference ErrInconsistent", what, got, gotErr)
+			}
+		case errors.Is(wantErr, ErrNoEquation):
+			if !errors.Is(gotErr, ErrNoEquation) {
+				t.Fatalf("%s: packed (%v, %v), big.Int reference ErrNoEquation", what, got, gotErr)
+			}
+		default:
+			t.Fatalf("%s: big.Int reference failed with %v", what, wantErr)
+		}
+		switch ts := satisfying(f, children); {
+		case errors.Is(gotErr, ErrNoEquation): // Q ≡ 0: every t or none, nothing to solve
+		case len(ts) == 0:
+			if !errors.Is(gotErr, ErrInconsistent) {
+				t.Fatalf("%s: no t satisfies the identity, packed answered (%v, %v)", what, got, gotErr)
+			}
+		case len(ts) == 1:
+			if gotErr != nil || got.Uint64() != ts[0] {
+				t.Fatalf("%s: only t=%d satisfies the identity, packed answered (%v, %v)", what, ts[0], got, gotErr)
+			}
+		default:
+			t.Fatalf("%s: %d values of t satisfy the identity", what, len(ts))
+		}
+	}
+	// corrupt runs check on v with position i moved by one and to a random
+	// other value, restoring it after.
+	corrupt := func(what string, v []uint64, i int, run func(string)) {
+		old := v[i]
+		for _, d := range []uint64{1, 2 + uint64(rng.Intn(p-2))} {
+			v[i] = ff.Add(old, d)
+			run(fmt.Sprintf("%s[%d] %d→%d", what, i, old, v[i]))
+		}
+		v[i] = old
+	}
+
+	for _, degs := range [][]int{{}, {9}, {30, 30, 30, 30, 30}} {
+		children := make([][]uint64, len(degs))
+		q := []uint64{1}
+		for i, d := range degs {
+			children[i] = subtree(d)
+			q = fast.MulPackedSchoolbook(q, children[i])
+		}
+		tag := uint64(1 + rng.Intn(p-2))
+		f := fast.MulPackedSchoolbook([]uint64{ff.Neg(tag), 1}, q) // length n: every position can move
+		check(fmt.Sprintf("%d children, honest", len(degs)), f, children)
+		if got, err := RecoverTagPacked(fast, f, children); err != nil || got.Uint64() != tag {
+			t.Fatalf("%d children: honest recovery = (%v, %v), want %d", len(degs), got, err, tag)
+		}
+		for i := range f {
+			corrupt("f", f, i, func(what string) { check(what, f, children) })
+		}
+		for ci := range children {
+			// Every written coefficient, and zeros past the end made non-zero.
+			c := append(children[ci], 0, 0)
+			for _, far := range []int{n / 2, n - 1} {
+				grown := make([]uint64, far+1)
+				copy(grown, c)
+				children[ci] = grown
+				corrupt(fmt.Sprintf("child %d", ci), grown, far, func(what string) { check(what, f, children) })
+			}
+			children[ci] = c
+			for i := range c {
+				corrupt(fmt.Sprintf("child %d", ci), c, i, func(what string) { check(what, f, children) })
+			}
+			children[ci] = c[:len(c)-2]
+		}
+	}
+	// A child wiped to zero leaves no equation at all, on both paths.
+	check("zero child", []uint64{5, 1}, [][]uint64{{0}})
 }

@@ -379,49 +379,50 @@ func recoverTagPacked(r *ring.FpCyclotomic, f poly.Poly, children []poly.Poly) (
 }
 
 // RecoverTagPacked is RecoverTag on the word-sized fast path: the product
-// tree, the shifted difference and the verification identity all run on
-// packed []uint64 vectors (canonical, length <= DegreeBound), never
-// crossing the big.Int boundary until the single recovered tag value. The
-// engine's tag-recovery path feeds it reconstructed shares that were
-// never unpacked.
+// tree, the solved equation and the verification identity all run on packed
+// []uint64 vectors (canonical, length <= DegreeBound), never crossing the
+// big.Int boundary until the single recovered tag value. The engine's
+// tag-recovery path feeds it reconstructed shares that were never unpacked.
 func RecoverTagPacked(r *ring.FpCyclotomic, pf []uint64, children [][]uint64) (*big.Int, error) {
+	return RecoverTagPackedScratch(r, make([]uint64, r.DegreeBound()), pf, children)
+}
+
+// RecoverTagPackedScratch is RecoverTagPacked over the caller's scratch q
+// (length DegreeBound, overwritten with Q = ∏qᵢ, aliasing no operand), so a
+// block of recoveries that reuses it allocates only its results.
+func RecoverTagPackedScratch(r *ring.FpCyclotomic, q, pf []uint64, children [][]uint64) (*big.Int, error) {
 	n := r.DegreeBound()
 	ff := r.Fast()
 	// One multi-factor product (single inverse transform on the NTT path);
-	// the empty-children case yields the ring's one. Always length n.
-	q := r.MulPackedProd(children...)
-	// d = q·x − f, with the multiply-by-x a cyclic shift (x·x^{n-1} ≡ 1).
-	d := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		d[(i+1)%n] = q[i]
-	}
-	for i, v := range pf {
-		d[i] = ff.Sub(d[i], v)
-	}
-	var t uint64
-	found := false
-	for i := 0; i < n; i++ {
-		if q[i] == 0 {
-			continue
+	// the empty-children case yields the ring's one.
+	r.MulPackedProdInto(q, children...)
+	// Multiplying by x is a cyclic shift (x·x^{n-1} ≡ 1), so (x − t)·Q has
+	// the coefficient Q[i-1] − t·Q[i] at x^i, indices mod n, and eq. (2)
+	// asks it to be f[i], zero past f's length.
+	want := func(i int) uint64 {
+		if i < len(pf) {
+			return pf[i]
 		}
-		inv, _ := ff.Inv(q[i])
-		t = ff.Mul(d[i], inv)
-		found = true
-		break
+		return 0
 	}
-	if !found {
+	// The first coordinate with an invertible Q coefficient determines t.
+	at := 0
+	for at < n && q[at] == 0 {
+		at++
+	}
+	if at == n {
 		return nil, ErrNoEquation
 	}
-	// Full verification: (x − t)·Q must reproduce f coefficient-wise.
-	check := r.MulPacked([]uint64{ff.Neg(t), 1}, q)
-	for i := 0; i < n; i++ {
-		var want uint64
-		if i < len(pf) {
-			want = pf[i]
-		}
-		if check[i] != want {
+	inv, _ := ff.Inv(q[at])
+	t := ff.Mul(ff.Sub(q[(at+n-1)%n], want(at)), inv)
+	// Full verification: every one of the n coefficient equations.
+	tM := ff.MForm(t)
+	prev := q[n-1]
+	for i, qi := range q {
+		if ff.Sub(prev, ff.MRed(qi, tM)) != want(i) {
 			return nil, ErrInconsistent
 		}
+		prev = qi
 	}
 	return new(big.Int).SetUint64(t), nil
 }

@@ -52,8 +52,7 @@ type FpCyclotomic struct {
 	conv    *fastfield.CyclicConv
 	nttOff  atomic.Bool
 	// nttCut is the pairwise size cutover: a product with
-	// len(pa)·len(pb) below it runs schoolbook. ≈ the Montgomery-multiply
-	// cost of the three transforms of one NTT multiply.
+	// len(pa)·len(pb) below it runs schoolbook (see nttCutoverCost).
 	nttCut int
 
 	// bmPool recycles the Montgomery-form operand scratch of the
@@ -62,16 +61,32 @@ type FpCyclotomic struct {
 	bmPool sync.Pool
 }
 
-// nttCutoverCost estimates the cost of one NTT-backed multiply of cyclic
-// length n — three transforms plus the pointwise pass — in units of
-// schoolbook coefficient pairs, the break-even point against the
-// schoolbook loop's len(pa)·len(pb). The constant is measured, not
-// counted: one transform costs ≈ 1.8·n·log₂n pair-equivalents on the
-// mixed-radix kernel (BenchmarkNTT256Mul vs BenchmarkSchoolbook256Mul),
-// and rounding up to 5·n·log₂n for the full multiply errs toward the
-// schoolbook side, where a mispredicted boundary costs least.
+// nttCutoverCost is the operand-pair count len(pa)·len(pb) from which one
+// NTT-backed multiply of cyclic length n beats the schoolbook loop: 3.5
+// transforms' worth of fastfield.TransformCost — three transforms plus the
+// pointwise and scaling passes. Measured, not counted: across pure
+// power-of-two (256, 65536) and mixed (96 … 40960) lengths the two paths of
+// BenchmarkMulPackedCutover cross at 3.1-3.8 transform costs. Zero for a
+// length the in-field transform rejects: there convCutoverCost alone decides.
 func nttCutoverCost(n int) int {
-	return 5 * n * bits.Len(uint(n))
+	c, err := fastfield.TransformCost(n)
+	if err != nil {
+		return 0
+	}
+	return 7 * c / 2
+}
+
+// convCutoverCost is the same bar for the convolution fallback on a linear
+// convolution of convLen coefficients: three exactly reduced power-of-two
+// transforms over a 62-bit auxiliary prime plus the fold, 3·m·log₂m pairs
+// at transform length m (the sweep crosses at 2.0-2.5 from m = 256 up and,
+// its fixed costs showing, at 3.7 below).
+func convCutoverCost(convLen int) int {
+	m := 1
+	for m < convLen {
+		m <<= 1
+	}
+	return 3 * m * bits.Len(uint(m))
 }
 
 // NewFpCyclotomic constructs F_p[x]/(x^{p-1}-1) for prime p >= 5.
@@ -389,17 +404,7 @@ func (r *FpCyclotomic) engine(la, lb int) (*fastfield.NTT, *fastfield.CyclicConv
 	if r.ntt != nil {
 		return r.ntt, nil
 	}
-	if r.conv != nil {
-		// The fallback pays power-of-two transforms over 62-bit auxiliary
-		// primes (up to six, for the CRT) — worth it only well past the
-		// mixed-radix break-even.
-		m := 1
-		for m < la+lb-1 {
-			m <<= 1
-		}
-		if work < 10*m*bits.Len(uint(m)) {
-			return nil, nil
-		}
+	if r.conv != nil && work >= convCutoverCost(la+lb-1) {
 		return nil, r.conv
 	}
 	return nil, nil
@@ -416,22 +421,37 @@ func (r *FpCyclotomic) SetNTT(enabled bool) {
 }
 
 // MulPackedProd multiplies all factors (each a packed canonical vector of
-// length <= n) in one pass, returning a fresh length-n product. On the
-// NTT path every factor is transformed exactly once and a single inverse
-// transform recovers the product — the shape the bottom-up encode wants,
-// where an interior node multiplies its tag factor against every child
-// product. Falls back to left-to-right pairwise products when the
-// operands are too short for the transform to pay, or on fallback rings.
-// An empty factor list yields the ring's one.
+// length <= n) in one pass, returning a fresh length-n product; see
+// MulPackedProdInto.
 func (r *FpCyclotomic) MulPackedProd(factors ...[]uint64) []uint64 {
 	out := make([]uint64, r.n)
-	if len(factors) == 0 {
-		out[0] = 1
-		return out
+	r.MulPackedProdInto(out, factors...)
+	return out
+}
+
+// MulPackedProdInto is MulPackedProd with a caller-provided output vector
+// (length n, overwritten; must not alias a factor), so a loop of products —
+// a chunk of tag recoveries — allocates nothing. On the NTT path every
+// factor is transformed exactly once and a single inverse transform
+// recovers the product — the shape the bottom-up encode wants, where an
+// interior node multiplies its tag factor against every child product.
+// Falls back to left-to-right pairwise products when the operands are too
+// short for the transform to pay, or on fallback rings. An empty factor
+// list yields the ring's one.
+func (r *FpCyclotomic) MulPackedProdInto(out []uint64, factors ...[]uint64) {
+	if len(out) != r.n {
+		panic("ring: MulPackedProdInto dst length mismatch")
 	}
-	if len(factors) == 1 {
-		copy(out, factors[0])
-		return out
+	if len(factors) < 2 {
+		for i := range out {
+			out[i] = 0
+		}
+		if len(factors) == 0 {
+			out[0] = 1
+		} else {
+			copy(out, factors[0])
+		}
+		return
 	}
 	// Estimate the schoolbook cost of the left-to-right product: prefix
 	// length grows by each factor's degree and caps at n.
@@ -444,11 +464,13 @@ func (r *FpCyclotomic) MulPackedProd(factors ...[]uint64) []uint64 {
 		}
 	}
 	// NTT product cost: one forward transform per factor plus one inverse
-	// — (k+1)/3 of a pairwise multiply's three transforms.
-	if !r.nttOff.Load() && cost >= (len(factors)+1)*r.nttCut/3 {
+	// — (k+1)/3 of a pairwise multiply's three transforms (the sweep's
+	// k-factor rows: 6.6, 11.5 and 22 µs at k = 2, 4, 8 on F_257). A ring
+	// without an in-field transform (nttCut 0) folds pairwise.
+	if !r.nttOff.Load() && r.nttCut > 0 && cost >= (len(factors)+1)*r.nttCut/3 {
 		if ntt, _ := r.engine(r.n, r.n); ntt != nil {
 			ntt.ProdCyclicInto(out, factors...)
-			return out
+			return
 		}
 	}
 	// Pairwise loop with degree trimming, ping-ponging two buffers; each
@@ -463,21 +485,14 @@ func (r *FpCyclotomic) MulPackedProd(factors ...[]uint64) []uint64 {
 		acc = trimTrailingZeros(scratch)
 		scratch, spare = spare, scratch
 	}
-	if len(acc) == 0 {
-		// A zero factor annihilated the product; out may hold stale
-		// intermediate coefficients.
-		for i := range out {
-			out[i] = 0
-		}
-		return out
-	}
-	if &acc[0] != &out[0] {
+	// The product sits in whichever buffer the last step wrote (spare, after
+	// the swap); a zero factor annihilated it and left stale coefficients.
+	if len(acc) == 0 || &acc[0] != &out[0] {
 		n := copy(out, acc)
 		for i := n; i < len(out); i++ {
 			out[i] = 0
 		}
 	}
-	return out
 }
 
 // trimTrailingZeros drops trailing zero coefficients so intermediate

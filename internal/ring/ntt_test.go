@@ -55,15 +55,22 @@ func TestMulPackedNTTDifferential(t *testing.T) {
 }
 
 // TestMulPackedCutoverBoundary walks operand sizes across the schoolbook→
-// NTT cutover (±1 on the la·lb product) — the seam where the two paths
-// hand over must be invisible.
+// engine cutover (the first square product the engine takes, ±2 a side) —
+// the seam where the two paths hand over must be invisible. F_257 crosses
+// into the power-of-two kernel, F_97 and F_12289 into mixed plans with a
+// power-of-two tail, F_227 into the convolution fallback.
 func TestMulPackedCutoverBoundary(t *testing.T) {
-	for _, p := range []uint64{257, 227} {
+	for _, p := range []uint64{257, 97, 12289, 227} {
 		r := MustFp(p)
 		rng := rand.New(rand.NewSource(int64(p)))
 		side := 1
-		for side*side < r.nttCut {
-			side++
+		for ; side <= r.DegreeBound(); side++ {
+			if ntt, conv := r.engine(side, side); ntt != nil || conv != nil {
+				break
+			}
+		}
+		if side > r.DegreeBound() {
+			t.Fatalf("p=%d: no square product reaches the engine", p)
 		}
 		for _, la := range []int{side - 2, side - 1, side, side + 1} {
 			if la < 1 || la > r.DegreeBound() {
@@ -78,8 +85,8 @@ func TestMulPackedCutoverBoundary(t *testing.T) {
 				want := r.MulPackedSchoolbook(pa, pb)
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("p=%d la=%d lb=%d (cut %d) coeff %d: %d != %d",
-							p, la, lb, r.nttCut, i, got[i], want[i])
+						t.Fatalf("p=%d la=%d lb=%d (seam %d) coeff %d: %d != %d",
+							p, la, lb, side, i, got[i], want[i])
 					}
 				}
 			}
@@ -169,14 +176,36 @@ func TestNTTLazyInitRace(t *testing.T) {
 }
 
 // FuzzMulPackedNTT fuzzes the engine-routed multiply against the
-// schoolbook reference on both ring families, deriving operand shapes and
-// coefficients from the fuzz input.
+// schoolbook reference on every engine shape — odd-radix plan, power-of-two
+// kernel, convolution fallback, mixed plans with a power-of-two tail —
+// deriving operand shapes and coefficients from the fuzz input.
 func FuzzMulPackedNTT(f *testing.F) {
 	f.Add(uint8(0), uint16(3), uint16(5), int64(1))
 	f.Add(uint8(1), uint16(200), uint16(256), int64(2))
 	f.Add(uint8(2), uint16(100), uint16(226), int64(3))
 	f.Add(uint8(3), uint16(1000), uint16(1282), int64(4))
-	rings := []*FpCyclotomic{MustFp(31), MustFp(257), MustFp(227), MustFp(1283)}
+	// Either side of each seam as the re-measured cutover places it (an
+	// operand is 1 + its argument long): F_257 enters its kernel at 60², the
+	// convolution rings at 56² and again at each step of the transform
+	// length (F_227: 128→256→512, F_1283: 512→1024), the mixed rings F_97
+	// (2^5·3) at 47² and F_769 (2^8·3) at 147².
+	f.Add(uint8(1), uint16(58), uint16(58), int64(5))
+	f.Add(uint8(1), uint16(59), uint16(60), int64(6))
+	f.Add(uint8(1), uint16(13), uint16(255), int64(7))
+	f.Add(uint8(2), uint16(54), uint16(54), int64(8))
+	f.Add(uint8(2), uint16(54), uint16(55), int64(9))
+	f.Add(uint8(2), uint16(82), uint16(83), int64(10))
+	f.Add(uint8(2), uint16(127), uint16(128), int64(11))
+	f.Add(uint8(2), uint16(128), uint16(128), int64(12))
+	f.Add(uint8(3), uint16(255), uint16(256), int64(13))
+	f.Add(uint8(3), uint16(256), uint16(257), int64(14))
+	f.Add(uint8(4), uint16(45), uint16(46), int64(15))
+	f.Add(uint8(4), uint16(46), uint16(46), int64(16))
+	f.Add(uint8(4), uint16(95), uint16(95), int64(17))
+	f.Add(uint8(5), uint16(145), uint16(145), int64(18))
+	f.Add(uint8(5), uint16(146), uint16(146), int64(19))
+	f.Add(uint8(5), uint16(767), uint16(400), int64(20))
+	rings := []*FpCyclotomic{MustFp(31), MustFp(257), MustFp(227), MustFp(1283), MustFp(97), MustFp(769)}
 	f.Fuzz(func(t *testing.T, which uint8, la, lb uint16, seed int64) {
 		r := rings[int(which)%len(rings)]
 		n := r.DegreeBound()
@@ -195,17 +224,34 @@ func FuzzMulPackedNTT(f *testing.F) {
 	})
 }
 
-// sanity: the cutover estimate stays positive and monotone-ish in n (a
-// guard against accidental overflow on the largest constructible rings).
+// TestNTTCutoverCost pins the routing constants to the sweep they were read
+// from (BenchmarkMulPackedCutover): 3.5 transform costs for an in-field
+// multiply — half a pair per element and radix-2 stage, r+1 per element and
+// odd radix r — no in-field bar on a length the transform rejects, and
+// 3·m·log₂m for the convolution fallback; all increasing, none overflowing
+// on the largest constructible ring.
 func TestNTTCutoverCost(t *testing.T) {
-	last := 0
-	for _, n := range []int{4, 30, 256, 1 << 12, 1 << 22} {
-		c := nttCutoverCost(n)
-		if c <= last {
-			t.Fatalf("cutover cost not increasing at n=%d: %d <= %d", n, c, last)
+	for _, c := range []struct{ n, want int }{
+		{256, 7 * (256 * 8 / 2) / 2},            // 2^8: the F_257 ring
+		{96, 7 * (96*5/2 + 96*4) / 2},           // 2^5·3
+		{12288, 7 * (12288*12/2 + 12288*4) / 2}, // 2^12·3
+		{210, 7 * (210/2 + 210*(4+6+8)) / 2},    // 2·3·5·7
+		{226, 0},                                // 2·113: not smooth
+		{1 << 22, 7 * ((1 << 22) * 22 / 2) / 2}, // the ring cap
+	} {
+		if got := nttCutoverCost(c.n); got != c.want {
+			t.Fatalf("nttCutoverCost(%d) = %d, want %d", c.n, got, c.want)
 		}
-		if c != 5*n*bits.Len(uint(n)) {
-			t.Fatalf("cutover cost formula drifted at n=%d", n)
+	}
+	last := 0
+	for _, convLen := range []int{1, 3, 200, 451, 2563, 1<<23 - 1} {
+		c := convCutoverCost(convLen)
+		m := 1
+		for m < convLen {
+			m <<= 1
+		}
+		if c != 3*m*bits.Len(uint(m)) || c <= last {
+			t.Fatalf("convCutoverCost(%d) = %d (transform length %d, previous bar %d)", convLen, c, m, last)
 		}
 		last = c
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
+	"slices"
 	"time"
 
 	"sssearch/internal/core"
@@ -290,6 +292,16 @@ func EncodeFetchResp(r FetchResp) ([]byte, error) { return AppendFetchResp(nil, 
 
 // AppendFetchResp marshals a FetchResp payload onto dst.
 func AppendFetchResp(dst []byte, r FetchResp) ([]byte, error) {
+	// Sized once, exactly: a response is mostly polynomials, about a
+	// megabyte of them when a wave of tag recoveries asked.
+	size := uvarintLen(r.ID) + uvarintLen(uint64(len(r.Answers)))
+	for _, a := range r.Answers {
+		size += uvarintLen(uint64(len(a.Key))) + uvarintLen(uint64(a.NumChildren)) + a.BinarySize()
+		for _, c := range a.Key {
+			size += uvarintLen(uint64(c))
+		}
+	}
+	dst = slices.Grow(dst, size)
 	dst = binary.AppendUvarint(dst, r.ID)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Answers)))
 	var err error
@@ -304,6 +316,9 @@ func AppendFetchResp(dst []byte, r FetchResp) ([]byte, error) {
 	}
 	return dst, nil
 }
+
+// uvarintLen is the encoded length of v as an unsigned LEB128 varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // DecodeFetchResp unmarshals a FetchResp payload.
 func DecodeFetchResp(data []byte) (FetchResp, error) {
@@ -321,6 +336,7 @@ func DecodeFetchResp(data []byte) (FetchResp, error) {
 		return FetchResp{}, errors.New("wire: answer count exceeds available bytes")
 	}
 	out := FetchResp{ID: id, Answers: make([]core.NodePoly, n)}
+	var slab poly.WordSlab // one array for the response's coefficients, not one per answer
 	for i := uint64(0); i < n; i++ {
 		key, rest, err := DecodeKey(data)
 		if err != nil {
@@ -335,7 +351,7 @@ func DecodeFetchResp(data []byte) (FetchResp, error) {
 		// malformed input.
 		a := core.NodePoly{Key: key, NumChildren: int(nch)}
 		var ok bool
-		if a.Words, data, ok = poly.DecodeWords(rest[k:]); !ok {
+		if a.Words, data, ok = slab.Decode(rest[k:]); !ok {
 			if a.Big, data, err = poly.DecodePoly(rest[k:]); err != nil {
 				return FetchResp{}, err
 			}
