@@ -145,7 +145,7 @@
 //
 //   - Pad cache (per session): every SeedClient keeps a bounded LRU of
 //     packed share pads, so hot nodes (the root levels every query
-//     walks) are not re-derived from the HMAC-DRBG on each visit
+//     walks) are not re-derived from the share stream on each visit
 //     (sharing.SeedClient.SetShareCacheNodes; padHit/padMiss counters).
 //   - Shared pad cache (per ClientKey): sessions opened from one
 //     ClientKey attach to one sharing.SharedPadCache by default, so N
@@ -210,16 +210,36 @@
 // bits and for the Z[x]/(r(x)) ring. The server memoizes hot (node,
 // point) evaluations in a bounded LRU cache, and the seed-only client
 // regenerates share pads straight into packed form, caching the hottest
-// pads (pad-cache hit/miss counters appear in every Stats snapshot). The
-// HMAC-DRBG behind the pads owns its two SHA-256 digests for life and
-// restores their keyed states instead of building a crypto/hmac per key,
-// so a pad costs its SHA-256 blocks and a handful of objects, not dozens
-// (on a small heap the collector otherwise runs in the middle of a cold
-// walk).
+// pads (pad-cache hit/miss counters appear in every Stats snapshot); what a
+// cold pad costs is the share stream's business (next section).
 // Differential tests pin both arithmetic stacks to each other at every
 // layer; BENCH_2.json records the measured effect (a //tag lookup over
 // 1000 nodes in F_257 dropped from ~1.6 s to ~14 ms on the reference
 // host).
+//
+// # Share stream
+//
+// The client "stores only the random seed" (§4.2), so every share pad —
+// one per node at Outsource, one per cold node per query — is regenerated:
+// node key = HMAC-SHA256(seed, label ‖ 0x00 ‖ path), stream = the
+// AES-256-CTR keystream under that key with a zero IV (package drbg), pad
+// = the coefficients the sampler draws from it. The sampler
+// (fastfield.RandVec on words, field.Rand on big.Int) reads w = 8·⌈bitlen
+// p/8⌉-bit big-endian samples v, accepts v < p·⌊2^w/p⌋ and keeps v mod p.
+// Every residue has exactly ⌊2^w/p⌋ accepted preimages, so a pad is
+// exactly uniform and an additive share hides its polynomial
+// information-theoretically, as before; acceptance is 65535/65536 on
+// F_257 (a 9-bit mask rejected half) and never below 1/2. The keystream's
+// bytes do not depend on how reads are chunked, so the stream — not the
+// sampler's read sizes — defines a pad: the bulk word sampler and the
+// one-read-per-coefficient reference sampler regenerate the same pads, and
+// a store split on the fast path can be queried under SetFast(false).
+// This is share-stream generation 3 (sharing.ShareLabel; generation 2 was
+// an HMAC_DRBG whose ~110 SHA-256 blocks per F_257 pad were the cost of a
+// cold query and of a split); the store magics carry the generation, older
+// files are refused by name (store.ErrOldGeneration) and migrate by
+// re-outsourcing. It pays 13.6 → 1.7 µs per cold F_257 pad
+// (BenchmarkColdPad, one core) and 2.4× the nodes per second of Outsource.
 //
 // # Read path
 //
@@ -227,7 +247,7 @@
 // one node. Each step evaluates its frontier in one EvalNodes wave per
 // tree level (split into concurrent batches under Opts.Parallelism). The
 // seed-only client of §4.2 pays for its storage at this point — it
-// regenerates every visited node's share from the HMAC-DRBG — and on a
+// regenerates every visited node's share from its share stream — and on a
 // large wave that work runs beside the server's evaluation of the same
 // keys, not after it: the engine computes the summands of the keys it
 // requested while EvalNodes is in flight, joins, checks that answer i is

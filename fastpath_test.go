@@ -1,6 +1,7 @@
 package sssearch
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"sssearch/internal/ring"
 	"sssearch/internal/server"
 	"sssearch/internal/sharing"
+	"sssearch/internal/store"
 	"sssearch/internal/workload"
 	"sssearch/internal/xmltree"
 	"sssearch/internal/xpath"
@@ -20,7 +22,7 @@ import (
 
 // buildFpEngine assembles a full stack over doc in F_p. fast=false builds
 // the big.Int reference: the whole pipeline (encode, split, seed client,
-// server) runs on one ring instance so the share stream stays consistent.
+// server) runs on one ring instance with the fast path off.
 func buildFpEngine(t *testing.T, doc *xmltree.Node, p uint64, fast bool, cacheEntries int) (*core.Engine, *server.Local) {
 	t.Helper()
 	r := ring.MustFp(p)
@@ -239,6 +241,55 @@ func TestOutsourcePipelineRoundTripDifferential(t *testing.T) {
 			}
 			if verify != VerifyNone && len(got.Matches) != len(oracle) {
 				t.Fatalf("%s/%v: %d matches, oracle %d", expr, verify, len(got.Matches), len(oracle))
+			}
+		}
+	}
+}
+
+// TestFastSplitQueriedOnReferencePath: a store split on the fast path and
+// saved is queried by a client whose ring has the fast path off — every pad
+// regenerated one big.Int coefficient at a time by field.Rand. The share
+// stream does not depend on how it is read and both samplers apply one
+// rule, so the pads cancel and the answers are the plaintext ones.
+func TestFastSplitQueriedOnReferencePath(t *testing.T) {
+	doc := workload.RandomTree(workload.TreeConfig{Nodes: 160, MaxFanout: 4, Vocab: 8, Seed: 2718})
+	seed := drbg.Seed(sha256.Sum256([]byte("fast-split-ref-query")))
+	bundle, err := Outsource(doc, Config{Kind: RingFp, P: 257, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := store.WriteServer(&file, bundle.Server.ring, bundle.Server.tree); err != nil {
+		t.Fatal(err)
+	}
+	loadedRing, tree, err := store.ReadServer(file.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.NewLocal(loadedRing, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref := ring.MustFp(257)
+	ref.SetFast(false)
+	eng := core.NewEngine(ref, seed, bundle.Key.state.Mapping, srv, nil)
+	for _, expr := range []string{"//t0", "//t3", "/t1//t2", "//t4/t5", "//*/t6"} {
+		q, err := xpath.Parse(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string // what EvaluatePlaintext runs, by node key
+		for _, n := range q.Evaluate(doc) {
+			want = append(want, n.Key().String())
+		}
+		for _, verify := range []core.VerifyLevel{core.VerifyResolve, core.VerifyFull} {
+			res, err := eng.Query(q, core.Opts{Verify: verify})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", expr, verify, err)
+			}
+			if got := keysToStrings(res.Matches); fmt.Sprint(got) != fmt.Sprint(want) || len(res.Unresolved) != 0 {
+				t.Fatalf("%s/%v: reference-path client got %v (unresolved %v), plaintext %v", expr, verify, got, res.Unresolved, want)
 			}
 		}
 	}

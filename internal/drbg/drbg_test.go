@@ -13,9 +13,15 @@ func testSeed(b byte) Seed {
 	return s
 }
 
+// stream is the root stream of a one-label deriver: the shortest way to a
+// Stream for tests that are about the bytes, not the path.
+func stream(seed byte, label string) *Stream {
+	return NewDeriver(testSeed(seed), label).ForNode(nil)
+}
+
 func TestDeterminism(t *testing.T) {
-	g1 := New(testSeed(7), []byte("ctx"))
-	g2 := New(testSeed(7), []byte("ctx"))
+	g1 := stream(7, "ctx")
+	g2 := stream(7, "ctx")
 	a := make([]byte, 1000)
 	b := make([]byte, 1000)
 	if _, err := g1.Read(a); err != nil {
@@ -32,52 +38,46 @@ func TestDeterminism(t *testing.T) {
 func TestSeedSeparation(t *testing.T) {
 	a := make([]byte, 64)
 	b := make([]byte, 64)
-	New(testSeed(1), nil).Read(a)
-	New(testSeed(2), nil).Read(b)
+	stream(1, "").Read(a)
+	stream(2, "").Read(b)
 	if bytes.Equal(a, b) {
 		t.Fatal("different seeds produced identical streams")
 	}
-	New(testSeed(1), []byte("x")).Read(b)
+	stream(1, "x").Read(b)
 	if bytes.Equal(a, b) {
-		t.Fatal("different personalization produced identical streams")
+		t.Fatal("different labels produced identical streams")
 	}
 }
 
-func TestChunkingInvariance(t *testing.T) {
-	// HMAC_DRBG regenerates per Read call, so identical *sequences of read
-	// sizes* must match; a single big read defines the canonical stream.
-	g1 := New(testSeed(3), nil)
-	g2 := New(testSeed(3), nil)
-	one := make([]byte, 96)
-	g1.Read(one)
-	parts := make([]byte, 0, 96)
-	for i := 0; i < 3; i++ {
-		buf := make([]byte, 32)
-		g2.Read(buf)
+// TestReadSplitInvariance: the stream is a keystream, so what a consumer
+// draws does not depend on how it chunks its reads — the property that lets
+// the bulk sampler and the per-coefficient reference sampler regenerate the
+// same pad. Reads that split AES blocks, span many and are empty included.
+func TestReadSplitInvariance(t *testing.T) {
+	sizes := []int{1, 31, 512, 0, 5}
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	one := make([]byte, total)
+	stream(3, "split").Read(one)
+
+	g := stream(3, "split")
+	var parts []byte
+	for _, n := range sizes {
+		buf := bytes.Repeat([]byte{0xa5}, n) // Read must overwrite, not mix in
+		if got, err := g.Read(buf); got != n || err != nil {
+			t.Fatalf("Read(%d) = %d, %v", n, got, err)
+		}
 		parts = append(parts, buf...)
 	}
-	// Reads of 32+32+32 vs 96 differ by design (update between reads), but
-	// each must be self-consistent:
-	g3 := New(testSeed(3), nil)
-	again := make([]byte, 96)
-	g3.Read(again)
-	if !bytes.Equal(one, again) {
-		t.Fatal("same-read-pattern streams differ")
-	}
-	g4 := New(testSeed(3), nil)
-	parts2 := make([]byte, 0, 96)
-	for i := 0; i < 3; i++ {
-		buf := make([]byte, 32)
-		g4.Read(buf)
-		parts2 = append(parts2, buf...)
-	}
-	if !bytes.Equal(parts, parts2) {
-		t.Fatal("same chunked-read pattern differs")
+	if !bytes.Equal(one, parts) {
+		t.Fatal("reads of 1+31+512+0+5 bytes differ from one read of 549")
 	}
 }
 
 func TestStreamLooksBalanced(t *testing.T) {
-	g := New(testSeed(9), nil)
+	g := stream(9, "")
 	buf := make([]byte, 1<<16)
 	g.Read(buf)
 	ones := 0
@@ -183,10 +183,10 @@ func TestNodeKeyString(t *testing.T) {
 	}
 }
 
-func BenchmarkRead32(b *testing.B) {
-	g := New(testSeed(1), nil)
-	buf := make([]byte, 32)
-	b.SetBytes(32)
+func BenchmarkRead512(b *testing.B) {
+	g := stream(1, "bench")
+	buf := make([]byte, 512)
+	b.SetBytes(512)
 	for i := 0; i < b.N; i++ {
 		g.Read(buf)
 	}
@@ -196,6 +196,7 @@ func BenchmarkForNodeDepth10(b *testing.B) {
 	d := NewDeriver(testSeed(1), "bench")
 	k := NodeKey{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	buf := make([]byte, 32)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.ForNode(k).Read(buf)
 	}

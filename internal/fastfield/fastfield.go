@@ -16,7 +16,7 @@
 //     polynomials; EvalMany runs one allocation-free multi-point Horner
 //     pass over a polynomial, serving all active query points at once.
 //   - RandVec draws a uniform coefficient vector from an io.Reader with
-//     the same bit-masked rejection sampling as field.(*Field).Rand, but
+//     the same accept-and-reduce sampling as field.(*Field).Rand, but
 //     reading the stream in bulk.
 //
 // Callers fall back to the math/big path (package field / poly) whenever
@@ -33,6 +33,7 @@
 package fastfield
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -56,11 +57,10 @@ type Field struct {
 	r2   uint64 // (2^64)^2 mod p, converts into the Montgomery domain
 	one  uint64 // 2^64 mod p: the Montgomery form of 1
 
-	// Rejection-sampling shape, mirroring field.(*Field).Rand: draw
-	// sampleBytes big-endian bytes, mask the top byte to the modulus bit
-	// length, reject values >= p.
+	// Sampling shape, mirroring field.(*Field).Rand: draw w = 8·sampleBytes
+	// bits big-endian, accept v < sampleLimit = p·⌊2^w/p⌋, keep v mod p.
 	sampleBytes int
-	sampleMask  byte
+	sampleLimit uint64
 }
 
 // New precomputes the Montgomery constants for modulus p. It returns
@@ -84,16 +84,19 @@ func New(p uint64) (*Field, error) {
 	hi, lo := bits.Mul64(one, one)
 	_, r2 := bits.Div64(hi, lo, p)
 
-	nbits := bits.Len64(p)
-	nbytes := (nbits + 7) / 8
-	excess := uint(nbytes*8 - nbits)
+	nbytes := (bits.Len64(p) + 7) / 8
+	// p·⌊2^w/p⌋ = 2^w − (2^w mod p), in wrapping arithmetic when w = 64.
+	limit := -one
+	if w := uint(8 * nbytes); w < 64 {
+		limit = 1<<w - (1<<w)%p
+	}
 	return &Field{
 		p:           p,
 		pInv:        pInv,
 		r2:          r2,
 		one:         one,
 		sampleBytes: nbytes,
-		sampleMask:  byte(0xff >> excess),
+		sampleLimit: limit,
 	}, nil
 }
 
@@ -365,51 +368,42 @@ func (f *Field) horner4(coeffs []uint64, xm uint64) uint64 {
 }
 
 // RandVec fills dst with independent uniform elements of [0, p), reading
-// entropy (or DRBG output) from r. The per-element distribution is the
-// same bit-masked rejection sampling as field.(*Field).Rand, but the
-// stream is consumed in bulk reads rather than one tiny read per draw —
-// the dominant cost of seed-only share regeneration.
+// entropy (or a share stream) from r. A sample is sampleBytes big-endian
+// bytes v; it is accepted when v < sampleLimit = p·⌊2^w/p⌋ and yields
+// v mod p, so every residue has exactly ⌊2^w/p⌋ accepted preimages — the
+// rule of field.(*Field).Rand, which draws the same vector from the same
+// stream. One bulk read covers the vector; only a rejection reads again,
+// for exactly the samples still missing. On a read error dst holds the
+// elements drawn from the complete samples read and is untouched past them.
 func (f *Field) RandVec(r io.Reader, dst []uint64) error {
-	if len(dst) == 0 {
-		return nil
-	}
-	// First bulk read: one sample per element, the common case. Rejected
-	// samples (p just above a power of two rejects up to half the draws)
-	// refill from chunked reads.
-	buf := make([]byte, len(dst)*f.sampleBytes)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("fastfield: rand: %w", err)
-	}
-	refill := func() error {
-		n := 64 * f.sampleBytes
-		if want := len(dst) * f.sampleBytes; n > want {
-			n = want
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
+	sb := f.sampleBytes
+	// Eight bytes of slack let every sample load as one big-endian word.
+	buf := make([]byte, len(dst)*sb+8)
+	for len(dst) > 0 {
+		n, err := io.ReadFull(r, buf[:len(dst)*sb])
+		dst = dst[f.accept(dst, buf, n/sb):]
+		if err != nil {
 			return fmt.Errorf("fastfield: rand: %w", err)
-		}
-		return nil
-	}
-	off := 0
-	for i := range dst {
-		for {
-			if off+f.sampleBytes > len(buf) {
-				if err := refill(); err != nil {
-					return err
-				}
-				off = 0
-			}
-			v := uint64(buf[off] & f.sampleMask)
-			for _, b := range buf[off+1 : off+f.sampleBytes] {
-				v = v<<8 | uint64(b)
-			}
-			off += f.sampleBytes
-			if v < f.p {
-				dst[i] = v
-				break
-			}
 		}
 	}
 	return nil
+}
+
+// accept runs the first count samples of buf through the rule of RandVec,
+// stores the elements they yield at the head of dst and returns how many
+// there are. buf extends eight bytes past its last sample. A function of
+// its own so that the loop's constants stay in registers.
+func (f *Field) accept(dst []uint64, buf []byte, count int) int {
+	sb, shift := f.sampleBytes, uint(64-8*f.sampleBytes)&63
+	p, pInv, one, limit := f.p, f.pInv, f.one, f.sampleLimit
+	i := 0
+	for ; count > 0; count-- {
+		v := binary.BigEndian.Uint64(buf) >> shift
+		buf = buf[sb:]
+		if v < limit {
+			dst[i] = mred(v, one, p, pInv) // v mod p: one is R mod p
+			i++
+		}
+	}
+	return i
 }

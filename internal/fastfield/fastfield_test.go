@@ -250,8 +250,8 @@ func TestEvalManyAllocationFree(t *testing.T) {
 	}
 }
 
-// TestRandVecDistribution checks RandVec draws the same distribution as
-// field.(*Field).Rand: uniform canonical elements, bit-masked rejection.
+// TestRandVecDistribution is the loose end-to-end look at a real share
+// stream; randvec_test.go proves the rule itself exactly uniform.
 func TestRandVecDistribution(t *testing.T) {
 	const p = 257
 	f, err := New(p)
@@ -259,7 +259,7 @@ func TestRandVecDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := drbg.Seed(sha256.Sum256([]byte("randvec")))
-	g := drbg.New(seed, []byte("dist"))
+	g := drbg.NewDeriver(seed, "dist").ForNode(nil)
 	dst := make([]uint64, 20000)
 	if err := f.RandVec(g, dst); err != nil {
 		t.Fatal(err)
@@ -290,10 +290,10 @@ func TestRandVecDeterministic(t *testing.T) {
 	seed := drbg.Seed(sha256.Sum256([]byte("det")))
 	a := make([]uint64, 100)
 	b := make([]uint64, 100)
-	if err := f.RandVec(drbg.New(seed, []byte("x")), a); err != nil {
+	if err := f.RandVec(drbg.NewDeriver(seed, "x").ForNode(nil), a); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.RandVec(drbg.New(seed, []byte("x")), b); err != nil {
+	if err := f.RandVec(drbg.NewDeriver(seed, "x").ForNode(nil), b); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {

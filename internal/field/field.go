@@ -27,6 +27,10 @@ type Field struct {
 	// when p exceeds fastfield.MaxModulusBits. Callers on hot paths check
 	// Fast() and fall back to the big.Int methods below.
 	fast *fastfield.Field
+	// randBytes and randLimit shape Rand: a sample is w = 8·randBytes bits
+	// and is accepted below randLimit = p·⌊2^w/p⌋.
+	randBytes int
+	randLimit *big.Int
 }
 
 var (
@@ -45,8 +49,20 @@ func New(p *big.Int) (*Field, error) {
 	if !p.ProbablyPrime(32) {
 		return nil, ErrNotPrime
 	}
-	pc := new(big.Int).Set(p)
-	return &Field{p: pc, pMinus1: new(big.Int).Sub(pc, big.NewInt(1)), fast: fastPath(pc)}, nil
+	return newField(new(big.Int).Set(p)), nil
+}
+
+// newField builds F_p around a prime p the field owns.
+func newField(p *big.Int) *Field {
+	nbytes := (p.BitLen() + 7) / 8
+	span := new(big.Int).Lsh(big.NewInt(1), uint(8*nbytes))
+	return &Field{
+		p:         p,
+		pMinus1:   new(big.Int).Sub(p, big.NewInt(1)),
+		fast:      fastPath(p),
+		randBytes: nbytes,
+		randLimit: span.Sub(span, new(big.Int).Mod(span, p)),
+	}
 }
 
 // fastPath builds the word-sized engine when the modulus supports it.
@@ -66,8 +82,7 @@ func NewUint64(p uint64) (*Field, error) {
 	if !mathutil.IsPrime(p) {
 		return nil, ErrNotPrime
 	}
-	bp := new(big.Int).SetUint64(p)
-	return &Field{p: bp, pMinus1: new(big.Int).Sub(bp, big.NewInt(1)), fast: fastPath(bp)}, nil
+	return newField(new(big.Int).SetUint64(p)), nil
 }
 
 // MustNew is New but panics on error; intended for tests and constants.
@@ -178,23 +193,20 @@ func (f *Field) Equal(a, b *big.Int) bool {
 	return f.Reduce(a).Cmp(f.Reduce(b)) == 0
 }
 
-// Rand returns a uniformly random canonical element, reading entropy (or
-// deterministic DRBG output) from r.
+// Rand returns a uniformly random canonical element, reading entropy (or a
+// share stream) from r: w-bit big-endian samples v, the first one below
+// p·⌊2^w/p⌋ reduced mod p. Every residue has exactly ⌊2^w/p⌋ accepted
+// preimages, so there is no modular bias, and fastfield.RandVec — the same
+// rule on words — draws the same elements from the same stream.
 func (f *Field) Rand(r io.Reader) (*big.Int, error) {
-	// Rejection sampling over ceil(bits/8) bytes keeps the distribution
-	// uniform without modular bias.
-	bits := f.p.BitLen()
-	nbytes := (bits + 7) / 8
-	buf := make([]byte, nbytes)
-	excess := uint(nbytes*8 - bits)
+	buf := make([]byte, f.randBytes)
 	for {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("field: rand: %w", err)
 		}
-		buf[0] &= byte(0xff >> excess)
 		v := new(big.Int).SetBytes(buf)
-		if v.Cmp(f.p) < 0 {
-			return v, nil
+		if v.Cmp(f.randLimit) < 0 {
+			return v.Mod(v, f.p), nil
 		}
 	}
 }

@@ -3,6 +3,7 @@ package field
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -214,5 +215,45 @@ func BenchmarkMul(b *testing.B) {
 	x := f.FromUint64(123456789123456789)
 	for i := 0; i < b.N; i++ {
 		x = f.Mul(x, x)
+	}
+}
+
+// TestRandMatchesRandVec: the big.Int sampler and the word sampler are one
+// rule. Over the same bytes — share-stream-like noise salted with samples
+// at and around each modulus's acceptance limit, so rejections happen —
+// element i of the vector fastfield.RandVec draws is the i-th Rand.
+func TestRandMatchesRandVec(t *testing.T) {
+	for _, p := range []uint64{97, 251, 257, 12289, 65537, 1<<61 - 1, 4611686018427387847} {
+		f := MustNew(p)
+		nbytes := (f.BitLen() + 7) / 8
+		limit := new(big.Int).Lsh(big.NewInt(1), uint(8*nbytes))
+		limit.Sub(limit, new(big.Int).Mod(limit, f.P()))
+		var stream []byte
+		h := sha256.Sum256([]byte(f.String()))
+		for i := 0; i < 40; i++ {
+			stream = append(stream, h[:]...)
+			h = sha256.Sum256(h[:])
+			for _, d := range []int64{-1, 0, 1} {
+				edge := new(big.Int).Add(limit, big.NewInt(d))
+				if edge.BitLen() <= 8*nbytes {
+					stream = append(stream, edge.FillBytes(make([]byte, nbytes))...)
+				}
+			}
+		}
+		const n = 64
+		vec := make([]uint64, n)
+		if err := f.Fast().RandVec(bytes.NewReader(stream), vec); err != nil {
+			t.Fatal(err)
+		}
+		src := bytes.NewReader(stream)
+		for i, want := range vec {
+			got, err := f.Rand(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.IsUint64() || got.Uint64() != want {
+				t.Fatalf("F_%d: draw %d is %v from Rand, %d from RandVec", p, i, got, want)
+			}
+		}
 	}
 }

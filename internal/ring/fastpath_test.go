@@ -144,6 +144,48 @@ func TestRandFastReproducible(t *testing.T) {
 	}
 }
 
+// TestRandReferenceMatchesPacked: the big.Int reference sampler (what Rand
+// runs under SetFast(false), one field.Rand and one small read per
+// coefficient) and the bulk word sampler draw the same pad from the same
+// share stream, pad for pad — so a store split on the fast path can be
+// queried on the reference path. F_257 and F_12289 take two-byte samples,
+// F_65537 three; a limit or a reduction off by one on either side, or a
+// stream that depended on read sizes, breaks the equality.
+func TestRandReferenceMatchesPacked(t *testing.T) {
+	d := drbg.NewDeriver(drbg.Seed(sha256.Sum256([]byte("rand-differential"))), "test")
+	for _, tc := range []struct {
+		p     uint64
+		nodes uint32
+	}{{257, 2000}, {12289, 4}, {65537, 1}} {
+		fast, ref := MustFp(tc.p), MustFp(tc.p)
+		ref.SetFast(false)
+		vec := make([]uint64, fast.DegreeBound())
+		sampleBytes := (ref.P().BitLen() + 7) / 8
+		bulk, short := make([]byte, len(vec)*sampleBytes), make([]uint64, len(vec))
+		rejecting := 0 // nodes whose pad needed a refill: the bulk read alone fell short
+		for i := uint32(0); i < tc.nodes; i++ {
+			key := drbg.NodeKey{i, 3 * i}
+			if err := fast.RandPacked(d.ForNode(key), vec); err != nil {
+				t.Fatal(err)
+			}
+			d.ForNode(key).Read(bulk)
+			if fast.Fast().RandVec(bytes.NewReader(bulk), short) != nil {
+				rejecting++
+			}
+			pad, err := ref.Rand(d.ForNode(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pad.Equal(fast.Unpack(vec)) {
+				t.Fatalf("F_%d node %v: reference Rand and RandPacked draw different pads from one stream", tc.p, key)
+			}
+		}
+		if rejecting == 0 {
+			t.Fatalf("F_%d: no pad of %d met a rejected sample; the comparison never reached the acceptance limit", tc.p, tc.nodes)
+		}
+	}
+}
+
 // TestMulPackedMatchesMul pins the packed multiply to the generic one.
 func TestMulPackedMatchesMul(t *testing.T) {
 	r := MustFp(31)
@@ -169,7 +211,7 @@ func TestMulPackedMatchesMul(t *testing.T) {
 func TestFastRandMarshalStable(t *testing.T) {
 	r := MustFp(257)
 	seed := drbg.Seed(sha256.Sum256([]byte("marshal")))
-	q, err := r.Rand(drbg.New(seed, nil))
+	q, err := r.Rand(drbg.NewDeriver(seed, "marshal").ForNode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,10 +142,8 @@ func (r *FpCyclotomic) Fast() *fastfield.Field { return r.fast }
 // differential tests and ablation benchmarks; production code leaves the
 // fast path on. Not safe to call concurrently with ring use.
 //
-// Disabling the fast path also restores the original one-draw-per-
-// coefficient DRBG consumption of Rand (the fast path reads the stream
-// in bulk), so the client and server sides of one deployment must agree
-// on the setting or seed-derived shares will not cancel.
+// Rand draws the same pads from a share stream at either setting (see
+// Rand), so a store split on the fast path can be queried with it off.
 func (r *FpCyclotomic) SetFast(enabled bool) {
 	if enabled {
 		r.fast = r.f.Fast()
@@ -588,10 +586,10 @@ func (r *FpCyclotomic) CoeffZero(v *big.Int) bool {
 // hiding for additive shares.
 //
 // The fast path draws the coefficient vector through the bulk sampler
-// (fastfield.RandVec): the same per-coefficient distribution, but the rng
-// stream is consumed in large reads instead of one tiny read per
-// coefficient — which is why sharing.ShareLabel is versioned: share pads
-// derived under the old consumption pattern do not match.
+// (fastfield.RandVec), the reference path one field.(*Field).Rand per
+// coefficient: the same accept-and-reduce rule over the same samples, so
+// an rng whose bytes do not depend on how reads are chunked (a drbg.Stream)
+// yields the same polynomial on both.
 func (r *FpCyclotomic) Rand(rng io.Reader) (poly.Poly, error) {
 	if r.fast != nil {
 		vec := make([]uint64, r.n)

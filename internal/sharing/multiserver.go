@@ -31,7 +31,7 @@ import (
 // so the per-query protocol stays one scalar per node per server.
 // Shamir needs a field, so multi-server mode requires the F_p ring.
 
-// MultiShareLabel is the DRBG domain-separation label for the Shamir mask
+// MultiShareLabel is the domain-separation label for the Shamir mask
 // streams of MultiShare/MultiSplit.
 //
 // v1 marks the move off the shared-rng construction: instead of drawing
@@ -43,7 +43,10 @@ import (
 // via the bulk sampler, so the walk order — and hence the parwalk
 // schedule — cannot leak into the output: MultiShare is byte-identical to
 // MultiShareSequential at every Parallelism setting.
-const MultiShareLabel = "sss/shamir-share/v1"
+//
+// v2 moves with ShareLabel v3: the masks draw through the same stream and
+// the same sampler as the client pads.
+const MultiShareLabel = "sss/shamir-share/v2"
 
 // ServerShare is one server's share tree plus its Shamir evaluation point.
 type ServerShare struct {
@@ -113,14 +116,13 @@ func MultiSplitSequential(enc *polyenc.Tree, seed drbg.Seed, k, n int, rng io.Re
 // X = j+1 in the returned order.
 //
 // rng is read exactly once, for a 32-byte mask seed; every node's Shamir
-// mask vectors then come from the node's own path-keyed DRBG stream
+// mask vectors then come from the node's own path-keyed stream
 // (MultiShareLabel), drawn through the bulk sampler. On fast-path rings
 // the share arithmetic is vectorized — share_j = rest + Σ_d mask_d·(j^d)
 // in one fused scalar-multiply-add pass per mask — and subtrees are
 // shared in parallel on a bounded pool; with the fast path off the
-// sequential big.Int walk takes over (and, like ring.Rand, consumes the
-// mask streams per coefficient instead of in bulk, so the two settings
-// produce different — but internally consistent — share trees).
+// sequential big.Int walk takes over and, like ring.Rand, draws the same
+// masks from the same streams.
 func MultiShare(r ring.Ring, rest *Tree, k, n int, rng io.Reader) ([]ServerShare, error) {
 	return MultiShareWithOpts(r, rest, k, n, rng, MultiOpts{})
 }
@@ -307,8 +309,8 @@ func (m *multiSharer) packedOf(src *Node) []uint64 {
 // multiShareSequential is the recursive big.Int walk behind
 // MultiShareSequential and the fast-path-off fallback of MultiShare. On
 // fast-path rings the masks come from the same bulk draws as the parallel
-// walk; with the fast path off they are drawn through ring.Rand's
-// per-coefficient path (see MultiShare).
+// walk; with the fast path off ring.Rand draws the same masks one
+// coefficient at a time (see MultiShare).
 func multiShareSequential(fp *ring.FpCyclotomic, d *drbg.Deriver, rest *Tree, k, n int) ([]ServerShare, error) {
 	roots, err := multiShareNodeRef(fp, d, rest.Root, drbg.NodeKey{}, k, n)
 	if err != nil {

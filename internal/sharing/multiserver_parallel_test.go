@@ -113,9 +113,12 @@ func TestMultiShareThresholdProperty(t *testing.T) {
 }
 
 // TestMultiShareFastOffFallback: with the fast path off MultiShare takes
-// the sequential big.Int walk; the shares must still reconstruct the rest
-// tree (internal consistency — the mask stream itself legitimately
-// differs from the fast-path one, like ring.Rand's).
+// the sequential big.Int walk, which draws its masks one field.Rand at a
+// time. The shares must reconstruct the rest tree, and they are the very
+// trees the fast path builds: two masks per node come off one stream, F_31
+// rejects one sample in 32, so this also holds the bulk sampler to reading
+// exactly the samples it is missing after a rejection — one byte more and
+// the second mask would start elsewhere.
 func TestMultiShareFastOffFallback(t *testing.T) {
 	r := ring.MustFp(31)
 	enc, seed := parallelFixture(t, r, 12, 3, "multi-fastoff")
@@ -123,12 +126,23 @@ func TestMultiShareFastOffFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const k, n = 3, 4
+	fast, err := MultiShare(r, rest, k, n, maskRng("fastoff"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r.SetFast(false)
 	defer r.SetFast(true)
-	const k, n = 2, 3
 	shares, err := MultiShare(r, rest, k, n, maskRng("fastoff"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for j := range shares {
+		got, _ := shares[j].Tree.MarshalBinary()
+		want, _ := fast[j].Tree.MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("server %d: the fast-off share tree differs from the fast-path one", j)
+		}
 	}
 	f := r.Field()
 	root := rest.Root.Polynomial()
@@ -136,6 +150,7 @@ func TestMultiShareFastOffFallback(t *testing.T) {
 		pts := []shamir.Share{
 			{X: shares[1].X, Y: shares[1].Tree.Root.Polynomial().Coeff(i)},
 			{X: shares[2].X, Y: shares[2].Tree.Root.Polynomial().Coeff(i)},
+			{X: shares[3].X, Y: shares[3].Tree.Root.Polynomial().Coeff(i)},
 		}
 		got, err := shamir.InterpolateAt(f, pts, big.NewInt(0), k)
 		if err != nil {

@@ -50,7 +50,7 @@ type evalCall struct {
 // SharedPadCache is the cross-session client share cache of one ClientKey:
 // every SeedClient attached to it (see NewClient) shares one packed pad
 // LRU, one (node, point-set) share-eval LRU, and a singleflight front so
-// concurrent misses on one node run the HMAC-DRBG regeneration (or the
+// concurrent misses on one node run the pad regeneration (or the
 // multi-point Horner pass) exactly once, with every other session
 // piggybacking on the in-flight result. Before this cache, N sessions of
 // one seed regenerated the same pads and re-evaluated the same share

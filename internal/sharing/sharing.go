@@ -25,16 +25,17 @@ import (
 	"sssearch/internal/ring"
 )
 
-// ShareLabel is the DRBG domain-separation label for client share streams.
-//
-// v2 marks the packed fast-path share stream: F_p pads are drawn through
-// the bulk sampler (fastfield.RandVec via ring.RandPacked), which consumes
-// the per-node DRBG stream in large reads instead of one tiny read per
-// coefficient. The per-coefficient distribution is unchanged, but the
-// byte-consumption pattern is not, so pads derived under the v1 label
-// (pre-fast-path store files) would no longer cancel; the label bump
-// domain-separates the two streams instead of letting them silently mix.
-const ShareLabel = "sss/client-share/v2"
+// ShareLabel is the domain-separation label for client share streams, and
+// its version is the share-stream generation: a pad is what the sampler
+// (fastfield.RandVec, or field.Rand on the reference path) draws from the
+// node's drbg.Stream, so a change to either changes every pad and takes a
+// new label — pads of two generations never cancel, and the label keeps
+// them from silently mixing. v1 read an HMAC_DRBG per coefficient, v2 in
+// bulk (that generator's bytes depended on the read sizes); v3 is the
+// chunk-invariant AES-CTR stream under exact-uniform wide sampling, so the
+// stream alone defines a pad. The store magics move with it (package
+// store).
+const ShareLabel = "sss/client-share/v3"
 
 // Node is one node of a share tree. Exactly one of Poly and Packed is
 // authoritative: trees built through the big.Int path (Materialize, the

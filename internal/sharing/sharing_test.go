@@ -345,3 +345,19 @@ func BenchmarkSeedClientShare(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColdPad is what a pad-cache miss and every node of a split pay:
+// one ForNode stream and one F_257 pad drawn from it.
+func BenchmarkColdPad(b *testing.B) {
+	fp := ring.MustFp(257)
+	d := drbg.NewDeriver(testSeed(1), ShareLabel)
+	key := drbg.NodeKey{0, 1, 2}
+	pad := make([]uint64, fp.DegreeBound())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fp.RandPacked(d.ForNode(key), pad); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

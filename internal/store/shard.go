@@ -16,10 +16,10 @@ import (
 
 // This file persists the sharded-deployment artifacts:
 //
-//   - shard stores ("SSSHRD1\0" files): one shard's slice of a
-//     partitioned share tree — shard id + routing manifest + ring
-//     parameters + tree — everything a daemon needs to serve the shard
-//     and reject out-of-range keys;
+//   - shard stores ("SSSHRD3\0" files, at the share-stream generation
+//     of store.go): one shard's slice of a partitioned share tree — shard
+//     id + routing manifest + ring parameters + tree — everything a
+//     daemon needs to serve the shard and reject out-of-range keys;
 //   - routing manifests ("SSMANF1\0" files): the manifest alone, the
 //     public routing table a client needs to scatter queries.
 //
@@ -27,7 +27,7 @@ import (
 // fields, trailing CRC32, atomic writes.
 
 var (
-	shardMagic    = []byte("SSSHRD1\x00")
+	shardMagic    = []byte("SSSHRD3\x00")
 	manifestMagic = []byte("SSMANF1\x00")
 )
 
@@ -86,18 +86,18 @@ func LoadShard(path string) (ring.Ring, *sharing.Tree, *shard.Manifest, int, err
 	return ReadShard(data)
 }
 
-// IsShardStore reports whether data begins with the shard-store magic —
-// the sniff sss-server uses to auto-detect what kind of file it was
-// handed.
-func IsShardStore(data []byte) bool { return bytes.HasPrefix(data, shardMagic) }
+// IsShardStore reports whether data begins with the shard-store magic of
+// any generation — the sniff sss-server uses to auto-detect what kind of
+// file it was handed; ReadShard then refuses an older generation by name.
+func IsShardStore(data []byte) bool { return bytes.HasPrefix(data, shardMagic[:len("SSSHRD")]) }
 
 // ReadShard parses one shard store from bytes.
 func ReadShard(data []byte) (ring.Ring, *sharing.Tree, *shard.Manifest, int, error) {
 	fail := func(err error) (ring.Ring, *sharing.Tree, *shard.Manifest, int, error) {
 		return nil, nil, nil, 0, err
 	}
-	if len(data) < len(shardMagic)+4 || !IsShardStore(data) {
-		return fail(fmt.Errorf("%w: bad magic", ErrBadFormat))
+	if err := checkMagic(data, shardMagic, len(shardMagic)+4); err != nil {
+		return fail(err)
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {

@@ -1,9 +1,9 @@
 // Package store persists the scheme's durable artifacts:
 //
 //   - server share stores: ring parameters + share tree, CRC-protected
-//     ("SSSTORE2" files) — what an outsourcing provider keeps on disk;
+//     ("SSSTORE3" files) — what an outsourcing provider keeps on disk;
 //   - client state: seed + private tag mapping + ring parameters
-//     ("SSCLNT2\0" files) — the client's entire secret material, which is
+//     ("SSCLNT3\0" files) — the client's entire secret material, which is
 //     all a client needs to query any number of servers.
 //
 // Formats are versioned by magic and fully length-checked on load; a
@@ -15,6 +15,15 @@
 // silently fail to cancel against a generation-1 server store under the
 // new derivation. Rejecting the old magic loudly (re-outsource to
 // migrate) is deliberate.
+//
+// It moved from 2 to 3 the same way, with share stream v3 (an AES-CTR
+// keystream per node under exact-uniform wide sampling; see
+// sharing.ShareLabel), and this time the shard-store magic moved too: it
+// had stayed at 1 through the first bump, so an older shard file loaded
+// and then failed to cancel. Every file that holds shares or the seed
+// carries the generation digit, and a loader names an older one
+// (ErrOldGeneration) instead of calling it a bad magic. Manifests hold
+// neither and keep theirs.
 package store
 
 import (
@@ -33,12 +42,32 @@ import (
 )
 
 var (
-	serverMagic = []byte("SSSTORE2")
-	clientMagic = []byte("SSCLNT2\x00")
+	serverMagic = []byte("SSSTORE3")
+	clientMagic = []byte("SSCLNT3\x00")
 )
 
 // ErrBadFormat reports an unrecognized or corrupt file.
 var ErrBadFormat = errors.New("store: unrecognized or corrupt file")
+
+// ErrOldGeneration reports a well-formed magic of an older share-stream
+// generation: the file's shares no longer cancel against anything this
+// build derives. It wraps ErrBadFormat.
+var ErrOldGeneration = fmt.Errorf("%w: older share-stream generation", ErrBadFormat)
+
+// checkMagic accepts data of at least min bytes that begins with magic (a
+// stem, the generation digit, NUL padding). The same stem and padding
+// around a lower digit is an older generation, and is reported as one.
+func checkMagic(data, magic []byte, min int) error {
+	if len(data) >= min && bytes.HasPrefix(data, magic) {
+		return nil
+	}
+	g := len(bytes.TrimRight(magic, "\x00")) - 1
+	if len(data) >= len(magic) && bytes.Equal(data[:g], magic[:g]) &&
+		bytes.Equal(data[g+1:len(magic)], magic[g+1:]) && '1' <= data[g] && data[g] < magic[g] {
+		return fmt.Errorf("%w: generation-%c file, re-outsource to migrate", ErrOldGeneration, data[g])
+	}
+	return fmt.Errorf("%w: bad magic", ErrBadFormat)
+}
 
 // SaveServer writes a server share store to path (atomically via rename).
 func SaveServer(path string, r ring.Ring, tree *sharing.Tree) error {
@@ -87,8 +116,8 @@ func LoadServer(path string) (ring.Ring, *sharing.Tree, error) {
 
 // ReadServer parses a server share store from bytes.
 func ReadServer(data []byte) (ring.Ring, *sharing.Tree, error) {
-	if len(data) < len(serverMagic)+4 || !bytes.HasPrefix(data, serverMagic) {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
+	if err := checkMagic(data, serverMagic, len(serverMagic)+4); err != nil {
+		return nil, nil, err
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
@@ -174,8 +203,8 @@ func LoadClient(path string) (*ClientState, error) {
 
 // ReadClient parses client state from bytes.
 func ReadClient(data []byte) (*ClientState, error) {
-	if len(data) < len(clientMagic)+drbg.SeedSize+4 || !bytes.HasPrefix(data, clientMagic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
+	if err := checkMagic(data, clientMagic, len(clientMagic)+drbg.SeedSize+4); err != nil {
+		return nil, err
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
