@@ -12,6 +12,7 @@ import (
 	"io"
 	"math/big"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +139,43 @@ func BenchmarkLookupZ1000Miss(b *testing.B) {
 
 func BenchmarkLookupFp1000Hit(b *testing.B) {
 	benchmarkLookup(b, ring.MustFp(257), 1000, "t3")
+}
+
+// BenchmarkResolveDeepChain is the worst case for tag resolution: //a over
+// 200 nested <a> in F_257 makes every node but the innermost ambiguous.
+// VerifyResolve solves them from two evaluations a node, VerifyFull from
+// their polynomials (and re-derives the 200 matches): the two paths of
+// eq. (2) side by side, values and polynomial bytes a query reported.
+func BenchmarkResolveDeepChain(b *testing.B) {
+	const depth = 200
+	doc, err := xmltree.ParseString(strings.Repeat("<a>", depth) + "<b/>" + strings.Repeat("</a>", depth))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bundle, err := Outsource(doc, Config{Kind: RingFp, P: 257, Seed: drbg.Seed(sha256.Sum256([]byte("bench-chain")))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := bundle.Connect()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	for _, level := range []VerifyLevel{VerifyResolve, VerifyFull} {
+		b.Run(level.String(), func(b *testing.B) {
+			var res *SearchResult
+			for i := 0; i < b.N; i++ {
+				if res, err = sess.Search("//a", WithVerify(level)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if len(res.Matches) != depth || res.Stats.TagsRecovered < depth-1 {
+				b.Fatalf("%d matches, %d recoveries over a chain of %d", len(res.Matches), res.Stats.TagsRecovered, depth)
+			}
+			b.ReportMetric(float64(res.Stats.ValuesMoved), "values/op")
+			b.ReportMetric(float64(res.Stats.PolyBytesMoved), "polyB/op")
+		})
+	}
 }
 
 func BenchmarkPathQueryAuction(b *testing.B) {

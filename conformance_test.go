@@ -96,28 +96,34 @@ func TestConformanceMultiServer(t *testing.T) {
 			name += "_bigCombine"
 		}
 		t.Run(name, func(t *testing.T) {
-			apitest.Run(t, ring.MustFp(257), func(t *testing.T, f *apitest.Fixture) core.ServerAPI {
-				fp := f.Ring.(*ring.FpCyclotomic)
-				shares, err := sharing.MultiSplit(f.Encoded, f.Seed, tc.k, tc.n, rand.Reader)
-				if err != nil {
-					t.Fatal(err)
-				}
-				members := make([]core.MultiMember, len(shares))
-				for i, s := range shares {
-					srv, err := server.NewLocal(fp, s.Tree)
-					if err != nil {
-						t.Fatal(err)
-					}
-					members[i] = core.MultiMember{X: s.X, API: srv}
-				}
-				ms, err := core.NewMultiServer(fp, tc.k, members)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ms.BigCombine = tc.bigCombine
-				return ms
-			})
+			apitest.Run(t, ring.MustFp(257), multiServerMaker(tc.k, tc.n, tc.bigCombine))
 		})
+	}
+}
+
+// multiServerMaker Shamir-shares the fixture k-of-n across in-process
+// Locals behind one core.MultiServer.
+func multiServerMaker(k, n int, bigCombine bool) apitest.Maker {
+	return func(t *testing.T, f *apitest.Fixture) core.ServerAPI {
+		fp := f.Ring.(*ring.FpCyclotomic)
+		shares, err := sharing.MultiSplit(f.Encoded, f.Seed, k, n, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := make([]core.MultiMember, len(shares))
+		for i, s := range shares {
+			srv, err := server.NewLocal(fp, s.Tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members[i] = core.MultiMember{X: s.X, API: srv}
+		}
+		ms, err := core.NewMultiServer(fp, k, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms.BigCombine = bigCombine
+		return ms
 	}
 }
 
@@ -151,47 +157,51 @@ func TestConformanceShardRouter(t *testing.T) {
 // is a k-of-n MultiServer over that shard's member slices. Partition and
 // replication must commute with the protocol.
 func TestConformanceShardMultiServer(t *testing.T) {
+	apitest.Run(t, ring.MustFp(257), shardMultiServerMaker)
+}
+
+// shardMultiServerMaker builds the 2-D composition over the fixture: two
+// shards, each a 2-of-3 MultiServer.
+func shardMultiServerMaker(t *testing.T, f *apitest.Fixture) core.ServerAPI {
 	const shards, k, n = 2, 2, 3
-	apitest.Run(t, ring.MustFp(257), func(t *testing.T, f *apitest.Fixture) core.ServerAPI {
-		fp := f.Ring.(*ring.FpCyclotomic)
-		shares, err := sharing.MultiSplit(f.Encoded, f.Seed, k, n, rand.Reader)
+	fp := f.Ring.(*ring.FpCyclotomic)
+	shares, err := sharing.MultiSplit(f.Encoded, f.Seed, k, n, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := shard.Plan(shares[0].Tree, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// perMember[j][s] is member j's slice of shard s.
+	perMember := make([][]*sharing.Tree, n)
+	for j, s := range shares {
+		perMember[j], err = shard.PartitionWithManifest(s.Tree, man)
 		if err != nil {
 			t.Fatal(err)
 		}
-		man, err := shard.Plan(shares[0].Tree, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// perMember[j][s] is member j's slice of shard s.
-		perMember := make([][]*sharing.Tree, n)
-		for j, s := range shares {
-			perMember[j], err = shard.PartitionWithManifest(s.Tree, man)
+	}
+	backends := make([]core.ServerAPI, shards)
+	for s := 0; s < shards; s++ {
+		members := make([]core.MultiMember, n)
+		for j := 0; j < n; j++ {
+			local, err := server.NewLocal(fp, perMember[j][s])
 			if err != nil {
 				t.Fatal(err)
 			}
+			members[j] = core.MultiMember{X: shares[j].X, API: local}
 		}
-		backends := make([]core.ServerAPI, shards)
-		for s := 0; s < shards; s++ {
-			members := make([]core.MultiMember, n)
-			for j := 0; j < n; j++ {
-				local, err := server.NewLocal(fp, perMember[j][s])
-				if err != nil {
-					t.Fatal(err)
-				}
-				members[j] = core.MultiMember{X: shares[j].X, API: local}
-			}
-			ms, err := core.NewMultiServer(fp, k, members)
-			if err != nil {
-				t.Fatal(err)
-			}
-			backends[s] = ms
-		}
-		router, err := shard.NewRouter(man, backends)
+		ms, err := core.NewMultiServer(fp, k, members)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return router
-	})
+		backends[s] = ms
+	}
+	router, err := shard.NewRouter(man, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return router
 }
 
 // newShardRouter partitions the fixture tree into guarded in-process

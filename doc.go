@@ -260,13 +260,60 @@
 // time. The step then
 // applies the §4.3 answer rule: a zero node with no zero child is a
 // definite match, a zero node with a zero child is ambiguous and is
-// resolved by reconstructing the node's and its children's polynomials
-// and solving eq. (2) for the tag. That resolution is not a rare
-// verification path — a descendant lookup over a deep document recovers
-// hundreds of tags, and the polynomials are about nine tenths of a
-// query's bytes — so a step's ambiguous candidates are resolved together
-// (core's recoverNodeTags, which VerifyFull's re-check of every match
-// shares): their (node + children) key sets are deduplicated and fetched
+// resolved by solving eq. (2), f = (x − t)·∏qᵢ over the node's and its
+// children's polynomials, for the node's tag t. That resolution is not a
+// rare verification path — a descendant lookup over a deep document
+// recovers hundreds of tags — so a step's ambiguous candidates are
+// resolved together, in one wave.
+//
+// On F_p, VerifyResolve resolves them from evaluations (core's
+// resolveAtPoints). In F_p[x]/(x^{p−1}−1) evaluation at any a ∈ F_p* is a
+// ring homomorphism onto F_p (a^{p−1} = 1 sends the modulus to 0), so
+// eq. (2) holds pointwise: f(a) = (a − t)·Q(a) with Q(a) = ∏qᵢ(a), and
+// t = a − f(a)/Q(a) wherever Q(a) ≠ 0 — two scalars a node where the
+// coefficient solve moves p−1 coefficients, and no transform at all.
+// The candidates and their children, deduplicated, are evaluated at two
+// fixed points by one ordinary EvalNodes wave (the per-run cache, the
+// Parallelism batches, the two-leg overlap and the key-by-key answer
+// check of any scan wave); it adds one round and two values a node to a
+// query's Stats and nothing to NodesVisited, which counts the traversal.
+// t is solved at the first point and must come out the same at the
+// second; a disagreement, or a Q(a) = 0, is polyenc.ErrInconsistent
+// naming the first failing candidate in wave order, as the coefficient
+// path reports it. The choice of points: a node polynomial's roots are
+// the tag values of its subtree, so Q(a) ≠ 0 at every node of an honest
+// server exactly when no tag maps to a, and there is no retry loop.
+// a₁ = p−1 lies outside the tag domain [1, p−2] of every mapping (it is
+// the zero divisor Lemma 3 excludes): always free, public, and saying
+// nothing. a₂ is a value no tag maps to, drawn under the mapping's HMAC
+// key (mapping.FreeValue): a public rule — "the largest free value" —
+// would tell the server that every value it skipped is a tag, where a
+// keyed draw tells it one value that is not. Both are a function of the
+// ring and the mapping alone, fixed when the engine is built (nothing is
+// added to Outsource, Save, Load or Dial, and the server learns from a
+// resolve wave which nodes are ambiguous, as it did from a fetch). A
+// mapping with no free value, or one that leaves the tag domain (the
+// paper's own F_5 example maps a tag to p−1), keeps the polynomial path.
+// Soundness: the client's pads make every f(aⱼ) and qᵢ(aⱼ) uniform to a
+// server that does not hold the client share, so it forges blind. A
+// delta δⱼ on f(aⱼ) moves the tag solved at aⱼ by δⱼ/Q(aⱼ), and a wrong
+// tag is accepted only if δ₁/Q(a₁) = δ₂/Q(a₂) for two Q(aⱼ) ∈ F_p* it
+// cannot see: probability ≤ 1/(p−1) per forged node (1/256 on F_257),
+// and every miss is a reported cheat, not a silent one. The bound is
+// tight and the assumption necessary — a forger holding the client seed
+// computes δⱼ = (t − t′)·Q(aⱼ) and is accepted, a forgery at one point or
+// alike at both is refused (core's resolve and wave tests). VerifyResolve
+// has always trusted unambiguous matches outright (one forged zero sum
+// fabricates a match no check sees), so it never was the level for a
+// hostile server: VerifyFull, with all p−1 coefficient equations on the
+// ambiguous candidates and on every reported match, stays that.
+//
+// Everywhere else — under VerifyFull, on Z[x]/(r(x)) (evaluation there
+// maps into Z/r(a)Z, no field: the quotient f(a)/Q(a) need not exist) and
+// for the mappings above — tags are resolved from polynomials, which are
+// then about nine tenths of a query's bytes (core's recoverNodeTags, one
+// path for a step's candidates and for VerifyFull's re-check of every
+// match): their (node + children) key sets are deduplicated and fetched
 // in chunks of about 1 MiB (a constant derived from the ring's degree
 // bound: 1,024 polynomials on F_257, far under wire.MaxFrameSize), the
 // client regenerates a large chunk's share pads while its fetch is in
@@ -341,8 +388,10 @@
 // transform-sized product and cached for the ring's lifetime — at most
 // 12n bytes of twiddle tables plus pooled scratch, immutable after
 // construction and shared read-only across goroutines. It is also what a
-// descendant query spends its client time in: every eq. (2) tag recovery
-// is one multi-factor product (see "Read path").
+// VerifyFull descendant query spends its client time in: every eq. (2)
+// tag recovery from polynomials is one multi-factor product (see "Read
+// path"; VerifyResolve on F_p solves from evaluations and never
+// transforms).
 //
 // The kernel. n = m·2^k with m odd. A power-of-two length (F_257,
 // F_65537) is one iterative in-place pass: the source is loaded in

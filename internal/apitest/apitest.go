@@ -22,6 +22,7 @@ import (
 	"sssearch/internal/server"
 	"sssearch/internal/sharing"
 	"sssearch/internal/workload"
+	"sssearch/internal/xmltree"
 )
 
 // Fixture is the shared world a ServerAPI implementation is checked
@@ -45,7 +46,23 @@ type Fixture struct {
 // are deterministic so every implementation sees the same world.
 func NewFixture(t testing.TB, r ring.Ring) *Fixture {
 	t.Helper()
-	doc := workload.RandomTree(workload.TreeConfig{Nodes: 30, MaxFanout: 3, Vocab: 8, Seed: 99})
+	f := NewFixtureOver(t, r, workload.RandomTree(workload.TreeConfig{Nodes: 30, MaxFanout: 3, Vocab: 8, Seed: 99}))
+	for i := 0; i < 8 && len(f.Points) < 3; i++ {
+		if v, ok := f.Mapping.Value(workloadTag(i)); ok {
+			f.Points = append(f.Points, v)
+		}
+	}
+	if len(f.Points) < 2 {
+		t.Fatalf("apitest: only %d usable points", len(f.Points))
+	}
+	return f
+}
+
+// NewFixtureOver builds the fixture's world over a document of the
+// caller's — for suites that run whole queries through the registered
+// topologies and need its plaintext — leaving Points empty.
+func NewFixtureOver(t testing.TB, r ring.Ring, doc *xmltree.Node) *Fixture {
+	t.Helper()
 	m, err := mapping.New(r.MaxTag(), []byte("apitest"))
 	if err != nil {
 		t.Fatal(err)
@@ -80,14 +97,6 @@ func NewFixture(t testing.TB, r ring.Ring) *Fixture {
 	})
 	if len(f.Keys) == 0 {
 		t.Fatal("apitest: fixture has no keys")
-	}
-	for i := 0; i < 8 && len(f.Points) < 3; i++ {
-		if v, ok := m.Value(workloadTag(i)); ok {
-			f.Points = append(f.Points, v)
-		}
-	}
-	if len(f.Points) < 2 {
-		t.Fatalf("apitest: only %d usable points", len(f.Points))
 	}
 	return f
 }

@@ -9,8 +9,10 @@
 // the sum for zero. A non-zero sum proves the subtree contains no match and
 // the branch is pruned — the server is told to stop, which is the source of
 // the scheme's sub-linear work. Zero nodes with no zero child are definite
-// answers; other zero nodes are disambiguated by reconstructing polynomials
-// and solving eq. (2) for the node tag (package polyenc).
+// answers; other zero nodes are disambiguated by solving eq. (2) for the
+// node tag — pointwise, from two more evaluations, on F_p; coefficient by
+// coefficient on reconstructed polynomials (package polyenc) elsewhere
+// and under VerifyFull.
 package core
 
 import (
@@ -98,11 +100,12 @@ type ServerAPI interface {
 	// the given points, in order. Unknown keys are an error.
 	EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]NodeEval, error)
 	// FetchPolys returns the server share polynomial of each keyed node,
-	// in order — what the §4.3 answer rule needs to resolve an ambiguous
-	// zero node (and VerifyFull to re-check a match). Not a rare path: a
-	// descendant lookup over a deep document recovers hundreds of tags,
-	// and polynomials are most of a query's bytes. The engine asks for a
-	// whole step's candidates in a few large calls, see recoverNodeTags.
+	// in order — what the coefficient form of eq. (2) needs: VerifyFull,
+	// for every ambiguous zero node and every match, and VerifyResolve
+	// where tags cannot be resolved from evaluations (Z[x]/(r(x)), a
+	// mapping with no free value). Polynomials are then most of a query's
+	// bytes, and the engine asks for a whole step's candidates in a few
+	// large calls, see recoverNodeTags.
 	FetchPolys(keys []drbg.NodeKey) ([]NodePoly, error)
 	// Prune tells the server the given subtrees are dead for the current
 	// query, so it can release per-query state. Advisory: the in-process
@@ -168,14 +171,17 @@ func PruneWithCtx(ctx context.Context, api ServerAPI, keys []drbg.NodeKey) error
 type VerifyLevel int
 
 const (
-	// VerifyNone trusts evaluations and skips all polynomial fetches.
-	// Ambiguous nodes (zero sum with a zero child) are reported as
-	// Unresolved, not resolved — maximum bandwidth savings, the paper's
-	// trusted-server mode.
+	// VerifyNone trusts evaluations and resolves nothing. Ambiguous nodes
+	// (zero sum with a zero child) are reported as Unresolved — maximum
+	// bandwidth savings, the paper's trusted-server mode.
 	VerifyNone VerifyLevel = iota
-	// VerifyResolve fetches polynomials only for ambiguous nodes, exactly
-	// enough to compute the complete answer set. Matches found without
-	// fetches are trusted. The default.
+	// VerifyResolve solves eq. (2) for the tag of each ambiguous node and
+	// of no other, exactly enough to compute the complete answer set: on
+	// F_p from the node's and its children's values at two fixed points
+	// no tag maps to (two scalars a node, cross-checked; a blind forgery
+	// passes with probability ≤ 1/(p−1), see resolveAtPoints), on
+	// Z[x]/(r(x)) and for a mapping with no free value from their fetched
+	// polynomials. Unambiguous matches are trusted. The default.
 	VerifyResolve
 	// VerifyFull additionally re-derives the tag of every reported match
 	// via eq. (2)'s overdetermined system, detecting a lying server

@@ -304,7 +304,7 @@ func TestVerifyFullCatchesPolyTampering(t *testing.T) {
 	if err == nil {
 		t.Fatal("tampered root polynomial not detected")
 	}
-	if tam.PolyTampered == 0 {
+	if tam.PolyTampered.Load() == 0 {
 		t.Fatal("tamperer never fired — test is vacuous")
 	}
 }
@@ -343,7 +343,7 @@ func TestVerifyFullCatchesValueTampering(t *testing.T) {
 	delta := new(big.Int).Neg(sum)
 	delta.Mod(delta, mod)
 
-	forger := &valueForger{inner: inner, target: "/1", delta: delta}
+	forger := &server.Tamperer{Inner: inner, CorruptValueAt: drbg.NodeKey{1}, ValueDelta: func(*big.Int) *big.Int { return delta }}
 	eng := core.NewEngine(r, seed, m, forger, nil)
 	// VerifyNone happily reports the forged match.
 	res, err := eng.Lookup("b", core.Opts{Verify: core.VerifyNone})
@@ -358,37 +358,6 @@ func TestVerifyFullCatchesValueTampering(t *testing.T) {
 		t.Fatal("forged match not detected by VerifyFull")
 	}
 }
-
-// valueForger adds a fixed delta to every evaluation of one node.
-type valueForger struct {
-	inner  core.ServerAPI
-	target string
-	delta  *big.Int
-}
-
-func (f *valueForger) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
-	out, err := f.inner.EvalNodes(keys, points)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		if out[i].Key.String() != f.target {
-			continue
-		}
-		vals := make([]*big.Int, len(out[i].Values))
-		for j, v := range out[i].Values {
-			vals[j] = new(big.Int).Add(v, f.delta)
-		}
-		out[i].Values = vals
-	}
-	return out, nil
-}
-
-func (f *valueForger) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
-	return f.inner.FetchPolys(keys)
-}
-
-func (f *valueForger) Prune(keys []drbg.NodeKey) error { return f.inner.Prune(keys) }
 
 // TestPruningFractionDeepTree: on a wide tree where the target tag lives in
 // one small subtree, the protocol must touch far fewer nodes than the tree

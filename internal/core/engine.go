@@ -30,6 +30,9 @@ type Engine struct {
 	// chunkPolys is how many polynomials one fetch of a tag-recovery wave
 	// asks for (see chunkPolys): fixed by the ring, not an option.
 	chunkPolys int
+	// resolveAt holds the two points VerifyResolve solves eq. (2) at (see
+	// resolvePoints); nil where tags are resolved from polynomials.
+	resolveAt []*big.Int
 }
 
 // NewEngine assembles a query engine with a seed-derived client share
@@ -80,7 +83,28 @@ func NewEngineWithShares(r ring.Ring, shares sharing.ShareSource, m *mapping.Map
 		counters:   counters,
 		obsv:       obs.Default(),
 		chunkPolys: chunkPolys(r),
+		resolveAt:  resolvePoints(r, m),
 	}
+}
+
+// resolvePoints picks the two evaluation points of resolveAtPoints, at
+// which no node polynomial of an honest server vanishes: p−1, which lies
+// outside the tag domain [1, p−2], and a value no tag maps to, drawn under
+// the mapping's key. They depend on the ring and the mapping alone, so
+// every engine of one key asks at the same two. nil — tags are resolved
+// from polynomials — off F_p (evaluation in Z[x]/(r) is not a homomorphism
+// onto a field), for a mapping that leaves the tag domain (the paper's own
+// F_5 example maps a tag to p−1) and for one with no free value.
+func resolvePoints(r ring.Ring, m *mapping.Map) []*big.Int {
+	fp, ok := r.(*ring.FpCyclotomic)
+	if !ok || m.MaxTag().Cmp(fp.MaxTag()) > 0 {
+		return nil
+	}
+	free, ok := m.FreeValue()
+	if !ok {
+		return nil
+	}
+	return []*big.Int{new(big.Int).Sub(fp.P(), big.NewInt(1)), free}
 }
 
 // Counters exposes the engine's metric counters.
@@ -103,8 +127,8 @@ type Result struct {
 	// query, in document order.
 	Matches []drbg.NodeKey
 	// Unresolved are zero-sum nodes the engine could not classify without
-	// polynomial fetches (only under VerifyNone): each may or may not be a
-	// match.
+	// resolving their tags (only under VerifyNone): each may or may not be
+	// a match.
 	Unresolved []drbg.NodeKey
 	// Stats is the per-query metric delta.
 	Stats metrics.Snapshot

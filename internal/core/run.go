@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
 	"slices"
 	"sync"
@@ -53,13 +54,15 @@ type sumKey struct {
 
 // newRun assembles the per-query state, interning the point set.
 func newRun(ctx context.Context, e *Engine, steps []xpath.Step, points []*big.Int, opts Opts) *run {
-	idx := make(map[*big.Int]int, len(points))
-	for _, p := range points {
-		if p == nil {
-			continue
-		}
-		if _, ok := idx[p]; !ok {
-			idx[p] = len(idx)
+	idx := make(map[*big.Int]int, len(points)+len(e.resolveAt))
+	for _, pts := range [][]*big.Int{points, e.resolveAt} {
+		for _, p := range pts {
+			if p == nil {
+				continue
+			}
+			if _, ok := idx[p]; !ok {
+				idx[p] = len(idx)
+			}
 		}
 	}
 	return &run{
@@ -116,7 +119,7 @@ func (r *run) execute() (matches, unresolved []drbg.NodeKey, err error) {
 		scanRoots = dedupKeys(scanRoots)
 		var cands []sumState
 		if step.Axis == xpath.AxisChild {
-			states, err := r.evalKeys(scanRoots, pts)
+			states, err := r.evalKeys(scanRoots, pts, true)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -186,8 +189,10 @@ func (r *run) childrenOf(contexts []drbg.NodeKey) []drbg.NodeKey {
 
 // evalKeys returns the client+server sum of each key at each point,
 // consulting the per-run cache and asking the server only for keys with
-// missing values.
-func (r *run) evalKeys(keys []drbg.NodeKey, points []*big.Int) ([]sumState, error) {
+// missing values. visit says whether the wave is the traversal reaching
+// these nodes, and counts them as visited; a wave that goes back to nodes
+// the step has already reached (resolveAtPoints) does not.
+func (r *run) evalKeys(keys []drbg.NodeKey, points []*big.Int, visit bool) ([]sumState, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
@@ -220,7 +225,9 @@ func (r *run) evalKeys(keys []drbg.NodeKey, points []*big.Int) ([]sumState, erro
 		// One wave = one protocol round (latency-wise), even when it is
 		// split into concurrent batches below.
 		r.e.counters.AddRound()
-		r.e.counters.AddNodesVisited(len(missing))
+		if visit {
+			r.e.counters.AddNodesVisited(len(missing))
+		}
 		r.e.counters.AddNodesEvaluated(len(missing) * len(eff))
 		r.e.counters.AddValuesMoved(len(missing) * len(eff))
 		batches := splitBatches(missing, r.opts.Parallelism)
@@ -493,7 +500,7 @@ func (r *run) scanDescendants(roots []drbg.NodeKey, pts []*big.Int) ([]sumState,
 	var pruned []drbg.NodeKey
 	frontier := roots
 	for len(frontier) > 0 {
-		states, err := r.evalKeys(frontier, pts)
+		states, err := r.evalKeys(frontier, pts, true)
 		if err != nil {
 			return nil, err
 		}
@@ -548,7 +555,7 @@ func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.Node
 			childKeys = append(childKeys, c.key.Child(uint32(j)))
 		}
 	}
-	childStates, err := r.evalKeys(dedupKeys(childKeys), []*big.Int{cur})
+	childStates, err := r.evalKeys(dedupKeys(childKeys), []*big.Int{cur}, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -558,7 +565,9 @@ func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.Node
 	}
 	// A zero node with a zero child is ambiguous: node and some descendant
 	// chain both contain the tag. The step's ambiguous candidates are
-	// resolved together, by one wave of tag recoveries.
+	// resolved together, by one wave of tag recoveries: from evaluations
+	// where the engine has resolve points, from polynomials elsewhere and
+	// under VerifyFull, which wants the whole coefficient identity.
 	ambiguous := make([]bool, len(cands))
 	var jobs []tagJob
 	for ci, c := range cands {
@@ -572,7 +581,11 @@ func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.Node
 			jobs = append(jobs, tagJob{key: c.key, nch: c.nch})
 		}
 	}
-	tags, failed, err := r.recoverNodeTags(jobs)
+	resolve := r.recoverNodeTags
+	if r.opts.Verify == VerifyResolve && r.e.resolveAt != nil {
+		resolve = r.resolveAtPoints
+	}
+	tags, failed, err := resolve(jobs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: resolving %s: %w", jobs[failed].key, err)
 	}
@@ -598,6 +611,72 @@ func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.Node
 type tagJob struct {
 	key drbg.NodeKey
 	nch int
+}
+
+// resolveAtPoints solves eq. (2) for the tag of every job from evaluations
+// instead of polynomials. Evaluation at a ∈ F_p* is a ring homomorphism of
+// F_p[x]/(x^{p−1}−1) onto F_p, so f = (x − t)·∏qᵢ holds pointwise:
+// f(a) = (a − t)·Q(a) with Q(a) = ∏qᵢ(a), and t = a − f(a)/Q(a) wherever
+// Q(a) ≠ 0. The jobs' nodes and children, deduplicated as a fetch would
+// (planChunks), are evaluated at the engine's two resolve points by one
+// ordinary wave; t is solved at the first and must come out the same at
+// the second (doc.go has the soundness bound). No tag maps to either
+// point, so Q(a) = 0 is a lie too, not a reason to retry. On error, failed
+// is the first job in wave order that could not be resolved.
+func (r *run) resolveAtPoints(jobs []tagJob) (tags []*big.Int, failed int, err error) {
+	if len(jobs) == 0 {
+		return nil, 0, nil
+	}
+	c := planChunks(jobs, math.MaxInt)[0] // the whole wave is one chunk
+	states, err := r.evalKeys(c.keys, r.e.resolveAt, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	defer func() {
+		d := time.Since(start)
+		r.e.obsv.Observe(obs.StageTagRecover, d)
+		obs.SpanFrom(r.ctx).Add(obs.StageTagRecover, d)
+	}()
+	fp := r.e.ring.(*ring.FpCyclotomic) // resolvePoints chose points for it
+	tags = make([]*big.Int, len(jobs))
+	for ji, set := range c.sets {
+		kids := make([][]*big.Int, len(set)-1)
+		for i, k := range set[1:] {
+			kids[i] = states[k].sums
+		}
+		r.e.counters.AddTagRecovered()
+		if tags[ji], err = solveAtPoints(fp, r.e.resolveAt, states[set[0]].sums, kids); err != nil {
+			r.e.counters.AddVerifyFailure()
+			return tags, ji, err
+		}
+	}
+	return tags, 0, nil
+}
+
+// solveAtPoints solves f(a) = (a − t)·∏qᵢ(a) for t at each point a and
+// returns the t they agree on: f[j] is the node's value at points[j] and
+// kids[c][j] its c-th child's, all reduced mod p.
+func solveAtPoints(fp *ring.FpCyclotomic, points, f []*big.Int, kids [][]*big.Int) (*big.Int, error) {
+	p := fp.P()
+	var tag *big.Int
+	for j, a := range points {
+		q := big.NewInt(1)
+		for _, kid := range kids {
+			q.Mod(q.Mul(q, kid[j]), p)
+		}
+		t, ok := fp.SolveScalar(f[j], q)
+		if !ok {
+			return nil, fmt.Errorf("%w: ∏qᵢ vanishes at %s, where no polynomial has a root", polyenc.ErrInconsistent, a)
+		}
+		t.Mod(t.Sub(a, t), p)
+		if tag == nil {
+			tag = t
+		} else if tag.Cmp(t) != 0 {
+			return nil, fmt.Errorf("%w: tag %s at %s, %s at %s", polyenc.ErrInconsistent, tag, points[0], t, a)
+		}
+	}
+	return tag, nil
 }
 
 // fetchChunkBytes is the response size one polynomial fetch of a wave aims

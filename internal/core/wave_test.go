@@ -96,6 +96,9 @@ func keyStrings(keys []drbg.NodeKey) string {
 // recovery), on both rings, with the fast path on and off, at every verify
 // level: same matches, same unresolved set, same number of recoveries —
 // and FetchPolys calls bounded by the number of steps, not of candidates.
+// The polynomial wave is the path of VerifyFull everywhere and of
+// VerifyResolve on Z[x]/(r); VerifyResolve on F_p resolves from evaluations
+// (resolve_test.go) and must fetch nothing at any budget.
 func TestWaveMatchesPerCandidatePath(t *testing.T) {
 	slowFp := ring.MustFp(101)
 	slowFp.SetFast(false)
@@ -120,6 +123,7 @@ func TestWaveMatchesPerCandidatePath(t *testing.T) {
 				q := xpath.MustParse(qs)
 				for _, level := range levels {
 					name := fmt.Sprintf("%s/trial%d/%s/%s", rc.name, trial, qs, level)
+					polys := level == core.VerifyFull || level == core.VerifyResolve && rc.name == "Z"
 					perCand := &fetchCounter{ServerAPI: st.srv}
 					ref, err := st.engine(perCand, 1).Query(q, core.Opts{Verify: level})
 					if err != nil {
@@ -128,10 +132,10 @@ func TestWaveMatchesPerCandidatePath(t *testing.T) {
 					if level != core.VerifyNone && !sameSet(keySet(ref.Matches), oracleKeys(doc, q)) {
 						t.Fatalf("%s: per-candidate path disagrees with the plaintext oracle", name)
 					}
-					if got := perCand.fetches.Load(); got != ref.Stats.TagsRecovered {
+					if got := perCand.fetches.Load(); polys && got != ref.Stats.TagsRecovered {
 						t.Fatalf("%s: budget 1 made %d fetches for %d recoveries", name, got, ref.Stats.TagsRecovered)
 					}
-					if ref.Stats.TagsRecovered > maxRecovered {
+					if polys && ref.Stats.TagsRecovered > maxRecovered {
 						maxRecovered = ref.Stats.TagsRecovered
 					}
 					for _, budget := range []int{0, 6} {
@@ -148,7 +152,7 @@ func TestWaveMatchesPerCandidatePath(t *testing.T) {
 						// ring's own budget a wave is one fetch — and only its
 						// solve time, which the query's wall time contains.
 						solved := observed.Stage(obs.StageTagRecover).Snapshot()
-						if budget == 0 && solved.Count != uint64(counted.fetches.Load()) {
+						if polys && budget == 0 && solved.Count != uint64(counted.fetches.Load()) {
 							t.Fatalf("%s: %d tag_recover observations for %d waves", name, solved.Count, counted.fetches.Load())
 						}
 						if (solved.Count > 0) != (res.Stats.TagsRecovered > 0) || time.Duration(solved.Sum) > wall {
@@ -167,8 +171,9 @@ func TestWaveMatchesPerCandidatePath(t *testing.T) {
 						if res.Stats.PolysFetched > ref.Stats.PolysFetched {
 							t.Fatalf("%s budget %d: fetched %d polynomials, per-candidate %d", name, budget, res.Stats.PolysFetched, ref.Stats.PolysFetched)
 						}
-						if level == core.VerifyNone && counted.fetches.Load() != 0 {
-							t.Fatalf("%s: VerifyNone fetched polynomials", name)
+						if !polys && (counted.fetches.Load() != 0 || res.Stats.PolysFetched != 0 || res.Stats.PolyBytesMoved != 0) {
+							t.Fatalf("%s budget %d: %d FetchPolys calls, %d polynomials, %d B at a level that needs none",
+								name, budget, counted.fetches.Load(), res.Stats.PolysFetched, res.Stats.PolyBytesMoved)
 						}
 						// One wave per step plus VerifyFull's; at the ring's own
 						// budget these small waves are one fetch each.
@@ -185,37 +190,81 @@ func TestWaveMatchesPerCandidatePath(t *testing.T) {
 	}
 }
 
-// TestWaveNamesTheTamperedCandidate: a server that corrupts one child
-// polynomial inside a batched wave is caught by the eq. (2) consistency
-// check, and the error names the candidate whose recovery failed — the
-// first one in candidate order that uses the polynomial.
+// TestWaveNamesTheTamperedCandidate: a server that corrupts what it returns
+// for one child inside a batched wave is caught by the consistency check,
+// and the error names the candidate whose recovery failed — the first one
+// in candidate order that uses the answer. On the polynomial path (Z[x]/(r)
+// and VerifyFull) the lie is a corrupted polynomial and eq. (2)'s
+// coefficient identity catches it; on the point path (VerifyResolve on
+// F_p) it is a forged value, at one resolve point only or alike at both,
+// and the two points' disagreement on the tag catches it.
 func TestWaveNamesTheTamperedCandidate(t *testing.T) {
 	// A chain of nested <a> elements: //a makes every inner node ambiguous,
 	// so they are all recovered in one wave.
-	const depth = 12
-	xml := strings.Repeat("<a>", depth) + "<b/>" + strings.Repeat("</a>", depth)
-	doc, err := xmltree.ParseString(xml)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []ring.Ring{ring.MustFp(101), ring.MustIntQuotient(1, 0, 1)} {
-		st := newWaveStack(t, r, doc, []string{"a", "b"}, 90)
-		// Corrupt the polynomial of the chain node at depth 7. It is the child
-		// of the node at depth 6 — recovered first — and a candidate itself.
-		target := make(drbg.NodeKey, 7)
-		parent := drbg.NodeKey(make([]uint32, 6))
-		tam := &server.Tamperer{Inner: st.srv, CorruptPolyAt: target}
-		counted := &fetchCounter{ServerAPI: tam}
-		_, err := st.engine(counted, 0).Lookup("a", core.Opts{Verify: core.VerifyResolve})
-		if !errors.Is(err, polyenc.ErrInconsistent) {
-			t.Fatalf("%s: tampered wave returned %v, want ErrInconsistent", r.Name(), err)
-		}
-		if want := "resolving " + parent.String() + ":"; !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s: error %q does not name the first failing candidate (%q)", r.Name(), err, want)
-		}
-		if tam.PolyTampered == 0 || counted.fetches.Load() != 1 {
-			t.Fatalf("%s: tampered %d polynomials in %d fetches, want one wave", r.Name(), tam.PolyTampered, counted.fetches.Load())
-		}
+	doc := chainDoc(t, 12)
+	// Corrupt the chain node at depth 7. It is the child of the node at
+	// depth 6 — recovered first — and a candidate itself.
+	target := make(drbg.NodeKey, 7)
+	parent := drbg.NodeKey(make([]uint32, 6))
+	fp, z := ring.MustFp(101), ring.MustIntQuotient(1, 0, 1)
+	top := big.NewInt(100) // p−1, the first resolve point
+	one := big.NewInt(1)
+	for _, tc := range []struct {
+		name  string
+		r     ring.Ring
+		level core.VerifyLevel
+		// delta shapes a value forgery (nil: corrupt the polynomial instead);
+		// it is handed the query point so that the scan stays honest.
+		delta func(query, point *big.Int) *big.Int
+	}{
+		{"polyOnZResolve", z, core.VerifyResolve, nil},
+		{"polyOnFpFull", fp, core.VerifyFull, nil},
+		{"valueAtFirstPointOnly", fp, core.VerifyResolve, func(_, pt *big.Int) *big.Int {
+			if pt.Cmp(top) == 0 {
+				return one
+			}
+			return nil
+		}},
+		{"valueAtSecondPointOnly", fp, core.VerifyResolve, func(query, pt *big.Int) *big.Int {
+			if pt.Cmp(top) != 0 && pt.Cmp(query) != 0 {
+				return one
+			}
+			return nil
+		}},
+		{"valueAlikeAtBothPoints", fp, core.VerifyResolve, func(query, pt *big.Int) *big.Int {
+			if pt.Cmp(query) != 0 {
+				return one
+			}
+			return nil
+		}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			st := newWaveStack(t, tc.r, doc, []string{"a", "b"}, 90)
+			query, _ := st.m.Value("a")
+			tam := &server.Tamperer{Inner: st.srv}
+			if tc.delta == nil {
+				tam.CorruptPolyAt = target
+			} else {
+				tam.CorruptValueAt = target
+				tam.ValueDelta = func(pt *big.Int) *big.Int { return tc.delta(query, pt) }
+			}
+			counted := &fetchCounter{ServerAPI: tam}
+			_, err := st.engine(counted, 0).Lookup("a", core.Opts{Verify: tc.level})
+			if !errors.Is(err, polyenc.ErrInconsistent) {
+				t.Fatalf("tampered wave returned %v, want ErrInconsistent", err)
+			}
+			if want := "resolving " + parent.String() + ":"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name the first failing candidate (%q)", err, want)
+			}
+			if tc.delta == nil {
+				if tam.PolyTampered.Load() == 0 || counted.fetches.Load() != 1 {
+					t.Fatalf("tampered %d polynomials in %d fetches, want one wave", tam.PolyTampered.Load(), counted.fetches.Load())
+				}
+			} else if tam.ValueTampered.Load() != 1 || counted.fetches.Load() != 0 {
+				t.Fatalf("forged %d answers and fetched %d times, want one forged answer of one resolve wave and no fetch", tam.ValueTampered.Load(), counted.fetches.Load())
+			}
+		})
 	}
 }
 
@@ -667,7 +716,8 @@ func TestWaveRejectsMisaddressedAnswers(t *testing.T) {
 // regenerated beside the fetch — the source failed on it, or has no packed
 // form for it — sends exactly the recoveries that use it through the
 // big.Int path, which asks the source again; the rest of the chunk stays
-// on words and the answer is unchanged.
+// on words and the answer is unchanged. Under VerifyFull: on F_p the
+// polynomial wave is its path alone.
 func TestWavePadFailureTakesBigIntPath(t *testing.T) {
 	doc := wideDoc(t, overlappedWidth)
 	r := ring.MustFp(257)
@@ -682,15 +732,17 @@ func TestWavePadFailureTakesBigIntPath(t *testing.T) {
 	} {
 		tap := newWaveTap(st.srv, sharing.NewSeedClient(r, st.seed))
 		setup(tap)
-		res, err := core.NewEngineWithShares(r, tap, st.m, tap, nil).Query(q, core.Opts{Verify: core.VerifyResolve})
+		res, err := core.NewEngineWithShares(r, tap, st.m, tap, nil).Query(q, core.Opts{Verify: core.VerifyFull})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !sameSet(keySet(res.Matches), want) {
 			t.Fatalf("%s: matches %v, want %v", name, res.Matches, want)
 		}
-		// The recovery of /4 uses three polynomials: /4, /4/0 and /4/1.
-		wantBig := int64(3)
+		// The recovery of /4 uses three polynomials — /4, /4/0 and /4/1 — in
+		// the resolve wave and again in the VerifyFull wave, which also
+		// re-derives the match /4/1 from its own polynomial.
+		wantBig := int64(3 + 3 + 1)
 		if name == "clean" {
 			wantBig = 0
 		}

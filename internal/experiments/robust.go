@@ -69,10 +69,10 @@ func runVerify(w io.Writer, cfg Config) error {
 		}
 		_ = res
 		_ = tagOK
-		if lerr == nil && tam.PolyTampered > 0 {
+		if lerr == nil && tam.PolyTampered.Load() > 0 {
 			// The corrupted polynomial was served and still accepted —
 			// a real detection failure.
-			return fmt.Errorf("tampered node %s served (%d times) but not detected", k, tam.PolyTampered)
+			return fmt.Errorf("tampered node %s served (%d times) but not detected", k, tam.PolyTampered.Load())
 		}
 	}
 	t := &Table{Headers: []string{"tamper style", "trials", "served+detected", "never served"}}
@@ -147,43 +147,12 @@ func valueForgeryCaught(p *pipeline) (bool, error) {
 	sum := new(big.Int).Add(cv, honest[0].Values[0])
 	delta := new(big.Int).Neg(sum)
 	delta.Mod(delta, mod)
-	forger := &deltaForger{inner: p.server, target: leaf.String(), delta: delta}
+	forger := &server.Tamperer{Inner: p.server, CorruptValueAt: leaf, ValueDelta: func(*big.Int) *big.Int { return delta }}
 	eng := core.NewEngine(p.ring, p.seed, p.mapping, forger, nil)
 	// VerifyFull must reject the forged match.
 	_, err = eng.Lookup(otherTag, core.Opts{Verify: core.VerifyFull})
 	return err != nil, nil
 }
-
-// deltaForger adds a fixed delta to every evaluation of one node.
-type deltaForger struct {
-	inner  core.ServerAPI
-	target string
-	delta  *big.Int
-}
-
-func (f *deltaForger) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
-	out, err := f.inner.EvalNodes(keys, points)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		if out[i].Key.String() != f.target {
-			continue
-		}
-		vals := make([]*big.Int, len(out[i].Values))
-		for j, v := range out[i].Values {
-			vals[j] = new(big.Int).Add(v, f.delta)
-		}
-		out[i].Values = vals
-	}
-	return out, nil
-}
-
-func (f *deltaForger) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
-	return f.inner.FetchPolys(keys)
-}
-
-func (f *deltaForger) Prune(keys []drbg.NodeKey) error { return f.inner.Prune(keys) }
 
 func runVoting(w io.Writer, cfg Config) error {
 	f, err := field.NewUint64(2003)

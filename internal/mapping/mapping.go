@@ -161,6 +161,30 @@ func (m *Map) SetExplicit(tag string, v *big.Int) error {
 	return nil
 }
 
+// freeLabel prefixes the draws of FreeValue. No XML name contains U+0000,
+// so no tag's draws can coincide with them.
+const freeLabel = "\x00free"
+
+// FreeValue returns a value of [1, maxTag] that no tag maps to, drawn
+// through the assignment key: deterministic for a given key and set of
+// assignments, and — unlike a public rule such as "the largest free value",
+// which would tell an observer that every value it skipped is a tag —
+// saying nothing about the other values to anyone without the key.
+// ok=false when every value is assigned.
+func (m *Map) FreeValue() (v *big.Int, ok bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if big.NewInt(int64(len(m.byName))).Cmp(m.maxTag) >= 0 {
+		return nil, false
+	}
+	for ctr := uint64(0); ; ctr++ {
+		v := m.draw(freeLabel, ctr)
+		if _, taken := m.byVal[v.String()]; !taken {
+			return v, true
+		}
+	}
+}
+
 // draw produces the ctr-th keyed candidate value for tag, in [1, maxTag].
 func (m *Map) draw(tag string, ctr uint64) *big.Int {
 	mac := hmac.New(sha256.New, m.key)

@@ -273,3 +273,68 @@ func BenchmarkAssign(b *testing.B) {
 		}
 	}
 }
+
+// TestFreeValue: the free value is in the domain, unassigned, a function of
+// the key and the assignments alone (the same on a restored map, another
+// under another key), the last value standing in a nearly full domain, and
+// absent from a full one.
+func TestFreeValue(t *testing.T) {
+	m, _ := New(bi(255), []byte("secret"))
+	tags := []string{"site", "regions", "item", "name", "person"}
+	if err := m.AssignAll(tags); err != nil {
+		t.Fatal(err)
+	}
+	free, ok := m.FreeValue()
+	if !ok || free.Sign() < 1 || free.Cmp(bi(255)) > 0 {
+		t.Fatalf("free value %v, %v outside [1, 255]", free, ok)
+	}
+	if tag, used := m.Tag(free); used {
+		t.Fatalf("free value %s is tag %q's", free, tag)
+	}
+	if again, _ := m.FreeValue(); again.Cmp(free) != 0 {
+		t.Fatalf("second draw %s, first %s", again, free)
+	}
+	data, _ := m.MarshalBinary()
+	restored, err := RestoreWithSecret(data, []byte("secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := restored.FreeValue(); got.Cmp(free) != 0 {
+		t.Fatalf("restored map drew %s, the original %s", got, free)
+	}
+	// Another key draws elsewhere (in a domain wide enough that agreeing
+	// would be a 1-in-2^31 accident).
+	wide, _ := New(nil, []byte("secret"))
+	other, _ := New(nil, []byte("other"))
+	a, _ := wide.FreeValue()
+	b, _ := other.FreeValue()
+	if a.Cmp(b) == 0 {
+		t.Fatalf("two keys drew the same free value %s", a)
+	}
+
+	// Nine of F_11's nine values taken: none free. Eight: the ninth.
+	full, _ := New(bi(9), []byte("k"))
+	for i := 0; i < 8; i++ {
+		if _, err := full.Assign(fmt.Sprintf("t%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last, ok := full.FreeValue()
+	if !ok {
+		t.Fatal("eight of nine values assigned: no free value")
+	}
+	if _, used := full.Tag(last); used {
+		t.Fatalf("free value %s is assigned", last)
+	}
+	// The ninth tag takes the one value left, and none is free.
+	v, err := full.Assign("t8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Cmp(last) != 0 {
+		t.Fatalf("the ninth tag got %s, the one free value was %s", v, last)
+	}
+	if got, ok := full.FreeValue(); ok {
+		t.Fatalf("full domain has free value %s", got)
+	}
+}

@@ -14,9 +14,9 @@ import (
 //	repeat: varint len(tag); bytes tag; varint len(value bytes); bytes value
 //
 // The HMAC key is deliberately NOT serialized: a persisted mapping is a
-// complete dictionary, and the key is only needed to assign new tags.
-// Callers that need to extend a restored mapping should construct it with
-// the original secret and re-run AssignAll.
+// complete dictionary, and the key is only needed to assign new tags and to
+// draw a free value. Callers restore it with the original secret
+// (RestoreWithSecret; package store does, with the client seed).
 
 const (
 	maxTagBytes   = 1 << 10
@@ -50,9 +50,9 @@ func (m *Map) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The restored map
-// has no assignment key; Assign of *new* tags will still work but uses an
-// empty key, so prefer restoring alongside the original secret via
-// RestoreWithSecret when new tags may appear.
+// has no assignment key: Assign of *new* tags and FreeValue still work but
+// draw under an empty key, values anyone can compute, so restore alongside
+// the original secret via RestoreWithSecret wherever either is used.
 func (m *Map) UnmarshalBinary(data []byte) error {
 	restored, err := unmarshal(data, nil)
 	if err != nil {

@@ -59,9 +59,10 @@ const (
 	StageWriterQueue
 	// StageTagRecover is the client-side solve of one wave of eq. (2) tag
 	// recoveries: reconstructing the fetched polynomials and recovering and
-	// checking every tag, summed over the wave's chunks. The fetch those
-	// solves waited for is StageWire's (and overlaps the previous chunk's
-	// solve), so it is not counted here.
+	// checking every tag, summed over the wave's chunks — or, where tags
+	// are resolved from evaluations, the scalar solves of the wave. The
+	// fetch (or evaluation wave) those solves waited for is StageWire's
+	// (and overlaps the previous chunk's solve), so it is not counted here.
 	StageTagRecover
 
 	// NumStages is the number of instrumented stages.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"math/big"
+	"sync/atomic"
 
 	"sssearch/internal/core"
 	"sssearch/internal/drbg"
@@ -10,18 +11,26 @@ import (
 
 // Tamperer wraps a ServerAPI and corrupts selected answers — the
 // fault-injection harness behind experiment E14 (can the client catch a
-// lying server?).
+// lying server?). Configure it before the first call; the counters may be
+// read at any time.
 type Tamperer struct {
 	Inner core.ServerAPI
 	// CorruptPolyAt makes FetchPolys add 1 to the polynomial of the node
 	// with this key (nil = no poly tampering).
 	CorruptPolyAt drbg.NodeKey
-	// CorruptValueAt makes EvalNodes add 1 to every value of the node with
-	// this key (nil = no value tampering).
+	// CorruptValueAt makes EvalNodes add to the values of the node with
+	// this key (nil = no value tampering): 1 at every point, or what
+	// ValueDelta says.
 	CorruptValueAt drbg.NodeKey
+	// ValueDelta, when set, gives the forgery its shape: it is asked for
+	// each point of a targeted answer and returns what to add to the value
+	// there (nil leaves that value alone) — one point only, every point
+	// alike, or a delta computed per point.
+	ValueDelta func(point *big.Int) *big.Int
 	// PolyTampered / ValueTampered count how many answers were corrupted.
-	PolyTampered  int
-	ValueTampered int
+	// Atomic: the engine calls from concurrent batches.
+	PolyTampered  atomic.Int64
+	ValueTampered atomic.Int64
 }
 
 // EvalNodes implements core.ServerAPI.
@@ -38,12 +47,23 @@ func (t *Tamperer) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.Nod
 		if out[i].Key.String() != target {
 			continue
 		}
-		vals := make([]*big.Int, len(out[i].Values))
-		for j, v := range out[i].Values {
-			vals[j] = new(big.Int).Add(v, big.NewInt(1))
+		// Answers are read-only: forge a copy.
+		vals := append([]*big.Int(nil), out[i].Values...)
+		forged := false
+		for j, v := range vals {
+			delta := big.NewInt(1)
+			if t.ValueDelta != nil {
+				delta = t.ValueDelta(points[j])
+			}
+			if delta != nil {
+				vals[j] = new(big.Int).Add(v, delta)
+				forged = true
+			}
 		}
-		out[i].Values = vals
-		t.ValueTampered++
+		if forged {
+			out[i].Values = vals
+			t.ValueTampered.Add(1)
+		}
 	}
 	return out, nil
 }
@@ -64,7 +84,7 @@ func (t *Tamperer) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 		}
 		// Through the big.Int form: the sum may leave the canonical range.
 		out[i] = core.NodePoly{Key: out[i].Key, Big: out[i].Polynomial().Add(poly.One()), NumChildren: out[i].NumChildren}
-		t.PolyTampered++
+		t.PolyTampered.Add(1)
 	}
 	return out, nil
 }

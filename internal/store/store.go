@@ -231,8 +231,13 @@ func ReadClient(data []byte) (*ClientState, error) {
 		return nil, fmt.Errorf("%w: bad mapping length", ErrBadFormat)
 	}
 	rest = rest[k:]
-	m := &mapping.Map{}
-	if err := m.UnmarshalBinary(rest[:mlen]); err != nil {
+	// The file does not carry the mapping's assignment key. The seed is the
+	// key Outsource uses unless Config.Secret names another, so a
+	// default-configured key gets its own back, and any key draws new tags
+	// and its free value (mapping.FreeValue) under a secret: a keyless map
+	// would make both computable by anyone.
+	m, err := mapping.RestoreWithSecret(rest[:mlen], seed[:])
+	if err != nil {
 		return nil, err
 	}
 	if len(rest) != int(mlen) {

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"fmt"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -132,6 +134,62 @@ func TestClientRoundTrip(t *testing.T) {
 	v2, ok := got.Mapping.Value("client")
 	if !ok || v1.Cmp(v2) != 0 {
 		t.Error("mapping values changed")
+	}
+}
+
+// TestClientRestoresMappingKey: the file does not carry the mapping's
+// assignment key, and a keyless map draws values anyone can compute.
+// ReadClient restores with the seed — the key Outsource uses unless told
+// another — so a default-configured client draws after a reload what it
+// drew before it: the same free value, the same value for a new tag, and
+// neither is what the empty key draws. Existing assignments are untouched.
+func TestClientRestoresMappingKey(t *testing.T) {
+	seed := testSeed(11)
+	tags := []string{"site", "regions", "item", "name"}
+	m, _ := mapping.New(ring.MustFp(257).MaxTag(), seed[:])
+	m.AssignAll(tags)
+	var buf bytes.Buffer
+	if err := WriteClient(&buf, &ClientState{Seed: seed, Params: ring.MustFp(257).Params(), Mapping: m}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadClient(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, _ := m.MarshalBinary()
+	var keyless mapping.Map
+	if err := keyless.UnmarshalBinary(mb); err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range tags {
+		want, _ := m.Value(tag)
+		if v, ok := got.Mapping.Value(tag); !ok || v.Cmp(want) != 0 {
+			t.Fatalf("tag %q: restored value %v, was %s", tag, v, want)
+		}
+	}
+	before, _ := m.FreeValue()
+	after, ok := got.Mapping.FreeValue()
+	public, _ := keyless.FreeValue()
+	if !ok || after.Cmp(before) != 0 {
+		t.Fatalf("free value %v after the reload, %s before it", after, before)
+	}
+	if after.Cmp(public) == 0 {
+		t.Fatalf("the restored map draws the keyless map's free value %s", public)
+	}
+	// Four draws under each key: all four agreeing is a 1-in-255⁴ accident.
+	same := true
+	for i := 0; i < 4; i++ {
+		tag := fmt.Sprintf("new%d", i)
+		want, _ := m.Assign(tag)
+		v, err := got.Mapping.Assign(tag)
+		if err != nil || v.Cmp(want) != 0 {
+			t.Fatalf("new tag %q: %v (%v) after the reload, %s before it", tag, v, err, want)
+		}
+		pub, _ := keyless.Assign(tag)
+		same = same && pub.Cmp(v) == 0
+	}
+	if same {
+		t.Fatal("the restored map assigns new tags as the keyless map does")
 	}
 }
 

@@ -49,8 +49,9 @@ const (
 	// VerifyNone trusts the server's evaluations (minimum bandwidth;
 	// ambiguous nodes stay unresolved).
 	VerifyNone = core.VerifyNone
-	// VerifyResolve fetches polynomials only where needed for an exact
-	// answer (the default).
+	// VerifyResolve resolves the ambiguous nodes, and nothing else, for an
+	// exact answer (the default): from two more evaluations a node on
+	// RingFp, from fetched polynomials on RingZ.
 	VerifyResolve = core.VerifyResolve
 	// VerifyFull re-derives every reported match, catching a lying server.
 	VerifyFull = core.VerifyFull
