@@ -217,6 +217,66 @@
 // 1000 nodes in F_257 dropped from ~1.6 s to ~14 ms on the reference
 // host).
 //
+// # Data plane
+//
+// On a word-sized F_p ring (a prime up to 62 bits, fast path on) a value is
+// a machine word everywhere it travels, boxed nowhere: a share polynomial
+// is its []uint64 coefficients (core.NodePoly.Words, from the store file to
+// tag recovery) and a scalar — a share polynomial evaluated at a query
+// point — is a uint64 (core.NodeEval.Words). An evaluation wave crosses the
+// system without allocating per value: server.Local writes a call's
+// answers into one slab, wire.AppendEvalResp / DecodeEvalResp write and
+// read words in the byte layout the big.Int codec always wrote (sign,
+// length, magnitude — the golden frames in internal/wire/testdata were
+// written by the big.Int encoders), a response's values and keys landing
+// in shared arrays, coalesce.Merger and shard.Router pass the answers on,
+// core.MultiServer Lagrange-combines the members' word vectors as they
+// arrived, and the client's share source evaluates a block of keys at a
+// time into words (sharing.WordSource: the point vector is packed,
+// Montgomery-formed and signed once per block; a share-eval LRU hit copies
+// its words). The engine adds the two with fastfield arithmetic and tests
+// the sum with == 0.
+//
+// The reduce-at-the-wire rule: a word is vouched for only by the evaluator
+// that wrote it. A word off the wire is any uint64 a peer chose to send, so
+// whoever consumes one reduces it first (the engine before the add, the
+// Lagrange combine in its Montgomery product, reconstructPacked for
+// coefficients); only a store loader, which checks its file, hands out
+// canonical words.
+//
+// The big.Int seam remains where a value has no word form, and as the
+// reference everywhere else. NodeEval.Big / NodePoly.Big carry an answer
+// with a negative or wider-than-a-word value: Z[x]/(r(x)), whose
+// evaluations grow with the document; F_p moduli over 62 bits;
+// SetFast(false), the differential oracle; and a tampering server, which
+// may send anything — the word engine reduces such an answer through
+// fastfield.ReduceBig and gets what the big.Int engine's add-then-Mod gets.
+// ServerAPI still takes its points as []*big.Int (a handful a wave, packed
+// once per call), EvalShares survives as the boxed reference seam over
+// EvalShareWords (what a share source that offers nothing else is asked
+// through, converting at the seam), and NodeEval.Values, NodePoly.Polynomial
+// and sharing.Node.Polynomial box on demand for tests and the reference
+// paths. The query engine runs one traversal over either value form,
+// chosen once per query from the ring and by no option: only the add, the
+// zero test and the point solve of eq. (2) know which.
+//
+// A node, inside a query, is an index into the run's table of the nodes it
+// has reached: the root is 0, a node's children are created as consecutive
+// entries — their keys in one array — when the traversal first steps down
+// from it, and each entry holds the child count a wave learned and one sum
+// per distinct point of the query (points are interned by value, so a tag
+// two steps name is evaluated once). Nothing on a wave's per-node path
+// looks a node up by key, so nothing renders or hashes one; the concurrent
+// batches of a wave write the slots of their own nodes and take no lock.
+// Across queries, the node-keyed maps — the pad and share-eval LRUs of
+// package sharing, the coalescer's merge index, the shard manifest's prefix
+// index — are keyed by the path's compact binary form
+// (drbg.NodeKey.AppendBinary, a varint per component, probed as
+// m[string(b)] without allocating); NodeKey.String is for error text and
+// people. A warmed in-process query allocates under one object per node it
+// visits (TestHotQueryAllocationsPerNode gates it at two), where boxed
+// scalars and rendered keys cost about 45.
+//
 // # Share stream
 //
 // The client "stores only the random seed" (§4.2), so every share pad —

@@ -127,8 +127,8 @@ func TestParallelEvalOnePipelinedConnection(t *testing.T) {
 					errs <- err
 					return
 				}
-				for i := range want[0].Values {
-					if got[0].Values[i].Cmp(want[0].Values[i]) != 0 {
+				for i := range want[0].Values() {
+					if got[0].Values()[i].Cmp(want[0].Values()[i]) != 0 {
 						errs <- errors.New("pipelined answer does not match reference (crossed wires?)")
 						return
 					}
@@ -226,7 +226,7 @@ func (fs *fakeServer) run() {
 		answer := func() {
 			answers := make([]core.NodeEval, len(req.Keys))
 			for i, k := range req.Keys {
-				answers[i] = core.NodeEval{Key: k, Values: req.Points}
+				answers[i] = core.NodeEval{Key: k, Big: req.Points}
 			}
 			_, _ = wire.WriteFramed(fs.conn, wire.FramedFrame{
 				Type:    wire.MsgEvalResp,
@@ -288,7 +288,7 @@ func TestCancellationMidQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("session unusable after cancellation: %v", err)
 	}
-	if len(got) != 1 || len(got[0].Values) != 2 {
+	if len(got) != 1 || got[0].Len() != 2 {
 		t.Fatalf("unexpected post-cancel answer shape: %+v", got)
 	}
 }

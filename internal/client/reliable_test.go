@@ -145,11 +145,11 @@ func TestReliableRedialMidSessionByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got[0].Values) != len(want[0].Values) {
-			t.Fatalf("call %d: %d values, want %d", i, len(got[0].Values), len(want[0].Values))
+		if got[0].Len() != want[0].Len() {
+			t.Fatalf("call %d: %d values, want %d", i, got[0].Len(), want[0].Len())
 		}
-		for j := range want[0].Values {
-			if got[0].Values[j].Cmp(want[0].Values[j]) != 0 {
+		for j := range want[0].Values() {
+			if got[0].Values()[j].Cmp(want[0].Values()[j]) != 0 {
 				t.Fatalf("call %d: value %d diverged across re-dial", i, j)
 			}
 		}
@@ -236,8 +236,8 @@ func TestPoolEjectsAndReadmits(t *testing.T) {
 			if werr != nil {
 				t.Fatal(werr)
 			}
-			for j := range want[0].Values {
-				if got[0].Values[j].Cmp(want[0].Values[j]) != 0 {
+			for j := range want[0].Values() {
+				if got[0].Values()[j].Cmp(want[0].Values()[j]) != 0 {
 					t.Fatal("post-failover answer diverged from reference")
 				}
 			}

@@ -319,13 +319,22 @@ func (r *Remote) callPipelined(ctx context.Context, typ wire.MsgType, id uint64,
 	r.pending[id] = ch
 	r.pmu.Unlock()
 
+	// A request counts as sent once it is queued on the connection, before
+	// the write lock (which a write the OS stalls can hold for milliseconds
+	// while later requests queue behind it): the reader, on its own
+	// goroutine, then never counts a response before its request, so
+	// MessagesSent ≥ MessagesRcvd at every instant and equality means every
+	// request of the session has been answered and all its bytes counted. A
+	// failed write gives back what it did not write.
+	size := wire.FramedSize(len(payload))
+	r.counters.AddBytesSent(size)
+	r.counters.AddMessageSent()
 	r.wmu.Lock()
 	n, err := wire.WriteFramed(r.conn, wire.FramedFrame{Type: typ, ReqID: id, Payload: payload})
 	r.wmu.Unlock()
 	wire.PutBuf(payload) // written (or failed); either way done with it
-	r.counters.AddBytesSent(n)
-	r.counters.AddMessageSent()
 	if err != nil {
+		r.counters.AddBytesSent(n - size)
 		r.pmu.Lock()
 		delete(r.pending, id)
 		r.pmu.Unlock()

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/big"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sssearch/internal/client"
 	"sssearch/internal/core"
@@ -223,5 +225,79 @@ func TestPipeTransport(t *testing.T) {
 	}
 	if len(res.Matches) != 2 {
 		t.Errorf("//name over pipe: %v", res.Matches)
+	}
+}
+
+// gatedConn is a connection whose writes wait for the gate once it is set.
+type gatedConn struct {
+	net.Conn
+	gate atomic.Pointer[chan struct{}]
+}
+
+func (g *gatedConn) Write(p []byte) (int, error) {
+	if gate := g.gate.Load(); gate != nil {
+		<-*gate
+	}
+	return g.Conn.Write(p)
+}
+
+// TestQueuedRequestsCountAsSent: a request is counted, message and bytes,
+// when it is queued on the connection — not when its write returns. A write
+// the OS stalls holds the write lock for milliseconds with later requests
+// queued behind it, and the reader counts responses on its own goroutine;
+// counted after the write, a response could be counted before its request
+// and MessagesSent == MessagesRcvd could hold with requests still unsent —
+// the equality a caller waits on to read a settled byte count (the
+// benchmark's wire_bytes_per_query does).
+func TestQueuedRequestsCountAsSent(t *testing.T) {
+	r := paperdata.ZRing()
+	enc, _ := polyenc.Encode(r, paperdata.Document(), paperdata.Mapping(nil))
+	tree, _ := sharing.Split(enc, testSeed(16))
+	local, _ := server.NewLocal(r, tree)
+	cliConn, srvConn := net.Pipe()
+	go server.NewDaemon(local, nil).HandleConn(srvConn)
+	conn := &gatedConn{Conn: cliConn}
+	counters := &metrics.Counters{}
+	remote, err := client.NewRemote(conn, counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	shaken := counters.Snapshot()
+	if err := remote.Prune([]drbg.NodeKey{{0}}); err != nil { // sizes one request frame
+		t.Fatal(err)
+	}
+	idle := counters.Snapshot()
+	frame := idle.BytesSent - shaken.BytesSent
+	if idle.MessagesSent != idle.MessagesRcvd {
+		t.Fatalf("idle session: %d sent, %d received", idle.MessagesSent, idle.MessagesRcvd)
+	}
+	// Stall the connection's writes and queue three requests behind them.
+	gate := make(chan struct{})
+	conn.gate.Store(&gate)
+	const calls = 3
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() { errs <- remote.Prune([]drbg.NodeKey{{0}}) }()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for counters.Snapshot().MessagesSent != idle.MessagesSent+calls {
+		if time.Now().After(deadline) {
+			t.Fatalf("with every write stalled, %d of %d queued requests count as sent", counters.Snapshot().MessagesSent-idle.MessagesSent, calls)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if s := counters.Snapshot(); s.MessagesRcvd != idle.MessagesRcvd || s.BytesSent != idle.BytesSent+calls*frame {
+		t.Fatalf("queued: %d responses, %d request bytes counted; want none and %d frames of %d bytes", s.MessagesRcvd-idle.MessagesRcvd, s.BytesSent-idle.BytesSent, calls, frame)
+	}
+	close(gate)
+	for i := 0; i < calls; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := counters.Snapshot()
+	if done.MessagesSent != done.MessagesRcvd || done.MessagesSent != idle.MessagesSent+calls || done.BytesSent != idle.BytesSent+calls*frame {
+		t.Fatalf("settled session: %d sent, %d received, want %d each; %d request bytes, want %d", done.MessagesSent, done.MessagesRcvd, idle.MessagesSent+calls, done.BytesSent-idle.BytesSent, calls*frame)
 	}
 }

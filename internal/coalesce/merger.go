@@ -207,7 +207,7 @@ func (m *Merger) processGroup(group []*mergeReq) {
 		var kb []byte
 		for _, r := range group {
 			for _, k := range r.keys {
-				kb = appendKeyBytes(kb[:0], k)
+				kb = k.AppendBinary(kb[:0])
 				if _, ok := index[string(kb)]; !ok {
 					index[string(kb)] = len(merged)
 					merged = append(merged, k)
@@ -267,11 +267,12 @@ func (m *Merger) processGroup(group []*mergeReq) {
 	for _, r := range group {
 		out := make([]core.NodeEval, len(r.keys))
 		for i, k := range r.keys {
-			kb = appendKeyBytes(kb[:0], k)
-			a := answers[index[string(kb)]]
-			// Answer under the caller's own key value; values and child
-			// counts are the shared evaluation.
-			out[i] = core.NodeEval{Key: k, Values: a.Values, NumChildren: a.NumChildren}
+			kb = k.AppendBinary(kb[:0])
+			// Answer under the caller's own key value; values (words or
+			// big.Int, as evaluated) and child counts are the shared
+			// evaluation.
+			out[i] = answers[index[string(kb)]]
+			out[i].Key = k
 		}
 		r.done <- mergeDone{answers: out}
 	}
@@ -358,16 +359,6 @@ func sameKeys(a, b []drbg.NodeKey) bool {
 		}
 	}
 	return true
-}
-
-// appendKeyBytes renders a node key as raw map-key bytes (fixed-width
-// components, so distinct keys never collide; cheaper than
-// NodeKey.String on the distribution path).
-func appendKeyBytes(dst []byte, k drbg.NodeKey) []byte {
-	for _, c := range k {
-		dst = append(dst, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	}
-	return dst
 }
 
 // pointSig renders an order-sensitive signature of a point vector; two

@@ -26,10 +26,63 @@ import (
 // NodeEval is the server's answer for one node: its share polynomial
 // evaluated at each requested point, plus the node's child count (tree
 // shape is not hidden from the client — it owns the data).
+//
+// The values travel as machine words wherever they have a word form — every
+// value of a word-sized F_p ring does — so an evaluation wave (server.Local
+// → wire → MultiServer combine → the engine's sum) never boxes a scalar. Big
+// is set instead, and Words left nil, only for an answer holding a negative
+// or wider-than-a-word value (IntQuotient, F_p moduli over 62 bits,
+// SetFast(false), a tampering server). Both empty is an answer with no
+// values. Read-only once returned, like every answer.
 type NodeEval struct {
-	Key         drbg.NodeKey
-	Values      []*big.Int
+	Key drbg.NodeKey
+	// Words holds one value per requested point, in order; any uint64, not
+	// necessarily reduced (consumers reduce: only the evaluator that wrote a
+	// word vouches for it, the wire does not). Authoritative when Big is
+	// empty.
+	Words []uint64
+	// Big is the big.Int form; authoritative when non-empty.
+	Big         []*big.Int
 	NumChildren int
+}
+
+// Len is the number of values the answer holds.
+func (a NodeEval) Len() int {
+	if len(a.Big) > 0 {
+		return len(a.Big)
+	}
+	return len(a.Words)
+}
+
+// Values returns the values in the big.Int boundary representation, boxing
+// the word form on every call — the reference seam (the big.Int engine,
+// Tamperer, tests); the word path never calls it.
+func (a NodeEval) Values() []*big.Int {
+	if len(a.Big) > 0 {
+		return a.Big
+	}
+	out := make([]*big.Int, len(a.Words))
+	for i, v := range a.Words {
+		out[i] = new(big.Int).SetUint64(v)
+	}
+	return out
+}
+
+// WordValues returns the values as machine words (read-only: the result may
+// be Words itself). ok=false — a negative or wider-than-a-word value —
+// sends the caller to Values.
+func (a NodeEval) WordValues() (w []uint64, ok bool) {
+	if len(a.Big) == 0 {
+		return a.Words, true
+	}
+	w = make([]uint64, len(a.Big))
+	for i, v := range a.Big {
+		if v.Sign() < 0 || !v.IsUint64() {
+			return nil, false
+		}
+		w[i] = v.Uint64()
+	}
+	return w, true
 }
 
 // NodePoly is the server's answer to a polynomial fetch: one node's share

@@ -339,7 +339,7 @@ func TestVerifyFullCatchesValueTampering(t *testing.T) {
 	cv, _ := client.EvalShare(drbg.NodeKey{1}, bPoint)
 	honest, _ := inner.EvalNodes([]drbg.NodeKey{{1}}, []*big.Int{bPoint})
 	// delta such that (cv + honest + delta) ≡ 0 (mod mod)
-	sum := new(big.Int).Add(cv, honest[0].Values[0])
+	sum := new(big.Int).Add(cv, honest[0].Values()[0])
 	delta := new(big.Int).Neg(sum)
 	delta.Mod(delta, mod)
 

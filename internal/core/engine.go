@@ -226,16 +226,3 @@ func keyLess(a, b drbg.NodeKey) bool {
 	}
 	return len(a) < len(b)
 }
-
-func dedupKeys(keys []drbg.NodeKey) []drbg.NodeKey {
-	seen := make(map[string]bool, len(keys))
-	var out []drbg.NodeKey
-	for _, k := range keys {
-		s := k.String()
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, k)
-		}
-	}
-	return out
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 
 	"sssearch/internal/drbg"
@@ -295,9 +296,14 @@ func (m *MultiServer) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, poi
 		if len(answers) != len(keys) {
 			return nil, fmt.Errorf("core: member %d returned %d answers for %d keys", mem.X, len(answers), len(keys))
 		}
-		for _, a := range answers {
-			if len(a.Values) != len(points) {
-				return nil, fmt.Errorf("core: member %d returned %d values for %d points", mem.X, len(a.Values), len(points))
+		for i, a := range answers {
+			// Answers are combined by position: one for another key would be
+			// summed into a value the engine cannot tell from an honest one.
+			if !slices.Equal(a.Key, keys[i]) {
+				return nil, fmt.Errorf("core: member %d answered for %s where %s was asked", mem.X, a.Key, keys[i])
+			}
+			if a.Len() != len(points) {
+				return nil, fmt.Errorf("core: member %d returned %d values for %d points", mem.X, a.Len(), len(points))
 			}
 		}
 		return answers, nil
@@ -307,16 +313,16 @@ func (m *MultiServer) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, poi
 	}
 	lag := m.lagrange(xs)
 	ff := m.ring.Fast()
-	// Scratch reused across nodes on the fast path: one row per member,
-	// one destination column per query point.
+	np := len(points)
+	// The fast path combines the members' word vectors as they arrived (the
+	// Montgomery product reduces unreduced words) into one slab for the
+	// call; scratch holds the reduced words of a member answer that has no
+	// word form.
+	var slab, scratch []uint64
 	var rows [][]uint64
-	var dst []uint64
 	if lag != nil {
+		slab = make([]uint64, len(keys)*np)
 		rows = make([][]uint64, len(per))
-		for j := range rows {
-			rows[j] = make([]uint64, len(points))
-		}
-		dst = make([]uint64, len(points))
 	}
 	zero := big.NewInt(0)
 	f := m.ring.Field()
@@ -328,31 +334,39 @@ func (m *MultiServer) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, poi
 				return nil, fmt.Errorf("core: member servers disagree on the child count of %s", key)
 			}
 		}
-		values := make([]*big.Int, len(points))
+		out[i] = NodeEval{Key: key, NumChildren: nch}
 		if lag != nil {
 			for j := range per {
-				for pi := range points {
-					rows[j][pi] = ff.ReduceBig(per[j][i].Values[pi])
+				if len(per[j][i].Big) == 0 {
+					rows[j] = per[j][i].Words
+					continue
+				}
+				if scratch == nil {
+					scratch = make([]uint64, len(per)*np)
+				}
+				rows[j] = scratch[j*np : (j+1)*np]
+				for pi, v := range per[j][i].Big {
+					rows[j][pi] = ff.ReduceBig(v)
 				}
 			}
-			lag.CombineVec(dst, rows)
-			for pi, v := range dst {
-				values[pi] = new(big.Int).SetUint64(v)
+			out[i].Words = slab[i*np : (i+1)*np : (i+1)*np]
+			lag.CombineVec(out[i].Words, rows)
+			continue
+		}
+		vals := make([][]*big.Int, len(per))
+		for j := range per {
+			vals[j] = per[j][i].Values()
+		}
+		out[i].Big = make([]*big.Int, np)
+		shares := make([]shamir.Share, len(per))
+		for pi := range points {
+			for j := range per {
+				shares[j] = shamir.Share{X: xs[j], Y: vals[j][pi]}
 			}
-		} else {
-			shares := make([]shamir.Share, len(per))
-			for pi := range points {
-				for j := range per {
-					shares[j] = shamir.Share{X: xs[j], Y: per[j][i].Values[pi]}
-				}
-				v, err := shamir.InterpolateAt(f, shares, zero, m.k)
-				if err != nil {
-					return nil, fmt.Errorf("core: combining evaluations of %s: %w", key, err)
-				}
-				values[pi] = v
+			if out[i].Big[pi], err = shamir.InterpolateAt(f, shares, zero, m.k); err != nil {
+				return nil, fmt.Errorf("core: combining evaluations of %s: %w", key, err)
 			}
 		}
-		out[i] = NodeEval{Key: key, Values: values, NumChildren: nch}
 	}
 	return out, nil
 }
@@ -378,6 +392,11 @@ func (m *MultiServer) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([
 		}
 		if len(answers) != len(keys) {
 			return nil, fmt.Errorf("core: member %d returned %d polys for %d keys", mem.X, len(answers), len(keys))
+		}
+		for i, a := range answers {
+			if !slices.Equal(a.Key, keys[i]) {
+				return nil, fmt.Errorf("core: member %d answered for %s where %s was asked", mem.X, a.Key, keys[i])
+			}
 		}
 		return answers, nil
 	})

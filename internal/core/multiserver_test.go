@@ -3,7 +3,9 @@ package core_test
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 	"time"
 
@@ -319,9 +321,9 @@ func TestMultiServerCombineDifferential(t *testing.T) {
 		}
 		for i := range keys {
 			for pi := range points {
-				if fe[i].Values[pi].Cmp(se[i].Values[pi]) != 0 {
+				if fe[i].Values()[pi].Cmp(se[i].Values()[pi]) != 0 {
 					t.Fatalf("k=%d n=%d key %s point %d: fast %v, big %v",
-						tc.k, tc.n, keys[i], pi, fe[i].Values[pi], se[i].Values[pi])
+						tc.k, tc.n, keys[i], pi, fe[i].Values()[pi], se[i].Values()[pi])
 				}
 			}
 		}
@@ -400,8 +402,8 @@ func TestMultiServerCombineFallsBackWithoutFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range keys {
-		if got[i].Values[0].Cmp(want[i].Values[0]) != 0 {
-			t.Fatalf("key %s: fallback combine %v, single-server %v", keys[i], got[i].Values[0], want[i].Values[0])
+		if got[i].Values()[0].Cmp(want[i].Values()[0]) != 0 {
+			t.Fatalf("key %s: fallback combine %v, single-server %v", keys[i], got[i].Values()[0], want[i].Values()[0])
 		}
 	}
 }
@@ -512,5 +514,97 @@ func TestMultiServerHedgedBelowThreshold(t *testing.T) {
 	eng := core.NewEngine(s.ring, s.seed, s.m, ms, nil)
 	if _, err := eng.Lookup("t2", core.Opts{}); err == nil {
 		t.Fatal("query with two of three members down should fail at threshold 2")
+	}
+}
+
+// swappingMember is a member that lies by position: it answers every key it
+// is asked about, with the first two answers of a call exchanged.
+type swappingMember struct {
+	core.ServerAPI
+	swapped int
+}
+
+func (s *swappingMember) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
+	out, err := s.ServerAPI.EvalNodes(keys, points)
+	if err == nil && len(out) >= 2 {
+		out[0], out[1] = out[1], out[0]
+		s.swapped++
+	}
+	return out, err
+}
+
+func (s *swappingMember) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
+	out, err := s.ServerAPI.FetchPolys(keys)
+	if err == nil && len(out) >= 2 {
+		out[0], out[1] = out[1], out[0]
+		s.swapped++
+	}
+	return out, err
+}
+
+// TestMultiServerNamesTheMisaddressingMember: member answers are combined
+// by position, so a member that reorders its answers would be summed into
+// values the engine's key-by-key check cannot tell from honest ones — a
+// live branch pruned, matches gone without an error. The fan-out checks
+// each member's answers against the keys it asked and counts a liar among
+// the failed: with a spare member the query is answered from the honest
+// ones, without one the error names the member.
+func TestMultiServerNamesTheMisaddressingMember(t *testing.T) {
+	s := buildMultiStack(t, 2, 3, 60)
+	ref := core.NewEngine(s.ring, s.seed, s.m, s.single, nil)
+	// Two leaves: nothing but their values tells their answers apart.
+	var keys []drbg.NodeKey
+	s.single.Tree().Walk(func(key drbg.NodeKey, n *sharing.Node) bool {
+		if len(n.Children) == 0 && len(keys) < 2 {
+			keys = append(keys, key)
+		}
+		return true
+	})
+	keys = append(keys, drbg.NodeKey{})
+	point, _ := s.m.Value("t0")
+	for _, verify := range []core.VerifyLevel{core.VerifyResolve, core.VerifyFull} {
+		liar := &swappingMember{ServerAPI: s.members[0].API}
+		members := append([]core.MultiMember{{X: s.members[0].X, API: liar}}, s.members[1:]...)
+
+		// 2-of-2 with the liar: no honest pair, and the error says who.
+		strict, err := core.NewMultiServer(s.ring, 2, members[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		strict.Sequential = true
+		want := fmt.Sprintf("member %d answered for %s where %s was asked", s.members[0].X, keys[1], keys[0])
+		if _, err := strict.EvalNodes(keys, []*big.Int{point}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: EvalNodes through the swapping member returned %v, want an error holding %q", verify, err, want)
+		}
+		if _, err := strict.FetchPolys(keys); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: FetchPolys through the swapping member returned %v, want an error holding %q", verify, err, want)
+		}
+		if _, err := core.NewEngine(s.ring, s.seed, s.m, strict, nil).Lookup("t0", core.Opts{Verify: verify}); err == nil {
+			t.Fatalf("%s: a query through the swapping member of a 2-of-2 deployment succeeded", verify)
+		}
+
+		// 2-of-3: the two honest members answer, exactly as a single server.
+		spare, err := core.NewMultiServer(s.ring, 2, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spare.Sequential = true // the liar is asked first, every call
+		liar.swapped = 0
+		for _, tag := range []string{"t0", "t3", "t7"} {
+			wantRes, err := ref.Lookup(tag, core.Opts{Verify: verify})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.NewEngine(s.ring, s.seed, s.m, spare, nil).Lookup(tag, core.Opts{Verify: verify})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", verify, tag, err)
+			}
+			if keyStrings(got.Matches) != keyStrings(wantRes.Matches) {
+				t.Fatalf("%s/%s: matches %s, single server %s", verify, tag, keyStrings(got.Matches), keyStrings(wantRes.Matches))
+			}
+		}
+		if liar.swapped == 0 {
+			t.Fatalf("%s: the swapping member was never asked about two keys", verify)
+		}
 	}
 }

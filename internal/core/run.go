@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sssearch/internal/drbg"
+	"sssearch/internal/fastfield"
 	"sssearch/internal/obs"
 	"sssearch/internal/parwalk"
 	"sssearch/internal/poly"
@@ -19,117 +20,230 @@ import (
 	"sssearch/internal/xpath"
 )
 
-// run is the per-query state: the compiled steps and points, the learned
-// tree shape (child counts) and an evaluation cache that keeps the protocol
-// from re-requesting sums the scan already produced.
+// run is the per-query state: the compiled steps, the query's points, and
+// the table of the nodes the query has reached — what it has learned of
+// each (child count, children, the client+server sum at each point), so the
+// protocol never asks twice for a sum a wave already produced.
 //
-// mu guards childCount and sumCache: when opts.Parallelism > 1 an
-// evaluation wave splits into concurrent batches whose goroutines merge
-// answers into both maps.
+// A node is its index in the table: the root is 0, and a node's children
+// are created, as consecutive entries, the first time the traversal steps
+// down from it. Nothing is looked up by key, so nothing on a wave's
+// per-node path renders or hashes one. The table grows only between waves,
+// on the traversal's goroutine; the concurrent batches of a wave
+// (opts.Parallelism) write the slots of their own, distinct nodes and need
+// no lock.
 type run struct {
 	// ctx carries the query's observability context (trace span) into
 	// every server call; it is not used for cancellation.
-	ctx    context.Context
-	e      *Engine
-	steps  []xpath.Step
-	points []*big.Int // nil for wildcard steps
-	opts   Opts
-	// ptIdx interns the query's evaluation points: every point a step can
-	// ever evaluate at is one of the r.points pointers, assigned a small
-	// index at construction. Read-only after newRun, so sumKey lookups
-	// never render a big.Int to a string.
-	ptIdx      map[*big.Int]int
-	mu         sync.Mutex
-	childCount map[string]int
-	sumCache   map[sumKey]*big.Int
+	ctx   context.Context
+	e     *Engine
+	steps []xpath.Step
+	opts  Opts
+	// pts are the distinct points the query evaluates at — the steps' in
+	// step order, then the engine's resolve points — interned by value, so a
+	// tag two steps name is one point: shipped, evaluated and cached once.
+	// stepPt[i] is step i's point as an index into pts (-1 for a wildcard),
+	// resolvePt the resolve points'. Read-only after newRun.
+	pts       []*big.Int
+	stepPt    []int
+	resolvePt []int
+	// ff selects the value form, once per run, from the ring: non-nil on a
+	// word-sized F_p ring, where a sum is a machine word in words; nil
+	// elsewhere (IntQuotient, moduli over 62 bits, SetFast(false)), where it
+	// is a big.Int in bigs. The traversal is the same code over either; only
+	// the add, the zero test and the point solve know which.
+	ff *fastfield.Field
+	// ptWords are pts reduced mod p (word form).
+	ptWords []uint64
+
+	nodes []node
+	// words / bigs hold one sum per (node, point), row id·len(pts) being
+	// node id's: unknownWord / nil until a wave has produced it.
+	words []uint64
+	bigs  []*big.Int
+	// serial is the current generation of node.mark, see stamp.
+	serial int32
 }
 
-// sumKey addresses one cached (node, point) sum: the node's rendered path
-// and the interned point index — a comparable struct, so cache hits cost
-// no string concatenation or big.Int rendering.
-type sumKey struct {
-	node string
-	pt   int
+// node is what the run knows of one node it has reached.
+type node struct {
+	key drbg.NodeKey
+	// nch is the child count, -1 until a wave has learned it. The children,
+	// once created (see kids), are nodes first … first+nch−1; first is 0
+	// before, which no child's index is.
+	nch, first int
+	// mark and slot are the scratch of the pass that last stamped the node:
+	// mark == run.serial says this pass has reached it, slot is its position
+	// in the pass's key list (planChunks).
+	mark, slot int32
 }
 
-// newRun assembles the per-query state, interning the point set.
+// unknownWord marks a (node, point) sum no wave has produced yet. Sums are
+// reduced mod p < 2^62, so it is not one.
+const unknownWord = math.MaxUint64
+
+// newRun assembles the per-query state: the interned point set and a table
+// holding the root.
 func newRun(ctx context.Context, e *Engine, steps []xpath.Step, points []*big.Int, opts Opts) *run {
-	idx := make(map[*big.Int]int, len(points)+len(e.resolveAt))
-	for _, pts := range [][]*big.Int{points, e.resolveAt} {
-		for _, p := range pts {
-			if p == nil {
-				continue
-			}
-			if _, ok := idx[p]; !ok {
-				idx[p] = len(idx)
-			}
+	r := &run{ctx: ctx, e: e, steps: steps, opts: opts, stepPt: make([]int, len(points))}
+	for i, p := range points {
+		r.stepPt[i] = -1
+		if p != nil {
+			r.stepPt[i] = r.intern(p)
 		}
 	}
-	return &run{
-		ctx:        ctx,
-		e:          e,
-		steps:      steps,
-		points:     points,
-		opts:       opts,
-		ptIdx:      idx,
-		childCount: map[string]int{},
-		sumCache:   map[sumKey]*big.Int{},
+	for _, p := range e.resolveAt {
+		r.resolvePt = append(r.resolvePt, r.intern(p))
+	}
+	if fp, ok := e.ring.(*ring.FpCyclotomic); ok && fp.Fast() != nil {
+		r.ff = fp.Fast()
+		r.ptWords = make([]uint64, len(r.pts))
+		for i, p := range r.pts {
+			r.ptWords[i] = r.ff.ReduceBig(p)
+		}
+	}
+	r.nodes = []node{{key: drbg.NodeKey{}, nch: -1}}
+	r.growSums(1)
+	return r
+}
+
+// intern returns the index of p in pts, adding it if no point of that value
+// is there yet.
+func (r *run) intern(p *big.Int) int {
+	for i, q := range r.pts {
+		if q.Cmp(p) == 0 {
+			return i
+		}
+	}
+	r.pts = append(r.pts, p)
+	return len(r.pts) - 1
+}
+
+// addChildren appends the n children of the node under key parent to the
+// table, no count and no sum known; their keys share one array.
+func (r *run) addChildren(parent drbg.NodeKey, n int) {
+	depth := len(parent) + 1
+	keys := make([]uint32, n*depth)
+	for c := 0; c < n; c++ {
+		k := keys[c*depth : (c+1)*depth : (c+1)*depth]
+		copy(k, parent)
+		k[depth-1] = uint32(c)
+		r.nodes = append(r.nodes, node{key: k, nch: -1})
+	}
+	r.growSums(n)
+}
+
+// growSums makes room for the sums of n more nodes, all unknown.
+func (r *run) growSums(n int) {
+	n *= len(r.pts)
+	if r.ff == nil {
+		r.bigs = append(r.bigs, make([]*big.Int, n)...)
+		return
+	}
+	at := len(r.words)
+	r.words = slices.Grow(r.words, n)[:at+n]
+	for i := at; i < len(r.words); i++ {
+		r.words[i] = unknownWord
 	}
 }
 
-// ptIndex resolves an interned point. All evaluation flows through the
-// r.points pointers interned at construction, so a miss is an internal
-// invariant violation, reported loudly by the caller.
-func (r *run) ptIndex(p *big.Int) (int, bool) {
-	i, ok := r.ptIdx[p]
-	return i, ok
+// kids returns the children of node id — nodes first … first+n−1 —
+// creating them on the first call after a wave learned the count. Not for
+// use while a wave is in flight: it grows the table.
+func (r *run) kids(id int) (first, n int) {
+	nd := r.nodes[id]
+	if nd.nch <= 0 {
+		return 0, 0
+	}
+	if nd.first == 0 {
+		nd.first = len(r.nodes)
+		r.nodes[id].first = nd.first
+		r.addChildren(nd.key, nd.nch)
+	}
+	return nd.first, nd.nch
 }
 
-// sumState is the client-side record of one evaluated node.
-type sumState struct {
-	key drbg.NodeKey
-	// ks is key.String(), rendered once per wave and reused by every map
-	// consult downstream.
-	ks   string
-	nch  int
-	sums []*big.Int // aligned with the step's point vector; wildcard slot = 0
+// stamp marks node id as reached by the current pass (see serial) and
+// reports whether it had not been: a pass lists each node once, in the
+// order it first reaches it.
+func (r *run) stamp(id int) bool {
+	if r.nodes[id].mark == r.serial {
+		return false
+	}
+	r.nodes[id].mark = r.serial
+	return true
 }
 
-// zeroAll reports whether every sum vanished.
-func (s *sumState) zeroAll() bool {
-	for _, v := range s.sums {
-		if v.Sign() != 0 {
+// zero reports whether the sum of node id at point pt vanished.
+func (r *run) zero(id, pt int) bool {
+	if r.ff != nil {
+		return r.words[id*len(r.pts)+pt] == 0
+	}
+	return r.bigs[id*len(r.pts)+pt].Sign() == 0
+}
+
+// zeroAll reports whether the sum of node id vanished at every point of pts
+// (at none, for a wave of wildcards only).
+func (r *run) zeroAll(id int, pts []int) bool {
+	for _, pt := range pts {
+		if !r.zero(id, pt) {
 			return false
 		}
 	}
 	return true
 }
 
+// known reports whether the table holds node id's child count and its sum
+// at every point of pts.
+func (r *run) known(id int, pts []int) bool {
+	if r.nodes[id].nch < 0 {
+		return false
+	}
+	row := id * len(r.pts)
+	for _, pt := range pts {
+		if r.ff != nil && r.words[row+pt] == unknownWord {
+			return false
+		}
+		if r.ff == nil && r.bigs[row+pt] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// keysOf returns the keys of the listed nodes.
+func (r *run) keysOf(ids []int) []drbg.NodeKey {
+	if len(ids) == 0 {
+		return nil
+	}
+	keys := make([]drbg.NodeKey, len(ids))
+	for i, id := range ids {
+		keys[i] = r.nodes[id].key
+	}
+	return keys
+}
+
 // execute runs all steps and returns final matches and unresolved keys.
 func (r *run) execute() (matches, unresolved []drbg.NodeKey, err error) {
-	var contexts []drbg.NodeKey
+	var contexts []int
 	for i, step := range r.steps {
 		pts := r.activePoints(i)
-		var scanRoots []drbg.NodeKey
-		if i == 0 {
-			scanRoots = []drbg.NodeKey{{}}
-		} else {
-			scanRoots = r.childrenOf(contexts)
+		roots := []int{0} // the document root
+		if i > 0 {
+			roots = r.childrenOf(contexts)
 		}
-		scanRoots = dedupKeys(scanRoots)
-		var cands []sumState
+		var cands []int
 		if step.Axis == xpath.AxisChild {
-			states, err := r.evalKeys(scanRoots, pts, true)
-			if err != nil {
+			if err := r.eval(roots, pts, true); err != nil {
 				return nil, nil, err
 			}
-			for _, st := range states {
-				if st.zeroAll() {
-					cands = append(cands, st)
+			for _, id := range roots {
+				if r.zeroAll(id, pts) {
+					cands = append(cands, id)
 				}
 			}
 		} else {
-			cands, err = r.scanDescendants(scanRoots, pts)
+			cands, err = r.scanDescendants(roots, pts)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -140,16 +254,16 @@ func (r *run) execute() (matches, unresolved []drbg.NodeKey, err error) {
 		}
 		if i == len(r.steps)-1 {
 			if r.opts.Verify == VerifyFull {
-				if err := r.verifyMatches(stepMatches, r.points[i], step.Wildcard()); err != nil {
+				if err := r.verifyMatches(stepMatches, r.stepPt[i]); err != nil {
 					return nil, nil, err
 				}
 			}
-			return stepMatches, stepUnresolved, nil
+			return r.keysOf(stepMatches), r.keysOf(stepUnresolved), nil
 		}
 		// Non-final steps: matched nodes (plus, under VerifyNone,
 		// optimistically-kept unresolved nodes) become the next contexts.
-		next := append(append([]drbg.NodeKey{}, stepMatches...), stepUnresolved...)
-		contexts = dedupKeys(next)
+		// Candidates are distinct nodes, so these are too.
+		contexts = append(stepMatches, stepUnresolved...)
 		if len(contexts) == 0 {
 			return nil, nil, nil
 		}
@@ -157,123 +271,91 @@ func (r *run) execute() (matches, unresolved []drbg.NodeKey, err error) {
 	return nil, nil, nil
 }
 
-// activePoints builds the point vector for step i: the step's own point
-// (nil for wildcards — evalKeys fabricates a zero sum) followed by every
-// later non-wildcard point. Evaluating candidates at future points is the
-// §4.3 "evaluate the whole query at once" optimisation (disabled by the
-// DisableLookahead ablation).
-func (r *run) activePoints(i int) []*big.Int {
-	out := []*big.Int{r.points[i]}
+// childrenOf lists the children of the given nodes, in order.
+func (r *run) childrenOf(ids []int) []int {
+	var out []int
+	for _, id := range ids {
+		first, n := r.kids(id)
+		for k := first; k < first+n; k++ {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// activePoints lists the points step i evaluates at: the step's own (none
+// for a wildcard — its sum counts as zero) followed by every later step's,
+// each once. Evaluating candidates at future points is the §4.3 "evaluate
+// the whole query at once" optimisation (disabled by the DisableLookahead
+// ablation).
+func (r *run) activePoints(i int) []int {
+	var out []int
+	if r.stepPt[i] >= 0 {
+		out = append(out, r.stepPt[i])
+	}
 	if r.opts.DisableLookahead {
 		return out
 	}
-	for _, p := range r.points[i+1:] {
-		if p != nil {
-			out = append(out, p)
+	for _, pt := range r.stepPt[i+1:] {
+		if pt >= 0 && !slices.Contains(out, pt) {
+			out = append(out, pt)
 		}
 	}
 	return out
 }
 
-// childrenOf expands contexts into their child keys using learned counts.
-func (r *run) childrenOf(contexts []drbg.NodeKey) []drbg.NodeKey {
-	var out []drbg.NodeKey
-	for _, ctx := range contexts {
-		n := r.childCount[ctx.String()]
-		for i := 0; i < n; i++ {
-			out = append(out, ctx.Child(uint32(i)))
+// eval brings the child count of every listed node, and its client+server
+// sum at every point of pts, into the table, asking the server only about
+// the nodes that miss one. ids must be distinct: the wave's batches write
+// their nodes' slots unlocked. visit says whether the wave is the traversal
+// reaching these nodes, and counts them as visited; a wave that goes back to
+// nodes the step has already reached (resolveAtPoints) does not.
+func (r *run) eval(ids []int, pts []int, visit bool) error {
+	var missing []int
+	for _, id := range ids {
+		if !r.known(id, pts) {
+			missing = append(missing, id)
 		}
 	}
-	return out
-}
-
-// evalKeys returns the client+server sum of each key at each point,
-// consulting the per-run cache and asking the server only for keys with
-// missing values. visit says whether the wave is the traversal reaching
-// these nodes, and counts them as visited; a wave that goes back to nodes
-// the step has already reached (resolveAtPoints) does not.
-func (r *run) evalKeys(keys []drbg.NodeKey, points []*big.Int, visit bool) ([]sumState, error) {
-	if len(keys) == 0 {
-		return nil, nil
+	if len(missing) == 0 {
+		return nil
 	}
-	eff := make([]*big.Int, 0, len(points))
-	effIdx := make([]int, 0, len(points))
-	for _, p := range points {
-		if p == nil {
-			continue
-		}
-		pi, ok := r.ptIndex(p)
-		if !ok {
-			return nil, fmt.Errorf("core: internal: evaluation point %s was not interned", p)
-		}
-		eff = append(eff, p)
-		effIdx = append(effIdx, pi)
+	// One wave = one protocol round (latency-wise), even when it is
+	// split into concurrent batches below.
+	r.e.counters.AddRound()
+	if visit {
+		r.e.counters.AddNodesVisited(len(missing))
 	}
-	// Render each key once; every cache consult below reuses the string.
-	ks := make([]string, len(keys))
-	for i, k := range keys {
-		ks[i] = k.String()
+	r.e.counters.AddNodesEvaluated(len(missing) * len(pts))
+	r.e.counters.AddValuesMoved(len(missing) * len(pts))
+	keys := r.keysOf(missing)
+	points := make([]*big.Int, len(pts))
+	for j, pt := range pts {
+		points[j] = r.pts[pt]
 	}
-	// Partition into cached and missing.
-	var missing []drbg.NodeKey
-	for i := range keys {
-		if !r.cachedAll(ks[i], effIdx) {
-			missing = append(missing, keys[i])
-		}
+	// At most Parallelism near-even batches.
+	n := max(1, min(r.opts.Parallelism, len(missing)))
+	size := (len(missing) + n - 1) / n
+	if size == len(missing) {
+		return r.evalBatch(missing, keys, pts, points)
 	}
-	if len(missing) > 0 {
-		// One wave = one protocol round (latency-wise), even when it is
-		// split into concurrent batches below.
-		r.e.counters.AddRound()
-		if visit {
-			r.e.counters.AddNodesVisited(len(missing))
-		}
-		r.e.counters.AddNodesEvaluated(len(missing) * len(eff))
-		r.e.counters.AddValuesMoved(len(missing) * len(eff))
-		batches := splitBatches(missing, r.opts.Parallelism)
-		if len(batches) == 1 {
-			if err := r.evalBatch(batches[0], eff, effIdx); err != nil {
-				return nil, err
-			}
-		} else {
-			errs := make([]error, len(batches))
-			var wg sync.WaitGroup
-			for bi, batch := range batches {
-				wg.Add(1)
-				go func(bi int, batch []drbg.NodeKey) {
-					defer wg.Done()
-					errs[bi] = r.evalBatch(batch, eff, effIdx)
-				}(bi, batch)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for b := 0; b*size < len(missing); b++ {
+		lo, hi := b*size, min((b+1)*size, len(missing))
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			errs[b] = r.evalBatch(missing[lo:hi], keys[lo:hi], pts, points)
+		}(b)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	// Assemble states from cache.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]sumState, len(keys))
-	for i := range keys {
-		st := sumState{key: keys[i], ks: ks[i], nch: r.childCount[ks[i]], sums: make([]*big.Int, 0, len(points))}
-		for _, p := range points {
-			if p == nil {
-				st.sums = append(st.sums, big.NewInt(0))
-				continue
-			}
-			pi, _ := r.ptIndex(p)
-			v, ok := r.sumCache[sumKey{node: ks[i], pt: pi}]
-			if !ok {
-				return nil, fmt.Errorf("core: internal: missing cached sum for %s", keys[i])
-			}
-			st.sums = append(st.sums, v)
-		}
-		out[i] = st
-	}
-	return out, nil
+	return nil
 }
 
 // overlapMinKeys is the number of keys from which an evaluation wave (or a
@@ -330,75 +412,116 @@ func blocks(n, size int, f func(lo, hi int)) {
 	pool.Wait() // f reports through its slots
 }
 
-// clientSummands evaluates the client share of every key at every eff
-// point: one share regeneration serves all points when the source supports
-// multi-point evaluation. Each block stops at its first error, so the
-// lowest failing index is the first error in wave order; cvs is valid
-// below it. failed is len(keys) on success.
-func (r *run) clientSummands(keys []drbg.NodeKey, eff []*big.Int) (cvs [][]*big.Int, failed int, err error) {
-	cvs = make([][]*big.Int, len(keys))
-	if len(eff) == 0 {
-		// Wildcard-only waves need no share work at all — the server round
-		// still runs to learn child counts.
-		return cvs, len(keys), nil
-	}
-	multi, isMulti := r.e.shares.(sharing.MultiPointSource)
-	errs := make([]error, len(keys))
-	block := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if isMulti {
-				if cvs[i], errs[i] = multi.EvalShares(keys[i], eff); errs[i] == nil && len(cvs[i]) != len(eff) {
-					errs[i] = fmt.Errorf("core: share source returned %d values for %d points", len(cvs[i]), len(eff))
-				}
-			} else {
-				cvs[i] = make([]*big.Int, len(eff))
-				for j, p := range eff {
-					if cvs[i][j], errs[i] = r.e.shares.EvalShare(keys[i], p); errs[i] != nil {
-						break
-					}
-				}
-			}
-			if errs[i] != nil {
-				return
-			}
-		}
-	}
-	if len(keys) < overlapMinKeys {
-		block(0, len(keys))
-	} else {
-		blocks(len(keys), shareBlockKeys, block)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return cvs, i, err
-		}
-	}
-	return cvs, len(keys), nil
+// summands are the client share values of a batch's keys at its points, in
+// the run's value form: row i of words (len(points) wide), or bigs[i]. They
+// are valid below failed, the lowest key whose share failed (with err);
+// failed is the number of keys on success.
+type summands struct {
+	words  []uint64
+	bigs   [][]*big.Int
+	failed int
+	err    error
 }
 
-// evalBatch evaluates one batch of keys and merges the combined sums into
-// the caches. The wave is two concurrent legs that meet at the sum: the
-// server evaluates its shares while the client regenerates and evaluates
-// its own, for the keys it asked about. Safe to call from concurrent batch
+// clientSummands evaluates the client share of every key at every point.
+// The word form asks a sharing.WordSource a block of keys at a time; any
+// other source, and the big.Int form, ask key by key through the boxed seam
+// (boxedShares) and convert. Each block stops at its first error, so the
+// lowest failing index is the first error in wave order.
+func (r *run) clientSummands(keys []drbg.NodeKey, points []*big.Int) summands {
+	sm := summands{failed: len(keys)}
+	np := len(points)
+	if np == 0 {
+		// Wildcard-only waves need no share work at all — the server round
+		// still runs to learn child counts.
+		return sm
+	}
+	ws, wordSeam := r.e.shares.(sharing.WordSource)
+	if r.ff != nil {
+		sm.words = make([]uint64, len(keys)*np)
+	} else {
+		sm.bigs, wordSeam = make([][]*big.Int, len(keys)), false
+	}
+	block := func(lo, hi int) (int, error) {
+		if wordSeam {
+			if done, ok, err := ws.EvalShareWords(sm.words[lo*np:hi*np], keys[lo:hi], points); ok {
+				return lo + done, err
+			}
+		}
+		for i := lo; i < hi; i++ {
+			vals, err := r.boxedShares(keys[i], points)
+			if err != nil {
+				return i, err
+			}
+			if r.ff == nil {
+				sm.bigs[i] = vals
+				continue
+			}
+			for j, v := range vals {
+				sm.words[i*np+j] = r.ff.ReduceBig(v)
+			}
+		}
+		return hi, nil
+	}
+	size := shareBlockKeys
+	if len(keys) < overlapMinKeys {
+		size = len(keys)
+	}
+	at := make([]int, (len(keys)+size-1)/size)
+	errs := make([]error, len(at))
+	blocks(len(keys), size, func(lo, hi int) { at[lo/size], errs[lo/size] = block(lo, hi) })
+	for b, err := range errs {
+		if err != nil {
+			sm.failed, sm.err = at[b], err
+			break
+		}
+	}
+	return sm
+}
+
+// boxedShares evaluates the client share of one key at every point through
+// the big.Int seam of the share source: one share regeneration serves all
+// points when the source supports multi-point evaluation.
+func (r *run) boxedShares(key drbg.NodeKey, points []*big.Int) ([]*big.Int, error) {
+	if multi, ok := r.e.shares.(sharing.MultiPointSource); ok {
+		vals, err := multi.EvalShares(key, points)
+		if err == nil && len(vals) != len(points) {
+			err = fmt.Errorf("core: share source returned %d values for %d points", len(vals), len(points))
+		}
+		return vals, err
+	}
+	vals := make([]*big.Int, len(points))
+	for j, p := range points {
+		var err error
+		if vals[j], err = r.e.shares.EvalShare(key, p); err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
+}
+
+// evalBatch evaluates one batch of a wave — nodes ids, whose keys are keys,
+// at pts, whose values are points — and writes the combined sums into the
+// table. The wave is two concurrent legs that meet at the sum: the server
+// evaluates its shares while the client regenerates and evaluates its own,
+// for the keys it asked about. Safe to call from concurrent batch
 // goroutines (the ServerAPI and ShareSource contracts require
-// concurrent-safe implementations; the cache merge is locked). effIdx
-// holds the interned index of each eff point.
-func (r *run) evalBatch(batch []drbg.NodeKey, eff []*big.Int, effIdx []int) error {
+// concurrent-safe implementations; batches write the slots of distinct
+// nodes).
+func (r *run) evalBatch(ids []int, keys []drbg.NodeKey, pts []int, points []*big.Int) error {
 	var (
-		answers  []NodeEval
-		cvs      [][]*big.Int
-		shareBad int
-		shareErr error
-		arith    time.Duration
+		answers []NodeEval
+		sm      summands
+		arith   time.Duration
 	)
 	// A server error wins over a share-source error; after it, the first
 	// error in wave order is the one reported.
-	err := twoLegs(len(batch), func() (err error) {
-		answers, err = EvalNodesWithCtx(r.ctx, r.e.api, batch, eff)
+	err := twoLegs(len(keys), func() (err error) {
+		answers, err = EvalNodesWithCtx(r.ctx, r.e.api, keys, points)
 		return err
 	}, func() {
 		start := time.Now()
-		cvs, shareBad, shareErr = r.clientSummands(batch, eff)
+		sm = r.clientSummands(keys, points)
 		arith = time.Since(start)
 	})
 	if err != nil {
@@ -416,110 +539,101 @@ func (r *run) evalBatch(batch []drbg.NodeKey, eff []*big.Int, effIdx []int) erro
 		r.e.obsv.Observe(obs.StageShareArith, d)
 		obs.SpanFrom(r.ctx).Add(obs.StageShareArith, d)
 	}()
-	if len(answers) != len(batch) {
-		return fmt.Errorf("core: server returned %d answers for %d keys", len(answers), len(batch))
+	if len(answers) != len(keys) {
+		return fmt.Errorf("core: server returned %d answers for %d keys", len(answers), len(keys))
 	}
 	// The evaluation modulus of each point is fixed for the whole batch;
-	// resolve it once instead of once per (node, point).
-	mods := make([]*big.Int, len(eff))
-	for i, p := range eff {
-		if mods[i], err = r.e.ring.EvalModulus(p); err != nil {
-			return fmt.Errorf("core: point %s: %w", p, err)
+	// resolve it once instead of once per (node, point). On F_p it is p
+	// wherever evaluation is defined, and the word form needs only know that.
+	var mods []*big.Int
+	for j, p := range points {
+		if r.ff == nil {
+			m, err := r.e.ring.EvalModulus(p)
+			if err != nil {
+				return fmt.Errorf("core: point %s: %w", p, err)
+			}
+			mods = append(mods, m)
+		} else if r.ptWords[pts[j]] == 0 {
+			return fmt.Errorf("core: point %s: %w", p, ring.ErrEvalUndefined)
 		}
 	}
 	for i, ans := range answers {
-		// The summands were computed for batch[i]: an answer in another
+		// The summands were computed for keys[i]: an answer in another
 		// order, or for a key that was not asked, must not be added to them.
-		if !slices.Equal(ans.Key, batch[i]) {
-			return fmt.Errorf("core: server answered for %s where %s was asked", ans.Key, batch[i])
+		if !slices.Equal(ans.Key, keys[i]) {
+			return fmt.Errorf("core: server answered for %s where %s was asked", ans.Key, keys[i])
 		}
-		if len(ans.Values) != len(eff) {
-			return fmt.Errorf("core: server returned %d values for %d points", len(ans.Values), len(eff))
+		if ans.Len() != len(points) {
+			return fmt.Errorf("core: server returned %d values for %d points", ans.Len(), len(points))
 		}
-		if i == shareBad {
-			return shareErr
+		if i == sm.failed {
+			return sm.err
 		}
-		sums := make([]*big.Int, len(eff))
-		for j := range eff {
-			sum := new(big.Int).Add(cvs[i][j], ans.Values[j])
-			sums[j] = sum.Mod(sum, mods[j])
+		// The children are created from the first count a node is given: a
+		// server that changes it has no honest reading.
+		nd := &r.nodes[ids[i]]
+		if nch := max(ans.NumChildren, 0); nd.nch < 0 {
+			nd.nch = nch
+		} else if nd.nch != nch {
+			return fmt.Errorf("core: server gave %s %d children, then %d", ans.Key, nd.nch, nch)
 		}
-		aks := ans.Key.String()
-		r.mu.Lock()
-		r.childCount[aks] = ans.NumChildren
-		for j := range eff {
-			r.sumCache[sumKey{node: aks, pt: effIdx[j]}] = sums[j]
+		row := ids[i] * len(r.pts)
+		switch {
+		case r.ff == nil:
+			vals := ans.Values()
+			for j, pt := range pts {
+				sum := new(big.Int).Add(sm.bigs[i][j], vals[j])
+				r.bigs[row+pt] = sum.Mod(sum, mods[j])
+			}
+		case len(ans.Big) == 0:
+			// A word off the wire is any uint64: reduce it before the add.
+			for j, pt := range pts {
+				r.words[row+pt] = r.ff.Add(sm.words[i*len(pts)+j], r.ff.Reduce(ans.Words[j]))
+			}
+		default:
+			// No word form (a negative or wider value): the general reduction.
+			for j, pt := range pts {
+				r.words[row+pt] = r.ff.Add(sm.words[i*len(pts)+j], r.ff.ReduceBig(ans.Big[j]))
+			}
 		}
-		r.mu.Unlock()
 	}
 	return nil
-}
-
-// splitBatches carves keys into at most parallelism near-even batches.
-func splitBatches(keys []drbg.NodeKey, parallelism int) [][]drbg.NodeKey {
-	if parallelism <= 1 || len(keys) <= 1 {
-		return [][]drbg.NodeKey{keys}
-	}
-	n := parallelism
-	if n > len(keys) {
-		n = len(keys)
-	}
-	size := (len(keys) + n - 1) / n
-	out := make([][]drbg.NodeKey, 0, n)
-	for start := 0; start < len(keys); start += size {
-		end := start + size
-		if end > len(keys) {
-			end = len(keys)
-		}
-		out = append(out, keys[start:end])
-	}
-	return out
-}
-
-// cachedAll reports whether node ks has a cached child count and a cached
-// sum at every interned point index.
-func (r *run) cachedAll(ks string, effIdx []int) bool {
-	if _, ok := r.childCount[ks]; !ok {
-		return false
-	}
-	for _, pi := range effIdx {
-		if _, ok := r.sumCache[sumKey{node: ks, pt: pi}]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // scanDescendants BFSes the subtrees rooted at roots, descending only
 // through nodes whose sums are all zero (a non-zero sum at any active
 // point proves no candidate can exist below — the paper's dead-branch
-// pruning), and returns all all-zero nodes as candidates.
-func (r *run) scanDescendants(roots []drbg.NodeKey, pts []*big.Int) ([]sumState, error) {
-	var cands []sumState
-	seen := map[string]bool{}
+// pruning), and returns all all-zero nodes as candidates, each once: a
+// subtree two roots share is scanned from the first that reaches it.
+func (r *run) scanDescendants(roots []int, pts []int) ([]int, error) {
+	var cands []int
 	var pruned []drbg.NodeKey
-	frontier := roots
+	r.serial++
+	var frontier []int
+	for _, id := range roots {
+		if r.stamp(id) {
+			frontier = append(frontier, id)
+		}
+	}
 	for len(frontier) > 0 {
-		states, err := r.evalKeys(frontier, pts, true)
-		if err != nil {
+		if err := r.eval(frontier, pts, true); err != nil {
 			return nil, err
 		}
-		var next []drbg.NodeKey
-		for _, st := range states {
-			if seen[st.ks] {
+		var next []int
+		for _, id := range frontier {
+			if !r.zeroAll(id, pts) {
+				pruned = append(pruned, r.nodes[id].key)
 				continue
 			}
-			seen[st.ks] = true
-			if st.zeroAll() {
-				cands = append(cands, st)
-				for c := 0; c < st.nch; c++ {
-					next = append(next, st.key.Child(uint32(c)))
+			cands = append(cands, id)
+			first, n := r.kids(id)
+			for c := first; c < first+n; c++ {
+				if r.stamp(c) {
+					next = append(next, c)
 				}
-			} else {
-				pruned = append(pruned, st.key)
 			}
 		}
-		frontier = dedupKeys(next)
+		frontier = next
 	}
 	if len(pruned) > 0 {
 		r.e.counters.AddPruned(len(pruned))
@@ -535,33 +649,18 @@ func (r *run) scanDescendants(roots []drbg.NodeKey, pts []*big.Int) ([]sumState,
 // match; a zero node with a zero child is ambiguous and is resolved by tag
 // recovery (or reported unresolved under VerifyNone). Wildcard steps match
 // structurally.
-func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.NodeKey, err error) {
+func (r *run) classify(cands []int, i int) (matches, unresolved []int, err error) {
 	if len(cands) == 0 {
 		return nil, nil, nil
 	}
-	step := r.steps[i]
-	if step.Wildcard() {
-		for _, c := range cands {
-			matches = append(matches, c.key)
-		}
-		return matches, nil, nil
+	cur := r.stepPt[i]
+	if cur < 0 {
+		return cands, nil, nil
 	}
-	cur := r.points[i]
-	// Evaluate all candidates' children at the step point (cache hits for
+	// Evaluate all candidates' children at the step point (table hits for
 	// descendant scans, one batched round otherwise).
-	var childKeys []drbg.NodeKey
-	for _, c := range cands {
-		for j := 0; j < c.nch; j++ {
-			childKeys = append(childKeys, c.key.Child(uint32(j)))
-		}
-	}
-	childStates, err := r.evalKeys(dedupKeys(childKeys), []*big.Int{cur}, true)
-	if err != nil {
+	if err := r.eval(r.childrenOf(cands), []int{cur}, true); err != nil {
 		return nil, nil, err
-	}
-	childZero := make(map[string]bool, len(childStates))
-	for _, st := range childStates {
-		childZero[st.ks] = st.sums[0].Sign() == 0
 	}
 	// A zero node with a zero child is ambiguous: node and some descendant
 	// chain both contain the tag. The step's ambiguous candidates are
@@ -569,37 +668,42 @@ func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.Node
 	// where the engine has resolve points, from polynomials elsewhere and
 	// under VerifyFull, which wants the whole coefficient identity.
 	ambiguous := make([]bool, len(cands))
-	var jobs []tagJob
+	var jobs []int
 	for ci, c := range cands {
-		for j := 0; j < c.nch; j++ {
-			if childZero[c.key.Child(uint32(j)).String()] {
-				ambiguous[ci] = true
-				break
-			}
+		first, n := r.kids(c)
+		for k := first; k < first+n && !ambiguous[ci]; k++ {
+			ambiguous[ci] = r.zero(k, cur)
 		}
 		if ambiguous[ci] && r.opts.Verify != VerifyNone {
-			jobs = append(jobs, tagJob{key: c.key, nch: c.nch})
+			jobs = append(jobs, c)
 		}
 	}
-	resolve := r.recoverNodeTags
-	if r.opts.Verify == VerifyResolve && r.e.resolveAt != nil {
-		resolve = r.resolveAtPoints
+	var hit []bool // per job: the node's tag is the step's
+	var failed int
+	if r.opts.Verify == VerifyResolve && r.resolvePt != nil {
+		hit, failed, err = r.resolveAtPoints(jobs, cur)
+	} else {
+		var tags []*big.Int
+		tags, failed, err = r.recoverNodeTags(jobs)
+		hit = make([]bool, len(tags))
+		for ji, t := range tags {
+			hit[ji] = t != nil && t.Cmp(r.pts[cur]) == 0
+		}
 	}
-	tags, failed, err := resolve(jobs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: resolving %s: %w", jobs[failed].key, err)
+		return nil, nil, fmt.Errorf("core: resolving %s: %w", r.nodes[jobs[failed]].key, err)
 	}
 	ji := 0
 	for ci, c := range cands {
 		switch {
 		case !ambiguous[ci]:
 			// Definite: the (x - point) factor must be the node's own.
-			matches = append(matches, c.key)
+			matches = append(matches, c)
 		case r.opts.Verify == VerifyNone:
-			unresolved = append(unresolved, c.key)
+			unresolved = append(unresolved, c)
 		default:
-			if tags[ji].Cmp(cur) == 0 {
-				matches = append(matches, c.key)
+			if hit[ji] {
+				matches = append(matches, c)
 			}
 			ji++
 		}
@@ -607,29 +711,35 @@ func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.Node
 	return matches, unresolved, nil
 }
 
-// tagJob is one tag recovery of a wave: a node and its child count.
-type tagJob struct {
-	key drbg.NodeKey
-	nch int
-}
-
 // resolveAtPoints solves eq. (2) for the tag of every job from evaluations
-// instead of polynomials. Evaluation at a ∈ F_p* is a ring homomorphism of
+// instead of polynomials, and reports, per job, whether the tag is the
+// point cur. Evaluation at a ∈ F_p* is a ring homomorphism of
 // F_p[x]/(x^{p−1}−1) onto F_p, so f = (x − t)·∏qᵢ holds pointwise:
 // f(a) = (a − t)·Q(a) with Q(a) = ∏qᵢ(a), and t = a − f(a)/Q(a) wherever
-// Q(a) ≠ 0. The jobs' nodes and children, deduplicated as a fetch would
-// (planChunks), are evaluated at the engine's two resolve points by one
-// ordinary wave; t is solved at the first and must come out the same at
-// the second (doc.go has the soundness bound). No tag maps to either
-// point, so Q(a) = 0 is a lie too, not a reason to retry. On error, failed
-// is the first job in wave order that could not be resolved.
-func (r *run) resolveAtPoints(jobs []tagJob) (tags []*big.Int, failed int, err error) {
+// Q(a) ≠ 0. The jobs' nodes and children, each once in the order a fetch
+// would list them (planChunks), are evaluated at the engine's two resolve
+// points by one ordinary wave; t is solved at the first and must come out
+// the same at the second (doc.go has the soundness bound). No tag maps to
+// either point, so Q(a) = 0 is a lie too, not a reason to retry. On error,
+// failed is the first job in wave order that could not be resolved.
+func (r *run) resolveAtPoints(jobs []int, cur int) (hit []bool, failed int, err error) {
 	if len(jobs) == 0 {
 		return nil, 0, nil
 	}
-	c := planChunks(jobs, math.MaxInt)[0] // the whole wave is one chunk
-	states, err := r.evalKeys(c.keys, r.e.resolveAt, false)
-	if err != nil {
+	r.serial++
+	var set []int
+	for _, job := range jobs {
+		if r.stamp(job) {
+			set = append(set, job)
+		}
+		first, n := r.kids(job)
+		for k := first; k < first+n; k++ {
+			if r.stamp(k) {
+				set = append(set, k)
+			}
+		}
+	}
+	if err := r.eval(set, r.resolvePt, false); err != nil {
 		return nil, 0, err
 	}
 	start := time.Now()
@@ -638,34 +748,66 @@ func (r *run) resolveAtPoints(jobs []tagJob) (tags []*big.Int, failed int, err e
 		r.e.obsv.Observe(obs.StageTagRecover, d)
 		obs.SpanFrom(r.ctx).Add(obs.StageTagRecover, d)
 	}()
-	fp := r.e.ring.(*ring.FpCyclotomic) // resolvePoints chose points for it
-	tags = make([]*big.Int, len(jobs))
-	for ji, set := range c.sets {
-		kids := make([][]*big.Int, len(set)-1)
-		for i, k := range set[1:] {
-			kids[i] = states[k].sums
-		}
+	hit = make([]bool, len(jobs))
+	for ji, job := range jobs {
 		r.e.counters.AddTagRecovered()
-		if tags[ji], err = solveAtPoints(fp, r.e.resolveAt, states[set[0]].sums, kids); err != nil {
+		if r.ff != nil {
+			var t uint64
+			t, err = r.solveWords(job)
+			hit[ji] = t == r.ptWords[cur]
+		} else {
+			var t *big.Int
+			t, err = r.solveBig(job)
+			hit[ji] = err == nil && t.Cmp(r.pts[cur]) == 0
+		}
+		if err != nil {
 			r.e.counters.AddVerifyFailure()
-			return tags, ji, err
+			return hit, ji, err
 		}
 	}
-	return tags, 0, nil
+	return hit, 0, nil
 }
 
-// solveAtPoints solves f(a) = (a − t)·∏qᵢ(a) for t at each point a and
-// returns the t they agree on: f[j] is the node's value at points[j] and
-// kids[c][j] its c-th child's, all reduced mod p.
-func solveAtPoints(fp *ring.FpCyclotomic, points, f []*big.Int, kids [][]*big.Int) (*big.Int, error) {
-	p := fp.P()
-	var tag *big.Int
-	for j, a := range points {
-		q := big.NewInt(1)
-		for _, kid := range kids {
-			q.Mod(q.Mul(q, kid[j]), p)
+// solveWords solves f(a) = (a − t)·∏qᵢ(a) for node id's tag t at each
+// resolve point a, from the table's sums of the node (f) and its children
+// (qᵢ), and returns the t the points agree on.
+func (r *run) solveWords(id int) (uint64, error) {
+	first, n := r.nodes[id].first, max(r.nodes[id].nch, 0)
+	np := len(r.pts)
+	var tag uint64
+	for j, pt := range r.resolvePt {
+		q := uint64(1)
+		for k := first; k < first+n; k++ {
+			q = r.ff.Mul(q, r.words[k*np+pt])
 		}
-		t, ok := fp.SolveScalar(f[j], q)
+		inv, ok := r.ff.Inv(q)
+		if !ok {
+			return 0, fmt.Errorf("%w: ∏qᵢ vanishes at %s, where no polynomial has a root", polyenc.ErrInconsistent, r.pts[pt])
+		}
+		t := r.ff.Sub(r.ptWords[pt], r.ff.Mul(r.words[id*np+pt], inv))
+		if j == 0 {
+			tag = t
+		} else if tag != t {
+			return 0, fmt.Errorf("%w: tag %d at %s, %d at %s", polyenc.ErrInconsistent, tag, r.pts[r.resolvePt[0]], t, r.pts[pt])
+		}
+	}
+	return tag, nil
+}
+
+// solveBig is solveWords on big.Int sums: the reference form.
+func (r *run) solveBig(id int) (*big.Int, error) {
+	fp := r.e.ring.(*ring.FpCyclotomic) // resolvePoints chose points for it
+	p := fp.P()
+	first, n := r.nodes[id].first, max(r.nodes[id].nch, 0)
+	np := len(r.pts)
+	var tag *big.Int
+	for _, pt := range r.resolvePt {
+		a := r.pts[pt]
+		q := big.NewInt(1)
+		for k := first; k < first+n; k++ {
+			q.Mod(q.Mul(q, r.bigs[k*np+pt]), p)
+		}
+		t, ok := fp.SolveScalar(r.bigs[id*np+pt], q)
 		if !ok {
 			return nil, fmt.Errorf("%w: ∏qᵢ vanishes at %s, where no polynomial has a root", polyenc.ErrInconsistent, a)
 		}
@@ -673,7 +815,7 @@ func solveAtPoints(fp *ring.FpCyclotomic, points, f []*big.Int, kids [][]*big.In
 		if tag == nil {
 			tag = t
 		} else if tag.Cmp(t) != 0 {
-			return nil, fmt.Errorf("%w: tag %s at %s, %s at %s", polyenc.ErrInconsistent, tag, points[0], t, a)
+			return nil, fmt.Errorf("%w: tag %s at %s, %s at %s", polyenc.ErrInconsistent, tag, r.pts[r.resolvePt[0]], t, a)
 		}
 	}
 	return tag, nil
@@ -724,32 +866,31 @@ type fetchChunk struct {
 }
 
 // planChunks cuts the wave into chunks of at most budget polynomials. A
-// job's key set is never split, so a node with more children than the
-// budget gets a chunk of its own.
-func planChunks(jobs []tagJob, budget int) []fetchChunk {
+// job's key set — the node, then its children — is never split, so a node
+// with more children than the budget gets a chunk of its own; a key several
+// jobs of a chunk use is listed once.
+func (r *run) planChunks(jobs []int, budget int) []fetchChunk {
 	var chunks []fetchChunk
 	var cur fetchChunk
-	pos := map[string]int{}
+	r.serial++
 	for ji, job := range jobs {
-		if len(cur.keys) > 0 && len(cur.keys)+job.nch+1 > budget {
+		first, n := r.kids(job)
+		if len(cur.keys) > 0 && len(cur.keys)+n+1 > budget {
 			chunks = append(chunks, cur)
 			cur = fetchChunk{first: ji}
-			pos = map[string]int{}
+			r.serial++
 		}
-		set := make([]int, 0, job.nch+1)
-		add := func(k drbg.NodeKey) {
-			ks := k.String()
-			i, ok := pos[ks]
-			if !ok {
-				i = len(cur.keys)
-				pos[ks] = i
-				cur.keys = append(cur.keys, k)
+		set := make([]int, 0, n+1)
+		add := func(id int) {
+			if nd := &r.nodes[id]; r.stamp(id) {
+				nd.slot = int32(len(cur.keys))
+				cur.keys = append(cur.keys, nd.key)
 			}
-			set = append(set, i)
+			set = append(set, int(r.nodes[id].slot))
 		}
-		add(job.key)
-		for c := 0; c < job.nch; c++ {
-			add(job.key.Child(uint32(c)))
+		add(job)
+		for k := first; k < first+n; k++ {
+			add(k)
 		}
 		cur.sets = append(cur.sets, set)
 	}
@@ -764,11 +905,11 @@ func planChunks(jobs []tagJob, budget int) []fetchChunk {
 // fetch of chunk k+1 is in flight while chunk k is solved, and a chunk's
 // solves spread over the idle cores. On error, failed is the first job in
 // wave order that could not be resolved and tags[:failed] are valid.
-func (r *run) recoverNodeTags(jobs []tagJob) (tags []*big.Int, failed int, err error) {
+func (r *run) recoverNodeTags(jobs []int) (tags []*big.Int, failed int, err error) {
 	if len(jobs) == 0 {
 		return nil, 0, nil
 	}
-	chunks := planChunks(jobs, r.e.chunkPolys)
+	chunks := r.planChunks(jobs, r.e.chunkPolys)
 	tags = make([]*big.Int, len(jobs))
 	// One observation per wave: the time spent solving, not the time spent
 	// waiting for a fetch (that is the wire's).
@@ -959,26 +1100,22 @@ func (r *run) recoverJob(c *fetchChunk, set []int, polys []NodePoly, recon [][]u
 }
 
 // verifyMatches re-derives each reported match's tag, all matches in one
-// wave, and compares it with the query point (VerifyFull). The first
-// failure in match order is the one reported.
-func (r *run) verifyMatches(keys []drbg.NodeKey, point *big.Int, wildcard bool) error {
-	jobs := make([]tagJob, len(keys))
-	for i, k := range keys {
-		jobs[i] = tagJob{key: k, nch: r.childCount[k.String()]}
-	}
-	tags, failed, err := r.recoverNodeTags(jobs)
-	checked := len(keys)
+// wave, and compares it with the step's point pt, -1 for a wildcard
+// (VerifyFull). The first failure in match order is the one reported.
+func (r *run) verifyMatches(ids []int, pt int) error {
+	tags, failed, err := r.recoverNodeTags(ids)
+	checked := len(ids)
 	if err != nil {
 		checked = failed
 	}
-	for i, k := range keys[:checked] {
-		if !wildcard && tags[i].Cmp(point) != 0 {
+	for i, id := range ids[:checked] {
+		if pt >= 0 && tags[i].Cmp(r.pts[pt]) != 0 {
 			r.e.counters.AddVerifyFailure()
-			return fmt.Errorf("core: server cheated: node %s has tag %s, query point %s", k, tags[i], point)
+			return fmt.Errorf("core: server cheated: node %s has tag %s, query point %s", r.nodes[id].key, tags[i], r.pts[pt])
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("core: verification of %s failed: %w", keys[failed], err)
+		return fmt.Errorf("core: verification of %s failed: %w", r.nodes[ids[failed]].key, err)
 	}
 	return nil
 }

@@ -101,6 +101,19 @@ func (k NodeKey) String() string {
 	return sb.String()
 }
 
+// AppendBinary appends the key's compact binary form, one unsigned varint
+// per component, to dst. A varint ends where its continuation bit clears,
+// so distinct keys have distinct forms and a node's form extends its
+// parent's: the form is what node-keyed maps are keyed by —
+// m[string(k.AppendBinary(buf[:0]))] allocates nothing, where String
+// renders decimal digits into a fresh string — and String is for people.
+func (k NodeKey) AppendBinary(dst []byte) []byte {
+	for _, c := range k {
+		dst = binary.AppendUvarint(dst, uint64(c))
+	}
+	return dst
+}
+
 // Deriver produces independent per-node streams from one seed. It is safe
 // for concurrent use (each call builds fresh state).
 type Deriver struct {
@@ -136,10 +149,7 @@ func (d *Deriver) ForNode(key NodeKey) *Stream {
 	// Unambiguous path encoding: varint length, then varint components.
 	// The constant capacity keeps paths of usual depth on the stack.
 	msg := append(make([]byte, 0, 256), d.inner...)
-	msg = binary.AppendUvarint(msg, uint64(len(key)))
-	for _, c := range key {
-		msg = binary.AppendUvarint(msg, uint64(c))
-	}
+	msg = key.AppendBinary(binary.AppendUvarint(msg, uint64(len(key))))
 	var outer [sha256.BlockSize + sha256.Size]byte
 	copy(outer[:], d.outer[:])
 	digest := sha256.Sum256(msg)

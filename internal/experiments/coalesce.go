@@ -439,7 +439,7 @@ func (w *CoalesceServeWorkload) run() (int, error) {
 				first = err
 			}
 			for _, a := range answers {
-				values += len(a.Values)
+				values += a.Len()
 			}
 		}(s)
 	}

@@ -202,11 +202,12 @@ func (w *OverloadWorkload) verify(got []core.NodeEval) error {
 		if got[i].NumChildren != w.want[i].NumChildren {
 			return fmt.Errorf("%s: %d children, want %d", w.want[i].Key, got[i].NumChildren, w.want[i].NumChildren)
 		}
-		if len(got[i].Values) != len(w.want[i].Values) {
-			return fmt.Errorf("%s: %d values, want %d", w.want[i].Key, len(got[i].Values), len(w.want[i].Values))
+		gv, wv := got[i].Values(), w.want[i].Values()
+		if len(gv) != len(wv) {
+			return fmt.Errorf("%s: %d values, want %d", w.want[i].Key, len(gv), len(wv))
 		}
-		for j := range w.want[i].Values {
-			if got[i].Values[j].Cmp(w.want[i].Values[j]) != 0 {
+		for j := range wv {
+			if gv[j].Cmp(wv[j]) != 0 {
 				return fmt.Errorf("%s: value %d differs from reference", w.want[i].Key, j)
 			}
 		}

@@ -144,7 +144,7 @@ func valueForgeryCaught(p *pipeline) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	sum := new(big.Int).Add(cv, honest[0].Values[0])
+	sum := new(big.Int).Add(cv, honest[0].Values()[0])
 	delta := new(big.Int).Neg(sum)
 	delta.Mod(delta, mod)
 	forger := &server.Tamperer{Inner: p.server, CorruptValueAt: leaf, ValueDelta: func(*big.Int) *big.Int { return delta }}

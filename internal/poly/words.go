@@ -31,11 +31,17 @@ func wordBytes(v uint64) int { return (bits.Len64(v) + 7) / 8 }
 // AppendWords appends the canonical encoding of the polynomial with
 // coefficients w to dst. Trailing zero coefficients are not written.
 func AppendWords(dst []byte, w []uint64) []byte {
-	w = trimWords(w)
+	return AppendWordList(dst, trimWords(w))
+}
+
+// AppendWordList appends the count of w and every word of it, trailing
+// zeros included, in that layout: a list of scalars (the values of an
+// evaluation answer) where AppendWords writes a polynomial.
+func AppendWordList(dst []byte, w []uint64) []byte {
 	// Sized once — and not at all inside a buffer its caller already sized,
 	// where even ten bytes a coefficient would fit.
 	if cap(dst)-len(dst) < binary.MaxVarintLen64*(1+len(w)) {
-		dst = slices.Grow(dst, WordsSize(w))
+		dst = slices.Grow(dst, WordListSize(w))
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(w)))
 	b := dst[len(dst):cap(dst)]
@@ -67,8 +73,10 @@ func AppendWords(dst []byte, w []uint64) []byte {
 }
 
 // WordsSize returns len(AppendWords(nil, w)) without encoding.
-func WordsSize(w []uint64) int {
-	w = trimWords(w)
+func WordsSize(w []uint64) int { return WordListSize(trimWords(w)) }
+
+// WordListSize returns len(AppendWordList(nil, w)) without encoding.
+func WordListSize(w []uint64) int {
 	n := uvarintLen(uint64(len(w)))
 	for _, v := range w {
 		n++ // sign byte
@@ -87,7 +95,7 @@ func WordsSize(w []uint64) int {
 // or wider coefficient, or malformed input — sends the caller to
 // DecodePoly, which decodes the general form or reports the error.
 func DecodeWords(data []byte) (w []uint64, rest []byte, ok bool) {
-	n, body, ok := wordsHeader(data)
+	n, body, ok := wordsHeader(data, maxMarshalCoeffs)
 	if !ok {
 		return nil, nil, false
 	}
@@ -111,7 +119,27 @@ type WordSlab struct {
 // Decode is DecodeWords into the slab. A refused polynomial takes nothing
 // from it.
 func (s *WordSlab) Decode(data []byte) (w []uint64, rest []byte, ok bool) {
-	n, body, ok := wordsHeader(data)
+	if w, rest, ok = s.DecodeList(data, maxMarshalCoeffs); ok {
+		w = trimWords(w)
+	}
+	return w, rest, ok
+}
+
+// Reserve makes room for n more words, for a caller that knows what its
+// message holds better than Decode's own estimate. n must not exceed the
+// bytes still to decode, so that a count read off the wire allocates
+// nothing the message could not fill.
+func (s *WordSlab) Reserve(n int) {
+	if n > len(s.free) {
+		s.free = make([]uint64, n)
+	}
+}
+
+// DecodeList decodes what AppendWordList wrote — a list of at most maxLen
+// words, every one kept — into the slab. ok=false as for DecodeWords; a
+// refused list takes nothing from the slab.
+func (s *WordSlab) DecodeList(data []byte, maxLen uint64) (w []uint64, rest []byte, ok bool) {
+	n, body, ok := wordsHeader(data, maxLen)
 	if !ok {
 		return nil, nil, false
 	}
@@ -127,15 +155,16 @@ func (s *WordSlab) Decode(data []byte) (w []uint64, rest []byte, ok bool) {
 		return nil, nil, false
 	}
 	s.free = free[n:]
-	return trimWords(w), rest, true
+	return w, rest, true
 }
 
 // wordsHeader reads the coefficient count in front of a polynomial,
-// refusing one the remaining bytes cannot hold (each coefficient needs at
-// least its sign byte), so no caller allocates beyond the bytes present.
-func wordsHeader(data []byte) (n int, body []byte, ok bool) {
+// refusing one over maxLen or that the remaining bytes cannot hold (each
+// coefficient needs at least its sign byte), so no caller allocates beyond
+// the bytes present.
+func wordsHeader(data []byte, maxLen uint64) (n int, body []byte, ok bool) {
 	c, k := binary.Uvarint(data)
-	if k <= 0 || c > maxMarshalCoeffs || c > uint64(len(data)-k) {
+	if k <= 0 || c > maxLen || c > uint64(len(data)-k) {
 		return 0, nil, false
 	}
 	return int(c), data[k:], true

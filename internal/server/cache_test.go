@@ -71,8 +71,8 @@ func TestEvalCacheHitsAndConsistency(t *testing.T) {
 			t.Fatalf("%s: warm pass missed %d times", r.Name(), s2.EvalCacheMiss)
 		}
 		for i := range first {
-			for j := range first[i].Values {
-				if first[i].Values[j].Cmp(second[i].Values[j]) != 0 {
+			for j := range first[i].Values() {
+				if first[i].Values()[j].Cmp(second[i].Values()[j]) != 0 {
 					t.Fatalf("%s: cached value diverged at %s point %s", r.Name(), keys[i], points[j])
 				}
 			}
@@ -95,8 +95,8 @@ func TestEvalCacheDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range ref {
-			for j := range ref[i].Values {
-				if ref[i].Values[j].Cmp(got[i].Values[j]) != 0 {
+			for j := range ref[i].Values() {
+				if ref[i].Values()[j].Cmp(got[i].Values()[j]) != 0 {
 					t.Fatalf("cache-off values diverged at %s", keys[i])
 				}
 			}
@@ -123,8 +123,8 @@ func TestSetFastAfterConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range ref {
-		for j := range ref[i].Values {
-			if ref[i].Values[j].Cmp(got[i].Values[j]) != 0 {
+		for j := range ref[i].Values() {
+			if ref[i].Values()[j].Cmp(got[i].Values()[j]) != 0 {
 				t.Fatalf("SetFast(false) changed the answer at %s", keys[i])
 			}
 		}
@@ -164,7 +164,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 					return
 				}
 				for k := range got {
-					if got[k].Values[0].Cmp(ref[k].Values[0]) != 0 {
+					if got[k].Values()[0].Cmp(ref[k].Values()[0]) != 0 {
 						t.Errorf("goroutine %d: value diverged at %s", g, keys[k])
 						return
 					}
@@ -173,4 +173,35 @@ func TestEvalCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestWarmEvalAllocatesPerCallNotPerValue: on a warm eval cache an
+// evaluation call allocates its answers, its value slab and its point
+// scratch — a handful of objects however many keys and points it is asked
+// about, where boxing each value cost two a value — and every answer holds
+// its values as words, capacity-clipped: an append to one cannot reach the
+// next one's.
+func TestWarmEvalAllocatesPerCallNotPerValue(t *testing.T) {
+	srv, keys, points := buildCacheFixture(t, ring.MustFp(257))
+	if _, err := srv.EvalNodes(keys, points); err != nil { // warm
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, len(keys)} {
+		if got := testing.AllocsPerRun(50, func() {
+			if _, err := srv.EvalNodes(keys[:n], points); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 4 {
+			t.Fatalf("a warm call about %d keys at %d points allocated %v times, want at most 4 whatever the count", n, len(points), got)
+		}
+	}
+	out, err := srv.EvalNodes(keys, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range out {
+		if len(a.Big) != 0 || len(a.Words) != len(points) || cap(a.Words) != len(points) {
+			t.Fatalf("answer %d: %d words (cap %d), %d big.Int values, want %d capacity-clipped words", i, len(a.Words), cap(a.Words), len(a.Big), len(points))
+		}
+	}
 }

@@ -113,7 +113,8 @@ func (s *Local) Tree() *sharing.Tree { return s.tree }
 
 // EvalNodes implements core.ServerAPI. All points of one node are served
 // by a single pass over its polynomial (multi-point Horner); cached
-// (node, point) values skip the pass entirely.
+// (node, point) values skip the pass entirely. Answers carry words on the
+// fast path and big.Int values on the reference path.
 func (s *Local) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	// Re-check the live fast-path state: SetFast(false) after NewLocal (the
 	// ablation toggle) must degrade to the big.Int path, not crash.
@@ -143,18 +144,24 @@ func (s *Local) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEv
 			s.bigCache.Add(bk, v)
 			values[j] = v
 		}
-		out[i] = core.NodeEval{Key: k, Values: values, NumChildren: len(node.Children)}
+		out[i] = core.NodeEval{Key: k, Big: values, NumChildren: len(node.Children)}
 	}
 	return out, nil
 }
 
 // evalNodesFast is the packed fast path: points are converted to
 // Montgomery residues once per call, each node with uncached points gets
-// exactly one Horner pass over its packed polynomial, and results cross
-// back to big.Int only at the API boundary.
+// exactly one Horner pass over its packed polynomial, and the call's values
+// are written as words into one slab the answers share — a warm call
+// allocates its answers, not its values.
 func (s *Local) evalNodesFast(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	ff := s.fp.Fast()
-	xs := make([]uint64, len(points))
+	np := len(points)
+	// One array: the points' residues, their Montgomery forms, and the
+	// scratch for a node's missing-point subset.
+	scratch := make([]uint64, 4*np)
+	xs, xsMont := scratch[:np], scratch[np:2*np]
+	missMont, missVal := scratch[2*np:2*np:3*np], scratch[3*np:]
 	for j, p := range points {
 		x, err := s.fp.PackPoint(p)
 		if err != nil {
@@ -162,28 +169,23 @@ func (s *Local) evalNodesFast(keys []drbg.NodeKey, points []*big.Int) ([]core.No
 		}
 		xs[j] = x
 	}
-	xsMont := make([]uint64, len(xs))
 	ff.MFormVec(xsMont, xs)
-
-	// Scratch for the per-node missing-point subset.
-	missMont := make([]uint64, 0, len(xs))
-	missIdx := make([]int, 0, len(xs))
-	missVal := make([]uint64, len(xs))
+	missIdx := make([]int, 0, np)
 
 	out := make([]core.NodeEval, len(keys))
+	slab := make([]uint64, len(keys)*np)
 	for i, k := range keys {
 		node, err := s.tree.Lookup(k)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		vec, packedOK := s.packed[node]
-		values := make([]*big.Int, len(points))
+		values := slab[i*np : (i+1)*np : (i+1)*np]
 		missMont = missMont[:0]
 		missIdx = missIdx[:0]
 		for j := range xs {
 			if v, ok := s.cache.Get(evalKey{node: node, x: xs[j]}); ok {
 				s.counters.AddEvalCacheHits(1)
-				values[j] = new(big.Int).SetUint64(v)
+				values[j] = v
 				continue
 			}
 			missMont = append(missMont, xsMont[j])
@@ -191,27 +193,27 @@ func (s *Local) evalNodesFast(keys []drbg.NodeKey, points []*big.Int) ([]core.No
 		}
 		if len(missIdx) > 0 {
 			s.counters.AddEvalCacheMiss(len(missIdx))
-			if packedOK {
+			if vec, ok := s.packed[node]; ok {
 				ff.EvalMany(vec, missMont, missVal[:len(missIdx)])
-				for m, j := range missIdx {
-					s.cache.Add(evalKey{node: node, x: xs[j]}, missVal[m])
-					values[j] = new(big.Int).SetUint64(missVal[m])
-				}
 			} else {
 				// Node polynomial does not pack (foreign big coefficients):
-				// evaluate through the ring, still caching the results.
-				np := node.Polynomial()
-				for _, j := range missIdx {
-					v, err := s.ring.Eval(np, points[j])
+				// evaluate through the ring — a residue mod p all the same —
+				// still caching the results.
+				q := node.Polynomial()
+				for m, j := range missIdx {
+					v, err := s.ring.Eval(q, points[j])
 					if err != nil {
 						return nil, fmt.Errorf("server: evaluating %s at %s: %w", k, points[j], err)
 					}
-					s.cache.Add(evalKey{node: node, x: xs[j]}, v.Uint64())
-					values[j] = v
+					missVal[m] = ff.ReduceBig(v)
 				}
 			}
+			for m, j := range missIdx {
+				s.cache.Add(evalKey{node: node, x: xs[j]}, missVal[m])
+				values[j] = missVal[m]
+			}
 		}
-		out[i] = core.NodeEval{Key: k, Values: values, NumChildren: len(node.Children)}
+		out[i] = core.NodeEval{Key: k, Words: values, NumChildren: len(node.Children)}
 	}
 	return out, nil
 }

@@ -155,7 +155,7 @@ func TestDaemonShedsTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.answers[0].Values[0].Cmp(want[0].Values[0]) != 0 {
+	if res.answers[0].Values()[0].Cmp(want[0].Values()[0]) != 0 {
 		t.Fatal("parked request's answer differs from reference")
 	}
 }

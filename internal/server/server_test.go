@@ -61,8 +61,8 @@ func TestEvalNodesShapes(t *testing.T) {
 		t.Errorf("child counts: %+v", answers)
 	}
 	for _, a := range answers {
-		if len(a.Values) != 2 {
-			t.Errorf("node %s: %d values", a.Key, len(a.Values))
+		if a.Len() != 2 {
+			t.Errorf("node %s: %d values", a.Key, a.Len())
 		}
 	}
 	// Unknown key errors.
@@ -108,7 +108,7 @@ func TestTampererCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dirty[0].Values[0].Cmp(honest[0].Values[0]) == 0 {
+	if dirty[0].Values()[0].Cmp(honest[0].Values()[0]) == 0 {
 		t.Error("value not tampered")
 	}
 	if tam.ValueTampered.Load() != 1 {
@@ -131,7 +131,7 @@ func TestTampererCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	honest2, _ := local.EvalNodes([]drbg.NodeKey{{1}}, []*big.Int{big.NewInt(2)})
-	if clean[0].Values[0].Cmp(honest2[0].Values[0]) != 0 {
+	if clean[0].Values()[0].Cmp(honest2[0].Values()[0]) != 0 {
 		t.Error("untargeted node modified")
 	}
 	if err := tam.Prune(nil); err != nil {
@@ -171,10 +171,10 @@ func TestTampererValueDelta(t *testing.T) {
 		}
 		forged := int64(0)
 		for j, add := range tc.want {
-			if want := new(big.Int).Add(honest[0].Values[j], big.NewInt(add)); got[0].Values[j].Cmp(want) != 0 {
-				t.Errorf("%s: value %s at point %s, want %s", name, got[0].Values[j], points[j], want)
+			if want := new(big.Int).Add(honest[0].Values()[j], big.NewInt(add)); got[0].Values()[j].Cmp(want) != 0 {
+				t.Errorf("%s: value %s at point %s, want %s", name, got[0].Values()[j], points[j], want)
 			}
-			if got[1].Values[j].Cmp(honest[1].Values[j]) != 0 {
+			if got[1].Values()[j].Cmp(honest[1].Values()[j]) != 0 {
 				t.Errorf("%s: untargeted node modified at point %s", name, points[j])
 			}
 			if add != 0 {

@@ -47,8 +47,11 @@ func (t *Tamperer) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.Nod
 		if out[i].Key.String() != target {
 			continue
 		}
-		// Answers are read-only: forge a copy.
-		vals := append([]*big.Int(nil), out[i].Values...)
+		// Answers are read-only: forge a copy, through the big.Int form —
+		// the sum may leave the canonical range, a word, or the naturals. It
+		// goes out in words when it has a word form, as it would reach a
+		// client off the wire.
+		vals := append([]*big.Int(nil), out[i].Values()...)
 		forged := false
 		for j, v := range vals {
 			delta := big.NewInt(1)
@@ -61,7 +64,10 @@ func (t *Tamperer) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.Nod
 			}
 		}
 		if forged {
-			out[i].Values = vals
+			out[i].Words, out[i].Big = nil, vals
+			if w, ok := out[i].WordValues(); ok {
+				out[i].Words, out[i].Big = w, nil
+			}
 			t.ValueTampered.Add(1)
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"sssearch/internal/drbg"
@@ -50,8 +49,11 @@ type Manifest struct {
 	// Entries are the prefix assignments, longest-prefix-match semantics.
 	Entries []Entry
 
+	// index maps a prefix in binary form (drbg.NodeKey.AppendBinary) to its
+	// shard; maxDepth is the longest prefix in it.
 	indexOnce sync.Once
 	index     map[string]int
+	maxDepth  int
 	rootOwner int
 }
 
@@ -89,7 +91,8 @@ func (m *Manifest) Validate() error {
 func (m *Manifest) buildIndex() {
 	m.index = make(map[string]int, len(m.Entries))
 	for _, e := range m.Entries {
-		m.index[e.Prefix.String()] = e.Shard
+		m.index[string(e.Prefix.AppendBinary(nil))] = e.Shard
+		m.maxDepth = max(m.maxDepth, len(e.Prefix))
 		if len(e.Prefix) == 0 {
 			m.rootOwner = e.Shard
 		}
@@ -102,23 +105,21 @@ func (m *Manifest) buildIndex() {
 // Owner returns the shard that owns key: the entry with the longest
 // prefix of key. On a validated manifest every key has an owner (the root
 // entry is the catch-all). Owner sits on the per-key hot path of both
-// the Router and the Guard, so the key is rendered once and trimmed at
-// path separators — one string build plus O(depth) map probes, no
-// per-prefix re-rendering.
+// the Router and the Guard, so it renders nothing: the key's binary form
+// grows one component at a time, as deep as the deepest entry, and the
+// index is probed with each prefix in place — the last hit is the longest.
 func (m *Manifest) Owner(key drbg.NodeKey) int {
 	m.indexOnce.Do(m.buildIndex)
-	ks := key.String()
-	for len(ks) > 1 {
-		if s, ok := m.index[ks]; ok {
-			return s
+	owner := m.rootOwner
+	var buf [64]byte // deeper entries than it holds spill to the heap
+	b := buf[:0]
+	for _, c := range key[:min(len(key), m.maxDepth)] {
+		b = binary.AppendUvarint(b, uint64(c))
+		if s, ok := m.index[string(b)]; ok {
+			owner = s
 		}
-		i := strings.LastIndexByte(ks, '/')
-		if i <= 0 {
-			break
-		}
-		ks = ks[:i]
 	}
-	return m.rootOwner
+	return owner
 }
 
 // keyHasPrefix reports whether key starts with prefix.
@@ -200,7 +201,7 @@ func (m *Manifest) UnmarshalBinary(data []byte) error {
 	m.Entries = dec.Entries
 	m.indexOnce = sync.Once{}
 	m.index = nil
-	m.rootOwner = 0
+	m.maxDepth, m.rootOwner = 0, 0
 	return nil
 }
 

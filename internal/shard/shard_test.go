@@ -271,9 +271,9 @@ func TestRouterMatchesReference(t *testing.T) {
 				if got[i].Key.String() != want[i].Key.String() || got[i].NumChildren != want[i].NumChildren {
 					t.Fatalf("answer %d misrouted: %+v vs %+v", i, got[i], want[i])
 				}
-				for j := range want[i].Values {
-					if got[i].Values[j].Cmp(want[i].Values[j]) != 0 {
-						t.Fatalf("%s point %d: %v, want %v", want[i].Key, j, got[i].Values[j], want[i].Values[j])
+				for j := range want[i].Values() {
+					if got[i].Values()[j].Cmp(want[i].Values()[j]) != 0 {
+						t.Fatalf("%s point %d: %v, want %v", want[i].Key, j, got[i].Values()[j], want[i].Values()[j])
 					}
 				}
 			}
@@ -549,7 +549,7 @@ func TestReplicatedRouterFailsOver(t *testing.T) {
 	}
 	for i := range keys {
 		for j := range points {
-			if got[i].Values[j].Cmp(want[i].Values[j]) != 0 {
+			if got[i].Values()[j].Cmp(want[i].Values()[j]) != 0 {
 				t.Fatalf("key %s point %d diverged after failover", keys[i], j)
 			}
 		}

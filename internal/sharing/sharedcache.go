@@ -3,7 +3,6 @@ package sharing
 import (
 	"encoding/binary"
 	"fmt"
-	"math/big"
 	"sync"
 
 	"sssearch/internal/drbg"
@@ -26,8 +25,9 @@ const DefaultSharedPadNodes = 16384
 const DefaultShareEvalEntries = 1 << 16
 
 // shareEvalKey addresses one cached multi-point share evaluation: the
-// node's rendered path plus the exact point vector (canonical word
-// residues, in call order) rendered to bytes once per lookup.
+// node's path in binary form (drbg.NodeKey.AppendBinary) plus the exact
+// point vector (canonical word residues, in call order) rendered to bytes
+// once per block of lookups.
 type shareEvalKey struct {
 	node string
 	sig  string
@@ -134,12 +134,14 @@ func (s *SharedPadCache) NewClient() *SeedClient {
 
 // pad returns the node's packed share pad, serving cross-session hits
 // from the shared LRU and collapsing concurrent misses into one DRBG
-// regeneration. m receives the calling session's tallies.
-func (s *SharedPadCache) pad(key drbg.NodeKey, ks string, m *metrics.Counters) ([]uint64, error) {
-	if v, ok := s.pads.Get(ks); ok {
+// regeneration. kb is the key's binary form; m receives the calling
+// session's tallies.
+func (s *SharedPadCache) pad(key drbg.NodeKey, kb []byte, m *metrics.Counters) ([]uint64, error) {
+	if v, ok := s.pads.Get(string(kb)); ok {
 		m.AddSharedPadHits(1)
 		return v, nil
 	}
+	ks := string(kb)
 	s.mu.Lock()
 	if call, ok := s.padCalls[ks]; ok {
 		s.mu.Unlock()
@@ -184,38 +186,34 @@ func pointSig(xs []uint64) string {
 	return string(b)
 }
 
-// boxVals lifts cached word values into the big.Int boundary
-// representation (fresh allocations — cached words are never aliased into
-// caller-visible big.Ints).
-func boxVals(vals []uint64) []*big.Int {
-	out := make([]*big.Int, len(vals))
-	for i, v := range vals {
-		out[i] = new(big.Int).SetUint64(v)
+// evalShares evaluates the client share of every key of a block at the
+// block's point vector into dst (see WordSource), serving repeated (node,
+// point-set) requests — the hot-wave pattern where every session of one key
+// asks for the same node at the same rotating point — from the shared eval
+// LRU without touching the pad at all. The point vector is signed once for
+// the block; a hit copies its words and allocates nothing.
+func (s *SharedPadCache) evalShares(dst []uint64, keys []drbg.NodeKey, pv pointVec, m *metrics.Counters) (done int, err error) {
+	sig := pointSig(pv.xs)
+	np := len(pv.xs)
+	var buf [nodeKeyBuf]byte
+	for i, key := range keys {
+		kb := key.AppendBinary(buf[:0])
+		vals, ok := s.evals.Get(shareEvalKey{node: string(kb), sig: sig})
+		if ok {
+			m.AddShareEvalHits(1)
+		} else if vals, err = s.evalMiss(key, kb, sig, pv.mont, m); err != nil {
+			return i, err
+		}
+		copy(dst[i*np:(i+1)*np], vals)
 	}
-	return out
+	return len(keys), nil
 }
 
-// evalShares evaluates the node's client share at every point, serving
-// repeated (node, point-set) requests — the hot-wave pattern where every
-// session of one key asks for the same node at the same rotating point —
-// from the shared eval LRU without touching the pad at all. Concurrent
+// evalMiss is evalShares for one key the eval LRU did not hold. Concurrent
 // misses on one (node, point-set) run the Horner pass once; piggybacked
 // waiters count as eval hits (they skipped the pass).
-func (s *SharedPadCache) evalShares(key drbg.NodeKey, points []*big.Int, m *metrics.Counters) ([]*big.Int, error) {
-	xs := make([]uint64, len(points))
-	for i, p := range points {
-		x, err := s.fp.PackPoint(p)
-		if err != nil {
-			return nil, err
-		}
-		xs[i] = x
-	}
-	ks := key.String()
-	ek := shareEvalKey{node: ks, sig: pointSig(xs)}
-	if v, ok := s.evals.Get(ek); ok {
-		m.AddShareEvalHits(1)
-		return boxVals(v), nil
-	}
+func (s *SharedPadCache) evalMiss(key drbg.NodeKey, kb []byte, sig string, mont []uint64, m *metrics.Counters) ([]uint64, error) {
+	ek := shareEvalKey{node: string(kb), sig: sig}
 	s.mu.Lock()
 	if call, ok := s.evalCalls[ek]; ok {
 		s.mu.Unlock()
@@ -224,44 +222,30 @@ func (s *SharedPadCache) evalShares(key drbg.NodeKey, points []*big.Int, m *metr
 			return nil, call.err
 		}
 		m.AddShareEvalHits(1)
-		return boxVals(call.vals), nil
+		return call.vals, nil
 	}
 	if v, ok := s.evals.Get(ek); ok {
 		s.mu.Unlock()
 		m.AddShareEvalHits(1)
-		return boxVals(v), nil
+		return v, nil
 	}
 	call := &evalCall{done: make(chan struct{})}
 	s.evalCalls[ek] = call
 	s.mu.Unlock()
 
 	m.AddShareEvalMiss(1)
-	vals, err := s.evalOnce(key, ks, xs, m)
+	// The actual multi-point Horner pass, over the (possibly freshly
+	// regenerated) pad.
+	vec, err := s.pad(key, kb, m)
 	if err == nil {
-		s.evals.Add(ek, vals)
+		call.vals = make([]uint64, len(mont))
+		s.fp.Fast().EvalMany(vec, mont, call.vals)
+		s.evals.Add(ek, call.vals)
 	}
-	call.vals, call.err = vals, err
+	call.err = err
 	s.mu.Lock()
 	delete(s.evalCalls, ek)
 	s.mu.Unlock()
 	close(call.done)
-	if err != nil {
-		return nil, err
-	}
-	return boxVals(vals), nil
-}
-
-// evalOnce runs the actual multi-point Horner pass over the (possibly
-// freshly regenerated) pad.
-func (s *SharedPadCache) evalOnce(key drbg.NodeKey, ks string, xs []uint64, m *metrics.Counters) ([]uint64, error) {
-	vec, err := s.pad(key, ks, m)
-	if err != nil {
-		return nil, err
-	}
-	ff := s.fp.Fast()
-	mont := make([]uint64, len(xs))
-	ff.MFormVec(mont, xs)
-	dst := make([]uint64, len(xs))
-	ff.EvalMany(vec, mont, dst)
-	return dst, nil
+	return call.vals, err
 }

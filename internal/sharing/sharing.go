@@ -294,10 +294,10 @@ type SeedClient struct {
 	// attaches to (set only by SharedPadCache.NewClient, before first
 	// use); the private cache below is then bypassed.
 	shared *SharedPadCache
-	// cache maps node-key strings to packed share pads. Cached vectors
-	// are shared and must never be mutated. Held through an atomic
-	// pointer: SetShareCacheNodes swaps it while packedShare reads it
-	// from concurrent queries.
+	// cache maps node keys, in binary form (drbg.NodeKey.AppendBinary), to
+	// packed share pads. Cached vectors are shared and must never be
+	// mutated. Held through an atomic pointer: SetShareCacheNodes swaps it
+	// while packedShare reads it from concurrent queries.
 	cache atomic.Pointer[lru.Cache[string, []uint64]]
 	// counters receives the pad-cache hit/miss tallies (the client-side
 	// mirror of server.Local's eval-cache counters). Atomic for the same
@@ -350,13 +350,14 @@ func (c *SeedClient) Ring() ring.Ring { return c.r }
 // it from the seed on a cache miss. The returned slice is shared — read
 // only.
 func (c *SeedClient) packedShare(key drbg.NodeKey) ([]uint64, error) {
-	ks := key.String()
+	var buf [nodeKeyBuf]byte
+	kb := key.AppendBinary(buf[:0])
 	if c.shared != nil {
-		return c.shared.pad(key, ks, c.counters.Load())
+		return c.shared.pad(key, kb, c.counters.Load())
 	}
 	counters := c.counters.Load()
 	cache := c.cache.Load()
-	if v, ok := cache.Get(ks); ok {
+	if v, ok := cache.Get(string(kb)); ok {
 		counters.AddPadCacheHits(1)
 		return v, nil
 	}
@@ -365,9 +366,13 @@ func (c *SeedClient) packedShare(key drbg.NodeKey) ([]uint64, error) {
 	if err := c.fp.RandPacked(c.d.ForNode(key), vec); err != nil {
 		return nil, fmt.Errorf("sharing: node %s: %w", key, err)
 	}
-	cache.Add(ks, vec)
+	cache.Add(string(kb), vec)
 	return vec, nil
 }
+
+// nodeKeyBuf is the stack room for a node key's binary form (the key of the
+// node-keyed LRUs): a deeper path than it holds spills to the heap.
+const nodeKeyBuf = 64
 
 // PackedShare implements PackedShareSource.
 func (c *SeedClient) PackedShare(key drbg.NodeKey) ([]uint64, bool, error) {
@@ -410,58 +415,50 @@ func (c *SeedClient) EvalShare(key drbg.NodeKey, a *big.Int) (*big.Int, error) {
 	return c.r.Eval(share, a)
 }
 
-// EvalShares implements MultiPointSource: the share pad is regenerated
-// (or fetched from the cache) once and evaluated at every point in a
-// single multi-point Horner pass — the DRBG regeneration, not the
-// arithmetic, dominates seed-only querying, so one pass per node is the
-// difference between O(points) and O(1) regenerations. On clients
-// attached to a SharedPadCache, repeated (node, point-set) requests —
-// every session of one key chasing the same hot wave — skip the Horner
-// pass entirely via the shared eval LRU.
+// EvalShares implements MultiPointSource: EvalShareWords for one key,
+// boxed — the reference seam; the engine's word path asks in words.
 func (c *SeedClient) EvalShares(key drbg.NodeKey, points []*big.Int) ([]*big.Int, error) {
-	if c.fp == nil {
-		share, err := c.Share(key)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]*big.Int, len(points))
-		for i, p := range points {
-			if out[i], err = c.r.Eval(share, p); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+	if c.fp != nil {
+		return boxedRow(c, key, points)
 	}
-	if c.shared != nil {
-		return c.shared.evalShares(key, points, c.counters.Load())
-	}
-	vec, err := c.packedShare(key)
+	share, err := c.Share(key)
 	if err != nil {
 		return nil, err
 	}
-	return evalPackedMany(c.fp, vec, points)
+	return evalEach(c.r, share, points)
 }
 
-// evalPackedMany evaluates one packed polynomial at every point, boxing
-// the word results into the big.Int boundary representation.
-func evalPackedMany(fp *ring.FpCyclotomic, vec []uint64, points []*big.Int) ([]*big.Int, error) {
-	xs := make([]uint64, len(points))
-	for i, p := range points {
-		x, err := fp.PackPoint(p)
+// EvalShareWords implements WordSource: the point vector is packed and
+// Montgomery-formed once for the block, and each key's pad is regenerated
+// (or fetched from the cache) once and evaluated at every point in a single
+// multi-point Horner pass — the DRBG regeneration, not the arithmetic,
+// dominates seed-only querying, so one pass per node is the difference
+// between O(points) and O(1) regenerations. On clients attached to a
+// SharedPadCache, repeated (node, point-set) requests — every session of
+// one key chasing the same hot wave — skip the Horner pass entirely via the
+// shared eval LRU.
+func (c *SeedClient) EvalShareWords(dst []uint64, keys []drbg.NodeKey, points []*big.Int) (int, bool, error) {
+	if c.fp == nil {
+		return 0, false, nil
+	}
+	pv, err := packPoints(c.fp, points)
+	if err != nil {
+		return 0, true, err
+	}
+	if c.shared != nil {
+		done, err := c.shared.evalShares(dst, keys, pv, c.counters.Load())
+		return done, true, err
+	}
+	ff := c.fp.Fast()
+	np := len(points)
+	for i, key := range keys {
+		vec, err := c.packedShare(key)
 		if err != nil {
-			return nil, err
+			return i, true, err
 		}
-		xs[i] = x
+		ff.EvalMany(vec, pv.mont, dst[i*np:(i+1)*np])
 	}
-	ff := fp.Fast()
-	ff.MFormVec(xs, xs)
-	dst := make([]uint64, len(xs))
-	ff.EvalMany(vec, xs, dst)
-	out := make([]*big.Int, len(dst))
-	for i, v := range dst {
-		out[i] = new(big.Int).SetUint64(v)
-	}
-	return out, nil
+	return len(keys), true, nil
 }
 
 // Materialize expands the client's full share tree for a given document

@@ -41,6 +41,23 @@ type MultiPointSource interface {
 	EvalShares(key drbg.NodeKey, points []*big.Int) ([]*big.Int, error)
 }
 
+// WordSource is MultiPointSource in machine words, a block of keys at a
+// time: what the engine's word path asks, so that a wave's client leg boxes
+// no scalar and packs its point vector once per block, not once per key.
+// The engine type-asserts for it and takes EvalShares (or EvalShare)
+// otherwise, converting at the seam; results are identical either way.
+// Called from several goroutines at once, like every ShareSource method.
+type WordSource interface {
+	ShareSource
+	// EvalShareWords evaluates the client share of every key at every
+	// point into dst, one row per key: dst[i*len(points)+j] is the share of
+	// keys[i] at points[j], reduced. It stops at the first key that fails:
+	// rows [0, done) are written, and err is that key's error (done =
+	// len(keys) and nil on success). ok=false — the source's ring has no
+	// word form — writes nothing and sends the caller to EvalShares.
+	EvalShareWords(dst []uint64, keys []drbg.NodeKey, points []*big.Int) (done int, ok bool, err error)
+}
+
 // PackedShareSource exposes client shares in the packed word
 // representation, letting the engine's tag-recovery path reconstruct
 // polynomials without crossing the big.Int boundary. ok=false means the
@@ -56,6 +73,8 @@ type PackedShareSource interface {
 var (
 	_ MultiPointSource  = (*SeedClient)(nil)
 	_ MultiPointSource  = (*StaticSource)(nil)
+	_ WordSource        = (*SeedClient)(nil)
+	_ WordSource        = (*StaticSource)(nil)
 	_ PackedShareSource = (*SeedClient)(nil)
 	_ PackedShareSource = (*StaticSource)(nil)
 )
@@ -131,19 +150,94 @@ func (s *StaticSource) PackedShare(key drbg.NodeKey) ([]uint64, bool, error) {
 // EvalShares implements MultiPointSource: one pass over the stored
 // polynomial serves all points.
 func (s *StaticSource) EvalShares(key drbg.NodeKey, points []*big.Int) ([]*big.Int, error) {
+	if s.fp != nil {
+		return boxedRow(s, key, points)
+	}
 	n, err := s.tree.Lookup(key)
 	if err != nil {
 		return nil, err
 	}
-	if vec, ok := s.packed[n]; ok {
-		return evalPackedMany(s.fp, vec, points)
+	return evalEach(s.r, n.Polynomial(), points)
+}
+
+// EvalShareWords implements WordSource. A node whose polynomial does not
+// pack (foreign big coefficients) is evaluated through the ring; its values
+// are residues mod p all the same.
+func (s *StaticSource) EvalShareWords(dst []uint64, keys []drbg.NodeKey, points []*big.Int) (int, bool, error) {
+	if s.fp == nil {
+		return 0, false, nil
 	}
+	pv, err := packPoints(s.fp, points)
+	if err != nil {
+		return 0, true, err
+	}
+	ff := s.fp.Fast()
+	np := len(points)
+	for i, key := range keys {
+		n, err := s.tree.Lookup(key)
+		if err != nil {
+			return i, true, err
+		}
+		row := dst[i*np : (i+1)*np]
+		if vec, ok := s.packed[n]; ok {
+			ff.EvalMany(vec, pv.mont, row)
+			continue
+		}
+		vals, err := evalEach(s.r, n.Polynomial(), points)
+		if err != nil {
+			return i, true, err
+		}
+		for j, v := range vals {
+			row[j] = ff.ReduceBig(v)
+		}
+	}
+	return len(keys), true, nil
+}
+
+// evalEach evaluates one polynomial at every point through the ring: the
+// big.Int reference evaluation.
+func evalEach(r ring.Ring, p poly.Poly, points []*big.Int) ([]*big.Int, error) {
 	out := make([]*big.Int, len(points))
-	np := n.Polynomial()
-	for i, p := range points {
-		if out[i], err = s.r.Eval(np, p); err != nil {
+	for i, a := range points {
+		var err error
+		if out[i], err = r.Eval(p, a); err != nil {
 			return nil, err
 		}
+	}
+	return out, nil
+}
+
+// pointVec is a point vector packed for a block of keys: the canonical word
+// residues and their Montgomery forms.
+type pointVec struct {
+	xs, mont []uint64
+}
+
+// packPoints packs a point vector once for every key evaluated at it.
+func packPoints(fp *ring.FpCyclotomic, points []*big.Int) (pointVec, error) {
+	pv := pointVec{xs: make([]uint64, 2*len(points))}
+	pv.xs, pv.mont = pv.xs[:len(points)], pv.xs[len(points):]
+	for i, p := range points {
+		x, err := fp.PackPoint(p)
+		if err != nil {
+			return pointVec{}, err
+		}
+		pv.xs[i] = x
+	}
+	fp.Fast().MFormVec(pv.mont, pv.xs)
+	return pv, nil
+}
+
+// boxedRow is EvalShares over a word source: one key's row, lifted into the
+// big.Int boundary representation — the thin boxed reference seam.
+func boxedRow(src WordSource, key drbg.NodeKey, points []*big.Int) ([]*big.Int, error) {
+	row := make([]uint64, len(points))
+	if _, _, err := src.EvalShareWords(row, []drbg.NodeKey{key}, points); err != nil {
+		return nil, err
+	}
+	out := make([]*big.Int, len(row))
+	for i, v := range row {
+		out[i] = new(big.Int).SetUint64(v)
 	}
 	return out, nil
 }

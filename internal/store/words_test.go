@@ -163,7 +163,7 @@ func TestLoadKeepsNonCanonicalPolysOffTheWordPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := answers[k].Values[i]; got.Cmp(want) != 0 {
+			if got := answers[k].Values()[i]; got.Cmp(want) != 0 {
 				t.Fatalf("node %s at %s: loaded store evaluates to %s, canonical polynomial to %s", key, a, got, want)
 			}
 		}

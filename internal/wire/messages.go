@@ -188,19 +188,37 @@ type EvalResp struct {
 // EncodeEvalResp marshals an EvalResp payload.
 func EncodeEvalResp(r EvalResp) []byte { return AppendEvalResp(nil, r) }
 
-// AppendEvalResp marshals an EvalResp payload onto dst.
+// AppendEvalResp marshals an EvalResp payload onto dst. An answer's values
+// are a big.Int list (AppendBigs) on the wire; one held as words is written
+// from the words, byte for byte what boxing them first would write.
 func AppendEvalResp(dst []byte, r EvalResp) []byte {
+	// Sized once, from the first answer: the answers of a wave hold as many
+	// values and sit about as deep. Where that falls short append grows.
+	if len(r.Answers) > 0 {
+		a := r.Answers[0]
+		dst = slices.Grow(dst, 2*binary.MaxVarintLen64+len(r.Answers)*
+			(keySize(a.Key)+uvarintLen(uint64(a.NumChildren))+poly.WordListSize(a.Words)))
+	}
 	dst = binary.AppendUvarint(dst, r.ID)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Answers)))
-	for _, a := range r.Answers {
+	for i := range r.Answers {
+		a := &r.Answers[i]
 		dst = AppendKey(dst, a.Key)
 		dst = binary.AppendUvarint(dst, uint64(a.NumChildren))
-		dst = AppendBigs(dst, a.Values)
+		if len(a.Big) == 0 {
+			dst = poly.AppendWordList(dst, a.Words)
+		} else {
+			dst = AppendBigs(dst, a.Big)
+		}
 	}
 	return dst
 }
 
-// DecodeEvalResp unmarshals an EvalResp payload.
+// DecodeEvalResp unmarshals an EvalResp payload. Values land as words, the
+// whole response's in one array, wherever an answer's all fit; an answer
+// with a negative or wider value is decoded by DecodeBigs, which also
+// reports malformed input. The words are what the peer sent — any uint64:
+// the consumer reduces.
 func DecodeEvalResp(data []byte) (EvalResp, error) {
 	id, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -216,8 +234,10 @@ func DecodeEvalResp(data []byte) (EvalResp, error) {
 		return EvalResp{}, errors.New("wire: answer count exceeds available bytes")
 	}
 	out := EvalResp{ID: id, Answers: make([]core.NodeEval, n)}
+	var slab poly.WordSlab
+	var keys keySlab
 	for i := uint64(0); i < n; i++ {
-		key, rest, err := DecodeKey(data)
+		key, rest, err := keys.decode(data, int(n-i))
 		if err != nil {
 			return EvalResp{}, err
 		}
@@ -225,12 +245,22 @@ func DecodeEvalResp(data []byte) (EvalResp, error) {
 		if k <= 0 || nch > maxListLen {
 			return EvalResp{}, errors.New("wire: bad child count")
 		}
-		values, rest2, err := DecodeBigs(rest[k:])
-		if err != nil {
-			return EvalResp{}, err
+		rest = rest[k:]
+		if i == 0 {
+			// Every answer of a wave holds as many values as the first; each
+			// takes a byte at least, so this is never more words than bytes.
+			if m, k := binary.Uvarint(rest); k > 0 && m <= uint64(len(rest))/n {
+				slab.Reserve(int(m * n))
+			}
 		}
-		out.Answers[i] = core.NodeEval{Key: key, NumChildren: int(nch), Values: values}
-		data = rest2
+		a := &out.Answers[i]
+		a.Key, a.NumChildren = key, int(nch)
+		var ok bool
+		if a.Words, data, ok = slab.DecodeList(rest, maxListLen); !ok {
+			if a.Big, data, err = DecodeBigs(rest); err != nil {
+				return EvalResp{}, err
+			}
+		}
 	}
 	if len(data) != 0 {
 		return EvalResp{}, errors.New("wire: trailing bytes in eval response")
@@ -296,10 +326,7 @@ func AppendFetchResp(dst []byte, r FetchResp) ([]byte, error) {
 	// megabyte of them when a wave of tag recoveries asked.
 	size := uvarintLen(r.ID) + uvarintLen(uint64(len(r.Answers)))
 	for _, a := range r.Answers {
-		size += uvarintLen(uint64(len(a.Key))) + uvarintLen(uint64(a.NumChildren)) + a.BinarySize()
-		for _, c := range a.Key {
-			size += uvarintLen(uint64(c))
-		}
+		size += keySize(a.Key) + uvarintLen(uint64(a.NumChildren)) + a.BinarySize()
 	}
 	dst = slices.Grow(dst, size)
 	dst = binary.AppendUvarint(dst, r.ID)
@@ -320,6 +347,15 @@ func AppendFetchResp(dst []byte, r FetchResp) ([]byte, error) {
 // uvarintLen is the encoded length of v as an unsigned LEB128 varint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
+// keySize is len(AppendKey(nil, k)).
+func keySize(k drbg.NodeKey) int {
+	n := uvarintLen(uint64(len(k)))
+	for _, c := range k {
+		n += uvarintLen(uint64(c))
+	}
+	return n
+}
+
 // DecodeFetchResp unmarshals a FetchResp payload.
 func DecodeFetchResp(data []byte) (FetchResp, error) {
 	id, k := binary.Uvarint(data)
@@ -337,8 +373,9 @@ func DecodeFetchResp(data []byte) (FetchResp, error) {
 	}
 	out := FetchResp{ID: id, Answers: make([]core.NodePoly, n)}
 	var slab poly.WordSlab // one array for the response's coefficients, not one per answer
+	var keys keySlab
 	for i := uint64(0); i < n; i++ {
-		key, rest, err := DecodeKey(data)
+		key, rest, err := keys.decode(data, int(n-i))
 		if err != nil {
 			return FetchResp{}, err
 		}

@@ -239,6 +239,10 @@ type FramedFrame struct {
 // framedHeaderLen is magic(2) + type(1) + reqid(8) + length(4).
 const framedHeaderLen = 15
 
+// FramedSize is the number of bytes WriteFramed writes for a payload of n
+// bytes.
+func FramedSize(n int) int { return framedHeaderLen + n + 4 }
+
 // WriteFramed writes one pipelined frame to w. It returns the number of
 // bytes written.
 func WriteFramed(w io.Writer, f FramedFrame) (int, error) {
@@ -318,11 +322,7 @@ func ReadAny(r io.Reader) (AnyFrame, int, error) {
 
 // AppendKey encodes a node key.
 func AppendKey(dst []byte, k drbg.NodeKey) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(k)))
-	for _, c := range k {
-		dst = binary.AppendUvarint(dst, uint64(c))
-	}
-	return dst
+	return k.AppendBinary(binary.AppendUvarint(dst, uint64(len(k))))
 }
 
 // maxKeyLen bounds node key depth on decode.
@@ -330,13 +330,47 @@ const maxKeyLen = 1 << 16
 
 // DecodeKey decodes a node key from the front of data.
 func DecodeKey(data []byte) (drbg.NodeKey, []byte, error) {
+	var s keySlab
+	return s.decode(data, 1)
+}
+
+// keySlab decodes the node keys of one message into shared arrays instead
+// of one allocation each — what poly.WordSlab does for its values. The keys
+// it returns are capacity-clipped views of those arrays. The zero value is
+// ready.
+type keySlab struct {
+	free []uint32
+}
+
+// decode is DecodeKey into the slab; more is how many keys the message
+// still holds, this one included, and sizes a new array.
+func (s *keySlab) decode(data []byte, more int) (drbg.NodeKey, []byte, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 || n > maxKeyLen {
 		return nil, nil, errors.New("wire: bad key length")
 	}
 	data = data[k:]
-	key := make(drbg.NodeKey, n)
-	for i := uint64(0); i < n; i++ {
+	if n == 0 {
+		return drbg.NodeKey{}, data, nil
+	}
+	// A component takes a byte at least: a key the bytes cannot hold is
+	// refused before anything is allocated for it.
+	if n > uint64(len(data)) {
+		return nil, nil, errors.New("wire: bad key component")
+	}
+	if int(n) > len(s.free) {
+		// Room for the rest of the message's keys, were they all as deep as
+		// this one; never more components than bytes present.
+		s.free = make([]uint32, max(int(n), min(more*int(n), len(data))))
+	}
+	key := drbg.NodeKey(s.free[:n:n])
+	for i := range key {
+		// One byte, the usual component, in a straight line.
+		if len(data) > 0 && data[0] < 0x80 {
+			key[i] = uint32(data[0])
+			data = data[1:]
+			continue
+		}
 		v, k := binary.Uvarint(data)
 		if k <= 0 || v > 1<<32-1 {
 			return nil, nil, errors.New("wire: bad key component")
@@ -344,6 +378,7 @@ func DecodeKey(data []byte) (drbg.NodeKey, []byte, error) {
 		key[i] = uint32(v)
 		data = data[k:]
 	}
+	s.free = s.free[n:]
 	return key, data, nil
 }
 
@@ -372,10 +407,10 @@ func DecodeKeys(data []byte) ([]drbg.NodeKey, []byte, error) {
 		return nil, nil, errors.New("wire: key count exceeds available bytes")
 	}
 	keys := make([]drbg.NodeKey, n)
-	for i := uint64(0); i < n; i++ {
+	var slab keySlab
+	for i := range keys {
 		var err error
-		keys[i], data, err = DecodeKey(data)
-		if err != nil {
+		if keys[i], data, err = slab.decode(data, len(keys)-i); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -183,8 +183,8 @@ func TestEvalMessages(t *testing.T) {
 	resp := EvalResp{
 		ID: 42,
 		Answers: []core.NodeEval{
-			{Key: drbg.NodeKey{}, NumChildren: 2, Values: []*big.Int{big.NewInt(0), big.NewInt(3)}},
-			{Key: drbg.NodeKey{0}, NumChildren: 0, Values: []*big.Int{big.NewInt(4), big.NewInt(1)}},
+			{Key: drbg.NodeKey{}, NumChildren: 2, Big: []*big.Int{big.NewInt(0), big.NewInt(3)}},
+			{Key: drbg.NodeKey{0}, NumChildren: 0, Big: []*big.Int{big.NewInt(4), big.NewInt(1)}},
 		},
 	}
 	decR, err := DecodeEvalResp(EncodeEvalResp(resp))
@@ -194,7 +194,7 @@ func TestEvalMessages(t *testing.T) {
 	if decR.ID != 42 || len(decR.Answers) != 2 {
 		t.Fatalf("eval resp = %+v", decR)
 	}
-	if decR.Answers[0].NumChildren != 2 || decR.Answers[0].Values[1].Int64() != 3 {
+	if decR.Answers[0].NumChildren != 2 || decR.Answers[0].Values()[1].Int64() != 3 {
 		t.Errorf("answer 0 = %+v", decR.Answers[0])
 	}
 	if _, err := DecodeEvalResp([]byte{0x01}); err == nil {
@@ -460,7 +460,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	payload := EncodeEvalResp(EvalResp{
 		ID: 1,
 		Answers: []core.NodeEval{
-			{Key: drbg.NodeKey{1, 2, 3}, NumChildren: 4, Values: []*big.Int{big.NewInt(12345)}},
+			{Key: drbg.NodeKey{1, 2, 3}, NumChildren: 4, Big: []*big.Int{big.NewInt(12345)}},
 		},
 	})
 	var buf bytes.Buffer

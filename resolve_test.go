@@ -45,20 +45,18 @@ func nestedDoc(t testing.TB, width int) *xmltree.Node {
 	return doc
 }
 
-// TestResolveDifferentialTopologies: whatever sits between the engine and
-// the share trees — a socket, a pool, a shard router, a 2-of-3 Lagrange
-// combine, both, the coalescer, the micro-batcher — a resolve wave is an
-// ordinary evaluation wave at two more points, and VerifyResolve answers
-// as VerifyFull and the plaintext evaluator do, with no polynomial
-// fetched and the same tags recovered, also when waves are split into
-// concurrent batches.
-func TestResolveDifferentialTopologies(t *testing.T) {
-	doc := nestedDoc(t, 12)
-	queries := []string{"//a", "//b", "//a//b", "//a/b", "//b/a//a", "/r/a//a", "//a/*", "//*/b"}
-	for _, topo := range []struct {
-		name string
-		mk   apitest.Maker
-	}{
+// queryTopology is one way to put a ServerAPI between an engine and the
+// fixture's share trees.
+type queryTopology struct {
+	name string
+	mk   apitest.Maker
+}
+
+// queryTopologies are the topologies the conformance suite registers, as
+// whole-query suites run through them: a socket, a pool, a shard router, a
+// 2-of-3 Lagrange combine, both, the coalescer, the micro-batcher.
+func queryTopologies() []queryTopology {
+	return []queryTopology{
 		{"local", func(t *testing.T, f *apitest.Fixture) core.ServerAPI { return f.Reference }},
 		{"remote", func(t *testing.T, f *apitest.Fixture) core.ServerAPI {
 			r, err := client.Dial(startFixtureDaemon(t, f), nil)
@@ -92,7 +90,20 @@ func TestResolveDifferentialTopologies(t *testing.T) {
 			t.Cleanup(func() { r.Close() })
 			return client.NewBatcher(r, nil)
 		}},
-	} {
+	}
+}
+
+// TestResolveDifferentialTopologies: whatever sits between the engine and
+// the share trees — a socket, a pool, a shard router, a 2-of-3 Lagrange
+// combine, both, the coalescer, the micro-batcher — a resolve wave is an
+// ordinary evaluation wave at two more points, and VerifyResolve answers
+// as VerifyFull and the plaintext evaluator do, with no polynomial
+// fetched and the same tags recovered, also when waves are split into
+// concurrent batches.
+func TestResolveDifferentialTopologies(t *testing.T) {
+	doc := nestedDoc(t, 12)
+	queries := []string{"//a", "//b", "//a//b", "//a/b", "//b/a//a", "/r/a//a", "//a/*", "//*/b"}
+	for _, topo := range queryTopologies() {
 		topo := topo
 		t.Run(topo.name, func(t *testing.T) {
 			f := apitest.NewFixtureOver(t, ring.MustFp(257), doc)
