@@ -8,7 +8,7 @@
 //	sss shard   -store server.sss -n 3 [-out dir]
 //	sss query   -key client.key (-store server.sss | -addr host:port | -manifest routing.ssm -addrs a,b,c) [-verify none|resolve|full] [-stats] XPATH
 //	sss inspect (-store server.sss | -key client.key)
-//	sss figures
+//	sss figures [-list] [-quick] [id ...]
 package main
 
 import (
@@ -61,7 +61,7 @@ commands:
   shard    partition a server store into per-daemon shard stores + routing manifest
   query    run an XPath query against a store (local, remote, or sharded)
   inspect  describe a store or client key
-  figures  reproduce the paper's figures 1-6`)
+  figures  reproduce the paper's figures 1-6, or the experiments named (-list shows them)`)
 }
 
 func cmdEncode(args []string) error {
@@ -259,14 +259,26 @@ func cmdInspect(args []string) error {
 
 func cmdFigures(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ExitOnError)
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	quick := fs.Bool("quick", false, "reduced workload sizes")
 	fs.Parse(args)
-	for _, id := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6"} {
+	if *list {
+		for _, e := range experiments.All() {
+			fmt.Printf("%-12s %-28s %s\n", e.ID, e.Ref, e.Title)
+		}
+		return nil
+	}
+	ids := fs.Args()
+	if len(ids) == 0 {
+		ids = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6"}
+	}
+	for _, id := range ids {
 		e, ok := experiments.ByID(id)
 		if !ok {
-			return fmt.Errorf("figures: %s not registered", id)
+			return fmt.Errorf("unknown experiment %q (try -list)", id)
 		}
 		fmt.Printf("\n=== %s: %s ===\n", e.Ref, e.Title)
-		if err := e.Run(os.Stdout, experiments.Config{}); err != nil {
+		if err := e.Run(os.Stdout, experiments.Config{Quick: *quick}); err != nil {
 			return err
 		}
 	}

@@ -21,6 +21,12 @@
 // zero sums identify matches, with an algebraic verification equation
 // that also catches a cheating server.
 //
+// The client prunes silently: it asks nothing below a dead node and sends
+// no notice of it. The server's view of a query is two verbs, evaluate
+// and fetch. Under additive sharing the server cannot tell a zero sum
+// from a non-zero one; a prune notice would tell it, node by node, down
+// to the leaves of the last step — the complement of the answer set.
+//
 // # Quick start
 //
 //	doc, _ := sssearch.ParseXML(`<customers><client><name/></client></customers>`)
@@ -62,9 +68,10 @@
 //     ClientKey.DialShardedReplicated). The partition plan is purely
 //     shape-driven, so one manifest fits every Shamir member tree.
 //
-// Run the storage/latency comparison with:
+// The `query_fabric` workload of BENCHMARK.json runs the last shape (two
+// shards × 2-of-3) and reports `shard.fanout_per_call` and
+// `shard.router_self_ms`; for a walk-through of a sharded deployment:
 //
-//	go run ./cmd/sss-bench -exp shard
 //	go run ./examples/sharded
 //
 // # Concurrency
@@ -92,11 +99,10 @@
 // use. core.Opts.Parallelism is a different axis — it splits a wave into
 // concurrent server batches — and core.MultiServer fans a k-of-n
 // deployment out in parallel, Lagrange-combining the per-server summands —
-// so adding share servers adds throughput rather than latency. Run the
-// comparison with:
-//
-//	go run ./cmd/sss-bench -exp concurrent
-//	go test -bench 'BenchmarkMultiServer4' -benchtime 20x .
+// so adding share servers adds throughput rather than latency
+// (`core.multiserver_member_wait_ms` against `core.multiserver_self_ms` on
+// `query_fabric`; TestMultiServerSequentialParity pins the concurrent
+// fan-out to the sequential one).
 //
 // Every core.ServerAPI implementation is held to one contract by the
 // conformance suite in internal/apitest.
@@ -129,14 +135,9 @@
 //
 // Coalescing tallies (shared passes, absorbed requests, deduplicated
 // evaluations) appear in every Stats snapshot next to the cache pairs.
-// Measure the effect with:
-//
-//	go run ./cmd/sss-bench -exp coalesce
-//	go test -bench 'BenchmarkCoalesce' -benchtime 20x .
-//
-// On the reference host the full batched+coalesced serving stack moves
-// ~3× the hot evaluation waves per second of the per-session path at 16
-// concurrent sessions (BENCH_5.json tracks the `coalesceQuery` target).
+// The `serve_hot` workload of BENCHMARK.json is the one that exercises
+// them: `coalesce.dedup_hit_ratio`, `coalesce.requests_per_batch` and
+// `coalesce.self_ms` say whether merging happened and what it cost.
 //
 // # Client-side caching layers
 //
@@ -163,10 +164,10 @@
 //     under concurrency.
 //
 // All three layers exist only on fast-path F_p rings (pads are packed
-// word vectors) and degrade to plain regeneration elsewhere. Measure the
-// isolated effect with:
-//
-//	go test -bench 'BenchmarkSharedPad16' -benchtime 20x .
+// word vectors) and degrade to plain regeneration elsewhere.
+// `sharing.pad_hit_ratio`, `sharing.share_eval_hit_ratio` and
+// `sharing.pad_regen_us` on `serve_hot` (fits in cache) against
+// `query_fp_tcp` (does not) measure them.
 //
 // # Concurrency & batching knobs
 //
@@ -213,9 +214,9 @@
 // pads (pad-cache hit/miss counters appear in every Stats snapshot); what a
 // cold pad costs is the share stream's business (next section).
 // Differential tests pin both arithmetic stacks to each other at every
-// layer; BENCH_2.json records the measured effect (a //tag lookup over
-// 1000 nodes in F_257 dropped from ~1.6 s to ~14 ms on the reference
-// host).
+// layer; `queries_per_s` on `query_fp_tcp` (the fast path over a network)
+// beside `query_z_local` (the math/big reference ring) is the measured
+// pair.
 //
 // # Data plane
 //
@@ -392,8 +393,7 @@
 // shares one scratch product, so a recovery allocates only its result. The
 // solve time of each wave is the tag_recover stage of internal/obs; the
 // fetch it waited for is the wire's.
-// Fetches and the prune notice that ends a descendant scan carry the
-// query's context (core.FetchPolysWithCtx, core.PruneWithCtx), so a
+// Fetches carry the query's context (core.FetchPolysWithCtx), so a
 // sampled query's trace id and deadline budget ride every frame it sends.
 //
 // On word-sized F_p rings a share polynomial is its []uint64 coefficient
@@ -520,25 +520,21 @@
 // byte-identical at every Parallelism setting to MultiSplitSequential,
 // the retained big.Int reference walk.
 //
-// BENCH_10.json records the capacity-scale effect (100k-node F_257
-// outsourcing ~192 s on the big.Int reference pipeline vs ~3.5 s on the
-// fast path, measured in one run via sss-bench -baselines; 3-of-4
-// MultiSplit over 300 nodes ~392 ms → ~30 ms).
+// The write path is the `outsource` workload of BENCHMARK.json:
+// `outsource_nodes_per_s` end to end, split by layer into
+// `xmltree.parse_ms`, `polyenc.encode_ms`, `sharing.split_ms` and
+// `store.save_ms` (`sharing.multishare_ms` and
+// `fastfield.lagrange_combine_ns_per_value` on `query_fabric` for the
+// k-of-n half):
 //
-// BENCH_3.json records the pipeline effect (1000-node F_257 outsourcing
-// ~150 ms → ~30 ms on the 1-vCPU reference host, with the parallel walk
-// inactive there; 3-of-4 combine workload ~154 ms → ~2.4 ms). Track the
-// trajectory with:
-//
-//	go run ./cmd/sss-bench -json out.json
-//	go run ./cmd/sss-bench -json out.json -cpuprofile cpu.out -memprofile mem.out
+//	go run ./benchmark
 //
 // # Fault tolerance
 //
 // The serving fabric assumes transports fail and is built so that no
 // retry, failover or hedge can ever change an answer: EvalNodes and
-// FetchPolys are pure reads over an immutable share tree and Prune is an
-// advisory no-op, so re-issuing a request — on a fresh connection, a
+// FetchPolys are pure reads over an immutable share tree (Prune, which
+// the engine never sends, is a no-op), so re-issuing a request — on a fresh connection, a
 // pool sibling, a shard replica, or a hedged spare — can only reproduce
 // the byte-identical result. The error classifier
 // (internal/resilience.Retryable) is what keeps that sound: transport
@@ -562,8 +558,8 @@
 //     typed ErrNoHealthyMembers tells callers the pool itself is gone.
 //   - core.MultiServer: setting HedgeDelay launches only k members
 //     up front and arms a timer; a straggling primary is covered by a
-//     spare instead of stalling the whole fan-out (BENCH_7.json records
-//     the hedgedTail/unhedgedTail tail-latency cut).
+//     spare instead of stalling the whole fan-out
+//     (TestMultiServerHedgedMatchesSingle, TestChaosMultiServerHedged).
 //   - shard.NewReplicatedRouter: each shard is a replica group; a
 //     sub-batch that fails with a transport-class error is retried
 //     against the next replica, while semantic errors return immediately.
@@ -628,11 +624,7 @@
 // StoreSwaps, SlowConsumerCut in every Stats snapshot) and chaos-proved:
 // the overload and hot-swap suites drive every resilient topology at
 // several times a tiny admission cap and through continuous mid-wave
-// store swaps, asserting byte-identical answers throughout. BENCH_8.json
-// records the effect (`overloadShed` vs `overloadUnbounded`): at 4× the
-// offered load a capacity-matched admission cap holds served-request p99
-// several times lower than open admission, with zero wrong answers
-// either way.
+// store swaps, asserting byte-identical answers throughout.
 //
 // # Observability
 //
@@ -660,12 +652,13 @@
 // histograms), /healthz (503 once draining — point load-balancer checks
 // here), /varz (JSON counters, stage quantiles and the slow-query log
 // with per-stage breakdowns) and /debug/pprof. Keep it on loopback or an
-// internal interface. The traceOverhead bench target tracks the cost of
-// 100% sampling against the untraced lookup hot path:
+// internal interface. `trace.overhead_ratio` in BENCHMARK.json tracks the
+// cost of a fully traced run against the untraced one:
 //
 //	sss-server -store server.sss -debug-addr 127.0.0.1:7071 -trace-sample 100
 //	curl -s 127.0.0.1:7071/varz | jq .slow_queries
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured reproduction of every figure.
+// See benchmark/README.md for the workloads and metrics every performance
+// statement above is read from, and `sss figures -list` for the
+// paper-vs-measured reproduction of every figure and analytic claim.
 package sssearch

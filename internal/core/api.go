@@ -7,8 +7,10 @@
 // evaluates its share polynomial at the query point(s) and returns scalar
 // values; the client adds its own (seed-regenerated) share values and tests
 // the sum for zero. A non-zero sum proves the subtree contains no match and
-// the branch is pruned — the server is told to stop, which is the source of
-// the scheme's sub-linear work. Zero nodes with no zero child are definite
+// the branch is pruned — the client asks nothing below it, which is the
+// source of the scheme's sub-linear work, and sends no notice: the server
+// cannot tell a zero sum from a non-zero one, and a list of dead nodes
+// would tell it. Zero nodes with no zero child are definite
 // answers; other zero nodes are disambiguated by solving eq. (2) for the
 // node tag — pointwise, from two more evaluations, on F_p; coefficient by
 // coefficient on reconstructed polynomials (package polyenc) elsewhere
@@ -160,10 +162,10 @@ type ServerAPI interface {
 	// bytes, and the engine asks for a whole step's candidates in a few
 	// large calls, see recoverNodeTags.
 	FetchPolys(keys []drbg.NodeKey) ([]NodePoly, error)
-	// Prune tells the server the given subtrees are dead for the current
-	// query, so it can release per-query state. Advisory: the in-process
-	// server is stateless per query, the remote server uses it to stop
-	// precomputation.
+	// Prune is never called by the engine, and no implementation keeps
+	// per-query state for it to release: a query's view of the server is
+	// EvalNodes and FetchPolys. The method is retained until the frozen
+	// benchmark's tap, which forwards it, is edited.
 	Prune(keys []drbg.NodeKey) error
 }
 

@@ -148,6 +148,53 @@ func TestQueryMissRootPrune(t *testing.T) {
 	}
 }
 
+// TestServerViewHasTwoVerbs: what the server sees of a query is EvalNodes
+// and FetchPolys, one call a round, and nothing else. Pruning is the client
+// not asking: a prune notice would list the nodes whose sums were non-zero,
+// which additive sharing hides from the server. The counts are the ones the
+// tests above pin (the two name leaves die under //client; a miss dies at
+// the root), on both rings, whichever way tags are resolved.
+func TestServerViewHasTwoVerbs(t *testing.T) {
+	doc := paperdata.Document()
+	vocab := []string{"customers", "client", "name", "ghost"}
+	queries := []struct {
+		expr            string
+		visited, pruned int64
+	}{
+		{"//client", 5, 2},
+		{"//ghost", 1, 1},
+		{"/customers/client/name", 9, 0},
+		{"/customers//name", 7, 0},
+		{"//client/*", 5, 2},
+	}
+	for ri, r := range []ring.Ring{ring.MustFp(257), ring.MustIntQuotient(1, 0, 1)} {
+		st := newWaveStack(t, r, doc, vocab, byte(30+ri))
+		for _, qc := range queries {
+			q := xpath.MustParse(qc.expr)
+			for _, level := range []core.VerifyLevel{core.VerifyResolve, core.VerifyFull} {
+				name := fmt.Sprintf("%s %s %s", r.Name(), qc.expr, level)
+				view := &callCounter{ServerAPI: st.srv}
+				res, err := st.engine(view, 0).Query(q, core.Opts{Verify: level, Parallelism: 1})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if n := view.prunes.Load(); n != 0 {
+					t.Errorf("%s: the engine sent %d prune notices", name, n)
+				}
+				if calls := view.evals.Load() + view.fetches.Load(); calls != res.Stats.Rounds {
+					t.Errorf("%s: %d evaluation and %d fetch calls in %d rounds", name, view.evals.Load(), view.fetches.Load(), res.Stats.Rounds)
+				}
+				if res.Stats.NodesVisited != qc.visited || res.Stats.NodesPruned != qc.pruned {
+					t.Errorf("%s: visited %d, pruned %d, want %d and %d", name, res.Stats.NodesVisited, res.Stats.NodesPruned, qc.visited, qc.pruned)
+				}
+				if !sameSet(keySet(res.Matches), oracleKeys(doc, q)) || len(res.Unresolved) != 0 {
+					t.Errorf("%s: matches %v (unresolved %v), oracle %v", name, res.Matches, res.Unresolved, oracleKeys(doc, q))
+				}
+			}
+		}
+	}
+}
+
 func TestUnknownTagError(t *testing.T) {
 	eng, _ := setup(t, paperdata.ZRing(), paperdata.Document(), paperdata.Mapping(nil), 5, false)
 	_, err := eng.Lookup("never-mapped", core.Opts{})

@@ -65,7 +65,7 @@ func TestResolveAtPointsDifferential(t *testing.T) {
 				doc = randomDoc(rng, c.depth, c.fan, vocab)
 			}
 			st := newWaveStack(t, r, doc, vocab, byte(160+2*ci+trial))
-			counted := &fetchCounter{ServerAPI: st.srv}
+			counted := &callCounter{ServerAPI: st.srv}
 			eng := st.engine(counted, 0)
 			if core.ResolvePoints(eng) == nil {
 				t.Fatalf("F_%d: the engine has no resolve points", c.p)
@@ -126,42 +126,56 @@ func countsOf(res *core.Result) protocolCounts {
 // nothing to NodesVisited — the paper's efficiency metric counts the
 // traversal — and nothing else moves, also when the wave is split into
 // concurrent batches. Z[x]/(r) keeps the polynomial path and fetches what
-// it always fetched: the resolve set, once, in one call.
+// it always fetched: the resolve set, once, in one call; VerifyFull on F_p
+// recovers the same tags from polynomials and re-derives every match. The
+// chain of 200 is the worst case for tag resolution (every node but the
+// innermost is ambiguous, every polynomial fills the ring) and is what no
+// other test reaches.
 func TestResolveWaveCounters(t *testing.T) {
-	const depth = 12
-	doc := chainDoc(t, depth)
-	lookup := func(st *waveStack, api core.ServerAPI, level core.VerifyLevel, parallelism int) protocolCounts {
-		t.Helper()
-		res, err := st.engine(api, 0).Lookup("a", core.Opts{Verify: level, Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
+	for _, depth := range []int64{12, 200} {
+		if depth > 12 && testing.Short() {
+			continue
 		}
-		return countsOf(res)
-	}
-	zst := newWaveStack(t, ring.MustIntQuotient(1, 0, 1), doc, []string{"a", "b"}, 170)
-	counted := &fetchCounter{ServerAPI: zst.srv}
-	zscan, zres := lookup(zst, zst.srv, core.VerifyNone, 0), lookup(zst, counted, core.VerifyResolve, 0)
-	if counted.fetches.Load() != 1 || zres.PolysFetched != depth || zres.TagsRecovered != depth-1 {
-		t.Fatalf("Z[x]/(r): %d fetches of %d polynomials for %d recoveries, want 1, %d and %d",
-			counted.fetches.Load(), zres.PolysFetched, zres.TagsRecovered, depth, depth-1)
-	}
-	if zres.NodesVisited != zscan.NodesVisited || zres.ValuesMoved != zscan.ValuesMoved {
-		t.Fatalf("Z[x]/(r): resolving visited %d nodes and moved %d values, the scan alone %d and %d",
-			zres.NodesVisited, zres.ValuesMoved, zscan.NodesVisited, zscan.ValuesMoved)
-	}
-	st := newWaveStack(t, ring.MustFp(257), doc, []string{"a", "b"}, 171)
-	for _, parallelism := range []int{0, 4} {
-		want, got := lookup(st, st.srv, core.VerifyNone, parallelism), lookup(st, st.srv, core.VerifyResolve, parallelism)
-		want.Rounds++
-		want.NodesEvaluated += 2 * depth
-		want.ValuesMoved += 2 * depth
-		want.TagsRecovered = depth - 1
-		if got != want {
-			t.Fatalf("parallelism %d: resolve counts\n%+v\nwant the scan's plus one round of 2×%d values\n%+v", parallelism, got, depth, want)
+		doc := chainDoc(t, int(depth))
+		lookup := func(st *waveStack, api core.ServerAPI, level core.VerifyLevel, parallelism int) protocolCounts {
+			t.Helper()
+			res, err := st.engine(api, 0).Lookup("a", core.Opts{Verify: level, Parallelism: parallelism})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if matches, unresolved := int64(len(res.Matches)), int64(len(res.Unresolved)); matches+unresolved != depth || (level != core.VerifyNone && unresolved != 0) {
+				t.Fatalf("depth %d at %s: %d matches and %d unresolved", depth, level, matches, unresolved)
+			}
+			return countsOf(res)
 		}
-		if got.NodesVisited != zres.NodesVisited || got.NodesPruned != zres.NodesPruned || got.TagsRecovered != zres.TagsRecovered {
-			t.Fatalf("parallelism %d: visited %d, pruned %d, recovered %d; the polynomial path %d, %d, %d", parallelism,
-				got.NodesVisited, got.NodesPruned, got.TagsRecovered, zres.NodesVisited, zres.NodesPruned, zres.TagsRecovered)
+		zst := newWaveStack(t, ring.MustIntQuotient(1, 0, 1), doc, []string{"a", "b"}, 170)
+		counted := &callCounter{ServerAPI: zst.srv}
+		zscan, zres := lookup(zst, zst.srv, core.VerifyNone, 0), lookup(zst, counted, core.VerifyResolve, 0)
+		if counted.fetches.Load() != 1 || zres.PolysFetched != depth || zres.TagsRecovered != depth-1 {
+			t.Fatalf("Z[x]/(r): %d fetches of %d polynomials for %d recoveries, want 1, %d and %d",
+				counted.fetches.Load(), zres.PolysFetched, zres.TagsRecovered, depth, depth-1)
+		}
+		if zres.NodesVisited != zscan.NodesVisited || zres.ValuesMoved != zscan.ValuesMoved {
+			t.Fatalf("Z[x]/(r): resolving visited %d nodes and moved %d values, the scan alone %d and %d",
+				zres.NodesVisited, zres.ValuesMoved, zscan.NodesVisited, zscan.ValuesMoved)
+		}
+		st := newWaveStack(t, ring.MustFp(257), doc, []string{"a", "b"}, 171)
+		for _, parallelism := range []int{0, 4} {
+			want, got := lookup(st, st.srv, core.VerifyNone, parallelism), lookup(st, st.srv, core.VerifyResolve, parallelism)
+			want.Rounds++
+			want.NodesEvaluated += 2 * depth
+			want.ValuesMoved += 2 * depth
+			want.TagsRecovered = depth - 1
+			if got != want {
+				t.Fatalf("parallelism %d: resolve counts\n%+v\nwant the scan's plus one round of 2×%d values\n%+v", parallelism, got, depth, want)
+			}
+			if got.NodesVisited != zres.NodesVisited || got.NodesPruned != zres.NodesPruned || got.TagsRecovered != zres.TagsRecovered {
+				t.Fatalf("parallelism %d: visited %d, pruned %d, recovered %d; the polynomial path %d, %d, %d", parallelism,
+					got.NodesVisited, got.NodesPruned, got.TagsRecovered, zres.NodesVisited, zres.NodesPruned, zres.TagsRecovered)
+			}
+			if full := lookup(st, st.srv, core.VerifyFull, parallelism); full.TagsRecovered != got.TagsRecovered+depth {
+				t.Fatalf("parallelism %d: VerifyFull recovered %d tags, want the resolve wave's %d and one per match", parallelism, full.TagsRecovered, got.TagsRecovered)
+			}
 		}
 	}
 }

@@ -605,9 +605,11 @@ func (r *run) evalBatch(ids []int, keys []drbg.NodeKey, pts []int, points []*big
 // point proves no candidate can exist below — the paper's dead-branch
 // pruning), and returns all all-zero nodes as candidates, each once: a
 // subtree two roots share is scanned from the first that reaches it.
+// Pruning is silent: the client stops asking below a dead node and tells
+// the server nothing, which cannot tell a zero sum from a non-zero one.
 func (r *run) scanDescendants(roots []int, pts []int) ([]int, error) {
 	var cands []int
-	var pruned []drbg.NodeKey
+	pruned := 0
 	r.serial++
 	var frontier []int
 	for _, id := range roots {
@@ -622,7 +624,7 @@ func (r *run) scanDescendants(roots []int, pts []int) ([]int, error) {
 		var next []int
 		for _, id := range frontier {
 			if !r.zeroAll(id, pts) {
-				pruned = append(pruned, r.nodes[id].key)
+				pruned++
 				continue
 			}
 			cands = append(cands, id)
@@ -635,12 +637,7 @@ func (r *run) scanDescendants(roots []int, pts []int) ([]int, error) {
 		}
 		frontier = next
 	}
-	if len(pruned) > 0 {
-		r.e.counters.AddPruned(len(pruned))
-		if err := PruneWithCtx(r.ctx, r.e.api, pruned); err != nil {
-			return nil, err
-		}
-	}
+	r.e.counters.AddPruned(pruned)
 	return cands, nil
 }
 

@@ -27,15 +27,26 @@ import (
 	"sssearch/internal/xpath"
 )
 
-// fetchCounter counts FetchPolys calls at the engine's ServerAPI seam.
-type fetchCounter struct {
+// callCounter counts the calls of each verb at the engine's ServerAPI seam:
+// the server's whole view of a query, by kind.
+type callCounter struct {
 	core.ServerAPI
-	fetches atomic.Int64
+	evals, fetches, prunes atomic.Int64
 }
 
-func (c *fetchCounter) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
+func (c *callCounter) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
+	c.evals.Add(1)
+	return c.ServerAPI.EvalNodes(keys, points)
+}
+
+func (c *callCounter) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	c.fetches.Add(1)
 	return c.ServerAPI.FetchPolys(keys)
+}
+
+func (c *callCounter) Prune(keys []drbg.NodeKey) error {
+	c.prunes.Add(1)
+	return c.ServerAPI.Prune(keys)
 }
 
 // waveStack is one outsourced document with an engine per chunk budget
@@ -124,7 +135,7 @@ func TestWaveMatchesPerCandidatePath(t *testing.T) {
 				for _, level := range levels {
 					name := fmt.Sprintf("%s/trial%d/%s/%s", rc.name, trial, qs, level)
 					polys := level == core.VerifyFull || level == core.VerifyResolve && rc.name == "Z"
-					perCand := &fetchCounter{ServerAPI: st.srv}
+					perCand := &callCounter{ServerAPI: st.srv}
 					ref, err := st.engine(perCand, 1).Query(q, core.Opts{Verify: level})
 					if err != nil {
 						t.Fatalf("%s: per-candidate path: %v", name, err)
@@ -139,7 +150,7 @@ func TestWaveMatchesPerCandidatePath(t *testing.T) {
 						maxRecovered = ref.Stats.TagsRecovered
 					}
 					for _, budget := range []int{0, 6} {
-						counted := &fetchCounter{ServerAPI: st.srv}
+						counted := &callCounter{ServerAPI: st.srv}
 						eng, observed := st.engine(counted, budget), &obs.Observer{}
 						eng.SetObserver(observed)
 						began := time.Now()
@@ -249,7 +260,7 @@ func TestWaveNamesTheTamperedCandidate(t *testing.T) {
 				tam.CorruptValueAt = target
 				tam.ValueDelta = func(pt *big.Int) *big.Int { return tc.delta(query, pt) }
 			}
-			counted := &fetchCounter{ServerAPI: tam}
+			counted := &callCounter{ServerAPI: tam}
 			_, err := st.engine(counted, 0).Lookup("a", core.Opts{Verify: tc.level})
 			if !errors.Is(err, polyenc.ErrInconsistent) {
 				t.Fatalf("tampered wave returned %v, want ErrInconsistent", err)

@@ -1,6 +1,7 @@
 // Package experiments regenerates every figure of the paper and turns its
-// analytic claims into measured tables — the reproduction harness behind
-// EXPERIMENTS.md, cmd/sss-bench and the top-level benchmarks.
+// analytic claims into measured tables: the paper reproduction, run by
+// `sss figures` and examples/paperfigures. It measures nothing a
+// performance claim may cite — that is benchmark/'s job.
 //
 // Each experiment validates its own invariants (golden figure values,
 // oracle agreement, detection rates) and returns an error on any mismatch,
@@ -50,26 +51,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs lists the registered experiment handles.
-func IDs() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.ID
-	}
-	return out
-}
-
-// RunAll executes every experiment, writing a banner per experiment.
-func RunAll(w io.Writer, cfg Config) error {
-	for _, e := range registry {
-		fmt.Fprintf(w, "\n=== %s (%s): %s ===\n", e.ID, e.Ref, e.Title)
-		if err := e.Run(w, cfg); err != nil {
-			return fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-	}
-	return nil
 }
 
 // Table is a simple aligned text table.

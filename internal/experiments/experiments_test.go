@@ -11,8 +11,10 @@ import (
 // simultaneously the integration test for the full reproduction.
 func TestAllExperimentsQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAll(&buf, Config{Quick: true}); err != nil {
-		t.Fatalf("%v\noutput so far:\n%s", err, buf.String())
+	for _, e := range All() {
+		if err := e.Run(&buf, Config{Quick: true}); err != nil {
+			t.Fatalf("experiment %s: %v\noutput so far:\n%s", e.ID, err, buf.String())
+		}
 	}
 	out := buf.String()
 	// Spot-check that the headline figures made it into the output.
@@ -31,20 +33,19 @@ func TestAllExperimentsQuick(t *testing.T) {
 
 func TestRegistryShape(t *testing.T) {
 	all := All()
-	if len(all) < 14 {
+	if len(all) < 17 {
 		t.Fatalf("only %d experiments registered", len(all))
 	}
-	ids := IDs()
 	seen := map[string]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Errorf("duplicate experiment id %q", id)
+	for _, e := range all {
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment id %q", e.ID)
 		}
-		seen[id] = true
+		seen[e.ID] = true
 	}
 	for _, want := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
 		"storage", "pruning", "compare", "trusted", "seedonly", "multiserver",
-		"coeffgrowth", "advanced", "verify", "voting"} {
+		"coeffgrowth", "advanced", "verify", "voting", "content"} {
 		if !seen[want] {
 			t.Errorf("experiment %q missing", want)
 		}

@@ -14,7 +14,6 @@ import (
 	"math/big"
 
 	"sssearch/internal/fastfield"
-	"sssearch/internal/mathutil"
 )
 
 // Field is the prime field F_p. The zero value is not usable; construct with
@@ -38,6 +37,7 @@ var (
 	ErrNotPrime = errors.New("field: modulus is not prime")
 	// ErrWrongField is returned when elements from different fields are mixed.
 	ErrWrongField = errors.New("field: element out of range for this field")
+	errNoInverse  = errors.New("field: zero has no inverse")
 )
 
 // New constructs F_p for a prime p. Primality is verified
@@ -79,10 +79,11 @@ func fastPath(p *big.Int) *fastfield.Field {
 
 // NewUint64 constructs F_p for a prime p given as uint64.
 func NewUint64(p uint64) (*Field, error) {
-	if !mathutil.IsPrime(p) {
+	bp := new(big.Int).SetUint64(p)
+	if !bp.ProbablyPrime(32) {
 		return nil, ErrNotPrime
 	}
-	return newField(new(big.Int).SetUint64(p)), nil
+	return newField(bp), nil
 }
 
 // MustNew is New but panics on error; intended for tests and constants.
@@ -160,7 +161,7 @@ func (f *Field) Mul(a, b *big.Int) *big.Int {
 func (f *Field) Inv(a *big.Int) (*big.Int, error) {
 	r := f.Reduce(a)
 	if r.Sign() == 0 {
-		return nil, mathutil.ErrNoInverse
+		return nil, errNoInverse
 	}
 	return new(big.Int).ModInverse(r, f.p), nil
 }

@@ -5,7 +5,7 @@
 // ciphertext to the client, which decrypts, parses and evaluates the XPath
 // locally.
 //
-// It is the bandwidth baseline of experiment E9: correctness is trivial,
+// It is the bandwidth baseline of the `compare` experiment: correctness is trivial,
 // bytes moved per query equal the whole database.
 package naive
 

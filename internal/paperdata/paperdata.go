@@ -1,10 +1,10 @@
 // Package paperdata holds the paper's worked example — the figure 1
 // document, the figure 1(b) mapping, and the exact polynomial and
-// evaluation values of figures 2–6 — as golden fixtures shared by tests,
-// benchmarks and the figure-reproduction harness.
+// evaluation values of figures 2–6 — as golden fixtures shared by tests
+// and the figure-reproduction harness.
 //
 // Every value below appears verbatim in the paper and was re-derived
-// independently while writing this package (see DESIGN.md).
+// independently while writing this package.
 package paperdata
 
 import (

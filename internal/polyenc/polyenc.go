@@ -242,7 +242,7 @@ func encodeNode(r ring.Ring, n *xmltree.Node, m *mapping.Map, o Opts) (*Node, er
 
 // EncodeUnreduced builds the non-reduced Z[x] representation of figure 1(c):
 // plain integer polynomials with no quotient reduction. Degrees equal
-// subtree sizes; used by experiment E1 and the figure printer.
+// subtree sizes; used by the `fig1` experiment and the figure printer.
 func EncodeUnreduced(doc *xmltree.Node, m *mapping.Map) (*Node, error) {
 	if doc == nil {
 		return nil, errors.New("polyenc: nil document")
@@ -299,7 +299,7 @@ func (t *Tree) Lookup(key drbg.NodeKey) (*Node, error) {
 }
 
 // MaxCoeffBits returns the largest coefficient bit length over the whole
-// tree — the §5 coefficient-growth metric (experiment E13).
+// tree — the §5 coefficient-growth metric (the `coeffgrowth` experiment).
 func (t *Tree) MaxCoeffBits() int {
 	maxBits := 0
 	t.Walk(func(_ drbg.NodeKey, n *Node) bool {

@@ -13,13 +13,13 @@ import (
 // pads: coefficients are drawn uniformly from [-B, B] with B = 2^128.
 // Over Z a finite pad cannot hide unbounded data information-theoretically;
 // 2^128 gives 128 bits of statistical hiding for the coefficient sizes that
-// occur in practice (the paper is silent on this point; see DESIGN.md §6).
+// occur in practice (the paper is silent on this point).
 var DefaultRandBound = new(big.Int).Lsh(big.NewInt(1), 128)
 
 // IntQuotient is the quotient ring Z[x]/(r(x)) for a monic irreducible
 // integer polynomial r. Canonical representatives have degree < deg(r);
 // their integer coefficients are unbounded and grow with tree size (§5 of
-// the paper — measured by experiment E13).
+// the paper — measured by the `coeffgrowth` experiment).
 type IntQuotient struct {
 	r         poly.Poly
 	deg       int

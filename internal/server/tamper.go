@@ -10,7 +10,7 @@ import (
 )
 
 // Tamperer wraps a ServerAPI and corrupts selected answers — the
-// fault-injection harness behind experiment E14 (can the client catch a
+// fault-injection harness behind the `verify` experiment (can the client catch a
 // lying server?). Configure it before the first call; the counters may be
 // read at any time.
 type Tamperer struct {

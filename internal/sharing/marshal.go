@@ -151,7 +151,7 @@ func decodeCanonical(fp *ring.FpCyclotomic, data []byte) ([]uint64, []byte, bool
 }
 
 // ByteSize returns the serialized size of the tree in bytes — the storage
-// metric of experiment E7.
+// metric of the `storage` experiment.
 func (t *Tree) ByteSize() int {
 	b, err := t.MarshalBinary()
 	if err != nil {

@@ -463,7 +463,7 @@ func (c *SeedClient) EvalShareWords(dst []uint64, keys []drbg.NodeKey, points []
 
 // Materialize expands the client's full share tree for a given document
 // shape (taken from the server tree). This trades client memory for speed —
-// experiment E11 measures the trade.
+// the `seedonly` experiment measures the trade.
 func Materialize(r ring.Ring, seed drbg.Seed, shape *Tree) (*Tree, error) {
 	if shape == nil || shape.Root == nil {
 		return nil, errors.New("sharing: nil shape")

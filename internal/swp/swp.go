@@ -129,7 +129,7 @@ func (c *Client) Trapdoor(tag string) Trapdoor {
 type SearchResult struct {
 	Matches []drbg.NodeKey
 	// TokensScanned is always the full index size — the linear-scan cost
-	// that experiment E9 contrasts with tree pruning.
+	// that the `compare` experiment contrasts with tree pruning.
 	TokensScanned int
 }
 

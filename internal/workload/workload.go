@@ -55,7 +55,7 @@ func RandomTree(cfg TreeConfig) *xmltree.Node {
 }
 
 // Chain builds a degenerate depth-n path t0/t1/.../t{n-1} — the worst case
-// for polynomial degree growth in the Z ring (experiment E13).
+// for polynomial degree growth in the Z ring (the `coeffgrowth` experiment).
 func Chain(n int) *xmltree.Node {
 	if n < 1 {
 		n = 1

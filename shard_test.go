@@ -20,7 +20,13 @@ import (
 // shardTestBundle outsources a deterministic 180-node document.
 func shardTestBundle(t *testing.T, cfg Config) (*Document, *Bundle) {
 	t.Helper()
-	doc := workload.RandomTree(workload.TreeConfig{Nodes: 180, MaxFanout: 3, Vocab: 6, Seed: 2026})
+	return shardTestBundleOf(t, cfg, 180)
+}
+
+// shardTestBundleOf is shardTestBundle at a chosen document size.
+func shardTestBundleOf(t *testing.T, cfg Config, nodes int) (*Document, *Bundle) {
+	t.Helper()
+	doc := workload.RandomTree(workload.TreeConfig{Nodes: nodes, MaxFanout: 3, Vocab: 6, Seed: 2026})
 	cfg.Seed = drbg.Seed{1: 0xD1, 7: 0x44}
 	cfg.Secret = []byte("shard-differential")
 	bundle, err := Outsource(doc, cfg)
@@ -42,23 +48,36 @@ func resultKey(r *SearchResult) string {
 
 // TestShardedDifferential: Outsource → Shard(N) → Search returns
 // byte-identical results to the unsharded single-Local path for
-// N ∈ {1, 2, 4}, at all three VerifyLevels, for both rings.
+// N ∈ {1, 2, 4}, at all three VerifyLevels, for both rings. The last row is
+// the capacity scale no other test reaches: 100,000 nodes through the
+// packed parallel write path (every interior product fills the ring, so
+// encode runs on the NTT) and a four-way partition, one query each way. It
+// holds about half a gigabyte, several times that under the race detector.
 func TestShardedDifferential(t *testing.T) {
+	allLevels := []VerifyLevel{VerifyNone, VerifyResolve, VerifyFull}
 	for _, ringCase := range []struct {
-		name string
-		cfg  Config
+		name    string
+		cfg     Config
+		nodes   int
+		shards  []int
+		queries []string
+		levels  []VerifyLevel
 	}{
-		{"Fp", Config{Kind: RingFp, P: 257}},
-		{"Z", Config{Kind: RingZ}},
+		{"Fp", Config{Kind: RingFp, P: 257}, 180, []int{1, 2, 4}, shardTestQueries, allLevels},
+		{"Z", Config{Kind: RingZ}, 180, []int{1, 2, 4}, shardTestQueries, allLevels},
+		{"Fp100k", Config{Kind: RingFp, P: 257}, 100000, []int{4}, []string{"//t2/t4"}, []VerifyLevel{VerifyResolve}},
 	} {
 		t.Run(ringCase.name, func(t *testing.T) {
-			_, bundle := shardTestBundle(t, ringCase.cfg)
+			if ringCase.nodes > 180 && (testing.Short() || raceEnabled) {
+				t.Skip("capacity-scale row: skipped with -short and under the race detector")
+			}
+			_, bundle := shardTestBundleOf(t, ringCase.cfg, ringCase.nodes)
 			ref, err := bundle.Connect()
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ref.Close()
-			for _, n := range []int{1, 2, 4} {
+			for _, n := range ringCase.shards {
 				sb, err := bundle.Shard(n)
 				if err != nil {
 					t.Fatalf("Shard(%d): %v", n, err)
@@ -77,8 +96,8 @@ func TestShardedDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, expr := range shardTestQueries {
-					for _, v := range []VerifyLevel{VerifyNone, VerifyResolve, VerifyFull} {
+				for _, expr := range ringCase.queries {
+					for _, v := range ringCase.levels {
 						want, err := ref.Search(expr, WithVerify(v))
 						if err != nil {
 							t.Fatalf("reference %s @%v: %v", expr, v, err)

@@ -302,13 +302,12 @@ func TestTraceCoalescedLegsShareID(t *testing.T) {
 	}
 }
 
-// requireLegTraced runs sampled engine queries (VerifyFull re-derives every
-// match, so they fetch polynomials) until one makes the engine send the
-// frame kind op — used says so from the query's stats — and requires that
-// frame to reach the daemon under the query's own trace id, not as an
-// untraced request.
-func requireLegTraced(t *testing.T, op string, used func(metrics.Snapshot) bool) {
-	t.Helper()
+// TestTraceFetchLegCarriesQueryID proves the fetch leg keeps the query's
+// context: it runs sampled engine queries (VerifyFull re-derives every
+// match, so they fetch polynomials) until one makes the engine send a fetch
+// frame and requires that frame to reach the daemon under the query's own
+// trace id, not as an untraced request.
+func TestTraceFetchLegCarriesQueryID(t *testing.T) {
 	prev := obs.SampleEvery()
 	obs.SetSampleEvery(1)
 	defer obs.SetSampleEvery(prev)
@@ -333,7 +332,7 @@ func requireLegTraced(t *testing.T, op string, used func(metrics.Snapshot) bool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !used(res.Stats) {
+		if res.Stats.PolysFetched == 0 {
 			continue
 		}
 		queries := clientObs.Slow.Entries()
@@ -341,9 +340,9 @@ func requireLegTraced(t *testing.T, op string, used func(metrics.Snapshot) bool)
 			t.Fatalf("client slow log after one sampled query: %+v", queries)
 		}
 		id := queries[0].TraceID
-		waitFor(t, "the daemon to log a "+op+" span under the query's trace id", func() bool {
+		waitFor(t, "the daemon to log a fetch span under the query's trace id", func() bool {
 			for _, e := range daemonObs.Slow.Entries() {
-				if e.TraceID == id && e.Op == op {
+				if e.TraceID == id && e.Op == "fetch" {
 					return true
 				}
 			}
@@ -351,20 +350,7 @@ func requireLegTraced(t *testing.T, op string, used func(metrics.Snapshot) bool)
 		})
 		return
 	}
-	t.Fatalf("no fixture tag made the engine send a %s frame", op)
-}
-
-// TestTraceFetchLegCarriesQueryID proves the fetch leg keeps the query's
-// context.
-func TestTraceFetchLegCarriesQueryID(t *testing.T) {
-	requireLegTraced(t, "fetch", func(s metrics.Snapshot) bool { return s.PolysFetched > 0 })
-}
-
-// TestTracePruneLegCarriesQueryID proves the same of the prune notice that
-// ends a descendant scan — the last frame of a query, and the last one
-// that used to leave without its trace id and deadline budget.
-func TestTracePruneLegCarriesQueryID(t *testing.T) {
-	requireLegTraced(t, "prune", func(s metrics.Snapshot) bool { return s.NodesPruned > 0 })
+	t.Fatal("no fixture tag made the engine send a fetch frame")
 }
 
 // TestTraceV2DowngradeStripsTrace proves v2 interop with sampling on: a
