@@ -76,16 +76,17 @@
 //
 // # Concurrency
 //
-// The query engine is concurrent end-to-end. The wire protocol negotiates
-// a pipelined framing (version 2) that tags every frame with a request ID,
-// so one connection carries many in-flight requests; the server daemon
-// dispatches decoded requests to a bounded worker pool and writes
-// responses as they complete, out of order. On the client side,
-// client.Remote routes responses back to callers from a single reader
-// goroutine and offers context-aware and asynchronous calls
-// (EvalNodesCtx, EvalNodesAsync); client.Pool spreads calls across a
-// fixed set of connections. Old endpoints still work: version 1 peers get
-// the strict request/response loop.
+// The query engine is concurrent end-to-end. The wire protocol has one
+// frame layout, the handshake included, and every frame carries a
+// request ID in its header, so one connection carries many in-flight
+// requests; the server daemon dispatches decoded requests to a bounded
+// worker pool and writes responses as they complete, out of order. Every
+// request ends in the same fixed fields: deadline budget, trace ID and
+// trace flags. A peer offering another protocol version, or speaking the
+// retired legacy framing, is refused at the handshake. On the client
+// side, client.Remote routes responses back to callers from a single
+// reader goroutine and offers context-aware calls (EvalNodesCtx);
+// client.Pool spreads calls across a fixed set of connections.
 //
 // Inside a query, a large evaluation wave (512 keys and up) is two
 // concurrent legs that meet at the sum (§4.3 only needs both numbers at
@@ -533,10 +534,10 @@
 //
 // The serving fabric assumes transports fail and is built so that no
 // retry, failover or hedge can ever change an answer: EvalNodes and
-// FetchPolys are pure reads over an immutable share tree (Prune, which
-// the engine never sends, is a no-op), so re-issuing a request — on a fresh connection, a
-// pool sibling, a shard replica, or a hedged spare — can only reproduce
-// the byte-identical result. The error classifier
+// FetchPolys are pure reads over an immutable share tree, and they are
+// the only requests the protocol has, so re-issuing a request — on a
+// fresh connection, a pool sibling, a shard replica, or a hedged spare —
+// can only reproduce the byte-identical result. The error classifier
 // (internal/resilience.Retryable) is what keeps that sound: transport
 // faults (resets, timeouts, short reads, closed connections) are
 // retryable, while semantic errors — the server's actual answer, such as
@@ -586,12 +587,9 @@
 //
 //   - Admission control (ServeOpts.MaxInflight, sss-server
 //     -max-inflight, server.Daemon.MaxInflight): one daemon-wide bound
-//     on concurrently executing requests. Excess requests from
-//     current-protocol sessions are shed immediately with a typed,
-//     retryable wire error carrying a retry-after hint — no work done,
-//     no queue joined. Sessions speaking older protocol versions queue
-//     for a slot instead (their peers cannot decode the typed error),
-//     so interop is unchanged.
+//     on concurrently executing requests. Excess requests are shed
+//     immediately with a typed, retryable wire error carrying a
+//     retry-after hint — no work done, no queue joined.
 //   - Typed shed semantics, per layer: client.Reliable treats a shed as
 //     retryable without invalidating the session and honors the
 //     retry-after hint; client.Pool does not eject or fail over on
@@ -637,10 +635,9 @@
 // histograms aggregate across a fleet).
 //
 // Tracing is sampled: obs.SetSampleEvery(n) (sss-server -trace-sample)
-// marks every nth request with a 64-bit trace id that rides the wire as
-// an optional protocol-v3 frame extension — v2 peers never see it, and
-// unsampled requests pay one atomic load and put zero extra bytes on the
-// wire. The id survives every serving indirection: retried legs, hedged
+// marks every nth request with a 64-bit trace id that rides the wire in
+// the request's fixed trace fields — an unsampled request pays one
+// atomic load and sends a zero id and zero flags, two bytes. The id survives every serving indirection: retried legs, hedged
 // spares, pool failovers, shard scatter sub-batches and coalesced merge
 // passes all carry the originating request's id, so the daemon-side
 // stage breakdown of each leg lands on the one trace. Finished sampled

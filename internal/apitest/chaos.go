@@ -85,11 +85,6 @@ func Chaos(t *testing.T, f *Fixture, api core.ServerAPI, rounds int) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-
-	// Prune must still be acknowledged through the chaos.
-	if err := api.Prune(f.Keys[:1]); err != nil {
-		t.Fatalf("Prune under faults: %v", err)
-	}
 }
 
 // newChecker precomputes fault-free reference answers over rotating key

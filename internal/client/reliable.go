@@ -27,11 +27,11 @@ import (
 // never trigger a retry or a re-dial.
 //
 // Retrying is answer-preserving because every ServerAPI request is
-// idempotent: EvalNodes and FetchPolys read an immutable share tree and
-// Prune is advisory, so replaying a request that may or may not have
-// executed cannot change any answer.
+// idempotent: EvalNodes and FetchPolys read an immutable share tree, so
+// replaying a request that may or may not have executed cannot change any
+// answer.
 //
-// Session resume: the handshake carries only the negotiated version and
+// Session resume: the handshake carries only the protocol version and
 // the public ring parameters, so a re-dialed session verifies the
 // announced parameters are byte-identical to the original's and is then
 // a perfect substitute. A parameter mismatch (the address now serves a
@@ -347,14 +347,6 @@ func (rc *Reliable) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]c
 	})
 }
 
-// PruneCtx is Prune with context cancellation.
-func (rc *Reliable) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
-	_, err := reliableCall(rc, ctx, func(actx context.Context, r *Remote) (struct{}, error) {
-		return struct{}{}, r.PruneCtx(actx, keys)
-	})
-	return err
-}
-
 // EvalNodes implements core.ServerAPI.
 func (rc *Reliable) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	return rc.EvalNodesCtx(context.Background(), keys, points)
@@ -365,20 +357,8 @@ func (rc *Reliable) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return rc.FetchPolysCtx(context.Background(), keys)
 }
 
-// Prune implements core.ServerAPI.
-func (rc *Reliable) Prune(keys []drbg.NodeKey) error {
-	return rc.PruneCtx(context.Background(), keys)
-}
-
-// EvalNodesAsync issues an EvalNodes request without waiting, like
-// Remote.EvalNodesAsync but with the retry/re-dial machinery underneath.
-func (rc *Reliable) EvalNodesAsync(ctx context.Context, keys []drbg.NodeKey, points []*big.Int) <-chan EvalResult {
-	ch := make(chan EvalResult, 1)
-	go func() {
-		answers, err := rc.EvalNodesCtx(ctx, keys, points)
-		ch <- EvalResult{Answers: answers, Err: err}
-	}()
-	return ch
-}
+// Prune implements core.ServerAPI; kept only until the benchmark's tap
+// stops forwarding it.
+func (rc *Reliable) Prune([]drbg.NodeKey) error { return nil }
 
 var _ core.ServerAPI = (*Reliable)(nil)

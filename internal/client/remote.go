@@ -3,12 +3,9 @@
 // remote share server, so the query engine works identically in-process
 // and across the network.
 //
-// Sessions negotiate protocol version 2 (pipelined framing) when the
-// server supports it: requests are written as framed (request-ID) frames
-// and a single reader goroutine routes responses — possibly out of order —
-// back to their callers, so one connection carries many in-flight
-// requests. Against a version 1 server the session transparently falls
-// back to strict lockstep request/response.
+// Requests are written as framed (request-ID) frames and a single reader
+// goroutine routes responses — possibly out of order — back to their
+// callers, so one connection carries many in-flight requests.
 package client
 
 import (
@@ -18,7 +15,6 @@ import (
 	"io"
 	"math/big"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,25 +31,24 @@ import (
 var ErrClosed = errors.New("client: session closed")
 
 // Remote is a connected protocol session. It implements core.ServerAPI.
-// Safe for concurrent use: on a v2 session concurrent calls are pipelined
-// on the one connection; on a v1 session they serialise.
+// Safe for concurrent use: concurrent calls are pipelined on the one
+// connection.
 type Remote struct {
 	conn     io.ReadWriteCloser
 	params   ring.Params
 	counters *metrics.Counters
 	obsv     *obs.Observer
-	version  uint32
 	nextID   atomic.Uint64
 
-	wmu sync.Mutex // serialises frame writes (and v1 round trips)
+	wmu sync.Mutex // serialises frame writes
 
 	pmu     sync.Mutex
-	pending map[uint64]chan callResult // v2: in-flight requests by ID
-	readErr error                      // v2: terminal reader error
+	pending map[uint64]chan callResult // in-flight requests by ID
+	readErr error                      // terminal reader error
 	closed  bool
 	goaway  bool // server sent Bye (graceful drain): session is winding down
 
-	readerDone chan struct{} // v2: closed when the reader goroutine exits
+	readerDone chan struct{} // closed when the reader goroutine exits
 }
 
 // callResult is what the reader goroutine delivers to a waiting caller.
@@ -63,8 +58,7 @@ type callResult struct {
 	err     error
 }
 
-// Dial connects to a share server over TCP and performs the handshake,
-// negotiating the highest protocol version the server supports.
+// Dial connects to a share server over TCP and performs the handshake.
 // counters may be nil.
 func Dial(addr string, counters *metrics.Counters) (*Remote, error) {
 	conn, err := net.Dial("tcp", addr)
@@ -72,52 +66,6 @@ func Dial(addr string, counters *metrics.Counters) (*Remote, error) {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	r, err := NewRemote(conn, counters)
-	if err == nil {
-		return r, nil
-	}
-	conn.Close()
-	// A v1-only server rejects the version-2 Hello outright (it cannot
-	// downgrade). Redial and speak v1 — but only for an actual version
-	// rejection; any other handshake failure surfaces to the caller.
-	if isVersionRejection(err) {
-		conn, derr := net.Dial("tcp", addr)
-		if derr != nil {
-			return nil, fmt.Errorf("client: dial %s: %w", addr, derr)
-		}
-		r, rerr := newRemote(conn, counters, wire.Version)
-		if rerr != nil {
-			conn.Close()
-			return nil, rerr
-		}
-		return r, nil
-	}
-	return nil, err
-}
-
-// isVersionRejection reports whether a handshake error is a v1-only
-// server refusing the offered protocol version (the legacy daemon's
-// fixed "unsupported version N" error), as opposed to any other
-// server-side failure, which must not trigger a silent downgrade.
-func isVersionRejection(err error) bool {
-	var re *wire.RemoteError
-	return errors.As(err, &re) && strings.HasPrefix(re.Message, "unsupported version")
-}
-
-// NewRemote performs the handshake over an existing connection, offering
-// the newest protocol version and accepting the server's downgrade.
-func NewRemote(conn io.ReadWriteCloser, counters *metrics.Counters) (*Remote, error) {
-	return newRemote(conn, counters, wire.MaxVersion)
-}
-
-// DialVersion connects offering a specific protocol version — for interop
-// testing and for talking to old strict request/response servers without
-// the redial dance.
-func DialVersion(addr string, version uint32, counters *metrics.Counters) (*Remote, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
-	}
-	r, err := newRemote(conn, counters, version)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -125,21 +73,23 @@ func DialVersion(addr string, version uint32, counters *metrics.Counters) (*Remo
 	return r, nil
 }
 
-func newRemote(conn io.ReadWriteCloser, counters *metrics.Counters, offer uint32) (*Remote, error) {
+// NewRemote performs the handshake over an existing connection and starts
+// the session's reader goroutine.
+func NewRemote(conn io.ReadWriteCloser, counters *metrics.Counters) (*Remote, error) {
 	if counters == nil {
 		counters = &metrics.Counters{}
 	}
 	r := &Remote{conn: conn, counters: counters, obsv: obs.Default()}
-	n, err := wire.WriteFrame(conn, wire.Frame{
+	n, err := wire.WriteFramed(conn, wire.FramedFrame{
 		Type:    wire.MsgHello,
-		Payload: wire.EncodeHello(wire.Hello{Version: offer}),
+		Payload: wire.EncodeHello(wire.Hello{Version: wire.Version}),
 	})
 	counters.AddBytesSent(n)
 	counters.AddMessageSent()
 	if err != nil {
 		return nil, err
 	}
-	f, rn, err := wire.ReadFrame(conn)
+	f, rn, err := wire.ReadAny(conn)
 	counters.AddBytesReceived(rn)
 	counters.AddMessageReceived()
 	if err != nil {
@@ -151,16 +101,10 @@ func newRemote(conn io.ReadWriteCloser, counters *metrics.Counters, offer uint32
 		if err != nil {
 			return nil, err
 		}
-		if ack.Version < wire.Version || ack.Version > offer {
-			return nil, fmt.Errorf("client: server version %d unsupported", ack.Version)
-		}
 		r.params = ack.Params
-		r.version = ack.Version
-		if r.version >= wire.Version2 {
-			r.pending = make(map[uint64]chan callResult)
-			r.readerDone = make(chan struct{})
-			go r.readLoop()
-		}
+		r.pending = make(map[uint64]chan callResult)
+		r.readerDone = make(chan struct{})
+		go r.readLoop()
 		return r, nil
 	case wire.MsgError:
 		e, err := wire.DecodeError(f.Payload)
@@ -173,7 +117,7 @@ func newRemote(conn io.ReadWriteCloser, counters *metrics.Counters, offer uint32
 	}
 }
 
-// remoteError surfaces a decoded server ErrorMsg, carrying the v3 typed
+// remoteError surfaces a decoded server ErrorMsg, carrying the typed
 // code and retry-after hint through to the resilience classifiers.
 func remoteError(e wire.ErrorMsg) *wire.RemoteError {
 	return &wire.RemoteError{
@@ -199,9 +143,6 @@ func (r *Remote) Broken() bool {
 // Ring reconstructs the ring from the announced parameters.
 func (r *Remote) Ring() (ring.Ring, error) { return ring.FromParams(r.params) }
 
-// ProtocolVersion returns the negotiated wire protocol version.
-func (r *Remote) ProtocolVersion() uint32 { return r.version }
-
 // Close sends Bye and closes the connection. In-flight calls fail with
 // ErrClosed.
 func (r *Remote) Close() error {
@@ -213,22 +154,16 @@ func (r *Remote) Close() error {
 	r.closed = true
 	r.pmu.Unlock()
 	r.wmu.Lock()
-	if r.version >= wire.Version2 {
-		_, _ = wire.WriteFramed(r.conn, wire.FramedFrame{Type: wire.MsgBye})
-	} else {
-		_, _ = wire.WriteFrame(r.conn, wire.Frame{Type: wire.MsgBye})
-	}
+	_, _ = wire.WriteFramed(r.conn, wire.FramedFrame{Type: wire.MsgBye})
 	r.wmu.Unlock()
 	err := r.conn.Close()
-	if r.readerDone != nil {
-		<-r.readerDone
-	}
+	<-r.readerDone
 	return err
 }
 
-// readLoop (v2 only) reads framed frames and routes each to the pending
-// call with its request ID. On a terminal read error every pending and
-// future call fails.
+// readLoop reads frames and routes each to the pending call with its
+// request ID. On a terminal read error every pending and future call
+// fails.
 func (r *Remote) readLoop() {
 	defer close(r.readerDone)
 	for {
@@ -286,9 +221,8 @@ func (r *Remote) readLoop() {
 	}
 }
 
-// call sends one request and waits for its response, honouring ctx. On a
-// v2 session the request is pipelined; on v1 it holds the connection for
-// a strict round trip (cancellation is only observed between phases).
+// call sends one request and waits for its response, honouring ctx. The
+// request is pipelined: other calls may be in flight on the connection.
 // call takes ownership of the (possibly pooled) request payload and
 // recycles it once written; the caller must not touch it afterwards.
 func (r *Remote) call(ctx context.Context, typ wire.MsgType, id uint64, payload []byte) (wire.MsgType, []byte, error) {
@@ -296,13 +230,6 @@ func (r *Remote) call(ctx context.Context, typ wire.MsgType, id uint64, payload 
 		wire.PutBuf(payload)
 		return 0, nil, err
 	}
-	if r.version >= wire.Version2 {
-		return r.callPipelined(ctx, typ, id, payload)
-	}
-	return r.callStrict(ctx, typ, payload)
-}
-
-func (r *Remote) callPipelined(ctx context.Context, typ wire.MsgType, id uint64, payload []byte) (wire.MsgType, []byte, error) {
 	ch := make(chan callResult, 1)
 	r.pmu.Lock()
 	if r.closed {
@@ -359,70 +286,15 @@ func (r *Remote) callPipelined(ctx context.Context, typ wire.MsgType, id uint64,
 	}
 }
 
-func (r *Remote) callStrict(ctx context.Context, typ wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	r.pmu.Lock()
-	closed := r.closed
-	r.pmu.Unlock()
-	if closed {
-		wire.PutBuf(payload)
-		return 0, nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		wire.PutBuf(payload)
-		return 0, nil, err
-	}
-	n, err := wire.WriteFrame(r.conn, wire.Frame{Type: typ, Payload: payload})
-	wire.PutBuf(payload)
-	r.counters.AddBytesSent(n)
-	r.counters.AddMessageSent()
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, rn, err := wire.ReadFrame(r.conn)
-	r.counters.AddBytesReceived(rn)
-	r.counters.AddMessageReceived()
-	if err != nil {
-		return 0, nil, err
-	}
-	if resp.Type == wire.MsgBye {
-		// Server-initiated GOAWAY (graceful drain): the session is winding
-		// down. Surface ErrClosed — a transport-class fault — so retrying
-		// wrappers re-dial instead of treating the drain as an answer.
-		if resp.Payload != nil {
-			wire.PutBuf(resp.Payload)
-		}
-		r.pmu.Lock()
-		r.goaway = true
-		r.pmu.Unlock()
-		return 0, nil, ErrClosed
-	}
-	if resp.Type == wire.MsgError {
-		e, derr := wire.DecodeError(resp.Payload)
-		wire.PutBuf(resp.Payload)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, remoteError(e)
-	}
-	return resp.Type, resp.Payload, nil
-}
-
 func (r *Remote) id() uint64 {
 	return r.nextID.Add(1)
 }
 
 // deadlineBudget converts the caller's remaining context deadline into
-// the protocol v3 per-request budget field: milliseconds, rounded up so a
+// the per-request budget field: milliseconds, rounded up so a
 // sub-millisecond remainder is never truncated to "no deadline". Zero —
-// no deadline rides the frame — when the context has none or the session
-// negotiated an older version (the field would be trailing garbage to a
-// v2 server).
-func (r *Remote) deadlineBudget(ctx context.Context) uint64 {
-	if r.version < wire.Version3 {
-		return 0
-	}
+// no deadline — when the context has none.
+func deadlineBudget(ctx context.Context) uint64 {
 	dl, ok := ctx.Deadline()
 	if !ok {
 		return 0
@@ -438,13 +310,9 @@ func (r *Remote) deadlineBudget(ctx context.Context) uint64 {
 // round-trip latencies (tests inject an isolated one). Call before use.
 func (r *Remote) SetObserver(o *obs.Observer) { r.obsv = o }
 
-// traceFields returns the wire trace extension for this request: the
-// context's sampled span, but only on a v3 session — a v2 peer would
-// reject the extension bytes.
-func (r *Remote) traceFields(ctx context.Context) (id uint64, sampled bool) {
-	if r.version < wire.Version3 {
-		return 0, false
-	}
+// traceFields returns the wire trace fields for this request: the
+// context's sampled span, if any.
+func traceFields(ctx context.Context) (id uint64, sampled bool) {
 	if sp := obs.SpanFrom(ctx); sp != nil && sp.Trace.Sampled {
 		return sp.Trace.ID, true
 	}
@@ -462,9 +330,9 @@ func (r *Remote) observeWire(ctx context.Context, start time.Time) {
 // EvalNodesCtx is EvalNodes with context cancellation.
 func (r *Remote) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	id := r.id()
-	traceID, sampled := r.traceFields(ctx)
+	traceID, sampled := traceFields(ctx)
 	start := time.Now()
-	typ, payload, err := r.call(ctx, wire.MsgEval, id, wire.AppendEvalReq(wire.GetBuf(), wire.EvalReq{ID: id, Keys: keys, Points: points, TimeoutMillis: r.deadlineBudget(ctx), TraceID: traceID, TraceSampled: sampled}))
+	typ, payload, err := r.call(ctx, wire.MsgEval, id, wire.AppendEvalReq(wire.GetBuf(), wire.EvalReq{ID: id, Keys: keys, Points: points, TimeoutMillis: deadlineBudget(ctx), TraceID: traceID, TraceSampled: sampled}))
 	r.observeWire(ctx, start)
 	if err != nil {
 		return nil, err
@@ -486,9 +354,9 @@ func (r *Remote) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points [
 // FetchPolysCtx is FetchPolys with context cancellation.
 func (r *Remote) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	id := r.id()
-	traceID, sampled := r.traceFields(ctx)
+	traceID, sampled := traceFields(ctx)
 	start := time.Now()
-	typ, payload, err := r.call(ctx, wire.MsgFetch, id, wire.AppendFetchReq(wire.GetBuf(), wire.FetchReq{ID: id, Keys: keys, TimeoutMillis: r.deadlineBudget(ctx), TraceID: traceID, TraceSampled: sampled}))
+	typ, payload, err := r.call(ctx, wire.MsgFetch, id, wire.AppendFetchReq(wire.GetBuf(), wire.FetchReq{ID: id, Keys: keys, TimeoutMillis: deadlineBudget(ctx), TraceID: traceID, TraceSampled: sampled}))
 	r.observeWire(ctx, start)
 	if err != nil {
 		return nil, err
@@ -507,30 +375,6 @@ func (r *Remote) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core
 	return dec.Answers, nil
 }
 
-// PruneCtx is Prune with context cancellation.
-func (r *Remote) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
-	id := r.id()
-	traceID, sampled := r.traceFields(ctx)
-	start := time.Now()
-	typ, payload, err := r.call(ctx, wire.MsgPrune, id, wire.AppendPruneReq(wire.GetBuf(), wire.PruneReq{ID: id, Keys: keys, TimeoutMillis: r.deadlineBudget(ctx), TraceID: traceID, TraceSampled: sampled}))
-	r.observeWire(ctx, start)
-	if err != nil {
-		return err
-	}
-	defer wire.PutBuf(payload)
-	if typ != wire.MsgAck {
-		return fmt.Errorf("client: unexpected reply %s to Prune", typ)
-	}
-	ackID, err := wire.DecodeAck(payload)
-	if err != nil {
-		return err
-	}
-	if ackID != id {
-		return fmt.Errorf("client: ack id %d for request %d", ackID, id)
-	}
-	return nil
-}
-
 // EvalNodes implements core.ServerAPI.
 func (r *Remote) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	return r.EvalNodesCtx(context.Background(), keys, points)
@@ -541,27 +385,8 @@ func (r *Remote) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return r.FetchPolysCtx(context.Background(), keys)
 }
 
-// Prune implements core.ServerAPI.
-func (r *Remote) Prune(keys []drbg.NodeKey) error {
-	return r.PruneCtx(context.Background(), keys)
-}
-
-// EvalResult is the outcome of an asynchronous EvalNodes call.
-type EvalResult struct {
-	Answers []core.NodeEval
-	Err     error
-}
-
-// EvalNodesAsync issues an EvalNodes request without waiting: the result
-// is delivered on the returned buffered channel. On a pipelined session
-// many async calls proceed concurrently on one connection.
-func (r *Remote) EvalNodesAsync(ctx context.Context, keys []drbg.NodeKey, points []*big.Int) <-chan EvalResult {
-	ch := make(chan EvalResult, 1)
-	go func() {
-		answers, err := r.EvalNodesCtx(ctx, keys, points)
-		ch <- EvalResult{Answers: answers, Err: err}
-	}()
-	return ch
-}
+// Prune implements core.ServerAPI; kept only until the benchmark's tap
+// stops forwarding it.
+func (r *Remote) Prune([]drbg.NodeKey) error { return nil }
 
 var _ core.ServerAPI = (*Remote)(nil)

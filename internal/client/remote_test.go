@@ -264,7 +264,7 @@ func TestQueuedRequestsCountAsSent(t *testing.T) {
 	}
 	defer remote.Close()
 	shaken := counters.Snapshot()
-	if err := remote.Prune([]drbg.NodeKey{{0}}); err != nil { // sizes one request frame
+	if _, err := remote.FetchPolys([]drbg.NodeKey{{0}}); err != nil { // sizes one request frame
 		t.Fatal(err)
 	}
 	idle := counters.Snapshot()
@@ -278,7 +278,10 @@ func TestQueuedRequestsCountAsSent(t *testing.T) {
 	const calls = 3
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
-		go func() { errs <- remote.Prune([]drbg.NodeKey{{0}}) }()
+		go func() {
+			_, err := remote.FetchPolys([]drbg.NodeKey{{0}})
+			errs <- err
+		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for counters.Snapshot().MessagesSent != idle.MessagesSent+calls {

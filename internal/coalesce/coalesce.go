@@ -41,10 +41,9 @@
 // contract — answers are read-only (the engine combines them into fresh
 // big.Ints, the daemon serialises them).
 //
-// FetchPolys and Prune pass through unbatched: the engine already asks
-// for a whole step's polynomials in a few large deduplicated fetches
-// (core's recoverNodeTags), so there is little left to merge across
-// sessions, and prunes are advisory.
+// FetchPolys passes through unbatched: the engine already asks for a
+// whole step's polynomials in a few large deduplicated fetches (core's
+// recoverNodeTags), so there is little left to merge across sessions.
 //
 // The merging engine itself (per-signature drains, dedup, distribution)
 // lives in Merger and is shared with the client-side micro-batcher
@@ -150,7 +149,8 @@ func (s *Server) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return s.inner.FetchPolys(keys)
 }
 
-// Prune implements core.ServerAPI (pass-through, advisory).
-func (s *Server) Prune(keys []drbg.NodeKey) error { return s.inner.Prune(keys) }
+// Prune implements core.ServerAPI; kept only until the benchmark's tap
+// stops forwarding it.
+func (s *Server) Prune([]drbg.NodeKey) error { return nil }
 
 var _ core.ServerAPI = (*Server)(nil)

@@ -164,8 +164,8 @@ type ServerAPI interface {
 	FetchPolys(keys []drbg.NodeKey) ([]NodePoly, error)
 	// Prune is never called by the engine, and no implementation keeps
 	// per-query state for it to release: a query's view of the server is
-	// EvalNodes and FetchPolys. The method is retained until the frozen
-	// benchmark's tap, which forwards it, is edited.
+	// EvalNodes and FetchPolys. Every implementation returns nil; the
+	// method is kept only until the benchmark's tap stops forwarding it.
 	Prune(keys []drbg.NodeKey) error
 }
 
@@ -204,22 +204,6 @@ func FetchPolysWithCtx(ctx context.Context, api ServerAPI, keys []drbg.NodeKey) 
 		return cf.FetchPolysCtx(ctx, keys)
 	}
 	return api.FetchPolys(keys)
-}
-
-// CtxPruner is CtxEvaler's counterpart for prune notices, exposed by the
-// same context-propagating implementations.
-type CtxPruner interface {
-	PruneCtx(ctx context.Context, keys []drbg.NodeKey) error
-}
-
-// PruneWithCtx prunes via api, forwarding ctx when api supports it, so the
-// last frame of a sampled query carries its trace ID and deadline budget
-// like every frame before it.
-func PruneWithCtx(ctx context.Context, api ServerAPI, keys []drbg.NodeKey) error {
-	if cp, ok := api.(CtxPruner); ok {
-		return cp.PruneCtx(ctx, keys)
-	}
-	return api.Prune(keys)
 }
 
 // VerifyLevel controls how much the client re-checks the server.

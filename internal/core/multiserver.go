@@ -471,44 +471,8 @@ func (m *MultiServer) combinePolyBig(key drbg.NodeKey, per [][]NodePoly, xs []ui
 	return poly.New(coeffs...), nil
 }
 
-// Prune implements ServerAPI: advisory, so it is fanned out to every
-// member (concurrently unless Sequential) and succeeds as soon as any
-// member acknowledges — a down or hung server must not stall an
-// otherwise-answerable query. Straggler acknowledgements drain into a
-// buffered channel.
-func (m *MultiServer) Prune(keys []drbg.NodeKey) error {
-	return m.PruneCtx(context.Background(), keys)
-}
-
-// PruneCtx implements CtxPruner: every member's notice runs under the
-// caller's ctx, as in EvalNodesCtx.
-func (m *MultiServer) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
-	if m.Sequential {
-		var firstErr error
-		for _, mem := range m.members {
-			if err := PruneWithCtx(ctx, mem.API, keys); err == nil {
-				return nil
-			} else if firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	ch := make(chan error, len(m.members))
-	for _, mem := range m.members {
-		go func(mem MultiMember) { ch <- PruneWithCtx(ctx, mem.API, keys) }(mem)
-	}
-	var firstErr error
-	for range m.members {
-		err := <-ch
-		if err == nil {
-			return nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+// Prune implements ServerAPI; kept only until the benchmark's tap stops
+// forwarding it.
+func (m *MultiServer) Prune([]drbg.NodeKey) error { return nil }
 
 var _ ServerAPI = (*MultiServer)(nil)

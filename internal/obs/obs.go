@@ -51,8 +51,8 @@ const (
 	// StageCoalesceWait is the time an EvalNodes call spent queued in
 	// the server-side coalescer before its merged pass started.
 	StageCoalesceWait
-	// StageStoreEval is the store evaluation itself (EvalNodes,
-	// FetchPolys or Prune against the served share store).
+	// StageStoreEval is the store evaluation itself (EvalNodes or
+	// FetchPolys against the served share store).
 	StageStoreEval
 	// StageWriterQueue is a response's residency in the daemon's bounded
 	// write queue: enqueue to written-to-socket.

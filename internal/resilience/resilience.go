@@ -7,9 +7,9 @@
 // foreign shard keys, payload decode failures).
 //
 // The classifier is what keeps retries answer-preserving: EvalNodes and
-// FetchPolys are pure reads over an immutable share tree and Prune is an
-// advisory no-op, so re-issuing a request after a TRANSPORT fault can
-// only reproduce the byte-identical answer — while a SEMANTIC error is
+// FetchPolys are pure reads over an immutable share tree, so re-issuing
+// a request after a TRANSPORT fault can only reproduce the
+// byte-identical answer — while a SEMANTIC error is
 // the answer, and retrying it against the same or another honest server
 // would only repeat it. Unknown errors default to terminal, so a retry
 // can never paper over a real failure.

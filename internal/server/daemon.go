@@ -30,7 +30,7 @@ type Store interface {
 }
 
 // DefaultWorkers is the per-connection bound on concurrently executing
-// requests for pipelined (protocol v2) sessions. Handlers spend time in
+// requests. Handlers spend time in
 // big-integer arithmetic and blocking writes, so a small multiple of the
 // core count keeps the pipe full without unbounded goroutine growth.
 const DefaultWorkers = 8
@@ -49,12 +49,10 @@ const DefaultWriteStall = 5 * time.Second
 // Daemon serves the wire protocol over a listener, answering each
 // connection from a Local share store. One goroutine per connection.
 //
-// Protocol version 1 connections are handled in strict lockstep (one
-// request, one response) for backward compatibility. Version 2 connections
-// are pipelined: decoded requests are dispatched to a bounded worker pool
-// and responses are written as they complete — serialised writes,
-// out-of-order completion — so a single connection carries many in-flight
-// requests.
+// Connections are pipelined: decoded requests are dispatched to a bounded
+// worker pool and responses are written as they complete — serialised
+// writes, out-of-order completion — so a single connection carries many
+// in-flight requests.
 type Daemon struct {
 	logger   *log.Logger
 	counters *metrics.Counters
@@ -64,17 +62,14 @@ type Daemon struct {
 	// in-flight work finishes on the store it started on.
 	store atomic.Pointer[storeRef]
 
-	// Workers bounds concurrently executing requests per pipelined
-	// connection. Zero means DefaultWorkers. Set before Serve.
+	// Workers bounds concurrently executing requests per connection. Zero means DefaultWorkers. Set before Serve.
 	Workers int
 
 	// MaxInflight, when positive, bounds concurrently executing requests
 	// across the whole daemon — C connections × Workers otherwise grows
-	// without limit. When the bound is hit, protocol v3 sessions have
-	// excess requests shed immediately with a typed retryable error
-	// (CodeOverloaded plus a retry-after hint); older sessions, which
-	// cannot express a shed, queue for a slot instead. Zero disables the
-	// global bound. Set before Serve.
+	// without limit. When the bound is hit, excess requests are shed
+	// immediately with a typed retryable error (CodeOverloaded plus a
+	// retry-after hint). Zero disables the global bound. Set before Serve.
 	MaxInflight int
 
 	// RetryAfterHint is the back-off hint carried by shed responses.
@@ -123,8 +118,8 @@ type storeRef struct {
 }
 
 // daemonConn makes connection teardown idempotent and race-free: both the
-// per-connection serve goroutine (deferred cleanup) and a pipelined
-// response writer that hits a write error close the connection, and
+// per-connection serve goroutine (deferred cleanup) and the response
+// writer that hits a write error close the connection, and
 // Shutdown may force-close it concurrently — only the first Close reaches
 // the underlying connection.
 type daemonConn struct {
@@ -402,12 +397,10 @@ func (d *Daemon) HandleConn(rwc io.ReadWriteCloser) error {
 		d.mu.Unlock()
 		conn.Close()
 	}()
-	// Handshake (always legacy framing; the negotiated version decides the
-	// framing of everything after the HelloAck).
 	if err := d.armRead(conn); err != nil {
 		return nil // draining before the handshake: nothing to wind down
 	}
-	f, _, err := wire.ReadFrame(conn)
+	f, _, err := wire.ReadAny(conn)
 	if err != nil {
 		if errors.Is(d.classifyRead(err), errDraining) {
 			return nil
@@ -417,89 +410,24 @@ func (d *Daemon) HandleConn(rwc io.ReadWriteCloser) error {
 	if f.Type != wire.MsgHello {
 		return fmt.Errorf("server: expected Hello, got %s", f.Type)
 	}
-	hello, err := wire.DecodeHello(f.Payload)
-	if err != nil {
-		return err
-	}
-	if hello.Version < wire.Version {
-		_, _ = wire.WriteFrame(conn, wire.Frame{
+	if _, err := wire.DecodeHello(f.Payload); err != nil {
+		_, _ = wire.WriteFramed(conn, wire.FramedFrame{
 			Type:    wire.MsgError,
-			Payload: wire.EncodeError(wire.ErrorMsg{Message: fmt.Sprintf("unsupported version %d", hello.Version)}),
+			Payload: wire.EncodeError(wire.ErrorMsg{Message: err.Error()}),
 		})
-		return fmt.Errorf("server: client version %d unsupported", hello.Version)
-	}
-	version := hello.Version
-	if version > wire.MaxVersion {
-		version = wire.MaxVersion
+		return fmt.Errorf("server: handshake: %w", err)
 	}
 	ackPayload, err := wire.EncodeHelloAck(wire.HelloAck{
-		Version: version,
+		Version: wire.Version,
 		Params:  d.Store().Ring().Params(),
 	})
 	if err != nil {
 		return err
 	}
-	if _, err := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgHelloAck, Payload: ackPayload}); err != nil {
+	if _, err := wire.WriteFramed(conn, wire.FramedFrame{Type: wire.MsgHelloAck, Payload: ackPayload}); err != nil {
 		return err
 	}
-	if version >= wire.Version2 {
-		return d.servePipelined(conn, version)
-	}
-	return d.serveStrict(conn)
-}
-
-// serveStrict is the v1 request loop: one request, one response, in order.
-func (d *Daemon) serveStrict(conn *daemonConn) error {
-	for {
-		if err := d.armRead(conn); err != nil {
-			if !errors.Is(err, errDraining) {
-				return err // connection already unusable, not a drain
-			}
-			return d.drainConn(conn, func() error {
-				_, werr := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgBye})
-				return werr
-			})
-		}
-		f, _, err := wire.ReadFrame(conn)
-		if err != nil {
-			err = d.classifyRead(err)
-			if errors.Is(err, errDraining) {
-				return d.drainConn(conn, func() error {
-					_, werr := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgBye})
-					return werr
-				})
-			}
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		if f.Type == wire.MsgBye {
-			return nil
-		}
-		// v1 sessions cannot express a shed, so under a global bound they
-		// queue for a slot instead (lockstep: at most one slot per conn).
-		arrival := time.Now()
-		if admit := d.admitCh(); admit != nil {
-			admit <- struct{}{}
-		}
-		admitWait := time.Since(arrival)
-		d.Observer().Observe(obs.StageAdmitWait, admitWait)
-		typ, payload, sp, err := d.dispatch(f.Type, f.Payload, arrival, wire.Version, admitWait, 0)
-		if admit := d.admitCh(); admit != nil {
-			<-admit
-		}
-		wire.PutBuf(f.Payload) // request fully decoded by dispatch
-		if err != nil {
-			return err
-		}
-		_, werr := wire.WriteFrame(conn, wire.Frame{Type: typ, Payload: payload})
-		wire.PutBuf(payload)
-		d.Observer().FinishSpan(sp)
-		if werr != nil {
-			return werr
-		}
-	}
+	return d.serveConn(conn)
 }
 
 // errSlowConsumer marks a connection torn down because its peer stopped
@@ -517,15 +445,15 @@ type respFrame struct {
 	span  *obs.Span
 }
 
-// servePipelined is the v2/v3 request loop: decoded requests fan out to a
+// serveConn is the request loop: decoded requests fan out to a
 // bounded worker pool (the per-connection accept queue); completed
 // responses flow through a bounded write queue drained by a dedicated
 // writer goroutine, so slow requests do not block fast ones behind them
 // and a peer that stops reading exerts backpressure on its own
 // connection only — and is disconnected once the queue stalls past
-// WriteStall. Under a MaxInflight bound, v3 sessions shed excess
-// requests with a typed retryable error instead of queueing.
-func (d *Daemon) servePipelined(conn *daemonConn, version uint32) error {
+// WriteStall. Under a MaxInflight bound, excess requests are shed with a
+// typed retryable error instead of queueing.
+func (d *Daemon) serveConn(conn *daemonConn) error {
 	workers := d.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers
@@ -645,10 +573,10 @@ func (d *Daemon) servePipelined(conn *daemonConn, version uint32) error {
 		}
 		sem <- struct{}{}
 		handlers.Add(1)
-		go func(f wire.AnyFrame) {
+		go func(f wire.FramedFrame) {
 			defer handlers.Done()
 			defer func() { <-sem }()
-			typ, payload, sp := d.handleAdmitted(f, admit, version, arrival)
+			typ, payload, sp := d.handleAdmitted(f, admit, arrival)
 			enqueue(respFrame{
 				frame: wire.FramedFrame{Type: typ, ReqID: f.ReqID, Payload: payload},
 				enq:   time.Now(),
@@ -658,45 +586,39 @@ func (d *Daemon) servePipelined(conn *daemonConn, version uint32) error {
 	}
 }
 
-// handleAdmitted runs one pipelined request through admission control and
+// handleAdmitted runs one request through admission control and
 // dispatch, returning the response frame type and payload (on a pooled
 // buffer) plus the request's server span (nil unless the request carried a
 // sampled trace). The global admission slot, when bounded, is held across
 // store dispatch only — never across the response enqueue/write, so a slow
 // consumer cannot pin daemon-wide capacity.
-func (d *Daemon) handleAdmitted(f wire.AnyFrame, admit chan struct{}, version uint32, arrival time.Time) (wire.MsgType, []byte, *obs.Span) {
+func (d *Daemon) handleAdmitted(f wire.FramedFrame, admit chan struct{}, arrival time.Time) (wire.MsgType, []byte, *obs.Span) {
 	// Time spent between frame read and handler start: the wait for a
 	// per-connection worker slot.
 	dispatchWait := time.Since(arrival)
 	d.Observer().Observe(obs.StageDispatch, dispatchWait)
-	var admitWait time.Duration
 	if admit != nil {
-		if version >= wire.Version3 {
-			select {
-			case admit <- struct{}{}:
-			default:
-				// At capacity: shed before doing any work. The typed code
-				// tells the client the request is safe to retry, the hint
-				// tells it when.
-				d.counters.AddRequestsShed(1)
-				wire.PutBuf(f.Payload)
-				return wire.MsgError, wire.AppendError(wire.GetBuf(), wire.ErrorMsg{
-					ID:               f.ReqID,
-					Message:          "overloaded: shed by admission control",
-					Code:             wire.CodeOverloaded,
-					RetryAfterMillis: uint64(d.retryAfterHint() / time.Millisecond),
-				}), nil
-			}
-		} else {
-			// v2 sessions cannot express a shed: queue for a slot.
-			admitStart := time.Now()
-			admit <- struct{}{}
-			admitWait = time.Since(admitStart)
+		select {
+		case admit <- struct{}{}:
+		default:
+			// At capacity: shed before doing any work. The typed code tells
+			// the client the request is safe to retry, the hint tells it
+			// when.
+			d.counters.AddRequestsShed(1)
+			wire.PutBuf(f.Payload)
+			return wire.MsgError, wire.AppendError(wire.GetBuf(), wire.ErrorMsg{
+				ID:               f.ReqID,
+				Message:          "overloaded: shed by admission control",
+				Code:             wire.CodeOverloaded,
+				RetryAfterMillis: uint64(d.retryAfterHint() / time.Millisecond),
+			}), nil
 		}
 		defer func() { <-admit }()
 	}
-	d.Observer().Observe(obs.StageAdmitWait, admitWait)
-	typ, payload, sp, err := d.dispatch(f.Type, f.Payload, arrival, version, admitWait, dispatchWait)
+	// Admission sheds rather than queues, so an admitted request waited for
+	// no slot.
+	d.Observer().Observe(obs.StageAdmitWait, 0)
+	typ, payload, sp, err := d.dispatch(f.Type, f.Payload, arrival, dispatchWait)
 	wire.PutBuf(f.Payload) // request fully decoded by dispatch
 	if err != nil {
 		// Malformed request: framing is length-prefixed so the
@@ -728,25 +650,24 @@ func (d *Daemon) drainConn(conn *daemonConn, sendBye func() error) error {
 //
 // The store ref is captured once per request, so a concurrent SwapStore
 // lets this request finish on the store it started on. arrival is when
-// the request's frame was read: a v3 request whose propagated deadline
+// the request's frame was read: a request whose propagated deadline
 // budget has already elapsed by dispatch time is skipped (the client has
 // stopped waiting) and answered with CodeDeadlineExpired instead of
 // burning worker time on an answer nobody will read.
 //
 // A request carrying a sampled trace gets a server span rooted at arrival,
-// credited with the pre-measured admission and dispatch waits, and — for
-// Eval — propagated into the store via context so a coalescing or sharded
-// store attributes its stages to the same trace. The span is returned for
+// credited with the pre-measured dispatch wait, and — for Eval —
+// propagated into the store via context so a coalescing or sharded store
+// attributes its stages to the same trace. The span is returned for
 // the caller (ultimately the response writer) to finish once the response
 // is on the socket.
-func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, version uint32, admitWait, dispatchWait time.Duration) (wire.MsgType, []byte, *obs.Span, error) {
+func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, dispatchWait time.Duration) (wire.MsgType, []byte, *obs.Span, error) {
 	store := d.Store()
 	obsv := d.Observer()
 	var sp *obs.Span
 	startSpan := func(op string, traceID uint64, sampled bool) {
 		if !sampled {
-			// The request arrived untraced (an unsampled or pre-v3
-			// client). The daemon is its own trace origin then: under
+			// The request arrived untraced. The daemon is its own trace origin then: under
 			// obs.SetSampleEvery (sss-server -trace-sample) it samples
 			// arriving requests itself, so the server-side slow log
 			// fills without requiring instrumented clients.
@@ -757,14 +678,13 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, v
 			traceID = tr.ID
 		}
 		sp = obs.StartSpanAt(op, obs.Trace{ID: traceID, Sampled: true}, arrival)
-		sp.Add(obs.StageAdmitWait, admitWait)
 		sp.Add(obs.StageDispatch, dispatchWait)
 	}
 	fail := func(id uint64, err error) (wire.MsgType, []byte, *obs.Span, error) {
 		return wire.MsgError, wire.AppendError(wire.GetBuf(), wire.ErrorMsg{ID: id, Message: err.Error()}), sp, nil
 	}
 	expired := func(id, timeoutMillis uint64) (wire.MsgType, []byte, bool) {
-		if version < wire.Version3 || timeoutMillis == 0 ||
+		if timeoutMillis == 0 ||
 			time.Since(arrival) < time.Duration(timeoutMillis)*time.Millisecond {
 			return 0, nil, false
 		}
@@ -819,22 +739,6 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, v
 			return 0, nil, sp, err
 		}
 		return wire.MsgFetchResp, out, sp, nil
-	case wire.MsgPrune:
-		req, err := wire.DecodePruneReq(payload)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		startSpan("prune", req.TraceID, req.TraceSampled)
-		if t, p, skip := expired(req.ID, req.TimeoutMillis); skip {
-			return t, p, sp, nil
-		}
-		pruneStart := time.Now()
-		err = store.Prune(req.Keys)
-		observeEval(pruneStart)
-		if err != nil {
-			return fail(req.ID, err)
-		}
-		return wire.MsgAck, wire.AppendAck(wire.GetBuf(), req.ID), sp, nil
 	default:
 		return 0, nil, nil, fmt.Errorf("server: unexpected frame %s", typ)
 	}

@@ -236,8 +236,8 @@ func (s *Local) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return out, nil
 }
 
-// Prune implements core.ServerAPI. The in-process server holds no per-query
-// state, so this is a no-op acknowledgement.
+// Prune implements core.ServerAPI; kept only until the benchmark's tap
+// stops forwarding it.
 func (s *Local) Prune([]drbg.NodeKey) error { return nil }
 
 var _ core.ServerAPI = (*Local)(nil)

@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/big"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,7 +98,7 @@ func serveStore(t *testing.T, store Store, configure func(*Daemon)) (*Daemon, st
 }
 
 // TestDaemonShedsTypedError: with the sole admission slot held by a
-// parked request, a v3 session's next request must be shed immediately
+// parked request, a session's next request must be shed immediately
 // with the typed retryable error — code, retry-after hint and counter all
 // present — and the parked request must still answer correctly.
 func TestDaemonShedsTypedError(t *testing.T) {
@@ -110,9 +112,6 @@ func TestDaemonShedsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.ProtocolVersion() < wire.Version3 {
-		t.Fatalf("negotiated v%d, want v3 for typed shedding", r.ProtocolVersion())
-	}
 
 	type evalRes struct {
 		answers []core.NodeEval
@@ -160,39 +159,91 @@ func TestDaemonShedsTypedError(t *testing.T) {
 	}
 }
 
-// TestDaemonV1AdmissionQueues: pre-v3 sessions cannot express a shed, so
-// under a global bound they queue for a slot instead — every call from
-// concurrent v1 clients must succeed, just serialised.
-func TestDaemonV1AdmissionQueues(t *testing.T) {
-	local, keys := buildLocalStore(t)
-	_, addr := serveStore(t, local, func(d *Daemon) { d.MaxInflight = 1 })
-	points := []*big.Int{big.NewInt(3)}
-
-	const clients = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r, err := client.DialVersion(addr, wire.Version, nil)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer r.Close()
-			for i := 0; i < 5; i++ {
-				if _, err := r.EvalNodes(keys[(c+i)%len(keys):(c+i)%len(keys)+1], points); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(c)
+// handshake writes a framed Hello carrying version v on cli and returns
+// the daemon's answer.
+func handshake(t *testing.T, cli net.Conn, v uint64) wire.FramedFrame {
+	t.Helper()
+	hello := binary.AppendUvarint(nil, v)
+	if _, err := wire.WriteFramed(cli, wire.FramedFrame{Type: wire.MsgHello, Payload: hello}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("v1 client under MaxInflight=1: %v (must queue, never fail)", err)
+	f, _, err := wire.ReadAny(cli)
+	if err != nil {
+		t.Fatalf("reading the answer to a version-%d hello: %v", v, err)
+	}
+	return f
+}
+
+// TestDaemonRefusesRetiredProtocol: the daemon speaks one protocol. A
+// Hello of version 1 or 2 — or of 2^32+3, which a 32-bit read would take
+// for 3 — is answered with an error naming the version and the session
+// ends; a frame in the retired legacy layout (magic 0x5353) ends it with
+// ErrBadMagic; and a request of the retired Prune type gets the
+// unexpected-frame error while the session keeps serving.
+func TestDaemonRefusesRetiredProtocol(t *testing.T) {
+	local, keys := buildLocalStore(t)
+	d := NewDaemon(local, nil)
+	serve := func() (net.Conn, chan error) {
+		srv, cli := net.Pipe()
+		t.Cleanup(func() { cli.Close() })
+		served := make(chan error, 1)
+		go func() { served <- d.HandleConn(srv) }()
+		return cli, served
+	}
+
+	for _, v := range []uint64{1, 2, 1<<32 + 3} {
+		cli, served := serve()
+		f := handshake(t, cli, v)
+		if f.Type != wire.MsgError {
+			t.Fatalf("version-%d hello answered with %s, want Error", v, f.Type)
+		}
+		e, err := wire.DecodeError(f.Payload)
+		if err != nil || !strings.Contains(e.Message, "unsupported protocol version") {
+			t.Fatalf("version-%d hello refused with %+v (%v)", v, e, err)
+		}
+		if err := <-served; !errors.Is(err, wire.ErrVersion) {
+			t.Fatalf("HandleConn after a version-%d hello = %v, want ErrVersion", v, err)
+		}
+	}
+
+	// The v1 Hello in its own framing: magic, type, length, payload, CRC.
+	cli, served := serve()
+	legacy := []byte{0x53, 0x53, byte(wire.MsgHello), 0, 0, 0, 1, 1, 0, 0, 0, 0}
+	go cli.Write(legacy)
+	if err := <-served; !errors.Is(err, wire.ErrBadMagic) {
+		t.Fatalf("HandleConn after a legacy frame = %v, want ErrBadMagic", err)
+	}
+	if _, _, err := wire.ReadAny(cli); err == nil {
+		t.Fatal("the daemon answered a legacy frame")
+	}
+
+	cli, served = serve()
+	if f := handshake(t, cli, wire.Version); f.Type != wire.MsgHelloAck {
+		t.Fatalf("version-3 hello answered with %s", f.Type)
+	}
+	prune := wire.EncodeFetchReq(wire.FetchReq{ID: 5, Keys: keys[:1]}) // the retired layout: id, keys, tail
+	if _, err := wire.WriteFramed(cli, wire.FramedFrame{Type: 7, ReqID: 5, Payload: prune}); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := wire.ReadAny(cli)
+	if err != nil || f.Type != wire.MsgError || f.ReqID != 5 {
+		t.Fatalf("retired Prune frame answered with %+v (%v)", f, err)
+	}
+	if e, err := wire.DecodeError(f.Payload); err != nil || !strings.Contains(e.Message, "unexpected frame") {
+		t.Fatalf("retired Prune frame refused with %+v (%v)", e, err)
+	}
+	eval := wire.EncodeEvalReq(wire.EvalReq{ID: 6, Keys: keys[:1], Points: []*big.Int{big.NewInt(3)}})
+	if _, err := wire.WriteFramed(cli, wire.FramedFrame{Type: wire.MsgEval, ReqID: 6, Payload: eval}); err != nil {
+		t.Fatal(err)
+	}
+	if f, _, err := wire.ReadAny(cli); err != nil || f.Type != wire.MsgEvalResp || f.ReqID != 6 {
+		t.Fatalf("eval after the refused Prune answered with %+v (%v)", f, err)
+	}
+	if _, err := wire.WriteFramed(cli, wire.FramedFrame{Type: wire.MsgBye}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("HandleConn after Bye = %v", err)
 	}
 }
 
@@ -349,12 +400,8 @@ func TestSlowConsumerDisconnected(t *testing.T) {
 	go func() { served <- d.HandleConn(srv) }()
 
 	// Handshake, then flood requests and never read a response.
-	if _, err := wire.WriteFrame(cli, wire.Frame{Type: wire.MsgHello, Payload: wire.EncodeHello(wire.Hello{Version: wire.MaxVersion})}); err != nil {
-		t.Fatal(err)
-	}
-	ack, _, err := wire.ReadFrame(cli)
-	if err != nil || ack.Type != wire.MsgHelloAck {
-		t.Fatalf("handshake: %v (%v)", ack.Type, err)
+	if ack := handshake(t, cli, wire.Version); ack.Type != wire.MsgHelloAck {
+		t.Fatalf("handshake answered with %s", ack.Type)
 	}
 	points := []*big.Int{big.NewInt(3)}
 	go func() {
@@ -379,9 +426,9 @@ func TestSlowConsumerDisconnected(t *testing.T) {
 	}
 }
 
-// TestDispatchDeadlineSkip: a v3 request whose propagated budget elapsed
+// TestDispatchDeadlineSkip: a request whose propagated budget elapsed
 // before dispatch is answered with CodeDeadlineExpired without touching
-// the store; a live budget and a pre-v3 session dispatch normally.
+// the store; a live budget dispatches normally.
 func TestDispatchDeadlineSkip(t *testing.T) {
 	local, keys := buildLocalStore(t)
 	counted := &countingStore{Store: local}
@@ -389,8 +436,8 @@ func TestDispatchDeadlineSkip(t *testing.T) {
 	points := []*big.Int{big.NewInt(3)}
 	payload := wire.EncodeEvalReq(wire.EvalReq{ID: 7, Keys: keys[:1], Points: points, TimeoutMillis: 10})
 
-	// Budget elapsed on a v3 session: skip, typed error, counter, no store call.
-	typ, resp, _, err := d.dispatch(wire.MsgEval, payload, time.Now().Add(-50*time.Millisecond), wire.Version3, 0, 0)
+	// Budget elapsed: skip, typed error, counter, no store call.
+	typ, resp, _, err := d.dispatch(wire.MsgEval, payload, time.Now().Add(-50*time.Millisecond), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,16 +459,11 @@ func TestDispatchDeadlineSkip(t *testing.T) {
 	}
 
 	// Live budget: dispatches normally.
-	typ, _, _, err = d.dispatch(wire.MsgEval, payload, time.Now(), wire.Version3, 0, 0)
+	typ, _, _, err = d.dispatch(wire.MsgEval, payload, time.Now(), 0)
 	if err != nil || typ != wire.MsgEvalResp {
 		t.Fatalf("live dispatch = %v, %v; want an EvalResp", typ, err)
 	}
-	// Pre-v3 session: the budget field is ignored even when elapsed.
-	typ, _, _, err = d.dispatch(wire.MsgEval, payload, time.Now().Add(-50*time.Millisecond), wire.Version2, 0, 0)
-	if err != nil || typ != wire.MsgEvalResp {
-		t.Fatalf("v2 dispatch = %v, %v; want an EvalResp (no deadline semantics)", typ, err)
-	}
-	if counted.calls.Load() != 2 {
-		t.Fatalf("store calls = %d, want 2", counted.calls.Load())
+	if counted.calls.Load() != 1 {
+		t.Fatalf("store calls = %d, want 1", counted.calls.Load())
 	}
 }

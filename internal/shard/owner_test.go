@@ -19,6 +19,19 @@ func ownerOracle(m *Manifest, key drbg.NodeKey) int {
 	return owner
 }
 
+// keyHasPrefix reports whether key starts with prefix.
+func keyHasPrefix(key, prefix drbg.NodeKey) bool {
+	if len(prefix) > len(key) {
+		return false
+	}
+	for i, c := range prefix {
+		if key[i] != c {
+			return false
+		}
+	}
+	return true
+}
+
 // TestOwnerMatchesLongestPrefixOracle: on random manifests — nested
 // prefixes, components on both sides of the one-byte varint and beyond 2^14,
 // entries deeper than the keys and keys deeper than every entry — Owner,

@@ -252,71 +252,9 @@ func (r *Router) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core
 	})
 }
 
-// Prune implements core.ServerAPI: every shard whose ranges intersect a
-// pruned subtree is told about it (concurrently when several are
-// involved) — a spine subtree's descendants may be carved out to other
-// shards, and those shards hold dead nodes of the subtree too. Prune is
-// advisory, but a shard that owns live keys of the query must still hear
-// about its pruned ones, so errors are collected rather than
-// first-ack-wins.
-func (r *Router) Prune(keys []drbg.NodeKey) error {
-	return r.PruneCtx(context.Background(), keys)
-}
-
-// PruneCtx implements core.CtxPruner, every shard's notice under the
-// caller's ctx.
-func (r *Router) PruneCtx(ctx context.Context, keys []drbg.NodeKey) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	// Group by intersecting shard (a key may fan out to several shards,
-	// unlike the eval/fetch split).
-	var shards []int
-	var sub [][]drbg.NodeKey
-	slot := make(map[int]int, 4)
-	for _, k := range keys {
-		for _, s := range r.man.SubtreeShards(k) {
-			j, ok := slot[s]
-			if !ok {
-				j = len(shards)
-				slot[s] = j
-				shards = append(shards, s)
-				sub = append(sub, nil)
-			}
-			sub[j] = append(sub[j], k)
-		}
-	}
-	r.counters.RecordBatch(shards)
-	prune := func(s int, keys []drbg.NodeKey) error {
-		_, err := groupCall(r, s, func(api core.ServerAPI) (struct{}, error) {
-			return struct{}{}, core.PruneWithCtx(ctx, api, keys)
-		})
-		return err
-	}
-	if len(shards) == 1 {
-		if err := prune(shards[0], sub[0]); err != nil {
-			return fmt.Errorf("shard %d: %w", shards[0], err)
-		}
-		return nil
-	}
-	ch := make(chan error, len(shards))
-	for j := range shards {
-		go func(j int) {
-			if err := prune(shards[j], sub[j]); err != nil {
-				ch <- fmt.Errorf("shard %d: %w", shards[j], err)
-				return
-			}
-			ch <- nil
-		}(j)
-	}
-	var firstErr error
-	for range shards {
-		if err := <-ch; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+// Prune implements core.ServerAPI; kept only until the benchmark's tap
+// stops forwarding it.
+func (r *Router) Prune([]drbg.NodeKey) error { return nil }
 
 var _ core.ServerAPI = (*Router)(nil)
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/big"
 	"reflect"
-	"sync"
 	"testing"
 
 	"sssearch/internal/core"
@@ -290,9 +289,6 @@ func TestRouterMatchesReference(t *testing.T) {
 					t.Fatalf("%s: fetched polynomial differs", wantP[i].Key)
 				}
 			}
-			if err := router.Prune(keys[:3]); err != nil {
-				t.Fatalf("prune: %v", err)
-			}
 			snap := router.Counters().Snapshot()
 			if snap.Batches == 0 || snap.Fanout < snap.Batches {
 				t.Errorf("implausible routing counters: %+v", snap)
@@ -359,10 +355,6 @@ func TestGuardRejectsForeignKeys(t *testing.T) {
 	if _, err := g.FetchPolys(foreign[:1]); !errors.Is(err, ErrNotOwned) {
 		t.Fatalf("foreign fetch error = %v, want ErrNotOwned", err)
 	}
-	// Prune is advisory: foreign keys are dropped, not rejected.
-	if err := g.Prune(append(append([]drbg.NodeKey{}, foreign[:2]...), mine[:1]...)); err != nil {
-		t.Fatalf("mixed prune rejected: %v", err)
-	}
 	if _, err := NewGuard(r, local, man, 5); err == nil {
 		t.Error("out-of-range shard id accepted")
 	}
@@ -399,90 +391,6 @@ func TestManifestOwnerRootFallback(t *testing.T) {
 	}
 	if got := rt.Owner(drbg.NodeKey{}); got != 1 {
 		t.Errorf("unmarshalled Owner(root) = %d, want 1", got)
-	}
-}
-
-func TestManifestSubtreeShards(t *testing.T) {
-	man := &Manifest{Shards: 4, Entries: []Entry{
-		{Prefix: drbg.NodeKey{}, Shard: 0},
-		{Prefix: drbg.NodeKey{1}, Shard: 1},
-		{Prefix: drbg.NodeKey{1, 0}, Shard: 2},
-		{Prefix: drbg.NodeKey{3}, Shard: 3},
-	}}
-	cases := []struct {
-		key  drbg.NodeKey
-		want []int
-	}{
-		{drbg.NodeKey{}, []int{0, 1, 2, 3}}, // root subtree touches everything
-		{drbg.NodeKey{1}, []int{1, 2}},      // /1 has /1/0 carved out to shard 2
-		{drbg.NodeKey{1, 0}, []int{2}},      // leaf range
-		{drbg.NodeKey{0}, []int{0}},         // spine-only subtree
-		{drbg.NodeKey{3, 4, 5}, []int{3}},   // below a leaf range
-	}
-	for _, c := range cases {
-		got := man.SubtreeShards(c.key)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("SubtreeShards(%s) = %v, want %v", c.key, got, c.want)
-		}
-	}
-}
-
-// pruneRecorder is a ServerAPI stub that records Prune batches.
-type pruneRecorder struct {
-	mu     sync.Mutex
-	pruned []drbg.NodeKey
-}
-
-func (p *pruneRecorder) EvalNodes([]drbg.NodeKey, []*big.Int) ([]core.NodeEval, error) {
-	return nil, errors.New("unused")
-}
-func (p *pruneRecorder) FetchPolys([]drbg.NodeKey) ([]core.NodePoly, error) {
-	return nil, errors.New("unused")
-}
-func (p *pruneRecorder) Prune(keys []drbg.NodeKey) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pruned = append(p.pruned, keys...)
-	return nil
-}
-
-// TestRouterPruneBroadcast: pruning a spine subtree must reach every
-// shard whose ranges are nested inside it, not only the subtree root's
-// owner — those shards hold dead nodes of the pruned subtree too.
-func TestRouterPruneBroadcast(t *testing.T) {
-	man := &Manifest{Shards: 3, Entries: []Entry{
-		{Prefix: drbg.NodeKey{}, Shard: 0},
-		{Prefix: drbg.NodeKey{1}, Shard: 1},
-		{Prefix: drbg.NodeKey{1, 0}, Shard: 2},
-	}}
-	recorders := []*pruneRecorder{{}, {}, {}}
-	router, err := NewRouter(man, []core.ServerAPI{recorders[0], recorders[1], recorders[2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// /1 is owned by shard 1 but contains shard 2's /1/0 range.
-	if err := router.Prune([]drbg.NodeKey{{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(recorders[0].pruned) != 0 {
-		t.Errorf("shard 0 heard an unrelated prune: %v", recorders[0].pruned)
-	}
-	for _, s := range []int{1, 2} {
-		if len(recorders[s].pruned) != 1 || recorders[s].pruned[0].String() != "/1" {
-			t.Errorf("shard %d pruned = %v, want [/1]", s, recorders[s].pruned)
-		}
-	}
-	// The guard keeps broadcast keys whose subtree intersects its ranges.
-	g, err := NewGuard(ring.MustFp(257), recorders[2], man, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorders[2].pruned = nil
-	if err := g.Prune([]drbg.NodeKey{{1}, {0}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(recorders[2].pruned) != 1 || recorders[2].pruned[0].String() != "/1" {
-		t.Errorf("guard forwarded %v, want [/1]", recorders[2].pruned)
 	}
 }
 
@@ -566,9 +474,6 @@ func TestReplicatedRouterFailsOver(t *testing.T) {
 		if !gotP[i].Polynomial().Equal(wantP[i].Polynomial()) {
 			t.Fatalf("poly %s diverged after failover", keys[i])
 		}
-	}
-	if err := router.Prune(keys[:1]); err != nil {
-		t.Fatalf("Prune with broken first replicas: %v", err)
 	}
 	if snap := router.Counters().Snapshot(); snap.Retries < 1 {
 		t.Errorf("retries = %d, want >= 1", snap.Retries)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -34,52 +35,52 @@ func TestDecodersNeverPanicOnRandomInput(t *testing.T) {
 		DecodeEvalResp(data)
 		DecodeFetchReq(data)
 		DecodeFetchResp(data)
-		DecodePruneReq(data)
-		DecodeAck(data)
 		DecodeError(data)
 	}
 }
 
+// TestReadFrameNeverPanicsOnRandomStream: arbitrary streams must never
+// panic the frame reader, and a stream that opens with the retired legacy
+// frame magic is refused as a bad magic whatever follows it.
 func TestReadFrameNeverPanicsOnRandomStream(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 2000; i++ {
 		stream := randBytes(r, r.Intn(100))
-		ReadFrame(bytes.NewReader(stream))
+		ReadAny(bytes.NewReader(stream))
+	}
+	for i := 0; i < 500; i++ {
+		stream := append([]byte{0x53, 0x53}, randBytes(r, r.Intn(100))...)
+		if _, _, err := ReadAny(bytes.NewReader(stream)); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("legacy-magic stream: err = %v, want ErrBadMagic", err)
+		}
 	}
 }
 
-// TestMutatedFramesRejected: take a valid frame, flip random bits, and
-// require the reader to reject (or the payload to be caught downstream —
-// the CRC makes silent corruption astronomically unlikely).
+// TestMutatedFramesRejected: take a valid handshake frame, flip random
+// bits, and require the reader alone to reject every mutation: magic,
+// type, request ID, length, payload and CRC are all checked.
 func TestMutatedFramesRejected(t *testing.T) {
-	payload := EncodeEvalReq(EvalReq{ID: 1, Keys: nil, Points: nil})
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, Frame{Type: MsgEval, Payload: payload}); err != nil {
+	if _, err := WriteFramed(&buf, FramedFrame{Type: MsgHello, Payload: EncodeHello(Hello{Version: Version})}); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
 	r := rand.New(rand.NewSource(3))
-	rejected := 0
 	for i := 0; i < 500; i++ {
 		mutated := append([]byte(nil), valid...)
 		pos := r.Intn(len(mutated))
 		mutated[pos] ^= byte(1 << r.Intn(8))
-		if _, _, err := ReadFrame(bytes.NewReader(mutated)); err != nil {
-			rejected++
+		if f, _, err := ReadAny(bytes.NewReader(mutated)); err == nil {
+			t.Fatalf("flip at byte %d read as %+v", pos, f)
 		}
-	}
-	// Every single-bit flip hits magic, type, length, payload or CRC; all
-	// are covered by checks, so effectively all mutations must be caught.
-	if rejected < 490 {
-		t.Errorf("only %d/500 mutations rejected", rejected)
 	}
 }
 
 // --- framed (request-ID) frame seeds --------------------------------------
 
-// TestReadAnyNeverPanicsOnRandomStream: the dual-format reader sits on the
-// same trust boundary as ReadFrame and must reject arbitrary bytes
-// gracefully in both magics.
+// TestReadAnyNeverPanicsOnRandomStream: the frame reader sits on the trust
+// boundary and must reject arbitrary bytes gracefully, behind the frame
+// magic and behind the retired legacy one alike.
 func TestReadAnyNeverPanicsOnRandomStream(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
@@ -90,7 +91,7 @@ func TestReadAnyNeverPanicsOnRandomStream(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		var stream []byte
 		if i%2 == 0 {
-			stream = append(stream, 0x53, 0x53) // legacy magic
+			stream = append(stream, 0x53, 0x53) // retired legacy magic
 		} else {
 			stream = append(stream, 0x53, 0x50) // framed magic
 		}
@@ -118,7 +119,7 @@ func TestFramedTruncationRejected(t *testing.T) {
 	if err != nil || n != len(valid) {
 		t.Fatalf("valid frame rejected: %v (consumed %d of %d)", err, n, len(valid))
 	}
-	if !f.Framed || f.ReqID != 42 || f.Type != MsgEval {
+	if f.ReqID != 42 || f.Type != MsgEval {
 		t.Fatalf("framed header mangled: %+v", f)
 	}
 	dec, err := DecodeEvalReq(f.Payload)
@@ -159,32 +160,27 @@ func TestFramedMutationsRejected(t *testing.T) {
 	}
 }
 
-// TestInterleavedFramedStream: a stream carrying several framed frames
-// back to back — mixed with legacy frames — must parse each frame intact
-// and in order, exactly consuming the stream.
+// TestInterleavedFramedStream: a stream carrying several frames back to
+// back — requests mixed with handshake-style frames of request ID 0 — must
+// parse each frame intact and in order, exactly consuming the stream.
 func TestInterleavedFramedStream(t *testing.T) {
 	var buf bytes.Buffer
 	type sent struct {
-		framed bool
-		typ    MsgType
-		reqID  uint64
+		typ   MsgType
+		reqID uint64
 	}
 	var want []sent
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		payload := EncodeEvalReq(EvalReq{ID: uint64(i), Keys: []drbg.NodeKey{{uint32(i)}}})
-		if i%3 == 2 {
-			if _, err := WriteFrame(&buf, Frame{Type: MsgEval, Payload: payload}); err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, sent{false, MsgEval, 0})
-			continue
-		}
 		id := r.Uint64()
+		if i%3 == 2 {
+			id = 0
+		}
 		if _, err := WriteFramed(&buf, FramedFrame{Type: MsgEval, ReqID: id, Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, sent{true, MsgEval, id})
+		want = append(want, sent{MsgEval, id})
 	}
 	rd := bytes.NewReader(buf.Bytes())
 	for i, w := range want {
@@ -192,7 +188,7 @@ func TestInterleavedFramedStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if f.Framed != w.framed || f.Type != w.typ || f.ReqID != w.reqID {
+		if f.Type != w.typ || f.ReqID != w.reqID {
 			t.Fatalf("frame %d: got %+v, want %+v", i, f, w)
 		}
 		dec, err := DecodeEvalReq(f.Payload)
@@ -204,9 +200,6 @@ func TestInterleavedFramedStream(t *testing.T) {
 		t.Fatalf("%d trailing bytes after the last frame", rd.Len())
 	}
 }
-
-// TestDecodeEncodedRandomMessages: round-trip stability under random but
-// WELL-FORMED messages (complements the garbage tests above).
 
 // TestDecodeEncodedRandomMessages: round-trip stability under random but
 // WELL-FORMED messages (complements the garbage tests above).

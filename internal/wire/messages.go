@@ -17,33 +17,54 @@ import (
 
 // This file defines typed encode/decode helpers for each message payload.
 
+// ErrVersion reports a handshake carrying a protocol version other than
+// Version.
+var ErrVersion = errors.New("wire: unsupported protocol version")
+
+// decodeVersion reads the varint version at the front of a handshake
+// payload, refusing any version but Version.
+func decodeVersion(data []byte, what string) ([]byte, error) {
+	v, k := binary.Uvarint(data)
+	if k <= 0 {
+		return nil, errors.New("wire: bad " + what)
+	}
+	if v != Version {
+		return nil, fmt.Errorf("%w %d", ErrVersion, v)
+	}
+	return data[k:], nil
+}
+
 // Hello is the client's opening message.
-type Hello struct{ Version uint32 }
+type Hello struct{ Version uint64 }
 
 // EncodeHello marshals a Hello payload.
 func EncodeHello(h Hello) []byte {
-	return binary.AppendUvarint(nil, uint64(h.Version))
+	return binary.AppendUvarint(nil, h.Version)
 }
 
-// DecodeHello unmarshals a Hello payload.
+// DecodeHello unmarshals a Hello payload; any version but Version is
+// refused with ErrVersion.
 func DecodeHello(data []byte) (Hello, error) {
-	v, k := binary.Uvarint(data)
-	if k <= 0 {
-		return Hello{}, errors.New("wire: bad hello")
+	rest, err := decodeVersion(data, "hello")
+	if err != nil {
+		return Hello{}, err
 	}
-	return Hello{Version: uint32(v)}, nil
+	if len(rest) != 0 {
+		return Hello{}, errors.New("wire: trailing bytes in hello")
+	}
+	return Hello{Version: Version}, nil
 }
 
 // HelloAck is the server's session acceptance: protocol version plus the
 // public ring parameters of the hosted tree.
 type HelloAck struct {
-	Version uint32
+	Version uint64
 	Params  ring.Params
 }
 
 // EncodeHelloAck marshals a HelloAck payload.
 func EncodeHelloAck(h HelloAck) ([]byte, error) {
-	out := binary.AppendUvarint(nil, uint64(h.Version))
+	out := binary.AppendUvarint(nil, h.Version)
 	pb, err := h.Params.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -51,75 +72,48 @@ func EncodeHelloAck(h HelloAck) ([]byte, error) {
 	return append(out, pb...), nil
 }
 
-// DecodeHelloAck unmarshals a HelloAck payload.
+// DecodeHelloAck unmarshals a HelloAck payload; any version but Version
+// is refused with ErrVersion.
 func DecodeHelloAck(data []byte) (HelloAck, error) {
-	v, k := binary.Uvarint(data)
-	if k <= 0 {
-		return HelloAck{}, errors.New("wire: bad hello ack")
+	rest, err := decodeVersion(data, "hello ack")
+	if err != nil {
+		return HelloAck{}, err
 	}
-	params, rest, err := ring.DecodeParams(data[k:])
+	params, rest, err := ring.DecodeParams(rest)
 	if err != nil {
 		return HelloAck{}, err
 	}
 	if len(rest) != 0 {
 		return HelloAck{}, errors.New("wire: trailing bytes in hello ack")
 	}
-	return HelloAck{Version: uint32(v), Params: params}, nil
+	return HelloAck{Version: Version, Params: params}, nil
 }
 
-// decodeTail parses the optional trailing varints of a v3 request
-// payload. Three encodings, distinguished purely by remaining length:
-// empty rest is the v2 form (no deadline, no trace); exactly one varint
-// is the deadline budget alone (the PR 8 v3 form); three varints are
-// deadline + trace ID + trace flags (bit 0 = sampled). Anything else is
-// malformed.
+// decodeTail parses the fixed fields that end every request payload:
+// deadline budget, trace ID and trace flags (bit 0 = sampled; no other
+// bit is defined), three varints and nothing after them.
 func decodeTail(rest []byte, what string) (millis, traceID uint64, sampled bool, err error) {
-	if len(rest) == 0 {
-		return 0, 0, false, nil
+	var flags uint64
+	var k1, k2, k3 int
+	if millis, k1 = binary.Uvarint(rest); k1 > 0 {
+		if traceID, k2 = binary.Uvarint(rest[k1:]); k2 > 0 {
+			flags, k3 = binary.Uvarint(rest[k1+k2:])
+		}
 	}
-	bad := func() (uint64, uint64, bool, error) {
-		return 0, 0, false, errors.New("wire: trailing bytes in " + what)
+	if k3 <= 0 || flags > 1 || k1+k2+k3 != len(rest) {
+		return 0, 0, false, errors.New("wire: bad tail in " + what)
 	}
-	millis, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return bad()
-	}
-	rest = rest[k:]
-	if len(rest) == 0 {
-		return millis, 0, false, nil
-	}
-	traceID, k = binary.Uvarint(rest)
-	if k <= 0 {
-		return bad()
-	}
-	rest = rest[k:]
-	flags, k := binary.Uvarint(rest)
-	if k <= 0 || k != len(rest) {
-		return bad()
-	}
-	return millis, traceID, flags&1 != 0, nil
+	return millis, traceID, flags == 1, nil
 }
 
-// appendTail appends the optional deadline budget and trace context.
-// With no trace, a zero budget keeps the v2 encoding byte-identical and
-// a nonzero one appends the single PR 8 varint. With a trace, the budget
-// varint is always written — even when zero — so the decoder can tell
-// the forms apart by length; extended requests only ever reach peers
-// that negotiated version 3.
+// appendTail appends the deadline budget and trace context.
 func appendTail(dst []byte, millis, traceID uint64, sampled bool) []byte {
-	if traceID == 0 && !sampled {
-		if millis == 0 {
-			return dst
-		}
-		return binary.AppendUvarint(dst, millis)
-	}
 	dst = binary.AppendUvarint(dst, millis)
 	dst = binary.AppendUvarint(dst, traceID)
-	var flags uint64
 	if sampled {
-		flags = 1
+		return append(dst, 1)
 	}
-	return binary.AppendUvarint(dst, flags)
+	return append(dst, 0)
 }
 
 // EvalReq asks for evaluations of keys at points.
@@ -129,18 +123,16 @@ type EvalReq struct {
 	Points []*big.Int
 
 	// TimeoutMillis is the client's remaining deadline budget when the
-	// request was sent (protocol v3; 0 = no deadline). The server skips
-	// work whose budget has already elapsed instead of computing answers
-	// nobody will read. A relative budget rather than an absolute
-	// timestamp, so peers need no clock agreement.
+	// request was sent (0 = no deadline). The server skips work whose
+	// budget has already elapsed instead of computing answers nobody will
+	// read. A relative budget rather than an absolute timestamp, so peers
+	// need no clock agreement.
 	TimeoutMillis uint64
 
 	// TraceID and TraceSampled carry the sampled trace context of the
-	// logical query this request belongs to (protocol v3; zero = not
-	// traced). Hedged, retried and coalesced legs of one query share a
-	// trace ID, so a daemon's slow-query log correlates with the
-	// client's. Only sampled requests carry the extension, keeping
-	// unsampled frames byte-identical to PR 8 v3.
+	// logical query this request belongs to (zero = not traced). Hedged,
+	// retried and coalesced legs of one query share a trace ID, so a
+	// daemon's slow-query log correlates with the client's.
 	TraceID      uint64
 	TraceSampled bool
 }
@@ -273,12 +265,12 @@ type FetchReq struct {
 	ID   uint64
 	Keys []drbg.NodeKey
 
-	// TimeoutMillis is the remaining deadline budget (protocol v3;
-	// 0 = no deadline). See EvalReq.TimeoutMillis.
+	// TimeoutMillis is the remaining deadline budget (0 = no deadline).
+	// See EvalReq.TimeoutMillis.
 	TimeoutMillis uint64
 
-	// TraceID and TraceSampled carry the sampled trace context
-	// (protocol v3; zero = not traced). See EvalReq.TraceID.
+	// TraceID and TraceSampled carry the sampled trace context (zero =
+	// not traced). See EvalReq.TraceID.
 	TraceID      uint64
 	TraceSampled bool
 }
@@ -401,71 +393,12 @@ func DecodeFetchResp(data []byte) (FetchResp, error) {
 	return out, nil
 }
 
-// PruneReq notifies the server of dead subtrees.
-type PruneReq struct {
-	ID   uint64
-	Keys []drbg.NodeKey
-
-	// TimeoutMillis is the remaining deadline budget (protocol v3;
-	// 0 = no deadline). See EvalReq.TimeoutMillis.
-	TimeoutMillis uint64
-
-	// TraceID and TraceSampled carry the sampled trace context
-	// (protocol v3; zero = not traced). See EvalReq.TraceID.
-	TraceID      uint64
-	TraceSampled bool
-}
-
-// EncodePruneReq marshals a PruneReq payload.
-func EncodePruneReq(r PruneReq) []byte { return AppendPruneReq(nil, r) }
-
-// AppendPruneReq marshals a PruneReq payload onto dst.
-func AppendPruneReq(dst []byte, r PruneReq) []byte {
-	dst = binary.AppendUvarint(dst, r.ID)
-	dst = AppendKeys(dst, r.Keys)
-	return appendTail(dst, r.TimeoutMillis, r.TraceID, r.TraceSampled)
-}
-
-// DecodePruneReq unmarshals a PruneReq payload.
-func DecodePruneReq(data []byte) (PruneReq, error) {
-	id, k := binary.Uvarint(data)
-	if k <= 0 {
-		return PruneReq{}, errors.New("wire: bad prune id")
-	}
-	keys, rest, err := DecodeKeys(data[k:])
-	if err != nil {
-		return PruneReq{}, err
-	}
-	timeout, traceID, sampled, err := decodeTail(rest, "prune request")
-	if err != nil {
-		return PruneReq{}, err
-	}
-	return PruneReq{ID: id, Keys: keys, TimeoutMillis: timeout,
-		TraceID: traceID, TraceSampled: sampled}, nil
-}
-
-// EncodeAck marshals an Ack payload.
-func EncodeAck(id uint64) []byte { return AppendAck(nil, id) }
-
-// AppendAck marshals an Ack payload onto dst.
-func AppendAck(dst []byte, id uint64) []byte { return binary.AppendUvarint(dst, id) }
-
-// DecodeAck unmarshals an Ack payload.
-func DecodeAck(data []byte) (uint64, error) {
-	id, k := binary.Uvarint(data)
-	if k <= 0 {
-		return 0, errors.New("wire: bad ack")
-	}
-	return id, nil
-}
-
 // ErrCode classifies a server-side failure so clients can tell
 // retryable conditions (shed under overload) from terminal ones.
 type ErrCode uint32
 
 const (
-	// CodeGeneric is an unclassified semantic failure — the v2 behaviour.
-	// Not retryable: replaying the identical request yields the identical
+	// CodeGeneric is an unclassified semantic failure. Not retryable: replaying the identical request yields the identical
 	// error.
 	CodeGeneric ErrCode = 0
 	// CodeOverloaded means the daemon shed the request before doing any
@@ -479,21 +412,15 @@ const (
 	CodeDeadlineExpired ErrCode = 2
 )
 
-// ErrorMsg reports a server-side failure for a request. Code and
-// RetryAfterMillis are protocol v3 extensions carried as trailing
-// varints: a v3 decoder accepts the bare v2 encoding (both default to
-// zero), and AppendError omits them when they are both zero so sessions
-// negotiated at v2 or lower never see the extension bytes — shedding
-// daemons must therefore only set them on v3 sessions.
+// ErrorMsg reports a server-side failure for a request.
 type ErrorMsg struct {
 	ID      uint64
 	Message string
 
-	// Code classifies the failure (protocol v3; 0 = CodeGeneric).
+	// Code classifies the failure (0 = CodeGeneric).
 	Code ErrCode
 	// RetryAfterMillis hints how long a shed client should back off
-	// before retrying (protocol v3; 0 = no hint). Only meaningful with
-	// CodeOverloaded.
+	// before retrying (0 = no hint). Only meaningful with CodeOverloaded.
 	RetryAfterMillis uint64
 }
 
@@ -504,14 +431,11 @@ func EncodeError(e ErrorMsg) []byte { return AppendError(nil, e) }
 func AppendError(dst []byte, e ErrorMsg) []byte {
 	dst = binary.AppendUvarint(dst, e.ID)
 	dst = AppendString(dst, e.Message)
-	if e.Code == CodeGeneric && e.RetryAfterMillis == 0 {
-		return dst
-	}
 	dst = binary.AppendUvarint(dst, uint64(e.Code))
 	return binary.AppendUvarint(dst, e.RetryAfterMillis)
 }
 
-// DecodeError unmarshals an ErrorMsg payload (v2 or v3 encoding).
+// DecodeError unmarshals an ErrorMsg payload.
 func DecodeError(data []byte) (ErrorMsg, error) {
 	id, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -521,21 +445,15 @@ func DecodeError(data []byte) (ErrorMsg, error) {
 	if err != nil {
 		return ErrorMsg{}, err
 	}
-	out := ErrorMsg{ID: id, Message: msg}
-	if len(rest) == 0 {
-		return out, nil
-	}
 	code, k := binary.Uvarint(rest)
-	if k <= 0 {
+	if k <= 0 || code > 1<<32-1 {
 		return ErrorMsg{}, errors.New("wire: bad error code")
 	}
 	retry, k2 := binary.Uvarint(rest[k:])
 	if k2 <= 0 || k+k2 != len(rest) {
-		return ErrorMsg{}, errors.New("wire: trailing bytes in error message")
+		return ErrorMsg{}, errors.New("wire: bad tail in error message")
 	}
-	out.Code = ErrCode(code)
-	out.RetryAfterMillis = retry
-	return out, nil
+	return ErrorMsg{ID: id, Message: msg, Code: ErrCode(code), RetryAfterMillis: retry}, nil
 }
 
 // RemoteError is the client-side surfacing of a server ErrorMsg.

@@ -1,20 +1,8 @@
 // Package wire defines the binary protocol between the query client and
 // the share server: length-prefixed, CRC-protected frames carrying
-// evaluation requests, scalar answers, polynomial fetches and prune
-// notices.
+// evaluation requests, scalar answers and polynomial fetches.
 //
-// Frame layout (big-endian):
-//
-//	magic   uint16  0x5353 ("SS")
-//	type    uint8
-//	length  uint32  payload byte count
-//	payload length bytes
-//	crc32   uint32  IEEE CRC over type byte + payload
-//
-// Protocol version 2 adds a pipelined variant that carries the request ID
-// in the frame header, so a connection can have many requests in flight
-// and responses can complete out of order without the transport decoding
-// payloads to route them:
+// Every frame, the handshake included, has one layout (big-endian):
 //
 //	magic   uint16  0x5350 ("SP")
 //	type    uint8
@@ -23,9 +11,9 @@
 //	payload length bytes
 //	crc32   uint32  IEEE CRC over type byte + reqid + payload
 //
-// The two formats are distinguished by magic; ReadAny decodes either, so
-// a v2 endpoint remains backward compatible with the strict
-// request/response v1 framing.
+// The request ID in the header lets a connection have many requests in
+// flight and responses complete out of order without the transport
+// decoding payloads to route them.
 //
 // All payload integers are unsigned LEB128 varints unless stated otherwise.
 package wire
@@ -37,34 +25,18 @@ import (
 	"hash/crc32"
 	"io"
 	"math/big"
+	"slices"
 
 	"sssearch/internal/drbg"
 )
 
-// Magic identifies legacy (strict request/response) protocol frames.
-const Magic uint16 = 0x5353
-
-// FramedMagic identifies pipelined frames carrying a request ID in the
-// header (protocol version 2).
+// FramedMagic identifies a protocol frame.
 const FramedMagic uint16 = 0x5350
 
-// Version is the original strict request/response protocol version.
-const Version uint32 = 1
-
-// Version2 is the pipelined protocol version: after the handshake both
-// sides speak framed (request-ID) frames and may interleave requests.
-const Version2 uint32 = 2
-
-// Version3 is the overload-protection protocol version. The framing is
-// unchanged from version 2; the payloads grow optional trailing fields —
-// a per-request deadline budget on Eval/Fetch/Prune requests and a typed
-// error code plus retry-after hint on ErrorMsg — all encoded as trailing
-// varints, so a v3 decoder accepts v2 payloads unchanged and a v3 peer
-// simply omits the extensions when the negotiated session is older.
-const Version3 uint32 = 3
-
-// MaxVersion is the highest protocol version this build speaks.
-const MaxVersion = Version3
+// Version is the protocol version a Hello and its HelloAck carry. A peer
+// offering any other version is refused, so a later format change can
+// refuse old peers.
+const Version uint64 = 3
 
 // MaxFrameSize bounds a single frame's payload (16 MiB).
 const MaxFrameSize = 16 << 20
@@ -86,10 +58,9 @@ const (
 	MsgFetch MsgType = 5
 	// MsgFetchResp answers MsgFetch: varint id, poly answers.
 	MsgFetchResp MsgType = 6
-	// MsgPrune notifies dead subtrees: varint id, keys.
-	MsgPrune MsgType = 7
-	// MsgAck acknowledges MsgPrune: varint id.
-	MsgAck MsgType = 8
+	// Types 7 and 8 are retired: a peer that sends one gets the
+	// unexpected-frame error.
+
 	// MsgError reports a server-side failure: varint id, string message.
 	MsgError MsgType = 9
 	// MsgBye closes the session gracefully.
@@ -110,10 +81,6 @@ func (t MsgType) String() string {
 		return "Fetch"
 	case MsgFetchResp:
 		return "FetchResp"
-	case MsgPrune:
-		return "Prune"
-	case MsgAck:
-		return "Ack"
 	case MsgError:
 		return "Error"
 	case MsgBye:
@@ -121,12 +88,6 @@ func (t MsgType) String() string {
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
-}
-
-// Frame is one protocol message.
-type Frame struct {
-	Type    MsgType
-	Payload []byte
 }
 
 var (
@@ -166,70 +127,9 @@ func writeChunks(w io.Writer, header []byte, payload []byte, tail [4]byte) (int,
 	return total, nil
 }
 
-// WriteFrame writes one frame to w. It returns the number of bytes written.
-func WriteFrame(w io.Writer, f Frame) (int, error) {
-	if len(f.Payload) > MaxFrameSize {
-		return 0, ErrFrameTooLarge
-	}
-	var header [7]byte
-	binary.BigEndian.PutUint16(header[0:2], Magic)
-	header[2] = byte(f.Type)
-	binary.BigEndian.PutUint32(header[3:7], uint32(len(f.Payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(header[2:3])
-	crc.Write(f.Payload)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc.Sum32())
-	return writeChunks(w, header[:], f.Payload, tail)
-}
-
-// ReadFrame reads one legacy frame from r. It returns the frame and the
-// number of bytes consumed.
-func ReadFrame(r io.Reader) (Frame, int, error) {
-	var magic [2]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return Frame{}, 0, err
-	}
-	if binary.BigEndian.Uint16(magic[:]) != Magic {
-		return Frame{}, 7, ErrBadMagic
-	}
-	f, n, err := readLegacyBody(r)
-	return f, 2 + n, err
-}
-
-// readLegacyBody reads a legacy frame after its magic word, returning the
-// bytes consumed past the magic.
-func readLegacyBody(r io.Reader) (Frame, int, error) {
-	rest := make([]byte, 5) // type + length
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return Frame{}, 0, fmt.Errorf("wire: reading header: %w", err)
-	}
-	length := binary.BigEndian.Uint32(rest[1:5])
-	if length > MaxFrameSize {
-		return Frame{}, 5, ErrFrameTooLarge
-	}
-	// Pooled payload: callers that fully decode it may hand it back via
-	// PutBuf; callers that retain it (handshake params) simply never do.
-	payload := GetPayload(int(length))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, 5, fmt.Errorf("wire: reading payload: %w", err)
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return Frame{}, 5 + int(length), fmt.Errorf("wire: reading checksum: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(rest[0:1])
-	crc.Write(payload)
-	if crc.Sum32() != binary.BigEndian.Uint32(tail[:]) {
-		return Frame{}, 9 + int(length), ErrChecksum
-	}
-	return Frame{Type: MsgType(rest[0]), Payload: payload}, 9 + int(length), nil
-}
-
-// FramedFrame is one pipelined (version 2) protocol message: a frame plus
-// the request ID it belongs to, carried in the header so responses can be
-// routed without decoding payloads.
+// FramedFrame is one protocol message: its type, the request ID it
+// belongs to (carried in the header so responses can be routed without
+// decoding payloads) and its payload.
 type FramedFrame struct {
 	Type    MsgType
 	ReqID   uint64
@@ -243,8 +143,8 @@ const framedHeaderLen = 15
 // bytes.
 func FramedSize(n int) int { return framedHeaderLen + n + 4 }
 
-// WriteFramed writes one pipelined frame to w. It returns the number of
-// bytes written.
+// WriteFramed writes one frame to w. It returns the number of bytes
+// written.
 func WriteFramed(w io.Writer, f FramedFrame) (int, error) {
 	if len(f.Payload) > MaxFrameSize {
 		return 0, ErrFrameTooLarge
@@ -262,60 +162,68 @@ func WriteFramed(w io.Writer, f FramedFrame) (int, error) {
 	return writeChunks(w, header[:], f.Payload, tail)
 }
 
-// AnyFrame is the result of ReadAny: a message in either framing. Framed
-// reports which format was on the wire; ReqID is zero for legacy frames
-// (their correlation ID, if any, lives in the payload).
-type AnyFrame struct {
-	Type    MsgType
-	ReqID   uint64
-	Framed  bool
-	Payload []byte
+// ReadAny reads one frame. It returns the frame and the number of bytes
+// consumed.
+func ReadAny(r io.Reader) (FramedFrame, int, error) {
+	var header [framedHeaderLen]byte
+	if _, err := io.ReadFull(r, header[:2]); err != nil {
+		return FramedFrame{}, 0, err
+	}
+	if binary.BigEndian.Uint16(header[:2]) != FramedMagic {
+		return FramedFrame{}, 2, ErrBadMagic
+	}
+	rest := header[2:] // type + reqid + length
+	if _, err := io.ReadFull(r, rest); err != nil {
+		return FramedFrame{}, 2, fmt.Errorf("wire: reading framed header: %w", err)
+	}
+	length := binary.BigEndian.Uint32(rest[9:13])
+	if length > MaxFrameSize {
+		return FramedFrame{}, framedHeaderLen, ErrFrameTooLarge
+	}
+	payload, err := readPayload(r, int(length))
+	if err != nil {
+		return FramedFrame{}, framedHeaderLen, fmt.Errorf("wire: reading payload: %w", err)
+	}
+	var tail [4]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return FramedFrame{}, framedHeaderLen + int(length), fmt.Errorf("wire: reading checksum: %w", err)
+	}
+	crc := crc32.NewIEEE()
+	crc.Write(rest[0:9])
+	crc.Write(payload)
+	if crc.Sum32() != binary.BigEndian.Uint32(tail[:]) {
+		return FramedFrame{}, framedHeaderLen + 4 + int(length), ErrChecksum
+	}
+	return FramedFrame{
+		Type:    MsgType(rest[0]),
+		ReqID:   binary.BigEndian.Uint64(rest[1:9]),
+		Payload: payload,
+	}, framedHeaderLen + 4 + int(length), nil
 }
 
-// ReadAny reads one frame in either the legacy or the pipelined format,
-// dispatching on the magic. It returns the frame and the number of bytes
-// consumed.
-func ReadAny(r io.Reader) (AnyFrame, int, error) {
-	var magic [2]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return AnyFrame{}, 0, err
+// readPayload reads an n-byte frame payload. One that fits the buffer
+// pool lands in a pooled buffer: callers that fully decode it may hand it
+// back via PutBuf; callers that retain it (handshake params) simply never
+// do. A larger one grows as its bytes arrive, so a header alone cannot
+// make the reader allocate MaxFrameSize.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= maxPooledBuf {
+		p := GetPayload(n)
+		_, err := io.ReadFull(r, p)
+		return p, err
 	}
-	switch binary.BigEndian.Uint16(magic[:]) {
-	case Magic:
-		f, n, err := readLegacyBody(r)
-		return AnyFrame{Type: f.Type, Payload: f.Payload}, 2 + n, err
-	case FramedMagic:
-		rest := make([]byte, framedHeaderLen-2) // type + reqid + length
-		if _, err := io.ReadFull(r, rest); err != nil {
-			return AnyFrame{}, 2, fmt.Errorf("wire: reading framed header: %w", err)
+	p := make([]byte, 0, maxPooledBuf)
+	for len(p) < n {
+		if len(p) == cap(p) {
+			p = slices.Grow(p, min(len(p), n-len(p)))
 		}
-		length := binary.BigEndian.Uint32(rest[9:13])
-		if length > MaxFrameSize {
-			return AnyFrame{}, framedHeaderLen, ErrFrameTooLarge
+		m, err := io.ReadFull(r, p[len(p):min(cap(p), n)])
+		p = p[:len(p)+m]
+		if err != nil {
+			return nil, err
 		}
-		payload := GetPayload(int(length))
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return AnyFrame{}, framedHeaderLen, fmt.Errorf("wire: reading payload: %w", err)
-		}
-		var tail [4]byte
-		if _, err := io.ReadFull(r, tail[:]); err != nil {
-			return AnyFrame{}, framedHeaderLen + int(length), fmt.Errorf("wire: reading checksum: %w", err)
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(rest[0:9])
-		crc.Write(payload)
-		if crc.Sum32() != binary.BigEndian.Uint32(tail[:]) {
-			return AnyFrame{}, framedHeaderLen + 4 + int(length), ErrChecksum
-		}
-		return AnyFrame{
-			Type:    MsgType(rest[0]),
-			ReqID:   binary.BigEndian.Uint64(rest[1:9]),
-			Framed:  true,
-			Payload: payload,
-		}, framedHeaderLen + 4 + int(length), nil
-	default:
-		return AnyFrame{}, 2, ErrBadMagic
 	}
+	return p, nil
 }
 
 // --- payload codecs -------------------------------------------------------

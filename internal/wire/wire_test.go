@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/big"
 	"testing"
 	"time"
@@ -14,24 +16,27 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	frames := []Frame{
+	frames := []FramedFrame{
 		{Type: MsgHello, Payload: []byte{1, 2, 3}},
-		{Type: MsgBye, Payload: nil},
-		{Type: MsgEval, Payload: bytes.Repeat([]byte{0xAB}, 10000)},
+		{Type: MsgBye, ReqID: 9, Payload: nil},
+		{Type: MsgEval, ReqID: 1<<64 - 1, Payload: bytes.Repeat([]byte{0xAB}, 10000)},
 	}
 	for _, f := range frames {
-		wn, err := WriteFrame(&buf, f)
+		wn, err := WriteFramed(&buf, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, rn, err := ReadFrame(&buf)
+		if wn != FramedSize(len(f.Payload)) {
+			t.Errorf("wrote %d bytes, FramedSize says %d", wn, FramedSize(len(f.Payload)))
+		}
+		got, rn, err := ReadAny(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wn != rn {
 			t.Errorf("wrote %d read %d bytes", wn, rn)
 		}
-		if got.Type != f.Type || !bytes.Equal(got.Payload, f.Payload) {
+		if got.Type != f.Type || got.ReqID != f.ReqID || !bytes.Equal(got.Payload, f.Payload) {
 			t.Errorf("frame changed in transit")
 		}
 	}
@@ -39,36 +44,36 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, Frame{Type: MsgEval, Payload: []byte("hello")}); err != nil {
+	if _, err := WriteFramed(&buf, FramedFrame{Type: MsgEval, ReqID: 3, Payload: []byte("hello")}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	// Flip a payload byte → checksum failure.
 	bad := append([]byte(nil), raw...)
-	bad[8] ^= 0xFF
-	if _, _, err := ReadFrame(bytes.NewReader(bad)); err != ErrChecksum {
+	bad[framedHeaderLen+1] ^= 0xFF
+	if _, _, err := ReadAny(bytes.NewReader(bad)); err != ErrChecksum {
 		t.Errorf("corrupted payload: err = %v, want ErrChecksum", err)
 	}
 	// Bad magic.
 	bad2 := append([]byte(nil), raw...)
 	bad2[0] = 0x00
-	if _, _, err := ReadFrame(bytes.NewReader(bad2)); err != ErrBadMagic {
+	if _, _, err := ReadAny(bytes.NewReader(bad2)); err != ErrBadMagic {
 		t.Errorf("bad magic: err = %v", err)
 	}
 	// Truncated stream.
-	if _, _, err := ReadFrame(bytes.NewReader(raw[:5])); err == nil {
+	if _, _, err := ReadAny(bytes.NewReader(raw[:5])); err == nil {
 		t.Error("truncated header accepted")
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(raw[:9])); err == nil {
+	if _, _, err := ReadAny(bytes.NewReader(raw[:framedHeaderLen+1])); err == nil {
 		t.Error("truncated payload accepted")
 	}
 	// Oversized frame declared in header.
-	huge := append([]byte(nil), raw[:7]...)
-	huge[3], huge[4], huge[5], huge[6] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := ReadFrame(bytes.NewReader(huge)); err != ErrFrameTooLarge {
+	huge := append([]byte(nil), raw[:framedHeaderLen]...)
+	copy(huge[11:15], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+	if _, _, err := ReadAny(bytes.NewReader(huge)); err != ErrFrameTooLarge {
 		t.Errorf("oversized frame: err = %v", err)
 	}
-	if _, err := WriteFrame(&buf, Frame{Payload: make([]byte, MaxFrameSize+1)}); err != ErrFrameTooLarge {
+	if _, err := WriteFramed(&buf, FramedFrame{Payload: make([]byte, MaxFrameSize+1)}); err != ErrFrameTooLarge {
 		t.Errorf("oversized write: err = %v", err)
 	}
 }
@@ -140,12 +145,12 @@ func TestStringCodec(t *testing.T) {
 }
 
 func TestHelloMessages(t *testing.T) {
-	h, err := DecodeHello(EncodeHello(Hello{Version: 7}))
-	if err != nil || h.Version != 7 {
+	h, err := DecodeHello(EncodeHello(Hello{Version: Version}))
+	if err != nil || h.Version != Version {
 		t.Fatal("hello round trip failed")
 	}
 	params := ring.MustFp(101).Params()
-	payload, err := EncodeHelloAck(HelloAck{Version: 1, Params: params})
+	payload, err := EncodeHelloAck(HelloAck{Version: Version, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,17 +158,42 @@ func TestHelloMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Version != 1 || ack.Params.Kind != ring.KindFpCyclotomic || ack.Params.P.Int64() != 101 {
+	if ack.Version != Version || ack.Params.Kind != ring.KindFpCyclotomic || ack.Params.P.Int64() != 101 {
 		t.Errorf("hello ack = %+v", ack)
 	}
 	zparams := ring.MustIntQuotient(1, 0, 1).Params()
-	payload, _ = EncodeHelloAck(HelloAck{Version: 1, Params: zparams})
+	payload, _ = EncodeHelloAck(HelloAck{Version: Version, Params: zparams})
 	ack, err = DecodeHelloAck(payload)
 	if err != nil || ack.Params.Kind != ring.KindIntQuotient {
 		t.Errorf("Z hello ack: %v %v", ack, err)
 	}
 	if _, err := DecodeHello(nil); err == nil {
 		t.Error("empty hello accepted")
+	}
+}
+
+// TestHelloRefusesOtherVersions: the handshake accepts exactly version 3,
+// compared as the full varint — 2^32+3 is not 3 — and nothing after it.
+func TestHelloRefusesOtherVersions(t *testing.T) {
+	params, err := ring.MustFp(101).Params().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{0, 1, 2, 4, 1<<32 + 3, 1<<64 - 1} {
+		hello := binary.AppendUvarint(nil, v)
+		if _, err := DecodeHello(hello); !errors.Is(err, ErrVersion) {
+			t.Errorf("hello of version %d: err = %v, want ErrVersion", v, err)
+		}
+		if _, err := DecodeHelloAck(append(hello, params...)); !errors.Is(err, ErrVersion) {
+			t.Errorf("hello ack of version %d: err = %v, want ErrVersion", v, err)
+		}
+	}
+	if _, err := DecodeHello([]byte{3, 0}); err == nil {
+		t.Error("hello with a trailing byte accepted")
+	}
+	ack := append(binary.AppendUvarint(nil, 3), params...)
+	if _, err := DecodeHelloAck(append(ack, 0)); err == nil {
+		t.Error("hello ack with a trailing byte accepted")
 	}
 }
 
@@ -290,16 +320,7 @@ func TestFetchRespWordsAndBigIntAlike(t *testing.T) {
 	}
 }
 
-func TestPruneAckError(t *testing.T) {
-	p := PruneReq{ID: 3, Keys: []drbg.NodeKey{{5}}}
-	dec, err := DecodePruneReq(EncodePruneReq(p))
-	if err != nil || dec.ID != 3 {
-		t.Fatal("prune round trip failed")
-	}
-	id, err := DecodeAck(EncodeAck(77))
-	if err != nil || id != 77 {
-		t.Fatal("ack round trip failed")
-	}
+func TestErrorRoundTrip(t *testing.T) {
 	e, err := DecodeError(EncodeError(ErrorMsg{ID: 5, Message: "boom"}))
 	if err != nil || e.ID != 5 || e.Message != "boom" {
 		t.Fatal("error round trip failed")
@@ -310,10 +331,10 @@ func TestPruneAckError(t *testing.T) {
 	}
 }
 
+// TestV3RequestDeadlines: the deadline budget is a fixed field of every
+// request — present when zero, round-tripped when set — and a request
+// without its fixed fields, or with bytes after them, is refused.
 func TestV3RequestDeadlines(t *testing.T) {
-	// A request with a deadline budget round-trips, and its encoding with
-	// the budget zeroed is byte-identical to the v2 encoding — the
-	// back-compat contract that lets v3 builds talk to v2 daemons.
 	req := EvalReq{
 		ID:            7,
 		Keys:          []drbg.NodeKey{{1}},
@@ -324,38 +345,34 @@ func TestV3RequestDeadlines(t *testing.T) {
 	if err != nil || dec.TimeoutMillis != 1500 {
 		t.Fatalf("eval deadline round trip: %+v %v", dec, err)
 	}
-	legacy := req
-	legacy.TimeoutMillis = 0
-	withT := EncodeEvalReq(req)
-	noT := EncodeEvalReq(legacy)
-	if bytes.Equal(withT, noT) {
-		t.Fatal("deadline budget not encoded")
+	zero := req
+	zero.TimeoutMillis = 0
+	noT := EncodeEvalReq(zero)
+	bare := AppendBigs(AppendKeys(binary.AppendUvarint(nil, 7), zero.Keys), zero.Points)
+	if !bytes.Equal(noT, append(bare, 0, 0, 0)) {
+		t.Fatalf("zero budget encodes to %x, want the three fixed fields %x", noT, append(bare, 0, 0, 0))
 	}
-	if !bytes.HasPrefix(withT, noT) {
-		t.Fatal("v3 extension is not a pure suffix of the v2 encoding")
+	if _, err := DecodeEvalReq(bare); err == nil {
+		t.Error("eval request without its fixed fields accepted")
 	}
-	decL, err := DecodeEvalReq(noT)
-	if err != nil || decL.TimeoutMillis != 0 {
-		t.Fatalf("legacy eval decode: %+v %v", decL, err)
+	if _, err := DecodeFetchReq(AppendKeys(binary.AppendUvarint(nil, 8), zero.Keys)); err == nil {
+		t.Error("fetch request without its fixed fields accepted")
 	}
 
 	f, err := DecodeFetchReq(EncodeFetchReq(FetchReq{ID: 8, Keys: []drbg.NodeKey{{2}}, TimeoutMillis: 250}))
 	if err != nil || f.TimeoutMillis != 250 {
 		t.Fatalf("fetch deadline round trip: %+v %v", f, err)
 	}
-	p, err := DecodePruneReq(EncodePruneReq(PruneReq{ID: 9, Keys: []drbg.NodeKey{{3}}, TimeoutMillis: 10}))
-	if err != nil || p.TimeoutMillis != 10 {
-		t.Fatalf("prune deadline round trip: %+v %v", p, err)
-	}
-	// Garbage after the budget varint is still rejected.
+	// Garbage after the fixed fields is rejected.
 	if _, err := DecodeEvalReq(append(EncodeEvalReq(req), 0x01)); err == nil {
 		t.Error("trailing bytes after deadline accepted")
 	}
 }
 
+// TestV3RequestTrace: trace ID and sampled flag round-trip on both
+// request types, alone or beside a deadline; flag bits other than
+// "sampled" are refused.
 func TestV3RequestTrace(t *testing.T) {
-	// A traced request round-trips trace ID + sampled flag on all three
-	// request types, including a zero deadline budget alongside a trace.
 	req := EvalReq{
 		ID:           7,
 		Keys:         []drbg.NodeKey{{1}},
@@ -373,27 +390,15 @@ func TestV3RequestTrace(t *testing.T) {
 	if err != nil || dec.TraceID != req.TraceID || !dec.TraceSampled || dec.TimeoutMillis != 1500 {
 		t.Fatalf("eval trace+deadline round trip: %+v %v", dec, err)
 	}
-	// An untraced request encodes byte-identically to the PR 8 form: the
-	// trace extension is a pure suffix, and with no deadline either, to
-	// the v2 form — so traceless frames are safe for v2 peers.
-	traceless := req
-	traceless.TraceID, traceless.TraceSampled = 0, false
-	if !bytes.HasPrefix(EncodeEvalReq(req), EncodeEvalReq(traceless)) {
-		t.Fatal("trace extension is not a pure suffix")
-	}
-	v2 := traceless
-	v2.TimeoutMillis = 0
-	if !bytes.HasPrefix(EncodeEvalReq(traceless), EncodeEvalReq(v2)) {
-		t.Fatal("traceless v3 encoding is not a pure extension of v2")
-	}
-
 	f, err := DecodeFetchReq(EncodeFetchReq(FetchReq{ID: 8, Keys: []drbg.NodeKey{{2}}, TraceID: 42, TraceSampled: true}))
 	if err != nil || f.TraceID != 42 || !f.TraceSampled {
 		t.Fatalf("fetch trace round trip: %+v %v", f, err)
 	}
-	p, err := DecodePruneReq(EncodePruneReq(PruneReq{ID: 9, Keys: []drbg.NodeKey{{3}}, TimeoutMillis: 10, TraceID: 43, TraceSampled: true}))
-	if err != nil || p.TraceID != 43 || !p.TraceSampled || p.TimeoutMillis != 10 {
-		t.Fatalf("prune trace round trip: %+v %v", p, err)
+	// Flags are the last byte of a sampled request; 2 is no defined flag.
+	enc := EncodeEvalReq(req)
+	enc[len(enc)-1] = 2
+	if _, err := DecodeEvalReq(enc); err == nil {
+		t.Error("undefined trace flag accepted")
 	}
 	// Garbage after the trace flags varint is still rejected.
 	if _, err := DecodeEvalReq(append(EncodeEvalReq(req), 0x01)); err == nil {
@@ -402,31 +407,24 @@ func TestV3RequestTrace(t *testing.T) {
 }
 
 func TestTypedErrorCodec(t *testing.T) {
-	// v3 extended encoding round-trips code + retry-after.
 	shed := ErrorMsg{ID: 11, Message: "shed", Code: CodeOverloaded, RetryAfterMillis: 5}
 	dec, err := DecodeError(EncodeError(shed))
 	if err != nil || dec != shed {
 		t.Fatalf("typed error round trip: %+v %v", dec, err)
 	}
-	// A generic error with no hint encodes byte-identically to v2, so v2
-	// peers never see extension bytes.
+	// A generic error with no hint still carries both fixed fields.
 	plain := ErrorMsg{ID: 11, Message: "shed"}
-	if !bytes.Equal(EncodeError(plain), func() []byte {
-		dst := AppendAck(nil, 11)
-		return AppendString(dst, "shed")
-	}()) {
-		t.Fatal("generic error encoding grew extension bytes")
+	bare := AppendString(binary.AppendUvarint(nil, 11), "shed")
+	if !bytes.Equal(EncodeError(plain), append(bare, 0, 0)) {
+		t.Fatalf("generic error encodes to %x, want %x", EncodeError(plain), append(bare, 0, 0))
 	}
-	dec2, err := DecodeError(EncodeError(plain))
-	if err != nil || dec2.Code != CodeGeneric || dec2.RetryAfterMillis != 0 {
-		t.Fatalf("legacy error decode: %+v %v", dec2, err)
+	if _, err := DecodeError(bare); err == nil {
+		t.Error("error message without its fixed fields accepted")
 	}
-	// Truncated extension (code without retry-after) is rejected.
-	trunc := AppendAck(nil, 1)
-	trunc = AppendString(trunc, "x")
-	trunc = append(trunc, 0x01, 0x80) // code=1, then a dangling varint
+	// Truncated fields (code without retry-after) are rejected.
+	trunc := append(bare, 0x01, 0x80) // code=1, then a dangling varint
 	if _, err := DecodeError(trunc); err == nil {
-		t.Error("truncated error extension accepted")
+		t.Error("truncated error fields accepted")
 	}
 }
 
@@ -467,10 +465,10 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if _, err := WriteFrame(&buf, Frame{Type: MsgEvalResp, Payload: payload}); err != nil {
+		if _, err := WriteFramed(&buf, FramedFrame{Type: MsgEvalResp, ReqID: 1, Payload: payload}); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := ReadFrame(&buf); err != nil {
+		if _, _, err := ReadAny(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

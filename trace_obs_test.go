@@ -4,9 +4,11 @@ import (
 	"context"
 	crand "crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math/big"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -353,12 +355,11 @@ func TestTraceFetchLegCarriesQueryID(t *testing.T) {
 	t.Fatal("no fixture tag made the engine send a fetch frame")
 }
 
-// TestTraceV2DowngradeStripsTrace proves v2 interop with sampling on: a
-// v2 session never puts trace bytes on the wire, the daemon parses its
-// frames exactly as before and answers correctly, and no server span
-// appears for the v2 request — while a v3 session against the same
-// daemon does get its trace through.
-func TestTraceV2DowngradeStripsTrace(t *testing.T) {
+// TestTraceV2HelloRefused: with sampling on, a peer offering version 2 is
+// refused at the handshake — the daemon answers with the version error and
+// records no server span for it — while a session of the one protocol
+// against the same daemon gets its trace through.
+func TestTraceV2HelloRefused(t *testing.T) {
 	prev := obs.SampleEvery()
 	obs.SetSampleEvery(1)
 	defer obs.SetSampleEvery(prev)
@@ -366,14 +367,33 @@ func TestTraceV2DowngradeStripsTrace(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
 	addr, ob := serveTraced(t, f.Reference)
 
-	r2, err := client.DialVersion(addr, wire.Version2, &metrics.Counters{})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r2.Close()
-	const v2ID = 0x5e7_1d_0020
-	ctx2, _ := sampledCtx(v2ID)
-	got, err := r2.EvalNodesCtx(ctx2, f.Keys, f.Points)
+	defer conn.Close()
+	if _, err := wire.WriteFramed(conn, wire.FramedFrame{Type: wire.MsgHello, Payload: binary.AppendUvarint(nil, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	refusal, _, err := wire.ReadAny(conn)
+	if err != nil || refusal.Type != wire.MsgError {
+		t.Fatalf("version-2 hello answered with %+v (%v), want an Error", refusal, err)
+	}
+	if e, err := wire.DecodeError(refusal.Payload); err != nil || !strings.Contains(e.Message, "unsupported protocol version 2") {
+		t.Fatalf("version-2 hello refused with %+v (%v)", e, err)
+	}
+	if _, _, err := wire.ReadAny(conn); err == nil {
+		t.Fatal("the daemon kept a refused session open")
+	}
+
+	r, err := client.Dial(addr, &metrics.Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const id = 0x5e7_1d_0021
+	ctx, _ := sampledCtx(id)
+	got, err := r.EvalNodesCtx(ctx, f.Keys, f.Points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,27 +402,13 @@ func TestTraceV2DowngradeStripsTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := apitest.CompareEvals(got, want); err != nil {
-		t.Fatalf("v2 session answer under sampling: %v", err)
+		t.Fatalf("answer under sampling: %v", err)
 	}
-
-	// A v3 request is the sentinel that the daemon has caught up on
-	// span recording: once ITS id is logged, the v2 request has long
-	// been answered — and must have left no trace.
-	r3, err := client.Dial(addr, &metrics.Counters{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r3.Close()
-	const v3ID = 0x5e7_1d_0021
-	ctx3, _ := sampledCtx(v3ID)
-	if _, err := r3.EvalNodesCtx(ctx3, f.Keys[:1], f.Points[:1]); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the v3 sentinel trace in the slow log", func() bool {
-		return slowCount(ob, v3ID) >= 1
+	waitFor(t, "the session's trace in the slow log", func() bool {
+		return slowCount(ob, id) >= 1
 	})
-	if n := slowCount(ob, v2ID); n != 0 {
-		t.Fatalf("v2 session leaked %d server span(s); the downgrade must strip the trace", n)
+	if n := len(ob.Slow.Entries()) - slowCount(ob, id); n != 0 {
+		t.Fatalf("the refused hello left %d server span(s)", n)
 	}
 }
 
