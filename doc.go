@@ -119,9 +119,9 @@
 //     and the store (a plain Local, a shard.Guard, a Router — anything).
 //     It drains whatever Eval frames are queued across ALL connections,
 //     merges point-compatible requests into one deduplicated pass in
-//     front of the eval LRU (identical hot waves take a map-free fast
+//     front of the store (identical hot waves take a map-free fast
 //     path), and shares the resulting values singleflight-style — one
-//     evaluation, one cache fill, every waiting session answered. A
+//     evaluation, every waiting session answered. A
 //     failed merged pass replays each request alone, so error semantics
 //     are exactly per-request. Serving helpers enable it by default
 //     (ServeOpts.DisableCoalesce and `sss-server -coalesce=false` turn
@@ -140,35 +140,70 @@
 // them: `coalesce.dedup_hit_ratio`, `coalesce.requests_per_batch` and
 // `coalesce.self_ms` say whether merging happened and what it cost.
 //
-// # Client-side caching layers
+// # Client share work
 //
-// The seed-only client's share work is memoized at three altitudes, from
-// per-session to per-key:
+// The seed-only client of §4.2 regenerates every share it adds, and on
+// RingFp that is no longer work worth caching. F_p[x]/(x^{p−1}−1) ≅
+// F_p^{p−1} — x^{p−1}−1 splits into distinct linear factors — so a share is
+// stored as its value vector (f(1), …, f(p−1)), and the client's pad is
+// defined the same way, value by value: c_n(a), the pad of node n at the
+// point a, is one block cipher call. A summand costs what a cache probe
+// used to, so the three client caches of earlier releases — the per-session
+// pad LRU, the per-key shared pad cache with its singleflight front, and
+// the (node, point-set) share-eval LRU — are gone, with their knobs
+// (ClientKey.SetSharedCache, SharedPadCache.SetBounds and the three
+// default sizes). sharing.NewSharedPadCache, SeedClient.SetShareCacheNodes,
+// SetCounters and the cache counters remain, inert, only until the
+// benchmark stops calling them; the counters read 0.
 //
-//   - Pad cache (per session): every SeedClient keeps a bounded LRU of
-//     packed share pads, so hot nodes (the root levels every query
-//     walks) are not re-derived from the share stream on each visit
-//     (sharing.SeedClient.SetShareCacheNodes; padHit/padMiss counters).
-//   - Shared pad cache (per ClientKey): sessions opened from one
-//     ClientKey attach to one sharing.SharedPadCache by default, so N
-//     concurrent sessions of one key pay each pad regeneration once, not
-//     N times. Concurrent misses on one node are collapsed singleflight:
-//     one session runs the DRBG, the rest piggyback on the in-flight
-//     result (sharedHit/sharedMiss/sharedFlight counters).
-//     ClientKey.SetSharedCache(false) opts out; answers are
-//     byte-identical either way.
-//   - Share-eval LRU (per ClientKey): the shared cache also memoizes
-//     whole (node, point-set) multi-point evaluations — the client-side
-//     mirror of the server's eval LRU — so the hot-wave pattern where
-//     every session chases the same rotating key skips the Horner pass
-//     entirely (shareEvalHit/shareEvalMiss counters), also singleflight
-//     under concurrency.
+// The key schedule (share stream generation 4, sharing.ShareLabel;
+// drbg.PointKeys):
 //
-// All three layers exist only on fast-path F_p rings (pads are packed
-// word vectors) and degrade to plain regeneration elsewhere.
-// `sharing.pad_hit_ratio`, `sharing.share_eval_hit_ratio` and
-// `sharing.pad_regen_us` on `serve_hot` (fits in cache) against
-// `query_fp_tcp` (does not) measure them.
+//   - K_id and K_a, for every point a ∈ [1, p−1], are AES-256 keys:
+//     HMAC-SHA256(seed, "sss/client-share/v4" ‖ 0x01) and
+//     HMAC-SHA256(seed, "sss/client-share/v4" ‖ 0x02 ‖ uvarint(a)). A
+//     client derives each K_a once, on first use, into a table indexed by
+//     a.
+//   - A node's tag is the CBC-MAC under K_id of uvarint(len) ‖ path. The
+//     encoding is prefix-free, so CBC-MAC is a PRF on it; one block covers
+//     every path of up to 15 components below 128.
+//   - c_n(a) is the first accepted sample of the chain
+//     AES_{K_a}(tag_n[0:12] ‖ r), r = 0, 1, …: w-bit big-endian samples v
+//     with w = 8·⌈bitlen p / 8⌉, accepted when v < p·⌊2^w/p⌋ and kept
+//     mod p — fastfield's rule, under which field.Rand reading the chain as
+//     an io.Reader is the reference sampler. The first sample of block 0 is
+//     accepted but once in 2^16 draws on F_257.
+//
+// Hiding. Every residue has exactly ⌊2^w/p⌋ accepted preimages, so c_n(a)
+// is exactly uniform on F_p given a uniform chain, and the chains of
+// distinct (node, point) pairs are independent outputs of AES under
+// independent keys on distinct inputs (distinct points use distinct keys;
+// distinct paths have distinct tags but with probability ≈ 2^−96 over the
+// 12 bytes used). A server share is values − pad: a uniform value vector,
+// which is a uniform ring element, as the coefficient-form share was. Keying
+// by point first is what the parked tag-scoped delegation needs: K_{map(t)}
+// alone evaluates every node's pad at the point of tag t and at no other.
+// The Z[x]/(r(x)) ring has no value form and keeps share stream v3 — a
+// drbg.Deriver.ForNode keystream per node — unchanged.
+//
+// What the choice cost, measured before it was made (a 2-core Xeon, Go
+// 1.24, F_257, a depth-5 key, 2 points, time per node):
+//
+//	client summand                                         cost
+//	pad miss (HMAC + CTR + RandVec) + 2 Horner passes      2.3 µs
+//	pad-LRU hit + 2 Horner passes                          0.85 µs
+//	share-eval-LRU hit                                     0.10 µs
+//	per-node AES key (HMAC + key schedule) + 2 blocks      0.42 µs
+//	per-point subkeys, CBC-MAC tag + 2 blocks (chosen)     0.08 µs
+//	single key, AES_K(tag ‖ a)                             0.13 µs
+//
+// The server's two values of a node cost 5 ns as slab reads, against
+// 0.21 µs for two eval-LRU hits or 0.85 µs of Horner. The write path pays
+// p−1 blocks a node (2.1 µs on F_257, where a coefficient pad was 1.6 µs
+// plus the NTT encode), and a block's input is the node's tag, written once,
+// so consecutive blocks under consecutive point keys do not wait on each
+// other. The `query_fp_tcp` and `serve_hot` workloads of BENCHMARK.json
+// measure the read path, `outsource` the write path.
 //
 // # Concurrency & batching knobs
 //
@@ -187,15 +222,9 @@
 //   - coalesce.Server.MaxBatchKeys / client.Batcher.MaxBatchKeys —
 //     distinct keys per merged pass or wire request; larger drains
 //     split into consecutive passes (defaults 8192 / 4096).
-//   - server.Local.SetEvalCacheEntries — bound of the server's
-//     (node, point) eval LRU (default server.DefaultEvalCacheEntries,
-//     ~64 Ki entries).
-//   - sharing.SeedClient.SetShareCacheNodes — bound of the client's
-//     private packed pad LRU (default sharing.DefaultShareCacheNodes).
-//   - sharing.SharedPadCache.SetBounds / ClientKey.SetSharedCache —
-//     bounds of the cross-session pad and share-eval LRUs (defaults
-//     sharing.DefaultSharedPadNodes, sharing.DefaultShareEvalEntries)
-//     and the per-key opt-out.
+//   - server.Local.SetEvalCacheEntries — bound of the (node, point) eval
+//     LRU of a Z[x]/(r(x)) store (default server.DefaultEvalCacheEntries,
+//     ~64 Ki entries); an F_p store reads values and has no cache.
 //   - wire buffer pooling is automatic: frame payloads are built in and
 //     recycled through a sync.Pool, and each frame is written with a
 //     single Write call.
@@ -204,16 +233,16 @@
 //
 // All F_p hot-path arithmetic runs on a word-sized engine
 // (internal/fastfield): Montgomery multiplication over uint64 built on
-// bits.Mul64, packed []uint64 coefficient vectors, and an
-// allocation-free multi-point Horner pass (below four points each point's
-// chain is split four ways by degree mod 4: one chain is bound by the
-// multiplier's latency, not its throughput), with the math/big
-// implementation kept as the reference and fallback for moduli over 62
-// bits and for the Z[x]/(r(x)) ring. The server memoizes hot (node,
-// point) evaluations in a bounded LRU cache, and the seed-only client
-// regenerates share pads straight into packed form, caching the hottest
-// pads (pad-cache hit/miss counters appear in every Stats snapshot); what a
-// cold pad costs is the share stream's business (next section).
+// bits.Mul64, with the math/big implementation kept as the reference and
+// fallback for the Z[x]/(r(x)) ring. On F_p there is little arithmetic
+// left on the read path: the server reads a node's value at a, the client
+// draws one pad value per (node, point) (see "Client share work"), and the
+// engine adds the two. What remains in fastfield is the write path's
+// pointwise products, the sampler, the Lagrange combine and the
+// coefficient-form engine the reference paths use (multi-point Horner, the
+// NTT). ring.SetFast(false) switches the arithmetic to big.Int — the
+// reference sampler, the reference encode, the big.Int sums — and computes
+// the same value store, so it queries a store written on the fast path.
 // Differential tests pin both arithmetic stacks to each other at every
 // layer; `queries_per_s` on `query_fp_tcp` (the fast path over a network)
 // beside `query_z_local` (the math/big reference ring) is the measured
@@ -221,30 +250,30 @@
 //
 // # Data plane
 //
-// On a word-sized F_p ring (a prime up to 62 bits, fast path on) a value is
-// a machine word everywhere it travels, boxed nowhere: a share polynomial
-// is its []uint64 coefficients (core.NodePoly.Words, from the store file to
-// tag recovery) and a scalar — a share polynomial evaluated at a query
-// point — is a uint64 (core.NodeEval.Words). An evaluation wave crosses the
-// system without allocating per value: server.Local writes a call's
-// answers into one slab, wire.AppendEvalResp / DecodeEvalResp write and
-// read words in the byte layout the big.Int codec always wrote (sign,
+// On an F_p ring with the fast path on, a value is a machine word
+// everywhere it travels, boxed nowhere: a share is its value vector —
+// fixed-width bytes in the store file and in server.Local, []uint64 in
+// core.NodePoly.Words on its way to a VerifyFull check — and a scalar — a
+// share's value at a query point — is a uint64 (core.NodeEval.Words). An
+// evaluation wave crosses the system without allocating per value:
+// server.Local writes a call's answers into one slab, wire.AppendEvalResp /
+// DecodeEvalResp write and read words in the byte layout the big.Int
+// codec always wrote (sign,
 // length, magnitude — the golden frames in internal/wire/testdata were
 // written by the big.Int encoders), a response's values and keys landing
 // in shared arrays, coalesce.Merger and shard.Router pass the answers on,
 // core.MultiServer Lagrange-combines the members' word vectors as they
 // arrived, and the client's share source evaluates a block of keys at a
-// time into words (sharing.WordSource: the point vector is packed,
-// Montgomery-formed and signed once per block; a share-eval LRU hit copies
-// its words). The engine adds the two with fastfield arithmetic and tests
-// the sum with == 0.
+// time into words (sharing.WordSource: the points' keys are looked up once
+// per block, then one cipher block per key and point). The engine adds the
+// two with fastfield arithmetic and tests the sum with == 0.
 //
 // The reduce-at-the-wire rule: a word is vouched for only by the evaluator
 // that wrote it. A word off the wire is any uint64 a peer chose to send, so
 // whoever consumes one reduces it first (the engine before the add, the
 // Lagrange combine in its Montgomery product, reconstructPacked for
-// coefficients); only a store loader, which checks its file, hands out
-// canonical words.
+// fetched vectors); only a store loader, which refuses a value at or above
+// p, hands out canonical words.
 //
 // The big.Int seam remains where a value has no word form, and as the
 // reference everywhere else. NodeEval.Big / NodePoly.Big carry an answer
@@ -256,11 +285,11 @@
 // ServerAPI still takes its points as []*big.Int (a handful a wave, packed
 // once per call), EvalShares survives as the boxed reference seam over
 // EvalShareWords (what a share source that offers nothing else is asked
-// through, converting at the seam), and NodeEval.Values, NodePoly.Polynomial
-// and sharing.Node.Polynomial box on demand for tests and the reference
-// paths. The query engine runs one traversal over either value form,
-// chosen once per query from the ring and by no option: only the add, the
-// zero test and the point solve of eq. (2) know which.
+// through, converting at the seam), and NodeEval.Values and
+// NodePoly.Polynomial box on demand for tests and the reference paths.
+// The query engine runs one traversal over either value form, chosen once
+// per query from the ring and by no option: only the add, the zero test
+// and the point solve of eq. (2) know which.
 //
 // A node, inside a query, is an index into the run's table of the nodes it
 // has reached: the root is 0, a node's children are created as consecutive
@@ -270,9 +299,8 @@
 // two steps name is evaluated once). Nothing on a wave's per-node path
 // looks a node up by key, so nothing renders or hashes one; the concurrent
 // batches of a wave write the slots of their own nodes and take no lock.
-// Across queries, the node-keyed maps — the pad and share-eval LRUs of
-// package sharing, the coalescer's merge index, the shard manifest's prefix
-// index — are keyed by the path's compact binary form
+// Across queries, the node-keyed maps — the coalescer's merge index, the
+// shard manifest's prefix index — are keyed by the path's compact binary form
 // (drbg.NodeKey.AppendBinary, a varint per component, probed as
 // m[string(b)] without allocating); NodeKey.String is for error text and
 // people. A warmed in-process query allocates under one object per node it
@@ -281,27 +309,27 @@
 //
 // # Share stream
 //
-// The client "stores only the random seed" (§4.2), so every share pad —
-// one per node at Outsource, one per cold node per query — is regenerated:
-// node key = HMAC-SHA256(seed, label ‖ 0x00 ‖ path), stream = the
-// AES-256-CTR keystream under that key with a zero IV (package drbg), pad
-// = the coefficients the sampler draws from it. The sampler
-// (fastfield.RandVec on words, field.Rand on big.Int) reads w = 8·⌈bitlen
-// p/8⌉-bit big-endian samples v, accepts v < p·⌊2^w/p⌋ and keeps v mod p.
-// Every residue has exactly ⌊2^w/p⌋ accepted preimages, so a pad is
-// exactly uniform and an additive share hides its polynomial
-// information-theoretically, as before; acceptance is 65535/65536 on
-// F_257 (a 9-bit mask rejected half) and never below 1/2. The keystream's
-// bytes do not depend on how reads are chunked, so the stream — not the
-// sampler's read sizes — defines a pad: the bulk word sampler and the
-// one-read-per-coefficient reference sampler regenerate the same pads, and
-// a store split on the fast path can be queried under SetFast(false).
-// This is share-stream generation 3 (sharing.ShareLabel; generation 2 was
-// an HMAC_DRBG whose ~110 SHA-256 blocks per F_257 pad were the cost of a
-// cold query and of a split); the store magics carry the generation, older
-// files are refused by name (store.ErrOldGeneration) and migrate by
-// re-outsourcing. It pays 13.6 → 1.7 µs per cold F_257 pad
-// (BenchmarkColdPad, one core) and 2.4× the nodes per second of Outsource.
+// The client "stores only the random seed" (§4.2), so every share pad — one
+// per node at Outsource, one per (node, point) a query visits — is
+// regenerated. On RingFp a pad is defined by its values (see "Client share
+// work" for the key schedule); on RingZ it is a polynomial drawn from the
+// node's stream: node key = HMAC-SHA256(seed, label ‖ 0x00 ‖ path), stream =
+// the AES-256-CTR keystream under that key with a zero IV (package drbg).
+// Both draw through one sampler rule (fastfield.RandVec and Sample on
+// words, field.Rand on big.Int): w = 8·⌈bitlen p/8⌉-bit big-endian samples
+// v, v < p·⌊2^w/p⌋ accepted and kept mod p. Every residue has exactly
+// ⌊2^w/p⌋ accepted preimages, so a pad is exactly uniform and an additive
+// share hides its element information-theoretically; acceptance is
+// 65535/65536 on F_257 and never below 1/2. A chain's and a stream's bytes
+// do not depend on how reads are chunked, so they — not the sampler's read
+// sizes — define a pad: the word sampler and the reference sampler
+// regenerate the same pads, and a store split on the fast path can be
+// queried under SetFast(false).
+//
+// This is share-stream generation 4 (sharing.ShareLabel): generation 3 drew
+// coefficient pads from the per-node keystream on every ring, generation 2
+// from an HMAC_DRBG. The store magics carry the generation, older files are
+// refused by name (store.ErrOldGeneration) and migrate by re-outsourcing.
 //
 // # Read path
 //
@@ -367,26 +395,31 @@
 // alike at both is refused (core's resolve and wave tests). VerifyResolve
 // has always trusted unambiguous matches outright (one forged zero sum
 // fabricates a match no check sees), so it never was the level for a
-// hostile server: VerifyFull, with all p−1 coefficient equations on the
-// ambiguous candidates and on every reported match, stays that.
+// hostile server: VerifyFull, with the whole identity — all p−1 points —
+// on the ambiguous candidates and on every reported match, stays that.
 //
 // Everywhere else — under VerifyFull, on Z[x]/(r(x)) (evaluation there
 // maps into Z/r(a)Z, no field: the quotient f(a)/Q(a) need not exist) and
-// for the mappings above — tags are resolved from polynomials, which are
+// for the mappings above — tags are resolved from whole shares, which are
 // then about nine tenths of a query's bytes (core's recoverNodeTags, one
 // path for a step's candidates and for VerifyFull's re-check of every
 // match): their (node + children) key sets are deduplicated and fetched
 // in chunks of about 1 MiB (a constant derived from the ring's degree
-// bound: 1,024 polynomials on F_257, far under wire.MaxFrameSize), the
+// bound: 1,024 shares on F_257, far under wire.MaxFrameSize), the
 // client regenerates a large chunk's share pads while its fetch is in
 // flight, the fetch of the next chunk is in flight while the current one is
 // solved, and a chunk of more than eight recoveries spreads its solves, in
 // blocks of eight, over the idle cores. Rounds per query are therefore
 // O(steps), matches and the first reported error keep candidate order, and
 // every recovery keeps the full (x − t)·Q = f consistency check that
-// catches a lying server: Q = ∏ children is one multi-factor product, the
-// first invertible coefficient of Q gives t, and all n coefficient
-// equations Q[i-1] − t·Q[i] = f[i] are then checked in one pass over Q.
+// catches a lying server. On F_p a fetched share is its value vector and
+// the check is eq. (2) pointwise, with no transform: Q(a) = ∏qᵢ(a) at every
+// a, the first a with Q(a) ≠ 0 gives t = a − f(a)/Q(a), and
+// f(a) = (a − t)·Q(a) is then checked at all p−1 points in one pass
+// (polyenc.RecoverTagPacked; RecoverTagValues on big.Int). On Z[x]/(r(x))
+// Q is one product of polynomials, its first invertible coefficient gives
+// t, and every coefficient equation Q[i-1] − t·Q[i] = f[i] is checked —
+// polyenc.RecoverTag, which is also the pointwise solves' oracle on F_p.
 // The resolve pipeline allocates per chunk, not per polynomial: a fetch
 // response is encoded into a frame sized once and decoded into one
 // coefficient slab (poly.WordSlab, never larger than the bytes present),
@@ -397,62 +430,65 @@
 // Fetches carry the query's context (core.FetchPolysWithCtx), so a
 // sampled query's trace id and deadline budget ride every frame it sends.
 //
-// On word-sized F_p rings a share polynomial is its []uint64 coefficient
-// vector from the store file to the eq. (2) solve: the loader decodes
-// each node straight into sharing.Node.Packed (checked canonical for the
-// ring: coefficients below p, at most n of them), server.Local hands that
-// vector out, the poly word codec (AppendWords/DecodeWords, byte-identical
-// to Poly.MarshalBinary) writes and reads the frame, core.NodePoly carries
+// On F_p rings a share is its value vector from the store file to the
+// eq. (2) check: the loader hands each node a view of its values in the
+// file's slab (checked below p), server.Local reads a value or hands the
+// vector out as words, the poly word codec (AppendWords/DecodeWords,
+// byte-identical to Poly.MarshalBinary) writes and reads the frame — it
+// trims a zero tail, which reads back as zeros — core.NodePoly carries
 // Words, MultiServer Lagrange-combines the members' words in place and
-// tag recovery adds the packed client share and solves on words. The
-// big.Int form survives where a coefficient is negative or wider than a
-// word (the Z[x]/(r(x)) ring, F_p moduli over 62 bits, a tampering
-// server, a hand-edited store file, trees built through the reference
-// walks) — NodePoly.Big, Node.Poly and the big.Int RecoverTag take those —
-// and as the reference seam (Node.Polynomial, NodePoly.Polynomial) the
-// differential tests compare against.
+// the engine adds the client's value pads and checks. The big.Int form
+// survives where a value is negative or wider than a word (a tampering
+// server) — NodePoly.Big and RecoverTagValues take those — and on
+// Z[x]/(r(x)), whose shares are polynomials end to end.
 //
 // # Outsourcing pipeline
 //
-// The write half of the protocol — Outsource's encode→split — runs packed
-// and parallel end to end on F_p rings: node polynomials are built as
-// packed word vectors (no big.Int boxing inside the walk), share pads are
-// drawn straight into packed form and subtracted in one word pass, and
-// both tree walks run on a bounded worker pool (Config.Parallelism; the
-// result is byte-identical at every setting because every node's pad
-// derives from its own path-keyed DRBG stream). The share tree keeps the
-// packed vectors — saving and serving read them as they are — and
-// materializes big.Int polynomials only at the reference seam
-// (Node.Polynomial). sharing.SplitSequential is the
-// retained sequential big.Int-boundary reference, differentially tested
-// against the packed walk at the split, combine and full
-// Outsource→Search levels.
+// The write half of the protocol — Outsource's encode→split — runs in the
+// value form and in parallel on F_p rings. A product of ring elements is
+// the pointwise product of their values, so a node's values are
+// (a − t)·∏ children's values at every a: no polynomial product, no
+// transform, and every leaf of one tag shares one vector (polyenc's
+// PackedOnly encode). Each node's pad is drawn at every point and
+// subtracted in one word pass into the fixed-width bytes the store keeps
+// and the server serves. Both tree walks run on a bounded worker pool
+// (Config.Parallelism; the result is byte-identical at every setting
+// because every node's pad derives from the node alone), and Outsource
+// refuses a document deeper than sharing.MaxDepth, the depth every loader
+// accepts. The reference — the big.Int coefficient encode on a
+// SetFast(false) ring, evaluated at every point (ring.Values), minus pads
+// field.Rand draws, on sharing.SplitSequential's sequential walk — is
+// byte-identical, pinned at the split, combine and full Outsource→Search
+// levels.
 //
 // The k-of-n combiner runs on the same engine: core.MultiServer
 // precomputes the Lagrange-at-zero basis once per answer set
-// (fastfield.LagrangeAtZero) and batch-combines whole value and
-// coefficient vectors in one Montgomery pass, falling back to per-point
-// big.Int interpolation for rings without the fast path (the BigCombine
-// ablation keeps the old path measurable).
+// (fastfield.LagrangeAtZero) and batch-combines whole value vectors in one
+// Montgomery pass, falling back to per-point big.Int interpolation for
+// rings without the fast path (the BigCombine ablation keeps the old path
+// measurable).
 //
 // Intentionally still on big.Int: the Z[x]/(r(x)) ring end to end
-// (unbounded coefficients) and F_p moduli over 62 bits.
+// (unbounded coefficients). Every F_p ring is word-sized: p is at most
+// 2^22.
 //
-// # Encode engine
+// # Coefficient engine
 //
-// Packed products on fast F_p rings route through a number-theoretic
-// transform (internal/fastfield.NTT): the quotient F_p[x]/(x^{p-1}-1) is
+// The coefficient form is the reference now: the big.Int-checked encode
+// the value form is tested against, the coefficient solve of eq. (2) that
+// pins the pointwise ones, and the conversion between the two forms
+// (evaluating everywhere, or the transform below). Its packed products on
+// fast F_p rings route through a number-theoretic transform
+// (internal/fastfield.NTT): the quotient F_p[x]/(x^{p-1}-1) is
 // cyclic convolution of length n = p-1, and F_p^* is cyclic of exactly
 // that order, so the field always contains a primitive n-th root of
 // unity and the length-n DFT diagonalizes the ring product in-field.
 // Per ring the transform state is built lazily on the first
 // transform-sized product and cached for the ring's lifetime — at most
 // 12n bytes of twiddle tables plus pooled scratch, immutable after
-// construction and shared read-only across goroutines. It is also what a
-// VerifyFull descendant query spends its client time in: every eq. (2)
-// tag recovery from polynomials is one multi-factor product (see "Read
-// path"; VerifyResolve on F_p solves from evaluations and never
-// transforms).
+// construction and shared read-only across goroutines. No query and no
+// outsourcing on F_p transforms: the transform diagonalizes the ring
+// product, and the value form is that diagonal.
 //
 // The kernel. n = m·2^k with m odd. A power-of-two length (F_257,
 // F_65537) is one iterative in-place pass: the source is loaded in
@@ -481,7 +517,7 @@
 // butterfly exactly reduced. TestNTTDeferredReductionBound drives the
 // largest deferred modulus on the fastest-growing inputs.
 //
-// Routing rules (ring.MulPackedInto, MulPackedProdInto; re-measure with
+// Routing rules (ring.MulPackedInto; re-measure with
 // BenchmarkMulPackedCutover before touching a constant):
 //
 //   - When n factors into primes ≤ 61 the transform runs directly over
@@ -496,14 +532,9 @@
 //     62-bit auxiliary primes with a CRT lift — still O(n log n), at a
 //     higher constant: it engages at 3·m·log₂m pairs for transform
 //     length m. Pays 26 µs against 77 µs at 192×192 on F_227.
-//   - Multi-factor products (ring.MulPackedProd — the shape the
-//     bottom-up tree encode emits at every interior node, and a tag
-//     recovery's ∏ children) amortize further: each factor is
-//     transformed once, multiplied pointwise into one accumulator, and a
-//     single inverse transform recovers the coefficients, so k factors
-//     cost (k+1)/3 of a pairwise product and route to the transform when
-//     the left-to-right schoolbook fold would cost more. Pays 22 µs
-//     against 186 µs for eight 64-coefficient factors on F_257.
+//   - Multi-factor products (ring.MulPackedProd, a node's coefficient
+//     form) transform each factor once and invert once where the ring has
+//     an in-field transform, and fold pairwise otherwise.
 //
 // ring.SetNTT(false) forces every product back to schoolbook (the
 // ablation), and SetFast(false) still drops to the big.Int reference;
@@ -511,11 +542,11 @@
 // power-of-two (F_257), mixed (F_97, F_769, F_12289) and fallback (F_227,
 // F_1283) rings, across each cutover seam.
 //
-// sharing.MultiSplit's k-of-n Shamir share generation runs on the same
-// packed engine and the same bounded worker pool as Split: one 32-byte
-// mask seed is drawn from the caller's rng up front, every node's mask
-// coefficients then derive from that node's own path-keyed DRBG stream,
-// and the n share polynomials are built in one vectorized pass per node
+// sharing.MultiSplit's k-of-n Shamir share generation runs in the value
+// form and on the same bounded worker pool as Split: one 32-byte mask seed
+// is drawn from the caller's rng up front, every node's mask vectors then
+// derive from that node's own path-keyed DRBG stream, and the n share
+// vectors are built in one vectorized pass per node
 // (precomputed evaluation-point powers via ScalarMulAddVec). The
 // determinism contract matches Split's: MultiSplitWithOpts is
 // byte-identical at every Parallelism setting to MultiSplitSequential,

@@ -74,7 +74,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			v, err := fp.Eval(sn.Polynomial(), point)
+			v, err := p.Tree.Eval(fp, sn, point)
 			if err != nil {
 				log.Fatal(err)
 			}

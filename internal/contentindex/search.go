@@ -83,7 +83,7 @@ func (s *Searcher) Search(word string, serverTree *sharing.Tree, payloads *Paylo
 		s.counters.AddNodesVisited(1)
 		s.counters.AddNodesEvaluated(1)
 		s.counters.AddValuesMoved(1)
-		sv, err := s.ring.Eval(f.node.Polynomial(), point)
+		sv, err := serverTree.Eval(s.ring, f.node, point)
 		if err != nil {
 			return nil, err
 		}

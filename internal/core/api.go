@@ -12,9 +12,10 @@
 // cannot tell a zero sum from a non-zero one, and a list of dead nodes
 // would tell it. Zero nodes with no zero child are definite
 // answers; other zero nodes are disambiguated by solving eq. (2) for the
-// node tag — pointwise, from two more evaluations, on F_p; coefficient by
-// coefficient on reconstructed polynomials (package polyenc) elsewhere
-// and under VerifyFull.
+// node tag — pointwise, from two more evaluations, on F_p, or at every
+// point of the reconstructed value vectors under VerifyFull; coefficient
+// by coefficient on reconstructed polynomials (package polyenc) on
+// Z[x]/(r(x)).
 package core
 
 import (
@@ -87,30 +88,29 @@ func (a NodeEval) WordValues() (w []uint64, ok bool) {
 	return w, true
 }
 
-// NodePoly is the server's answer to a polynomial fetch: one node's share
-// polynomial and child count.
+// NodePoly is the server's answer to a fetch: one node's whole share and
+// child count — on F_p its value vector (the value at a = i+1 is entry i),
+// on Z[x]/(r(x)) its polynomial.
 //
-// The polynomial travels as machine words wherever it has a word form —
-// every share of a word-sized F_p ring does — so the fetch path (store →
-// server.Local → wire → MultiServer combine → tag recovery) never boxes a
-// coefficient. Big is set instead, and Words left nil, only for a
-// polynomial with a negative or wider-than-a-word coefficient
-// (IntQuotient, F_p moduli over 62 bits, a tampering server) and for trees
-// built through the big.Int reference path. Both empty is the zero
-// polynomial. Read-only once returned, like every answer.
+// The share travels as machine words wherever it has a word form — every
+// F_p share does — so the fetch path (store → server.Local → wire →
+// MultiServer combine → tag recovery) never boxes a value. Big is set
+// instead, and Words left nil, only for a share with a negative or
+// wider-than-a-word entry (IntQuotient, a tampering server). Both empty is
+// the zero share. Read-only once returned, like every answer.
 type NodePoly struct {
 	Key drbg.NodeKey
-	// Words holds the coefficients in ascending degree; not necessarily
-	// reduced or trimmed (consumers reduce, the codec trims). Authoritative
-	// when Big is zero.
+	// Words holds the entries in order; not necessarily reduced or trimmed
+	// (consumers reduce and read a missing tail as zeros, the codec trims).
+	// Authoritative when Big is zero.
 	Words []uint64
 	// Big is the big.Int form; authoritative when non-zero.
 	Big         poly.Poly
 	NumChildren int
 }
 
-// Polynomial returns the share polynomial in the big.Int boundary
-// representation — the reference seam; the word path never calls it.
+// Polynomial returns the share in the big.Int boundary representation —
+// the reference seam; the word path never calls it.
 func (a NodePoly) Polynomial() poly.Poly {
 	if !a.Big.IsZero() {
 		return a.Big
@@ -118,9 +118,9 @@ func (a NodePoly) Polynomial() poly.Poly {
 	return poly.NewUint64(a.Words)
 }
 
-// WordCoeffs returns the coefficients as machine words (read-only: the
-// result may be Words itself). ok=false — a negative or wider-than-a-word
-// coefficient — sends the caller to Polynomial.
+// WordCoeffs returns the entries as machine words (read-only: the result
+// may be Words itself). ok=false — a negative or wider-than-a-word entry —
+// sends the caller to Polynomial.
 func (a NodePoly) WordCoeffs() (w []uint64, ok bool) {
 	if a.Big.IsZero() {
 		return a.Words, true
@@ -128,7 +128,7 @@ func (a NodePoly) WordCoeffs() (w []uint64, ok bool) {
 	return a.Big.Uint64Coeffs(nil)
 }
 
-// BinarySize is the polynomial's encoded size on the wire and on disk.
+// BinarySize is the share's encoded size on the wire.
 func (a NodePoly) BinarySize() int {
 	if !a.Big.IsZero() {
 		return a.Big.BinarySize()
@@ -154,11 +154,11 @@ type ServerAPI interface {
 	// EvalNodes evaluates the server share of each keyed node at each of
 	// the given points, in order. Unknown keys are an error.
 	EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]NodeEval, error)
-	// FetchPolys returns the server share polynomial of each keyed node,
-	// in order — what the coefficient form of eq. (2) needs: VerifyFull,
+	// FetchPolys returns the whole server share of each keyed node, in
+	// order — what eq. (2) over whole shares needs: VerifyFull,
 	// for every ambiguous zero node and every match, and VerifyResolve
 	// where tags cannot be resolved from evaluations (Z[x]/(r(x)), a
-	// mapping with no free value). Polynomials are then most of a query's
+	// mapping with no free value). Whole shares are then most of a query's
 	// bytes, and the engine asks for a whole step's candidates in a few
 	// large calls, see recoverNodeTags.
 	FetchPolys(keys []drbg.NodeKey) ([]NodePoly, error)
@@ -223,8 +223,9 @@ const (
 	// polynomials. Unambiguous matches are trusted. The default.
 	VerifyResolve
 	// VerifyFull additionally re-derives the tag of every reported match
-	// via eq. (2)'s overdetermined system, detecting a lying server
-	// (§4.3: "we now have at least a way to check the answer").
+	// via eq. (2)'s overdetermined system — at all p−1 points on F_p, every
+	// coefficient on Z[x]/(r(x)) — detecting a lying server (§4.3: "we now
+	// have at least a way to check the answer").
 	VerifyFull
 )
 

@@ -39,34 +39,7 @@ type Engine struct {
 // source (the paper's §4.2 seed-only mode). counters may be nil (a private
 // set is created).
 func NewEngine(r ring.Ring, seed drbg.Seed, m *mapping.Map, api ServerAPI, counters *metrics.Counters) *Engine {
-	return NewEngineShared(r, seed, m, api, counters, nil)
-}
-
-// NewEngineShared is NewEngine with the client share source attached to a
-// cross-session sharing.SharedPadCache: every engine of one ClientKey
-// built over the same cache shares one pad LRU, one share-eval LRU and
-// singleflight regeneration, so N concurrent sessions pay the seed-only
-// client's DRBG and Horner work once instead of N times. A nil shared
-// falls back to a private per-engine cache (the opt-out path). The cache
-// must have been built for exactly this (ring, seed) pair — a mismatch
-// would corrupt every answer, so it panics instead.
-func NewEngineShared(r ring.Ring, seed drbg.Seed, m *mapping.Map, api ServerAPI, counters *metrics.Counters, shared *sharing.SharedPadCache) *Engine {
-	if counters == nil {
-		counters = &metrics.Counters{}
-	}
-	var shares *sharing.SeedClient
-	if shared != nil {
-		if !shared.Matches(r, seed) {
-			panic("core: shared pad cache built for different secret material")
-		}
-		shares = shared.NewClient()
-	} else {
-		shares = sharing.NewSeedClient(r, seed)
-	}
-	// Route the pad/eval cache tallies into the engine's counter set so
-	// per-query snapshots expose share-regeneration work.
-	shares.SetCounters(counters)
-	return NewEngineWithShares(r, shares, m, api, counters)
+	return NewEngineWithShares(r, sharing.NewSeedClient(r, seed), m, api, counters)
 }
 
 // NewEngineWithShares assembles a query engine over an arbitrary client

@@ -198,7 +198,8 @@ func TestResolveConsistentForgeryNeedsTheSeed(t *testing.T) {
 	tag, _ := st.m.Value("a")
 	wrong, _ := st.m.Value("b")
 
-	// Q = the root's one child, reconstructed with the client seed.
+	// Q = the root's one child, reconstructed with the client seed: its
+	// value vector, the value at a being coefficient a−1 of the boxed form.
 	served, err := st.srv.FetchPolys([]drbg.NodeKey{child})
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +213,7 @@ func TestResolveConsistentForgeryNeedsTheSeed(t *testing.T) {
 		if pt.Cmp(tag) == 0 {
 			return nil // the scan stays honest
 		}
-		qa, err := r.Eval(q0, pt)
-		if err != nil {
-			t.Error(err)
-			return nil
-		}
+		qa := q0.Coeff(int(pt.Int64()) - 1)
 		return qa.Mul(qa, new(big.Int).Sub(tag, wrong)) // (t − t′)·Q(a)
 	}}
 	res, err := st.engine(tam, 0).Query(q, core.Opts{Verify: core.VerifyResolve})

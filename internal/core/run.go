@@ -662,8 +662,8 @@ func (r *run) classify(cands []int, i int) (matches, unresolved []int, err error
 	// A zero node with a zero child is ambiguous: node and some descendant
 	// chain both contain the tag. The step's ambiguous candidates are
 	// resolved together, by one wave of tag recoveries: from evaluations
-	// where the engine has resolve points, from polynomials elsewhere and
-	// under VerifyFull, which wants the whole coefficient identity.
+	// where the engine has resolve points, from whole shares elsewhere and
+	// under VerifyFull, which wants the whole identity.
 	ambiguous := make([]bool, len(cands))
 	var jobs []int
 	for ci, c := range cands {
@@ -1029,12 +1029,12 @@ func (r *run) packedShares(keys []drbg.NodeKey) [][]uint64 {
 // reconstructPacked adds the client share to each fetched server share in
 // the word representation: server words arrive as words, client shares
 // were regenerated packed beside the fetch (pads), and the sums land in
-// one slab. recon[i] stays nil where key i has no word form — no pad (see
-// packedShares), or a polynomial with out-of-word coefficients or
-// over-long (a tampering server, StaticSource over unreduced figure
-// values) — and the jobs using it take the big.Int path, which Reduces.
-// Server words are reduced here: only a file loader vouches for canonical
-// words, the wire does not.
+// one slab. A server vector shorter than the pad is read as zeros past its
+// end (the codec trims a zero tail). recon[i] stays nil where key i has no
+// word form — no pad (see packedShares), or a share with out-of-word or
+// too many entries (a tampering server) — and the jobs using it take the
+// big.Int path, which reduces. Server words are reduced here: only a file
+// loader vouches for canonical words, the wire does not.
 func (r *run) reconstructPacked(pads [][]uint64, polys []NodePoly) ([][]uint64, *ring.FpCyclotomic) {
 	if pads == nil {
 		return nil, nil
@@ -1062,8 +1062,9 @@ func (r *run) reconstructPacked(pads [][]uint64, polys []NodePoly) ([][]uint64, 
 }
 
 // recoverJob solves eq. (2) for one job of a chunk: on the reconstructed
-// word vectors when every polynomial of its set has one, through the
-// big.Int reference path otherwise.
+// word vectors when every share of its set has one, through the big.Int
+// reference path otherwise — pointwise over value vectors on F_p,
+// coefficient by coefficient elsewhere.
 func (r *run) recoverJob(c *fetchChunk, set []int, polys []NodePoly, recon [][]uint64, fp *ring.FpCyclotomic, sc *solveScratch) (*big.Int, error) {
 	packed := recon != nil
 	for _, i := range set {
@@ -1086,7 +1087,11 @@ func (r *run) recoverJob(c *fetchChunk, set []int, polys []NodePoly, recon [][]u
 			}
 			full[j] = r.e.ring.Add(cs, polys[i].Polynomial())
 		}
-		tag, err = polyenc.RecoverTag(r.e.ring, full[0], full[1:])
+		if fp, ok := r.e.ring.(*ring.FpCyclotomic); ok {
+			tag, err = polyenc.RecoverTagValues(fp, full[0], full[1:])
+		} else {
+			tag, err = polyenc.RecoverTag(r.e.ring, full[0], full[1:])
+		}
 	}
 	r.e.counters.AddTagRecovered()
 	if err != nil {

@@ -11,7 +11,11 @@
 // A node's stream is the AES-256-CTR keystream, zero IV, under the key
 // HMAC-SHA256(seed, label ‖ 0x00 ‖ path): one HMAC per node and one AES
 // block per 16 bytes, and bytes that do not depend on how the reader
-// chunks its reads.
+// chunks its reads. That is what a coefficient pad draws from.
+//
+// A value-form pad is drawn point by point instead, from a short chain per
+// (node, point) under a key per point (PointKeys): what a client adds to
+// one server value is one AES block.
 package drbg
 
 import (
@@ -120,8 +124,8 @@ type Deriver struct {
 	// HMAC-SHA256 under the seed, spelled out on sha256.Sum256 so that a
 	// node key allocates nothing (crypto/hmac costs seven objects per key,
 	// more than the rest of a pad):
-	// inner is the seed's ipad block followed by label ‖ 0x00, the fixed
-	// head of every message; outer is its opad block.
+	// inner is the seed's ipad block followed by the label, the fixed head
+	// of every message; outer is its opad block.
 	inner []byte
 	outer [sha256.BlockSize]byte
 }
@@ -129,7 +133,7 @@ type Deriver struct {
 // NewDeriver builds a Deriver with a domain-separation label (e.g.
 // "sss/client-share/v3").
 func NewDeriver(seed Seed, label string) *Deriver {
-	d := &Deriver{inner: make([]byte, sha256.BlockSize, sha256.BlockSize+len(label)+1)}
+	d := &Deriver{inner: make([]byte, sha256.BlockSize, sha256.BlockSize+len(label))}
 	for i := range d.outer {
 		d.inner[i], d.outer[i] = 0x36, 0x5c
 	}
@@ -137,8 +141,25 @@ func NewDeriver(seed Seed, label string) *Deriver {
 		d.inner[i] ^= b
 		d.outer[i] ^= b
 	}
-	d.inner = append(append(d.inner, label...), 0x00)
+	d.inner = append(d.inner, label...)
 	return d
+}
+
+// block returns the AES-256 cipher keyed with HMAC-SHA256(seed, label ‖
+// msg).
+func (d *Deriver) block(msg []byte) cipher.Block {
+	// The constant capacity keeps messages of usual length on the stack.
+	buf := append(append(make([]byte, 0, 256), d.inner...), msg...)
+	var outer [sha256.BlockSize + sha256.Size]byte
+	copy(outer[:], d.outer[:])
+	digest := sha256.Sum256(buf)
+	copy(outer[sha256.BlockSize:], digest[:])
+	key := sha256.Sum256(outer[:])
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic("drbg: AES-256 refused a 32-byte key: " + err.Error())
+	}
+	return block
 }
 
 // ForNode returns a fresh deterministic stream for a node path, keyed with
@@ -147,21 +168,10 @@ func NewDeriver(seed Seed, label string) *Deriver {
 // identical stream.
 func (d *Deriver) ForNode(key NodeKey) *Stream {
 	// Unambiguous path encoding: varint length, then varint components.
-	// The constant capacity keeps paths of usual depth on the stack.
-	msg := append(make([]byte, 0, 256), d.inner...)
-	msg = key.AppendBinary(binary.AppendUvarint(msg, uint64(len(key))))
-	var outer [sha256.BlockSize + sha256.Size]byte
-	copy(outer[:], d.outer[:])
-	digest := sha256.Sum256(msg)
-	copy(outer[sha256.BlockSize:], digest[:])
-	nodeKey := sha256.Sum256(outer[:])
-
-	block, err := aes.NewCipher(nodeKey[:])
-	if err != nil {
-		panic("drbg: AES-256 refused a 32-byte key: " + err.Error())
-	}
+	var buf [64]byte
+	msg := key.AppendBinary(binary.AppendUvarint(append(buf[:0], 0x00), uint64(len(key))))
 	var iv [aes.BlockSize]byte
-	return &Stream{ctr: cipher.NewCTR(block, iv[:])}
+	return &Stream{ctr: cipher.NewCTR(d.block(msg), iv[:])}
 }
 
 // Child extends a node key by one step. The receiver is not modified.

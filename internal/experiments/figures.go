@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"sssearch/internal/drbg"
 	"sssearch/internal/paperdata"
@@ -150,8 +151,9 @@ func runShareFigure(w io.Writer, fpCase bool) error {
 	}
 	t.Render(w)
 
-	// Implementation path: a fresh DRBG split of the same document must
-	// satisfy the same identity at every node.
+	// Implementation path: a fresh seed-derived split of the same document
+	// must satisfy the same identity — on F_5 in the value form the
+	// implementation stores, the encoded root's values at a = 1 … 4.
 	doc := paperdata.Document()
 	var seed drbg.Seed
 	seed[0] = 0x42
@@ -170,7 +172,7 @@ func runShareFigure(w io.Writer, fpCase bool) error {
 		if err != nil {
 			return err
 		}
-		if !fp.Equal(back.Root.Poly, enc.Root.Poly) {
+		if !slices.Equal(back.Root.Packed, enc.Root.Packed) {
 			return fmt.Errorf("DRBG sharing identity failed (Fp)")
 		}
 	} else {

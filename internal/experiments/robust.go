@@ -301,7 +301,7 @@ func multiServerRun(w io.Writer, n int) error {
 					failure = err
 					return false
 				}
-				v, err := fp.Eval(sn.Polynomial(), a)
+				v, err := shares[j].Tree.Eval(fp, sn, a)
 				if err != nil {
 					failure = err
 					return false

@@ -1,12 +1,13 @@
 // Package fastfield is the word-sized fast-path arithmetic engine for
 // prime fields whose modulus fits in a single machine word.
 //
-// Every hot path of the scheme — server-side share evaluation, client
-// share regeneration, Horner loops over F_p[x]/(x^{p-1}-1) — reduces to
-// scalar arithmetic mod a prime p that, for every deployable parameter
-// set, fits comfortably in 62 bits. This package does that arithmetic on
-// plain uint64 values with Montgomery reduction built on bits.Mul64,
-// avoiding the per-operation allocations of math/big entirely:
+// The scheme's F_p arithmetic — the value-form encode's pointwise
+// products, the pad sampler, the Lagrange combine, the client's sums and
+// the coefficient form the reference paths use — reduces to scalar
+// arithmetic mod a prime p that, for every deployable parameter set, fits
+// comfortably in 62 bits. This package does that arithmetic on plain
+// uint64 values with Montgomery reduction built on bits.Mul64, avoiding
+// the per-operation allocations of math/big entirely:
 //
 //   - Elem is a canonical field element in [0, p), represented as uint64.
 //   - Mul/Add/Sub/Neg/Inv/Exp are single-word operations; Mul uses
@@ -15,9 +16,9 @@
 //   - Packed coefficient vectors ([]uint64, ascending degree) carry whole
 //     polynomials; EvalMany runs one allocation-free multi-point Horner
 //     pass over a polynomial, serving all active query points at once.
-//   - RandVec draws a uniform coefficient vector from an io.Reader with
-//     the same accept-and-reduce sampling as field.(*Field).Rand, but
-//     reading the stream in bulk.
+//   - RandVec draws a uniform vector from an io.Reader with the same
+//     accept-and-reduce sampling as field.(*Field).Rand, but reading the
+//     stream in bulk; Sample applies the rule to one block's first sample.
 //
 // Callers fall back to the math/big path (package field / poly) whenever
 // the modulus exceeds MaxModulusBits or the ring is not a prime field
@@ -276,6 +277,19 @@ func (f *Field) ScalarMulAddVec(dst, src []uint64, cM uint64) {
 	}
 }
 
+// MRedVec multiplies dst by src elementwise in the Montgomery domain:
+// dst[i] = dst[i]·src[i]·R^{-1} mod p, for canonical operands. dst and src
+// must have equal length.
+func (f *Field) MRedVec(dst, src []uint64) {
+	if len(dst) != len(src) {
+		panic("fastfield: MRedVec length mismatch")
+	}
+	p, pInv := f.p, f.pInv
+	for i, v := range src {
+		dst[i] = mred(dst[i], v, p, pInv)
+	}
+}
+
 // Eval evaluates the packed polynomial coeffs (ascending degree,
 // canonical coefficients) at the canonical point x by Horner's rule (see
 // horner4).
@@ -387,6 +401,17 @@ func (f *Field) RandVec(r io.Reader, dst []uint64) error {
 		}
 	}
 	return nil
+}
+
+// Sample applies the rule of RandVec to the first sample of buf, which
+// must extend eight bytes past it (a 16-byte cipher block does): ok is
+// false when that sample is rejected.
+func (f *Field) Sample(buf []byte) (v uint64, ok bool) {
+	v = binary.BigEndian.Uint64(buf) >> (uint(64-8*f.sampleBytes) & 63)
+	if v >= f.sampleLimit {
+		return 0, false
+	}
+	return mred(v, f.one, f.p, f.pInv), true // v mod p: one is R mod p
 }
 
 // accept runs the first count samples of buf through the rule of RandVec,

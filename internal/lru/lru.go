@@ -1,5 +1,5 @@
-// Package lru provides the small bounded LRU cache backing the server's
-// eval cache and the seed-only client's packed-share cache. It favors
+// Package lru provides the small bounded LRU cache backing the eval cache
+// of a Z[x]/(r(x)) server store (and the coalescer's). It favors
 // predictable memory over hit-rate sophistication: a plain mutex-guarded
 // map plus intrusive doubly-linked recency list, evicting the least
 // recently used entry at capacity.

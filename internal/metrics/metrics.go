@@ -26,9 +26,12 @@ type Counters struct {
 	messagesSent   atomic.Int64
 	messagesRcvd   atomic.Int64
 	evalCacheHits  atomic.Int64 // server eval-cache hits (node×point reused)
-	evalCacheMiss  atomic.Int64 // server eval-cache misses (Horner passes run)
-	padCacheHits   atomic.Int64 // client pad-cache hits (share pads reused)
-	padCacheMiss   atomic.Int64 // client pad-cache misses (DRBG regenerations)
+	evalCacheMiss  atomic.Int64 // server eval-cache misses (evaluations run)
+	// The client cache pairs below are tallied by nothing since the client
+	// lost its caches (share stream v4); they read 0 and stay only until
+	// the benchmark stops reading them.
+	padCacheHits atomic.Int64 // client pad-cache hits (share pads reused)
+	padCacheMiss atomic.Int64 // client pad-cache misses (regenerations)
 
 	// Coalescing tallies. The same triple serves both ends of the stack:
 	// the server-side coalesce.Server counts merged inner evaluation
@@ -38,16 +41,14 @@ type Counters struct {
 	coalescedRequests atomic.Int64 // Eval requests absorbed into shared passes
 	coalesceDedupHits atomic.Int64 // duplicate (node, point-set) evals avoided
 
-	// Cross-session shared client cache tallies (sharing.SharedPadCache):
-	// pads reused across sessions of one ClientKey, regenerations actually
-	// run, waits piggybacked on an in-flight regeneration (singleflight),
-	// and the (node, point-set) share-eval LRU in front of the multi-point
-	// Horner pass.
-	sharedPadHits         atomic.Int64 // shared pad-cache hits
-	sharedPadMiss         atomic.Int64 // shared pad-cache misses (DRBG runs)
-	sharedPadSingleflight atomic.Int64 // waits merged into an in-flight regen
-	shareEvalHits         atomic.Int64 // share-eval LRU hits (Horner skipped)
-	shareEvalMiss         atomic.Int64 // share-eval LRU misses (Horner run)
+	// The retired cross-session client cache's tallies: shared pad hits,
+	// misses and singleflight waits, and its (node, point-set) share-eval
+	// LRU. Read 0, like the pad pair above.
+	sharedPadHits         atomic.Int64
+	sharedPadMiss         atomic.Int64
+	sharedPadSingleflight atomic.Int64
+	shareEvalHits         atomic.Int64
+	shareEvalMiss         atomic.Int64
 
 	// Fault-tolerance tallies (internal/resilience and friends): calls
 	// re-attempted after transport faults, hedged spare calls launched and

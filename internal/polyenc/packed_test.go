@@ -3,75 +3,90 @@ package polyenc
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sssearch/internal/drbg"
+	"sssearch/internal/fastfield"
 	"sssearch/internal/mapping"
 	"sssearch/internal/poly"
 	"sssearch/internal/ring"
 	"sssearch/internal/workload"
 )
 
-// TestEncodePackedMatchesBigIntReference pins the packed fast-path encode
-// (word products, parallel walk) to the sequential big.Int encode on a
-// SetFast(false) ring: identical polynomials at every node and identical
-// tag assignments (the pre-pass must replay the recursive Assign order).
+// TestEncodePackedMatchesBigIntReference pins the value-form encode
+// (pointwise word products, parallel walk) to the reference on a
+// SetFast(false) ring — the big.Int coefficient encode, evaluated at every
+// point — on F_5, F_11, F_101, F_257 and F_12289: identical value vectors
+// at every node and identical tag assignments (the pre-pass must replay the
+// recursive Assign order). The default encode on the fast ring carries the
+// reference's coefficients too.
 func TestEncodePackedMatchesBigIntReference(t *testing.T) {
-	for _, nodes := range []int{1, 40, 300} {
-		doc := workload.RandomTree(workload.TreeConfig{Nodes: nodes, MaxFanout: 4, Vocab: 8, Seed: int64(nodes) + 9})
+	for _, p := range []uint64{5, 11, 101, 257, 12289} {
+		for _, nodes := range []int{1, 40, 300} {
+			if p == 12289 && nodes > 40 {
+				continue // the reference evaluates 12288 points a node
+			}
+			// F_5 has four tags to give (one of them p−1, see paperdata).
+			vocab := 8
+			if p == 5 {
+				vocab = 4
+			}
+			doc := workload.RandomTree(workload.TreeConfig{Nodes: nodes, MaxFanout: 4, Vocab: vocab, Seed: int64(nodes) + 9})
+			fast := ring.MustFp(p)
+			o := Opts{Parallelism: 4, PackedOnly: true, AllowTagOverflow: p == 5}
+			encode := func(r *ring.FpCyclotomic, o Opts) (*Tree, *mapping.Map) {
+				maxTag := fast.MaxTag()
+				if o.AllowTagOverflow {
+					maxTag = new(big.Int).SetUint64(p - 1)
+				}
+				m, err := mapping.New(maxTag, []byte("enc-diff"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				enc, err := EncodeWithOpts(r, doc, m, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return enc, m
+			}
+			encFast, mFast := encode(fast, o)
+			encDefault, _ := encode(fast, Opts{AllowTagOverflow: o.AllowTagOverflow})
+			slow := ring.MustFp(p)
+			slow.SetFast(false)
+			encSlow, mSlow := encode(slow, Opts{AllowTagOverflow: o.AllowTagOverflow})
 
-		fast := ring.MustFp(257)
-		mFast, err := mapping.New(fast.MaxTag(), []byte("enc-diff"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		encFast, err := EncodeWithOpts(fast, doc, mFast, Opts{Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		slow := ring.MustFp(257)
-		slow.SetFast(false)
-		mSlow, err := mapping.New(slow.MaxTag(), []byte("enc-diff"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		encSlow, err := Encode(slow, doc, mSlow)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		for _, tag := range mSlow.Tags() {
-			want, _ := mSlow.Value(tag)
-			got, ok := mFast.Value(tag)
-			if !ok || got.Cmp(want) != 0 {
-				t.Fatalf("nodes=%d: tag %q assignment diverged (%v vs %v)", nodes, tag, got, want)
+			for _, tag := range mSlow.Tags() {
+				want, _ := mSlow.Value(tag)
+				got, ok := mFast.Value(tag)
+				if !ok || got.Cmp(want) != 0 {
+					t.Fatalf("F_%d nodes=%d: tag %q assignment diverged (%v vs %v)", p, nodes, tag, got, want)
+				}
 			}
-		}
-		encSlow.Walk(func(key drbg.NodeKey, n *Node) bool {
-			fn, err := encFast.Lookup(key)
-			if err != nil {
-				t.Fatal(err)
+			encSlow.Walk(func(key drbg.NodeKey, n *Node) bool {
+				fn, err := encFast.Lookup(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(fn.Packed, n.Packed) || len(n.Packed) != int(p-1) {
+					t.Fatalf("F_%d nodes=%d node %s: value encode differs from the reference", p, nodes, key)
+				}
+				dn, _ := encDefault.Lookup(key)
+				if !dn.Poly.Equal(n.Poly) || !slices.Equal(dn.Packed, n.Packed) {
+					t.Fatalf("F_%d nodes=%d node %s: default encode differs from the reference", p, nodes, key)
+				}
+				return true
+			})
+			if encSlow.Count() != encFast.Count() {
+				t.Fatalf("F_%d nodes=%d: node counts differ", p, nodes)
 			}
-			if !fn.Poly.Equal(n.Poly) {
-				t.Fatalf("nodes=%d node %s: packed encode differs from big.Int reference", nodes, key)
-			}
-			if fn.Packed == nil {
-				t.Fatalf("nodes=%d node %s: fast-path encode left Packed nil", nodes, key)
-			}
-			if !fast.Unpack(fn.Packed).Equal(fn.Poly) {
-				t.Fatalf("nodes=%d node %s: Packed is not a mirror of Poly", nodes, key)
-			}
-			return true
-		})
-		if encSlow.Count() != encFast.Count() {
-			t.Fatalf("nodes=%d: node counts differ", nodes)
 		}
 	}
 }
 
-// TestEncodeParallelismDeterminism: the packed encode must be identical at
+// TestEncodeParallelismDeterminism: the value encode must be identical at
 // every parallelism setting.
 func TestEncodeParallelismDeterminism(t *testing.T) {
 	fp := ring.MustFp(257)
@@ -82,7 +97,7 @@ func TestEncodeParallelismDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := EncodeWithOpts(fp, doc, m, Opts{Parallelism: par})
+		enc, err := EncodeWithOpts(fp, doc, m, Opts{Parallelism: par, PackedOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +110,7 @@ func TestEncodeParallelismDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Poly.Equal(n.Poly) {
+			if !slices.Equal(got.Packed, n.Packed) {
 				t.Fatalf("par=%d node %s: encoding differs", par, key)
 			}
 			return true
@@ -103,8 +118,8 @@ func TestEncodeParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestEncodePackedOnly: PackedOnly trees carry Packed alone, and the
-// packed vectors agree with the default encode.
+// TestEncodePackedOnly: PackedOnly trees carry the value form alone, and
+// it is the default encode's polynomial evaluated at every point.
 func TestEncodePackedOnly(t *testing.T) {
 	fp := ring.MustFp(257)
 	doc := workload.RandomTree(workload.TreeConfig{Nodes: 60, MaxFanout: 3, Vocab: 6, Seed: 3})
@@ -132,14 +147,14 @@ func TestEncodePackedOnly(t *testing.T) {
 		if !bn.Poly.IsZero() {
 			t.Fatalf("node %s: PackedOnly encode materialized Poly", key)
 		}
-		if !fp.Unpack(bn.Packed).Equal(n.Poly) {
-			t.Fatalf("node %s: PackedOnly vector differs from default encode", key)
+		if !slices.Equal(bn.Packed, fp.Values(n.Poly)) {
+			t.Fatalf("node %s: PackedOnly values are not the default encode's polynomial evaluated everywhere", key)
 		}
 		return true
 	})
 }
 
-// TestEncodeLemma3RejectionPacked: the packed encode must enforce the tag
+// TestEncodeLemma3RejectionPacked: the value encode must enforce the tag
 // domain exactly like the reference (the check lives in the pre-pass).
 func TestEncodeLemma3RejectionPacked(t *testing.T) {
 	fp := ring.MustFp(5) // tags limited to [1, 3]
@@ -150,21 +165,46 @@ func TestEncodeLemma3RejectionPacked(t *testing.T) {
 	// Force an out-of-domain assignment: maxTag p=5 exceeds the ring's
 	// safe domain p-2=3, so some of several distinct tags must overflow.
 	doc := workload.RandomTree(workload.TreeConfig{Nodes: 12, MaxFanout: 3, Vocab: 5, Seed: 1})
-	if _, err := Encode(fp, doc, m); err == nil {
+	if _, err := EncodeWithOpts(fp, doc, m, Opts{PackedOnly: true}); err == nil {
 		// Not guaranteed to overflow for every draw; accept but verify the
 		// flagged path also works.
 		t.Skip("no overflow drawn for this vocabulary")
 	}
 }
 
-// TestRecoverTagPackedCorruptionDifferential: for every single-coefficient
-// change of f or of a child — each position moved by one and to a random
-// other value — RecoverTagPacked answers exactly as the big.Int RecoverTag
-// does on a SetFast(false) ring: the same tag, or the same ErrInconsistent /
-// ErrNoEquation. An independent search over every t pins what the answer
-// must be: the one t with (x − t)·Q = f coefficient for coefficient, and
-// ErrInconsistent when there is none. Zero, one and five children; the five
-// are long enough that their product takes the transform path.
+// coefficients interpolates a value vector of F_257 back to the coefficient
+// form through the NTT: transforming x gives the transform's points ω^k, so
+// the values at them, read off v, transform back to the coefficients.
+func coefficients(t *testing.T, fp *ring.FpCyclotomic, v []uint64) poly.Poly {
+	t.Helper()
+	n := fp.DegreeBound()
+	ntt, err := fastfield.NewNTT(fp.Fast(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]uint64, n)
+	x[1] = 1
+	pts := make([]uint64, n)
+	ntt.Transform(pts, x, false)
+	at := make([]uint64, n)
+	for k, w := range pts {
+		at[k] = valueAt(v, int(w-1))
+	}
+	c := make([]uint64, n)
+	ntt.Transform(c, at, true)
+	return poly.NewUint64(c)
+}
+
+// TestRecoverTagPackedCorruptionDifferential: for every single-value change
+// of f or of a child — each position moved by one and to a random other
+// value — the pointwise word solve RecoverTagPacked answers exactly as the
+// big.Int pointwise solve RecoverTagValues on a SetFast(false) ring, and as
+// the coefficient solve RecoverTag on the interpolated polynomials: the
+// same tag, or the same ErrInconsistent / ErrNoEquation. An independent
+// search over every t pins what the answer must be: the one t with
+// (a − t)·Q(a) = f(a) at every a, and ErrInconsistent when there is none.
+// Zero, one and five children; a child trimmed of its zero tail (as the
+// wire trims a vector) answers as the whole one.
 func TestRecoverTagPackedCorruptionDifferential(t *testing.T) {
 	const p = 257
 	fast := ring.MustFp(p)
@@ -174,29 +214,24 @@ func TestRecoverTagPackedCorruptionDifferential(t *testing.T) {
 	n := fast.DegreeBound()
 	rng := rand.New(rand.NewSource(41))
 
-	// subtree returns ∏(x − c) over deg random tags.
+	// subtree returns the values of ∏(x − c) over deg random tags.
 	subtree := func(deg int) []uint64 {
 		q := []uint64{1}
 		for i := 0; i < deg; i++ {
-			q = trimPacked(fast.MulPackedSchoolbook(q, []uint64{ff.Neg(uint64(1 + rng.Intn(p-2))), 1}))
+			q = fast.MulPackedSchoolbook(q, []uint64{ff.Neg(uint64(1 + rng.Intn(p-2))), 1})
 		}
-		return q
+		return fast.Values(poly.NewUint64(q))
 	}
-	// satisfying lists every t with (x − t)·Q = f, Q by the schoolbook fold.
+	// satisfying lists every t with (a − t)·Q(a) = f(a) at every a.
 	satisfying := func(f []uint64, children [][]uint64) (ts []uint64) {
-		q := make([]uint64, n)
-		q[0] = 1
-		for _, c := range children {
-			q = fast.MulPackedSchoolbook(q, c)
-		}
 		for cand := uint64(0); cand < p; cand++ {
 			ok := true
 			for i := 0; i < n && ok; i++ {
-				var want uint64
-				if i < len(f) {
-					want = f[i]
+				q := uint64(1)
+				for _, c := range children {
+					q = ff.Mul(q, valueAt(c, i))
 				}
-				ok = ff.Sub(q[(i+n-1)%n], ff.Mul(cand, q[i])) == want
+				ok = ff.Mul(ff.Sub(uint64(i+1), cand), q) == valueAt(f, i)
 			}
 			if ok {
 				ts = append(ts, cand)
@@ -204,39 +239,41 @@ func TestRecoverTagPackedCorruptionDifferential(t *testing.T) {
 		}
 		return ts
 	}
+	sameAnswer := func(got *big.Int, gotErr error, want *big.Int, wantErr error) bool {
+		switch {
+		case wantErr == nil:
+			return gotErr == nil && got.Cmp(want) == 0
+		case errors.Is(wantErr, ErrInconsistent):
+			return errors.Is(gotErr, ErrInconsistent)
+		default:
+			return errors.Is(wantErr, ErrNoEquation) && errors.Is(gotErr, ErrNoEquation)
+		}
+	}
 	check := func(what string, f []uint64, children [][]uint64) {
 		t.Helper()
 		got, gotErr := RecoverTagPacked(fast, f, children)
 		boxed := make([]poly.Poly, len(children))
+		coeffs := make([]poly.Poly, len(children))
 		for i, c := range children {
-			boxed[i] = poly.NewUint64(c)
+			boxed[i], coeffs[i] = poly.NewUint64(c), coefficients(t, fast, c)
 		}
-		want, wantErr := RecoverTag(ref, poly.NewUint64(f), boxed)
-		switch {
-		case wantErr == nil:
-			if gotErr != nil || got.Cmp(want) != 0 {
-				t.Fatalf("%s: packed (%v, %v), big.Int reference tag %v", what, got, gotErr, want)
-			}
-		case errors.Is(wantErr, ErrInconsistent):
-			if !errors.Is(gotErr, ErrInconsistent) {
-				t.Fatalf("%s: packed (%v, %v), big.Int reference ErrInconsistent", what, got, gotErr)
-			}
-		case errors.Is(wantErr, ErrNoEquation):
-			if !errors.Is(gotErr, ErrNoEquation) {
-				t.Fatalf("%s: packed (%v, %v), big.Int reference ErrNoEquation", what, got, gotErr)
-			}
-		default:
-			t.Fatalf("%s: big.Int reference failed with %v", what, wantErr)
+		want, wantErr := RecoverTagValues(ref, poly.NewUint64(f), boxed)
+		if !sameAnswer(got, gotErr, want, wantErr) {
+			t.Fatalf("%s: words (%v, %v), big.Int pointwise (%v, %v)", what, got, gotErr, want, wantErr)
+		}
+		cw, cwErr := RecoverTag(fast, coefficients(t, fast, f), coeffs)
+		if !sameAnswer(got, gotErr, cw, cwErr) {
+			t.Fatalf("%s: pointwise (%v, %v), coefficient solve (%v, %v)", what, got, gotErr, cw, cwErr)
 		}
 		switch ts := satisfying(f, children); {
 		case errors.Is(gotErr, ErrNoEquation): // Q ≡ 0: every t or none, nothing to solve
 		case len(ts) == 0:
 			if !errors.Is(gotErr, ErrInconsistent) {
-				t.Fatalf("%s: no t satisfies the identity, packed answered (%v, %v)", what, got, gotErr)
+				t.Fatalf("%s: no t satisfies the identity, words answered (%v, %v)", what, got, gotErr)
 			}
 		case len(ts) == 1:
 			if gotErr != nil || got.Uint64() != ts[0] {
-				t.Fatalf("%s: only t=%d satisfies the identity, packed answered (%v, %v)", what, ts[0], got, gotErr)
+				t.Fatalf("%s: only t=%d satisfies the identity, words answered (%v, %v)", what, ts[0], got, gotErr)
 			}
 		default:
 			t.Fatalf("%s: %d values of t satisfy the identity", what, len(ts))
@@ -255,13 +292,18 @@ func TestRecoverTagPackedCorruptionDifferential(t *testing.T) {
 
 	for _, degs := range [][]int{{}, {9}, {30, 30, 30, 30, 30}} {
 		children := make([][]uint64, len(degs))
-		q := []uint64{1}
 		for i, d := range degs {
 			children[i] = subtree(d)
-			q = fast.MulPackedSchoolbook(q, children[i])
 		}
 		tag := uint64(1 + rng.Intn(p-2))
-		f := fast.MulPackedSchoolbook([]uint64{ff.Neg(tag), 1}, q) // length n: every position can move
+		f := make([]uint64, n)
+		for i := range f {
+			q := uint64(1)
+			for _, c := range children {
+				q = ff.Mul(q, c[i])
+			}
+			f[i] = ff.Mul(ff.Sub(uint64(i+1), tag), q)
+		}
 		check(fmt.Sprintf("%d children, honest", len(degs)), f, children)
 		if got, err := RecoverTagPacked(fast, f, children); err != nil || got.Uint64() != tag {
 			t.Fatalf("%d children: honest recovery = (%v, %v), want %d", len(degs), got, err, tag)
@@ -269,22 +311,25 @@ func TestRecoverTagPackedCorruptionDifferential(t *testing.T) {
 		for i := range f {
 			corrupt("f", f, i, func(what string) { check(what, f, children) })
 		}
-		for ci := range children {
-			// Every written coefficient, and zeros past the end made non-zero.
-			c := append(children[ci], 0, 0)
-			for _, far := range []int{n / 2, n - 1} {
-				grown := make([]uint64, far+1)
-				copy(grown, c)
-				children[ci] = grown
-				corrupt(fmt.Sprintf("child %d", ci), grown, far, func(what string) { check(what, f, children) })
-			}
-			children[ci] = c
+		for ci, c := range children {
 			for i := range c {
 				corrupt(fmt.Sprintf("child %d", ci), c, i, func(what string) { check(what, f, children) })
 			}
-			children[ci] = c[:len(c)-2]
+			// The zero tail a wire trims off reads as zeros.
+			tail := append([]uint64(nil), c...)
+			for i := n / 2; i < n; i++ {
+				tail[i] = 0
+			}
+			children[ci] = tail
+			whole, wholeErr := RecoverTagPacked(fast, f, children)
+			children[ci] = tail[:n/2]
+			check(fmt.Sprintf("child %d trimmed", ci), f, children)
+			if got, err := RecoverTagPacked(fast, f, children); !sameAnswer(got, err, whole, wholeErr) {
+				t.Fatalf("child %d: trimmed (%v, %v), whole (%v, %v)", ci, got, err, whole, wholeErr)
+			}
+			children[ci] = c
 		}
 	}
-	// A child wiped to zero leaves no equation at all, on both paths.
+	// A child wiped to zero leaves no equation at all, on every path.
 	check("zero child", []uint64{5, 1}, [][]uint64{{0}})
 }

@@ -7,6 +7,13 @@
 // node is (x − map(node)) · ∏ children. Every node polynomial therefore has
 // the tag values of its entire subtree among its roots, which is what lets
 // the query protocol prune dead branches from a single evaluation.
+//
+// On F_p the encode works in the evaluation domain: F_p[x]/(x^{p−1}−1) ≅
+// F_p^{p−1}, so a node is its vector of values at a = 1 … p−1 and the
+// product above is pointwise. Eq. (2) holds pointwise too, and
+// RecoverTagPacked checks it there; the coefficient form remains as the
+// reference (Encode without PackedOnly) and the coefficient solve
+// (RecoverTag) as its oracle.
 package polyenc
 
 import (
@@ -26,29 +33,22 @@ import (
 
 // Node is one element of an encoded tree.
 type Node struct {
-	// Poly is the node's polynomial, a canonical ring representative.
+	// Poly is the node's polynomial, a canonical ring representative; zero
+	// on an F_p ring after a PackedOnly encode.
 	Poly poly.Poly
-	// Packed, when non-nil, is the word-sized mirror of Poly (canonical
-	// []uint64 coefficients, ascending degree, trailing zeros trimmed).
-	// The packed fast-path encode fills it so downstream consumers —
-	// sharing.Split above all — never re-pack; trees built through the
-	// big.Int path or by hand leave it nil. Shared read-only.
+	// Packed is, on an F_p ring, the node's element in the evaluation
+	// domain: its value at every point a = 1 … p−1, in order, as canonical
+	// words (F_p[x]/(x^{p−1}−1) ≅ F_p^{p−1}, see ring.FpCyclotomic.Values).
+	// It is what sharing.Split shares and the only form a PackedOnly encode
+	// builds; nil on other rings. Shared read-only.
 	Packed []uint64
 	// Children mirror the XML element order.
 	Children []*Node
 }
 
-// Polynomial returns the node's polynomial in the big.Int boundary
-// representation, materializing it from the packed mirror when a
-// PackedOnly encode skipped the boxing. Readers that may be handed a
-// PackedOnly tree (sharing's big.Int split paths, tree-wide tag
-// recovery) must use this instead of reading Poly directly.
-func (n *Node) Polynomial() poly.Poly {
-	if n.Poly.IsZero() && n.Packed != nil {
-		return poly.NewUint64(n.Packed)
-	}
-	return n.Poly
-}
+// Polynomial returns the node's coefficient form, Poly. It is kept only
+// until the benchmark stops calling it.
+func (n *Node) Polynomial() poly.Poly { return n.Poly }
 
 // Tree is the polynomial image of an XML document.
 type Tree struct {
@@ -77,19 +77,19 @@ type Opts struct {
 	// a tag equal to p−1 makes node polynomials able to vanish identically,
 	// silently destroying Theorem 1's uniqueness.
 	AllowTagOverflow bool
-	// Parallelism bounds the worker pool of the packed fast-path encode
-	// walk: 0 selects runtime.GOMAXPROCS, 1 forces a sequential walk.
-	// The encoding is identical at every setting — tag values are
-	// assigned in a deterministic sequential pre-pass and the product
-	// arithmetic is exact — so this is purely a throughput knob. The
-	// big.Int path (IntQuotient, SetFast(false)) ignores it.
+	// Parallelism bounds the worker pool of the value-form encode walk: 0
+	// selects runtime.GOMAXPROCS, 1 forces a sequential walk. The encoding
+	// is identical at every setting — tag values are assigned in a
+	// deterministic sequential pre-pass and the product arithmetic is
+	// exact — so this is purely a throughput knob. The coefficient encode
+	// ignores it.
 	Parallelism int
-	// PackedOnly makes the fast-path encode skip materializing Node.Poly
-	// and carry Node.Packed alone — for pipelines (Outsource above all)
-	// that hand the tree straight to sharing.Split and never read the
-	// big.Int boundary representation. Readers that need Poly go through
-	// Node.Polynomial(), which re-boxes on demand. Ignored on the
-	// big.Int path, which always fills Poly.
+	// PackedOnly makes an F_p encode build the value form alone: Packed,
+	// pointwise, with no coefficient form, no transform and no product of
+	// polynomials — for pipelines (Outsource above all) that hand the tree
+	// straight to sharing.Split. Without it, and with the ring's fast path
+	// off, an F_p encode is the reference: the coefficient encode, then
+	// Packed as its values at every point.
 	PackedOnly bool
 }
 
@@ -105,55 +105,78 @@ func EncodeWithOpts(r ring.Ring, doc *xmltree.Node, m *mapping.Map, o Opts) (*Tr
 	if doc == nil {
 		return nil, errors.New("polyenc: nil document")
 	}
-	if fp, ok := r.(*ring.FpCyclotomic); ok && fp.Fast() != nil {
-		return encodePacked(fp, doc, m, o)
+	fp, isFp := r.(*ring.FpCyclotomic)
+	if isFp && o.PackedOnly && fp.Fast() != nil {
+		return encodeValues(fp, doc, m, o)
 	}
 	root, err := encodeNode(r, doc, m, o)
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{Ring: r, Root: root}, nil
+	t := &Tree{Ring: r, Root: root}
+	if isFp {
+		t.Walk(func(_ drbg.NodeKey, n *Node) bool {
+			n.Packed = fp.Values(n.Poly)
+			return true
+		})
+	}
+	return t, nil
 }
 
-// encodePacked is the word-sized encode: node polynomials are built
-// bottom-up as packed []uint64 products (one MulPacked per factor, no
-// big.Int crossings inside the walk) and subtrees are encoded in parallel
-// on a bounded pool. Two phases keep it byte-compatible with the
-// sequential big.Int encode:
+// encodeValues is the word-sized encode. A product of ring elements is the
+// pointwise product of their values, so a node's value vector is
+// (a − t)·∏ children's values at every a, built bottom-up, subtrees in
+// parallel on a bounded pool. Two phases keep it identical to the
+// reference encode:
 //
 //  1. a sequential pre-pass assigns tag values in exactly the order the
 //     recursive encode would (children before parent) — mapping.Assign
 //     resolves draw collisions first-come-first-served, so the visit
 //     order is part of the mapping's determinism contract;
-//  2. a parallel product pass multiplies the packed factors. Ring
-//     arithmetic is exact, so the result is schedule-independent.
-func encodePacked(fp *ring.FpCyclotomic, doc *xmltree.Node, m *mapping.Map, o Opts) (*Tree, error) {
-	e := &packedEncoder{
-		fp:         fp,
-		ff:         fp.Fast(),
-		vals:       make(map[*xmltree.Node]uint64),
-		pool:       parwalk.New(o.Parallelism),
-		packedOnly: o.PackedOnly,
+//  2. a parallel product pass. Field arithmetic is exact, so the result
+//     is schedule-independent.
+func encodeValues(fp *ring.FpCyclotomic, doc *xmltree.Node, m *mapping.Map, o Opts) (*Tree, error) {
+	e := &valueEncoder{
+		ff:     fp.Fast(),
+		n:      fp.DegreeBound(),
+		nodes:  make(map[*xmltree.Node]encNode),
+		leaves: make(map[uint64][]uint64),
+		maxTag: fp.MaxTag(),
+		pool:   parwalk.New(o.Parallelism),
 	}
 	if err := e.assignTags(doc, m, o); err != nil {
 		return nil, err
 	}
+	e.slab = make([]uint64, e.interior*e.n)
 	root := &Node{}
 	e.walk(doc, root)
 	e.pool.Wait() // infallible walk: only exact arithmetic after the pre-pass
 	return &Tree{Ring: fp, Root: root}, nil
 }
 
-type packedEncoder struct {
-	fp         *ring.FpCyclotomic
-	ff         *fastfield.Field
-	vals       map[*xmltree.Node]uint64 // read-only during the parallel pass
-	pool       *parwalk.Pool
-	packedOnly bool
+type valueEncoder struct {
+	ff    *fastfield.Field
+	n     int
+	nodes map[*xmltree.Node]encNode // read-only during the parallel pass
+	// leaves holds the values of a − t, one vector per tag t that names a
+	// leaf: every leaf of a tag shares it. The interior nodes' vectors are
+	// slots of slab, one allocation for the tree.
+	leaves   map[uint64][]uint64
+	interior int
+	slab     []uint64
+	maxTag   *big.Int
+	pool     *parwalk.Pool
+}
+
+// encNode is what the pre-pass assigns a node: its tag value and, for an
+// interior node, its slot in the slab.
+type encNode struct {
+	tag  uint64
+	slot int
 }
 
 // assignTags replays the sequential encode's postorder Assign calls.
-func (e *packedEncoder) assignTags(n *xmltree.Node, m *mapping.Map, o Opts) error {
+func (e *valueEncoder) assignTags(n *xmltree.Node, m *mapping.Map, o Opts) error {
 	for _, c := range n.Children {
 		if err := e.assignTags(c, m, o); err != nil {
 			return err
@@ -163,21 +186,26 @@ func (e *packedEncoder) assignTags(n *xmltree.Node, m *mapping.Map, o Opts) erro
 	if err != nil {
 		return fmt.Errorf("polyenc: encoding %q: %w", n.PathString(), err)
 	}
-	if maxTag := e.fp.MaxTag(); !o.AllowTagOverflow && maxTag != nil && tag.Cmp(maxTag) > 0 {
+	if !o.AllowTagOverflow && tag.Cmp(e.maxTag) > 0 {
 		return fmt.Errorf("polyenc: tag %q maps to %s, outside the ring's safe domain [1,%s] (Lemma 3)",
-			n.Tag, tag, maxTag)
+			n.Tag, tag, e.maxTag)
 	}
-	e.vals[n] = e.ff.ReduceBig(tag)
+	info := encNode{tag: e.ff.ReduceBig(tag)}
+	switch {
+	case len(n.Children) > 0:
+		info.slot = e.interior
+		e.interior++
+	case e.leaves[info.tag] == nil:
+		e.leaves[info.tag] = linearTimes(e.ff, make([]uint64, e.n), info.tag, nil)
+	}
+	e.nodes[n] = info
 	return nil
 }
 
-func (e *packedEncoder) walk(x *xmltree.Node, out *Node) {
-	linear := []uint64{e.ff.Neg(e.vals[x]), 1}
+func (e *valueEncoder) walk(x *xmltree.Node, out *Node) {
+	info := e.nodes[x]
 	if len(x.Children) == 0 {
-		out.Packed = linear
-		if !e.packedOnly {
-			out.Poly = e.fp.Unpack(linear)
-		}
+		out.Packed = e.leaves[info.tag]
 		return
 	}
 	out.Children = make([]*Node, len(x.Children))
@@ -192,29 +220,34 @@ func (e *packedEncoder) walk(x *xmltree.Node, out *Node) {
 		})
 	}
 	wg.Wait()
-	// Multi-factor product: the tag factor and every child product go
-	// through MulPackedProd, which on the NTT path transforms each factor
-	// exactly once and runs a single inverse transform — instead of one
-	// full pairwise multiply per child.
-	factors := make([][]uint64, 0, len(out.Children)+1)
-	factors = append(factors, linear)
-	for _, c := range out.Children {
-		factors = append(factors, c.Packed)
-	}
-	out.Packed = trimPacked(e.fp.MulPackedProd(factors...))
-	if !e.packedOnly {
-		out.Poly = e.fp.Unpack(out.Packed)
-	}
+	at := info.slot * e.n
+	out.Packed = linearTimes(e.ff, e.slab[at:at+e.n:at+e.n], info.tag, out.Children)
 }
 
-// trimPacked drops trailing zero coefficients so subtree products carry
-// their true degree into the next multiplication.
-func trimPacked(v []uint64) []uint64 {
-	n := len(v)
-	for n > 0 && v[n-1] == 0 {
-		n--
+// linearTimes writes (a − t)·∏ qᵢ(a) at a = 1 … len(out) into out, for the
+// children's value vectors qᵢ, and returns it. Each Montgomery product
+// divides by R, so the linear factor starts at (a − t)·R^k for k children
+// — an arithmetic progression in a with step R^k — and the k products
+// leave the plain values.
+func linearTimes(ff *fastfield.Field, out []uint64, t uint64, children []*Node) []uint64 {
+	rk := ff.Exp(ff.MForm(1), uint64(len(children)))
+	v := ff.Mul(ff.Sub(1, t), rk)
+	if len(children) == 0 {
+		for i := range out {
+			out[i] = v
+			v = ff.Add(v, rk)
+		}
+		return out
 	}
-	return v[:n:n]
+	// The first product rides on the progression.
+	for i, q := range children[0].Packed {
+		out[i] = ff.MRed(v, q)
+		v = ff.Add(v, rk)
+	}
+	for _, c := range children[1:] {
+		ff.MRedVec(out, c.Packed)
+	}
+	return out
 }
 
 func encodeNode(r ring.Ring, n *xmltree.Node, m *mapping.Map, o Opts) (*Node, error) {
@@ -303,7 +336,7 @@ func (t *Tree) Lookup(key drbg.NodeKey) (*Node, error) {
 func (t *Tree) MaxCoeffBits() int {
 	maxBits := 0
 	t.Walk(func(_ drbg.NodeKey, n *Node) bool {
-		if b := n.Polynomial().MaxCoeffBitLen(); b > maxBits {
+		if b := n.Poly.MaxCoeffBitLen(); b > maxBits {
 			maxBits = b
 		}
 		return true
@@ -312,7 +345,9 @@ func (t *Tree) MaxCoeffBits() int {
 }
 
 // RecoverTag solves f ≡ (x − t)·∏qᵢ (mod ring) for the unique t
-// (Theorem 1 for F_p[x]/(x^{p-1}−1), Theorem 2 for Z[x]/(r(x))).
+// (Theorem 1 for F_p[x]/(x^{p-1}−1), Theorem 2 for Z[x]/(r(x))) on
+// polynomials in the coefficient form: the engine's path on Z[x]/(r(x)),
+// and the oracle of the pointwise solves on F_p.
 //
 // Method (eqs. (2)–(3) of the paper): let Q = ∏qᵢ. Then
 // t·Q ≡ Q·x − f coefficient-wise; the first coordinate with an invertible
@@ -320,11 +355,6 @@ func (t *Tree) MaxCoeffBits() int {
 // coordinates — checked via a full ring identity — verify it, which is what
 // catches a lying server.
 func RecoverTag(r ring.Ring, f poly.Poly, children []poly.Poly) (*big.Int, error) {
-	if fp, ok := r.(*ring.FpCyclotomic); ok && fp.Fast() != nil {
-		if t, ok, err := recoverTagPacked(fp, f, children); ok {
-			return t, err
-		}
-	}
 	q := r.One()
 	for _, c := range children {
 		q = r.Mul(q, c)
@@ -358,73 +388,83 @@ func RecoverTag(r ring.Ring, f poly.Poly, children []poly.Poly) (*big.Int, error
 	return t, nil
 }
 
-// recoverTagPacked packs the polynomials and defers to RecoverTagPacked.
-// ok=false (first return ignored) sends the caller to the generic path
-// when any polynomial refuses to pack.
-func recoverTagPacked(r *ring.FpCyclotomic, f poly.Poly, children []poly.Poly) (*big.Int, bool, error) {
-	pf, ok := r.Pack(f)
-	if !ok || len(pf) > r.DegreeBound() {
-		return nil, false, nil
-	}
-	packed := make([][]uint64, len(children))
-	for i, c := range children {
-		pc, ok := r.Pack(c)
-		if !ok || len(pc) > r.DegreeBound() {
-			return nil, false, nil
-		}
-		packed[i] = pc
-	}
-	t, err := RecoverTagPacked(r, pf, packed)
-	return t, true, err
-}
-
-// RecoverTagPacked is RecoverTag on the word-sized fast path: the product
-// tree, the solved equation and the verification identity all run on packed
-// []uint64 vectors (canonical, length <= DegreeBound), never crossing the
-// big.Int boundary until the single recovered tag value. The engine's
-// tag-recovery path feeds it reconstructed shares that were never unpacked.
-func RecoverTagPacked(r *ring.FpCyclotomic, pf []uint64, children [][]uint64) (*big.Int, error) {
-	return RecoverTagPackedScratch(r, make([]uint64, r.DegreeBound()), pf, children)
+// RecoverTagPacked is RecoverTag in the evaluation domain of an F_p ring,
+// in words: f and the children are value vectors (canonical values at
+// a = 1 … p−1, zero past a shorter vector's end), and eq. (2) is the
+// pointwise identity f(a) = (a − t)·Q(a), Q = ∏qᵢ, at every a. The first a
+// with Q(a) ≠ 0 gives t = a − f(a)/Q(a), and every point is then checked —
+// the whole identity, with no transform. Only valid with the fast path on.
+func RecoverTagPacked(r *ring.FpCyclotomic, f []uint64, children [][]uint64) (*big.Int, error) {
+	return RecoverTagPackedScratch(r, make([]uint64, r.DegreeBound()), f, children)
 }
 
 // RecoverTagPackedScratch is RecoverTagPacked over the caller's scratch q
-// (length DegreeBound, overwritten with Q = ∏qᵢ, aliasing no operand), so a
-// block of recoveries that reuses it allocates only its results.
-func RecoverTagPackedScratch(r *ring.FpCyclotomic, q, pf []uint64, children [][]uint64) (*big.Int, error) {
-	n := r.DegreeBound()
+// (length DegreeBound, overwritten, aliasing no operand), so a block of
+// recoveries that reuses it allocates only its results.
+func RecoverTagPackedScratch(r *ring.FpCyclotomic, q, f []uint64, children [][]uint64) (*big.Int, error) {
 	ff := r.Fast()
-	// One multi-factor product (single inverse transform on the NTT path);
-	// the empty-children case yields the ring's one.
-	r.MulPackedProdInto(q, children...)
-	// Multiplying by x is a cyclic shift (x·x^{n-1} ≡ 1), so (x − t)·Q has
-	// the coefficient Q[i-1] − t·Q[i] at x^i, indices mod n, and eq. (2)
-	// asks it to be f[i], zero past f's length.
-	want := func(i int) uint64 {
-		if i < len(pf) {
-			return pf[i]
-		}
-		return 0
+	// Q·R at every point: R^{k+1} through k Montgomery products.
+	rk := ff.Exp(ff.MForm(1), uint64(len(children)+1))
+	for i := range q {
+		q[i] = rk
 	}
-	// The first coordinate with an invertible Q coefficient determines t.
+	for _, c := range children {
+		ff.MRedVec(q[:len(c)], c)
+		clear(q[len(c):])
+	}
 	at := 0
-	for at < n && q[at] == 0 {
+	for at < len(q) && q[at] == 0 {
 		at++
 	}
-	if at == n {
+	if at == len(q) {
 		return nil, ErrNoEquation
 	}
-	inv, _ := ff.Inv(q[at])
-	t := ff.Mul(ff.Sub(q[(at+n-1)%n], want(at)), inv)
-	// Full verification: every one of the n coefficient equations.
-	tM := ff.MForm(t)
-	prev := q[n-1]
+	inv, _ := ff.Inv(ff.MRed(q[at], 1))
+	t := ff.Sub(ff.Reduce(uint64(at+1)), ff.Mul(valueAt(f, at), inv))
+	// Full verification: d = a − t at a = 1 … n, and (a − t)·Q(a) = f(a).
+	d := ff.Sub(1, t)
 	for i, qi := range q {
-		if ff.Sub(prev, ff.MRed(qi, tM)) != want(i) {
+		if ff.MRed(d, qi) != valueAt(f, i) {
 			return nil, ErrInconsistent
 		}
-		prev = qi
+		d = ff.Add(d, 1)
 	}
 	return new(big.Int).SetUint64(t), nil
+}
+
+func valueAt(v []uint64, i int) uint64 {
+	if i < len(v) {
+		return v[i]
+	}
+	return 0
+}
+
+// RecoverTagValues is RecoverTagPacked on the big.Int reference path: f and
+// the children are value vectors in the boxed form — the value at a = i+1
+// is coefficient i — of any integers, reduced here.
+func RecoverTagValues(r *ring.FpCyclotomic, f poly.Poly, children []poly.Poly) (*big.Int, error) {
+	fl := r.Field()
+	q := make([]*big.Int, r.DegreeBound())
+	var t *big.Int
+	for i := range q {
+		q[i] = fl.One()
+		for _, c := range children {
+			q[i] = fl.Mul(q[i], c.Coeff(i))
+		}
+		if t == nil && q[i].Sign() != 0 {
+			ratio, _ := fl.Div(f.Coeff(i), q[i])
+			t = fl.Sub(big.NewInt(int64(i+1)), ratio)
+		}
+	}
+	if t == nil {
+		return nil, ErrNoEquation
+	}
+	for i, qi := range q {
+		if fl.Mul(fl.Sub(big.NewInt(int64(i+1)), t), qi).Cmp(fl.Reduce(f.Coeff(i))) != 0 {
+			return nil, ErrInconsistent
+		}
+	}
+	return t, nil
 }
 
 // RecoverTagUnchecked solves only the single lowest usable coefficient
@@ -451,16 +491,31 @@ func RecoverTagUnchecked(r ring.Ring, f poly.Poly, children []poly.Poly) (*big.I
 }
 
 // RecoverAllTags recovers the tag value of every node of the tree and
-// returns them keyed by node path — the tree-wide exercise of Theorems 1–2.
+// returns them keyed by node path — the tree-wide exercise of Theorems 1–2,
+// from the value vectors on an F_p ring.
 func (t *Tree) RecoverAllTags() (map[string]*big.Int, error) {
+	fp, _ := t.Ring.(*ring.FpCyclotomic)
+	if fp != nil && fp.Fast() == nil {
+		fp = nil
+	}
 	out := map[string]*big.Int{}
 	var firstErr error
 	t.Walk(func(key drbg.NodeKey, n *Node) bool {
-		children := make([]poly.Poly, len(n.Children))
-		for i, c := range n.Children {
-			children[i] = c.Polynomial()
+		var v *big.Int
+		var err error
+		if fp != nil {
+			children := make([][]uint64, len(n.Children))
+			for i, c := range n.Children {
+				children[i] = c.Packed
+			}
+			v, err = RecoverTagPacked(fp, n.Packed, children)
+		} else {
+			children := make([]poly.Poly, len(n.Children))
+			for i, c := range n.Children {
+				children[i] = c.Poly
+			}
+			v, err = RecoverTag(t.Ring, n.Poly, children)
 		}
-		v, err := RecoverTag(t.Ring, n.Polynomial(), children)
 		if err != nil {
 			firstErr = fmt.Errorf("polyenc: node %s: %w", key, err)
 			return false

@@ -7,13 +7,12 @@ import (
 )
 
 // BenchmarkMulPackedCutover is the sweep behind the routing constants of
-// fp.go (nttCutoverCost, the conv-fallback bar, MulPackedProd's (k+1)/3
-// rule): square products either side of each ring's seam through the
-// schoolbook loop and through the transform engine, and multi-factor
-// products through one transform per factor against the pairwise fold. The
-// engine's time barely depends on the operand lengths; the schoolbook
-// loop's is proportional to their product, so the pair count at which the
-// two rows cross is the constant. Re-run it before touching either:
+// fp.go (nttCutoverCost, the conv-fallback bar): square products either
+// side of each ring's seam through the schoolbook loop and through the
+// transform engine. The engine's time barely depends on the operand
+// lengths; the schoolbook loop's is proportional to their product, so the
+// pair count at which the two rows cross is the constant. Re-run it before
+// touching either:
 //
 //	go test -run '^$' -bench MulPackedCutover -benchtime 200x ./internal/ring/
 func BenchmarkMulPackedCutover(b *testing.B) {
@@ -46,32 +45,6 @@ func BenchmarkMulPackedCutover(b *testing.B) {
 					} else {
 						r.conv.MulCyclicInto(dst, pa, pb)
 					}
-				}
-			})
-		}
-	}
-	// k factors of equal length: one transform per factor (plus the inverse)
-	// against the left-to-right schoolbook fold MulPackedProd estimates.
-	r := MustFp(257)
-	rng := rand.New(rand.NewSource(3))
-	dst := make([]uint64, 256)
-	for _, k := range []int{2, 4, 8} {
-		for _, flen := range []int{8, 16, 32, 64} {
-			factors := make([][]uint64, k)
-			for i := range factors {
-				factors[i] = randPacked(rng, 257, flen)
-			}
-			b.Run(fmt.Sprintf("F257/prod/k=%d/len=%d/fold", k, flen), func(b *testing.B) {
-				r.SetNTT(false)
-				defer r.SetNTT(true)
-				for i := 0; i < b.N; i++ {
-					r.MulPackedProdInto(dst, factors...)
-				}
-			})
-			b.Run(fmt.Sprintf("F257/prod/k=%d/len=%d/engine", k, flen), func(b *testing.B) {
-				r.engine(256, 256)
-				for i := 0; i < b.N; i++ {
-					r.ntt.ProdCyclicInto(dst, factors...)
 				}
 			})
 		}

@@ -38,7 +38,8 @@ type FpCyclotomic struct {
 	// unsupported.
 	fast *fastfield.Field
 
-	// The NTT-backed encode engine. The quotient ring is cyclic
+	// The NTT-backed product engine of the coefficient form (the reference
+	// encode, the coefficient solve of eq. (2)). The quotient ring is cyclic
 	// convolution of length n, so long packed products run through a
 	// number-theoretic transform instead of the O(n²) schoolbook loop.
 	// The tables are built lazily on the first eligible product (nttOnce;
@@ -142,8 +143,9 @@ func (r *FpCyclotomic) Fast() *fastfield.Field { return r.fast }
 // differential tests and ablation benchmarks; production code leaves the
 // fast path on. Not safe to call concurrently with ring use.
 //
-// Rand draws the same pads from a share stream at either setting (see
-// Rand), so a store split on the fast path can be queried with it off.
+// It toggles arithmetic only: Rand draws the same pads from a share stream
+// at either setting (see Rand), and so do the value-form pads of package
+// sharing, so a store split on the fast path can be queried with it off.
 func (r *FpCyclotomic) SetFast(enabled bool) {
 	if enabled {
 		r.fast = r.f.Fast()
@@ -177,14 +179,42 @@ func (r *FpCyclotomic) Unpack(c []uint64) poly.Poly {
 }
 
 // PackPoint maps an evaluation point to its canonical word residue,
-// rejecting a ≡ 0 (evaluation is undefined there, see Eval). Only valid
-// when the fast path is on.
+// rejecting a ≡ 0 (evaluation is undefined there, see Eval): the point's
+// index into a value vector, plus one. Valid at either fast-path setting.
 func (r *FpCyclotomic) PackPoint(a *big.Int) (uint64, error) {
-	x := r.fast.ReduceBig(a)
+	var x uint64
+	if r.fast != nil {
+		x = r.fast.ReduceBig(a)
+	} else {
+		x = new(big.Int).Mod(a, r.p).Uint64()
+	}
 	if x == 0 {
 		return 0, fmt.Errorf("%w: a ≡ 0 (mod %s)", ErrEvalUndefined, r.p)
 	}
 	return x, nil
+}
+
+// Values evaluates q at every point a = 1 … p−1, in order: its image under
+// F_p[x]/(x^{p−1}−1) ≅ F_p^{p−1}, the value form a share is stored and
+// served in. A product of ring elements is the pointwise product of their
+// values, so this is the conversion from the coefficient form, and the
+// oracle the value-form encode is tested against.
+func (r *FpCyclotomic) Values(q poly.Poly) []uint64 {
+	out := make([]uint64, r.n)
+	if c, ok := r.packFold(q); ok {
+		xs := make([]uint64, r.n)
+		for i := range xs {
+			xs[i] = uint64(i + 1)
+		}
+		r.fast.MFormVec(xs, xs)
+		r.fast.EvalMany(c, xs, out)
+		return out
+	}
+	for i := range out {
+		v, _ := r.Eval(q, big.NewInt(int64(i+1))) // a ≢ 0: never fails
+		out[i] = v.Uint64()
+	}
+	return out
 }
 
 // packFold packs q and folds its degrees with x^{p-1} ≡ 1, yielding at
@@ -279,34 +309,6 @@ func (r *FpCyclotomic) Mul(a, b poly.Poly) poly.Poly {
 		}
 	}
 	return r.Reduce(a.Mul(b))
-}
-
-// AddPacked adds two packed canonical vectors of possibly different
-// lengths, returning a fresh vector of the longer length. Only valid when
-// the fast path is on.
-func (r *FpCyclotomic) AddPacked(pa, pb []uint64) []uint64 {
-	if len(pb) > len(pa) {
-		pa, pb = pb, pa
-	}
-	out := make([]uint64, len(pa))
-	r.AddPackedInto(out, pa, pb)
-	return out
-}
-
-// AddPackedInto writes pa + pb into dst, which must have the length of the
-// longer operand; dst may alias pa or pb. Only valid when the fast path is
-// on.
-func (r *FpCyclotomic) AddPackedInto(dst, pa, pb []uint64) {
-	if len(pb) > len(pa) {
-		pa, pb = pb, pa
-	}
-	if len(dst) != len(pa) {
-		panic("ring: AddPackedInto dst length mismatch")
-	}
-	copy(dst, pa)
-	for i, v := range pb {
-		dst[i] = r.fast.Add(dst[i], v)
-	}
 }
 
 // MulPacked multiplies two packed canonical vectors (each of length <= n,
@@ -419,88 +421,23 @@ func (r *FpCyclotomic) SetNTT(enabled bool) {
 }
 
 // MulPackedProd multiplies all factors (each a packed canonical vector of
-// length <= n) in one pass, returning a fresh length-n product; see
-// MulPackedProdInto.
+// length <= n), returning a fresh length-n product: one forward transform
+// per factor and a single inverse where the ring has an in-field transform
+// (and SetNTT leaves it on), one pairwise MulPacked at a time otherwise. An
+// empty factor list yields the ring's one. It is the coefficient form of a
+// node, (x − t)·∏ children, and serves as the oracle of the value form,
+// where the same product is pointwise.
 func (r *FpCyclotomic) MulPackedProd(factors ...[]uint64) []uint64 {
 	out := make([]uint64, r.n)
-	r.MulPackedProdInto(out, factors...)
+	if ntt, _ := r.engine(r.n, r.n); ntt != nil {
+		ntt.ProdCyclicInto(out, factors...)
+		return out
+	}
+	out[0] = 1
+	for _, f := range factors {
+		out = r.MulPacked(out, f)
+	}
 	return out
-}
-
-// MulPackedProdInto is MulPackedProd with a caller-provided output vector
-// (length n, overwritten; must not alias a factor), so a loop of products —
-// a chunk of tag recoveries — allocates nothing. On the NTT path every
-// factor is transformed exactly once and a single inverse transform
-// recovers the product — the shape the bottom-up encode wants, where an
-// interior node multiplies its tag factor against every child product.
-// Falls back to left-to-right pairwise products when the operands are too
-// short for the transform to pay, or on fallback rings. An empty factor
-// list yields the ring's one.
-func (r *FpCyclotomic) MulPackedProdInto(out []uint64, factors ...[]uint64) {
-	if len(out) != r.n {
-		panic("ring: MulPackedProdInto dst length mismatch")
-	}
-	if len(factors) < 2 {
-		for i := range out {
-			out[i] = 0
-		}
-		if len(factors) == 0 {
-			out[0] = 1
-		} else {
-			copy(out, factors[0])
-		}
-		return
-	}
-	// Estimate the schoolbook cost of the left-to-right product: prefix
-	// length grows by each factor's degree and caps at n.
-	prefix := len(factors[0])
-	cost := 0
-	for _, f := range factors[1:] {
-		cost += prefix * len(f)
-		if prefix += len(f) - 1; prefix > r.n {
-			prefix = r.n
-		}
-	}
-	// NTT product cost: one forward transform per factor plus one inverse
-	// — (k+1)/3 of a pairwise multiply's three transforms (the sweep's
-	// k-factor rows: 6.6, 11.5 and 22 µs at k = 2, 4, 8 on F_257). A ring
-	// without an in-field transform (nttCut 0) folds pairwise.
-	if !r.nttOff.Load() && r.nttCut > 0 && cost >= (len(factors)+1)*r.nttCut/3 {
-		if ntt, _ := r.engine(r.n, r.n); ntt != nil {
-			ntt.ProdCyclicInto(out, factors...)
-			return
-		}
-	}
-	// Pairwise loop with degree trimming, ping-ponging two buffers; each
-	// pairwise product still picks its own best path via MulPackedInto.
-	bufp := r.bmPool.Get().(*[]uint64)
-	defer r.bmPool.Put(bufp)
-	acc := factors[0]
-	scratch := out
-	spare := *bufp
-	for _, f := range factors[1:] {
-		r.MulPackedInto(scratch, acc, f)
-		acc = trimTrailingZeros(scratch)
-		scratch, spare = spare, scratch
-	}
-	// The product sits in whichever buffer the last step wrote (spare, after
-	// the swap); a zero factor annihilated it and left stale coefficients.
-	if len(acc) == 0 || &acc[0] != &out[0] {
-		n := copy(out, acc)
-		for i := n; i < len(out); i++ {
-			out[i] = 0
-		}
-	}
-}
-
-// trimTrailingZeros drops trailing zero coefficients so intermediate
-// products carry their true degree into the next multiplication.
-func trimTrailingZeros(v []uint64) []uint64 {
-	n := len(v)
-	for n > 0 && v[n-1] == 0 {
-		n--
-	}
-	return v[:n]
 }
 
 // Zero implements Ring.

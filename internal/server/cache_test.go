@@ -43,32 +43,33 @@ func buildCacheFixture(t *testing.T, r ring.Ring) (*Local, []drbg.NodeKey, []*bi
 	return srv, keys, points
 }
 
-// TestEvalCacheHitsAndConsistency: the second identical request must be
-// answered from the cache with identical values, on both ring families.
+// TestEvalCacheHitsAndConsistency: on a coefficient-form store the second
+// identical request must be answered from the cache with identical values;
+// a value-form store answers identically from its values, with nothing to
+// cache and nothing tallied.
 func TestEvalCacheHitsAndConsistency(t *testing.T) {
 	for _, r := range []ring.Ring{ring.MustFp(257), ring.MustIntQuotient(1, 0, 1)} {
+		_, cached := r.(*ring.IntQuotient)
 		srv, keys, points := buildCacheFixture(t, r)
 		first, err := srv.EvalNodes(keys, points)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s1 := srv.Counters().Snapshot()
-		if s1.EvalCacheHits != 0 {
-			t.Fatalf("%s: cold pass hit the cache %d times", r.Name(), s1.EvalCacheHits)
+		want := int64(len(keys) * len(points))
+		if !cached {
+			want = 0
 		}
-		if want := int64(len(keys) * len(points)); s1.EvalCacheMiss != want {
-			t.Fatalf("%s: cold pass misses = %d, want %d", r.Name(), s1.EvalCacheMiss, want)
+		if s1.EvalCacheHits != 0 || s1.EvalCacheMiss != want {
+			t.Fatalf("%s: cold pass hits = %d, misses = %d, want 0 / %d", r.Name(), s1.EvalCacheHits, s1.EvalCacheMiss, want)
 		}
 		second, err := srv.EvalNodes(keys, points)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s2 := srv.Counters().Snapshot().Sub(s1)
-		if want := int64(len(keys) * len(points)); s2.EvalCacheHits != want {
-			t.Fatalf("%s: warm pass hits = %d, want %d", r.Name(), s2.EvalCacheHits, want)
-		}
-		if s2.EvalCacheMiss != 0 {
-			t.Fatalf("%s: warm pass missed %d times", r.Name(), s2.EvalCacheMiss)
+		if s2.EvalCacheHits != want || s2.EvalCacheMiss != 0 {
+			t.Fatalf("%s: warm pass hits = %d, misses = %d, want %d / 0", r.Name(), s2.EvalCacheHits, s2.EvalCacheMiss, want)
 		}
 		for i := range first {
 			for j := range first[i].Values() {
@@ -83,7 +84,7 @@ func TestEvalCacheHitsAndConsistency(t *testing.T) {
 // TestEvalCacheDisabled: a zero-capacity cache must still answer
 // correctly and never hit.
 func TestEvalCacheDisabled(t *testing.T) {
-	srv, keys, points := buildCacheFixture(t, ring.MustFp(257))
+	srv, keys, points := buildCacheFixture(t, ring.MustIntQuotient(1, 0, 1))
 	ref, err := srv.EvalNodes(keys, points)
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +109,8 @@ func TestEvalCacheDisabled(t *testing.T) {
 }
 
 // TestSetFastAfterConstruction: disabling the ring's fast path after the
-// server captured it must degrade to the (uncached-for-fp) big.Int path
-// with identical answers, not crash.
+// server was built must answer identically, not crash: a value-form store
+// reads its values at either setting.
 func TestSetFastAfterConstruction(t *testing.T) {
 	r := ring.MustFp(257)
 	srv, keys, points := buildCacheFixture(t, r)
@@ -133,7 +134,7 @@ func TestSetFastAfterConstruction(t *testing.T) {
 
 // TestEvalCacheBounded: a tiny cache must evict, not grow.
 func TestEvalCacheBounded(t *testing.T) {
-	srv, keys, points := buildCacheFixture(t, ring.MustFp(257))
+	srv, keys, points := buildCacheFixture(t, ring.MustIntQuotient(1, 0, 1))
 	srv.SetEvalCacheEntries(8)
 	if _, err := srv.EvalNodes(keys, points); err != nil {
 		t.Fatal(err)
@@ -144,10 +145,16 @@ func TestEvalCacheBounded(t *testing.T) {
 	}
 }
 
-// TestEvalCacheConcurrent exercises the cache under parallel EvalNodes
-// (the ServerAPI contract) — meaningful under -race.
+// TestEvalCacheConcurrent exercises the cache, and the value reads, under
+// parallel EvalNodes (the ServerAPI contract) — meaningful under -race.
 func TestEvalCacheConcurrent(t *testing.T) {
-	srv, keys, points := buildCacheFixture(t, ring.MustFp(257))
+	for _, r := range []ring.Ring{ring.MustFp(257), ring.MustIntQuotient(1, 0, 1)} {
+		evalConcurrently(t, r)
+	}
+}
+
+func evalConcurrently(t *testing.T, r ring.Ring) {
+	srv, keys, points := buildCacheFixture(t, r)
 	ref, err := srv.EvalNodes(keys, points)
 	if err != nil {
 		t.Fatal(err)
@@ -175,12 +182,11 @@ func TestEvalCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWarmEvalAllocatesPerCallNotPerValue: on a warm eval cache an
-// evaluation call allocates its answers, its value slab and its point
-// scratch — a handful of objects however many keys and points it is asked
-// about, where boxing each value cost two a value — and every answer holds
-// its values as words, capacity-clipped: an append to one cannot reach the
-// next one's.
+// TestWarmEvalAllocatesPerCallNotPerValue: a value-form evaluation call
+// allocates its answers, its value slab and its point indices — a handful
+// of objects however many keys and points it is asked about, where boxing
+// each value cost two a value — and every answer holds its values as
+// words, capacity-clipped: an append to one cannot reach the next one's.
 func TestWarmEvalAllocatesPerCallNotPerValue(t *testing.T) {
 	srv, keys, points := buildCacheFixture(t, ring.MustFp(257))
 	if _, err := srv.EvalNodes(keys, points); err != nil { // warm

@@ -6,7 +6,8 @@
 // The server holds ONLY its additive share tree and the public ring
 // parameters. It never sees the original polynomials, the tag mapping, the
 // client seed, or plaintext — evaluating its share at a query point reveals
-// one uniformly-distributed summand.
+// one uniformly-distributed summand. On F_p the share is stored as its
+// values at every point, so that evaluation is a read.
 package server
 
 import (
@@ -22,23 +23,16 @@ import (
 	"sssearch/internal/sharing"
 )
 
-// DefaultEvalCacheEntries bounds the per-server eval cache: the most
-// recently used (node, point) evaluations are kept so hot subtrees — the
-// root levels every query walks before pruning — are never re-evaluated.
-// Each entry is one word of value plus map/list overhead (~100 B), so the
-// default caps cache memory at roughly 6–7 MiB regardless of tree size.
+// DefaultEvalCacheEntries bounds the eval cache of a coefficient-form
+// store (Z[x]/(r(x))): the most recently used (node, point) evaluations
+// are kept so hot subtrees — the root levels every query walks before
+// pruning — are not re-evaluated. A value-form store (F_p) has nothing to
+// cache: an evaluation is a read.
 const DefaultEvalCacheEntries = 1 << 16
 
-// evalKey identifies one cached fast-path evaluation. Node identity is
-// the share-tree node pointer (stable for the life of the server; no
-// string rendering on the lookup path).
-type evalKey struct {
-	node *sharing.Node
-	x    uint64
-}
-
-// bigEvalKey is the fallback-ring cache key: IntQuotient points are
-// arbitrary big integers, rendered once per lookup.
+// bigEvalKey identifies one cached evaluation of a coefficient-form store:
+// the share-tree node (stable for the life of the server) and the point,
+// rendered once per lookup.
 type bigEvalKey struct {
 	node *sharing.Node
 	x    string
@@ -50,55 +44,35 @@ type bigEvalKey struct {
 type Local struct {
 	ring ring.Ring
 	tree *sharing.Tree
-
-	// fp + packed are the word-sized fast path: every node polynomial is
-	// packed once at construction, evaluations are uint64 Horner passes.
-	fp     *ring.FpCyclotomic
-	packed map[*sharing.Node][]uint64
-
-	// cache (fast path) / bigCache (fallback rings) memoize per-point
-	// evaluations of hot nodes across queries.
-	cache    *lru.Cache[evalKey, uint64]
+	// fp is non-nil on F_p, where the tree is in the value form and a
+	// node's share at the point a is its value a−1.
+	fp       *ring.FpCyclotomic
 	bigCache *lru.Cache[bigEvalKey, *big.Int]
-
 	counters *metrics.Counters
 }
 
-// NewLocal builds a Local server with the default eval-cache bound.
+// NewLocal builds a Local server with the default eval-cache bound. An F_p
+// tree in the coefficient form (hand-built fixtures) is taken into the
+// value form once, here.
 func NewLocal(r ring.Ring, tree *sharing.Tree) (*Local, error) {
 	if r == nil || tree == nil || tree.Root == nil {
 		return nil, errors.New("server: nil ring or tree")
 	}
 	s := &Local{ring: r, tree: tree, counters: &metrics.Counters{}}
-	if fp, ok := r.(*ring.FpCyclotomic); ok && fp.Fast() != nil {
-		s.fp = fp
-		s.packed = make(map[*sharing.Node][]uint64)
-		tree.Walk(func(_ drbg.NodeKey, n *sharing.Node) bool {
-			// The packed split leaves a canonical word mirror on every
-			// node; only trees loaded from disk or built through the
-			// big.Int path still need packing here.
-			if n.Packed != nil {
-				s.packed[n] = n.Packed
-			} else if vec, ok := fp.Pack(n.Poly); ok {
-				s.packed[n] = vec
-			}
-			return true
-		})
+	if fp, ok := r.(*ring.FpCyclotomic); ok {
+		s.fp, s.tree = fp, sharing.ValueTree(fp, tree)
 	}
 	s.SetEvalCacheEntries(DefaultEvalCacheEntries)
 	return s, nil
 }
 
-// SetEvalCacheEntries re-bounds the eval cache to at most n (node, point)
-// values; 0 disables caching. Not safe to call concurrently with queries.
+// SetEvalCacheEntries re-bounds the eval cache of a coefficient-form store
+// to at most n (node, point) values; 0 disables caching. A value-form
+// store has no cache to bound. Not safe to call concurrently with queries.
 func (s *Local) SetEvalCacheEntries(n int) {
-	if s.fp != nil {
-		s.cache = lru.New[evalKey, uint64](n)
-		s.bigCache = nil
-		return
+	if s.fp == nil {
+		s.bigCache = lru.New[bigEvalKey, *big.Int](n)
 	}
-	s.cache = nil
-	s.bigCache = lru.New[bigEvalKey, *big.Int](n)
 }
 
 // Counters exposes the server-side metric counters (eval-cache hits and
@@ -111,15 +85,13 @@ func (s *Local) Ring() ring.Ring { return s.ring }
 // Tree exposes the share tree (used by the store and the daemon).
 func (s *Local) Tree() *sharing.Tree { return s.tree }
 
-// EvalNodes implements core.ServerAPI. All points of one node are served
-// by a single pass over its polynomial (multi-point Horner); cached
-// (node, point) values skip the pass entirely. Answers carry words on the
-// fast path and big.Int values on the reference path.
+// EvalNodes implements core.ServerAPI. On F_p a node's value at each point
+// is read from its vector, and the call's values are written as words into
+// one slab the answers share; a coefficient-form store evaluates through
+// the ring, memoizing (node, point) values, and answers in big.Int.
 func (s *Local) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
-	// Re-check the live fast-path state: SetFast(false) after NewLocal (the
-	// ablation toggle) must degrade to the big.Int path, not crash.
-	if s.fp != nil && s.fp.Fast() != nil {
-		return s.evalNodesFast(keys, points)
+	if s.fp != nil {
+		return s.evalValues(keys, points)
 	}
 	out := make([]core.NodeEval, len(keys))
 	for i, k := range keys {
@@ -128,7 +100,6 @@ func (s *Local) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEv
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		values := make([]*big.Int, len(points))
-		np := node.Polynomial()
 		for j, p := range points {
 			bk := bigEvalKey{node: node, x: p.String()}
 			if v, ok := s.bigCache.Get(bk); ok {
@@ -136,7 +107,7 @@ func (s *Local) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEv
 				values[j] = v
 				continue
 			}
-			v, err := s.ring.Eval(np, p)
+			v, err := s.ring.Eval(node.Poly, p)
 			if err != nil {
 				return nil, fmt.Errorf("server: evaluating %s at %s: %w", k, p, err)
 			}
@@ -149,29 +120,18 @@ func (s *Local) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEv
 	return out, nil
 }
 
-// evalNodesFast is the packed fast path: points are converted to
-// Montgomery residues once per call, each node with uncached points gets
-// exactly one Horner pass over its packed polynomial, and the call's values
-// are written as words into one slab the answers share — a warm call
-// allocates its answers, not its values.
-func (s *Local) evalNodesFast(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
-	ff := s.fp.Fast()
+// evalValues is EvalNodes on a value-form store: the points become value
+// indices once per call, and each (node, point) is one read.
+func (s *Local) evalValues(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	np := len(points)
-	// One array: the points' residues, their Montgomery forms, and the
-	// scratch for a node's missing-point subset.
-	scratch := make([]uint64, 4*np)
-	xs, xsMont := scratch[:np], scratch[np:2*np]
-	missMont, missVal := scratch[2*np:2*np:3*np], scratch[3*np:]
+	xs := make([]int, np)
 	for j, p := range points {
 		x, err := s.fp.PackPoint(p)
 		if err != nil {
 			return nil, fmt.Errorf("server: point %s: %w", p, err)
 		}
-		xs[j] = x
+		xs[j] = int(x - 1)
 	}
-	ff.MFormVec(xsMont, xs)
-	missIdx := make([]int, 0, np)
-
 	out := make([]core.NodeEval, len(keys))
 	slab := make([]uint64, len(keys)*np)
 	for i, k := range keys {
@@ -180,47 +140,16 @@ func (s *Local) evalNodesFast(keys []drbg.NodeKey, points []*big.Int) ([]core.No
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		values := slab[i*np : (i+1)*np : (i+1)*np]
-		missMont = missMont[:0]
-		missIdx = missIdx[:0]
-		for j := range xs {
-			if v, ok := s.cache.Get(evalKey{node: node, x: xs[j]}); ok {
-				s.counters.AddEvalCacheHits(1)
-				values[j] = v
-				continue
-			}
-			missMont = append(missMont, xsMont[j])
-			missIdx = append(missIdx, j)
-		}
-		if len(missIdx) > 0 {
-			s.counters.AddEvalCacheMiss(len(missIdx))
-			if vec, ok := s.packed[node]; ok {
-				ff.EvalMany(vec, missMont, missVal[:len(missIdx)])
-			} else {
-				// Node polynomial does not pack (foreign big coefficients):
-				// evaluate through the ring — a residue mod p all the same —
-				// still caching the results.
-				q := node.Polynomial()
-				for m, j := range missIdx {
-					v, err := s.ring.Eval(q, points[j])
-					if err != nil {
-						return nil, fmt.Errorf("server: evaluating %s at %s: %w", k, points[j], err)
-					}
-					missVal[m] = ff.ReduceBig(v)
-				}
-			}
-			for m, j := range missIdx {
-				s.cache.Add(evalKey{node: node, x: xs[j]}, missVal[m])
-				values[j] = missVal[m]
-			}
+		for j, x := range xs {
+			values[j] = s.tree.Value(node, x)
 		}
 		out[i] = core.NodeEval{Key: k, Words: values, NumChildren: len(node.Children)}
 	}
 	return out, nil
 }
 
-// FetchPolys implements core.ServerAPI. A node that holds its share as
-// words hands out that very vector (shared, read-only) — nothing is boxed
-// or copied between the store file and the response frame.
+// FetchPolys implements core.ServerAPI: on F_p a node's value vector in
+// words, elsewhere its polynomial.
 func (s *Local) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	out := make([]core.NodePoly, len(keys))
 	for i, k := range keys {
@@ -228,8 +157,10 @@ func (s *Local) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		out[i] = core.NodePoly{Key: k, Words: node.Packed, NumChildren: len(node.Children)}
-		if node.Packed == nil {
+		out[i] = core.NodePoly{Key: k, NumChildren: len(node.Children)}
+		if s.fp != nil {
+			out[i].Words = s.tree.Words(node)
+		} else {
 			out[i].Big = node.Poly
 		}
 	}

@@ -82,7 +82,7 @@ func TestFetchPolysMatchesTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	node, _ := local.Tree().Lookup(drbg.NodeKey{1})
-	if !r.Equal(answers[0].Polynomial(), node.Polynomial()) {
+	if !r.Equal(answers[0].Polynomial(), node.Poly) {
 		t.Error("fetched polynomial differs from stored")
 	}
 	if answers[0].NumChildren != 1 {

@@ -139,9 +139,9 @@ func keyLess(a, b drbg.NodeKey) bool {
 // PartitionWithManifest materializes the per-shard trees of an existing
 // plan: each shard receives a full-shape copy of tree (so NodeKey lookups
 // navigate identically everywhere) in which only its owned nodes carry
-// the real share polynomial — foreign nodes hold the zero polynomial and
-// are rejected by the serving Guard. Packed fast-path vectors are shared
-// read-only with the source tree, never copied.
+// the real share — foreign nodes hold none and are rejected by the serving
+// Guard. Value vectors are shared read-only with the source tree, never
+// copied.
 func PartitionWithManifest(tree *sharing.Tree, man *Manifest) ([]*sharing.Tree, error) {
 	if tree == nil || tree.Root == nil {
 		return nil, errors.New("shard: nil tree")
@@ -160,7 +160,7 @@ func PartitionWithManifest(tree *sharing.Tree, man *Manifest) ([]*sharing.Tree, 
 			}
 		}
 		copies[owner].Poly = n.Poly
-		copies[owner].Packed = n.Packed
+		copies[owner].Vals = n.Vals
 		for i, c := range n.Children {
 			for s, cc := range build(c, key.Child(uint32(i))) {
 				copies[s].Children[i] = cc
@@ -171,7 +171,7 @@ func PartitionWithManifest(tree *sharing.Tree, man *Manifest) ([]*sharing.Tree, 
 	roots := build(tree.Root, drbg.NodeKey{})
 	out := make([]*sharing.Tree, man.Shards)
 	for s, r := range roots {
-		out[s] = &sharing.Tree{Root: r}
+		out[s] = &sharing.Tree{Root: r, Width: tree.Width}
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
 	"reflect"
@@ -202,12 +203,15 @@ func TestPartitionPreservesShapeAndShares(t *testing.T) {
 			if len(copy.Children) != len(orig.Children) {
 				t.Fatalf("shard %d %s: child count %d, want %d", s, k, len(copy.Children), len(orig.Children))
 			}
+			if st.Width != tree.Width {
+				t.Fatalf("shard %d: value width %d, want %d", s, st.Width, tree.Width)
+			}
 			if man.Owner(k) == s {
-				if !copy.Polynomial().Equal(orig.Polynomial()) {
-					t.Fatalf("shard %d owns %s but polynomial differs", s, k)
+				if !bytes.Equal(copy.Vals, orig.Vals) || copy.Vals == nil {
+					t.Fatalf("shard %d owns %s but its values differ", s, k)
 				}
-			} else if copy.Polynomial().Len() != 0 {
-				t.Fatalf("shard %d does not own %s but carries a polynomial", s, k)
+			} else if copy.Vals != nil {
+				t.Fatalf("shard %d does not own %s but carries values", s, k)
 			}
 		}
 	}

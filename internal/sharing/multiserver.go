@@ -9,7 +9,6 @@ import (
 	"sssearch/internal/drbg"
 	"sssearch/internal/fastfield"
 	"sssearch/internal/parwalk"
-	"sssearch/internal/poly"
 	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
 	"sssearch/internal/shamir"
@@ -20,11 +19,10 @@ import (
 // with k out of n servers … can reconstruct the shared secret polynomial."
 //
 // Construction: split f = f_client + f_rest as usual, then Shamir-share
-// every coefficient of f_rest with threshold k among n servers. Server j
-// stores the polynomial whose coefficients are its Shamir shares. Because
-// Lagrange reconstruction at 0 is a fixed linear combination Σ λ_j·y_j and
-// evaluation-at-a is linear in the coefficients, the client recombines
-// *scalar evaluations* from any k servers:
+// every value of f_rest with threshold k among n servers. Server j stores
+// the vector of its Shamir shares. Because Lagrange reconstruction at 0 is
+// a fixed linear combination Σ λ_j·y_j and evaluation-at-a reads one value,
+// the client recombines *scalar evaluations* from any k servers:
 //
 //	f_rest(a) = Σ_j λ_j · share_j(a)  (mod p)
 //
@@ -44,8 +42,9 @@ import (
 // schedule — cannot leak into the output: MultiShare is byte-identical to
 // MultiShareSequential at every Parallelism setting.
 //
-// v2 moves with ShareLabel v3: the masks draw through the same stream and
-// the same sampler as the client pads.
+// v2 moved with share stream v3: every node's masks come off its own
+// ForNode keystream through the bulk sampler. Since share stream v4 they
+// mask value vectors, which are as uniform as coefficient vectors were.
 const MultiShareLabel = "sss/shamir-share/v2"
 
 // ServerShare is one server's share tree plus its Shamir evaluation point.
@@ -91,8 +90,8 @@ func MultiSplitWithOpts(enc *polyenc.Tree, seed drbg.Seed, k, n int, rng io.Read
 
 // MultiSplitSequential is the sequential reference implementation of
 // MultiSplit: the same additive split and the same per-node mask streams,
-// but a plain recursive walk computing each Shamir share coefficient-wise
-// in big.Int field arithmetic. It is retained as the differential-test
+// but a plain recursive walk computing each Shamir share value-wise in
+// big.Int field arithmetic. It is retained as the differential-test
 // anchor — MultiSplit must match it byte for byte at every Parallelism —
 // and the before side of the multiSplit benchmark target.
 func MultiSplitSequential(enc *polyenc.Tree, seed drbg.Seed, k, n int, rng io.Reader) ([]ServerShare, error) {
@@ -133,6 +132,7 @@ func MultiShareWithOpts(r ring.Ring, rest *Tree, k, n int, rng io.Reader, o Mult
 	if err != nil {
 		return nil, err
 	}
+	rest = ValueTree(fpRing, rest)
 	if fpRing.Fast() == nil {
 		return multiShareSequential(fpRing, d, rest, k, n)
 	}
@@ -140,6 +140,7 @@ func MultiShareWithOpts(r ring.Ring, rest *Tree, k, n int, rng io.Reader, o Mult
 		fp:   fpRing,
 		ff:   fpRing.Fast(),
 		d:    d,
+		rest: rest,
 		k:    k,
 		n:    n,
 		pool: parwalk.New(o.Parallelism),
@@ -153,12 +154,12 @@ func MultiShareWithOpts(r ring.Ring, rest *Tree, k, n int, rng io.Reader, o Mult
 	if err := m.pool.Wait(); err != nil {
 		return nil, err
 	}
-	return wrapServerShares(roots), nil
+	return wrapServerShares(roots, rest.Width), nil
 }
 
 // MultiShareSequential is the sequential big.Int reference for MultiShare:
 // identical mask streams (same label, same bulk draws on fast-path
-// rings), but every share coefficient computed by an independent Horner
+// rings), but every share value computed by an independent Horner
 // evaluation in big.Int field arithmetic and a plain recursive walk.
 // MultiShare at any Parallelism must reproduce its output byte for byte —
 // the differential anchor for both the vectorized share arithmetic and
@@ -168,7 +169,7 @@ func MultiShareSequential(r ring.Ring, rest *Tree, k, n int, rng io.Reader) ([]S
 	if err != nil {
 		return nil, err
 	}
-	return multiShareSequential(fpRing, d, rest, k, n)
+	return multiShareSequential(fpRing, d, ValueTree(fpRing, rest), k, n)
 }
 
 // multiShareSetup validates the arguments and derives the mask-stream
@@ -210,10 +211,10 @@ func shamirPointPowers(ff *fastfield.Field, k, n int) [][]uint64 {
 	return out
 }
 
-func wrapServerShares(roots []*Node) []ServerShare {
+func wrapServerShares(roots []*Node, width int) []ServerShare {
 	out := make([]ServerShare, len(roots))
 	for j, root := range roots {
-		out[j] = ServerShare{X: uint32(j + 1), Tree: &Tree{Root: root}}
+		out[j] = ServerShare{X: uint32(j + 1), Tree: &Tree{Root: root, Width: width}}
 	}
 	return out
 }
@@ -223,6 +224,7 @@ type multiSharer struct {
 	fp   *ring.FpCyclotomic
 	ff   *fastfield.Field
 	d    *drbg.Deriver
+	rest *Tree
 	k, n int
 	pool *parwalk.Pool
 	xPow [][]uint64 // xPow[j][d-1] = MForm((j+1)^d)
@@ -254,23 +256,26 @@ func (m *multiSharer) walk(src *Node, key drbg.NodeKey, outs []*Node) {
 	}
 }
 
-// fill computes one node's n Shamir share polynomials: k−1 mask vectors
-// from the node's own stream, then share_j = rest + Σ_d mask_d·(j+1)^d
-// as fused scalar-multiply-add passes.
+// fill computes one node's n Shamir share vectors: k−1 mask vectors from
+// the node's own stream, then share_j = rest + Σ_d mask_d·(j+1)^d as fused
+// scalar-multiply-add passes.
 func (m *multiSharer) fill(src *Node, key drbg.NodeKey, outs []*Node) error {
 	masks, err := drawMasks(m.fp, m.d, key, m.k)
 	if err != nil {
 		return err
 	}
-	rest := m.packedOf(src)
-	bound := m.fp.DegreeBound()
+	share := make([]uint64, m.fp.DegreeBound())
+	w := m.rest.Width
+	size := len(share) * w
+	vals := make([]byte, m.n*size) // the n vectors, in one array
 	for j := 0; j < m.n; j++ {
-		share := make([]uint64, bound)
-		copy(share, rest)
+		for i := range share {
+			share[i] = m.rest.Value(src, i)
+		}
 		for d, mv := range masks {
 			m.ff.ScalarMulAddVec(share, mv, m.xPow[j][d])
 		}
-		outs[j].Packed = share
+		outs[j].Vals = putValues(vals[j*size:(j+1)*size:(j+1)*size], w, share)
 	}
 	return nil
 }
@@ -290,40 +295,24 @@ func drawMasks(fp *ring.FpCyclotomic, d *drbg.Deriver, key drbg.NodeKey, k int) 
 	return masks, nil
 }
 
-// packedOf returns the node's canonical packed coefficients (length ≤
-// bound), re-canonicalizing through the ring when the tree was built off
-// the packed path.
-func (m *multiSharer) packedOf(src *Node) []uint64 {
-	if src.Packed != nil {
-		return src.Packed
-	}
-	if vec, ok := m.fp.Pack(src.Poly); ok && len(vec) <= m.fp.DegreeBound() {
-		return vec
-	}
-	// Reduce folds into the canonical representative, which always packs
-	// on a fast-path ring.
-	vec, _ := m.fp.Pack(m.fp.Reduce(src.Poly))
-	return vec
-}
-
 // multiShareSequential is the recursive big.Int walk behind
 // MultiShareSequential and the fast-path-off fallback of MultiShare. On
 // fast-path rings the masks come from the same bulk draws as the parallel
-// walk; with the fast path off ring.Rand draws the same masks one
-// coefficient at a time (see MultiShare).
+// walk; with the fast path off ring.Rand draws the same masks one value at
+// a time (see MultiShare).
 func multiShareSequential(fp *ring.FpCyclotomic, d *drbg.Deriver, rest *Tree, k, n int) ([]ServerShare, error) {
-	roots, err := multiShareNodeRef(fp, d, rest.Root, drbg.NodeKey{}, k, n)
+	roots, err := multiShareNodeRef(fp, d, rest, rest.Root, drbg.NodeKey{}, k, n)
 	if err != nil {
 		return nil, err
 	}
-	return wrapServerShares(roots), nil
+	return wrapServerShares(roots, rest.Width), nil
 }
 
 // multiShareNodeRef returns the n per-server images of the subtree at src.
-func multiShareNodeRef(fp *ring.FpCyclotomic, d *drbg.Deriver, src *Node, key drbg.NodeKey, k, n int) ([]*Node, error) {
+func multiShareNodeRef(fp *ring.FpCyclotomic, d *drbg.Deriver, rest *Tree, src *Node, key drbg.NodeKey, k, n int) ([]*Node, error) {
 	bound := fp.DegreeBound()
 	f := fp.Field()
-	// Mask coefficients as big.Ints: masks[deg][i].
+	// Mask values as big.Ints: masks[deg][i].
 	masks := make([][]*big.Int, k-1)
 	if fp.Fast() != nil {
 		vecs, err := drawMasks(fp, d, key, k)
@@ -349,24 +338,23 @@ func multiShareNodeRef(fp *ring.FpCyclotomic, d *drbg.Deriver, src *Node, key dr
 			}
 		}
 	}
-	np := src.Polynomial()
 	nodes := make([]*Node, n)
 	for j := range nodes {
 		x := f.FromInt64(int64(j + 1))
-		coeffs := make([]*big.Int, bound)
-		for i := 0; i < bound; i++ {
-			// Horner over the degree-(k−1) Shamir polynomial of
-			// coefficient i: g_i(x) = rest_i + Σ_d masks[d][i]·x^d.
+		share := make([]uint64, bound)
+		for i := range share {
+			// Horner over the degree-(k−1) Shamir polynomial of value i:
+			// g_i(x) = rest_i + Σ_d masks[d][i]·x^d.
 			acc := f.Zero()
 			for deg := k - 2; deg >= 0; deg-- {
 				acc = f.Mul(f.Add(acc, masks[deg][i]), x)
 			}
-			coeffs[i] = f.Add(acc, f.Reduce(np.Coeff(i)))
+			share[i] = f.Add(acc, new(big.Int).SetUint64(rest.Value(src, i))).Uint64()
 		}
-		nodes[j] = &Node{Poly: poly.New(coeffs...)}
+		nodes[j] = &Node{Vals: valueBytes(rest.Width, share)}
 	}
 	for i, c := range src.Children {
-		childNodes, err := multiShareNodeRef(fp, d, c, key.Child(uint32(i)), k, n)
+		childNodes, err := multiShareNodeRef(fp, d, rest, c, key.Child(uint32(i)), k, n)
 		if err != nil {
 			return nil, err
 		}

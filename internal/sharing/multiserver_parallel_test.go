@@ -61,9 +61,9 @@ func TestMultiSplitParallelismDeterminism(t *testing.T) {
 }
 
 // TestMultiShareThresholdProperty: any k of the n parallel-generated
-// share trees must Shamir-reconstruct the underlying rest polynomial at
-// every node (coefficient-wise), tying the vectorized share generation
-// back to the scheme it implements.
+// share trees must Shamir-reconstruct the underlying rest share at every
+// node (value-wise), tying the vectorized share generation back to the
+// scheme it implements.
 func TestMultiShareThresholdProperty(t *testing.T) {
 	r := ring.MustFp(31)
 	const k, n = 2, 4
@@ -89,20 +89,19 @@ func TestMultiShareThresholdProperty(t *testing.T) {
 	}
 	check = func(path []int) {
 		restNode := lookup(rest, path)
-		restPoly := restNode.Polynomial()
 		for i := 0; i < r.DegreeBound(); i++ {
-			// Reconstruct coefficient i from servers {0, 2} (a non-trivial
+			// Reconstruct value i from servers {0, 2} (a non-trivial
 			// k-subset).
 			pts := []shamir.Share{
-				{X: shares[0].X, Y: lookup(shares[0].Tree, path).Polynomial().Coeff(i)},
-				{X: shares[2].X, Y: lookup(shares[2].Tree, path).Polynomial().Coeff(i)},
+				{X: shares[0].X, Y: value(shares[0].Tree, lookup(shares[0].Tree, path), i)},
+				{X: shares[2].X, Y: value(shares[2].Tree, lookup(shares[2].Tree, path), i)},
 			}
 			got, err := shamir.InterpolateAt(f, pts, big.NewInt(0), k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Cmp(f.Reduce(restPoly.Coeff(i))) != 0 {
-				t.Fatalf("path %v coeff %d: reconstructed %s, want %s", path, i, got, f.Reduce(restPoly.Coeff(i)))
+			if want := value(rest, restNode, i); got.Cmp(want) != 0 {
+				t.Fatalf("path %v value %d: reconstructed %s, want %s", path, i, got, want)
 			}
 		}
 		for ci := range restNode.Children {
@@ -145,19 +144,20 @@ func TestMultiShareFastOffFallback(t *testing.T) {
 		}
 	}
 	f := r.Field()
-	root := rest.Root.Polynomial()
 	for i := 0; i < r.DegreeBound(); i++ {
-		pts := []shamir.Share{
-			{X: shares[1].X, Y: shares[1].Tree.Root.Polynomial().Coeff(i)},
-			{X: shares[2].X, Y: shares[2].Tree.Root.Polynomial().Coeff(i)},
-			{X: shares[3].X, Y: shares[3].Tree.Root.Polynomial().Coeff(i)},
+		pts := make([]shamir.Share, 3)
+		for j := range pts {
+			pts[j] = shamir.Share{X: shares[j+1].X, Y: value(shares[j+1].Tree, shares[j+1].Tree.Root, i)}
 		}
 		got, err := shamir.InterpolateAt(f, pts, big.NewInt(0), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cmp(f.Reduce(root.Coeff(i))) != 0 {
-			t.Fatalf("fast-off coeff %d: reconstructed %s, want %s", i, got, f.Reduce(root.Coeff(i)))
+		if want := value(rest, rest.Root, i); got.Cmp(want) != 0 {
+			t.Fatalf("fast-off value %d: reconstructed %s, want %s", i, got, want)
 		}
 	}
 }
+
+// value is node n's value i as a big.Int.
+func value(t *Tree, n *Node, i int) *big.Int { return new(big.Int).SetUint64(t.Value(n, i)) }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"math/big"
+	"slices"
 	"testing"
 
 	"sssearch/internal/drbg"
 	"sssearch/internal/mapping"
+	"sssearch/internal/metrics"
 	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
 	"sssearch/internal/workload"
@@ -69,37 +71,72 @@ func TestSplitParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestSplitPackedMatchesBigIntReference pins the packed F_p split — word
-// subtraction, bulk pad sampling, lazy Poly — to true big.Int ring
-// arithmetic: the same pads (regenerated through the fast sampler, which
-// defines the v2 share stream) subtracted from the encoded polynomials on
-// a SetFast(false) ring must give the same share polynomials.
+// TestSplitPackedMatchesBigIntReference pins the value-form store to its
+// definition, byte for byte, on F_5, F_11, F_101, F_257 and F_12289: the
+// Outsource pipeline (PackedOnly encode, word sampler, parallel split)
+// against the reference big.Int coefficient encode on a SetFast(false)
+// ring, evaluated at every point, minus the pad field.Rand draws from each
+// (node, point) chain.
 func TestSplitPackedMatchesBigIntReference(t *testing.T) {
-	fp := ring.MustFp(257)
-	enc, seed := parallelFixture(t, fp, 120, 5, "packed-vs-big")
-	tree, err := SplitWithOpts(enc, seed, SplitOpts{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []uint64{5, 11, 101, 257, 12289} {
+		fast := ring.MustFp(p)
+		nodes, vocab := 120, 9
+		switch p {
+		case 5:
+			vocab = 3
+		case 12289:
+			nodes = 20 // the reference draws 12288 values a node
+		}
+		doc := workload.RandomTree(workload.TreeConfig{Nodes: nodes, MaxFanout: 4, Vocab: vocab, Seed: 5})
+		seed := drbg.Seed(sha256.Sum256([]byte("packed-vs-big")))
+		m1, err := mapping.New(fast.MaxTag(), []byte("packed-vs-big"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := polyenc.EncodeWithOpts(fast, doc, m1, polyenc.Opts{PackedOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := SplitWithOpts(enc, seed, SplitOpts{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		slow := ring.MustFp(p)
+		slow.SetFast(false)
+		m2, err := mapping.New(slow.MaxTag(), []byte("packed-vs-big"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := polyenc.Encode(slow, doc, m2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, f, w := newPads(slow, seed), slow.Field(), ValueWidth(fast)
+		ref.Walk(func(key drbg.NodeKey, n *polyenc.Node) bool {
+			buf := new(padBuf)
+			pd.keys.Tag(&buf.tag, key)
+			want := make([]byte, 0, int(p-1)*w)
+			for a := uint64(1); a < p; a++ {
+				v, err := slow.Eval(n.Poly, new(big.Int).SetUint64(a))
+				if err != nil {
+					t.Fatal(err)
+				}
+				share := f.Sub(v, padBig(f, pd.keys.Point(a), &buf.tag)).Uint64()
+				for j := 0; j < w; j++ {
+					want = append(want, byte(share>>(8*j)))
+				}
+			}
+			sn, err := tree.Lookup(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sn.Vals, want) {
+				t.Fatalf("F_%d node %s: the store differs from the reference encode minus the reference pad", p, key)
+			}
+			return true
+		})
 	}
-	// The reference ring computes Sub in pure big.Int arithmetic.
-	slow := ring.MustFp(257)
-	slow.SetFast(false)
-	client := NewSeedClient(fp, seed) // fast sampler: the v2 pad stream
-	enc.Walk(func(key drbg.NodeKey, n *polyenc.Node) bool {
-		pad, err := client.Share(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := slow.Sub(n.Poly, pad)
-		sn, err := tree.Lookup(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sn.Polynomial().Equal(want) {
-			t.Fatalf("node %s: packed split differs from big.Int reference", key)
-		}
-		return true
-	})
 }
 
 // TestSplitPackedOnlyEncodePipeline drives the exact Outsource fast path
@@ -157,38 +194,39 @@ func TestSplitPackedOnlyEncodePipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !fp.Equal(bn.Poly, n.Poly) {
+		if !slices.Equal(bn.Packed, fp.Values(n.Poly)) {
 			t.Fatalf("node %s: reconstruction mismatch", key)
 		}
 		return true
 	})
 }
 
-// TestSeedClientPadCounters: the pad LRU must tally hits and misses into
-// the wired counter set.
+// TestSeedClientPadCounters: the client keeps no pad cache, so the pad and
+// share-eval counters a client is wired to stay at zero however it is
+// asked, and SetCounters is inert.
 func TestSeedClientPadCounters(t *testing.T) {
 	fp := ring.MustFp(257)
 	seed := drbg.Seed(sha256.Sum256([]byte("counters")))
-	c := NewSeedClient(fp, seed)
-	key := drbg.NodeKey{0, 1}
-	if _, err := c.Share(key); err != nil {
-		t.Fatal(err)
+	m := &metrics.Counters{}
+	for _, c := range []*SeedClient{NewSeedClient(fp, seed), NewSharedPadCache(fp, seed).NewClient()} {
+		c.SetCounters(m)
+		c.SetShareCacheNodes(16)
+		key := drbg.NodeKey{0, 1}
+		for i := 0; i < 2; i++ {
+			if _, err := c.Share(key); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.EvalShare(key, big.NewInt(2)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.EvalShareWords(make([]uint64, 2), []drbg.NodeKey{key}, []*big.Int{big.NewInt(3), big.NewInt(5)}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := c.EvalShare(key, big.NewInt(2)); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Counters().Snapshot()
-	if s.PadCacheMiss != 1 {
-		t.Errorf("PadCacheMiss = %d, want 1 (one regeneration)", s.PadCacheMiss)
-	}
-	if s.PadCacheHits != 1 {
-		t.Errorf("PadCacheHits = %d, want 1 (second touch cached)", s.PadCacheHits)
-	}
-	// A rewired counter set receives subsequent tallies.
-	ext := c.Counters()
-	c.SetCounters(nil) // ignored
-	if c.Counters() != ext {
-		t.Fatal("SetCounters(nil) replaced the counter set")
+	s := m.Snapshot()
+	if s.PadCacheHits+s.PadCacheMiss+s.SharedPadHits+s.SharedPadMiss+s.SharedPadSingleflight+s.ShareEvalHits+s.ShareEvalMiss != 0 {
+		t.Fatalf("a cacheless client tallied cache work: %+v", s)
 	}
 }
 

@@ -1,23 +1,32 @@
 // Package sharing implements §4.2 of the paper: splitting an encoded
 // polynomial tree into a client part and a server part such that
-// client + server = original in the ring, with the client part generated
-// from a seeded DRBG so the client stores nothing but the seed.
+// client + server = original in the ring, with the client part derived
+// from a seed so the client stores nothing but the seed.
+//
+// On an F_p ring a share lives in the evaluation domain. x^{p−1}−1 splits
+// into distinct linear factors, so F_p[x]/(x^{p−1}−1) ≅ F_p^{p−1}: a node's
+// element is its vector of values at a = 1 … p−1, and evaluating a share at
+// a point — the only thing the protocol ever does with one — reads one
+// value. A uniform value vector is a uniform ring element, so the server's
+// view is what it was in the coefficient form, and the client's pad is a
+// function of (node, point): one block cipher call a summand (see pads).
+// Other rings keep the coefficient form.
 //
 // It also implements the paper's multi-server extension: the server part
-// can be Shamir-shared coefficient-wise across n servers with threshold k,
-// and — because both Lagrange reconstruction and polynomial evaluation are
-// linear — the client can recombine *evaluations* from any k servers
-// directly, without ever reconstructing polynomials.
+// can be Shamir-shared value-wise across n servers with threshold k, and —
+// because both Lagrange reconstruction and evaluation are linear — the
+// client can recombine *evaluations* from any k servers directly, without
+// ever reconstructing a share.
 package sharing
 
 import (
+	"crypto/cipher"
 	"errors"
 	"fmt"
 	"math/big"
-	"sync/atomic"
 
 	"sssearch/internal/drbg"
-	"sssearch/internal/lru"
+	"sssearch/internal/fastfield"
 	"sssearch/internal/metrics"
 	"sssearch/internal/parwalk"
 	"sssearch/internal/poly"
@@ -25,55 +34,37 @@ import (
 	"sssearch/internal/ring"
 )
 
-// ShareLabel is the domain-separation label for client share streams, and
-// its version is the share-stream generation: a pad is what the sampler
-// (fastfield.RandVec, or field.Rand on the reference path) draws from the
-// node's drbg.Stream, so a change to either changes every pad and takes a
-// new label — pads of two generations never cancel, and the label keeps
-// them from silently mixing. v1 read an HMAC_DRBG per coefficient, v2 in
-// bulk (that generator's bytes depended on the read sizes); v3 is the
-// chunk-invariant AES-CTR stream under exact-uniform wide sampling, so the
-// stream alone defines a pad. The store magics move with it (package
-// store).
-const ShareLabel = "sss/client-share/v3"
-
-// Node is one node of a share tree. Exactly one of Poly and Packed is
-// authoritative: trees built through the big.Int path (Materialize, the
-// sequential reference walks, hand-rolled fixtures, files loaded for a
-// ring without the word-sized fast path) carry Poly; trees from the
-// packed split, the packed MultiSplit and files loaded for a fast F_p
-// ring carry Packed. Readers that cannot know the tree's provenance must
-// go through Polynomial().
+// Node is one node of a share tree.
 type Node struct {
-	// Poly is the big.Int boundary representation of the share
-	// polynomial; the zero value on packed trees (see Polynomial).
+	// Poly is the share polynomial of a coefficient-form tree: rings other
+	// than F_p, and hand-built F_p fixtures until ValueTree converts them.
 	Poly poly.Poly
-	// Packed, when non-nil, is the canonical word-sized share polynomial
-	// ([]uint64 coefficients < p, ascending degree, at most the ring's
-	// degree bound of them — full length from the split, trimmed from a
-	// file). server.Local evaluates and serves it, and MarshalBinary
-	// writes it, as it is: the serving path never boxes a coefficient.
-	// Shared read-only.
-	Packed   []uint64
+	// Vals is the share of a value-form tree: its value at a = 1 … p−1, in
+	// order, Tree.Width bytes each, little-endian. Nil on a shard's foreign
+	// nodes, which hold no share (and read as zero). A loaded store's vectors
+	// are views into the file's one slab. Shared read-only.
+	Vals     []byte
 	Children []*Node
 }
 
-// Polynomial returns the node's share polynomial in the big.Int boundary
-// representation, boxing the packed form on every call — the reference
-// seam (reconstruction, the sequential walks, tests); the serving path
-// reads Packed.
-func (n *Node) Polynomial() poly.Poly {
-	if n.Packed == nil {
-		return n.Poly
-	}
-	return poly.NewUint64(n.Packed)
-}
-
-// Tree is a share tree: one polynomial per document node, mirroring the
+// Tree is a share tree: one share per document node, mirroring the
 // document shape.
 type Tree struct {
 	Root *Node
+	// Width is the byte width of one value of a value-form tree (see
+	// ValueWidth), 0 for a coefficient-form tree.
+	Width int
 }
+
+// MaxDepth bounds the depth of a share tree: the nodes on its longest
+// root-to-leaf path. Outsource refuses a deeper document and the store
+// decoder a deeper shape, so every store that can be written can be read,
+// and the recursive walks (Walk, the encode and the split, shard
+// partitioning, the query's node table) never recurse deeper than this —
+// nor hold more than the MaxDepth²/2 path components a walk keeps live
+// down a chain. Documents are far shallower: XML parsers that bound depth
+// default to a few hundred levels.
+const MaxDepth = 1 << 12
 
 // Walk visits the share tree in preorder with node keys. Returning false
 // prunes the subtree.
@@ -115,13 +106,112 @@ func (t *Tree) Lookup(key drbg.NodeKey) (*Node, error) {
 	return cur, nil
 }
 
+// ValueWidth is the byte width of one stored value over fp: ⌈log₂ p⌉ bits
+// in whole bytes — 2 on F_257.
+func ValueWidth(fp *ring.FpCyclotomic) int { return (fp.P().BitLen() + 7) / 8 }
+
+// Value returns node n's share at the point a = i+1: zero for a node that
+// holds none.
+func (t *Tree) Value(n *Node, i int) uint64 {
+	if n.Vals == nil {
+		return 0
+	}
+	return getValue(n.Vals, t.Width, i)
+}
+
+// getValue reads value i of a vector at width w.
+func getValue(b []byte, w, i int) uint64 {
+	if w == 2 {
+		return uint64(b[2*i]) | uint64(b[2*i+1])<<8
+	}
+	v := uint64(0)
+	for j := i*w + w - 1; j >= i*w; j-- {
+		v = v<<8 | uint64(b[j])
+	}
+	return v
+}
+
+// Words returns node n's value vector in words, nil for a node that holds
+// none.
+func (t *Tree) Words(n *Node) []uint64 {
+	if n.Vals == nil {
+		return nil
+	}
+	out := make([]uint64, len(n.Vals)/t.Width)
+	for i := range out {
+		out[i] = getValue(n.Vals, t.Width, i)
+	}
+	return out
+}
+
+// valueBytes encodes a value vector at width w.
+func valueBytes(w int, vals []uint64) []byte {
+	return putValues(make([]byte, len(vals)*w), w, vals)
+}
+
+// putValues writes a value vector at width w into b and returns b.
+func putValues(b []byte, w int, vals []uint64) []byte {
+	for i, v := range vals {
+		putValue(b, w, i, v)
+	}
+	return b
+}
+
+// putValue writes value i of a vector at width w.
+func putValue(b []byte, w, i int, v uint64) {
+	if w == 2 {
+		b[2*i], b[2*i+1] = byte(v), byte(v>>8)
+		return
+	}
+	for j, at := 0, i*w; j < w; j++ {
+		b[at+j] = byte(v >> (8 * j))
+	}
+}
+
+// Eval evaluates node n's share at a: a value read on a value-form tree,
+// r.Eval of its polynomial otherwise.
+func (t *Tree) Eval(r ring.Ring, n *Node, a *big.Int) (*big.Int, error) {
+	fp, ok := r.(*ring.FpCyclotomic)
+	if !ok || t.Width == 0 {
+		return r.Eval(n.Poly, a)
+	}
+	x, err := fp.PackPoint(a)
+	if err != nil {
+		return nil, err
+	}
+	return new(big.Int).SetUint64(t.Value(n, int(x-1))), nil
+}
+
+// ValueTree returns tree in the value form of fp: tree itself when it is
+// in it, else a copy whose nodes hold their polynomials' values at every
+// point — how hand-built trees (the paper's figure shares) enter the
+// protocol. A zero polynomial stays an empty node.
+func ValueTree(fp *ring.FpCyclotomic, tree *Tree) *Tree {
+	w := ValueWidth(fp)
+	if tree.Width == w {
+		return tree
+	}
+	var conv func(n *Node) *Node
+	conv = func(n *Node) *Node {
+		out := &Node{}
+		if !n.Poly.IsZero() {
+			out.Vals = valueBytes(w, fp.Values(n.Poly))
+		}
+		for _, c := range n.Children {
+			out.Children = append(out.Children, conv(c))
+		}
+		return out
+	}
+	return &Tree{Root: conv(tree.Root), Width: w}
+}
+
 // SplitOpts tunes Split.
 type SplitOpts struct {
 	// Parallelism bounds the worker pool of the tree walk: 0 selects
 	// runtime.GOMAXPROCS, 1 forces a sequential walk. The output tree is
 	// byte-identical at every setting — each node's pad is derived from
-	// its own path-keyed DRBG stream, so no schedule-dependent state
-	// exists to leak into the result.
+	// the node alone, so no schedule-dependent state exists to leak into
+	// the result.
 	Parallelism int
 }
 
@@ -129,11 +219,11 @@ type SplitOpts struct {
 // seed and returns the server tree (original − client). The client needs to
 // keep only the seed; SeedClient regenerates its shares on demand.
 //
-// On rings with the word-sized fast path the walk runs packed — pads are
-// drawn straight into []uint64 vectors, the subtraction is one word pass,
-// and Node.Packed carries the result so server.NewLocal never re-packs —
+// On F_p the walk runs in the value form: a node's pad is drawn at every
+// point through the word sampler and subtracted from its values (Packed,
+// or the values of its polynomial on a hand-built tree) in one word pass,
 // and subtrees are split in parallel on a bounded pool. SplitSequential is
-// the retained big.Int-boundary reference; both produce identical trees.
+// the retained big.Int reference; both produce identical trees.
 func Split(enc *polyenc.Tree, seed drbg.Seed) (*Tree, error) {
 	return SplitWithOpts(enc, seed, SplitOpts{})
 }
@@ -143,62 +233,63 @@ func SplitWithOpts(enc *polyenc.Tree, seed drbg.Seed, o SplitOpts) (*Tree, error
 	if enc == nil || enc.Root == nil {
 		return nil, errors.New("sharing: nil encoded tree")
 	}
-	s := &splitter{
-		r:    enc.Ring,
-		d:    drbg.NewDeriver(seed, ShareLabel),
-		pool: parwalk.New(o.Parallelism),
-	}
-	if fp, ok := enc.Ring.(*ring.FpCyclotomic); ok && fp.Fast() != nil {
-		s.fp = fp
-	}
-	root := &Node{}
-	s.walk(enc.Root, drbg.NodeKey{}, root)
+	s := newSplitter(enc.Ring, seed, true)
+	s.pool = parwalk.New(o.Parallelism)
+	out := &Tree{Root: &Node{}, Width: s.width}
+	s.walk(enc.Root, drbg.NodeKey{}, out.Root)
 	if err := s.pool.Wait(); err != nil {
 		return nil, err
-	}
-	return &Tree{Root: root}, nil
-}
-
-// SplitSequential is the sequential big.Int-boundary reference
-// implementation of Split (the pre-parallel behavior, one generic ring op
-// per node). It is retained as the differential-test anchor and the
-// before side of the outsourcing benchmarks; production callers use
-// Split. Both derive identical pads — the per-node DRBG streams do not
-// depend on the walk — so the trees match byte for byte.
-func SplitSequential(enc *polyenc.Tree, seed drbg.Seed) (*Tree, error) {
-	if enc == nil || enc.Root == nil {
-		return nil, errors.New("sharing: nil encoded tree")
-	}
-	d := drbg.NewDeriver(seed, ShareLabel)
-	root, err := splitNodeRef(enc.Ring, enc.Root, drbg.NodeKey{}, d)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{Root: root}, nil
-}
-
-func splitNodeRef(r ring.Ring, n *polyenc.Node, key drbg.NodeKey, d *drbg.Deriver) (*Node, error) {
-	pad, err := r.Rand(d.ForNode(key))
-	if err != nil {
-		return nil, fmt.Errorf("sharing: node %s: %w", key, err)
-	}
-	out := &Node{Poly: r.Sub(n.Polynomial(), pad)}
-	for i, c := range n.Children {
-		sc, err := splitNodeRef(r, c, key.Child(uint32(i)), d)
-		if err != nil {
-			return nil, err
-		}
-		out.Children = append(out.Children, sc)
 	}
 	return out, nil
 }
 
-// splitter is one parallel packed split run.
+// SplitSequential is the sequential big.Int reference of Split: on F_p
+// every pad value is drawn by field.Rand reading its chain and subtracted
+// in big.Int, on a plain recursive walk. It is the differential-test
+// anchor; production callers use Split. Both derive identical pads — a
+// pad depends on its node alone — so the trees match byte for byte.
+func SplitSequential(enc *polyenc.Tree, seed drbg.Seed) (*Tree, error) {
+	if enc == nil || enc.Root == nil {
+		return nil, errors.New("sharing: nil encoded tree")
+	}
+	s := newSplitter(enc.Ring, seed, false)
+	root, err := s.walkSequential(enc.Root, drbg.NodeKey{})
+	if err != nil {
+		return nil, err
+	}
+	return &Tree{Root: root, Width: s.width}, nil
+}
+
+// splitter is one split run.
 type splitter struct {
-	r    ring.Ring
-	fp   *ring.FpCyclotomic // non-nil on the word-sized fast path
-	d    *drbg.Deriver
-	pool *parwalk.Pool
+	r      ring.Ring
+	d      *drbg.Deriver // coefficient pads
+	fp     *ring.FpCyclotomic
+	ff     *fastfield.Field // word arithmetic; nil: the big.Int reference
+	pads   *pads
+	points []cipher.Block // every point's key, for the word path
+	width  int
+	pool   *parwalk.Pool
+}
+
+// newSplitter prepares a split over r; words selects the word path where
+// the ring has it.
+func newSplitter(r ring.Ring, seed drbg.Seed, words bool) *splitter {
+	s := &splitter{r: r}
+	fp, ok := r.(*ring.FpCyclotomic)
+	if !ok {
+		s.d = drbg.NewDeriver(seed, coeffShareLabel)
+		return s
+	}
+	s.fp, s.pads, s.width = fp, newPads(fp, seed), ValueWidth(fp)
+	if words && fp.Fast() != nil {
+		s.ff = fp.Fast()
+		s.points = make([]cipher.Block, fp.DegreeBound())
+		for i := range s.points {
+			s.points[i] = s.pads.keys.Point(uint64(i + 1))
+		}
+	}
+	return s
 }
 
 func (s *splitter) walk(n *polyenc.Node, key drbg.NodeKey, out *Node) {
@@ -221,242 +312,165 @@ func (s *splitter) walk(n *polyenc.Node, key drbg.NodeKey, out *Node) {
 	}
 }
 
-// fill computes one node's server share: enc − pad. The packed path draws
-// the pad into a word vector and subtracts in place; nodes that do not
-// pack (foreign coefficients) and non-fast rings take the generic ring
-// ops, consuming the identical DRBG stream.
-func (s *splitter) fill(n *polyenc.Node, key drbg.NodeKey, out *Node) error {
-	if s.fp != nil {
-		if encP, ok := s.packedOf(n); ok {
-			vec := make([]uint64, s.fp.DegreeBound())
-			if err := s.fp.RandPacked(s.d.ForNode(key), vec); err != nil {
-				return err
-			}
-			ff := s.fp.Fast()
-			for i := range vec {
-				var e uint64
-				if i < len(encP) {
-					e = encP[i]
-				}
-				vec[i] = ff.Sub(e, vec[i])
-			}
-			out.Packed = vec
-			return nil
+func (s *splitter) walkSequential(n *polyenc.Node, key drbg.NodeKey) (*Node, error) {
+	out := &Node{}
+	if err := s.fill(n, key, out); err != nil {
+		return nil, fmt.Errorf("sharing: node %s: %w", key, err)
+	}
+	for i, c := range n.Children {
+		sc, err := s.walkSequential(c, key.Child(uint32(i)))
+		if err != nil {
+			return nil, err
 		}
+		out.Children = append(out.Children, sc)
 	}
-	pad, err := s.r.Rand(s.d.ForNode(key))
-	if err != nil {
-		return err
+	return out, nil
+}
+
+// fill computes one node's server share: encoded − pad.
+func (s *splitter) fill(n *polyenc.Node, key drbg.NodeKey, out *Node) error {
+	if s.fp == nil {
+		pad, err := s.r.Rand(s.d.ForNode(key))
+		if err != nil {
+			return err
+		}
+		out.Poly = s.r.Sub(n.Poly, pad)
+		return nil
 	}
-	// Polynomial() (not Poly) so a PackedOnly-encoded tree still splits
-	// correctly when the ring's fast path is off at split time.
-	out.Poly = s.r.Sub(n.Polynomial(), pad)
+	vals := n.Packed
+	if vals == nil {
+		vals = s.fp.Values(n.Poly)
+	}
+	if len(vals) != s.fp.DegreeBound() {
+		return fmt.Errorf("%d values on a ring of %d points", len(vals), s.fp.DegreeBound())
+	}
+	if s.ff != nil {
+		buf := new(padBuf)
+		s.pads.keys.Tag(&buf.tag, key)
+		out.Vals = make([]byte, len(vals)*s.width)
+		for i, v := range vals {
+			putValue(out.Vals, s.width, i, s.ff.Sub(v, padWord(s.ff, s.points[i], buf)))
+		}
+		return nil
+	}
+	share := s.pads.vector(key, nil) // the pad, overwritten by the share
+	f := s.fp.Field()
+	for i, v := range vals {
+		share[i] = f.Sub(new(big.Int).SetUint64(v), new(big.Int).SetUint64(share[i])).Uint64()
+	}
+	out.Vals = valueBytes(s.width, share)
 	return nil
 }
 
-// packedOf returns the node's canonical packed coefficients, preferring
-// the mirror the packed encode left behind.
-func (s *splitter) packedOf(n *polyenc.Node) ([]uint64, bool) {
-	if n.Packed != nil {
-		return n.Packed, true
-	}
-	vec, ok := s.fp.Pack(n.Poly)
-	if !ok || len(vec) > s.fp.DegreeBound() {
-		return nil, false
-	}
-	return vec, true
-}
-
-// DefaultShareCacheNodes bounds the seed-only client's packed-share LRU:
-// the most recently touched node pads are kept in packed form so hot
-// nodes (the root levels every query walks) are not re-derived from the
-// DRBG on each visit. At the default, a F_257 deployment holds at most
-// 4096 × 256 words ≈ 8 MiB — a mid-point of the §4.2 seed-vs-materialized
-// trade-off that still leaves the durable client secret at 32 bytes.
-const DefaultShareCacheNodes = 4096
-
-// SeedClient regenerates client share polynomials from the seed alone —
-// the §4.2 "store only the random seed" mode.
-//
-// On rings with the word-sized fast path, shares are regenerated directly
-// into packed []uint64 vectors (no big.Int allocation) and the most
-// recently used pads are kept in a bounded LRU cache; see
-// DefaultShareCacheNodes. A client built through SharedPadCache.NewClient
-// instead shares one pad and eval cache with every other session of the
-// same seed. Safe for concurrent use, including concurrent SetCounters /
-// SetShareCacheNodes while queries are in flight.
+// SeedClient regenerates client shares from the seed alone — the §4.2
+// "store only the random seed" mode. On F_p a summand is one block cipher
+// call (see pads): there is nothing to cache, and the client keeps only its
+// point keys, derived once each. Safe for concurrent use.
 type SeedClient struct {
-	r ring.Ring
-	d *drbg.Deriver
-	// fp is non-nil when r carries the word-sized fast path.
-	fp *ring.FpCyclotomic
-	// shared, when non-nil, is the cross-session cache this client
-	// attaches to (set only by SharedPadCache.NewClient, before first
-	// use); the private cache below is then bypassed.
-	shared *SharedPadCache
-	// cache maps node keys, in binary form (drbg.NodeKey.AppendBinary), to
-	// packed share pads. Cached vectors are shared and must never be
-	// mutated. Held through an atomic pointer: SetShareCacheNodes swaps it
-	// while packedShare reads it from concurrent queries.
-	cache atomic.Pointer[lru.Cache[string, []uint64]]
-	// counters receives the pad-cache hit/miss tallies (the client-side
-	// mirror of server.Local's eval-cache counters). Atomic for the same
-	// reason as cache: SetCounters races in-flight queries by design.
-	counters atomic.Pointer[metrics.Counters]
+	r    ring.Ring
+	fp   *ring.FpCyclotomic // non-nil on F_p: value-domain pads
+	pads *pads
+	d    *drbg.Deriver // coefficient pads, other rings
 }
 
 // NewSeedClient builds the seed-only client view.
 func NewSeedClient(r ring.Ring, seed drbg.Seed) *SeedClient {
-	c := &SeedClient{r: r, d: drbg.NewDeriver(seed, ShareLabel)}
-	c.counters.Store(&metrics.Counters{})
-	if fp, ok := r.(*ring.FpCyclotomic); ok && fp.Fast() != nil {
-		c.fp = fp
-		c.cache.Store(lru.New[string, []uint64](DefaultShareCacheNodes))
+	c := &SeedClient{r: r}
+	if fp, ok := r.(*ring.FpCyclotomic); ok {
+		c.fp, c.pads = fp, newPads(fp, seed)
+	} else {
+		c.d = drbg.NewDeriver(seed, coeffShareLabel)
 	}
 	return c
 }
 
-// Counters exposes the client-side metric counters (pad-cache hits and
-// misses).
-func (c *SeedClient) Counters() *metrics.Counters { return c.counters.Load() }
+// SetCounters is kept only until the benchmark stops calling it: the
+// client keeps no cache and tallies nothing.
+func (c *SeedClient) SetCounters(*metrics.Counters) {}
 
-// SetCounters redirects the pad-cache tallies into a shared counter set
-// (the query engine passes its own so per-query snapshots include pad
-// regeneration work). A nil argument is ignored. Safe to call while
-// queries are in flight: the swap is atomic, in-flight operations finish
-// tallying into whichever set they loaded.
-func (c *SeedClient) SetCounters(m *metrics.Counters) {
-	if m != nil {
-		c.counters.Store(m)
-	}
-}
-
-// SetShareCacheNodes re-bounds the packed-share cache to at most n node
-// pads (0 disables caching). Only meaningful on fast-path rings, and a
-// no-op on clients attached to a SharedPadCache (the shared bounds are
-// set with SharedPadCache.SetBounds). Safe to call while queries are in
-// flight: the swap is atomic, in-flight operations finish against the
-// cache generation they loaded.
-func (c *SeedClient) SetShareCacheNodes(n int) {
-	if c.fp != nil {
-		c.cache.Store(lru.New[string, []uint64](n))
-	}
-}
+// SetShareCacheNodes is kept only until the benchmark stops calling it: a
+// no-op.
+func (c *SeedClient) SetShareCacheNodes(int) {}
 
 // Ring returns the client's ring.
 func (c *SeedClient) Ring() ring.Ring { return c.r }
 
-// packedShare returns the node's share pad in packed form, regenerating
-// it from the seed on a cache miss. The returned slice is shared — read
-// only.
-func (c *SeedClient) packedShare(key drbg.NodeKey) ([]uint64, error) {
-	var buf [nodeKeyBuf]byte
-	kb := key.AppendBinary(buf[:0])
-	if c.shared != nil {
-		return c.shared.pad(key, kb, c.counters.Load())
-	}
-	counters := c.counters.Load()
-	cache := c.cache.Load()
-	if v, ok := cache.Get(string(kb)); ok {
-		counters.AddPadCacheHits(1)
-		return v, nil
-	}
-	counters.AddPadCacheMiss(1)
-	vec := make([]uint64, c.fp.DegreeBound())
-	if err := c.fp.RandPacked(c.d.ForNode(key), vec); err != nil {
-		return nil, fmt.Errorf("sharing: node %s: %w", key, err)
-	}
-	cache.Add(string(kb), vec)
-	return vec, nil
-}
-
-// nodeKeyBuf is the stack room for a node key's binary form (the key of the
-// node-keyed LRUs): a deeper path than it holds spills to the heap.
-const nodeKeyBuf = 64
-
-// PackedShare implements PackedShareSource.
+// PackedShare implements PackedShareSource: on F_p the node's pad at every
+// point — its client share in the value form — through the word sampler,
+// or the reference sampler with the fast path off; ok=false elsewhere.
 func (c *SeedClient) PackedShare(key drbg.NodeKey) ([]uint64, bool, error) {
 	if c.fp == nil {
 		return nil, false, nil
 	}
-	vec, err := c.packedShare(key)
-	if err != nil {
-		return nil, false, err
-	}
-	return vec, true, nil
+	return c.pads.vector(key, c.fp.Fast()), true, nil
 }
 
-// Share regenerates the client share polynomial of the given node.
+// Share regenerates the client share of the given node: on F_p its value
+// vector in the boxed form (the value at a = i+1 is coefficient i).
 func (c *SeedClient) Share(key drbg.NodeKey) (poly.Poly, error) {
 	if c.fp != nil {
-		vec, err := c.packedShare(key)
-		if err != nil {
-			return poly.Poly{}, err
-		}
-		return c.fp.Unpack(vec), nil
+		vec, _, _ := c.PackedShare(key)
+		return poly.NewUint64(vec), nil
 	}
 	return c.r.Rand(c.d.ForNode(key))
 }
 
-// EvalShare regenerates the node share and evaluates it at point a
-// (modulo the ring's evaluation modulus at a).
+// EvalShare evaluates the node's client share at point a (modulo the
+// ring's evaluation modulus at a).
 func (c *SeedClient) EvalShare(key drbg.NodeKey, a *big.Int) (*big.Int, error) {
-	if c.fp != nil {
-		vals, err := c.EvalShares(key, []*big.Int{a})
-		if err != nil {
-			return nil, err
-		}
-		return vals[0], nil
-	}
-	share, err := c.Share(key)
+	vals, err := c.EvalShares(key, []*big.Int{a})
 	if err != nil {
 		return nil, err
 	}
-	return c.r.Eval(share, a)
+	return vals[0], nil
 }
 
 // EvalShares implements MultiPointSource: EvalShareWords for one key,
-// boxed — the reference seam; the engine's word path asks in words.
+// boxed, on the fast path; the reference sampler, one point at a time,
+// with it off.
 func (c *SeedClient) EvalShares(key drbg.NodeKey, points []*big.Int) ([]*big.Int, error) {
-	if c.fp != nil {
+	if c.fp == nil {
+		share, err := c.Share(key)
+		if err != nil {
+			return nil, err
+		}
+		return evalEach(c.r, share, points)
+	}
+	if c.fp.Fast() != nil {
 		return boxedRow(c, key, points)
 	}
-	share, err := c.Share(key)
-	if err != nil {
-		return nil, err
+	buf := new(padBuf)
+	c.pads.keys.Tag(&buf.tag, key)
+	out := make([]*big.Int, len(points))
+	for j, p := range points {
+		x, err := c.fp.PackPoint(p)
+		if err != nil {
+			return nil, err
+		}
+		out[j] = padBig(c.fp.Field(), c.pads.keys.Point(x), &buf.tag)
 	}
-	return evalEach(c.r, share, points)
+	return out, nil
 }
 
-// EvalShareWords implements WordSource: the point vector is packed and
-// Montgomery-formed once for the block, and each key's pad is regenerated
-// (or fetched from the cache) once and evaluated at every point in a single
-// multi-point Horner pass — the DRBG regeneration, not the arithmetic,
-// dominates seed-only querying, so one pass per node is the difference
-// between O(points) and O(1) regenerations. On clients attached to a
-// SharedPadCache, repeated (node, point-set) requests — every session of
-// one key chasing the same hot wave — skip the Horner pass entirely via the
-// shared eval LRU.
+// EvalShareWords implements WordSource: the point keys of the block are
+// looked up once, and each key's summand at a point is one block of its
+// chain — c_n(a) itself, the pad's value at a.
 func (c *SeedClient) EvalShareWords(dst []uint64, keys []drbg.NodeKey, points []*big.Int) (int, bool, error) {
-	if c.fp == nil {
+	if c.fp == nil || c.fp.Fast() == nil {
 		return 0, false, nil
 	}
-	pv, err := packPoints(c.fp, points)
+	ff := c.fp.Fast()
+	blocks, err := c.pads.pointKeys(c.fp, points)
 	if err != nil {
 		return 0, true, err
 	}
-	if c.shared != nil {
-		done, err := c.shared.evalShares(dst, keys, pv, c.counters.Load())
-		return done, true, err
-	}
-	ff := c.fp.Fast()
 	np := len(points)
+	buf := new(padBuf)
 	for i, key := range keys {
-		vec, err := c.packedShare(key)
-		if err != nil {
-			return i, true, err
+		c.pads.keys.Tag(&buf.tag, key)
+		for j, b := range blocks {
+			dst[i*np+j] = padWord(ff, b, buf)
 		}
-		ff.EvalMany(vec, pv.mont, dst[i*np:(i+1)*np])
 	}
 	return len(keys), true, nil
 }
@@ -469,34 +483,49 @@ func Materialize(r ring.Ring, seed drbg.Seed, shape *Tree) (*Tree, error) {
 		return nil, errors.New("sharing: nil shape")
 	}
 	c := NewSeedClient(r, seed)
+	out := &Tree{}
+	if c.fp != nil {
+		out.Width = ValueWidth(c.fp)
+	}
 	var build func(n *Node, key drbg.NodeKey) (*Node, error)
 	build = func(n *Node, key drbg.NodeKey) (*Node, error) {
-		share, err := c.Share(key)
-		if err != nil {
-			return nil, err
+		node := &Node{}
+		if c.fp != nil {
+			vec, _, _ := c.PackedShare(key)
+			node.Vals = valueBytes(out.Width, vec)
+		} else {
+			share, err := c.Share(key)
+			if err != nil {
+				return nil, err
+			}
+			node.Poly = share
 		}
-		out := &Node{Poly: share}
 		for i, ch := range n.Children {
 			bc, err := build(ch, key.Child(uint32(i)))
 			if err != nil {
 				return nil, err
 			}
-			out.Children = append(out.Children, bc)
+			node.Children = append(node.Children, bc)
 		}
-		return out, nil
+		return node, nil
 	}
 	root, err := build(shape.Root, drbg.NodeKey{})
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{Root: root}, nil
+	out.Root = root
+	return out, nil
 }
 
-// Reconstruct adds client and server trees back into the encoded tree.
-// Shapes must match exactly.
+// Reconstruct adds client and server trees back into the encoded tree —
+// Packed on F_p, Poly elsewhere. Shapes must match exactly.
 func Reconstruct(r ring.Ring, client, server *Tree) (*polyenc.Tree, error) {
 	if client == nil || server == nil || client.Root == nil || server.Root == nil {
 		return nil, errors.New("sharing: nil share tree")
+	}
+	fp, _ := r.(*ring.FpCyclotomic)
+	if fp != nil {
+		client, server = ValueTree(fp, client), ValueTree(fp, server)
 	}
 	var merge func(c, s *Node, key drbg.NodeKey) (*polyenc.Node, error)
 	merge = func(c, s *Node, key drbg.NodeKey) (*polyenc.Node, error) {
@@ -504,7 +533,16 @@ func Reconstruct(r ring.Ring, client, server *Tree) (*polyenc.Tree, error) {
 			return nil, fmt.Errorf("sharing: shape mismatch at %s: %d vs %d children",
 				key, len(c.Children), len(s.Children))
 		}
-		out := &polyenc.Node{Poly: r.Add(c.Polynomial(), s.Polynomial())}
+		out := &polyenc.Node{}
+		if fp != nil {
+			p := fp.P().Uint64()
+			out.Packed = make([]uint64, fp.DegreeBound())
+			for i := range out.Packed {
+				out.Packed[i] = (client.Value(c, i) + server.Value(s, i)) % p
+			}
+		} else {
+			out.Poly = r.Add(c.Poly, s.Poly)
+		}
 		for i := range c.Children {
 			mc, err := merge(c.Children[i], s.Children[i], key.Child(uint32(i)))
 			if err != nil {
@@ -530,3 +568,20 @@ func ReconstructFromSeed(r ring.Ring, seed drbg.Seed, server *Tree) (*polyenc.Tr
 	}
 	return Reconstruct(r, client, server)
 }
+
+// SharedPadCache is kept only until the benchmark stops calling it. The
+// client work it cached — pad regenerations and their multi-point
+// evaluations — is one block cipher call per (node, point) now, with
+// nothing left to cache, so its clients are plain seed clients.
+type SharedPadCache struct {
+	r    ring.Ring
+	seed drbg.Seed
+}
+
+// NewSharedPadCache is kept only until the benchmark stops calling it.
+func NewSharedPadCache(r ring.Ring, seed drbg.Seed) *SharedPadCache {
+	return &SharedPadCache{r: r, seed: seed}
+}
+
+// NewClient returns NewSeedClient of the cache's ring and seed.
+func (s *SharedPadCache) NewClient() *SeedClient { return NewSeedClient(s.r, s.seed) }

@@ -109,7 +109,8 @@ func TestSplitDeterministicPerSeed(t *testing.T) {
 
 func TestSeedClientMatchesSplit(t *testing.T) {
 	// The server tree plus regenerated client shares must reproduce the
-	// encoded polynomial at every node — for both rings.
+	// encoded node at every node — for both rings: the polynomial on Z, the
+	// value vector on F_p.
 	rings := []ring.Ring{paperdata.ZRing(), ring.MustFp(11)}
 	for _, r := range rings {
 		m := paperdata.Mapping(r.MaxTag())
@@ -124,15 +125,27 @@ func TestSeedClientMatchesSplit(t *testing.T) {
 		}
 		client := NewSeedClient(r, seed)
 		enc.Walk(func(key drbg.NodeKey, n *polyenc.Node) bool {
-			cs, err := client.Share(key)
-			if err != nil {
-				t.Fatal(err)
-			}
 			sn, err := server.Lookup(key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !r.Equal(r.Add(cs, sn.Polynomial()), n.Poly) {
+			if fp, ok := r.(*ring.FpCyclotomic); ok {
+				cv, _, err := client.PackedShare(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range n.Packed {
+					if (cv[i]+server.Value(sn, i))%fp.P().Uint64() != v {
+						t.Fatalf("%s node %s: shares do not sum to the value at %d", r.Name(), key, i+1)
+					}
+				}
+				return true
+			}
+			cs, err := client.Share(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Equal(r.Add(cs, sn.Poly), n.Poly) {
 				t.Fatalf("%s node %s: shares do not sum to original", r.Name(), key)
 			}
 			return true
@@ -142,41 +155,45 @@ func TestSeedClientMatchesSplit(t *testing.T) {
 
 func TestEvalShareAdditivity(t *testing.T) {
 	// f(a) = client_share(a) + server_share(a) mod EvalModulus — the
-	// query-time identity of figures 5 and 6.
-	r := paperdata.ZRing()
-	enc := encodePaperZ(t)
-	seed := testSeed(9)
-	server, err := Split(enc, seed)
-	if err != nil {
-		t.Fatal(err)
+	// query-time identity of figures 5 and 6, on both rings.
+	for _, r := range []ring.Ring{paperdata.ZRing(), ring.MustFp(11)} {
+		enc, err := polyenc.Encode(r, paperdata.Document(), paperdata.Mapping(r.MaxTag()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := testSeed(9)
+		server, err := Split(enc, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := NewSeedClient(r, seed)
+		a := bi(paperdata.QueryPoint)
+		mod, err := r.EvalModulus(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc.Walk(func(key drbg.NodeKey, n *polyenc.Node) bool {
+			cv, err := client.EvalShare(key, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sn, _ := server.Lookup(key)
+			sv, err := server.Eval(r, sn, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := r.Eval(n.Poly, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := new(big.Int).Add(cv, sv)
+			sum.Mod(sum, mod)
+			if sum.Cmp(want) != 0 {
+				t.Fatalf("%s node %s: %v + %v != %v (mod %v)", r.Name(), key, cv, sv, want, mod)
+			}
+			return true
+		})
 	}
-	client := NewSeedClient(r, seed)
-	a := bi(paperdata.QueryPoint)
-	mod, err := r.EvalModulus(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.Walk(func(key drbg.NodeKey, n *polyenc.Node) bool {
-		cv, err := client.EvalShare(key, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sn, _ := server.Lookup(key)
-		sv, err := r.Eval(sn.Polynomial(), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := r.Eval(n.Poly, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := new(big.Int).Add(cv, sv)
-		sum.Mod(sum, mod)
-		if sum.Cmp(want) != 0 {
-			t.Fatalf("node %s: %v + %v != %v (mod %v)", key, cv, sv, want, mod)
-		}
-		return true
-	})
 }
 
 func TestMaterializeEqualsSeedClient(t *testing.T) {
@@ -250,8 +267,12 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Error("trailing bytes accepted")
 	}
 	// Child count exceeding node count.
-	if err := bad.UnmarshalBinary([]byte{0x01, 0x05, 0x00}); err == nil {
+	if err := bad.UnmarshalBinary([]byte{0x02, 0x00, 5 << 1, 0x00}); err == nil {
 		t.Error("inconsistent child count accepted")
+	}
+	// A value-form tree needs its ring.
+	if err := bad.UnmarshalBinary([]byte{0x01, 0x02, 0x01, 0x00, 0x00}); err == nil {
+		t.Error("value-form tree decoded without a ring")
 	}
 }
 
@@ -287,7 +308,7 @@ func TestMultiSplitReconstruct(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				v, err := r.Eval(sn.Polynomial(), a)
+				v, err := servers[j].Tree.Eval(r, sn, a)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -346,17 +367,18 @@ func BenchmarkSeedClientShare(b *testing.B) {
 	}
 }
 
-// BenchmarkColdPad is what a pad-cache miss and every node of a split pay:
-// one ForNode stream and one F_257 pad drawn from it.
-func BenchmarkColdPad(b *testing.B) {
+// BenchmarkPointPad is one client summand of a two-point F_257 wave: the
+// node tag and a block of each point's chain.
+func BenchmarkPointPad(b *testing.B) {
 	fp := ring.MustFp(257)
-	d := drbg.NewDeriver(testSeed(1), ShareLabel)
-	key := drbg.NodeKey{0, 1, 2}
-	pad := make([]uint64, fp.DegreeBound())
+	c := NewSeedClient(fp, testSeed(1))
+	keys := []drbg.NodeKey{{0, 1, 2, 3, 4}}
+	points := []*big.Int{bi(3), bi(256)}
+	dst := make([]uint64, len(points))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := fp.RandPacked(d.ForNode(key), pad); err != nil {
+		if _, _, err := c.EvalShareWords(dst, keys, points); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,10 +9,12 @@ import (
 	"sssearch/internal/ring"
 )
 
-// ShareSource abstracts where the client's share polynomials come from:
-// regenerated from a seed (SeedClient, the paper's §4.2 storage-optimal
-// mode), held in a materialized tree (StaticSource), or — in tests — the
-// paper's published figure values verbatim.
+// ShareSource abstracts where the client's shares come from: regenerated
+// from a seed (SeedClient, the paper's §4.2 storage-optimal mode), held in
+// a materialized tree (StaticSource), or — in tests — the paper's
+// published figure values verbatim. On F_p a share is a value vector (see
+// the package comment), and the boxed form of one holds its value at
+// a = i+1 as coefficient i.
 //
 // Implementations must be safe for concurrent use, every method with every
 // other: the query engine computes the client summands of a large
@@ -21,19 +23,19 @@ import (
 // one source.
 // Results are read-only once returned.
 type ShareSource interface {
-	// Share returns the client share polynomial of the keyed node.
+	// Share returns the client share of the keyed node in the boxed form.
 	Share(key drbg.NodeKey) (poly.Poly, error)
 	// EvalShare evaluates the node's client share at point a, reduced
 	// modulo the ring's evaluation modulus at a.
 	EvalShare(key drbg.NodeKey, a *big.Int) (*big.Int, error)
 }
 
-// MultiPointSource is the multi-point extension of ShareSource: one share
-// materialization (or DRBG regeneration) serves every active query point
-// in a single polynomial pass. The query engine type-asserts for it and
-// falls back to per-point EvalShare calls otherwise; results are
-// identical either way. EvalShares is called from several goroutines at
-// once, like every ShareSource method.
+// MultiPointSource is the multi-point extension of ShareSource: one call
+// serves every active query point. The query engine type-asserts for it
+// and falls back to per-point EvalShare calls otherwise; results are
+// identical either way. The engine's
+// word path asks WordSource instead. EvalShares is called from several
+// goroutines at once, like every ShareSource method.
 type MultiPointSource interface {
 	ShareSource
 	// EvalShares evaluates the node's client share at every point, in
@@ -58,13 +60,12 @@ type WordSource interface {
 	EvalShareWords(dst []uint64, keys []drbg.NodeKey, points []*big.Int) (done int, ok bool, err error)
 }
 
-// PackedShareSource exposes client shares in the packed word
-// representation, letting the engine's tag-recovery path reconstruct
-// polynomials without crossing the big.Int boundary. ok=false means the
-// source has no packed form for that node (fast path off, or out-of-word
-// coefficients); callers fall back to Share. Returned vectors are shared
-// — read only — and PackedShare is called from several goroutines at once,
-// like every ShareSource method.
+// PackedShareSource exposes client shares in words — on F_p the value
+// vector — letting the engine's tag recovery reconstruct without crossing
+// the big.Int boundary. ok=false means the source has no word form for
+// that node; callers fall back to Share. Returned vectors are read
+// only, and PackedShare is called from several goroutines at once, like
+// every ShareSource method.
 type PackedShareSource interface {
 	ShareSource
 	PackedShare(key drbg.NodeKey) (vec []uint64, ok bool, err error)
@@ -82,17 +83,13 @@ var (
 // StaticSource serves client shares from a materialized share tree — the
 // memory-for-CPU end of the §4.2 trade-off, and the vehicle for running
 // the protocol on externally supplied share values (e.g. the paper's
-// figures 3 and 4). On fast-path rings every node polynomial is packed
-// into its word representation once at construction, so per-query
-// evaluations run allocation-free.
+// figures 3 and 4). On F_p the tree is taken into the value form at
+// construction (ValueTree: supplied polynomials are evaluated everywhere
+// once), so a summand is a read.
 type StaticSource struct {
 	r    ring.Ring
 	tree *Tree
-	// fp is non-nil when r carries the word-sized fast path; packed then
-	// holds the word representation of every node that packs (nodes with
-	// out-of-word coefficients fall back to the big.Int path).
-	fp     *ring.FpCyclotomic
-	packed map[*Node][]uint64
+	fp   *ring.FpCyclotomic // non-nil on F_p: tree is in the value form
 }
 
 // NewStaticSource wraps a materialized client share tree.
@@ -101,28 +98,23 @@ func NewStaticSource(r ring.Ring, tree *Tree) (*StaticSource, error) {
 		return nil, fmt.Errorf("sharing: nil ring or tree")
 	}
 	s := &StaticSource{r: r, tree: tree}
-	if fp, ok := r.(*ring.FpCyclotomic); ok && fp.Fast() != nil {
-		s.fp = fp
-		s.packed = make(map[*Node][]uint64)
-		tree.Walk(func(_ drbg.NodeKey, n *Node) bool {
-			if n.Packed != nil {
-				s.packed[n] = n.Packed
-			} else if vec, ok := fp.Pack(n.Poly); ok {
-				s.packed[n] = vec
-			}
-			return true
-		})
+	if fp, ok := r.(*ring.FpCyclotomic); ok {
+		s.fp, s.tree = fp, ValueTree(fp, tree)
 	}
 	return s, nil
 }
 
-// Share implements ShareSource.
+// Share implements ShareSource: on F_p the node's value vector in the
+// boxed form.
 func (s *StaticSource) Share(key drbg.NodeKey) (poly.Poly, error) {
 	n, err := s.tree.Lookup(key)
 	if err != nil {
 		return poly.Poly{}, err
 	}
-	return n.Polynomial(), nil
+	if s.fp != nil {
+		return poly.NewUint64(s.tree.Words(n)), nil
+	}
+	return n.Poly, nil
 }
 
 // EvalShare implements ShareSource.
@@ -134,7 +126,7 @@ func (s *StaticSource) EvalShare(key drbg.NodeKey, a *big.Int) (*big.Int, error)
 	return vals[0], nil
 }
 
-// PackedShare implements PackedShareSource.
+// PackedShare implements PackedShareSource: the node's value vector on F_p.
 func (s *StaticSource) PackedShare(key drbg.NodeKey) ([]uint64, bool, error) {
 	if s.fp == nil {
 		return nil, false, nil
@@ -143,52 +135,45 @@ func (s *StaticSource) PackedShare(key drbg.NodeKey) ([]uint64, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	vec, ok := s.packed[n]
-	return vec, ok, nil
+	return s.tree.Words(n), true, nil
 }
 
-// EvalShares implements MultiPointSource: one pass over the stored
-// polynomial serves all points.
+// EvalShares implements MultiPointSource.
 func (s *StaticSource) EvalShares(key drbg.NodeKey, points []*big.Int) ([]*big.Int, error) {
-	if s.fp != nil {
-		return boxedRow(s, key, points)
-	}
 	n, err := s.tree.Lookup(key)
 	if err != nil {
 		return nil, err
 	}
-	return evalEach(s.r, n.Polynomial(), points)
+	out := make([]*big.Int, len(points))
+	for j, a := range points {
+		if out[j], err = s.tree.Eval(s.r, n, a); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// EvalShareWords implements WordSource. A node whose polynomial does not
-// pack (foreign big coefficients) is evaluated through the ring; its values
-// are residues mod p all the same.
+// EvalShareWords implements WordSource: one value read per (key, point).
 func (s *StaticSource) EvalShareWords(dst []uint64, keys []drbg.NodeKey, points []*big.Int) (int, bool, error) {
-	if s.fp == nil {
+	if s.fp == nil || s.fp.Fast() == nil {
 		return 0, false, nil
 	}
-	pv, err := packPoints(s.fp, points)
-	if err != nil {
-		return 0, true, err
+	xs := make([]int, len(points))
+	for j, a := range points {
+		x, err := s.fp.PackPoint(a)
+		if err != nil {
+			return 0, true, err
+		}
+		xs[j] = int(x - 1)
 	}
-	ff := s.fp.Fast()
 	np := len(points)
 	for i, key := range keys {
 		n, err := s.tree.Lookup(key)
 		if err != nil {
 			return i, true, err
 		}
-		row := dst[i*np : (i+1)*np]
-		if vec, ok := s.packed[n]; ok {
-			ff.EvalMany(vec, pv.mont, row)
-			continue
-		}
-		vals, err := evalEach(s.r, n.Polynomial(), points)
-		if err != nil {
-			return i, true, err
-		}
-		for j, v := range vals {
-			row[j] = ff.ReduceBig(v)
+		for j, x := range xs {
+			dst[i*np+j] = s.tree.Value(n, x)
 		}
 	}
 	return len(keys), true, nil
@@ -205,27 +190,6 @@ func evalEach(r ring.Ring, p poly.Poly, points []*big.Int) ([]*big.Int, error) {
 		}
 	}
 	return out, nil
-}
-
-// pointVec is a point vector packed for a block of keys: the canonical word
-// residues and their Montgomery forms.
-type pointVec struct {
-	xs, mont []uint64
-}
-
-// packPoints packs a point vector once for every key evaluated at it.
-func packPoints(fp *ring.FpCyclotomic, points []*big.Int) (pointVec, error) {
-	pv := pointVec{xs: make([]uint64, 2*len(points))}
-	pv.xs, pv.mont = pv.xs[:len(points)], pv.xs[len(points):]
-	for i, p := range points {
-		x, err := fp.PackPoint(p)
-		if err != nil {
-			return pointVec{}, err
-		}
-		pv.xs[i] = x
-	}
-	fp.Fast().MFormVec(pv.mont, pv.xs)
-	return pv, nil
 }
 
 // boxedRow is EvalShares over a word source: one key's row, lifted into the

@@ -3,6 +3,7 @@ package sharing
 import (
 	"errors"
 	"math/big"
+	"slices"
 	"testing"
 
 	"sssearch/internal/drbg"
@@ -12,30 +13,33 @@ import (
 )
 
 // TestEvalShareWordsMatchesReference: on all three word sources — private
-// SeedClient, shared SeedClient, StaticSource (one of whose nodes has no
-// packed form) — a block of keys evaluated in words is, row by row, what
-// the ring evaluates on the node's share polynomial, cold and again from
-// the caches; EvalShares is the same row boxed; a block stops at its first
-// failing key with the rows before it written and nothing after; and a ring
-// without the word form sends the caller to EvalShares.
+// SeedClient, the shared-cache shim's client, StaticSource over a
+// hand-built coefficient tree (one polynomial with a coefficient wider than
+// a word), taken into the value form at construction — a block of keys
+// evaluated in words is, row by row, the reference: for a seed client the
+// client with the fast path off (field.Rand reading the chains), for the
+// static source the ring's evaluation of the given polynomials. EvalShares
+// is the same row boxed and Share holds it at a−1; a block stops at its
+// first failing key with the rows before it written and nothing after; and
+// a ring without the word form sends the caller to EvalShares.
 func TestEvalShareWordsMatchesReference(t *testing.T) {
 	r := ring.MustFp(257)
 	server, keys, seed := fixtureKeys(t, r)
-	tree := mustMaterialize(t, r, seed, server)
-	// A coefficient wider than a word keeps this node out of the packed map.
-	odd, err := tree.Lookup(keys[3])
+	// A hand-built coefficient tree of the server's shape, one of whose
+	// polynomials has a coefficient that is not a word.
+	coeffTree := &Tree{Root: boxed(server, server.Root)}
+	wide, err := coeffTree.Lookup(keys[3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	odd.Poly = odd.Polynomial().Add(poly.New(new(big.Int).Lsh(big.NewInt(257), 80)))
-	odd.Packed = nil
-	static, err := NewStaticSource(r, tree)
+	wide.Poly = poly.New(new(big.Int).Lsh(big.NewInt(257), 80), big.NewInt(3))
+	static, err := NewStaticSource(r, coeffTree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, packed := static.packed[odd]; packed {
-		t.Fatal("the wide node packed")
-	}
+	slow := ring.MustFp(257)
+	slow.SetFast(false)
+	ref := NewSeedClient(slow, seed)
 	points := []*big.Int{big.NewInt(3), big.NewInt(251), big.NewInt(3 + 257), big.NewInt(1)}
 	np := len(points)
 	for name, src := range map[string]interface {
@@ -46,29 +50,32 @@ func TestEvalShareWordsMatchesReference(t *testing.T) {
 		"shared":  NewSharedPadCache(r, seed).NewClient(),
 		"static":  static,
 	} {
-		for pass := 0; pass < 2; pass++ {
-			dst := make([]uint64, len(keys)*np)
-			done, ok, err := src.EvalShareWords(dst, keys, points)
-			if err != nil || !ok || done != len(keys) {
-				t.Fatalf("%s pass %d: done %d of %d, ok %v, err %v", name, pass, done, len(keys), ok, err)
+		dst := make([]uint64, len(keys)*np)
+		done, ok, err := src.EvalShareWords(dst, keys, points)
+		if err != nil || !ok || done != len(keys) {
+			t.Fatalf("%s: done %d of %d, ok %v, err %v", name, done, len(keys), ok, err)
+		}
+		for i, k := range keys {
+			share, err := src.Share(k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, k := range keys {
-				share, err := src.Share(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				boxed, err := src.EvalShares(k, points)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for j, p := range points {
-					want, err := r.Eval(share, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := dst[i*np+j]; !want.IsUint64() || got != want.Uint64() || boxed[j].Cmp(want) != 0 {
-						t.Fatalf("%s pass %d node %s at %s: word %d, boxed %s, the ring says %s", name, pass, k, p, got, boxed[j], want)
-					}
+			boxed, err := src.EvalShares(k, points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.EvalShares(k, points)
+			if name == "static" {
+				n, _ := coeffTree.Lookup(k)
+				want, err = evalEach(r, n.Poly, points)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, p := range points {
+				at := share.Coeff(int(new(big.Int).Mod(p, big.NewInt(257)).Int64()) - 1)
+				if got := dst[i*np+j]; got != want[j].Uint64() || boxed[j].Cmp(want[j]) != 0 || at.Cmp(want[j]) != 0 {
+					t.Fatalf("%s node %s at %s: word %d, boxed %s, share %s, reference %s", name, k, p, got, boxed[j], at, want[j])
 				}
 			}
 		}
@@ -95,8 +102,6 @@ func TestEvalShareWordsMatchesReference(t *testing.T) {
 	}
 
 	// No word form, no word seam: the sources say so and write nothing.
-	slow := ring.MustFp(257)
-	slow.SetFast(false)
 	slowStatic, err := NewStaticSource(slow, mustMaterialize(t, slow, seed, server))
 	if err != nil {
 		t.Fatal(err)
@@ -114,10 +119,21 @@ func TestEvalShareWordsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSharedEvalBlockCountsAndAllocations: a block against the shared cache
-// tallies one eval hit or miss a key, exactly as key-by-key calls do, and a
-// block of hits allocates per block — the packed point vector and its
-// signature — not per key: no rendered path, no boxed value.
+// boxed copies the subtree at n of a value-form tree into a hand-built
+// coefficient-form fixture: each node's value vector read as a
+// polynomial's coefficients.
+func boxed(t *Tree, n *Node) *Node {
+	out := &Node{Poly: poly.NewUint64(t.Words(n))}
+	for _, c := range n.Children {
+		out.Children = append(out.Children, boxed(t, c))
+	}
+	return out
+}
+
+// TestSharedEvalBlockCountsAndAllocations: a block through the shared-cache
+// shim's client tallies no cache work — there is no cache — and allocates
+// per block (the point keys and the pad scratch), not per key: no rendered
+// path, no boxed value.
 func TestSharedEvalBlockCountsAndAllocations(t *testing.T) {
 	r := ring.MustFp(257)
 	_, keys, seed := fixtureKeys(t, r)
@@ -129,26 +145,21 @@ func TestSharedEvalBlockCountsAndAllocations(t *testing.T) {
 	if _, _, err := c.EvalShareWords(dst, keys, points); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Snapshot(); s.ShareEvalMiss != int64(len(keys)) || s.ShareEvalHits != 0 || s.SharedPadMiss != int64(len(keys)) {
-		t.Fatalf("cold block: %d eval misses, %d hits, %d pad misses, want %d / 0 / %d", s.ShareEvalMiss, s.ShareEvalHits, s.SharedPadMiss, len(keys), len(keys))
-	}
 	again := make([]uint64, len(dst))
 	if _, _, err := c.EvalShareWords(again, keys, points); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Snapshot(); s.ShareEvalHits != int64(len(keys)) || s.ShareEvalMiss != int64(len(keys)) || s.SharedPadHits != 0 {
-		t.Fatalf("warm block: %d eval hits, %d misses, %d pad hits, want %d / %d / 0", s.ShareEvalHits, s.ShareEvalMiss, s.SharedPadHits, len(keys), len(keys))
+	if s := m.Snapshot(); s != (metrics.Snapshot{}) {
+		t.Fatalf("a block tallied %+v", s)
 	}
-	for i := range dst {
-		if dst[i] != again[i] {
-			t.Fatalf("word %d: %d cold, %d from the eval LRU", i, dst[i], again[i])
-		}
+	if !slices.Equal(dst, again) {
+		t.Fatal("a repeated block answered differently")
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		if _, _, err := c.EvalShareWords(again, keys, points); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 4 {
-		t.Fatalf("a warm block of %d keys allocated %v times, want a handful per block", len(keys), n)
+		t.Fatalf("a block of %d keys allocated %v times, want a handful per block", len(keys), n)
 	}
 }

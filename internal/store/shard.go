@@ -16,7 +16,7 @@ import (
 
 // This file persists the sharded-deployment artifacts:
 //
-//   - shard stores ("SSSHRD3\0" files, at the share-stream generation
+//   - shard stores ("SSSHRD4\0" files, at the share-stream generation
 //     of store.go): one shard's slice of a partitioned share tree — shard
 //     id + routing manifest + ring parameters + tree — everything a
 //     daemon needs to serve the shard and reject out-of-range keys;
@@ -27,7 +27,7 @@ import (
 // fields, trailing CRC32, atomic writes.
 
 var (
-	shardMagic    = []byte("SSSHRD3\x00")
+	shardMagic    = []byte("SSSHRD4\x00")
 	manifestMagic = []byte("SSMANF1\x00")
 )
 
@@ -116,7 +116,7 @@ func ReadShard(data []byte) (ring.Ring, *sharing.Tree, *shard.Manifest, int, err
 	rest = rest[k:]
 	man := &shard.Manifest{}
 	if err := man.UnmarshalBinary(rest[:mlen]); err != nil {
-		return fail(fmt.Errorf("store: manifest: %w", err))
+		return fail(fmt.Errorf("%w: manifest: %v", ErrBadFormat, err))
 	}
 	rest = rest[mlen:]
 	plen, k := binary.Uvarint(rest)
@@ -126,15 +126,15 @@ func ReadShard(data []byte) (ring.Ring, *sharing.Tree, *shard.Manifest, int, err
 	rest = rest[k:]
 	var params ring.Params
 	if err := params.UnmarshalBinary(rest[:plen]); err != nil {
-		return fail(fmt.Errorf("store: params: %w", err))
+		return fail(fmt.Errorf("%w: params: %v", ErrBadFormat, err))
 	}
 	r, err := ring.FromParams(params)
 	if err != nil {
-		return fail(fmt.Errorf("store: ring: %w", err))
+		return fail(fmt.Errorf("%w: ring: %v", ErrBadFormat, err))
 	}
 	tree, trailing, err := sharing.DecodeTree(r, rest[plen:])
 	if err != nil {
-		return fail(fmt.Errorf("store: tree: %w", err))
+		return fail(fmt.Errorf("%w: tree: %v", ErrBadFormat, err))
 	}
 	if len(trailing) != 0 {
 		return fail(fmt.Errorf("%w: trailing bytes", ErrBadFormat))
@@ -198,7 +198,7 @@ func ReadManifest(data []byte) (*shard.Manifest, error) {
 	}
 	man := &shard.Manifest{}
 	if err := man.UnmarshalBinary(rest[k:]); err != nil {
-		return nil, fmt.Errorf("store: manifest: %w", err)
+		return nil, fmt.Errorf("%w: manifest: %v", ErrBadFormat, err)
 	}
 	return man, nil
 }

@@ -1,9 +1,9 @@
 // Package store persists the scheme's durable artifacts:
 //
 //   - server share stores: ring parameters + share tree, CRC-protected
-//     ("SSSTORE3" files) — what an outsourcing provider keeps on disk;
+//     ("SSSTORE4" files) — what an outsourcing provider keeps on disk;
 //   - client state: seed + private tag mapping + ring parameters
-//     ("SSCLNT3\0" files) — the client's entire secret material, which is
+//     ("SSCLNT4\0" files) — the client's entire secret material, which is
 //     all a client needs to query any number of servers.
 //
 // Formats are versioned by magic and fully length-checked on load; a
@@ -24,6 +24,19 @@
 // carries the generation digit, and a loader names an older one
 // (ErrOldGeneration) instead of calling it a bad magic. Manifests hold
 // neither and keep theirs.
+//
+// Generation 4 stores F_p shares in the evaluation domain (share stream v4,
+// sharing.ShareLabel): a node holds its values at a = 1 … p−1, fixed-width
+// at ⌈log₂ p⌉ bits in whole bytes — 2 B on F_257, so 512 B a node where a
+// generation-3 polynomial took about 770 — and the tree is its shape, then
+// one slab of those values (sharing's marshal.go has the layout). The slab
+// is what a server serves from: a loaded tree's value vectors are views into
+// the file's bytes, an evaluation is a read at offset a−1, and nothing is
+// decoded or cached. The loader builds the tree without recursing, and
+// refuses with ErrBadFormat a shape deeper than sharing.MaxDepth, a child
+// count above the nodes left, a slab width that does not match p, a
+// truncated slab and a value at or above p. Z[x]/(r(x)) trees keep their
+// polynomials in the same layout.
 package store
 
 import (
@@ -42,8 +55,8 @@ import (
 )
 
 var (
-	serverMagic = []byte("SSSTORE3")
-	clientMagic = []byte("SSCLNT3\x00")
+	serverMagic = []byte("SSSTORE4")
+	clientMagic = []byte("SSCLNT4\x00")
 )
 
 // ErrBadFormat reports an unrecognized or corrupt file.
@@ -131,15 +144,15 @@ func ReadServer(data []byte) (ring.Ring, *sharing.Tree, error) {
 	rest = rest[k:]
 	var params ring.Params
 	if err := params.UnmarshalBinary(rest[:plen]); err != nil {
-		return nil, nil, fmt.Errorf("store: params: %w", err)
+		return nil, nil, fmt.Errorf("%w: params: %v", ErrBadFormat, err)
 	}
 	r, err := ring.FromParams(params)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: ring: %w", err)
+		return nil, nil, fmt.Errorf("%w: ring: %v", ErrBadFormat, err)
 	}
 	tree, trailing, err := sharing.DecodeTree(r, rest[plen:])
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: tree: %w", err)
+		return nil, nil, fmt.Errorf("%w: tree: %v", ErrBadFormat, err)
 	}
 	if len(trailing) != 0 {
 		return nil, nil, fmt.Errorf("%w: trailing bytes", ErrBadFormat)

@@ -24,7 +24,7 @@ func testSeed(b byte) drbg.Seed {
 	return s
 }
 
-func buildTree(t *testing.T, r ring.Ring) *sharing.Tree {
+func buildTree(t testing.TB, r ring.Ring) *sharing.Tree {
 	t.Helper()
 	m := paperdata.Mapping(r.MaxTag())
 	enc, err := polyenc.Encode(r, paperdata.Document(), m)
@@ -242,11 +242,11 @@ func TestQueryAfterReload(t *testing.T) {
 	a := big.NewInt(2)
 	n1, _ := tree.Lookup(drbg.NodeKey{0})
 	n2, _ := tree2.Lookup(drbg.NodeKey{0})
-	v1, err := r.Eval(n1.Polynomial(), a)
+	v1, err := tree.Eval(r, n1, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := r2.Eval(n2.Polynomial(), a)
+	v2, err := tree2.Eval(r2, n2, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,34 +6,28 @@ import (
 	"testing"
 )
 
-// sharedCacheDoc is large enough that a //client search walks real
-// share-regeneration work worth sharing.
-const sharedCacheDoc = `<customers>` +
+// sessionsDoc is large enough that a //client search walks a few waves.
+const sessionsDoc = `<customers>` +
 	`<client><name/><order><item/><item/></order></client>` +
 	`<client><name/><order><item/></order></client>` +
 	`<client><name/></client>` +
 	`</customers>`
 
-// TestSessionsShareClientCache: sessions of one ClientKey share the
-// cross-session client cache by default — 16 overlapping sessions return
-// byte-identical results to an opted-out (private-cache) key, and the
-// shared-cache counters prove pads/evals were actually reused across
-// sessions.
-func TestSessionsShareClientCache(t *testing.T) {
-	doc, err := ParseXML(sharedCacheDoc)
+// TestConcurrentSessionsOfOneKey: 16 overlapping sessions of one ClientKey
+// return byte-identical results to a lone session's, each deriving its
+// point keys on first use under concurrency, and none tallies client cache
+// work: on RingFp a summand is one block cipher call, and there is no
+// cache.
+func TestConcurrentSessionsOfOneKey(t *testing.T) {
+	doc, err := ParseXML(sessionsDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RingFp carries the word-sized fast path the shared cache operates on.
 	bundle, err := Outsource(doc, Config{Kind: RingFp, P: 257})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Reference answers from a private-cache key over the same material.
-	privKey := &ClientKey{state: bundle.Key.state}
-	privKey.SetSharedCache(false)
-	refSess, err := privKey.ConnectLocal(bundle.Server)
+	refSess, err := bundle.Key.ConnectLocal(bundle.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +40,6 @@ func TestSessionsShareClientCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[e] = fmt.Sprint(res.Paths(doc))
-		if s := refSess.Counters(); s.SharedPadHits+s.SharedPadMiss+s.ShareEvalHits+s.ShareEvalMiss != 0 {
-			t.Fatalf("opted-out session touched the shared cache: %+v", s)
-		}
 	}
 
 	const sessions = 16
@@ -71,67 +62,16 @@ func TestSessionsShareClientCache(t *testing.T) {
 					return
 				}
 				if got := fmt.Sprint(res.Paths(doc)); got != want[e] {
-					t.Errorf("%s: shared-cache session got %s, want %s", e, got, want[e])
+					t.Errorf("%s: session got %s, want %s", e, got, want[e])
 					return
 				}
 			}
 		}(sess[i])
 	}
 	wg.Wait()
-
-	var reused, regens int64
-	for _, s := range sess {
-		c := s.Counters()
-		reused += c.SharedPadHits + c.SharedPadSingleflight + c.ShareEvalHits
-		regens += c.SharedPadMiss
-	}
-	if reused == 0 {
-		t.Error("16 overlapping sessions never reused a shared pad or eval")
-	}
-	if regens == 0 {
-		t.Error("no session recorded a shared pad regeneration")
-	}
-}
-
-// TestSetSharedCacheOptOut: after opting out, new sessions get private
-// caches (no shared tallies) and still answer correctly; re-enabling
-// restores sharing.
-func TestSetSharedCacheOptOut(t *testing.T) {
-	doc, err := ParseXML(sharedCacheDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := Outsource(doc, Config{Kind: RingFp, P: 257})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle.Key.SetSharedCache(false)
-	s1, err := bundle.Key.ConnectLocal(bundle.Server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Close()
-	res, err := s1.Search("//client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 3 {
-		t.Fatalf("opted-out search found %d matches, want 3", len(res.Matches))
-	}
-	if c := s1.Counters(); c.SharedPadHits+c.SharedPadMiss != 0 {
-		t.Fatalf("opted-out session used the shared cache: %+v", c)
-	}
-
-	bundle.Key.SetSharedCache(true)
-	s2, err := bundle.Key.ConnectLocal(bundle.Server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, err := s2.Search("//client"); err != nil {
-		t.Fatal(err)
-	}
-	if c := s2.Counters(); c.SharedPadMiss+c.SharedPadHits == 0 {
-		t.Error("re-enabled session never touched the shared cache")
+	for _, s := range append(sess, refSess) {
+		if c := s.Counters(); c.PadCacheHits+c.PadCacheMiss+c.SharedPadHits+c.SharedPadMiss+c.SharedPadSingleflight+c.ShareEvalHits+c.ShareEvalMiss != 0 {
+			t.Fatalf("a session tallied client cache work: %+v", c)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"sssearch/internal/client"
@@ -98,18 +97,11 @@ type Config struct {
 // ClientKey is the client's complete secret material: the share seed, the
 // private tag mapping and the (public) ring parameters.
 //
-// Sessions opened from one ClientKey share a cross-session client share
-// cache by default: the seed-derived share pads and hot multi-point share
-// evaluations are computed once per key, not once per session, with
-// singleflight regeneration under concurrent misses (answers are
-// byte-identical either way). SetSharedCache(false) opts out.
+// Every session regenerates its share pads from the seed as it queries; on
+// RingFp a summand is one block cipher call, so there is nothing to cache
+// or share between sessions.
 type ClientKey struct {
 	state *store.ClientState
-
-	// mu guards the lazily built shared client cache and the opt-out flag.
-	mu        sync.Mutex
-	shared    *sharing.SharedPadCache
-	sharedOff bool
 }
 
 // ServerStore is the server-side artifact: the share tree plus ring
@@ -129,6 +121,9 @@ type Bundle struct {
 func Outsource(doc *Document, cfg Config) (*Bundle, error) {
 	if doc == nil {
 		return nil, errors.New("sssearch: nil document")
+	}
+	if deeperThan(doc, sharing.MaxDepth) {
+		return nil, fmt.Errorf("sssearch: document deeper than %d levels", sharing.MaxDepth)
 	}
 	var r ring.Ring
 	var err error
@@ -167,8 +162,8 @@ func Outsource(doc *Document, cfg Config) (*Bundle, error) {
 		return nil, err
 	}
 	// The encoded tree feeds straight into Split and is then discarded, so
-	// the fast-path encode skips the big.Int boundary representation
-	// entirely (PackedOnly); the big.Int rings ignore both options.
+	// an F_p encode builds the value form alone (PackedOnly); the Z ring
+	// ignores both options.
 	enc, err := polyenc.EncodeWithOpts(r, doc, m, polyenc.Opts{
 		Parallelism: cfg.Parallelism,
 		PackedOnly:  true,
@@ -188,6 +183,20 @@ func Outsource(doc *Document, cfg Config) (*Bundle, error) {
 			Mapping: m,
 		}},
 	}, nil
+}
+
+// deeperThan reports whether doc has more than limit levels, recursing no
+// deeper than that.
+func deeperThan(doc *Document, limit int) bool {
+	if limit == 0 {
+		return true
+	}
+	for _, c := range doc.Children {
+		if deeperThan(c, limit-1) {
+			return true
+		}
+	}
+	return false
 }
 
 // --- persistence -----------------------------------------------------------
@@ -229,34 +238,6 @@ func LoadClientKey(path string) (*ClientKey, error) {
 
 // Seed returns the client share seed.
 func (k *ClientKey) Seed() drbg.Seed { return k.state.Seed }
-
-// SetSharedCache toggles the cross-session client share cache for
-// sessions opened after the call (default enabled). Disabling gives every
-// new session a private pad cache — the pre-shared behavior, useful for
-// ablations and for isolating sessions' memory. Results are byte-identical
-// either way.
-func (k *ClientKey) SetSharedCache(enabled bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.sharedOff = !enabled
-	if !enabled {
-		k.shared = nil
-	}
-}
-
-// sharedPads returns the key's shared client cache, building it on first
-// use over the session ring r; nil when opted out.
-func (k *ClientKey) sharedPads(r ring.Ring) *sharing.SharedPadCache {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.sharedOff {
-		return nil
-	}
-	if k.shared == nil {
-		k.shared = sharing.NewSharedPadCache(r, k.state.Seed)
-	}
-	return k.shared
-}
 
 // --- serving ----------------------------------------------------------------
 
@@ -807,7 +788,7 @@ func (k *ClientKey) newSessionWithCounters(api core.ServerAPI, closers []io.Clos
 	if err != nil {
 		return nil, err
 	}
-	eng := core.NewEngineShared(r, k.state.Seed, k.state.Mapping, api, counters, k.sharedPads(r))
+	eng := core.NewEngine(r, k.state.Seed, k.state.Mapping, api, counters)
 	return &Session{engine: eng, counters: counters, closers: closers}, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"net"
 	"path/filepath"
 	"testing"
+
+	"sssearch/internal/sharing"
 )
 
 const paperDoc = `<customers><client><name/></client><client><name/></client></customers>`
@@ -76,6 +78,49 @@ func TestOutsourceValidation(t *testing.T) {
 	}
 	if _, err := Outsource(doc, Config{Kind: RingKind(99)}); err == nil {
 		t.Error("bad ring kind accepted")
+	}
+}
+
+// TestOutsourceDepthBound: Outsource refuses a document deeper than
+// sharing.MaxDepth — the depth every loader accepts — and a document of
+// exactly that depth outsources, saves, loads back and answers.
+func TestOutsourceDepthBound(t *testing.T) {
+	chain := func(depth int) *Document {
+		root, err := ParseXML("<a/>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cur, i := root, 1; i < depth; i++ {
+			cur = cur.AddChild("a")
+		}
+		return root
+	}
+	if _, err := Outsource(chain(sharing.MaxDepth+1), Config{Kind: RingFp, P: 5}); err == nil {
+		t.Fatal("a document deeper than sharing.MaxDepth was outsourced")
+	}
+	bundle, err := Outsource(chain(sharing.MaxDepth), Config{Kind: RingFp, P: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "deep.sss")
+	if err := bundle.Server.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := LoadServerStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := bundle.Key.ConnectLocal(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, err := sess.Search("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Matches) != 1 || srv.NodeCount() != sharing.MaxDepth {
+		t.Fatalf("/a over a chain of %d: %v", srv.NodeCount(), res.Matches)
 	}
 }
 
