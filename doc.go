@@ -76,17 +76,26 @@
 //
 // # Concurrency
 //
-// The query engine is concurrent end-to-end. The wire protocol has one
-// frame layout, the handshake included, and every frame carries a
-// request ID in its header, so one connection carries many in-flight
-// requests; the server daemon dispatches decoded requests to a bounded
-// worker pool and writes responses as they complete, out of order. Every
-// request ends in the same fixed fields: deadline budget, trace ID and
-// trace flags. A peer offering another protocol version, or speaking the
-// retired legacy framing, is refused at the handshake. On the client
-// side, client.Remote routes responses back to callers from a single
-// reader goroutine and offers context-aware calls (EvalNodesCtx);
-// client.Pool spreads calls across a fixed set of connections.
+// The query engine is concurrent end-to-end. The wire protocol (version
+// 4) has one frame layout, the handshake included, and every frame
+// carries a request ID in its header, so one connection carries many
+// in-flight requests; the server daemon dispatches decoded requests to a
+// bounded worker pool and writes responses as they complete, out of
+// order. Every request ends in the same fixed fields: deadline budget,
+// trace ID and trace flags. Eval and fetch payloads are positional: a
+// request lists its keys as runs of siblings, and the response answers
+// key i in place i, naming no key but carrying a digest of the request's
+// key list; the package comment of internal/wire has the layouts. A key
+// list may expand to only so many keys for the bytes it takes, so a few
+// bytes cannot make the daemon allocate much; client.Remote sends a wave
+// of siblings past that bound in parts. A peer offering another protocol
+// version — 3, the keyed frames, included — or speaking the retired
+// legacy framing, is refused at the handshake. On the client side,
+// client.Remote routes responses back to callers from a single reader
+// goroutine, refuses a response whose digest, answer count or value count
+// is not its request's before it decodes the answers, and offers
+// context-aware calls (EvalNodesCtx); client.Pool spreads calls across a
+// fixed set of connections.
 //
 // Inside a query, a large evaluation wave (512 keys and up) is two
 // concurrent legs that meet at the sum (§4.3 only needs both numbers at
@@ -123,7 +132,8 @@
 //     path), and shares the resulting values singleflight-style — one
 //     evaluation, every waiting session answered. A
 //     failed merged pass replays each request alone, so error semantics
-//     are exactly per-request. Serving helpers enable it by default
+//     are exactly per-request; a pass whose store answered other keys than
+//     it was asked fails every request it served. Serving helpers enable it by default
 //     (ServeOpts.DisableCoalesce and `sss-server -coalesce=false` turn
 //     it off for ablations).
 //   - Client side, client.Batcher adds transparent micro-batching to a
@@ -257,11 +267,11 @@
 // share's value at a query point — is a uint64 (core.NodeEval.Words). An
 // evaluation wave crosses the system without allocating per value:
 // server.Local writes a call's answers into one slab, wire.AppendEvalResp /
-// DecodeEvalResp write and read words in the byte layout the big.Int
-// codec always wrote (sign,
-// length, magnitude — the golden frames in internal/wire/testdata were
-// written by the big.Int encoders), a response's values and keys landing
-// in shared arrays, coalesce.Merger and shard.Router pass the answers on,
+// DecodeEvalResp pack and unpack the words at the bit width of the
+// response's largest value — nine bits on F_257, and only the values: the
+// answers are positional and a child count is a varint each — into one
+// array on the client, which gives answer i the key it asked as key i,
+// coalesce.Merger and shard.Router pass the answers on,
 // core.MultiServer Lagrange-combines the members' word vectors as they
 // arrived, and the client's share source evaluates a block of keys at a
 // time into words (sharing.WordSource: the points' keys are looked up once
@@ -397,6 +407,12 @@
 // fabricates a match no check sees), so it never was the level for a
 // hostile server: VerifyFull, with the whole identity — all p−1 points —
 // on the ambiguous candidates and on every reported match, stays that.
+// The digest a positional response carries binds it to its request — a
+// confused server, a crossed connection or a store that answered other
+// keys is caught — but it does not stop a lying server, which digests
+// the request it received as easily as an honest one and can still make a
+// sum non-zero and drop a subtree's matches unseen. Catching that takes a
+// linear MAC over the store, not a frame field.
 //
 // Everywhere else — under VerifyFull, on Z[x]/(r(x)) (evaluation there
 // maps into Z/r(a)Z, no field: the quotient f(a)/Q(a) need not exist) and
@@ -433,9 +449,9 @@
 // On F_p rings a share is its value vector from the store file to the
 // eq. (2) check: the loader hands each node a view of its values in the
 // file's slab (checked below p), server.Local reads a value or hands the
-// vector out as words, the poly word codec (AppendWords/DecodeWords,
-// byte-identical to Poly.MarshalBinary) writes and reads the frame — it
-// trims a zero tail, which reads back as zeros — core.NodePoly carries
+// vector out as words, the fetch frame carries it bit-packed like an
+// evaluation's values — nine bits a value on F_257, a zero tail trimmed,
+// which reads back as zeros — core.NodePoly carries
 // Words, MultiServer Lagrange-combines the members' words in place and
 // the engine adds the client's value pads and checks. The big.Int form
 // survives where a value is negative or wider than a word (a tampering

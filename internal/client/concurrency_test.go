@@ -387,8 +387,9 @@ func TestPoolConcurrentQueries(t *testing.T) {
 }
 
 // TestClientRefusesRetiredProtocol: the client speaks one protocol. A
-// HelloAck of version 1 or 2 — or of 2^32+3, which a 32-bit read would take
-// for 3 — fails the handshake with ErrVersion; a server answering in the
+// HelloAck of version 1, 2 or 3 (the keyed eval and fetch frames) — or of
+// 2^32+4, which a 32-bit read would take for 4 — fails the handshake with
+// ErrVersion; a server answering in the
 // retired legacy layout (magic 0x5353) fails it with ErrBadMagic; and a
 // response of the retired Prune or Ack type fails its call with the
 // unexpected-reply error while the session stays usable.
@@ -414,7 +415,7 @@ func TestClientRefusesRetiredProtocol(t *testing.T) {
 		}
 		return err
 	}
-	for _, v := range []uint64{1, 2, 1<<32 + 3} {
+	for _, v := range []uint64{1, 2, 3, 1<<32 + 4} {
 		var reply bytes.Buffer
 		ack := append(binary.AppendUvarint(nil, v), params...)
 		if _, err := wire.WriteFramed(&reply, wire.FramedFrame{Type: wire.MsgHelloAck, Payload: ack}); err != nil {

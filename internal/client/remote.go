@@ -327,12 +327,20 @@ func (r *Remote) observeWire(ctx context.Context, start time.Time) {
 	obs.SpanFrom(ctx).Add(obs.StageWire, d)
 }
 
-// EvalNodesCtx is EvalNodes with context cancellation.
+// EvalNodesCtx is EvalNodes with context cancellation. The response is
+// positional: unless it carries the digest of the key list sent, an answer
+// per key and a value per point it is refused (wire.ErrMismatch), and
+// answer i is given keys[i]. Keys a daemon would refuse as one request go
+// in parts.
 func (r *Remote) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
+	if !wire.KeyListFits(keys) {
+		return inParts(keys, func(part []drbg.NodeKey) ([]core.NodeEval, error) { return r.EvalNodesCtx(ctx, part, points) })
+	}
 	id := r.id()
 	traceID, sampled := traceFields(ctx)
 	start := time.Now()
-	typ, payload, err := r.call(ctx, wire.MsgEval, id, wire.AppendEvalReq(wire.GetBuf(), wire.EvalReq{ID: id, Keys: keys, Points: points, TimeoutMillis: deadlineBudget(ctx), TraceID: traceID, TraceSampled: sampled}))
+	req, keyDigest := wire.AppendEvalReq(wire.GetBuf(), wire.EvalReq{ID: id, Keys: keys, Points: points, TimeoutMillis: deadlineBudget(ctx), TraceID: traceID, TraceSampled: sampled})
+	typ, payload, err := r.call(ctx, wire.MsgEval, id, req)
 	r.observeWire(ctx, start)
 	if err != nil {
 		return nil, err
@@ -341,7 +349,7 @@ func (r *Remote) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points [
 	if typ != wire.MsgEvalResp {
 		return nil, fmt.Errorf("client: unexpected reply %s to Eval", typ)
 	}
-	dec, err := wire.DecodeEvalResp(payload)
+	dec, err := wire.DecodeEvalRespFor(payload, keys, keyDigest, len(points))
 	if err != nil {
 		return nil, err
 	}
@@ -351,12 +359,17 @@ func (r *Remote) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points [
 	return dec.Answers, nil
 }
 
-// FetchPolysCtx is FetchPolys with context cancellation.
+// FetchPolysCtx is FetchPolys with context cancellation, its response
+// checked and split as EvalNodesCtx's is.
 func (r *Remote) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.NodePoly, error) {
+	if !wire.KeyListFits(keys) {
+		return inParts(keys, func(part []drbg.NodeKey) ([]core.NodePoly, error) { return r.FetchPolysCtx(ctx, part) })
+	}
 	id := r.id()
 	traceID, sampled := traceFields(ctx)
 	start := time.Now()
-	typ, payload, err := r.call(ctx, wire.MsgFetch, id, wire.AppendFetchReq(wire.GetBuf(), wire.FetchReq{ID: id, Keys: keys, TimeoutMillis: deadlineBudget(ctx), TraceID: traceID, TraceSampled: sampled}))
+	req, keyDigest := wire.AppendFetchReq(wire.GetBuf(), wire.FetchReq{ID: id, Keys: keys, TimeoutMillis: deadlineBudget(ctx), TraceID: traceID, TraceSampled: sampled})
+	typ, payload, err := r.call(ctx, wire.MsgFetch, id, req)
 	r.observeWire(ctx, start)
 	if err != nil {
 		return nil, err
@@ -365,7 +378,7 @@ func (r *Remote) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core
 	if typ != wire.MsgFetchResp {
 		return nil, fmt.Errorf("client: unexpected reply %s to Fetch", typ)
 	}
-	dec, err := wire.DecodeFetchResp(payload)
+	dec, err := wire.DecodeFetchRespFor(payload, keys, keyDigest)
 	if err != nil {
 		return nil, err
 	}
@@ -373,6 +386,22 @@ func (r *Remote) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core
 		return nil, fmt.Errorf("client: response id %d for request %d", dec.ID, id)
 	}
 	return dec.Answers, nil
+}
+
+// inParts answers keys in two calls, each of half of them: a wave of many
+// siblings deep in the tree asks for more keys than its few encoded bytes
+// may (wire.KeyListFits), and each half is split again while it does.
+func inParts[T any](keys []drbg.NodeKey, call func([]drbg.NodeKey) ([]T, error)) ([]T, error) {
+	half := len(keys) / 2
+	first, err := call(keys[:half])
+	if err != nil {
+		return nil, err
+	}
+	rest, err := call(keys[half:])
+	if err != nil {
+		return nil, err
+	}
+	return append(first, rest...), nil
 }
 
 // EvalNodes implements core.ServerAPI.

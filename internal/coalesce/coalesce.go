@@ -30,7 +30,9 @@
 //     requests merged with it still succeed. The failed shared pass is
 //     wasted work, so a client that PERSISTENTLY sends bad keys drags
 //     its merge group slightly below uncoalesced cost — inner errors
-//     cannot be attributed to a key generically. Deployments exposed to
+//     cannot be attributed to a key generically. A merged pass whose
+//     target answers other keys than it was asked, or fewer, is not
+//     replayed: every request it served fails. Deployments exposed to
 //     adversarial clients should pair the coalescer with request
 //     authentication (see the TLS+auth roadmap item); per-key error
 //     attribution / negative caching is a possible follow-up.

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math/big"
 	"net"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,4 +270,56 @@ func TestRingDelegation(t *testing.T) {
 	}
 	var st server.Store = s // compile-time: usable behind a daemon
 	_ = st
+}
+
+// misaddressing answers a merged pass — a call for three keys or more —
+// one key short, or with its last answer for another key.
+type misaddressing struct {
+	core.ServerAPI
+	short bool
+}
+
+func (m misaddressing) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
+	out, err := m.ServerAPI.EvalNodes(keys, points)
+	if err != nil || len(keys) < 3 {
+		return out, err
+	}
+	if m.short {
+		return out[:len(out)-1], nil
+	}
+	out = slices.Clone(out)
+	out[len(out)-1].Key = drbg.NodeKey{9, 9, 9}
+	return out, nil
+}
+
+// TestMergerRefusesMisaddressedAnswers: a merged pass over two requests'
+// mixed keys whose target answers one key short, or for a key it was not
+// asked, fails both requests with an error — where the distribution used
+// to index past the answers (a panic) or hand the wrong key's values out
+// under the right one.
+func TestMergerRefusesMisaddressedAnswers(t *testing.T) {
+	f := apitest.NewFixture(t, ring.MustFp(257))
+	for _, short := range []bool{true, false} {
+		g := &gate{ServerAPI: misaddressing{ServerAPI: f.Reference, short: short}, release: make(chan struct{}), entered: make(chan struct{})}
+		s := coalesce.New(g, nil)
+		go func() { _, _ = s.EvalNodes(f.Keys[:1], f.Points) }()
+		<-g.entered
+
+		errs := make(chan error, 2)
+		for _, keys := range [][]drbg.NodeKey{f.Keys[0:2], f.Keys[1:3]} {
+			go func(keys []drbg.NodeKey) {
+				_, err := s.EvalNodes(keys, f.Points)
+				errs <- err
+			}(keys)
+		}
+		for s.Queued() < 2 {
+			runtime.Gosched()
+		}
+		close(g.release)
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err == nil || !strings.Contains(err.Error(), "other keys than the merged pass asked") {
+				t.Fatalf("short=%v: a member of the misaddressed pass got error %v", short, err)
+			}
+		}
+	}
 }

@@ -2,6 +2,8 @@ package coalesce
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/big"
 	"runtime"
 	"sync"
@@ -230,6 +232,14 @@ func (m *Merger) processGroup(group []*mergeReq) {
 	}
 
 	answers, passes, mergeErr := m.evalChunked(passCtx, merged, first.points)
+	if errors.Is(mergeErr, errMisaddressed) {
+		// Replaying alone would hand each member the same target's answers;
+		// the group shares the target's failure instead.
+		for _, r := range group {
+			r.done <- mergeDone{err: mergeErr}
+		}
+		return
+	}
 	if mergeErr != nil {
 		// A poisoned merge (e.g. one session's unknown key) degrades to
 		// the unmerged path: every request replays alone — concurrently,
@@ -278,17 +288,32 @@ func (m *Merger) processGroup(group []*mergeReq) {
 	}
 }
 
+// errMisaddressed marks a merged pass whose target did not answer exactly
+// the keys it was asked, in order: the answers cannot be distributed.
+var errMisaddressed = errors.New("coalesce: target answered other keys than the merged pass asked")
+
 // evalChunked runs the merged pass, split into concurrent chunks of at
 // most maxKeys keys (the eval target is concurrent-safe by the
 // ServerAPI contract, so an oversized merge keeps its parallelism).
-// Returns the concatenated answers and the number of passes run.
+// Returns the concatenated answers, an answer per merged key and for it,
+// and the number of passes run.
 func (m *Merger) evalChunked(ctx context.Context, merged []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, int, error) {
 	maxKeys := m.maxKeys()
 	if maxKeys <= 0 {
 		maxKeys = DefaultMaxBatchKeys
 	}
+	eval := func(keys []drbg.NodeKey) ([]core.NodeEval, error) {
+		answers, err := m.eval(ctx, keys, points)
+		if err != nil {
+			return nil, err
+		}
+		if err := core.CheckAnswered(keys, answers); err != nil {
+			return nil, fmt.Errorf("%w: target %w", errMisaddressed, err)
+		}
+		return answers, nil
+	}
 	if len(merged) <= maxKeys {
-		answers, err := m.eval(ctx, merged, points)
+		answers, err := eval(merged)
 		return answers, 1, err
 	}
 	chunks := (len(merged) + maxKeys - 1) / maxKeys
@@ -304,7 +329,7 @@ func (m *Merger) evalChunked(ctx context.Context, merged []drbg.NodeKey, points 
 		wg.Add(1)
 		go func(c int, keys []drbg.NodeKey) {
 			defer wg.Done()
-			parts[c], errs[c] = m.eval(ctx, keys, points)
+			parts[c], errs[c] = eval(keys)
 		}(c, merged[start:end])
 	}
 	wg.Wait()

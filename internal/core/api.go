@@ -20,7 +20,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/big"
+	"slices"
 
 	"sssearch/internal/drbg"
 	"sssearch/internal/poly"
@@ -167,6 +169,31 @@ type ServerAPI interface {
 	// EvalNodes and FetchPolys. Every implementation returns nil; the
 	// method is kept only until the benchmark's tap stops forwarding it.
 	Prune(keys []drbg.NodeKey) error
+}
+
+// answer is an answer to a ServerAPI call: a NodeEval or a NodePoly.
+type answer[T any] interface {
+	*T
+	answerKey() drbg.NodeKey
+}
+
+func (a *NodeEval) answerKey() drbg.NodeKey { return a.Key }
+func (a *NodePoly) answerKey() drbg.NodeKey { return a.Key }
+
+// CheckAnswered checks answers against the ServerAPI contract: one answer
+// per key asked, in order, for that key. Its error is worded to follow the
+// name of whoever answered: "… returned 2 answers for 3 keys", "…
+// answered for /1 where /0 was asked".
+func CheckAnswered[T any, A answer[T]](keys []drbg.NodeKey, answers []T) error {
+	if len(answers) != len(keys) {
+		return fmt.Errorf("returned %d answers for %d keys", len(answers), len(keys))
+	}
+	for i := range answers {
+		if k := A(&answers[i]).answerKey(); !slices.Equal(k, keys[i]) {
+			return fmt.Errorf("answered for %s where %s was asked", k, keys[i])
+		}
+	}
+	return nil
 }
 
 // CtxEvaler is the optional context-aware extension of ServerAPI.

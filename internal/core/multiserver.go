@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"slices"
 	"time"
 
 	"sssearch/internal/drbg"
@@ -291,17 +290,14 @@ func (m *MultiServer) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, poi
 	per, xs, err := memberCall(m, func(mem MultiMember) ([]NodeEval, error) {
 		answers, err := EvalNodesWithCtx(ctx, mem.API, keys, points)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: member %d: %w", mem.X, err)
 		}
-		if len(answers) != len(keys) {
-			return nil, fmt.Errorf("core: member %d returned %d answers for %d keys", mem.X, len(answers), len(keys))
+		// Answers are combined by position: one for another key would be
+		// summed into a value the engine cannot tell from an honest one.
+		if err := CheckAnswered(keys, answers); err != nil {
+			return nil, fmt.Errorf("core: member %d %w", mem.X, err)
 		}
-		for i, a := range answers {
-			// Answers are combined by position: one for another key would be
-			// summed into a value the engine cannot tell from an honest one.
-			if !slices.Equal(a.Key, keys[i]) {
-				return nil, fmt.Errorf("core: member %d answered for %s where %s was asked", mem.X, a.Key, keys[i])
-			}
+		for _, a := range answers {
 			if a.Len() != len(points) {
 				return nil, fmt.Errorf("core: member %d returned %d values for %d points", mem.X, a.Len(), len(points))
 			}
@@ -388,15 +384,10 @@ func (m *MultiServer) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([
 	per, xs, err := memberCall(m, func(mem MultiMember) ([]NodePoly, error) {
 		answers, err := FetchPolysWithCtx(ctx, mem.API, keys)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: member %d: %w", mem.X, err)
 		}
-		if len(answers) != len(keys) {
-			return nil, fmt.Errorf("core: member %d returned %d polys for %d keys", mem.X, len(answers), len(keys))
-		}
-		for i, a := range answers {
-			if !slices.Equal(a.Key, keys[i]) {
-				return nil, fmt.Errorf("core: member %d answered for %s where %s was asked", mem.X, a.Key, keys[i])
-			}
+		if err := CheckAnswered(keys, answers); err != nil {
+			return nil, fmt.Errorf("core: member %d %w", mem.X, err)
 		}
 		return answers, nil
 	})

@@ -539,8 +539,10 @@ func (r *run) evalBatch(ids []int, keys []drbg.NodeKey, pts []int, points []*big
 		r.e.obsv.Observe(obs.StageShareArith, d)
 		obs.SpanFrom(r.ctx).Add(obs.StageShareArith, d)
 	}()
-	if len(answers) != len(keys) {
-		return fmt.Errorf("core: server returned %d answers for %d keys", len(answers), len(keys))
+	// The summands were computed for keys[i]: an answer in another order, or
+	// for a key that was not asked, must not be added to them.
+	if err := CheckAnswered(keys, answers); err != nil {
+		return fmt.Errorf("core: server %w", err)
 	}
 	// The evaluation modulus of each point is fixed for the whole batch;
 	// resolve it once instead of once per (node, point). On F_p it is p
@@ -558,11 +560,6 @@ func (r *run) evalBatch(ids []int, keys []drbg.NodeKey, pts []int, points []*big
 		}
 	}
 	for i, ans := range answers {
-		// The summands were computed for keys[i]: an answer in another
-		// order, or for a key that was not asked, must not be added to them.
-		if !slices.Equal(ans.Key, keys[i]) {
-			return fmt.Errorf("core: server answered for %s where %s was asked", ans.Key, keys[i])
-		}
 		if ans.Len() != len(points) {
 			return fmt.Errorf("core: server returned %d values for %d points", ans.Len(), len(points))
 		}
@@ -959,14 +956,11 @@ func (r *run) fetchPolys(keys []drbg.NodeKey) ([]NodePoly, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(answers) != len(keys) {
-		return nil, fmt.Errorf("core: server returned %d polynomials for %d keys", len(answers), len(keys))
+	if err := CheckAnswered(keys, answers); err != nil {
+		return nil, fmt.Errorf("core: server %w", err)
 	}
 	bytes := 0
-	for i, a := range answers {
-		if !slices.Equal(a.Key, keys[i]) {
-			return nil, fmt.Errorf("core: server omitted polynomial for %s", keys[i])
-		}
+	for _, a := range answers {
 		bytes += a.BinarySize()
 	}
 	r.e.counters.AddRound()

@@ -715,10 +715,18 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, d
 		evalStart := time.Now()
 		answers, err := core.EvalNodesWithCtx(obs.WithSpan(context.Background(), sp), store, req.Keys, req.Points)
 		observeEval(evalStart)
+		if err == nil {
+			err = storeAnswered(core.CheckAnswered(req.Keys, answers))
+		}
+		for i := 0; err == nil && i < len(answers); i++ {
+			if n := answers[i].Len(); n != len(req.Points) {
+				err = fmt.Errorf("server: store returned %d values for %d points", n, len(req.Points))
+			}
+		}
 		if err != nil {
 			return fail(req.ID, err)
 		}
-		return wire.MsgEvalResp, wire.AppendEvalResp(wire.GetBuf(), wire.EvalResp{ID: req.ID, Answers: answers}), sp, nil
+		return wire.MsgEvalResp, wire.AppendEvalRespFor(wire.GetBuf(), wire.EvalResp{ID: req.ID, Answers: answers}, req.KeyDigest), sp, nil
 	case wire.MsgFetch:
 		req, err := wire.DecodeFetchReq(payload)
 		if err != nil {
@@ -731,10 +739,13 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, d
 		fetchStart := time.Now()
 		answers, err := store.FetchPolys(req.Keys)
 		observeEval(fetchStart)
+		if err == nil {
+			err = storeAnswered(core.CheckAnswered(req.Keys, answers))
+		}
 		if err != nil {
 			return fail(req.ID, err)
 		}
-		out, err := wire.AppendFetchResp(wire.GetBuf(), wire.FetchResp{ID: req.ID, Answers: answers})
+		out, err := wire.AppendFetchRespFor(wire.GetBuf(), wire.FetchResp{ID: req.ID, Answers: answers}, req.KeyDigest)
 		if err != nil {
 			return 0, nil, sp, err
 		}
@@ -742,4 +753,15 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, d
 	default:
 		return 0, nil, nil, fmt.Errorf("server: unexpected frame %s", typ)
 	}
+}
+
+// storeAnswered words a core.CheckAnswered error as the store's. A store
+// must answer exactly the keys asked, in order, before they go out in a
+// positional frame that names none of them: the client can only check the
+// keys it sent, so a store that answers for another key is refused here.
+func storeAnswered(err error) error {
+	if err != nil {
+		return fmt.Errorf("server: store %w", err)
+	}
+	return nil
 }

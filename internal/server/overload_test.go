@@ -175,9 +175,9 @@ func handshake(t *testing.T, cli net.Conn, v uint64) wire.FramedFrame {
 }
 
 // TestDaemonRefusesRetiredProtocol: the daemon speaks one protocol. A
-// Hello of version 1 or 2 — or of 2^32+3, which a 32-bit read would take
-// for 3 — is answered with an error naming the version and the session
-// ends; a frame in the retired legacy layout (magic 0x5353) ends it with
+// Hello of version 1, 2 or 3 (the keyed eval and fetch frames) — or of
+// 2^32+4, which a 32-bit read would take for 4 — is answered with an error
+// naming the version and the session ends; a frame in the retired legacy layout (magic 0x5353) ends it with
 // ErrBadMagic; and a request of the retired Prune type gets the
 // unexpected-frame error while the session keeps serving.
 func TestDaemonRefusesRetiredProtocol(t *testing.T) {
@@ -191,7 +191,7 @@ func TestDaemonRefusesRetiredProtocol(t *testing.T) {
 		return cli, served
 	}
 
-	for _, v := range []uint64{1, 2, 1<<32 + 3} {
+	for _, v := range []uint64{1, 2, 3, 1<<32 + 4} {
 		cli, served := serve()
 		f := handshake(t, cli, v)
 		if f.Type != wire.MsgError {
@@ -219,7 +219,7 @@ func TestDaemonRefusesRetiredProtocol(t *testing.T) {
 
 	cli, served = serve()
 	if f := handshake(t, cli, wire.Version); f.Type != wire.MsgHelloAck {
-		t.Fatalf("version-3 hello answered with %s", f.Type)
+		t.Fatalf("version-%d hello answered with %s", wire.Version, f.Type)
 	}
 	prune := wire.EncodeFetchReq(wire.FetchReq{ID: 5, Keys: keys[:1]}) // the retired layout: id, keys, tail
 	if _, err := wire.WriteFramed(cli, wire.FramedFrame{Type: 7, ReqID: 5, Payload: prune}); err != nil {

@@ -116,6 +116,15 @@ func appendTail(dst []byte, millis, traceID uint64, sampled bool) []byte {
 	return append(dst, 0)
 }
 
+// decodeDepth reads the expansion depth that follows a request's keys.
+// Only depth 1 — the listed keys alone — is defined; any other is refused.
+func decodeDepth(data []byte, what string) ([]byte, error) {
+	if d, k := binary.Uvarint(data); k > 0 && d == 1 {
+		return data[k:], nil
+	}
+	return nil, errors.New("wire: bad expansion depth in " + what)
+}
+
 // EvalReq asks for evaluations of keys at points.
 type EvalReq struct {
 	ID     uint64
@@ -135,18 +144,31 @@ type EvalReq struct {
 	// daemon's slow-query log correlates with the client's.
 	TraceID      uint64
 	TraceSampled bool
+
+	// KeyDigest is the digest of the encoded key list, which the response
+	// carries back: FNV-1a-64 of its bytes. DecodeEvalReq sets it from the
+	// bytes it read; the encoder ignores it and returns the digest of what
+	// it wrote.
+	KeyDigest uint64
 }
 
 // EncodeEvalReq marshals an EvalReq payload.
-func EncodeEvalReq(r EvalReq) []byte { return AppendEvalReq(nil, r) }
+func EncodeEvalReq(r EvalReq) []byte {
+	payload, _ := AppendEvalReq(nil, r)
+	return payload
+}
 
 // AppendEvalReq marshals an EvalReq payload onto dst (which may be a
-// pooled buffer, see GetBuf).
-func AppendEvalReq(dst []byte, r EvalReq) []byte {
+// pooled buffer, see GetBuf), and returns it with the digest of its key
+// list: the digest a response to it must carry.
+func AppendEvalReq(dst []byte, r EvalReq) (payload []byte, keyDigest uint64) {
 	dst = binary.AppendUvarint(dst, r.ID)
+	start := len(dst)
 	dst = AppendKeys(dst, r.Keys)
+	keyDigest = digest(dst[start:])
+	dst = append(dst, 1) // expansion depth
 	dst = AppendBigs(dst, r.Points)
-	return appendTail(dst, r.TimeoutMillis, r.TraceID, r.TraceSampled)
+	return appendTail(dst, r.TimeoutMillis, r.TraceID, r.TraceSampled), keyDigest
 }
 
 // DecodeEvalReq unmarshals an EvalReq payload.
@@ -155,8 +177,11 @@ func DecodeEvalReq(data []byte) (EvalReq, error) {
 	if k <= 0 {
 		return EvalReq{}, errors.New("wire: bad eval id")
 	}
-	keys, rest, err := DecodeKeys(data[k:])
+	keys, rest, err := readKeyList(data[k:])
 	if err != nil {
+		return EvalReq{}, err
+	}
+	if rest, err = decodeDepth(rest, "eval request"); err != nil {
 		return EvalReq{}, err
 	}
 	points, rest, err := DecodeBigs(rest)
@@ -167,8 +192,8 @@ func DecodeEvalReq(data []byte) (EvalReq, error) {
 	if err != nil {
 		return EvalReq{}, err
 	}
-	return EvalReq{ID: id, Keys: keys, Points: points, TimeoutMillis: timeout,
-		TraceID: traceID, TraceSampled: sampled}, nil
+	return EvalReq{ID: id, Keys: keys.expand(), Points: points, TimeoutMillis: timeout,
+		TraceID: traceID, TraceSampled: sampled, KeyDigest: digest(keys.enc)}, nil
 }
 
 // EvalResp carries the answers to an EvalReq.
@@ -180,87 +205,261 @@ type EvalResp struct {
 // EncodeEvalResp marshals an EvalResp payload.
 func EncodeEvalResp(r EvalResp) []byte { return AppendEvalResp(nil, r) }
 
-// AppendEvalResp marshals an EvalResp payload onto dst. An answer's values
-// are a big.Int list (AppendBigs) on the wire; one held as words is written
-// from the words, byte for byte what boxing them first would write.
+// AppendEvalResp marshals an EvalResp payload onto dst, positionally, with
+// the digest of its answers' keys.
 func AppendEvalResp(dst []byte, r EvalResp) []byte {
-	// Sized once, from the first answer: the answers of a wave hold as many
-	// values and sit about as deep. Where that falls short append grows.
-	if len(r.Answers) > 0 {
-		a := r.Answers[0]
-		dst = slices.Grow(dst, 2*binary.MaxVarintLen64+len(r.Answers)*
-			(keySize(a.Key)+uvarintLen(uint64(a.NumChildren))+poly.WordListSize(a.Words)))
-	}
-	dst = binary.AppendUvarint(dst, r.ID)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Answers)))
+	keys := make([]drbg.NodeKey, len(r.Answers))
 	for i := range r.Answers {
-		a := &r.Answers[i]
-		dst = AppendKey(dst, a.Key)
-		dst = binary.AppendUvarint(dst, uint64(a.NumChildren))
-		if len(a.Big) == 0 {
-			dst = poly.AppendWordList(dst, a.Words)
-		} else {
-			dst = AppendBigs(dst, a.Big)
-		}
+		keys[i] = r.Answers[i].Key
 	}
-	return dst
+	return AppendEvalRespFor(dst, r, digestOf(keys))
 }
 
-// DecodeEvalResp unmarshals an EvalResp payload. Values land as words, the
-// whole response's in one array, wherever an answer's all fit; an answer
-// with a negative or wider value is decoded by DecodeBigs, which also
-// reports malformed input. The words are what the peer sent — any uint64:
-// the consumer reduces.
-func DecodeEvalResp(data []byte) (EvalResp, error) {
-	id, k := binary.Uvarint(data)
-	if k <= 0 {
-		return EvalResp{}, errors.New("wire: bad eval resp id")
+// AppendEvalRespFor marshals the response to the request whose key list
+// has the digest keyDigest — answer i for its key i, which the frame does
+// not name. Every answer must hold as many values as the first; a response
+// where one does not is written in the big.Int form with the counts it
+// has, which DecodeEvalResp refuses.
+func AppendEvalRespFor(dst []byte, r EvalResp, keyDigest uint64) []byte {
+	n := len(r.Answers)
+	m := 0
+	if n > 0 {
+		m = r.Answers[0].Len()
 	}
-	data = data[k:]
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n > maxListLen {
-		return EvalResp{}, errors.New("wire: bad answer count")
+	w := evalWidth(r.Answers, m)
+	size := 3*binary.MaxVarintLen64 + 10 + int(packedLen(uint64(n*m), uint64(w)))
+	for i := range r.Answers {
+		size += uvarintLen(uint64(r.Answers[i].NumChildren))
 	}
-	data = data[k:]
-	if n > uint64(len(data)) {
-		return EvalResp{}, errors.New("wire: answer count exceeds available bytes")
+	dst = slices.Grow(dst, size)
+	dst = binary.AppendUvarint(dst, r.ID)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(dst, uint64(m))
+	dst = binary.BigEndian.AppendUint64(dst, keyDigest)
+	dst = append(dst, 0, w) // κ, w
+	for i := range r.Answers {
+		dst = binary.AppendUvarint(dst, uint64(r.Answers[i].NumChildren))
 	}
-	out := EvalResp{ID: id, Answers: make([]core.NodeEval, n)}
-	var slab poly.WordSlab
-	var keys keySlab
-	for i := uint64(0); i < n; i++ {
-		key, rest, err := keys.decode(data, int(n-i))
-		if err != nil {
-			return EvalResp{}, err
-		}
-		nch, k := binary.Uvarint(rest)
-		if k <= 0 || nch > maxListLen {
-			return EvalResp{}, errors.New("wire: bad child count")
-		}
-		rest = rest[k:]
-		if i == 0 {
-			// Every answer of a wave holds as many values as the first; each
-			// takes a byte at least, so this is never more words than bytes.
-			if m, k := binary.Uvarint(rest); k > 0 && m <= uint64(len(rest))/n {
-				slab.Reserve(int(m * n))
+	if w == 0 {
+		for i := range r.Answers {
+			if a := &r.Answers[i]; len(a.Big) == 0 {
+				dst = poly.AppendWordList(dst, a.Words)
+			} else {
+				dst = AppendBigs(dst, a.Big)
 			}
 		}
-		a := &out.Answers[i]
-		a.Key, a.NumChildren = key, int(nch)
+		return dst
+	}
+	b := bitWriter{dst: dst, w: uint(w)}
+	for i := range r.Answers {
+		if a := &r.Answers[i]; len(a.Big) == 0 {
+			for _, v := range a.Words {
+				b.put(v)
+			}
+		} else {
+			for _, v := range a.Big {
+				b.put(v.Uint64())
+			}
+		}
+	}
+	return b.flush()
+}
+
+// evalWidth is the bit width that packs every value of answers, each m
+// of them: the bit length of the largest, at least 1. It is 0 — the
+// big.Int form — when a value is negative or wider than a word, or an
+// answer holds another count.
+func evalWidth(answers []core.NodeEval, m int) byte {
+	var or uint64
+	for i := range answers {
+		a := &answers[i]
+		if a.Len() != m {
+			return 0
+		}
+		for _, v := range a.Words {
+			or |= v
+		}
+		for _, v := range a.Big {
+			if v.Sign() < 0 || !v.IsUint64() {
+				return 0
+			}
+			or |= v.Uint64()
+		}
+	}
+	return byte(max(1, bits.Len64(or)))
+}
+
+// respHead is what leads a response, before its answers.
+type respHead struct {
+	id, n, m uint64 // m: values per answer, eval responses only
+	digest   uint64
+	w        uint
+}
+
+// readHead parses the head of a response (with a values-per-answer count
+// when perAnswer is set) and the n child counts after it. Given the request
+// it answers, it first checks the head against it: a response that does
+// not answer the request is refused before anything is allocated for what
+// it claims to hold.
+func readHead(data []byte, perAnswer bool, req *asked, what string) (h respHead, nch []int, rest []byte, err error) {
+	var k int
+	if h.id, k = binary.Uvarint(data); k <= 0 {
+		return h, nil, nil, errors.New("wire: bad id in " + what)
+	}
+	data = data[k:]
+	if h.n, k = binary.Uvarint(data); k <= 0 || h.n > maxListLen {
+		return h, nil, nil, errors.New("wire: bad answer count in " + what)
+	}
+	data = data[k:]
+	if perAnswer {
+		if h.m, k = binary.Uvarint(data); k <= 0 || h.m > maxListLen {
+			return h, nil, nil, errors.New("wire: bad value count in " + what)
+		}
+		data = data[k:]
+	}
+	if len(data) < 8 {
+		return h, nil, nil, errors.New("wire: truncated digest in " + what)
+	}
+	h.digest = binary.BigEndian.Uint64(data)
+	data = data[8:]
+	if kappa, k := binary.Uvarint(data); k != 1 || kappa != 0 {
+		return h, nil, nil, errors.New("wire: bad tag count in " + what)
+	}
+	data = data[1:]
+	if len(data) == 0 || data[0] > 64 {
+		return h, nil, nil, errors.New("wire: bad value width in " + what)
+	}
+	h.w = uint(data[0])
+	if req != nil {
+		if err := req.answeredBy(h); err != nil {
+			return h, nil, nil, err
+		}
+	}
+	nch, rest, err = readCounts(data[1:], h.n, "child count in "+what)
+	return h, nch, rest, err
+}
+
+// readCounts reads n counts, each at most maxListLen. A count takes a byte
+// at least: n the bytes cannot back is refused before anything is
+// allocated for it.
+func readCounts(data []byte, n uint64, what string) ([]int, []byte, error) {
+	if n > uint64(len(data)) {
+		return nil, nil, errors.New("wire: truncated " + what)
+	}
+	counts := make([]int, n)
+	for i := range counts {
+		c, k := binary.Uvarint(data)
+		if k <= 0 || c > maxListLen {
+			return nil, nil, errors.New("wire: bad " + what)
+		}
+		counts[i] = int(c)
+		data = data[k:]
+	}
+	return counts, data, nil
+}
+
+// ErrMismatch reports a response that does not answer the request it came
+// back for: another digest of the keys, answer count or value count.
+var ErrMismatch = errors.New("wire: response does not answer the request")
+
+// asked is what a request asked, which its response must answer: keys
+// whose key list has the digest keyDigest and, for an evaluation, a value
+// at each of points points (-1 for a fetch).
+type asked struct {
+	keys      []drbg.NodeKey
+	keyDigest uint64
+	points    int
+}
+
+// answeredBy checks the head of a response against the request: its
+// answer count, digest and — where it has answers — values per answer.
+func (a *asked) answeredBy(h respHead) error {
+	if h.n != uint64(len(a.keys)) {
+		return fmt.Errorf("%w: %d answers for %d keys", ErrMismatch, h.n, len(a.keys))
+	}
+	if h.digest != a.keyDigest {
+		return fmt.Errorf("%w: digest %016x of the keys, %016x asked", ErrMismatch, h.digest, a.keyDigest)
+	}
+	if a.points >= 0 && h.n > 0 && h.m != uint64(a.points) {
+		return fmt.Errorf("%w: %d values an answer for %d points", ErrMismatch, h.m, a.points)
+	}
+	return nil
+}
+
+// DecodeEvalResp unmarshals an EvalResp payload. Its answers carry no keys
+// (DecodeEvalRespFor gives them theirs). Packed values land as words in one
+// array; in the big.Int form an answer whose values all fit a word gets
+// words too, any other the big.Int form. The words are what the peer sent —
+// any uint64: the consumer reduces.
+func DecodeEvalResp(data []byte) (EvalResp, error) {
+	r, _, err := decodeEvalResp(data, nil)
+	return r, err
+}
+
+// DecodeEvalRespFor is DecodeEvalResp of the response to a request for
+// keys — whose key list AppendEvalReq gave the digest keyDigest — at
+// points points: one whose digest, answer count or value count differs is
+// refused with ErrMismatch before its answers are decoded, and answer i
+// gets keys[i].
+func DecodeEvalRespFor(data []byte, keys []drbg.NodeKey, keyDigest uint64, points int) (EvalResp, error) {
+	r, _, err := decodeEvalResp(data, &asked{keys, keyDigest, points})
+	if err != nil {
+		return EvalResp{}, err
+	}
+	for i := range r.Answers {
+		r.Answers[i].Key = keys[i]
+	}
+	return r, nil
+}
+
+func decodeEvalResp(data []byte, req *asked) (EvalResp, respHead, error) {
+	h, nch, data, err := readHead(data, true, req, "eval response")
+	if err != nil {
+		return EvalResp{}, h, err
+	}
+	out := EvalResp{ID: h.id, Answers: make([]core.NodeEval, h.n)}
+	for i, c := range nch {
+		out.Answers[i].NumChildren = c
+	}
+	m, total := int(h.m), h.n*h.m
+	if h.w > 0 {
+		if packedLen(total, uint64(h.w)) != uint64(len(data)) {
+			return EvalResp{}, h, errors.New("wire: value bytes do not match the counts in eval response")
+		}
+		slab := make([]uint64, total)
+		if !unpack(slab, data, h.w) {
+			return EvalResp{}, h, errors.New("wire: padding bits set in eval response")
+		}
+		for i := range out.Answers {
+			out.Answers[i].Words = slab[i*m : (i+1)*m : (i+1)*m]
+		}
+		return out, h, nil
+	}
+	// The big.Int form: a value takes a byte at least.
+	if total > uint64(len(data)) {
+		return EvalResp{}, h, errors.New("wire: value count exceeds available bytes in eval response")
+	}
+	var slab poly.WordSlab
+	slab.Reserve(int(total))
+	for i := range out.Answers {
+		if c, k := binary.Uvarint(data); k <= 0 || c != h.m {
+			return EvalResp{}, h, errors.New("wire: answer holds another value count in eval response")
+		}
+		a, rest := &out.Answers[i], data
 		var ok bool
-		if a.Words, data, ok = slab.DecodeList(rest, maxListLen); !ok {
+		if a.Words, data, ok = slab.DecodeList(rest, h.m); !ok {
 			if a.Big, data, err = DecodeBigs(rest); err != nil {
-				return EvalResp{}, err
+				return EvalResp{}, h, err
 			}
 		}
 	}
 	if len(data) != 0 {
-		return EvalResp{}, errors.New("wire: trailing bytes in eval response")
+		return EvalResp{}, h, errors.New("wire: trailing bytes in eval response")
 	}
-	return out, nil
+	return out, h, nil
 }
 
-// FetchReq asks for share polynomials.
+// FetchReq asks for whole shares.
 type FetchReq struct {
 	ID   uint64
 	Keys []drbg.NodeKey
@@ -273,16 +472,27 @@ type FetchReq struct {
 	// not traced). See EvalReq.TraceID.
 	TraceID      uint64
 	TraceSampled bool
+
+	// KeyDigest is the digest of the encoded key list. See
+	// EvalReq.KeyDigest.
+	KeyDigest uint64
 }
 
 // EncodeFetchReq marshals a FetchReq payload.
-func EncodeFetchReq(r FetchReq) []byte { return AppendFetchReq(nil, r) }
+func EncodeFetchReq(r FetchReq) []byte {
+	payload, _ := AppendFetchReq(nil, r)
+	return payload
+}
 
-// AppendFetchReq marshals a FetchReq payload onto dst.
-func AppendFetchReq(dst []byte, r FetchReq) []byte {
+// AppendFetchReq marshals a FetchReq payload onto dst, and returns it with
+// the digest of its key list, as AppendEvalReq does.
+func AppendFetchReq(dst []byte, r FetchReq) (payload []byte, keyDigest uint64) {
 	dst = binary.AppendUvarint(dst, r.ID)
+	start := len(dst)
 	dst = AppendKeys(dst, r.Keys)
-	return appendTail(dst, r.TimeoutMillis, r.TraceID, r.TraceSampled)
+	keyDigest = digest(dst[start:])
+	dst = append(dst, 1) // expansion depth
+	return appendTail(dst, r.TimeoutMillis, r.TraceID, r.TraceSampled), keyDigest
 }
 
 // DecodeFetchReq unmarshals a FetchReq payload.
@@ -291,16 +501,19 @@ func DecodeFetchReq(data []byte) (FetchReq, error) {
 	if k <= 0 {
 		return FetchReq{}, errors.New("wire: bad fetch id")
 	}
-	keys, rest, err := DecodeKeys(data[k:])
+	keys, rest, err := readKeyList(data[k:])
 	if err != nil {
+		return FetchReq{}, err
+	}
+	if rest, err = decodeDepth(rest, "fetch request"); err != nil {
 		return FetchReq{}, err
 	}
 	timeout, traceID, sampled, err := decodeTail(rest, "fetch request")
 	if err != nil {
 		return FetchReq{}, err
 	}
-	return FetchReq{ID: id, Keys: keys, TimeoutMillis: timeout,
-		TraceID: traceID, TraceSampled: sampled}, nil
+	return FetchReq{ID: id, Keys: keys.expand(), TimeoutMillis: timeout,
+		TraceID: traceID, TraceSampled: sampled, KeyDigest: digest(keys.enc)}, nil
 }
 
 // FetchResp carries the answers to a FetchReq.
@@ -312,85 +525,179 @@ type FetchResp struct {
 // EncodeFetchResp marshals a FetchResp payload.
 func EncodeFetchResp(r FetchResp) ([]byte, error) { return AppendFetchResp(nil, r) }
 
-// AppendFetchResp marshals a FetchResp payload onto dst.
+// AppendFetchResp marshals a FetchResp payload onto dst, positionally,
+// with the digest of its answers' keys.
 func AppendFetchResp(dst []byte, r FetchResp) ([]byte, error) {
-	// Sized once, exactly: a response is mostly polynomials, about a
-	// megabyte of them when a wave of tag recoveries asked.
-	size := uvarintLen(r.ID) + uvarintLen(uint64(len(r.Answers)))
-	for _, a := range r.Answers {
-		size += keySize(a.Key) + uvarintLen(uint64(a.NumChildren)) + a.BinarySize()
+	keys := make([]drbg.NodeKey, len(r.Answers))
+	for i := range r.Answers {
+		keys[i] = r.Answers[i].Key
 	}
-	dst = slices.Grow(dst, size)
+	return AppendFetchRespFor(dst, r, digestOf(keys))
+}
+
+// AppendFetchRespFor marshals the response to the request whose key list
+// has the digest keyDigest, as AppendEvalRespFor does, each share without
+// its zero tail.
+func AppendFetchRespFor(dst []byte, r FetchResp, keyDigest uint64) ([]byte, error) {
+	n := len(r.Answers)
+	w := fetchWidth(r.Answers)
+	// Sized once, exactly: a response is mostly shares, about a megabyte of
+	// them when a wave of tag recoveries asked.
+	size, values := uvarintLen(r.ID)+uvarintLen(uint64(n))+8+2, uint64(0)
+	for i := range r.Answers {
+		a := &r.Answers[i]
+		m := shareLen(a)
+		size += uvarintLen(uint64(a.NumChildren)) + uvarintLen(uint64(m))
+		if w == 0 {
+			size += a.BinarySize()
+		}
+		values += uint64(m)
+	}
+	dst = slices.Grow(dst, size+int(packedLen(values, uint64(w))))
 	dst = binary.AppendUvarint(dst, r.ID)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Answers)))
-	var err error
-	for _, a := range r.Answers {
-		dst = AppendKey(dst, a.Key)
-		dst = binary.AppendUvarint(dst, uint64(a.NumChildren))
-		if a.Big.IsZero() {
-			dst = poly.AppendWords(dst, a.Words)
-		} else if dst, err = a.Big.AppendBinary(dst); err != nil {
-			return nil, err
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.BigEndian.AppendUint64(dst, keyDigest)
+	dst = append(dst, 0, w) // κ, w
+	for i := range r.Answers {
+		dst = binary.AppendUvarint(dst, uint64(r.Answers[i].NumChildren))
+	}
+	for i := range r.Answers {
+		dst = binary.AppendUvarint(dst, uint64(shareLen(&r.Answers[i])))
+	}
+	if w == 0 {
+		var err error
+		for _, a := range r.Answers {
+			if a.Big.IsZero() {
+				dst = poly.AppendWords(dst, a.Words)
+			} else if dst, err = a.Big.AppendBinary(dst); err != nil {
+				return nil, err
+			}
+		}
+		return dst, nil
+	}
+	b := bitWriter{dst: dst, w: uint(w)}
+	for i := range r.Answers {
+		words, _ := r.Answers[i].WordCoeffs()
+		for _, v := range trimZeros(words) {
+			b.put(v)
 		}
 	}
-	return dst, nil
+	return b.flush(), nil
+}
+
+// fetchWidth is evalWidth for shares: 0 when one has no word form.
+func fetchWidth(answers []core.NodePoly) byte {
+	var or uint64
+	for i := range answers {
+		words, ok := answers[i].WordCoeffs()
+		if !ok {
+			return 0
+		}
+		for _, v := range words {
+			or |= v
+		}
+	}
+	return byte(max(1, bits.Len64(or)))
+}
+
+// shareLen is the value count a share travels with: its length without
+// the zero tail.
+func shareLen(a *core.NodePoly) int {
+	if !a.Big.IsZero() {
+		return a.Big.Len()
+	}
+	return len(trimZeros(a.Words))
+}
+
+// trimZeros drops trailing zero values.
+func trimZeros(w []uint64) []uint64 {
+	n := len(w)
+	for n > 0 && w[n-1] == 0 {
+		n--
+	}
+	return w[:n]
 }
 
 // uvarintLen is the encoded length of v as an unsigned LEB128 varint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// keySize is len(AppendKey(nil, k)).
-func keySize(k drbg.NodeKey) int {
-	n := uvarintLen(uint64(len(k)))
-	for _, c := range k {
-		n += uvarintLen(uint64(c))
-	}
-	return n
+// DecodeFetchResp unmarshals a FetchResp payload. Its answers carry no
+// keys (DecodeFetchRespFor gives them theirs). Packed values land as words
+// in one array; in the big.Int form a share whose values all fit a word
+// gets words too, any other the big.Int form. A zero tail is dropped.
+func DecodeFetchResp(data []byte) (FetchResp, error) {
+	r, _, err := decodeFetchResp(data, nil)
+	return r, err
 }
 
-// DecodeFetchResp unmarshals a FetchResp payload.
-func DecodeFetchResp(data []byte) (FetchResp, error) {
-	id, k := binary.Uvarint(data)
-	if k <= 0 {
-		return FetchResp{}, errors.New("wire: bad fetch resp id")
+// DecodeFetchRespFor is DecodeFetchResp of the response to a request for
+// keys, whose key list AppendFetchReq gave the digest keyDigest: one whose
+// digest or answer count differs is refused with ErrMismatch before its
+// answers are decoded, and answer i gets keys[i].
+func DecodeFetchRespFor(data []byte, keys []drbg.NodeKey, keyDigest uint64) (FetchResp, error) {
+	r, _, err := decodeFetchResp(data, &asked{keys, keyDigest, -1})
+	if err != nil {
+		return FetchResp{}, err
 	}
-	data = data[k:]
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n > maxListLen {
-		return FetchResp{}, errors.New("wire: bad answer count")
+	for i := range r.Answers {
+		r.Answers[i].Key = keys[i]
 	}
-	data = data[k:]
-	if n > uint64(len(data)) {
-		return FetchResp{}, errors.New("wire: answer count exceeds available bytes")
+	return r, nil
+}
+
+func decodeFetchResp(data []byte, req *asked) (FetchResp, respHead, error) {
+	h, nch, data, err := readHead(data, false, req, "fetch response")
+	if err != nil {
+		return FetchResp{}, h, err
 	}
-	out := FetchResp{ID: id, Answers: make([]core.NodePoly, n)}
-	var slab poly.WordSlab // one array for the response's coefficients, not one per answer
-	var keys keySlab
-	for i := uint64(0); i < n; i++ {
-		key, rest, err := keys.decode(data, int(n-i))
-		if err != nil {
-			return FetchResp{}, err
+	ms, data, err := readCounts(data, h.n, "value count in fetch response")
+	if err != nil {
+		return FetchResp{}, h, err
+	}
+	var total uint64
+	for _, m := range ms {
+		total += uint64(m)
+	}
+	out := FetchResp{ID: h.id, Answers: make([]core.NodePoly, h.n)}
+	for i, c := range nch {
+		out.Answers[i].NumChildren = c
+	}
+	if h.w > 0 {
+		if packedLen(total, uint64(h.w)) != uint64(len(data)) {
+			return FetchResp{}, h, errors.New("wire: value bytes do not match the counts in fetch response")
 		}
-		nch, k := binary.Uvarint(rest)
-		if k <= 0 || nch > maxListLen {
-			return FetchResp{}, errors.New("wire: bad child count")
+		slab := make([]uint64, total)
+		if !unpack(slab, data, h.w) {
+			return FetchResp{}, h, errors.New("wire: padding bits set in fetch response")
 		}
-		// Words when the polynomial has a word form; the big.Int decoder
-		// takes the rest (wide or negative coefficients) and reports
-		// malformed input.
-		a := core.NodePoly{Key: key, NumChildren: int(nch)}
+		for i, m := range ms {
+			out.Answers[i].Words = trimZeros(slab[:m:m])
+			slab = slab[m:]
+		}
+		return out, h, nil
+	}
+	// The big.Int form: a value takes a byte at least.
+	if total > uint64(len(data)) {
+		return FetchResp{}, h, errors.New("wire: value count exceeds available bytes in fetch response")
+	}
+	var slab poly.WordSlab
+	slab.Reserve(int(total))
+	for i, m := range ms {
+		if c, k := binary.Uvarint(data); k <= 0 || c != uint64(m) {
+			return FetchResp{}, h, errors.New("wire: share holds another value count in fetch response")
+		}
+		a, rest := &out.Answers[i], data
 		var ok bool
-		if a.Words, data, ok = slab.Decode(rest[k:]); !ok {
-			if a.Big, data, err = poly.DecodePoly(rest[k:]); err != nil {
-				return FetchResp{}, err
+		if a.Words, data, ok = slab.Decode(rest); !ok {
+			if a.Big, data, err = poly.DecodePoly(rest); err != nil {
+				return FetchResp{}, h, err
 			}
 		}
-		out.Answers[i] = a
 	}
 	if len(data) != 0 {
-		return FetchResp{}, errors.New("wire: trailing bytes in fetch response")
+		return FetchResp{}, h, errors.New("wire: trailing bytes in fetch response")
 	}
-	return out, nil
+	return out, h, nil
 }
 
 // ErrCode classifies a server-side failure so clients can tell

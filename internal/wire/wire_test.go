@@ -80,25 +80,20 @@ func TestFrameCorruption(t *testing.T) {
 
 func TestKeyCodec(t *testing.T) {
 	keys := []drbg.NodeKey{{}, {0}, {1, 2, 3}, {4294967295}}
-	for _, k := range keys {
-		data := AppendKey(nil, k)
-		got, rest, err := DecodeKey(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rest) != 0 || got.String() != k.String() {
-			t.Errorf("key %v round trip failed: %v", k, got)
-		}
-	}
 	list := AppendKeys(nil, keys)
 	got, rest, err := DecodeKeys(list)
 	if err != nil || len(rest) != 0 || len(got) != len(keys) {
 		t.Fatalf("keys list: %v %v %v", got, rest, err)
 	}
-	if _, _, err := DecodeKey([]byte{}); err == nil {
-		t.Error("empty key input accepted")
+	for i, k := range keys {
+		if got[i].String() != k.String() {
+			t.Errorf("key %v round trip failed: %v", k, got[i])
+		}
 	}
-	if _, _, err := DecodeKeys([]byte{0x02, 0x01}); err == nil {
+	if _, _, err := DecodeKeys([]byte{}); err == nil {
+		t.Error("empty key list input accepted")
+	}
+	if _, _, err := DecodeKeys([]byte{0x02, 0x00, 0x00, 0x01}); err == nil {
 		t.Error("truncated key list accepted")
 	}
 }
@@ -172,14 +167,15 @@ func TestHelloMessages(t *testing.T) {
 	}
 }
 
-// TestHelloRefusesOtherVersions: the handshake accepts exactly version 3,
-// compared as the full varint — 2^32+3 is not 3 — and nothing after it.
+// TestHelloRefusesOtherVersions: the handshake accepts exactly version 4,
+// compared as the full varint — 2^32+4 is not 4 — and nothing after it;
+// version 3, the keyed frames, is refused like any other.
 func TestHelloRefusesOtherVersions(t *testing.T) {
 	params, err := ring.MustFp(101).Params().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint64{0, 1, 2, 4, 1<<32 + 3, 1<<64 - 1} {
+	for _, v := range []uint64{0, 1, 2, 3, 5, 1<<32 + 4, 1<<64 - 1} {
 		hello := binary.AppendUvarint(nil, v)
 		if _, err := DecodeHello(hello); !errors.Is(err, ErrVersion) {
 			t.Errorf("hello of version %d: err = %v, want ErrVersion", v, err)
@@ -188,10 +184,10 @@ func TestHelloRefusesOtherVersions(t *testing.T) {
 			t.Errorf("hello ack of version %d: err = %v, want ErrVersion", v, err)
 		}
 	}
-	if _, err := DecodeHello([]byte{3, 0}); err == nil {
+	if _, err := DecodeHello([]byte{4, 0}); err == nil {
 		t.Error("hello with a trailing byte accepted")
 	}
-	ack := append(binary.AppendUvarint(nil, 3), params...)
+	ack := append(binary.AppendUvarint(nil, 4), params...)
 	if _, err := DecodeHelloAck(append(ack, 0)); err == nil {
 		t.Error("hello ack with a trailing byte accepted")
 	}
@@ -348,14 +344,14 @@ func TestV3RequestDeadlines(t *testing.T) {
 	zero := req
 	zero.TimeoutMillis = 0
 	noT := EncodeEvalReq(zero)
-	bare := AppendBigs(AppendKeys(binary.AppendUvarint(nil, 7), zero.Keys), zero.Points)
+	bare := AppendBigs(append(AppendKeys(binary.AppendUvarint(nil, 7), zero.Keys), 1), zero.Points)
 	if !bytes.Equal(noT, append(bare, 0, 0, 0)) {
 		t.Fatalf("zero budget encodes to %x, want the three fixed fields %x", noT, append(bare, 0, 0, 0))
 	}
 	if _, err := DecodeEvalReq(bare); err == nil {
 		t.Error("eval request without its fixed fields accepted")
 	}
-	if _, err := DecodeFetchReq(AppendKeys(binary.AppendUvarint(nil, 8), zero.Keys)); err == nil {
+	if _, err := DecodeFetchReq(append(AppendKeys(binary.AppendUvarint(nil, 8), zero.Keys), 1)); err == nil {
 		t.Error("fetch request without its fixed fields accepted")
 	}
 
