@@ -166,54 +166,72 @@
 // SetCounters and the cache counters remain, inert, only until the
 // benchmark stops calling them; the counters read 0.
 //
-// The key schedule (share stream generation 4, sharing.ShareLabel;
+// The key schedule (share stream generation 5, sharing.ShareLabel;
 // drbg.PointKeys):
 //
-//   - K_id and K_a, for every point a ∈ [1, p−1], are AES-256 keys:
-//     HMAC-SHA256(seed, "sss/client-share/v4" ‖ 0x01) and
-//     HMAC-SHA256(seed, "sss/client-share/v4" ‖ 0x02 ‖ uvarint(a)). A
-//     client derives each K_a once, on first use, into a table indexed by
-//     a.
+//   - K, K_id and K_a, for every point a ∈ [1, p−1], are AES-256 keys:
+//     HMAC-SHA256(seed, "sss/client-share/v5" ‖ 0x03),
+//     HMAC-SHA256(seed, "sss/client-share/v5" ‖ 0x01) and
+//     HMAC-SHA256(seed, "sss/client-share/v5" ‖ 0x02 ‖ uvarint(a)). A
+//     client derives K and K_id once and each K_a on first use.
 //   - A node's tag is the CBC-MAC under K_id of uvarint(len) ‖ path. The
 //     encoding is prefix-free, so CBC-MAC is a PRF on it; one block covers
 //     every path of up to 15 components below 128.
-//   - c_n(a) is the first accepted sample of the chain
-//     AES_{K_a}(tag_n[0:12] ‖ r), r = 0, 1, …: w-bit big-endian samples v
-//     with w = 8·⌈bitlen p / 8⌉, accepted when v < p·⌊2^w/p⌋ and kept
-//     mod p — fastfield's rule, under which field.Rand reading the chain as
-//     an io.Reader is the reference sampler. The first sample of block 0 is
-//     accepted but once in 2^16 draws on F_257.
+//   - The node's keystream is AES_K(tag_n[0:12] ‖ j), j = 0, 1, … a 32-bit
+//     counter. With w = ⌈bitlen p / 8⌉ bytes a sample and s = ⌊16/w⌋
+//     samples a block, c_n(a) for a = i+1 is the big-endian sample at
+//     offset 16·⌊i/s⌋ + w·(i mod s) — 8 a block on F_257, and a block's
+//     16 − s·w spare bytes unused — accepted when v < p·⌊2^{8w}/p⌋ and
+//     kept mod p: fastfield's rule. A node costs ⌈(p−1)/s⌉ blocks, 32 on
+//     F_257.
+//   - A rejected sample (once in 2^16 draws on F_257) falls back to its
+//     own stream: the sample followed by the chain AES_{K_a}(tag_n[0:12] ‖
+//     r), r = 0, 1, …, which field.Rand reads as an io.Reader — the
+//     reference sampler the word sampler is held to.
 //
-// Hiding. Every residue has exactly ⌊2^w/p⌋ accepted preimages, so c_n(a)
-// is exactly uniform on F_p given a uniform chain, and the chains of
-// distinct (node, point) pairs are independent outputs of AES under
-// independent keys on distinct inputs (distinct points use distinct keys;
-// distinct paths have distinct tags but with probability ≈ 2^−96 over the
-// 12 bytes used). A server share is values − pad: a uniform value vector,
-// which is a uniform ring element, as the coefficient-form share was. Keying
-// by point first is what the parked tag-scoped delegation needs: K_{map(t)}
-// alone evaluates every node's pad at the point of tag t and at no other.
-// The Z[x]/(r(x)) ring has no value form and keeps share stream v3 — a
-// drbg.Deriver.ForNode keystream per node — unchanged.
+// Hiding. Every residue has exactly ⌊2^{8w}/p⌋ accepted preimages, so
+// c_n(a) is exactly uniform on F_p given uniform bytes. Distinct (tag, j)
+// pairs are distinct AES inputs under K, so every sample of every node is
+// a distinct output of one pseudorandom permutation — indistinguishable
+// from independent uniform bytes until about 2^64 blocks. Distinct paths
+// have distinct tags but with probability ≈ 2^−96 over the 12 bytes used.
+// A fallback runs under its own independent key K_a, on its node's tag,
+// and the sample it replaces is one the sampler discarded. A server share
+// is values − pad: a uniform value vector, which is a uniform ring
+// element, as the coefficient-form share was. The Z[x]/(r(x)) ring has no
+// value form and keeps share stream v3 — a drbg.Deriver.ForNode keystream
+// per node — unchanged. Generation 4 keyed every point separately, which
+// let K_{map(t)} alone evaluate every node's pad at the point of tag t;
+// under one key a point's samples share blocks with other points', so
+// tag-scoped delegation has no construction here any more.
 //
-// What the choice cost, measured before it was made (a 2-core Xeon, Go
-// 1.24, F_257, a depth-5 key, 2 points, time per node):
+// What the choice cost, measured when generation 4 was chosen (a 2-core
+// Xeon, Go 1.24, F_257, a depth-5 key, 2 points, time per node):
 //
 //	client summand                                         cost
 //	pad miss (HMAC + CTR + RandVec) + 2 Horner passes      2.3 µs
 //	pad-LRU hit + 2 Horner passes                          0.85 µs
 //	share-eval-LRU hit                                     0.10 µs
 //	per-node AES key (HMAC + key schedule) + 2 blocks      0.42 µs
-//	per-point subkeys, CBC-MAC tag + 2 blocks (chosen)     0.08 µs
+//	per-point subkeys, CBC-MAC tag + 2 blocks (v4)         0.08 µs
 //	single key, AES_K(tag ‖ a)                             0.13 µs
 //
-// The server's two values of a node cost 5 ns as slab reads, against
-// 0.21 µs for two eval-LRU hits or 0.85 µs of Horner. The write path pays
-// p−1 blocks a node (2.1 µs on F_257, where a coefficient pad was 1.6 µs
-// plus the NTT encode), and a block's input is the node's tag, written once,
-// so consecutive blocks under consecutive point keys do not wait on each
-// other. The `query_fp_tcp` and `serve_hot` workloads of BENCHMARK.json
-// measure the read path, `outsource` the write path.
+// The single-key row wrote each block's counter into one input buffer
+// just before its Encrypt, which stalls on the store. Generation 5 writes
+// every block input of a key first, then encrypts them in place
+// (drbg.Blocks), and a summand costs what a v4 summand did:
+// BenchmarkEvalShareWordsPerKey reads 115–123 ns a key on both layouts in
+// interleaved runs on the same 2-core Xeon. The server's
+// two values of a node cost 5 ns as slab reads, against 0.21 µs for two
+// eval-LRU hits or 0.85 µs of Horner. The write path is one fused kernel
+// a node (package sharing, pads.split): the tag, the node's 32 keystream
+// blocks into per-worker scratch, then one pass that samples, reduces with
+// one fastmod, subtracts and packs the share — where v4 paid 256
+// single-block calls under 256 keys. BenchmarkSplitPerNode (a 2,000-node
+// F_257 document, one worker, the same 2-core Xeon) reads about 3.3 µs a
+// node, against about 10 µs for v4. The `query_fp_tcp` and `serve_hot`
+// workloads of BENCHMARK.json measure the read path, `outsource` the
+// write path.
 //
 // # Concurrency & batching knobs
 //
@@ -325,9 +343,9 @@
 // work" for the key schedule); on RingZ it is a polynomial drawn from the
 // node's stream: node key = HMAC-SHA256(seed, label ‖ 0x00 ‖ path), stream =
 // the AES-256-CTR keystream under that key with a zero IV (package drbg).
-// Both draw through one sampler rule (fastfield.RandVec and Sample on
-// words, field.Rand on big.Int): w = 8·⌈bitlen p/8⌉-bit big-endian samples
-// v, v < p·⌊2^w/p⌋ accepted and kept mod p. Every residue has exactly
+// Both draw through one sampler rule (fastfield.RandVec and the write
+// kernel on words, field.Rand on big.Int): w = 8·⌈bitlen p/8⌉-bit
+// big-endian samples v, v < p·⌊2^w/p⌋ accepted and kept mod p. Every residue has exactly
 // ⌊2^w/p⌋ accepted preimages, so a pad is exactly uniform and an additive
 // share hides its element information-theoretically; acceptance is
 // 65535/65536 on F_257 and never below 1/2. A chain's and a stream's bytes
@@ -336,9 +354,10 @@
 // regenerate the same pads, and a store split on the fast path can be
 // queried under SetFast(false).
 //
-// This is share-stream generation 4 (sharing.ShareLabel): generation 3 drew
-// coefficient pads from the per-node keystream on every ring, generation 2
-// from an HMAC_DRBG. The store magics carry the generation, older files are
+// This is share-stream generation 5 (sharing.ShareLabel): generation 4
+// drew each value pad from its own chain under a key per point,
+// generation 3 coefficient pads from the per-node keystream on every ring,
+// generation 2 from an HMAC_DRBG. The store magics carry the generation, older files are
 // refused by name (store.ErrOldGeneration) and migrate by re-outsourcing.
 //
 // # Read path
@@ -561,8 +580,10 @@
 // sharing.MultiSplit's k-of-n Shamir share generation runs in the value
 // form and on the same bounded worker pool as Split: one 32-byte mask seed
 // is drawn from the caller's rng up front, every node's mask vectors then
-// derive from that node's own path-keyed DRBG stream, and the n share
-// vectors are built in one vectorized pass per node
+// come off that node's own chain — AES_{K_m}(tag_m[0:12] ‖ j), the share
+// stream v5 construction under keys derived once from the mask seed
+// (sharing.MultiShareLabel) — and the n share vectors are built in one
+// vectorized pass per node
 // (precomputed evaluation-point powers via ScalarMulAddVec). The
 // determinism contract matches Split's: MultiSplitWithOpts is
 // byte-identical at every Parallelism setting to MultiSplitSequential,

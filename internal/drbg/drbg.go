@@ -11,11 +11,14 @@
 // A node's stream is the AES-256-CTR keystream, zero IV, under the key
 // HMAC-SHA256(seed, label ‖ 0x00 ‖ path): one HMAC per node and one AES
 // block per 16 bytes, and bytes that do not depend on how the reader
-// chunks its reads. That is what a coefficient pad draws from.
+// chunks its reads. That is what a coefficient pad (the Z ring) draws
+// from.
 //
-// A value-form pad is drawn point by point instead, from a short chain per
-// (node, point) under a key per point (PointKeys): what a client adds to
-// one server value is one AES block.
+// A value-form pad is read off the node's chain under one key instead
+// (PointKeys): the blocks AES_K(tag ‖ j) of a node tag, several point
+// samples a block. A client writes a node's whole keystream in one call
+// (Blocks), and what it adds to one server value is one AES block; a
+// rejected sample falls back to a chain under a key of its point.
 package drbg
 
 import (

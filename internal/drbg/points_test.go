@@ -16,6 +16,18 @@ import (
 // as a CBC-MAC over the zero-padded uvarint(len) ‖ path, and block r the
 // encryption of tag[0:12] ‖ r.
 func refPointChain(seed Seed, label string, key NodeKey, a uint64, n int) []byte {
+	return refChain(seed, label, binary.AppendUvarint([]byte{0x02}, a), key, n)
+}
+
+// refNodeStream is refPointChain for the node keystream: the chain under
+// K = HMAC-SHA256(seed, label ‖ 0x03).
+func refNodeStream(seed Seed, label string, key NodeKey, n int) []byte {
+	return refChain(seed, label, []byte{0x03}, key, n)
+}
+
+// refChain is the first n bytes of the chain of key under the AES key
+// HMAC-SHA256(seed, label ‖ sub).
+func refChain(seed Seed, label string, sub []byte, key NodeKey, n int) []byte {
 	keyed := func(msg []byte) []byte {
 		mac := hmac.New(sha256.New, seed[:])
 		mac.Write([]byte(label))
@@ -26,7 +38,7 @@ func refPointChain(seed Seed, label string, key NodeKey, a uint64, n int) []byte
 	if err != nil {
 		panic(err)
 	}
-	point, err := aes.NewCipher(keyed(binary.AppendUvarint([]byte{0x02}, a)))
+	chainKey, err := aes.NewCipher(keyed(sub))
 	if err != nil {
 		panic(err)
 	}
@@ -50,7 +62,7 @@ func refPointChain(seed Seed, label string, key NodeKey, a uint64, n int) []byte
 		var in, blk [aes.BlockSize]byte
 		copy(in[:12], tag[:12])
 		binary.BigEndian.PutUint32(in[12:], r)
-		point.Encrypt(blk[:], in[:])
+		chainKey.Encrypt(blk[:], in[:])
 		out = append(out, blk[:]...)
 	}
 	return out[:n]
@@ -61,7 +73,11 @@ func refPointChain(seed Seed, label string, key NodeKey, a uint64, n int) []byte
 func chain(k *PointKeys, key NodeKey, a uint64, n int) []byte {
 	var tag [aes.BlockSize]byte
 	k.Tag(&tag, key)
-	c := NewChain(k.Point(a), &tag)
+	return readPattern(NewChain(k.Point(a), &tag), n)
+}
+
+// readPattern reads n bytes of c in the katReads pattern.
+func readPattern(c *Chain, n int) []byte {
 	var got []byte
 	for len(got) < n {
 		for _, m := range katReads {
@@ -73,15 +89,20 @@ func chain(k *PointKeys, key NodeKey, a uint64, n int) []byte {
 	return got[:n]
 }
 
-// readChain is chain, checking that FirstBlock is the chain's head.
+// readChain is chain, checking that Blocks writes the chain's blocks.
 func readChain(t *testing.T, k *PointKeys, key NodeKey, a uint64, n int) []byte {
 	t.Helper()
-	got := chain(k, key, a, max(n, aes.BlockSize))
-	var tag, first [aes.BlockSize]byte
+	got := chain(k, key, a, max(n, 3*aes.BlockSize))
+	var tag [aes.BlockSize]byte
 	k.Tag(&tag, key)
-	FirstBlock(k.Point(a), &tag, &first)
-	if !bytes.Equal(first[:], got[:aes.BlockSize]) {
-		t.Fatalf("key %v point %d: FirstBlock is not the chain's first block", key, a)
+	head := make([]byte, 3*aes.BlockSize)
+	Blocks(k.Point(a), &tag, []uint32{0, 1, 2}, head)
+	if !bytes.Equal(head, got[:len(head)]) {
+		t.Fatalf("key %v point %d: Blocks 0, 1, 2 are not the chain's head", key, a)
+	}
+	Blocks(k.Point(a), &tag, []uint32{2, 0}, head[:2*aes.BlockSize])
+	if !bytes.Equal(head[:aes.BlockSize], got[2*aes.BlockSize:3*aes.BlockSize]) || !bytes.Equal(head[aes.BlockSize:2*aes.BlockSize], got[:aes.BlockSize]) {
+		t.Fatalf("key %v point %d: Blocks are not the chain's blocks", key, a)
 	}
 	return got[:n]
 }
@@ -98,6 +119,45 @@ func TestPointChainMatchesReference(t *testing.T) {
 				for _, a := range []uint64{1, 2, 127, 128, 256, 1 << 20} {
 					if got, want := readChain(t, k, key, a, 100), refPointChain(testSeed(seed), label, key, a, 100); !bytes.Equal(got, want) {
 						t.Fatalf("seed %d label %q key %v point %d: the chain differs from its definition", seed, label, key, a)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNodeKeystreamMatchesReference: the share stream v5 keystream of a
+// node — NodeChain read in the katReads pattern, and Blocks after the
+// node's tag, in order and not — reproduces its definition byte for byte.
+func TestNodeKeystreamMatchesReference(t *testing.T) {
+	long := make(NodeKey, 30) // 151 bytes of path: past Tag's buffer
+	for i := range long {
+		long[i] = 1<<31 + uint32(i)
+	}
+	keys := []NodeKey{nil, {0}, {1, 2}, {256, 1 << 31, 7, 0, 0, 3}, make(NodeKey, 40), long}
+	for seed := byte(0); seed < 3; seed++ {
+		for _, label := range []string{"", "sss/client-share/v5"} {
+			k := NewPointKeys(testSeed(seed), label, 0)
+			for _, key := range keys {
+				want := refNodeStream(testSeed(seed), label, key, 40*aes.BlockSize)
+				if got := readPattern(k.NodeChain(key), len(want)); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d label %q key %v: NodeChain differs from its definition", seed, label, key)
+				}
+				var tag [aes.BlockSize]byte
+				k.Tag(&tag, key)
+				got := make([]byte, len(want))
+				seq := make([]uint32, len(want)/aes.BlockSize)
+				for j := range seq {
+					seq[j] = uint32(j)
+				}
+				Blocks(k.Node(), &tag, seq, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %d label %q key %v: the keystream differs from its definition", seed, label, key)
+				}
+				Blocks(k.Node(), &tag, []uint32{39, 7, 7}, got[:3*aes.BlockSize])
+				for i, j := range []int{39, 7, 7} {
+					if !bytes.Equal(got[i*aes.BlockSize:(i+1)*aes.BlockSize], want[j*aes.BlockSize:(j+1)*aes.BlockSize]) {
+						t.Fatalf("seed %d label %q key %v: Blocks[%d] is not block %d", seed, label, key, i, j)
 					}
 				}
 			}

@@ -18,7 +18,7 @@
 //     pass over a polynomial, serving all active query points at once.
 //   - RandVec draws a uniform vector from an io.Reader with the same
 //     accept-and-reduce sampling as field.(*Field).Rand, but reading the
-//     stream in bulk; Sample applies the rule to one block's first sample.
+//     stream in bulk.
 //
 // Callers fall back to the math/big path (package field / poly) whenever
 // the modulus exceeds MaxModulusBits or the ring is not a prime field
@@ -401,17 +401,6 @@ func (f *Field) RandVec(r io.Reader, dst []uint64) error {
 		}
 	}
 	return nil
-}
-
-// Sample applies the rule of RandVec to the first sample of buf, which
-// must extend eight bytes past it (a 16-byte cipher block does): ok is
-// false when that sample is rejected.
-func (f *Field) Sample(buf []byte) (v uint64, ok bool) {
-	v = binary.BigEndian.Uint64(buf) >> (uint(64-8*f.sampleBytes) & 63)
-	if v >= f.sampleLimit {
-		return 0, false
-	}
-	return mred(v, f.one, f.p, f.pInv), true // v mod p: one is R mod p
 }
 
 // accept runs the first count samples of buf through the rule of RandVec,

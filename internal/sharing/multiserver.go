@@ -42,10 +42,15 @@ import (
 // schedule — cannot leak into the output: MultiShare is byte-identical to
 // MultiShareSequential at every Parallelism setting.
 //
-// v2 moved with share stream v3: every node's masks come off its own
+// v2 moved with share stream v3: every node's masks came off its own
 // ForNode keystream through the bulk sampler. Since share stream v4 they
 // mask value vectors, which are as uniform as coefficient vectors were.
-const MultiShareLabel = "sss/shamir-share/v2"
+//
+// v3 moved with share stream v5: a node's masks are read off the chain of
+// its tag under one key (drbg.PointKeys.NodeChain), K_m and the tag key
+// derived once from the mask seed, where v2 paid an HMAC and an AES key
+// schedule a node.
+const MultiShareLabel = "sss/shamir-share/v3"
 
 // ServerShare is one server's share tree plus its Shamir evaluation point.
 type ServerShare struct {
@@ -115,7 +120,7 @@ func MultiSplitSequential(enc *polyenc.Tree, seed drbg.Seed, k, n int, rng io.Re
 // X = j+1 in the returned order.
 //
 // rng is read exactly once, for a 32-byte mask seed; every node's Shamir
-// mask vectors then come from the node's own path-keyed stream
+// mask vectors then come from the node's own tag-keyed chain
 // (MultiShareLabel), drawn through the bulk sampler. On fast-path rings
 // the share arithmetic is vectorized — share_j = rest + Σ_d mask_d·(j^d)
 // in one fused scalar-multiply-add pass per mask — and subtrees are
@@ -128,18 +133,18 @@ func MultiShare(r ring.Ring, rest *Tree, k, n int, rng io.Reader) ([]ServerShare
 
 // MultiShareWithOpts is MultiShare with an explicit parallelism bound.
 func MultiShareWithOpts(r ring.Ring, rest *Tree, k, n int, rng io.Reader, o MultiOpts) ([]ServerShare, error) {
-	fpRing, d, err := multiShareSetup(r, rest, k, n, rng)
+	fpRing, mk, err := multiShareSetup(r, rest, k, n, rng)
 	if err != nil {
 		return nil, err
 	}
 	rest = ValueTree(fpRing, rest)
 	if fpRing.Fast() == nil {
-		return multiShareSequential(fpRing, d, rest, k, n)
+		return multiShareSequential(fpRing, mk, rest, k, n)
 	}
 	m := &multiSharer{
 		fp:   fpRing,
 		ff:   fpRing.Fast(),
-		d:    d,
+		mk:   mk,
 		rest: rest,
 		k:    k,
 		n:    n,
@@ -165,16 +170,16 @@ func MultiShareWithOpts(r ring.Ring, rest *Tree, k, n int, rng io.Reader, o Mult
 // the differential anchor for both the vectorized share arithmetic and
 // the parallel schedule.
 func MultiShareSequential(r ring.Ring, rest *Tree, k, n int, rng io.Reader) ([]ServerShare, error) {
-	fpRing, d, err := multiShareSetup(r, rest, k, n, rng)
+	fpRing, mk, err := multiShareSetup(r, rest, k, n, rng)
 	if err != nil {
 		return nil, err
 	}
-	return multiShareSequential(fpRing, d, ValueTree(fpRing, rest), k, n)
+	return multiShareSequential(fpRing, mk, ValueTree(fpRing, rest), k, n)
 }
 
-// multiShareSetup validates the arguments and derives the mask-stream
-// deriver from one 32-byte read of rng.
-func multiShareSetup(r ring.Ring, rest *Tree, k, n int, rng io.Reader) (*ring.FpCyclotomic, *drbg.Deriver, error) {
+// multiShareSetup validates the arguments and derives the mask keys from
+// one 32-byte read of rng.
+func multiShareSetup(r ring.Ring, rest *Tree, k, n int, rng io.Reader) (*ring.FpCyclotomic, *drbg.PointKeys, error) {
 	if rest == nil || rest.Root == nil {
 		return nil, nil, errors.New("sharing: nil share tree")
 	}
@@ -191,7 +196,7 @@ func multiShareSetup(r ring.Ring, rest *Tree, k, n int, rng io.Reader) (*ring.Fp
 	if _, err := io.ReadFull(rng, maskSeed[:]); err != nil {
 		return nil, nil, fmt.Errorf("sharing: reading mask seed: %w", err)
 	}
-	return fpRing, drbg.NewDeriver(maskSeed, MultiShareLabel), nil
+	return fpRing, drbg.NewPointKeys(maskSeed, MultiShareLabel, 0), nil
 }
 
 // shamirPointPowers precomputes the Montgomery form of (j+1)^d for every
@@ -223,7 +228,7 @@ func wrapServerShares(roots []*Node, width int) []ServerShare {
 type multiSharer struct {
 	fp   *ring.FpCyclotomic
 	ff   *fastfield.Field
-	d    *drbg.Deriver
+	mk   *drbg.PointKeys
 	rest *Tree
 	k, n int
 	pool *parwalk.Pool
@@ -260,7 +265,7 @@ func (m *multiSharer) walk(src *Node, key drbg.NodeKey, outs []*Node) {
 // the node's own stream, then share_j = rest + Σ_d mask_d·(j+1)^d as fused
 // scalar-multiply-add passes.
 func (m *multiSharer) fill(src *Node, key drbg.NodeKey, outs []*Node) error {
-	masks, err := drawMasks(m.fp, m.d, key, m.k)
+	masks, err := drawMasks(m.fp, m.mk, key, m.k)
 	if err != nil {
 		return err
 	}
@@ -280,11 +285,11 @@ func (m *multiSharer) fill(src *Node, key drbg.NodeKey, outs []*Node) error {
 	return nil
 }
 
-// drawMasks draws the node's k−1 Shamir mask vectors from its path-keyed
-// stream, in bulk, in ascending degree order — the consumption pattern
-// both MultiShare and MultiShareSequential share.
-func drawMasks(fp *ring.FpCyclotomic, d *drbg.Deriver, key drbg.NodeKey, k int) ([][]uint64, error) {
-	stream := d.ForNode(key)
+// drawMasks draws the node's k−1 Shamir mask vectors from its chain, in
+// bulk, in ascending degree order — the consumption pattern both
+// MultiShare and MultiShareSequential share.
+func drawMasks(fp *ring.FpCyclotomic, mk *drbg.PointKeys, key drbg.NodeKey, k int) ([][]uint64, error) {
+	stream := mk.NodeChain(key)
 	masks := make([][]uint64, k-1)
 	for i := range masks {
 		masks[i] = make([]uint64, fp.DegreeBound())
@@ -300,8 +305,8 @@ func drawMasks(fp *ring.FpCyclotomic, d *drbg.Deriver, key drbg.NodeKey, k int) 
 // fast-path rings the masks come from the same bulk draws as the parallel
 // walk; with the fast path off ring.Rand draws the same masks one value at
 // a time (see MultiShare).
-func multiShareSequential(fp *ring.FpCyclotomic, d *drbg.Deriver, rest *Tree, k, n int) ([]ServerShare, error) {
-	roots, err := multiShareNodeRef(fp, d, rest, rest.Root, drbg.NodeKey{}, k, n)
+func multiShareSequential(fp *ring.FpCyclotomic, mk *drbg.PointKeys, rest *Tree, k, n int) ([]ServerShare, error) {
+	roots, err := multiShareNodeRef(fp, mk, rest, rest.Root, drbg.NodeKey{}, k, n)
 	if err != nil {
 		return nil, err
 	}
@@ -309,13 +314,13 @@ func multiShareSequential(fp *ring.FpCyclotomic, d *drbg.Deriver, rest *Tree, k,
 }
 
 // multiShareNodeRef returns the n per-server images of the subtree at src.
-func multiShareNodeRef(fp *ring.FpCyclotomic, d *drbg.Deriver, rest *Tree, src *Node, key drbg.NodeKey, k, n int) ([]*Node, error) {
+func multiShareNodeRef(fp *ring.FpCyclotomic, mk *drbg.PointKeys, rest *Tree, src *Node, key drbg.NodeKey, k, n int) ([]*Node, error) {
 	bound := fp.DegreeBound()
 	f := fp.Field()
 	// Mask values as big.Ints: masks[deg][i].
 	masks := make([][]*big.Int, k-1)
 	if fp.Fast() != nil {
-		vecs, err := drawMasks(fp, d, key, k)
+		vecs, err := drawMasks(fp, mk, key, k)
 		if err != nil {
 			return nil, fmt.Errorf("sharing: node %s: %w", key, err)
 		}
@@ -326,7 +331,7 @@ func multiShareNodeRef(fp *ring.FpCyclotomic, d *drbg.Deriver, rest *Tree, src *
 			}
 		}
 	} else {
-		stream := d.ForNode(key)
+		stream := mk.NodeChain(key)
 		for deg := range masks {
 			pad, err := fp.Rand(stream)
 			if err != nil {
@@ -354,7 +359,7 @@ func multiShareNodeRef(fp *ring.FpCyclotomic, d *drbg.Deriver, rest *Tree, src *
 		nodes[j] = &Node{Vals: valueBytes(rest.Width, share)}
 	}
 	for i, c := range src.Children {
-		childNodes, err := multiShareNodeRef(fp, d, rest, c, key.Child(uint32(i)), k, n)
+		childNodes, err := multiShareNodeRef(fp, mk, rest, c, key.Child(uint32(i)), k, n)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,9 @@ package sharing
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/sha256"
+	"io"
 	"math/big"
 	"slices"
 	"testing"
@@ -113,16 +115,27 @@ func TestSplitPackedMatchesBigIntReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		pd, f, w := newPads(slow, seed), slow.Field(), ValueWidth(fast)
+		s := 16 / w // samples a keystream block
 		ref.Walk(func(key drbg.NodeKey, n *polyenc.Node) bool {
-			buf := new(padBuf)
-			pd.keys.Tag(&buf.tag, key)
+			tag := new([aes.BlockSize]byte)
+			pd.keys.Tag(tag, key)
+			ks := make([]byte, (int(p-1)+s-1)/s*aes.BlockSize)
+			if _, err := io.ReadFull(drbg.NewChain(pd.keys.Node(), tag), ks); err != nil {
+				t.Fatal(err)
+			}
 			want := make([]byte, 0, int(p-1)*w)
 			for a := uint64(1); a < p; a++ {
 				v, err := slow.Eval(n.Poly, new(big.Int).SetUint64(a))
 				if err != nil {
 					t.Fatal(err)
 				}
-				share := f.Sub(v, padBig(f, pd.keys.Point(a), &buf.tag)).Uint64()
+				i := int(a - 1)
+				at := aes.BlockSize*(i/s) + w*(i%s)
+				pad, err := f.Rand(io.MultiReader(bytes.NewReader(ks[at:at+w]), drbg.NewChain(pd.keys.Point(a), tag)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				share := f.Sub(v, pad).Uint64()
 				for j := 0; j < w; j++ {
 					want = append(want, byte(share>>(8*j)))
 				}

@@ -20,7 +20,7 @@
 package sharing
 
 import (
-	"crypto/cipher"
+	"crypto/aes"
 	"errors"
 	"fmt"
 	"math/big"
@@ -233,43 +233,31 @@ func SplitWithOpts(enc *polyenc.Tree, seed drbg.Seed, o SplitOpts) (*Tree, error
 	if enc == nil || enc.Root == nil {
 		return nil, errors.New("sharing: nil encoded tree")
 	}
-	s := newSplitter(enc.Ring, seed, true)
-	s.pool = parwalk.New(o.Parallelism)
-	out := &Tree{Root: &Node{}, Width: s.width}
-	s.walk(enc.Root, drbg.NodeKey{}, out.Root)
-	if err := s.pool.Wait(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return newSplitter(enc.Ring, seed, true).split(enc.Root, o.Parallelism)
 }
 
 // SplitSequential is the sequential big.Int reference of Split: on F_p
-// every pad value is drawn by field.Rand reading its chain and subtracted
-// in big.Int, on a plain recursive walk. It is the differential-test
-// anchor; production callers use Split. Both derive identical pads — a
-// pad depends on its node alone — so the trees match byte for byte.
+// every pad value is drawn by field.Rand reading its sample and fallback
+// chain and subtracted in big.Int, on a plain recursive walk. It is the
+// differential-test anchor; production callers use Split. Both derive
+// identical pads — a pad depends on its node alone — so the trees match
+// byte for byte.
 func SplitSequential(enc *polyenc.Tree, seed drbg.Seed) (*Tree, error) {
 	if enc == nil || enc.Root == nil {
 		return nil, errors.New("sharing: nil encoded tree")
 	}
-	s := newSplitter(enc.Ring, seed, false)
-	root, err := s.walkSequential(enc.Root, drbg.NodeKey{})
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{Root: root, Width: s.width}, nil
+	return newSplitter(enc.Ring, seed, false).sequential(enc.Root)
 }
 
 // splitter is one split run.
 type splitter struct {
-	r      ring.Ring
-	d      *drbg.Deriver // coefficient pads
-	fp     *ring.FpCyclotomic
-	ff     *fastfield.Field // word arithmetic; nil: the big.Int reference
-	pads   *pads
-	points []cipher.Block // every point's key, for the word path
-	width  int
-	pool   *parwalk.Pool
+	r     ring.Ring
+	d     *drbg.Deriver // coefficient pads
+	fp    *ring.FpCyclotomic
+	ff    *fastfield.Field // word arithmetic; nil: the big.Int reference
+	pads  *pads
+	width int
+	pool  *parwalk.Pool
 }
 
 // newSplitter prepares a split over r; words selects the word path where
@@ -282,14 +270,30 @@ func newSplitter(r ring.Ring, seed drbg.Seed, words bool) *splitter {
 		return s
 	}
 	s.fp, s.pads, s.width = fp, newPads(fp, seed), ValueWidth(fp)
-	if words && fp.Fast() != nil {
+	if words {
 		s.ff = fp.Fast()
-		s.points = make([]cipher.Block, fp.DegreeBound())
-		for i := range s.points {
-			s.points[i] = s.pads.keys.Point(uint64(i + 1))
-		}
 	}
 	return s
+}
+
+// split runs the parallel walk on a pool of par workers.
+func (s *splitter) split(root *polyenc.Node, par int) (*Tree, error) {
+	s.pool = parwalk.New(par)
+	out := &Tree{Root: &Node{}, Width: s.width}
+	s.walk(root, drbg.NodeKey{}, out.Root)
+	if err := s.pool.Wait(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// sequential runs the plain recursive walk.
+func (s *splitter) sequential(root *polyenc.Node) (*Tree, error) {
+	out, err := s.walkSequential(root, drbg.NodeKey{})
+	if err != nil {
+		return nil, err
+	}
+	return &Tree{Root: out, Width: s.width}, nil
 }
 
 func (s *splitter) walk(n *polyenc.Node, key drbg.NodeKey, out *Node) {
@@ -345,15 +349,11 @@ func (s *splitter) fill(n *polyenc.Node, key drbg.NodeKey, out *Node) error {
 		return fmt.Errorf("%d values on a ring of %d points", len(vals), s.fp.DegreeBound())
 	}
 	if s.ff != nil {
-		buf := new(padBuf)
-		s.pads.keys.Tag(&buf.tag, key)
 		out.Vals = make([]byte, len(vals)*s.width)
-		for i, v := range vals {
-			putValue(out.Vals, s.width, i, s.ff.Sub(v, padWord(s.ff, s.points[i], buf)))
-		}
+		s.pads.split(s.ff, out.Vals, vals, key)
 		return nil
 	}
-	share := s.pads.vector(key, nil) // the pad, overwritten by the share
+	share := s.pads.refVector(key) // the pad, overwritten by the share
 	f := s.fp.Field()
 	for i, v := range vals {
 		share[i] = f.Sub(new(big.Int).SetUint64(v), new(big.Int).SetUint64(share[i])).Uint64()
@@ -364,8 +364,8 @@ func (s *splitter) fill(n *polyenc.Node, key drbg.NodeKey, out *Node) error {
 
 // SeedClient regenerates client shares from the seed alone — the §4.2
 // "store only the random seed" mode. On F_p a summand is one block cipher
-// call (see pads): there is nothing to cache, and the client keeps only its
-// point keys, derived once each. Safe for concurrent use.
+// call (see pads): there is nothing to cache, and the client keeps only
+// its key schedule. Safe for concurrent use.
 type SeedClient struct {
 	r    ring.Ring
 	fp   *ring.FpCyclotomic // non-nil on F_p: value-domain pads
@@ -396,13 +396,20 @@ func (c *SeedClient) SetShareCacheNodes(int) {}
 func (c *SeedClient) Ring() ring.Ring { return c.r }
 
 // PackedShare implements PackedShareSource: on F_p the node's pad at every
-// point — its client share in the value form — through the word sampler,
-// or the reference sampler with the fast path off; ok=false elsewhere.
+// point — its client share in the value form — through the write kernel's
+// word sampler, or the reference sampler with the fast path off;
+// ok=false elsewhere.
 func (c *SeedClient) PackedShare(key drbg.NodeKey) ([]uint64, bool, error) {
 	if c.fp == nil {
 		return nil, false, nil
 	}
-	return c.pads.vector(key, c.fp.Fast()), true, nil
+	ff := c.fp.Fast()
+	if ff == nil {
+		return c.pads.refVector(key), true, nil
+	}
+	out := make([]uint64, c.pads.n)
+	c.pads.words(ff, out, key)
+	return out, true, nil
 }
 
 // Share regenerates the client share of the given node: on F_p its value
@@ -439,39 +446,37 @@ func (c *SeedClient) EvalShares(key drbg.NodeKey, points []*big.Int) ([]*big.Int
 	if c.fp.Fast() != nil {
 		return boxedRow(c, key, points)
 	}
-	buf := new(padBuf)
-	c.pads.keys.Tag(&buf.tag, key)
+	tag := new([aes.BlockSize]byte)
+	c.pads.keys.Tag(tag, key)
 	out := make([]*big.Int, len(points))
 	for j, p := range points {
 		x, err := c.fp.PackPoint(p)
 		if err != nil {
 			return nil, err
 		}
-		out[j] = padBig(c.fp.Field(), c.pads.keys.Point(x), &buf.tag)
+		out[j] = c.pads.refPad(tag, x)
 	}
 	return out, nil
 }
 
-// EvalShareWords implements WordSource: the point keys of the block are
-// looked up once, and each key's summand at a point is one block of its
-// chain — c_n(a) itself, the pad's value at a.
+// EvalShareWords implements WordSource: where each point's sample sits is
+// worked out once a call, and each key's summand at a point is then one
+// block of its keystream — c_n(a) itself, the pad's value at a — or one
+// block for every point whose sample it holds.
 func (c *SeedClient) EvalShareWords(dst []uint64, keys []drbg.NodeKey, points []*big.Int) (int, bool, error) {
 	if c.fp == nil || c.fp.Fast() == nil {
 		return 0, false, nil
 	}
 	ff := c.fp.Fast()
-	blocks, err := c.pads.pointKeys(c.fp, points)
+	e, err := c.pads.evalPlan(c.fp, points)
 	if err != nil {
 		return 0, true, err
 	}
 	np := len(points)
-	buf := new(padBuf)
 	for i, key := range keys {
-		c.pads.keys.Tag(&buf.tag, key)
-		for j, b := range blocks {
-			dst[i*np+j] = padWord(ff, b, buf)
-		}
+		c.pads.eval(ff, e, key, dst[i*np:(i+1)*np])
 	}
+	c.pads.evals.Put(e)
 	return len(keys), true, nil
 }
 

@@ -12,7 +12,8 @@ import (
 
 // TestOldGenerationRefused: every file that carries shares or the seed is
 // tied to the share-stream generation, and a loader handed an older one —
-// generation 3's coefficient stores included — says so by name instead of
+// generation 3's coefficient stores and whole generation-4 server, client
+// and shard files (per-point pads) included — says so by name instead of
 // "bad magic". A digit this build does not know yet, or another stem,
 // stays a plain ErrBadFormat.
 func TestOldGenerationRefused(t *testing.T) {
@@ -36,17 +37,17 @@ func TestOldGenerationRefused(t *testing.T) {
 		last  string // the magic this kind carried before the move
 		read  func([]byte) error
 	}{
-		{"server", server.Bytes(), 7, "SSSTORE3", func(b []byte) error { _, _, err := ReadServer(b); return err }},
-		{"client", client.Bytes(), 6, "SSCLNT3\x00", func(b []byte) error { _, err := ReadClient(b); return err }},
-		{"shard", shardFile.Bytes(), 6, "SSSHRD3\x00", func(b []byte) error { _, _, _, _, err := ReadShard(b); return err }},
+		{"server", server.Bytes(), 7, "SSSTORE4", func(b []byte) error { _, _, err := ReadServer(b); return err }},
+		{"client", client.Bytes(), 6, "SSCLNT4\x00", func(b []byte) error { _, err := ReadClient(b); return err }},
+		{"shard", shardFile.Bytes(), 6, "SSSHRD4\x00", func(b []byte) error { _, _, _, _, err := ReadShard(b); return err }},
 	} {
 		if err := tc.read(tc.file); err != nil {
 			t.Fatalf("%s: current generation refused: %v", tc.kind, err)
 		}
-		if tc.file[tc.digit] != '4' {
-			t.Fatalf("%s: magic %q is not at generation 4", tc.kind, tc.file[:8])
+		if tc.file[tc.digit] != '5' {
+			t.Fatalf("%s: magic %q is not at generation 5", tc.kind, tc.file[:8])
 		}
-		for g := byte('1'); g < '4'; g++ {
+		for g := byte('1'); g < '5'; g++ {
 			old := append([]byte(nil), tc.file...)
 			old[tc.digit] = g
 			err := tc.read(old)
@@ -62,7 +63,7 @@ func TestOldGenerationRefused(t *testing.T) {
 			t.Fatalf("%s: magic %q alone: %v, want ErrOldGeneration", tc.kind, tc.last, err)
 		}
 		for _, mutate := range []func(b []byte){
-			func(b []byte) { b[tc.digit] = '5' },
+			func(b []byte) { b[tc.digit] = '6' },
 			func(b []byte) { b[tc.digit] = '0' },
 			func(b []byte) { b[0] = 'X'; b[tc.digit] = '2' },
 		} {

@@ -16,7 +16,7 @@ import (
 
 // This file persists the sharded-deployment artifacts:
 //
-//   - shard stores ("SSSHRD4\0" files, at the share-stream generation
+//   - shard stores ("SSSHRD5\0" files, at the share-stream generation
 //     of store.go): one shard's slice of a partitioned share tree — shard
 //     id + routing manifest + ring parameters + tree — everything a
 //     daemon needs to serve the shard and reject out-of-range keys;
@@ -27,7 +27,7 @@ import (
 // fields, trailing CRC32, atomic writes.
 
 var (
-	shardMagic    = []byte("SSSHRD4\x00")
+	shardMagic    = []byte("SSSHRD5\x00")
 	manifestMagic = []byte("SSMANF1\x00")
 )
 

@@ -1,9 +1,9 @@
 // Package store persists the scheme's durable artifacts:
 //
 //   - server share stores: ring parameters + share tree, CRC-protected
-//     ("SSSTORE4" files) — what an outsourcing provider keeps on disk;
+//     ("SSSTORE5" files) — what an outsourcing provider keeps on disk;
 //   - client state: seed + private tag mapping + ring parameters
-//     ("SSCLNT4\0" files) — the client's entire secret material, which is
+//     ("SSCLNT5\0" files) — the client's entire secret material, which is
 //     all a client needs to query any number of servers.
 //
 // Formats are versioned by magic and fully length-checked on load; a
@@ -37,6 +37,14 @@
 // count above the nodes left, a slab width that does not match p, a
 // truncated slab and a value at or above p. Z[x]/(r(x)) trees keep their
 // polynomials in the same layout.
+//
+// Generation 5 keeps that layout byte for byte and changes only what the
+// values mean: share stream v5 (sharing.ShareLabel) reads a node's pads
+// off one keystream under one key, several samples a cipher block, where
+// v4 drew each from its own chain under a key per point. A generation-4
+// store and key still load as files but no longer cancel, so they are
+// refused by name — re-outsource to migrate. The headers keep their
+// lengths, so store_bytes_per_node is unchanged.
 package store
 
 import (
@@ -55,8 +63,8 @@ import (
 )
 
 var (
-	serverMagic = []byte("SSSTORE4")
-	clientMagic = []byte("SSCLNT4\x00")
+	serverMagic = []byte("SSSTORE5")
+	clientMagic = []byte("SSCLNT5\x00")
 )
 
 // ErrBadFormat reports an unrecognized or corrupt file.
