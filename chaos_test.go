@@ -1,15 +1,16 @@
 // Chaos conformance: every fault-tolerant serving topology — the
-// auto-re-dialing Reliable session, the health-tracked Pool, the hedged
-// k-of-n MultiServer, the replicated shard Router, and the batched
-// coalescing stack — is driven through deterministic fault injection
-// (resets mid-frame, latency spikes, torn and silently dropped writes)
-// and must return byte-identical answers to the fault-free reference.
-// The harness itself lives in internal/apitest (Chaos).
+// reliable session (a retry policy over a one-connection Pool), the
+// health-tracked Pool, the hedged k-of-n MultiServer, the replicated
+// shard fabric (Router → per-shard 2-of-3 MultiServer → one-connection
+// pools) and a session into a coalescing daemon — is driven through
+// deterministic fault injection (resets mid-frame, latency spikes, torn
+// and silently dropped writes) and must return byte-identical answers to
+// the fault-free reference. The harness itself lives in internal/apitest
+// (Chaos).
 package sssearch
 
 import (
 	"crypto/rand"
-	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -25,7 +26,6 @@ import (
 	"sssearch/internal/resilience"
 	"sssearch/internal/ring"
 	"sssearch/internal/server"
-	"sssearch/internal/shard"
 	"sssearch/internal/sharing"
 )
 
@@ -127,19 +127,27 @@ func chaosPolicy() resilience.Policy {
 	}
 }
 
-// TestChaosReliable: one auto-re-dialing session over a fault-injected
+// reliableSession is a self-healing session: the retry policy over a
+// one-connection pool that re-dials through dial. The pool is closed
+// when the test ends.
+func reliableSession(t *testing.T, dial func() (*client.Remote, error), pol resilience.Policy, counters *metrics.Counters) *resilience.API {
+	t.Helper()
+	p, err := client.NewPoolDial(dial, 1, counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return &resilience.API{Inner: p, Policy: pol}
+}
+
+// TestChaosReliable: one self-healing session over a fault-injected
 // transport must serve byte-identical answers through resets, torn
 // frames and latency spikes.
 func TestChaosReliable(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
 	addr := startFixtureDaemon(t, f)
 	d := newChaosDialer(addr, chaosFaultCfg(1))
-	counters := &metrics.Counters{}
-	rc, err := client.NewReliable(d.dial, chaosPolicy(), counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := reliableSession(t, d.dial, chaosPolicy(), &metrics.Counters{})
 
 	apitest.Chaos(t, f, rc, 30)
 	requireFaults(t, d)
@@ -148,7 +156,7 @@ func TestChaosReliable(t *testing.T) {
 // TestChaosReliableDroppedFrames: the silently-dropped-write fault is the
 // one only per-attempt timeouts catch — the caller's write "succeeds",
 // the server never answers. The session must time the attempt out,
-// re-dial and still produce byte-identical answers.
+// retry and still produce byte-identical answers.
 func TestChaosReliableDroppedFrames(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustIntQuotient(1, 0, 1))
 	addr := startFixtureDaemon(t, f)
@@ -160,11 +168,7 @@ func TestChaosReliableDroppedFrames(t *testing.T) {
 	pol.MaxAttempts = 20
 	pol.PerAttemptTimeout = 500 * time.Millisecond
 	counters := &metrics.Counters{}
-	rc, err := client.NewReliable(d.dial, pol, counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := reliableSession(t, d.dial, pol, counters)
 
 	apitest.Chaos(t, f, rc, 8)
 	requireFaults(t, d)
@@ -176,7 +180,7 @@ func TestChaosReliableDroppedFrames(t *testing.T) {
 // TestChaosPool: a pool whose members keep dying to injected faults must
 // eject, re-dial and fail over without changing a single answer. The
 // resilience.API wrapper absorbs the window where every member is down at
-// once (ErrNoHealthyMembers while the probes re-dial).
+// once (ErrNoHealthyMembers, transient, while the probes re-dial).
 func TestChaosPool(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
 	addr := startFixtureDaemon(t, f)
@@ -189,9 +193,6 @@ func TestChaosPool(t *testing.T) {
 	defer p.Close()
 	pol := chaosPolicy()
 	pol.MaxAttempts = 10
-	pol.Retryable = func(err error) bool {
-		return errors.Is(err, client.ErrNoHealthyMembers) || resilience.Retryable(err)
-	}
 	api := &resilience.API{Inner: p, Policy: pol}
 
 	apitest.Chaos(t, f, api, 24)
@@ -220,12 +221,7 @@ func TestChaosMultiServerHedged(t *testing.T) {
 		}
 		addr := startDaemon(t, local)
 		dialers[i] = newChaosDialer(addr, chaosFaultCfg(int64(10+i)))
-		rc, err := client.NewReliable(dialers[i].dial, chaosPolicy(), counters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { rc.Close() })
-		members[i] = core.MultiMember{X: s.X, API: rc}
+		members[i] = core.MultiMember{X: s.X, API: reliableSession(t, dialers[i].dial, chaosPolicy(), counters)}
 	}
 	ms, err := core.NewMultiServer(fp, k, members)
 	if err != nil {
@@ -238,65 +234,36 @@ func TestChaosMultiServerHedged(t *testing.T) {
 	requireFaults(t, dialers...)
 }
 
-// TestChaosReplicatedRouter: 2 shards × 2 replicas, every replica a
-// re-dialing session over its own faulty transport to a guarded shard
-// daemon. Replica failover inside the router plus re-dial inside each
-// replica must keep scatter/gather answers byte-identical.
+// TestChaosReplicatedRouter: the replicated shard fabric — 2 shards, each
+// a 2-of-3 MultiServer whose members are self-healing sessions over their
+// own faulty transports to guarded member daemons. Spare members inside
+// each shard plus re-dials inside each member must keep scatter/gather
+// answers byte-identical.
 func TestChaosReplicatedRouter(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
-	const shards, replicas = 2, 2
-	trees, man, err := shard.Partition(f.ServerTree, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
 	counters := &metrics.Counters{}
-	groups := make([][]core.ServerAPI, shards)
 	var dialers []*chaosDialer
-	for s, st := range trees {
-		local, err := server.NewLocal(f.Ring, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		guard, err := shard.NewGuard(f.Ring, local, man, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := startDaemon(t, guard)
-		for rep := 0; rep < replicas; rep++ {
-			d := newChaosDialer(addr, chaosFaultCfg(int64(100+10*s+rep)))
-			dialers = append(dialers, d)
-			rc, err := client.NewReliable(d.dial, chaosPolicy(), counters)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { rc.Close() })
-			groups[s] = append(groups[s], rc)
-		}
-	}
-	router, err := shard.NewReplicatedRouter(man, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
+	router := replicatedFabric(t, f, func(s, j int, newGuard func() server.Store) core.ServerAPI {
+		d := newChaosDialer(startDaemon(t, newGuard()), chaosFaultCfg(int64(100+10*s+j)))
+		dialers = append(dialers, d)
+		return reliableSession(t, d.dial, chaosPolicy(), counters)
+	})
 
 	apitest.Chaos(t, f, router, 15)
 	requireFaults(t, dialers...)
 }
 
-// TestChaosBatcherCoalesce: the full batched serving stack — client-side
-// micro-batcher over a re-dialing session into a coalescing daemon —
-// under fault injection. Batched sub-requests whose carrier call dies to
-// an injected fault must be retried as a unit without mixing answers.
+// TestChaosBatcherCoalesce (named for the client-side micro-batcher that
+// once sat in front of the session): a self-healing session into a
+// coalescing daemon under fault injection. Requests whose carrier call
+// dies to an injected fault must be retried without mixing answers.
 func TestChaosBatcherCoalesce(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
 	addr := startDaemon(t, coalesce.New(f.Reference, nil))
 	d := newChaosDialer(addr, chaosFaultCfg(4))
-	rc, err := client.NewReliable(d.dial, chaosPolicy(), &metrics.Counters{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := reliableSession(t, d.dial, chaosPolicy(), &metrics.Counters{})
 
-	apitest.Chaos(t, f, client.NewBatcher(rc, nil), 15)
+	apitest.Chaos(t, f, rc, 15)
 	requireFaults(t, d)
 }
 

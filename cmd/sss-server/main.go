@@ -66,7 +66,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress connection logging")
 	manifestPath := flag.String("shard-manifest", "", "serve a whole-tree store as one shard of this routing manifest")
 	shardID := flag.Int("shard-id", -1, "shard id within -shard-manifest")
-	coalesceFlag := flag.Bool("coalesce", true, "merge concurrent queries from all connections into shared deduplicated evaluation passes")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-drain window on SIGTERM/SIGINT: finish in-flight requests and send clients a Bye before closing (0 = immediate close)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close connections idle between frames for this long (0 = never)")
 	maxInflight := flag.Int("max-inflight", 0, "bound concurrently executing requests across the daemon; excess requests are shed with a typed retryable error and a retry-after hint (0 = unbounded)")
@@ -93,7 +92,7 @@ func main() {
 	if *reload && *storePath == "" {
 		log.Fatal("sss-server: -reload requires a -store path to re-read")
 	}
-	opts := sssearch.ServeOpts{DisableCoalesce: !*coalesceFlag, IdleTimeout: *idleTimeout, MaxInflight: *maxInflight}
+	opts := sssearch.ServeOpts{IdleTimeout: *idleTimeout, MaxInflight: *maxInflight}
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {

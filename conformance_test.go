@@ -1,7 +1,8 @@
 // ServerAPI conformance: every implementation — the in-process store, the
 // tamper wrappers, the multi-server fan-out, and the remote client over a
-// loopback daemon (pipelined v2, strict v1, and pooled) — must satisfy the
-// same contract. The table itself lives in internal/apitest.
+// loopback daemon (pipelined, pooled, and the reliable session: a retry
+// policy over a one-connection pool) — must satisfy the same contract.
+// The table itself lives in internal/apitest.
 package sssearch
 
 import (
@@ -160,8 +161,18 @@ func TestConformanceShardMultiServer(t *testing.T) {
 }
 
 // shardMultiServerMaker builds the 2-D composition over the fixture: two
-// shards, each a 2-of-3 MultiServer.
+// shards, each a 2-of-3 MultiServer over in-process guarded members.
 func shardMultiServerMaker(t *testing.T, f *apitest.Fixture) core.ServerAPI {
+	return replicatedFabric(t, f, func(_, _ int, newGuard func() server.Store) core.ServerAPI { return newGuard() })
+}
+
+// replicatedFabric builds the stack DialShardedReplicated dials: the
+// fixture Shamir-shared 2-of-3, every member tree cut into 2 shards under
+// one manifest, and a Router over per-shard 2-of-3 MultiServers. member
+// supplies the API of member j of shard s; newGuard builds a fresh
+// guarded Local over that member's slice of the shard on every call.
+func replicatedFabric(t *testing.T, f *apitest.Fixture, member func(s, j int, newGuard func() server.Store) core.ServerAPI) *shard.Router {
+	t.Helper()
 	const shards, k, n = 2, 2, 3
 	fp := f.Ring.(*ring.FpCyclotomic)
 	shares, err := sharing.MultiSplit(f.Encoded, f.Seed, k, n, rand.Reader)
@@ -184,11 +195,19 @@ func shardMultiServerMaker(t *testing.T, f *apitest.Fixture) core.ServerAPI {
 	for s := 0; s < shards; s++ {
 		members := make([]core.MultiMember, n)
 		for j := 0; j < n; j++ {
-			local, err := server.NewLocal(fp, perMember[j][s])
-			if err != nil {
-				t.Fatal(err)
+			s, tree := s, perMember[j][s]
+			newGuard := func() server.Store {
+				local, err := server.NewLocal(fp, tree)
+				if err != nil {
+					t.Fatal(err)
+				}
+				guard, err := shard.NewGuard(fp, local, man, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return guard
 			}
-			members[j] = core.MultiMember{X: shares[j].X, API: local}
+			members[j] = core.MultiMember{X: shares[j].X, API: member(s, j, newGuard)}
 		}
 		ms, err := core.NewMultiServer(fp, k, members)
 		if err != nil {
@@ -259,9 +278,10 @@ func TestConformanceCoalesce(t *testing.T) {
 	})
 }
 
-// TestConformanceBatcher pins the client-side micro-batcher: over a
-// pipelined remote session and over a pooled connection set, both
-// against a coalescing daemon — the full batched serving stack.
+// TestConformanceBatcher (named for the client-side micro-batcher it
+// once wrapped) pins a pipelined remote session and a pooled connection
+// set against a coalescing daemon: the serving stack the benchmark's
+// traced run builds.
 func TestConformanceBatcher(t *testing.T) {
 	startCoalescingDaemon := func(t *testing.T, f *apitest.Fixture) string {
 		t.Helper()
@@ -288,7 +308,7 @@ func TestConformanceBatcher(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { r.Close() })
-			return client.NewBatcher(r, nil)
+			return r
 		})
 	})
 	t.Run("OverPool", func(t *testing.T) {
@@ -298,7 +318,7 @@ func TestConformanceBatcher(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { p.Close() })
-			return client.NewBatcher(p, nil)
+			return p
 		})
 	})
 }
@@ -317,12 +337,8 @@ func TestConformanceRemote(t *testing.T) {
 	})
 	t.Run("Reliable", func(t *testing.T) {
 		apitest.Run(t, ring.MustIntQuotient(1, 0, 1), func(t *testing.T, f *apitest.Fixture) core.ServerAPI {
-			rc, err := client.DialReliable(startFixtureDaemon(t, f), chaosPolicy(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { rc.Close() })
-			return rc
+			addr := startFixtureDaemon(t, f)
+			return reliableSession(t, func() (*client.Remote, error) { return client.Dial(addr, nil) }, chaosPolicy(), nil)
 		})
 	})
 	t.Run("Pool", func(t *testing.T) {

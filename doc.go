@@ -119,36 +119,33 @@
 //
 // # Cross-session coalescing
 //
-// Concurrent sessions asking about the same hot subtree used to pay one
-// full evaluation pass each. Two transparent layers now merge that work
-// (answers stay byte-identical; both are pinned to the ServerAPI
-// contract by the conformance suite):
+// No serving path merges requests. ServeTCP, ServeTCPOpts and the shard
+// daemons put the daemon directly in front of the Local or Guard, and
+// sessions send their own waves. The merge layers went because no
+// workload showed them paying:
 //
-//   - Server side, coalesce.Server sits between the daemon's worker pool
-//     and the store (a plain Local, a shard.Guard, a Router — anything).
-//     It drains whatever Eval frames are queued across ALL connections,
-//     merges point-compatible requests into one deduplicated pass in
-//     front of the store (identical hot waves take a map-free fast
-//     path), and shares the resulting values singleflight-style — one
-//     evaluation, every waiting session answered. A
-//     failed merged pass replays each request alone, so error semantics
-//     are exactly per-request; a pass whose store answered other keys than
-//     it was asked fails every request it served. Serving helpers enable it by default
-//     (ServeOpts.DisableCoalesce and `sss-server -coalesce=false` turn
-//     it off for ablations).
-//   - Client side, client.Batcher adds transparent micro-batching to a
-//     Remote or Pool: evaluation calls issued while a round trip is in
-//     flight merge into the next wire request (flush on size or
-//     first-await — a lone query never waits on a batching window).
-//     ClientKey.DialPool sessions batch automatically, so a gateway
-//     multiplexing many user sessions over one pool sends ~one frame
-//     per concurrent wave.
+//   - Every traced benchmark run since the coalescer came in read
+//     `coalesce.dedup_hit_ratio` 0 and `coalesce.requests_per_batch` 1,
+//     the two-session `serve_hot` workload included, at ~0.5 ms of
+//     `coalesce.self_ms` a query.
+//   - Switching only ServeTCP's default off (everything else unchanged;
+//     seed 402, 6 s windows, the side that runs first alternating, a
+//     loaded 2-core host) moved `queries_per_s` 298.9 → 313.7 on
+//     `serve_hot` (faster in 7 of 8 pairs, p90 7.88 → 7.56 ms), 222.6 →
+//     237.5 on `query_fabric` (5 of 6, p90 7.99 → 7.62 ms) and 144.5 →
+//     151.6 on `query_fp_tcp` (5 of 6, p90 13.25 → 12.62 ms), with
+//     `cold_start_ms` inside the default's quartiles, `wire_bytes_per_query`
+//     identical, every answer correct and no call failed.
+//   - The client-side micro-batcher served only ClientKey.DialPool, which
+//     no workload dials.
 //
-// Coalescing tallies (shared passes, absorbed requests, deduplicated
-// evaluations) appear in every Stats snapshot next to the cache pairs.
-// The `serve_hot` workload of BENCHMARK.json is the one that exercises
-// them: `coalesce.dedup_hit_ratio`, `coalesce.requests_per_batch` and
-// `coalesce.self_ms` say whether merging happened and what it cost.
+// What is left is coalesce.Server, for the benchmark's traced run, which
+// builds a coalescer of its own between the daemon and the store to
+// measure it. It merges point-compatible Eval requests queued across
+// connections into one deduplicated pass and shares the values; a failed
+// merged pass replays each request alone, so error semantics are exactly
+// per-request. Its conformance, chaos, overload and hot-swap tests stay
+// with it, and the package goes when the traced run stops building it.
 //
 // # Client share work
 //
@@ -247,9 +244,6 @@
 //     concurrent searches spread across sockets.
 //   - server.Daemon.Workers — concurrently executing requests per
 //     pipelined connection (default server.DefaultWorkers).
-//   - coalesce.Server.MaxBatchKeys / client.Batcher.MaxBatchKeys —
-//     distinct keys per merged pass or wire request; larger drains
-//     split into consecutive passes (defaults 8192 / 4096).
 //   - server.Local.SetEvalCacheEntries — bound of the (node, point) eval
 //     LRU of a Z[x]/(r(x)) store (default server.DefaultEvalCacheEntries,
 //     ~64 Ki entries); an F_p store reads values and has no cache.
@@ -604,34 +598,41 @@
 // retry, failover or hedge can ever change an answer: EvalNodes and
 // FetchPolys are pure reads over an immutable share tree, and they are
 // the only requests the protocol has, so re-issuing a request — on a
-// fresh connection, a pool sibling, a shard replica, or a hedged spare —
+// fresh connection, a pool sibling, or any k of the n Shamir members —
 // can only reproduce the byte-identical result. The error classifier
 // (internal/resilience.Retryable) is what keeps that sound: transport
 // faults (resets, timeouts, short reads, closed connections) are
 // retryable, while semantic errors — the server's actual answer, such as
 // an unknown key — are terminal and pass through every layer untouched.
 //
-// The layers, bottom up:
+// Three layers decide to try a request again, each for its own case:
 //
-//   - resilience.Policy: per-attempt timeouts, bounded retries with
-//     exponential backoff and deterministic jitter, and the hedge delay,
-//     one knob set shared by every wrapper.
-//   - client.Reliable: an auto-re-dialing session. A broken connection
-//     triggers a single-flight background re-dial with handshake resume;
-//     the re-dialed server must announce byte-identical ring parameters
-//     or the session fails permanently (a swapped backend cannot be
-//     silently accepted).
-//   - client.Pool: per-member health. Consecutive transport failures
-//     eject a member, a background probe re-dials and readmits it, and
-//     calls fail over to healthy siblings; when everything is down the
-//     typed ErrNoHealthyMembers tells callers the pool itself is gone.
-//   - core.MultiServer: setting HedgeDelay launches only k members
-//     up front and arms a timer; a straggling primary is covered by a
-//     spare instead of stalling the whole fan-out
+//   - client.Pool tries another connection. Consecutive transport
+//     failures, or a broken session, eject a member; a background probe
+//     re-dials it at once and then with capped backoff, and readmits it;
+//     calls fail over to healthy siblings. A call that finds every
+//     member down waits for one re-dial attempt, then fails with
+//     ErrNoHealthyMembers, which is transient. A re-dialed server must
+//     announce the ring parameters pinned at the first handshake, or the
+//     pool fails permanently (a swapped backend cannot be silently
+//     accepted).
+//   - resilience.API tries again later: a resilience.Policy of
+//     per-attempt timeouts, bounded retries with exponential backoff and
+//     deterministic jitter, and an optional circuit breaker. A
+//     self-healing session is &resilience.API{Inner: pool, Policy: pol}
+//     over a one-connection pool (client.NewPoolDial(dial, 1, counters)).
+//   - core.MultiServer tries another member: any k of the n Shamir
+//     members answer, so a member that fails — or sheds — is covered by
+//     a spare. Setting MultiServer.HedgeDelay launches only k members up
+//     front and arms a timer; a straggling primary is covered by a spare
+//     instead of stalling the whole fan-out
 //     (TestMultiServerHedgedMatchesSingle, TestChaosMultiServerHedged).
-//   - shard.NewReplicatedRouter: each shard is a replica group; a
-//     sub-batch that fails with a transport-class error is retried
-//     against the next replica, while semantic errors return immediately.
+//     ClientKey.DialShardedReplicated builds the replicated fabric from
+//     these: a shard.Router over per-shard MultiServers whose members are
+//     one-connection pools.
+//
+// Around them:
+//
 //   - Daemon.Shutdown (sss-server -drain): graceful drain — stop
 //     accepting, wake idle readers, finish in-flight requests within the
 //     deadline, and send each session a Bye so resilient clients re-dial
@@ -658,19 +659,17 @@
 //     on concurrently executing requests. Excess requests are shed
 //     immediately with a typed, retryable wire error carrying a
 //     retry-after hint — no work done, no queue joined.
-//   - Typed shed semantics, per layer: client.Reliable treats a shed as
-//     retryable without invalidating the session and honors the
-//     retry-after hint; client.Pool does not eject or fail over on
-//     sheds (every member fronts the same saturated daemon) and carries
-//     one pool-wide circuit breaker; shard routers DO fail a shed
-//     sub-batch over to a replica — a different daemon whose admission
-//     queue may have room. resilience.Overloaded and
-//     resilience.RetryAfter classify the error without importing the
-//     wire package.
-//   - Circuit breaker (resilience.Breaker): consecutive failures trip
-//     the breaker open; calls fail fast until a cooldown, then a single
-//     probe decides re-close. Transport faults are neutral — only the
-//     server's own answers move the breaker.
+//   - Typed shed semantics, per retry decider: client.Pool passes a
+//     shed straight up without ejecting or failing over (every member
+//     fronts the same saturated daemon); resilience.API retries it and
+//     honors the retry-after hint; core.MultiServer asks a spare member
+//     — a different daemon whose admission queue may have room.
+//     resilience.Overloaded and resilience.RetryAfter classify the error
+//     without importing the wire package.
+//   - Circuit breaker (resilience.Breaker, set as Policy.Breaker):
+//     consecutive sheds trip the breaker open; calls fail fast until a
+//     cooldown, then a single probe decides re-close. Transport faults
+//     are neutral — only the server's own answers move the breaker.
 //   - Deadline propagation: each request carries its remaining budget;
 //     the daemon skips work whose deadline already expired (a typed
 //     expiry error, counted in DeadlineSkips) instead of computing
@@ -694,11 +693,12 @@
 //
 // # Observability
 //
-// The serving stack is traceable end to end (internal/obs). Nine stages
-// of a request's life — client share arithmetic, batcher flush wait, wire
-// round trip, daemon admission wait, worker dispatch, coalescer merge
-// wait, store evaluation, response writer-queue residency, and the
-// client's eq. (2) tag-recovery solves, once per wave — are each timed into a lock-free log-bucketed histogram (atomic buckets, so the
+// The serving stack is traceable end to end (internal/obs). Eight stages
+// of a request's life — client share arithmetic, wire round trip, daemon
+// admission wait, worker dispatch, coalescer merge wait (where a
+// coalescer is built), store evaluation, response writer-queue
+// residency, and the client's eq. (2) tag-recovery solves, once per
+// wave — are each timed into a lock-free log-bucketed histogram (atomic buckets, so the
 // hot path never takes a lock; snapshots merge exactly, so per-daemon
 // histograms aggregate across a fleet).
 //

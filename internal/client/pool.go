@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,12 +15,16 @@ import (
 	"sssearch/internal/metrics"
 	"sssearch/internal/resilience"
 	"sssearch/internal/ring"
+	"sssearch/internal/wire"
 )
 
 // ErrNoHealthyMembers is returned when every pooled connection has been
 // ejected and none has been readmitted yet. Callers distinguish "the pool
-// is down" (back off, re-resolve, alert) from a single call failing.
-var ErrNoHealthyMembers = errors.New("client: no healthy pool members")
+// is down" (back off, re-resolve, alert) from a single call failing. It
+// wraps resilience.ErrTransient: the background re-dials are healing the
+// pool, and a one-connection pool is in this state for the whole of every
+// re-dial, so a retry policy above the pool retries it.
+var ErrNoHealthyMembers = fmt.Errorf("client: no healthy pool members: %w", resilience.ErrTransient)
 
 // poolFailThreshold is how many consecutive transport failures eject a
 // member. One flaky frame should not take a connection out of rotation;
@@ -43,28 +48,45 @@ type poolMember struct {
 //
 // Each member carries a health record: consecutive transport failures (or
 // an observed broken session) eject it from rotation, a background probe
-// re-dials it with capped backoff and readmits it on success, and a call
-// that finds its member down fails over to the next healthy one. When
-// every member is down calls fail with ErrNoHealthyMembers instead of
-// spinning over dead connections. Pools built with NewPool (no dialer)
-// still eject, but ejection is permanent — a Remote never heals itself.
+// re-dials it at once and then with capped backoff, and readmits it on
+// success, and a call that finds its member down fails over to the next
+// healthy one. A call that finds every member down waits for the end of
+// one re-dial attempt, then fails with ErrNoHealthyMembers if that did
+// not heal the pool, instead of spinning over dead connections. Pools
+// built with NewPool (no dialer) still eject, but ejection is permanent —
+// a Remote never heals itself.
+//
+// An overload shed passes straight through: every member targets the
+// same daemon, so failing over would only hit the same full admission
+// queue. Backing off, and a circuit breaker, are the retry policy's job.
+//
+// A self-healing session is a one-connection pool under a retry policy,
+// &resilience.API{Inner: pool, Policy: pol}: the pool re-dials a broken
+// connection and the policy retries the calls that failed meanwhile.
+// Retrying is answer-preserving because every request is an idempotent
+// read of an immutable share tree.
+//
+// A re-dialed session must announce the ring parameters the pool pinned
+// at its first handshake. One that announces others is never readmitted:
+// the address now serves a different store, and resuming would silently
+// change answer semantics, so from then on every call fails with a
+// permanent error that no retry policy retries.
 type Pool struct {
 	members []*poolMember
 	next    atomic.Uint64
 
 	dial     func() (*Remote, error) // nil: no re-dial/readmit (NewPool)
 	counters *metrics.Counters
-	params   ring.Params
+	params   ring.Params // pinned at the first handshake
 
-	// breaker is shared across the whole pool: every member dials the
-	// same daemon, so consecutive overload sheds — regardless of which
-	// connection carried them — trip one circuit and calls fail fast
-	// until the cooldown probe finds the daemon accepting again.
-	breaker *resilience.Breaker
+	// changed, once set, is the permanent error of a re-dial that reached
+	// a server announcing other ring parameters.
+	changed atomic.Pointer[error]
 
 	mu     sync.Mutex
 	closed bool
 	done   chan struct{} // closed by Close: stops probe goroutines
+	round  chan struct{} // closed, and replaced, as each re-dial attempt ends
 }
 
 // DialPool opens size connections to addr (all sharing counters, which
@@ -94,8 +116,8 @@ func NewPoolDial(dial func() (*Remote, error), size int, counters *metrics.Count
 		dial:     dial,
 		counters: counters,
 		done:     make(chan struct{}),
+		round:    make(chan struct{}),
 	}
-	p.breaker = &resilience.Breaker{OnTrip: func() { p.counters.AddBreakerTrips(1) }}
 	for i := 0; i < size; i++ {
 		r, err := dial()
 		if err != nil {
@@ -106,6 +128,14 @@ func NewPoolDial(dial func() (*Remote, error), size int, counters *metrics.Count
 	}
 	p.params = p.members[0].r.Params()
 	return p, nil
+}
+
+// sameParams reports whether r announced the pool's pinned parameters,
+// byte for byte.
+func (p *Pool) sameParams(r *Remote) bool {
+	want, err1 := p.params.MarshalBinary()
+	got, err2 := r.Params().MarshalBinary()
+	return err1 == nil && err2 == nil && bytes.Equal(got, want)
 }
 
 // NewPool wraps existing sessions (at least one, all non-nil) as a pool.
@@ -119,7 +149,6 @@ func NewPool(remotes []*Remote) (*Pool, error) {
 		counters: &metrics.Counters{},
 		done:     make(chan struct{}),
 	}
-	p.breaker = &resilience.Breaker{OnTrip: func() { p.counters.AddBreakerTrips(1) }}
 	for i, r := range remotes {
 		if r == nil {
 			return nil, fmt.Errorf("client: nil remote at pool slot %d", i)
@@ -148,10 +177,6 @@ func (p *Pool) Healthy() int {
 
 // Params returns the ring parameters announced by the server.
 func (p *Pool) Params() ring.Params { return p.params }
-
-// Breaker exposes the pool-wide circuit breaker (for health inspection
-// and tests).
-func (p *Pool) Breaker() *resilience.Breaker { return p.breaker }
 
 // Ring reconstructs the ring from the announced parameters.
 func (p *Pool) Ring() (ring.Ring, error) { return ring.FromParams(p.params) }
@@ -239,61 +264,124 @@ func (p *Pool) recordSuccess(m *poolMember) {
 	m.mu.Unlock()
 }
 
-// redialMember probes the server with capped backoff until a fresh
-// session succeeds, then readmits the member. Runs once per ejection.
+// redialMember dials at once and then with capped backoff until a fresh
+// session succeeds, then readmits the member. Runs once per ejection. A
+// session announcing other ring parameters is closed and the member
+// stays out for good: the pool fails permanently instead. Every attempt
+// ends a round, waking the calls that wait for a member.
 func (p *Pool) redialMember(m *poolMember) {
 	var pol resilience.Policy // zero value: default backoff curve
 	for attempt := 1; ; attempt++ {
+		r, err := p.dial()
+		// The new session is installed under p.mu: a Close after the
+		// closed check would otherwise close the member's old Remote and
+		// never this one. Lock order p.mu → m.mu; nothing holds m.mu and
+		// then takes p.mu.
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			if err == nil {
+				r.Close()
+			}
+			return
+		}
+		healed := err == nil && p.sameParams(r)
+		if healed {
+			m.mu.Lock()
+			m.r, m.fails, m.dead, m.redialing = r, 0, false, false
+			m.mu.Unlock()
+		} else if err == nil {
+			perm := fmt.Errorf("client: re-dialed server announces different ring parameters (have %v)", p.params)
+			p.changed.Store(&perm)
+		}
+		close(p.round)
+		p.round = make(chan struct{})
+		p.mu.Unlock()
+		if healed {
+			p.counters.AddRedials(1)
+			return
+		}
+		if err == nil {
+			r.Close()
+			return
+		}
 		select {
 		case <-p.done:
 			return
 		case <-time.After(pol.Backoff(attempt)):
 		}
-		r, err := p.dial()
-		if err != nil {
-			continue
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			r.Close()
-			return
-		}
-		p.mu.Unlock()
-		m.mu.Lock()
-		m.r = r
-		m.fails = 0
-		m.dead = false
-		m.redialing = false
-		m.mu.Unlock()
-		p.counters.AddRedials(1)
-		return
 	}
+}
+
+// await picks a member for a call that found none: when a re-dial is
+// under way it waits, under ctx, for the end of one attempt and picks
+// again. A one-connection pool is without a member for the whole of
+// every re-dial, and a call that waits it out spends no retry attempt.
+func (p *Pool) await(ctx context.Context) (*poolMember, error) {
+	p.mu.Lock()
+	round := p.round
+	p.mu.Unlock()
+	// Picking after taking the round cannot miss the attempt that heals.
+	if m, err := p.pick(); err == nil || p.dial == nil {
+		return m, err
+	}
+	select {
+	case <-round:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("%w (%w)", ErrNoHealthyMembers, ctx.Err())
+	case <-p.done:
+		return nil, ErrClosed
+	}
+	if perm := p.changed.Load(); perm != nil {
+		return nil, *perm
+	}
+	return p.pick()
+}
+
+// transportFault classifies call failures for member failover: a
+// RemoteError is the server's answer (terminal), while a closed,
+// corrupted, reset or stalled session is transport-class — the request
+// never produced an answer, so replaying it on another connection cannot
+// change semantics. Checksum and magic mismatches count as transport
+// faults because the byte stream is no longer trustworthy and only a
+// fresh connection can resynchronise it.
+func transportFault(err error) bool {
+	var re *wire.RemoteError
+	if errors.As(err, &re) {
+		return false
+	}
+	if errors.Is(err, ErrClosed) {
+		return true
+	}
+	if errors.Is(err, wire.ErrChecksum) || errors.Is(err, wire.ErrBadMagic) {
+		return true
+	}
+	return resilience.Retryable(err)
 }
 
 // poolCall runs one call with member failover: a transport-class failure
 // records against the member and the call moves to the next healthy one;
-// a semantic error (the server's answer) returns immediately. An
-// overload shed also returns immediately — every member targets the same
-// daemon, so failing over to a sibling connection would only hit the
-// same full admission queue — without ejecting the member (the
-// connection is healthy; the daemon is busy). Consecutive sheds trip the
-// pool-wide breaker and subsequent calls fail fast until the cooldown
-// probe. Visiting every member without success surfaces the last
-// transport error, marked resilience.ErrTransient: every error on that
-// path passed transportFault, which accepts faults (ErrClosed, a checksum
-// or magic mismatch) that resilience.Retryable alone does not know, so the
+// a semantic error (the server's answer) returns immediately, and so
+// does an overload shed, without ejecting the member (the connection is
+// healthy; the daemon is busy). A call that starts with every member
+// down waits for one re-dial attempt (await). Visiting every member
+// without success surfaces the last transport error, marked
+// resilience.ErrTransient: every error on that path passed
+// transportFault, which accepts faults (ErrClosed, a checksum or magic
+// mismatch) that resilience.Retryable alone does not know, so the
 // exhaustion must stay retryable for a policy above the pool.
-func poolCall[T any](p *Pool, call func(r *Remote) (T, error)) (T, error) {
+func poolCall[T any](ctx context.Context, p *Pool, call func(r *Remote) (T, error)) (T, error) {
 	var zero T
-	if !p.breaker.Allow() {
-		return zero, resilience.ErrBreakerOpen
+	if perm := p.changed.Load(); perm != nil {
+		return zero, *perm
 	}
 	var lastErr error
 	for attempt := 0; attempt < len(p.members); attempt++ {
 		m, err := p.pick()
+		if err != nil && lastErr == nil {
+			m, err = p.await(ctx)
+		}
 		if err != nil {
-			p.breaker.Record(err)
 			if lastErr != nil {
 				return zero, fmt.Errorf("%w (last transport error: %v)", err, lastErr)
 			}
@@ -305,35 +393,28 @@ func poolCall[T any](p *Pool, call func(r *Remote) (T, error)) (T, error) {
 		v, err := call(r)
 		if err == nil {
 			p.recordSuccess(m)
-			p.breaker.Record(nil)
 			return v, nil
 		}
-		if resilience.Overloaded(err) {
-			p.breaker.Record(err)
-			return zero, err
-		}
-		if !transportFault(err) {
-			p.breaker.Record(err)
+		if resilience.Overloaded(err) || !transportFault(err) {
 			return zero, err
 		}
 		p.recordFailure(m)
 		lastErr = err
 		p.counters.AddRetries(1)
 	}
-	p.breaker.Record(lastErr)
 	return zero, fmt.Errorf("client: pool members exhausted: %w (%w)", lastErr, resilience.ErrTransient)
 }
 
 // EvalNodesCtx is EvalNodes with context cancellation.
 func (p *Pool) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
-	return poolCall(p, func(r *Remote) ([]core.NodeEval, error) {
+	return poolCall(ctx, p, func(r *Remote) ([]core.NodeEval, error) {
 		return r.EvalNodesCtx(ctx, keys, points)
 	})
 }
 
 // FetchPolysCtx is FetchPolys with context cancellation.
 func (p *Pool) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.NodePoly, error) {
-	return poolCall(p, func(r *Remote) ([]core.NodePoly, error) {
+	return poolCall(ctx, p, func(r *Remote) ([]core.NodePoly, error) {
 		return r.FetchPolysCtx(ctx, keys)
 	})
 }

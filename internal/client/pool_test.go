@@ -1,13 +1,20 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 
+	"sssearch/internal/apitest"
 	"sssearch/internal/resilience"
+	"sssearch/internal/ring"
+	"sssearch/internal/server"
 	"sssearch/internal/wire"
 )
 
@@ -87,7 +94,7 @@ func TestPoolExhaustionIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			calls := 0
-			_, err = poolCall(p, func(*Remote) (struct{}, error) {
+			_, err = poolCall(context.Background(), p, func(*Remote) (struct{}, error) {
 				calls++
 				return struct{}{}, tc.cause
 			})
@@ -107,5 +114,87 @@ func TestPoolExhaustionIsRetryable(t *testing.T) {
 				t.Fatalf("exhaustion over %q is not retryable: %q", tc.cause, err)
 			}
 		})
+	}
+}
+
+// TestPoolCloseDuringRedialLeaksNothing: a Close racing a member's
+// re-dial must close the re-dialed session too. The test holds the pool
+// lock while the re-dial, holding a fresh session, and then Close queue
+// on it, and makes the lock pass from one to the other directly. When the
+// re-dial installed its session only after releasing the lock, Close
+// swept the member's old session in between and the new connection and
+// its reader goroutine leaked. Every iteration's goroutines must be gone
+// at the end.
+func TestPoolCloseDuringRedialLeaksNothing(t *testing.T) {
+	f := apitest.NewFixture(t, ring.MustFp(257))
+	d := server.NewDaemon(f.Reference, nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = d.Serve(l)
+	}()
+	defer func() {
+		// A leaked session would hold Close forever: drain, then cut.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = d.Shutdown(ctx)
+		<-served
+	}()
+	addr := l.Addr().String()
+
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 40; i++ {
+		redialed := make(chan struct{})
+		handOver := make(chan struct{})
+		dials := 0
+		pool, err := NewPoolDial(func() (*Remote, error) {
+			dials++
+			r, err := Dial(addr, nil)
+			if dials > 1 {
+				close(redialed)
+				<-handOver
+			}
+			return r, err
+		}, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := pool.members[0]
+		m.mu.Lock()
+		pool.ejectLocked(m) // closes the session and starts the re-dial
+		m.mu.Unlock()
+
+		<-redialed
+		pool.mu.Lock()
+		close(handOver)
+		time.Sleep(time.Millisecond) // the re-dial queues on the pool lock
+		closed := make(chan struct{})
+		go func() {
+			pool.Close()
+			close(closed)
+		}()
+		time.Sleep(2 * time.Millisecond) // and Close behind it
+		// Wake the re-dial and take the lock back before it runs: a waiter
+		// that loses the lock after waiting 1 ms puts the mutex in
+		// starvation mode, where each unlock hands it to the next waiter
+		// and yields. So Close runs as soon as the re-dial has passed its
+		// closed check and let go of the lock.
+		pool.mu.Unlock()
+		pool.mu.Lock()
+		time.Sleep(time.Millisecond)
+		pool.mu.Unlock()
+		<-closed
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

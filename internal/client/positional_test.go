@@ -159,9 +159,9 @@ func (m misframing) dialer() func() (*client.Remote, error) {
 	}
 }
 
-// clientsOf opens the four clients the engine sits on, each over sessions
-// from dial: a Remote, a Pool, a Reliable session and a Batcher over a
-// Remote. They are closed when the test ends.
+// clientsOf opens the three clients the engine sits on, each over
+// sessions from dial: a Remote, a Pool and a reliable session (a retry
+// policy over a one-connection Pool). They are closed when the test ends.
 func clientsOf(t *testing.T, dial func() (*client.Remote, error)) map[string]core.ServerAPI {
 	t.Helper()
 	remote, err := dial()
@@ -172,25 +172,19 @@ func clientsOf(t *testing.T, dial func() (*client.Remote, error)) map[string]cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	reliable, err := client.NewReliable(dial, resilience.Policy{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := dial()
+	single, err := client.NewPoolDial(dial, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		remote.Close()
 		pool.Close()
-		reliable.Close()
-		batched.Close()
+		single.Close()
 	})
 	return map[string]core.ServerAPI{
 		"Remote":   remote,
 		"Pool":     pool,
-		"Reliable": reliable,
-		"Batcher":  client.NewBatcher(batched, nil),
+		"Reliable": &resilience.API{Inner: single},
 	}
 }
 

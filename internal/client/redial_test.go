@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -116,19 +117,28 @@ func testPolicy() resilience.Policy {
 	}
 }
 
+// reliableSession is a self-healing session to addr: the retry policy
+// over a one-connection pool. It is closed when the test ends.
+func reliableSession(t *testing.T, addr string, counters *metrics.Counters) (*resilience.API, *client.Pool) {
+	t.Helper()
+	pool, err := client.NewPoolDial(func() (*client.Remote, error) { return client.Dial(addr, counters) }, 1, counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pool.Close() })
+	return &resilience.API{Inner: pool, Policy: testPolicy()}, pool
+}
+
 // TestReliableRedialMidSessionByteIdentity kills every connection midway
-// through a query stream; the Reliable session must re-dial in the
-// background and every answer — before, across, and after the break —
+// through a query stream; the one-connection pool must re-dial in the
+// background, the policy above it must retry the calls that fail
+// meanwhile, and every answer — before, across, and after the break —
 // must match the local reference exactly.
 func TestReliableRedialMidSessionByteIdentity(t *testing.T) {
 	w := buildWorld(t, workload.RandomTree(workload.TreeConfig{Nodes: 40, MaxFanout: 3, Vocab: 8, Seed: 29}))
 	p := startChaosProxy(t, w.addr)
 	var counters metrics.Counters
-	rc, err := client.DialReliable(p.addr(), testPolicy(), &counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc, _ := reliableSession(t, p.addr(), &counters)
 
 	points := pts(3)
 	const calls = 30
@@ -154,28 +164,26 @@ func TestReliableRedialMidSessionByteIdentity(t *testing.T) {
 			}
 		}
 	}
-	if rc.Generation() < 2 {
-		t.Errorf("generation = %d, want >= 2 after a killed connection", rc.Generation())
+	got := counters.Snapshot()
+	if got.MembersEjected < 1 {
+		t.Errorf("membersEjected = %d, want >= 1 after a killed connection", got.MembersEjected)
 	}
-	if got := counters.Snapshot(); got.Redials < 1 {
+	if got.Redials < 1 {
 		t.Errorf("redials = %d, want >= 1", got.Redials)
 	}
 }
 
 // TestReliableRejectsChangedServer: if a re-dial reaches a server with
 // different ring parameters, resuming would silently change answer
-// semantics — the session must fail permanently instead.
+// semantics — the pool must fail permanently instead, with an error no
+// retry policy retries.
 func TestReliableRejectsChangedServer(t *testing.T) {
 	doc := workload.RandomTree(workload.TreeConfig{Nodes: 20, MaxFanout: 3, Vocab: 6, Seed: 31})
 	w1 := buildWorldRing(t, doc, ring.MustIntQuotient(1, 0, 1))
 	w2 := buildWorldRing(t, doc, ring.MustFp(257))
 	p := startChaosProxy(t, w1.addr)
 
-	rc, err := client.DialReliable(p.addr(), testPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc, pool := reliableSession(t, p.addr(), nil)
 	if _, err := rc.EvalNodes(w1.keys[:1], pts(2)); err != nil {
 		t.Fatalf("healthy call failed: %v", err)
 	}
@@ -184,23 +192,31 @@ func TestReliableRejectsChangedServer(t *testing.T) {
 	p.killAll()
 
 	deadline := time.Now().Add(5 * time.Second)
+	var err error
 	for {
 		_, err = rc.EvalNodes(w1.keys[:1], pts(2))
-		if err != nil || time.Now().After(deadline) {
+		if (err != nil && !resilience.Retryable(err)) || time.Now().After(deadline) {
 			break
 		}
 	}
-	if err == nil {
-		t.Fatal("calls kept succeeding against a server with different parameters")
+	if err == nil || resilience.Retryable(err) {
+		t.Fatalf("calls against a server with different parameters ended with %v, want a permanent error", err)
+	}
+	if !strings.Contains(err.Error(), "different ring parameters") {
+		t.Errorf("error %q does not name the parameter change", err)
 	}
 	// The failure must be permanent: an immediate second call fails the
-	// same way without spinning through dial attempts.
+	// same way without spinning through dial attempts, and the member is
+	// never readmitted.
 	start := time.Now()
 	if _, err := rc.EvalNodes(w1.keys[:1], pts(2)); err == nil {
 		t.Fatal("call succeeded after a parameter mismatch")
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("post-mismatch call took %v, want fast terminal failure", d)
+	}
+	if pool.Healthy() != 0 {
+		t.Errorf("healthy = %d, want the changed server's session never readmitted", pool.Healthy())
 	}
 }
 
@@ -263,8 +279,8 @@ func TestPoolEjectsAndReadmits(t *testing.T) {
 }
 
 // TestPoolAllDownReturnsErrNoHealthyMembers: with the server unreachable
-// the pool must fail with the typed error instead of spinning, and must
-// readmit members once the server is back.
+// the pool must fail with the typed, retryable error instead of spinning,
+// and must readmit members once the server is back.
 func TestPoolAllDownReturnsErrNoHealthyMembers(t *testing.T) {
 	w := buildWorld(t, workload.RandomTree(workload.TreeConfig{Nodes: 20, MaxFanout: 3, Vocab: 6, Seed: 41}))
 	p := startChaosProxy(t, w.addr)
@@ -288,6 +304,9 @@ func TestPoolAllDownReturnsErrNoHealthyMembers(t *testing.T) {
 	}
 	if !errors.Is(lastErr, client.ErrNoHealthyMembers) {
 		t.Fatalf("fully-down pool error = %v, want ErrNoHealthyMembers", lastErr)
+	}
+	if !resilience.Retryable(lastErr) {
+		t.Errorf("ErrNoHealthyMembers is not retryable: a policy above the pool would give up mid-re-dial")
 	}
 
 	p.setRefuse(false) // server back: probes must readmit members

@@ -188,7 +188,7 @@ func (r *Remote) readLoop() {
 		if f.Type == wire.MsgBye {
 			// Server-initiated GOAWAY (graceful drain): in-flight responses
 			// have already been flushed before the Bye, so mark the session
-			// broken — Reliable and Pool health checks will re-dial — and
+			// broken — Pool health checks will re-dial — and
 			// keep reading until the server closes the connection.
 			r.pmu.Lock()
 			r.goaway = true

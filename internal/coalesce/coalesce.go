@@ -48,8 +48,12 @@
 // recoverNodeTags), so there is little left to merge across sessions.
 //
 // The merging engine itself (per-signature drains, dedup, distribution)
-// lives in Merger and is shared with the client-side micro-batcher
-// (client.Batcher).
+// lives in Merger.
+//
+// No default serving path builds a Server: ServeTCP serves the store
+// directly, because no workload has shown merging to pay. The package
+// stays for the benchmark's traced run, which puts a coalescer of its own
+// between the daemon and the store.
 package coalesce
 
 import (

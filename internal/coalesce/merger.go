@@ -16,18 +16,17 @@ import (
 	"sssearch/internal/wire"
 )
 
-// EvalFunc is the evaluation primitive a Merger drives. The server-side
-// coalescer ignores ctx (in-process stores are not cancellable); the
-// client-side batcher threads it to the wire call.
+// EvalFunc is the evaluation primitive a Merger drives. The coalescer
+// passes ctx through to the store it wraps.
 type EvalFunc func(ctx context.Context, keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error)
 
-// Merger is the shared request-merging engine behind coalesce.Server and
-// client.Batcher: it queues concurrent evaluation requests per
-// point-vector signature, drains each signature on its own goroutine
-// (independent groups never serialise behind one another — heterogeneous
-// traffic keeps the concurrency of the unmerged path), merges each
-// drained group into deduplicated passes, and distributes shared
-// results. Safe for concurrent use.
+// Merger is the request-merging engine behind coalesce.Server: it
+// queues concurrent evaluation requests per point-vector signature,
+// drains each signature on its own goroutine (independent groups never
+// serialise behind one another — heterogeneous traffic keeps the
+// concurrency of the unmerged path), merges each drained group into
+// deduplicated passes, and distributes shared results. Safe for
+// concurrent use.
 type Merger struct {
 	eval     EvalFunc
 	counters *metrics.Counters
@@ -36,8 +35,7 @@ type Merger struct {
 	maxKeys func() int
 
 	// obsv/waitStage record each request's queue wait (enqueue → merged
-	// pass start) under the owner's stage label: batch_wait for the
-	// client batcher, coalesce_wait for the server coalescer. waitStage
+	// pass start) under the owner's stage label (coalesce_wait). waitStage
 	// < 0 (the default) disables recording.
 	obsv      *obs.Observer
 	waitStage obs.Stage

@@ -140,10 +140,10 @@ func (a NodePoly) BinarySize() int {
 
 // ServerAPI is the full server-side capability the protocol needs. It is
 // implemented in-process by server.Local, remotely by client.Remote (and
-// client.Pool, and the micro-batching client.Batcher over either),
-// across a k-of-n deployment by MultiServer, across a partitioned one by
-// shard.Router, and by the cross-session request coalescer
-// coalesce.Server over any of them.
+// client.Pool), with retries by resilience.API, across a k-of-n
+// deployment by MultiServer, across a partitioned one by shard.Router,
+// and by the cross-session request coalescer coalesce.Server over any of
+// them.
 //
 // Implementations must be safe for concurrent calls: the engine issues
 // parallel evaluation batches (Opts.Parallelism) and MultiServer fans out
@@ -198,7 +198,7 @@ func CheckAnswered[T any, A answer[T]](keys []drbg.NodeKey, answers []T) error {
 
 // CtxEvaler is the optional context-aware extension of ServerAPI.
 // Implementations that propagate deadlines or trace spans (client.Remote,
-// Pool, Reliable, Batcher, MultiServer, shard.Router, coalesce.Server)
+// Pool, resilience.API, MultiServer, shard.Router, coalesce.Server)
 // expose EvalNodesCtx; callers reach it through EvalNodesWithCtx so that
 // plain ServerAPI implementations keep working unchanged. Kept separate
 // from ServerAPI because the in-process reference servers are

@@ -33,10 +33,9 @@ type Counters struct {
 	padCacheHits atomic.Int64 // client pad-cache hits (share pads reused)
 	padCacheMiss atomic.Int64 // client pad-cache misses (regenerations)
 
-	// Coalescing tallies. The same triple serves both ends of the stack:
-	// the server-side coalesce.Server counts merged inner evaluation
-	// passes, and the client-side client.Batcher counts merged wire
-	// requests — each on its own Counters instance.
+	// Coalescing tallies, counted by a coalesce.Server on its own Counters
+	// instance: merged inner evaluation passes. No default serving path
+	// builds one, so they read 0 outside the benchmark's traced run.
 	coalescedBatches  atomic.Int64 // shared passes that served >1 queued request
 	coalescedRequests atomic.Int64 // Eval requests absorbed into shared passes
 	coalesceDedupHits atomic.Int64 // duplicate (node, point-set) evals avoided

@@ -16,7 +16,6 @@ type ShardCounters struct {
 	requests []atomic.Int64 // backend calls per shard
 	batches  atomic.Int64   // routed batches (one per router call that touched a shard)
 	fanout   atomic.Int64   // total shards touched across batches
-	retries  atomic.Int64   // replica failovers (sub-batch retried on another replica)
 }
 
 // NewShardCounters builds a counter set for a deployment of n shards.
@@ -52,15 +51,6 @@ func (c *ShardCounters) RecordBatch(shards []int) {
 	c.fanout.Add(int64(len(shards)))
 }
 
-// RecordRetry tallies one replica failover: a shard sub-batch that
-// failed on one replica backend and was retried against another.
-func (c *ShardCounters) RecordRetry() {
-	if c == nil {
-		return
-	}
-	c.retries.Add(1)
-}
-
 // ShardSnapshot is an immutable copy of a ShardCounters.
 type ShardSnapshot struct {
 	// Requests[s] is the number of backend calls routed to shard s.
@@ -70,9 +60,6 @@ type ShardSnapshot struct {
 	// Fanout is the total number of shards touched across all batches;
 	// Fanout/Batches is the average cross-shard fan-out per call.
 	Fanout int64
-	// Retries is the number of replica failovers: shard sub-batches that
-	// failed on one replica and were retried against another.
-	Retries int64
 }
 
 // Snapshot captures the current counter values.
@@ -84,7 +71,6 @@ func (c *ShardCounters) Snapshot() ShardSnapshot {
 		Requests: make([]int64, len(c.requests)),
 		Batches:  c.batches.Load(),
 		Fanout:   c.fanout.Load(),
-		Retries:  c.retries.Load(),
 	}
 	for i := range c.requests {
 		out.Requests[i] = c.requests[i].Load()
@@ -103,7 +89,7 @@ func (s ShardSnapshot) AvgFanout() float64 {
 // String renders a compact one-line summary.
 func (s ShardSnapshot) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "batches=%d fanout=%.2f retries=%d requests=[", s.Batches, s.AvgFanout(), s.Retries)
+	fmt.Fprintf(&sb, "batches=%d fanout=%.2f requests=[", s.Batches, s.AvgFanout())
 	for i, r := range s.Requests {
 		if i > 0 {
 			sb.WriteByte(' ')

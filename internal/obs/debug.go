@@ -19,7 +19,7 @@ import (
 type DebugOptions struct {
 	// Counters supplies the current flat counter totals rendered on
 	// /metrics and /varz. Use a merged snapshot when one process holds
-	// several Counters (daemon + coalescer).
+	// several Counters.
 	Counters func() metrics.Snapshot
 
 	// Observer supplies the stage histograms and slow-query log.

@@ -36,9 +36,6 @@ const (
 	// large document sum to more than its wall time by design: this stage
 	// is on the blocking chain only where it is the longer leg.
 	StageShareArith Stage = iota
-	// StageBatchWait is the time an EvalNodes call spent queued in the
-	// client-side micro-batcher before its merged flush started.
-	StageBatchWait
 	// StageWire is one wire round trip: request write through response
 	// read on a Remote session.
 	StageWire
@@ -71,7 +68,6 @@ const (
 
 var stageNames = [NumStages]string{
 	"share_arith",
-	"batch_wait",
 	"wire",
 	"admit_wait",
 	"dispatch",

@@ -10,9 +10,10 @@ import (
 
 // API wraps any core.ServerAPI with the retry policy: every call runs
 // under Do, so transient faults of the wrapped transport (a pool whose
-// members are mid-re-dial, a router whose replicas flap) are absorbed up
-// to the policy's attempt budget while semantic errors pass straight
-// through. Safe for concurrent use if the inner API is.
+// members are mid-re-dial, a shedding daemon) are absorbed up to the
+// policy's attempt budget while semantic errors pass straight through.
+// Over a one-connection client.Pool it is a self-healing session. Safe
+// for concurrent use if the inner API is.
 type API struct {
 	Inner  core.ServerAPI
 	Policy Policy

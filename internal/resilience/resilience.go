@@ -1,10 +1,10 @@
 // Package resilience is the shared fault-tolerance layer of the serving
 // fabric: a retry Policy (per-attempt timeouts, bounded retries with
-// exponential backoff and deterministic jitter, a hedging delay for
-// fan-outs), and an error classifier separating retryable transport
-// faults (resets, timeouts, short reads, closed connections) from
-// terminal semantic errors (server-side answers such as unknown keys or
-// foreign shard keys, payload decode failures).
+// exponential backoff and deterministic jitter), and an error
+// classifier separating retryable transport faults (resets, timeouts,
+// short reads, closed connections) from terminal semantic errors
+// (server-side answers such as unknown keys or foreign shard keys,
+// payload decode failures).
 //
 // The classifier is what keeps retries answer-preserving: EvalNodes and
 // FetchPolys are pure reads over an immutable share tree, so re-issuing
@@ -40,7 +40,7 @@ const (
 
 // Policy bounds one logical operation's fault handling. The zero value is
 // usable: 3 attempts, 5 ms base backoff doubling to a 500 ms cap, no
-// per-attempt timeout, no hedging.
+// per-attempt timeout.
 type Policy struct {
 	// MaxAttempts is the total number of tries including the first.
 	// Zero selects DefaultMaxAttempts; 1 disables retries.
@@ -57,12 +57,6 @@ type Policy struct {
 	// by deterministic jitter in [0.5, 1.0]. Zeroes select the defaults.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-
-	// HedgeDelay is how long a fan-out waits on its primary calls before
-	// launching a spare. Do ignores it; hedging fan-outs
-	// (core.MultiServer) read it from here so deployments tune one knob
-	// set.
-	HedgeDelay time.Duration
 
 	// Seed makes the jitter sequence deterministic; two Policies with
 	// equal Seed back off identically. Zero is a valid seed.

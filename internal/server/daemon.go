@@ -266,7 +266,16 @@ func (d *Daemon) Serve(l net.Listener) error {
 			}
 			return fmt.Errorf("server: accept: %w", err)
 		}
+		// Add under mu, after the closed check: Close and Shutdown set
+		// closed under mu before they Wait, so no Add can race a Wait.
+		d.mu.Lock()
+		if d.closed {
+			d.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		d.wg.Add(1)
+		d.mu.Unlock()
 		go func() {
 			defer d.wg.Done()
 			if err := d.HandleConn(conn); err != nil && !errors.Is(err, io.EOF) {

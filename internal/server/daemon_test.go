@@ -218,3 +218,48 @@ func TestDaemonConnCloseIdempotent(t *testing.T) {
 		t.Fatalf("underlying Close ran %d times, want 1", got)
 	}
 }
+
+// TestDaemonCloseRacingAccept: a connection accepted while Close waits
+// for the served ones must not be added to the wait group Close is
+// waiting on — under -race that Add is a reported race — and Close and
+// Serve must still return.
+func TestDaemonCloseRacingAccept(t *testing.T) {
+	local, _ := buildLocalStore(t)
+	for i := 0; i < 1000; i++ {
+		d := NewDaemon(local, nil)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			_ = d.Serve(l)
+		}()
+		// A handshake answered means Serve is accepting.
+		r, err := client.Dial(l.Addr().String(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		stop := make(chan struct{})
+		dialing := make(chan struct{})
+		go func() {
+			defer close(dialing)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if c, err := net.Dial("tcp", l.Addr().String()); err == nil {
+					c.Close()
+				}
+			}
+		}()
+		d.Close()
+		close(stop)
+		<-dialing
+		<-served
+	}
+}

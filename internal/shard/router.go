@@ -9,8 +9,6 @@ import (
 	"sssearch/internal/core"
 	"sssearch/internal/drbg"
 	"sssearch/internal/metrics"
-	"sssearch/internal/resilience"
-	"sssearch/internal/wire"
 )
 
 // Router fans one logical core.ServerAPI out over a tree-partitioned
@@ -23,14 +21,14 @@ import (
 // Safe for concurrent use if the backend APIs are.
 type Router struct {
 	man      *Manifest
-	backends [][]core.ServerAPI // backends[s] is shard s's replica group, tried in order
+	backends []core.ServerAPI // backends[s] serves shard s
 	counters *metrics.ShardCounters
 }
 
 // NewRouter wraps one backend per manifest shard. A backend may be any
 // ServerAPI: an in-process Local, a remote connection or pool, or a
 // k-of-n MultiServer replica group (the 2-D partition × replica
-// deployment).
+// deployment, where the MultiServer fails over to spare members).
 func NewRouter(man *Manifest, backends []core.ServerAPI) (*Router, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
@@ -38,95 +36,16 @@ func NewRouter(man *Manifest, backends []core.ServerAPI) (*Router, error) {
 	if len(backends) != man.Shards {
 		return nil, fmt.Errorf("shard: %d backends for %d shards", len(backends), man.Shards)
 	}
-	groups := make([][]core.ServerAPI, len(backends))
 	for i, b := range backends {
 		if b == nil {
 			return nil, fmt.Errorf("shard: nil backend for shard %d", i)
 		}
-		groups[i] = []core.ServerAPI{b}
 	}
 	return &Router{
 		man:      man,
-		backends: groups,
+		backends: append([]core.ServerAPI(nil), backends...),
 		counters: metrics.NewShardCounters(man.Shards),
 	}, nil
-}
-
-// NewReplicatedRouter wraps one replica GROUP per manifest shard: each
-// shard's sub-batch goes to the group's first replica and fails over to
-// the next on infrastructure faults, so losing a replica degrades latency
-// (one failed call), not availability. Replicas of a shard must serve the
-// same share tree — failover is answer-preserving only because every
-// replica computes the same deterministic function.
-func NewReplicatedRouter(man *Manifest, replicas [][]core.ServerAPI) (*Router, error) {
-	if err := man.Validate(); err != nil {
-		return nil, err
-	}
-	if len(replicas) != man.Shards {
-		return nil, fmt.Errorf("shard: %d replica groups for %d shards", len(replicas), man.Shards)
-	}
-	groups := make([][]core.ServerAPI, len(replicas))
-	for i, g := range replicas {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("shard: empty replica group for shard %d", i)
-		}
-		for j, b := range g {
-			if b == nil {
-				return nil, fmt.Errorf("shard: nil replica %d for shard %d", j, i)
-			}
-		}
-		groups[i] = append([]core.ServerAPI(nil), g...)
-	}
-	return &Router{
-		man:      man,
-		backends: groups,
-		counters: metrics.NewShardCounters(man.Shards),
-	}, nil
-}
-
-// Replicas returns the replica-group size of shard s.
-func (r *Router) Replicas(s int) int { return len(r.backends[s]) }
-
-// failoverSafe reports whether a failed sub-batch may be retried against
-// another replica. A semantic answer from the server — a RemoteError
-// (unknown key, decode failure) or ErrNotOwned — is terminal: the replica
-// would answer identically, so retrying only wastes a round trip. An
-// overload shed is the exception among RemoteErrors: the shedding
-// replica did no work, and a sibling replica is a different daemon whose
-// admission queue may have room — failing over is both answer-preserving
-// and exactly what replicas are for. A breaker-open fast-fail from a
-// wrapped client is failed over for the same reason. Everything else is
-// treated as infrastructure (resets, closed sessions, timeouts,
-// exhausted client-side retries); failing those over is
-// answer-preserving because replicas serve the same immutable share tree
-// and all requests are idempotent reads.
-func failoverSafe(err error) bool {
-	if errors.Is(err, ErrNotOwned) {
-		return false
-	}
-	if resilience.Overloaded(err) || errors.Is(err, resilience.ErrBreakerOpen) {
-		return true
-	}
-	var re *wire.RemoteError
-	return !errors.As(err, &re)
-}
-
-// groupCall runs one sub-batch against shard s, failing over through the
-// replica group. The error returned is the last replica's.
-func groupCall[T any](r *Router, s int, fn func(api core.ServerAPI) (T, error)) (T, error) {
-	group := r.backends[s]
-	var zero T
-	for i, api := range group {
-		v, err := fn(api)
-		if err == nil {
-			return v, nil
-		}
-		if i == len(group)-1 || !failoverSafe(err) {
-			return zero, err
-		}
-		r.counters.RecordRetry()
-	}
-	return zero, nil // unreachable: the loop always returns
 }
 
 // Manifest returns the routing manifest.
@@ -218,23 +137,17 @@ func scatter[T any](r *Router, keys []drbg.NodeKey, call func(shard int, sub []d
 }
 
 // EvalNodes implements core.ServerAPI: scatter the batch to the owning
-// shards and gather in request order. A coalesce.Server wrapped over the
-// Router merges concurrent session waves BEFORE the scatter, so each
-// owning shard sees one deduplicated sub-batch per drain instead of one
-// per session (conformance-pinned composition).
-// shards, gather the evaluations in request order.
+// shards and gather the evaluations in request order.
 func (r *Router) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	return r.EvalNodesCtx(context.Background(), keys, points)
 }
 
-// EvalNodesCtx implements core.CtxEvaler: every shard sub-batch —
-// including replica failovers — runs under the caller's ctx, so all
-// legs of a sampled query share its trace ID.
+// EvalNodesCtx implements core.CtxEvaler: every shard sub-batch runs
+// under the caller's ctx, so all legs of a sampled query share its trace
+// ID.
 func (r *Router) EvalNodesCtx(ctx context.Context, keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	return scatter(r, keys, func(s int, sub []drbg.NodeKey) ([]core.NodeEval, error) {
-		return groupCall(r, s, func(api core.ServerAPI) ([]core.NodeEval, error) {
-			return core.EvalNodesWithCtx(ctx, api, sub, points)
-		})
+		return core.EvalNodesWithCtx(ctx, r.backends[s], sub, points)
 	})
 }
 
@@ -246,9 +159,7 @@ func (r *Router) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 // FetchPolysCtx implements core.CtxFetcher, routed like EvalNodesCtx.
 func (r *Router) FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	return scatter(r, keys, func(s int, sub []drbg.NodeKey) ([]core.NodePoly, error) {
-		return groupCall(r, s, func(api core.ServerAPI) ([]core.NodePoly, error) {
-			return core.FetchPolysWithCtx(ctx, api, sub)
-		})
+		return core.FetchPolysWithCtx(ctx, r.backends[s], sub)
 	})
 }
 

@@ -408,11 +408,13 @@ func (b brokenAPI) EvalNodes([]drbg.NodeKey, []*big.Int) ([]core.NodeEval, error
 func (b brokenAPI) FetchPolys([]drbg.NodeKey) ([]core.NodePoly, error) { return nil, b.err }
 func (b brokenAPI) Prune([]drbg.NodeKey) error                         { return b.err }
 
-// replicatedFixture assembles a Router with nReplicas guarded Locals per
-// shard, where replica 0 of every shard is broken with brokenErr (nil =
-// healthy), plus the unsharded reference.
-func replicatedFixture(t *testing.T, r ring.Ring, shards int, brokenErr error) (*Router, *server.Local, []drbg.NodeKey, []*big.Int) {
+// replicatedFixture assembles a Router whose every shard is a 1-of-2
+// MultiServer replica group — a k = 1 Shamir share is the whole share
+// tree, so both members serve the same guarded Local — where member 0 of
+// every shard is broken with brokenErr, plus the unsharded reference.
+func replicatedFixture(t *testing.T, shards int, brokenErr error) (*Router, *server.Local, []drbg.NodeKey, []*big.Int) {
 	t.Helper()
+	r := ring.MustFp(257)
 	tree, keys, points := fixture(t, r, 120)
 	ref, err := server.NewLocal(r, tree)
 	if err != nil {
@@ -422,7 +424,7 @@ func replicatedFixture(t *testing.T, r ring.Ring, shards int, brokenErr error) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := make([][]core.ServerAPI, len(trees))
+	backends := make([]core.ServerAPI, len(trees))
 	for s, st := range trees {
 		local, err := server.NewLocal(r, st)
 		if err != nil {
@@ -432,13 +434,16 @@ func replicatedFixture(t *testing.T, r ring.Ring, shards int, brokenErr error) (
 		if err != nil {
 			t.Fatal(err)
 		}
-		if brokenErr != nil {
-			groups[s] = []core.ServerAPI{brokenAPI{err: brokenErr}, g}
-		} else {
-			groups[s] = []core.ServerAPI{g}
+		ms, err := core.NewMultiServer(r, 1, []core.MultiMember{
+			{X: 1, API: brokenAPI{err: brokenErr}},
+			{X: 2, API: g},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		backends[s] = ms
 	}
-	router, err := NewReplicatedRouter(man, groups)
+	router, err := NewRouter(man, backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,8 +454,7 @@ func replicatedFixture(t *testing.T, r ring.Ring, shards int, brokenErr error) (
 // broken, every sub-batch must fail over to the second replica and the
 // gathered answers must match the unsharded reference exactly.
 func TestReplicatedRouterFailsOver(t *testing.T) {
-	r := ring.MustFp(257)
-	router, ref, keys, points := replicatedFixture(t, r, 3, errors.New("replica transport down"))
+	router, ref, keys, points := replicatedFixture(t, 3, errors.New("replica transport down"))
 	got, err := router.EvalNodes(keys, points)
 	if err != nil {
 		t.Fatalf("EvalNodes with broken first replicas: %v", err)
@@ -479,51 +483,26 @@ func TestReplicatedRouterFailsOver(t *testing.T) {
 			t.Fatalf("poly %s diverged after failover", keys[i])
 		}
 	}
-	if snap := router.Counters().Snapshot(); snap.Retries < 1 {
-		t.Errorf("retries = %d, want >= 1", snap.Retries)
-	}
 }
 
-// TestReplicatedRouterSemanticErrorsAreTerminal: a semantic answer (the
-// guard's ErrNotOwned, or a server ErrorMsg) must NOT fail over — the
-// replica would answer identically.
-func TestReplicatedRouterSemanticErrorsAreTerminal(t *testing.T) {
-	r := ring.MustFp(257)
-	router, _, _, points := replicatedFixture(t, r, 2, nil)
-	// Rebuild with a first replica that answers semantically.
-	man := router.Manifest()
-	groups := make([][]core.ServerAPI, man.Shards)
-	for s := 0; s < man.Shards; s++ {
-		groups[s] = []core.ServerAPI{
-			brokenAPI{err: ErrNotOwned},
-			brokenAPI{err: errors.New("second replica must never be consulted")},
-		}
-	}
-	rr, err := NewReplicatedRouter(man, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = rr.EvalNodes([]drbg.NodeKey{{0}}, points)
-	if !errors.Is(err, ErrNotOwned) {
-		t.Fatalf("err = %v, want ErrNotOwned surfaced without failover", err)
-	}
-	if snap := rr.Counters().Snapshot(); snap.Retries != 0 {
-		t.Errorf("retries = %d, want 0 for a terminal semantic error", snap.Retries)
-	}
-}
-
-// TestReplicatedRouterAllReplicasDown: exhausting a replica group
-// surfaces the last transport error.
+// TestReplicatedRouterAllReplicasDown: a shard whose every replica fails
+// surfaces the replicas' error through the router.
 func TestReplicatedRouterAllReplicasDown(t *testing.T) {
-	r := ring.MustFp(257)
-	router, _, _, points := replicatedFixture(t, r, 2, nil)
-	man := router.Manifest()
 	down := errors.New("every replica down")
-	groups := make([][]core.ServerAPI, man.Shards)
-	for s := 0; s < man.Shards; s++ {
-		groups[s] = []core.ServerAPI{brokenAPI{err: down}, brokenAPI{err: down}}
+	router, _, _, points := replicatedFixture(t, 2, down)
+	man := router.Manifest()
+	backends := make([]core.ServerAPI, man.Shards)
+	for s := range backends {
+		ms, err := core.NewMultiServer(ring.MustFp(257), 1, []core.MultiMember{
+			{X: 1, API: brokenAPI{err: down}},
+			{X: 2, API: brokenAPI{err: down}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[s] = ms
 	}
-	rr, err := NewReplicatedRouter(man, groups)
+	rr, err := NewRouter(man, backends)
 	if err != nil {
 		t.Fatal(err)
 	}

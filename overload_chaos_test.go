@@ -1,7 +1,9 @@
 // Overload and live-operations conformance: every resilient serving
-// topology — Reliable session, health-tracked Pool, hedged k-of-n
-// MultiServer, replicated shard Router, and the batched coalescing stack
-// — is driven (a) at several times a tiny admission cap, so the daemons
+// topology — reliable session (a retry policy over a one-connection
+// Pool), health-tracked Pool, hedged k-of-n MultiServer, the replicated
+// shard fabric (Router → per-shard 2-of-3 MultiServer → one-connection
+// pools) and a session into a coalescing daemon — is driven (a) at
+// several times a tiny admission cap, so the daemons
 // are actively shedding with typed retryable errors the whole run, and
 // (b) through continuous mid-wave hot swaps of the served store. The
 // contract in both suites is the usual one: byte-identical answers to
@@ -10,7 +12,6 @@ package sssearch
 
 import (
 	"crypto/rand"
-	"errors"
 	"math/big"
 	"net"
 	"testing"
@@ -25,7 +26,6 @@ import (
 	"sssearch/internal/resilience"
 	"sssearch/internal/ring"
 	"sssearch/internal/server"
-	"sssearch/internal/shard"
 	"sssearch/internal/sharing"
 )
 
@@ -121,24 +121,25 @@ func alternatingSwap(daemons []*server.Daemon, stores [][2]server.Store) func() 
 	}
 }
 
+// dialer dials addr with the given counters (nil allowed).
+func dialer(addr string, counters *metrics.Counters) func() (*client.Remote, error) {
+	return func() (*client.Remote, error) { return client.Dial(addr, counters) }
+}
+
 // TestOverloadReliable: one retrying session against a shedding daemon.
 func TestOverloadReliable(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
 	d, addr := startDaemonCfg(t, slow(f.Reference), overloadCap)
 	counters := &metrics.Counters{}
-	rc, err := client.NewReliable(func() (*client.Remote, error) { return client.Dial(addr, counters) }, overloadPolicy(), counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := reliableSession(t, dialer(addr, counters), overloadPolicy(), counters)
 
 	apitest.ChaosOverload(t, f, rc, 8, 5)
 	requireSheds(t, d)
 }
 
 // TestOverloadPool: pooled connections all target the same shedding
-// daemon; the pool-wide breaker plus the retrying API wrapper must mask
-// every shed without failing over into the same full queue.
+// daemon; the retrying API wrapper and its breaker must mask every shed,
+// and the pool must not fail over into the same full queue.
 func TestOverloadPool(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
 	d, addr := startDaemonCfg(t, slow(f.Reference), overloadCap)
@@ -148,13 +149,7 @@ func TestOverloadPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	p.Breaker().Cooldown = 3 * time.Millisecond
-	pol := overloadPolicy()
-	pol.Breaker = nil // the pool carries its own breaker
-	pol.Retryable = func(err error) bool {
-		return errors.Is(err, client.ErrNoHealthyMembers) || resilience.Retryable(err)
-	}
-	api := &resilience.API{Inner: p, Policy: pol}
+	api := &resilience.API{Inner: p, Policy: overloadPolicy()}
 
 	apitest.ChaosOverload(t, f, api, 8, 5)
 	requireSheds(t, d)
@@ -181,13 +176,7 @@ func TestOverloadMultiServerHedged(t *testing.T) {
 		}
 		d, addr := startDaemonCfg(t, slow(local), overloadCap)
 		daemons[i] = d
-		a := addr
-		rc, err := client.NewReliable(func() (*client.Remote, error) { return client.Dial(a, counters) }, overloadPolicy(), counters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { rc.Close() })
-		members[i] = core.MultiMember{X: s.X, API: rc}
+		members[i] = core.MultiMember{X: s.X, API: reliableSession(t, dialer(addr, counters), overloadPolicy(), counters)}
 	}
 	ms, err := core.NewMultiServer(fp, k, members)
 	if err != nil {
@@ -200,65 +189,43 @@ func TestOverloadMultiServerHedged(t *testing.T) {
 	requireSheds(t, daemons...)
 }
 
-// TestOverloadReplicatedRouter: bare (non-retrying) sessions as replicas,
-// so a shed from one replica daemon MUST fail over inside the router to
-// its sibling — a different daemon whose admission queue may have room —
-// with a retrying wrapper around the whole scatter for the waves where
-// both replicas shed at once.
+// TestOverloadReplicatedRouter: the replicated shard fabric with bare
+// (non-retrying) one-connection pools as members, so a shed from one
+// member daemon MUST fail over inside the shard's MultiServer to a spare
+// member — a different daemon whose admission queue may have room — with
+// a retrying wrapper around the whole scatter for the waves where too
+// many members shed at once.
 func TestOverloadReplicatedRouter(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
-	const shards, replicas = 2, 2
-	trees, man, err := shard.Partition(f.ServerTree, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
 	counters := &metrics.Counters{}
-	groups := make([][]core.ServerAPI, shards)
 	var daemons []*server.Daemon
-	for s, st := range trees {
-		local, err := server.NewLocal(f.Ring, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		guard, err := shard.NewGuard(f.Ring, local, man, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, addr := startDaemonCfg(t, slow(guard), overloadCap)
+	router := replicatedFabric(t, f, func(_, _ int, newGuard func() server.Store) core.ServerAPI {
+		d, addr := startDaemonCfg(t, slow(newGuard()), overloadCap)
 		daemons = append(daemons, d)
-		for rep := 0; rep < replicas; rep++ {
-			r, err := client.Dial(addr, counters)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { r.Close() })
-			groups[s] = append(groups[s], r)
+		p, err := client.NewPoolDial(dialer(addr, counters), 1, counters)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	router, err := shard.NewReplicatedRouter(man, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
+		t.Cleanup(func() { p.Close() })
+		return p
+	})
 	api := &resilience.API{Inner: router, Policy: overloadPolicy()}
 
 	apitest.ChaosOverload(t, f, api, 8, 5)
 	requireSheds(t, daemons...)
 }
 
-// TestOverloadBatcherCoalesce: the batched coalescing stack against a
-// shedding coalescing daemon — batched sub-requests shed as a unit must
-// be retried as a unit without mixing answers.
+// TestOverloadBatcherCoalesce (named for the client-side micro-batcher
+// that once sat in front of the session): a retrying session against a
+// shedding coalescing daemon — merged requests shed as a unit must be
+// retried without mixing answers.
 func TestOverloadBatcherCoalesce(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
 	d, addr := startDaemonCfg(t, coalesce.New(slow(f.Reference), nil), overloadCap)
 	counters := &metrics.Counters{}
-	rc, err := client.NewReliable(func() (*client.Remote, error) { return client.Dial(addr, counters) }, overloadPolicy(), counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := reliableSession(t, dialer(addr, counters), overloadPolicy(), counters)
 
-	apitest.ChaosOverload(t, f, client.NewBatcher(rc, nil), 8, 5)
+	apitest.ChaosOverload(t, f, rc, 8, 5)
 	requireSheds(t, d)
 }
 
@@ -273,11 +240,7 @@ func TestHotSwapReliable(t *testing.T) {
 	}
 	d, addr := startDaemonCfg(t, f.Reference, nil)
 	counters := &metrics.Counters{}
-	rc, err := client.NewReliable(func() (*client.Remote, error) { return client.Dial(addr, counters) }, overloadPolicy(), counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := reliableSession(t, dialer(addr, counters), overloadPolicy(), counters)
 
 	swap := alternatingSwap([]*server.Daemon{d}, [][2]server.Store{{other, f.Reference}})
 	apitest.ChaosHotSwap(t, f, rc, swap, 4, 6)
@@ -331,13 +294,7 @@ func TestHotSwapMultiServerHedged(t *testing.T) {
 		stores[i] = [2]server.Store{b, a}
 		d, addr := startDaemonCfg(t, a, nil)
 		daemons[i] = d
-		addr2 := addr
-		rc, err := client.NewReliable(func() (*client.Remote, error) { return client.Dial(addr2, counters) }, overloadPolicy(), counters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { rc.Close() })
-		members[i] = core.MultiMember{X: s.X, API: rc}
+		members[i] = core.MultiMember{X: s.X, API: reliableSession(t, dialer(addr, counters), overloadPolicy(), counters)}
 	}
 	ms, err := core.NewMultiServer(fp, k, members)
 	if err != nil {
@@ -350,69 +307,38 @@ func TestHotSwapMultiServerHedged(t *testing.T) {
 	requireSwaps(t, daemons...)
 }
 
-// TestHotSwapReplicatedRouter: each shard daemon's guarded store swaps
-// under scatter/gather traffic across replicas.
+// TestHotSwapReplicatedRouter: every member daemon of the replicated
+// shard fabric swaps its guarded store under scatter/gather traffic, the
+// members being retrying sessions over one-connection pools.
 func TestHotSwapReplicatedRouter(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
-	const shards, replicas = 2, 2
-	trees, man, err := shard.Partition(f.ServerTree, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
 	counters := &metrics.Counters{}
-	groups := make([][]core.ServerAPI, shards)
-	daemons := make([]*server.Daemon, 0, shards)
-	stores := make([][2]server.Store, 0, shards)
-	for s, st := range trees {
-		local, err := server.NewLocal(f.Ring, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		guardA, err := shard.NewGuard(f.Ring, local, man, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		guardB, err := shard.NewGuard(f.Ring, local, man, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, addr := startDaemonCfg(t, guardA, nil)
+	var daemons []*server.Daemon
+	var stores [][2]server.Store
+	router := replicatedFabric(t, f, func(_, _ int, newGuard func() server.Store) core.ServerAPI {
+		a, b := newGuard(), newGuard()
+		d, addr := startDaemonCfg(t, a, nil)
 		daemons = append(daemons, d)
-		stores = append(stores, [2]server.Store{guardB, guardA})
-		for rep := 0; rep < replicas; rep++ {
-			a := addr
-			rc, err := client.NewReliable(func() (*client.Remote, error) { return client.Dial(a, counters) }, overloadPolicy(), counters)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { rc.Close() })
-			groups[s] = append(groups[s], rc)
-		}
-	}
-	router, err := shard.NewReplicatedRouter(man, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
+		stores = append(stores, [2]server.Store{b, a})
+		return reliableSession(t, dialer(addr, counters), overloadPolicy(), counters)
+	})
 
 	apitest.ChaosHotSwap(t, f, router, alternatingSwap(daemons, stores), 4, 5)
 	requireSwaps(t, daemons...)
 }
 
-// TestHotSwapBatcherCoalesce: the coalescing daemon's store swaps while
-// the client-side micro-batcher is merging waves into carrier calls.
+// TestHotSwapBatcherCoalesce (named for the client-side micro-batcher
+// that once sat in front of the session): the coalescing daemon's store
+// swaps under a retrying session's waves.
 func TestHotSwapBatcherCoalesce(t *testing.T) {
 	f := apitest.NewFixture(t, ring.MustFp(257))
 	a := coalesce.New(f.Reference, nil)
 	b := coalesce.New(f.Reference, nil)
 	d, addr := startDaemonCfg(t, a, nil)
-	rc, err := client.NewReliable(func() (*client.Remote, error) { return client.Dial(addr, nil) }, overloadPolicy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := reliableSession(t, dialer(addr, nil), overloadPolicy(), nil)
 
 	swap := alternatingSwap([]*server.Daemon{d}, [][2]server.Store{{b, a}})
-	apitest.ChaosHotSwap(t, f, client.NewBatcher(rc, nil), swap, 4, 6)
+	apitest.ChaosHotSwap(t, f, rc, swap, 4, 6)
 	requireSwaps(t, d)
 }
 
@@ -427,11 +353,7 @@ func TestOverloadHotSwapCombined(t *testing.T) {
 	}
 	d, addr := startDaemonCfg(t, slow(f.Reference), overloadCap)
 	counters := &metrics.Counters{}
-	rc, err := client.NewReliable(func() (*client.Remote, error) { return client.Dial(addr, counters) }, overloadPolicy(), counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := reliableSession(t, dialer(addr, counters), overloadPolicy(), counters)
 
 	swap := alternatingSwap([]*server.Daemon{d}, [][2]server.Store{{slow(other), slow(f.Reference)}})
 	apitest.ChaosHotSwap(t, f, rc, swap, 6, 5)

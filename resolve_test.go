@@ -54,7 +54,9 @@ type queryTopology struct {
 
 // queryTopologies are the topologies the conformance suite registers, as
 // whole-query suites run through them: a socket, a pool, a shard router, a
-// 2-of-3 Lagrange combine, both, the coalescer, the micro-batcher.
+// 2-of-3 Lagrange combine, both, the coalescer, and a socket into a
+// coalescing daemon ("batched", named for the client-side micro-batcher
+// that once sat in front of that socket).
 func queryTopologies() []queryTopology {
 	return []queryTopology{
 		{"local", func(t *testing.T, f *apitest.Fixture) core.ServerAPI { return f.Reference }},
@@ -88,14 +90,14 @@ func queryTopologies() []queryTopology {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { r.Close() })
-			return client.NewBatcher(r, nil)
+			return r
 		}},
 	}
 }
 
 // TestResolveDifferentialTopologies: whatever sits between the engine and
 // the share trees — a socket, a pool, a shard router, a 2-of-3 Lagrange
-// combine, both, the coalescer, the micro-batcher — a resolve wave is an
+// combine, both, the coalescer, a coalescing daemon — a resolve wave is an
 // ordinary evaluation wave at two more points, and VerifyResolve answers
 // as VerifyFull and the plaintext evaluator do, with no polynomial
 // fetched and the same tags recovered, also when waves are split into

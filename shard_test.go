@@ -296,12 +296,39 @@ func TestMultiShareDialMulti(t *testing.T) {
 }
 
 // TestSessionCloseClosesAllConnections is the leak check for the
-// Session.Close fix: a sharded (or pooled) session owns many
+// Session.Close fix: a sharded, pooled or replicated session owns many
 // connections, and Close must release every one — observable because
 // each daemon's Close waits for its in-flight connections, so a leaked
 // client socket would hang the shutdown until the test times out.
 func TestSessionCloseClosesAllConnections(t *testing.T) {
-	_, bundle := shardTestBundle(t, Config{Kind: RingFp, P: 257})
+	doc, bundle := shardTestBundle(t, Config{Kind: RingFp, P: 257})
+	listen := func() net.Listener {
+		t.Helper()
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	// shutsDown fails unless every daemon closes promptly: Close waits
+	// for in-flight connections, which only drain if the session really
+	// closed them.
+	shutsDown := func(what string, daemons ...*Daemon) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			for _, d := range daemons {
+				d.Close()
+			}
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("daemon shutdown hung: %s session leaked connections", what)
+		}
+	}
+
 	sb, err := bundle.Shard(3)
 	if err != nil {
 		t.Fatal(err)
@@ -309,10 +336,7 @@ func TestSessionCloseClosesAllConnections(t *testing.T) {
 	daemons := make([]*Daemon, len(sb.Stores))
 	addrs := make([]string, len(sb.Stores))
 	for i, st := range sb.Stores {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := listen()
 		if daemons[i], err = st.ServeTCP(l); err != nil {
 			t.Fatal(err)
 		}
@@ -331,24 +355,12 @@ func TestSessionCloseClosesAllConnections(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Every daemon must shut down promptly: Close waits for in-flight
-	// connections, which only drain if the session really closed them.
-	done := make(chan struct{})
-	go func() {
-		for _, d := range daemons {
-			d.Close()
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon shutdown hung: session leaked connections")
-	}
+	shutsDown("sharded", daemons...)
 	// Searching on a closed session fails rather than wedging.
 	if _, err := sess.Search("//t1"); err == nil {
 		t.Error("search succeeded on a closed session")
 	}
+
 	// Pooled sessions own size connections and close them all too.
 	poolStore := filepath.Join(t.TempDir(), "server.sss")
 	if err := bundle.Server.Save(poolStore); err != nil {
@@ -358,10 +370,7 @@ func TestSessionCloseClosesAllConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := listen()
 	d, err := st.ServeTCP(l)
 	if err != nil {
 		t.Fatal(err)
@@ -376,16 +385,63 @@ func TestSessionCloseClosesAllConnections(t *testing.T) {
 	if err := pooled.Close(); err != nil {
 		t.Fatal(err)
 	}
-	done2 := make(chan struct{})
-	go func() {
-		d.Close()
-		close(done2)
-	}()
-	select {
-	case <-done2:
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon shutdown hung: pooled session leaked connections")
+	shutsDown("pooled", d)
+
+	// A replicated deployment — 2 shards, each Shamir-shared 2-of-3 —
+	// owns one connection a member, six in all, answers as the plaintext
+	// evaluator does, and closes every connection.
+	members, err := bundle.MultiShare(2, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var man *ShardManifest
+	groups := make([][]string, 2)
+	var fabric []*Daemon
+	for _, member := range members {
+		var msb *ShardedBundle
+		if man == nil {
+			msb, err = member.Shard(2)
+		} else {
+			msb, err = member.ShardWith(man)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		man = msb.Manifest
+		for s, st := range msb.Stores {
+			l := listen()
+			d, err := st.ServeTCP(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fabric = append(fabric, d)
+			groups[s] = append(groups[s], l.Addr().String())
+		}
+	}
+	replicated, err := bundle.Key.DialShardedReplicated(man, 2, groups...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replicated.closers) != 6 {
+		t.Fatalf("replicated session owns %d connections, want 6", len(replicated.closers))
+	}
+	for _, q := range shardTestQueries {
+		res, err := replicated.Search(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want, err := EvaluatePlaintext(doc, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Paths(doc); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: replicated session answers %v, plaintext %v", q, got, want)
+		}
+	}
+	if err := replicated.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shutsDown("replicated", fabric...)
 }
 
 // TestShardPlanIsShapeOnly pins the property the 2-D deployment relies

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"sssearch/internal/client"
-	"sssearch/internal/coalesce"
 	"sssearch/internal/core"
 	"sssearch/internal/drbg"
 	"sssearch/internal/mapping"
@@ -243,13 +242,6 @@ func (k *ClientKey) Seed() drbg.Seed { return k.state.Seed }
 
 // ServeOpts tunes a daemon started by the Serve* helpers.
 type ServeOpts struct {
-	// DisableCoalesce turns off the cross-session request coalescer in
-	// front of the store. Coalescing is on by default: it is semantically
-	// transparent (byte-identical answers) and merges concurrent Eval
-	// frames from all connections into shared deduplicated evaluation
-	// passes. Disable only for ablations and debugging.
-	DisableCoalesce bool
-
 	// IdleTimeout, when positive, closes connections that sit silent
 	// between frames for longer than this — protection against half-dead
 	// peers holding sockets forever. Zero disables the timeout.
@@ -263,17 +255,8 @@ type ServeOpts struct {
 	MaxInflight int
 }
 
-// wrapStore applies the serving-path wrappers selected by opts.
-func wrapStore(st server.Store, opts ServeOpts) server.Store {
-	if opts.DisableCoalesce {
-		return st
-	}
-	return coalesce.New(st, nil)
-}
-
 // ServeTCP serves the store's share tree on the listener until Close is
-// called on the returned daemon. Concurrent queries from all connections
-// are coalesced into shared evaluation passes (see ServeOpts).
+// called on the returned daemon.
 func (s *ServerStore) ServeTCP(l net.Listener) (*Daemon, error) {
 	return s.ServeTCPOpts(l, ServeOpts{})
 }
@@ -284,7 +267,7 @@ func (s *ServerStore) ServeTCPOpts(l net.Listener, opts ServeOpts) (*Daemon, err
 	if err != nil {
 		return nil, err
 	}
-	d := server.NewDaemon(wrapStore(local, opts), nil)
+	d := server.NewDaemon(local, nil)
 	d.IdleTimeout = opts.IdleTimeout
 	d.MaxInflight = opts.MaxInflight
 	go func() { _ = d.Serve(l) }()
@@ -303,8 +286,7 @@ type Daemon struct {
 // they started on; every request dispatched after the swap is answered
 // from s. The new store's ring parameters must match the served ones
 // byte-identically (live sessions pinned them at their handshake) or the
-// swap is refused. The serving wrappers chosen at start (coalescing) are
-// re-applied to s. Returns the new store epoch. Shard daemons cannot
+// swap is refused. Returns the new store epoch. Shard daemons cannot
 // swap: their guard is bound to the manifest range of the original
 // store.
 func (d *Daemon) SwapStore(s *ServerStore) (uint64, error) {
@@ -318,7 +300,7 @@ func (d *Daemon) SwapStore(s *ServerStore) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return d.d.SwapStore(wrapStore(local, d.opts))
+	return d.d.SwapStore(local)
 }
 
 // StoreEpoch returns the daemon's store-swap epoch: 0 until the first
@@ -336,19 +318,9 @@ func (d *Daemon) StoreEpoch() uint64 { return d.d.StoreEpoch() }
 //   - /varz — a JSON snapshot: counters, stage latencies, the slow-query
 //     log of sampled traces, store epoch and inflight admission slots.
 //   - /debug/pprof/... — the standard Go profiling endpoints.
-//
-// The counters merge the daemon's own tallies with the coalescer's (when
-// coalescing is enabled, the coalescer in front of the store keeps its
-// own counter set).
 func (d *Daemon) DebugHandler() http.Handler {
 	return obs.DebugHandler(obs.DebugOptions{
-		Counters: func() metrics.Snapshot {
-			snap := d.d.Counters().Snapshot()
-			if co, ok := d.d.Store().(*coalesce.Server); ok {
-				snap = snap.Add(co.Counters().Snapshot())
-			}
-			return snap
-		},
+		Counters: d.d.Counters().Snapshot,
 		Observer: d.d.Observer(),
 		Healthy: func() error {
 			if d.d.Draining() {
@@ -452,9 +424,7 @@ func LoadShardStore(path string) (*ShardStore, error) {
 func IsShardStoreFile(data []byte) bool { return store.IsShardStore(data) }
 
 // serveGuardedTCP starts a daemon over a guarded Local: the shared body
-// of ShardStore.ServeTCP and ServerStore.ServeShardTCP. The coalescer
-// (unless disabled) wraps the guard, so merged passes stay inside the
-// shard's ownership fence.
+// of ShardStore.ServeTCP and ServerStore.ServeShardTCP.
 func serveGuardedTCP(l net.Listener, r ring.Ring, tree *sharing.Tree, man *shard.Manifest, id int, opts ServeOpts) (*Daemon, error) {
 	local, err := server.NewLocal(r, tree)
 	if err != nil {
@@ -464,7 +434,7 @@ func serveGuardedTCP(l net.Listener, r ring.Ring, tree *sharing.Tree, man *shard
 	if err != nil {
 		return nil, err
 	}
-	d := server.NewDaemon(wrapStore(guard, opts), nil)
+	d := server.NewDaemon(guard, nil)
 	d.IdleTimeout = opts.IdleTimeout
 	d.MaxInflight = opts.MaxInflight
 	go func() { _ = d.Serve(l) }()
@@ -596,20 +566,16 @@ func (k *ClientKey) Dial(addr string) (*Session, error) {
 
 // DialPool opens a TCP session backed by a fixed-size pool of pipelined
 // connections to one share server — concurrent searches on the session
-// spread across the pool instead of serialising behind one socket.
-// Concurrent evaluation calls are additionally micro-batched: requests
-// issued while a round trip is in flight merge into one deduplicated
-// wire request (flush on size or first-await — a lone query never waits
-// on a batching window). The coalescing tallies appear in
-// Session.Counters next to the wire counters.
+// spread across the pool instead of serialising behind one socket. A
+// connection that breaks is ejected and re-dialed in the background, and
+// calls fail over to the healthy ones meanwhile.
 func (k *ClientKey) DialPool(addr string, size int) (*Session, error) {
 	counters := &metrics.Counters{}
 	pool, err := client.DialPool(addr, size, counters)
 	if err != nil {
 		return nil, err
 	}
-	batched := client.NewBatcher(pool, counters)
-	sess, err := k.newSessionWithCounters(batched, []io.Closer{pool}, counters)
+	sess, err := k.newSessionWithCounters(pool, []io.Closer{pool}, counters)
 	if err != nil {
 		pool.Close()
 		return nil, err
@@ -730,6 +696,10 @@ func (k *ClientKey) DialSharded(man *ShardManifest, addrs ...string) (*Session, 
 // Shamir replica group, each serving one member store (share point
 // X = position+1, the MultiShare order); any threshold of them answer
 // for the shard. Requires the F_p ring.
+//
+// Each member is a one-connection pool: a member whose connection breaks
+// is re-dialed in the background, and the shard's MultiServer asks a
+// spare member meanwhile.
 func (k *ClientKey) DialShardedReplicated(man *ShardManifest, threshold int, groups ...[]string) (*Session, error) {
 	if len(groups) != man.NumShards() {
 		return nil, fmt.Errorf("sssearch: %d replica groups for %d shards", len(groups), man.NumShards())
@@ -754,12 +724,13 @@ func (k *ClientKey) DialShardedReplicated(man *ShardManifest, threshold int, gro
 	for s, group := range groups {
 		members := make([]core.MultiMember, 0, len(group))
 		for j, addr := range group {
-			remote, err := client.Dial(addr, counters)
+			addr := addr // the re-dial runs after the loop has moved on
+			pool, err := client.NewPoolDial(func() (*client.Remote, error) { return client.Dial(addr, counters) }, 1, counters)
 			if err != nil {
 				return fail(fmt.Errorf("sssearch: shard %d replica %d: %w", s, j, err))
 			}
-			closers = append(closers, remote)
-			members = append(members, core.MultiMember{X: uint32(j + 1), API: remote})
+			closers = append(closers, pool)
+			members = append(members, core.MultiMember{X: uint32(j + 1), API: pool})
 		}
 		ms, err := core.NewMultiServer(fp, threshold, members)
 		if err != nil {
