@@ -71,27 +71,25 @@ func TestDataPlaneDifferentialTopologies(t *testing.T) {
 					want = append(want, n.Key())
 				}
 				for _, level := range []core.VerifyLevel{core.VerifyNone, core.VerifyResolve, core.VerifyFull} {
-					for _, parallelism := range []int{1, 4} {
-						var ref *core.Result
-						for _, e := range engines {
-							id := fmt.Sprintf("%s %s parallelism %d, %s", qs, level, parallelism, e.name)
-							res, err := e.eng.Query(q, core.Opts{Verify: level, Parallelism: parallelism})
-							if err != nil {
-								t.Fatalf("%s: %v", id, err)
-							}
-							if level != core.VerifyNone && (fmt.Sprint(res.Matches) != fmt.Sprint(want) || len(res.Unresolved) != 0) {
-								t.Fatalf("%s: matches %v (unresolved %v), plaintext %v", id, res.Matches, res.Unresolved, want)
-							}
-							if ref == nil {
-								ref = res
-								continue
-							}
-							if !reflect.DeepEqual(res.Matches, ref.Matches) || !reflect.DeepEqual(res.Unresolved, ref.Unresolved) {
-								t.Fatalf("%s: matches %v unresolved %v, the word engine's %v and %v", id, res.Matches, res.Unresolved, ref.Matches, ref.Unresolved)
-							}
-							if got, want := protocolStats(res.Stats), protocolStats(ref.Stats); got != want {
-								t.Fatalf("%s: %s\nthe word engine: %s", id, got, want)
-							}
+					var ref *core.Result
+					for _, e := range engines {
+						id := fmt.Sprintf("%s %s, %s", qs, level, e.name)
+						res, err := e.eng.Query(q, core.Opts{Verify: level})
+						if err != nil {
+							t.Fatalf("%s: %v", id, err)
+						}
+						if level != core.VerifyNone && (fmt.Sprint(res.Matches) != fmt.Sprint(want) || len(res.Unresolved) != 0) {
+							t.Fatalf("%s: matches %v (unresolved %v), plaintext %v", id, res.Matches, res.Unresolved, want)
+						}
+						if ref == nil {
+							ref = res
+							continue
+						}
+						if !reflect.DeepEqual(res.Matches, ref.Matches) || !reflect.DeepEqual(res.Unresolved, ref.Unresolved) {
+							t.Fatalf("%s: matches %v unresolved %v, the word engine's %v and %v", id, res.Matches, res.Unresolved, ref.Matches, ref.Unresolved)
+						}
+						if got, want := protocolStats(res.Stats), protocolStats(ref.Stats); got != want {
+							t.Fatalf("%s: %s\nthe word engine: %s", id, got, want)
 						}
 					}
 				}
@@ -191,7 +189,7 @@ func TestHotQueryAllocationsPerNode(t *testing.T) {
 			}
 			nodes = res.Stats.NodesVisited
 		}
-		search() // warm: pads, share evaluations, the server's eval cache
+		search() // warm: first-use keys and pooled buffers
 		allocs := testing.AllocsPerRun(5, search)
 		if nodes < 500 {
 			t.Fatalf("%s visited %d nodes: too small a query to measure", qs, nodes)

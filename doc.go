@@ -106,13 +106,10 @@
 // joined before the wave returns, on every error path; a smaller wave
 // runs its two legs one after the other on the calling goroutine. This
 // is why sharing.ShareSource implementations must be safe for concurrent
-// use. core.Opts.Parallelism is a different axis — it splits a wave into
-// concurrent server batches — and core.MultiServer fans a k-of-n
-// deployment out in parallel, Lagrange-combining the per-server summands —
-// so adding share servers adds throughput rather than latency
-// (`core.multiserver_member_wait_ms` against `core.multiserver_self_ms` on
-// `query_fabric`; TestMultiServerSequentialParity pins the concurrent
-// fan-out to the sequential one).
+// use. core.MultiServer fans a k-of-n deployment out in parallel,
+// Lagrange-combining the per-server summands, so adding share servers
+// adds throughput rather than latency (`core.multiserver_member_wait_ms`
+// against `core.multiserver_self_ms` on `query_fabric`).
 //
 // Every core.ServerAPI implementation is held to one contract by the
 // conformance suite in internal/apitest.
@@ -236,17 +233,12 @@
 // a mid-size deployment and every knob degrades gracefully to the
 // sequential path:
 //
-//   - core.Opts.Parallelism — splits each per-query evaluation wave
-//     into concurrent batches (0 = GOMAXPROCS).
 //   - Outsource Config.Parallelism — worker bound of the encode/split
 //     tree walks on the write path (byte-identical at every setting).
 //   - ClientKey.DialPool size — pipelined connections per session;
 //     concurrent searches spread across sockets.
 //   - server.Daemon.Workers — concurrently executing requests per
 //     pipelined connection (default server.DefaultWorkers).
-//   - server.Local.SetEvalCacheEntries — bound of the (node, point) eval
-//     LRU of a Z[x]/(r(x)) store (default server.DefaultEvalCacheEntries,
-//     ~64 Ki entries); an F_p store reads values and has no cache.
 //   - wire buffer pooling is automatic: frame payloads are built in and
 //     recycled through a sync.Pool, and each frame is written with a
 //     single Write call.
@@ -358,8 +350,7 @@
 //
 // A query is a sequence of waves, and a protocol round is one wave, not
 // one node. Each step evaluates its frontier in one EvalNodes wave per
-// tree level (split into concurrent batches under Opts.Parallelism). The
-// seed-only client of §4.2 pays for its storage at this point — it
+// tree level. The seed-only client of §4.2 pays for its storage at this point — it
 // regenerates every visited node's share from its share stream — and on a
 // large wave that work runs beside the server's evaluation of the same
 // keys, not after it: the engine computes the summands of the keys it
@@ -387,8 +378,7 @@
 // coefficient solve moves p−1 coefficients, and no transform at all.
 // The candidates and their children, deduplicated, are evaluated at two
 // fixed points by one ordinary EvalNodes wave (the per-run cache, the
-// Parallelism batches, the two-leg overlap and the key-by-key answer
-// check of any scan wave); it adds one round and two values a node to a
+// two-leg overlap and the key-by-key answer check of any scan wave); it adds one round and two values a node to a
 // query's Stats and nothing to NodesVisited, which counts the traversal.
 // t is solved at the first point and must come out the same at the
 // second; a disagreement, or a Q(a) = 0, is polyenc.ErrInconsistent
@@ -490,12 +480,18 @@
 // byte-identical, pinned at the split, combine and full Outsource→Search
 // levels.
 //
-// The k-of-n combiner runs on the same engine: core.MultiServer
-// precomputes the Lagrange-at-zero basis once per answer set
-// (fastfield.LagrangeAtZero) and batch-combines whole value vectors in one
-// Montgomery pass, falling back to per-point big.Int interpolation for
-// rings without the fast path (the BigCombine ablation keeps the old path
-// measurable).
+// The k-of-n combiner runs on the same engine. There are two, one fast
+// path and one reference:
+//
+//   - fastfield.Lagrange.CombineVec pays on every `query_fabric` wave:
+//     core.MultiServer builds the Lagrange-at-zero basis once per answer
+//     set (fastfield.LagrangeAtZero) and combines each node's value vector
+//     in one Montgomery pass (`fastfield.lagrange_combine_ns_per_value`).
+//   - shamir.InterpolateAt, per-point big.Int interpolation, pays only
+//     where no word-sized engine exists — moduli over 62 bits and
+//     SetFast(false) rings, which no workload runs — and as the BigCombine
+//     oracle that TestMultiServerCombineDifferential and the
+//     `2of3BigCombine` topologies pin CombineVec to.
 //
 // Intentionally still on big.Int: the Z[x]/(r(x)) ring end to end
 // (unbounded coefficients). Every F_p ring is word-sized: p is at most
@@ -693,12 +689,12 @@
 //
 // # Observability
 //
-// The serving stack is traceable end to end (internal/obs). Eight stages
-// of a request's life — client share arithmetic, wire round trip, daemon
-// admission wait, worker dispatch, coalescer merge wait (where a
-// coalescer is built), store evaluation, response writer-queue
-// residency, and the client's eq. (2) tag-recovery solves, once per
-// wave — are each timed into a lock-free log-bucketed histogram (atomic buckets, so the
+// The serving stack is traceable end to end (internal/obs). Seven stages
+// of a request's life — client share arithmetic, wire round trip, worker
+// dispatch, coalescer merge wait (where a coalescer is built), store
+// evaluation, response writer-queue residency, and the client's eq. (2)
+// tag-recovery solves, once per wave — are each timed into a lock-free
+// log-bucketed histogram (atomic buckets, so the
 // hot path never takes a lock; snapshots merge exactly, so per-daemon
 // histograms aggregate across a fleet).
 //

@@ -1,12 +1,14 @@
 // Multi-server deployment: the paper's §4.2 extension. The server part of
-// every node polynomial is Shamir-shared coefficient-wise across n
-// storage providers with threshold k; the client plus ANY k providers can
-// answer queries, and fewer than k providers learn nothing at all — even
-// colluding.
+// every node's share — its value vector — is Shamir-shared value-wise
+// across n storage providers with threshold k; the client plus ANY k
+// providers can answer queries, and fewer than k providers learn nothing
+// at all — even colluding.
 //
-// Because Lagrange reconstruction is linear and evaluation is linear in
-// the coefficients, the client recombines *scalar evaluations* directly:
-// the per-query traffic stays one value per node per provider.
+// Because Lagrange reconstruction is linear and evaluation at a point
+// reads one value, the client recombines *scalar evaluations* directly:
+// the per-query traffic stays one value per node per provider. The query
+// runs through core.MultiServer, the fan-out a deployment uses, over
+// in-process providers.
 //
 //	go run ./examples/multiserver
 package main
@@ -14,16 +16,21 @@ package main
 import (
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"log"
 	"math/big"
+	"slices"
 
+	"sssearch/internal/core"
 	"sssearch/internal/drbg"
 	"sssearch/internal/mapping"
 	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
+	"sssearch/internal/server"
 	"sssearch/internal/sharing"
 	"sssearch/internal/xmltree"
+	"sssearch/internal/xpath"
 )
 
 const doc = `<grid>
@@ -31,6 +38,17 @@ const doc = `<grid>
   <site><sensor/><actuator/></site>
   <hub><sensor/></hub>
 </grid>`
+
+// offline is a provider that is down: it holds its share but answers no
+// evaluation and no fetch.
+type offline struct{ core.ServerAPI }
+
+var errOffline = errors.New("provider offline")
+
+func (offline) EvalNodes([]drbg.NodeKey, []*big.Int) ([]core.NodeEval, error) {
+	return nil, errOffline
+}
+func (offline) FetchPolys([]drbg.NodeKey) ([]core.NodePoly, error) { return nil, errOffline }
 
 func main() {
 	const k, n = 2, 3 // any 2 of 3 providers suffice
@@ -54,54 +72,55 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, p := range providers {
-		fmt.Printf("provider %d holds %d share polynomials (%d bytes); alone it learns nothing\n",
+	members := make([]core.MultiMember, n)
+	for i, p := range providers {
+		fmt.Printf("provider %d holds %d shares (%d bytes); alone it learns nothing\n",
 			p.X, p.Tree.Count(), p.Tree.ByteSize())
-	}
-
-	// Query //sensor: evaluate at map(sensor) with TWO of the three
-	// providers (provider 2 is offline).
-	point, _ := m.Value("sensor")
-	client := sharing.NewSeedClient(fp, seed)
-	available := []sharing.ServerShare{providers[0], providers[2]}
-	fmt.Printf("\nquery //sensor → point %v, using providers {1, 3} (provider 2 offline)\n", point)
-
-	matches := 0
-	enc.Walk(func(key drbg.NodeKey, node *polyenc.Node) bool {
-		evals := make([]sharing.ServerEval, 0, k)
-		for _, p := range available {
-			sn, err := p.Tree.Lookup(key)
-			if err != nil {
-				log.Fatal(err)
-			}
-			v, err := p.Tree.Eval(fp, sn, point)
-			if err != nil {
-				log.Fatal(err)
-			}
-			evals = append(evals, sharing.ServerEval{X: p.X, Value: v})
-		}
-		sum, err := sharing.MultiReconstructEval(fp, client, key, point, evals, k)
+		local, err := server.NewLocal(fp, p.Tree)
 		if err != nil {
 			log.Fatal(err)
 		}
-		target, _ := d.Lookup(key)
-		if sum.Sign() == 0 {
-			fmt.Printf("  %-18s sum=0  (subtree contains a sensor)\n", target.PathString())
-			if target.Tag == "sensor" {
-				matches++
-			}
-			return true
-		}
-		fmt.Printf("  %-18s sum=%v (dead branch, pruned)\n", target.PathString(), sum)
-		return false // prune: don't descend
-	})
-	fmt.Printf("\n%d sensors found with %d-of-%d reconstruction ✓\n", matches, k, n)
-
-	// Sanity: a single provider's evaluation is NOT the share sum — below
-	// threshold nothing reconstructs.
-	single := []sharing.ServerEval{{X: providers[0].X, Value: big.NewInt(0)}}
-	if _, err := sharing.CombineServerEvals(fp, single, k); err == nil {
-		log.Fatal("sub-threshold reconstruction should have failed")
+		members[i] = core.MultiMember{X: p.X, API: local}
 	}
-	fmt.Println("sub-threshold reconstruction correctly refused ✓")
+
+	// Query //sensor with provider 2 offline: the other two answer.
+	members[1].API = offline{members[1].API}
+	ms, err := core.NewMultiServer(fp, k, members)
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng := core.NewEngine(fp, seed, m, ms, nil)
+	fmt.Printf("\nquery //sensor, provider 2 offline\n")
+	res, err := eng.Lookup("sensor", core.Opts{Verify: core.VerifyResolve})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var want []drbg.NodeKey
+	for _, node := range xpath.MustParse("//sensor").Evaluate(d) {
+		want = append(want, node.Key())
+	}
+	for _, key := range res.Matches {
+		target, err := d.Lookup(key)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %s\n", target.PathString())
+	}
+	if !slices.EqualFunc(res.Matches, want, func(a, b drbg.NodeKey) bool { return a.String() == b.String() }) {
+		log.Fatalf("matches %v, the plaintext answer is %v", res.Matches, want)
+	}
+	fmt.Printf("%d sensors found with %d-of-%d reconstruction in %d rounds, %d values ✓\n",
+		len(res.Matches), k, n, res.Stats.Rounds, res.Stats.ValuesMoved)
+
+	// Below threshold nothing reconstructs: with provider 3 offline as
+	// well, the query is refused rather than answered from one share.
+	members[2].API = offline{members[2].API}
+	below, err := core.NewMultiServer(fp, k, members)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := core.NewEngine(fp, seed, m, below, nil).Lookup("sensor", core.Opts{}); !errors.Is(err, errOffline) {
+		log.Fatalf("sub-threshold query returned %v, want a refusal", err)
+	}
+	fmt.Println("sub-threshold query correctly refused ✓")
 }

@@ -82,6 +82,13 @@ func main() {
 			fmt.Printf("  %s\n", p)
 		}
 		fmt.Printf("  [%s]\n", sssearch.FormatStats(res.Stats))
+		want, err := sssearch.EvaluatePlaintext(doc, q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if fmt.Sprint(res.Paths(doc)) != fmt.Sprint(want) {
+			log.Fatalf("MISMATCH: plaintext %v", want)
+		}
 	}
 	fmt.Printf("\ncumulative wire traffic: %d B sent, %d B received\n",
 		session.Counters().BytesSent, session.Counters().BytesReceived)

@@ -54,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(want) != len(res.Matches) {
+		if fmt.Sprint(res.Paths(d)) != fmt.Sprint(want) {
 			log.Fatalf("MISMATCH: plaintext %v", want)
 		}
 	}

@@ -114,6 +114,13 @@ func main() {
 		for _, p := range res.Paths(d) {
 			fmt.Printf("  %s\n", p)
 		}
+		want, err := sssearch.EvaluatePlaintext(d, expr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if fmt.Sprint(res.Paths(d)) != fmt.Sprint(want) {
+			log.Fatalf("MISMATCH: plaintext %v", want)
+		}
 	}
 
 	if stats, ok := sess.ShardCounters(); ok {

@@ -40,6 +40,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	tally := new(big.Int)
+	for _, b := range ballots {
+		tally.Add(tally, b)
+	}
+	if res.Value.Cmp(tally) != 0 {
+		log.Fatalf("opened tally %v, the ballots sum to %v", res.Value, tally)
+	}
 	fmt.Printf("majority vote: %v of %d in favour", res.Value, members)
 	if res.Value.Int64() > members/2 {
 		fmt.Println(" — motion PASSES")
@@ -59,12 +66,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if v.Value.Cmp(big.NewInt(1)) != 0 {
+		log.Fatalf("veto round 1: product %v, want 1", v.Value)
+	}
 	fmt.Printf("\nveto round 1 (all consent): product = %v → approved\n", v.Value)
 
 	committee[2] = big.NewInt(0) // one silent veto
 	v, err = shamir.VetoVote(vetoScheme, committee, rand.Reader)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if v.Value.Sign() != 0 {
+		log.Fatalf("veto round 2: product %v, want 0", v.Value)
 	}
 	fmt.Printf("veto round 2 (one member vetoes): product = %v → blocked\n", v.Value)
 	fmt.Println("nobody learns WHO vetoed — only that someone did")

@@ -23,7 +23,7 @@ import (
 // buildFpEngine assembles a full stack over doc in F_p. fast=false builds
 // the big.Int reference: the whole pipeline (encode, split, seed client,
 // server) runs on one ring instance with the fast path off.
-func buildFpEngine(t *testing.T, doc *xmltree.Node, p uint64, fast bool, cacheEntries int) (*core.Engine, *server.Local) {
+func buildFpEngine(t *testing.T, doc *xmltree.Node, p uint64, fast bool) (*core.Engine, *server.Local) {
 	t.Helper()
 	r := ring.MustFp(p)
 	r.SetFast(fast)
@@ -44,7 +44,6 @@ func buildFpEngine(t *testing.T, doc *xmltree.Node, p uint64, fast bool, cacheEn
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetEvalCacheEntries(cacheEntries)
 	return core.NewEngine(r, seed, m, srv, nil), srv
 }
 
@@ -57,10 +56,10 @@ func keysToStrings(keys []drbg.NodeKey) []string {
 }
 
 // TestFastPathQueryDifferential runs identical query workloads through
-// the fast engine (packed arithmetic, eval cache, multi-point shares) and
-// the big.Int reference engine (SetFast(false), cache off): every match
-// set, unresolved set and verification outcome must agree, across verify
-// levels, repeated queries (cache warm), and multi-step paths.
+// the fast engine (packed arithmetic, multi-point shares) and the big.Int
+// reference engine (SetFast(false)): every match set, unresolved set and
+// verification outcome must agree, across verify levels, repeated
+// queries, and multi-step paths.
 func TestFastPathQueryDifferential(t *testing.T) {
 	doc := workload.Auction(workload.AuctionConfig{Items: 25, People: 20, Auctions: 15, Seed: 13})
 	queries := []string{
@@ -77,15 +76,15 @@ func TestFastPathQueryDifferential(t *testing.T) {
 			levels = levels[1:2]
 			qset = queries[:3]
 		}
-		fastEng, _ := buildFpEngine(t, doc, p, true, server.DefaultEvalCacheEntries)
-		refEng, _ := buildFpEngine(t, doc, p, false, 0)
+		fastEng, _ := buildFpEngine(t, doc, p, true)
+		refEng, _ := buildFpEngine(t, doc, p, false)
 		for _, lvl := range levels {
 			for _, qs := range qset {
 				q, err := xpath.Parse(qs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for pass := 0; pass < 2; pass++ { // pass 1: caches warm
+				for pass := 0; pass < 2; pass++ { // pass 1: a repeated query
 					got, gerr := fastEng.Query(q, core.Opts{Verify: lvl})
 					want, werr := refEng.Query(q, core.Opts{Verify: lvl})
 					if (gerr == nil) != (werr == nil) {

@@ -369,7 +369,7 @@ func TestPoolConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			res, err := eng.Lookup("client", core.Opts{Verify: core.VerifyResolve, Parallelism: 2})
+			res, err := eng.Lookup("client", core.Opts{Verify: core.VerifyResolve})
 			if err != nil {
 				errs <- err
 				return

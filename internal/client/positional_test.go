@@ -283,7 +283,6 @@ func TestMultiServerNamesTheMisframingMember(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		strict.Sequential = true
 		named := fmt.Sprintf("member %d: ", shares[0].X)
 		if _, err := strict.EvalNodes(f.Keys[:3], f.Points); err == nil || !strings.Contains(err.Error(), named) || !strings.Contains(err.Error(), liar.says) {
 			t.Errorf("%s: EvalNodes of a 2-of-2 deployment: error %v, want it to name the member (%q) and say %q", liar.name, err, named, liar.says)
@@ -295,7 +294,6 @@ func TestMultiServerNamesTheMisframingMember(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spare.Sequential = true // the liar is asked first, every call
 		got, err := spare.EvalNodes(f.Keys[:3], f.Points)
 		if err == nil {
 			err = apitest.CompareEvals(got, want)

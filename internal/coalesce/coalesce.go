@@ -19,8 +19,7 @@
 //   - Queued requests with the same point vector are merged into one
 //     inner EvalNodes pass over the union of their keys, with identical
 //     (node, point-set) pairs deduplicated singleflight-style: the
-//     evaluation (and, below a server.Local, the eval-cache fill)
-//     happens once and the resulting values are shared by every waiting
+//     evaluation happens once and the resulting values are shared by every waiting
 //     session. On the fast path that turns N concurrent pipelined frames
 //     for a hot subtree into ONE packed fastfield.EvalMany pass per node.
 //   - If a merged pass fails (for example one session asked for an
@@ -86,8 +85,7 @@ type Server struct {
 }
 
 // New wraps inner with a coalescer. counters may be nil (a fresh set is
-// allocated); the coalescing tallies appear next to the eval-cache pair
-// in the snapshot.
+// allocated); the coalescing tallies appear in its snapshot.
 func New(inner core.ServerAPI, counters *metrics.Counters) *Server {
 	if counters == nil {
 		counters = &metrics.Counters{}

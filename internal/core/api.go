@@ -145,11 +145,10 @@ func (a NodePoly) BinarySize() int {
 // and by the cross-session request coalescer coalesce.Server over any of
 // them.
 //
-// Implementations must be safe for concurrent calls: the engine issues
-// parallel evaluation batches (Opts.Parallelism) and MultiServer fans out
-// from multiple goroutines. Answers are read-only once returned —
-// batching layers may hand the same value objects to several concurrent
-// callers. The conformance suite in internal/apitest checks the contract
+// Implementations must be safe for concurrent calls: concurrent queries
+// share one, and MultiServer fans out from multiple goroutines. Answers are
+// read-only once returned — batching layers may hand the same value
+// objects to several concurrent callers. The conformance suite in internal/apitest checks the contract
 // below (including concurrent-call identity); run it against any new
 // implementation.
 type ServerAPI interface {

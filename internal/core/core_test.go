@@ -174,7 +174,7 @@ func TestServerViewHasTwoVerbs(t *testing.T) {
 			for _, level := range []core.VerifyLevel{core.VerifyResolve, core.VerifyFull} {
 				name := fmt.Sprintf("%s %s %s", r.Name(), qc.expr, level)
 				view := &callCounter{ServerAPI: st.srv}
-				res, err := st.engine(view, 0).Query(q, core.Opts{Verify: level, Parallelism: 1})
+				res, err := st.engine(view, 0).Query(q, core.Opts{Verify: level})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -115,14 +115,6 @@ type Opts struct {
 	// point only, without filtering branches by the later step names.
 	// Exists for the E15 ablation; leave false in production.
 	DisableLookahead bool
-	// Parallelism caps the number of concurrent ServerAPI batches one
-	// query issues per evaluation wave: the sibling subtrees scanned at
-	// each level are split into up to this many batches dispatched
-	// concurrently. 0 or 1 means sequential (one batched call per wave,
-	// the original behavior). Parallelism only pays off when the
-	// ServerAPI hides latency (remote connections, multi-server fan-out)
-	// or the host has spare cores; it never changes results.
-	Parallelism int
 }
 
 // ErrUnknownTag is returned when a queried tag has no mapping value: the

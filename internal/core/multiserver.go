@@ -42,11 +42,6 @@ type MultiServer struct {
 	k       int
 	members []MultiMember
 
-	// Sequential disables the concurrent fan-out and queries members one
-	// at a time, stopping after k successes — the pre-concurrency
-	// behavior, kept as a benchmark baseline and ablation.
-	Sequential bool
-
 	// HedgeDelay, when positive, switches the concurrent fan-out to
 	// hedged requests: only the first k members are queried immediately,
 	// and a spare member is launched each time the delay elapses without
@@ -108,38 +103,19 @@ func (m *MultiServer) Members() int { return len(m.members) }
 // Threshold returns the reconstruction threshold k.
 func (m *MultiServer) Threshold() int { return m.k }
 
-// memberCall runs one call against every member (concurrently unless
-// Sequential) and returns the first k successful results, alongside the X
-// points of the members that produced them. The concurrent path returns
-// as soon as k members have answered (or n-k+1 have failed) — a hung
-// member must not block an otherwise-answerable query; its straggler
-// goroutine drains into a buffered channel. Fails only when fewer than k
-// members can succeed.
+// memberCall runs one call against every member concurrently and returns
+// the first k successful results, alongside the X points of the members
+// that produced them. It returns as soon as k members have answered (or
+// n-k+1 have failed) — a hung member must not block an
+// otherwise-answerable query; its straggler goroutine drains into a
+// buffered channel. Fails only when fewer than k members can succeed.
 func memberCall[T any](m *MultiServer, call func(MultiMember) (T, error)) ([]T, []uint32, error) {
-	vals := make([]T, 0, m.k)
-	xs := make([]uint32, 0, m.k)
-	var firstErr error
-	if m.Sequential {
-		for _, mem := range m.members {
-			v, err := call(mem)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			vals = append(vals, v)
-			xs = append(xs, mem.X)
-			if len(vals) == m.k {
-				return vals, xs, nil
-			}
-		}
-		return nil, nil, fmt.Errorf("core: only %d of %d member servers answered (need %d): %w",
-			len(vals), len(m.members), m.k, firstErr)
-	}
 	if m.HedgeDelay > 0 && m.k < len(m.members) {
 		return hedgedCall(m, call)
 	}
+	vals := make([]T, 0, m.k)
+	xs := make([]uint32, 0, m.k)
+	var firstErr error
 	type memberResult struct {
 		idx int
 		val T

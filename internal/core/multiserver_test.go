@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,6 +77,40 @@ func (failingAPI) EvalNodes([]drbg.NodeKey, []*big.Int) ([]core.NodeEval, error)
 }
 func (failingAPI) FetchPolys([]drbg.NodeKey) ([]core.NodePoly, error) { return nil, errDown }
 func (failingAPI) Prune([]drbg.NodeKey) error                         { return errDown }
+
+// TestMultiServerEveryKSubsetReconstructs: any k of the n members, through
+// MultiServer's Lagrange combine, answer every node at every point with
+// the single server's summand — what the client adds its own share to.
+func TestMultiServerEveryKSubsetReconstructs(t *testing.T) {
+	s := buildMultiStack(t, 2, 3, 60)
+	var keys []drbg.NodeKey
+	s.single.Tree().Walk(func(key drbg.NodeKey, _ *sharing.Node) bool {
+		keys = append(keys, key)
+		return true
+	})
+	points := []*big.Int{big.NewInt(2), big.NewInt(5)}
+	want, err := s.single.EvalNodes(keys, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range [][]int{{0, 1}, {0, 2}, {1, 2}} {
+		ms, err := core.NewMultiServer(s.ring, 2, []core.MultiMember{s.members[sub[0]], s.members[sub[1]]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ms.EvalNodes(keys, points)
+		if err != nil {
+			t.Fatalf("members %v: %v", sub, err)
+		}
+		for i := range want {
+			for j, v := range want[i].Values() {
+				if g := got[i].Values()[j]; g.Cmp(v) != 0 {
+					t.Fatalf("members %v: %s at %s = %s, the single server's %s", sub, keys[i], points[j], g, v)
+				}
+			}
+		}
+	}
+}
 
 // TestMultiServerMatchesSingleServer: the Lagrange-combined summands must
 // be indistinguishable from a single-server deployment, end to end, at
@@ -192,36 +227,6 @@ func TestMultiServerUnblockedByHungMember(t *testing.T) {
 	}
 }
 
-// TestMultiServerSequentialParity: the Sequential ablation must return
-// identical results to the concurrent fan-out.
-func TestMultiServerSequentialParity(t *testing.T) {
-	s := buildMultiStack(t, 3, 4, 50)
-	conc, err := core.NewMultiServer(s.ring, 3, s.members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := core.NewMultiServer(s.ring, 3, s.members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq.Sequential = true
-	engC := core.NewEngine(s.ring, s.seed, s.m, conc, nil)
-	engS := core.NewEngine(s.ring, s.seed, s.m, seq, nil)
-	for _, tag := range []string{"t1", "t5"} {
-		rc, err := engC.Lookup(tag, core.Opts{Verify: core.VerifyResolve})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := engS.Lookup(tag, core.Opts{Verify: core.VerifyResolve})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rc.Matches) != len(rs.Matches) {
-			t.Fatalf("%s: concurrent %d matches, sequential %d", tag, len(rc.Matches), len(rs.Matches))
-		}
-	}
-}
-
 // TestNewMultiServerValidation rejects bad thresholds and share points.
 func TestNewMultiServerValidation(t *testing.T) {
 	fp := ring.MustFp(257)
@@ -240,51 +245,6 @@ func TestNewMultiServerValidation(t *testing.T) {
 	}
 	if _, err := core.NewMultiServer(fp, 1, []core.MultiMember{{X: 1, API: nil}}); err == nil {
 		t.Error("nil member API accepted")
-	}
-}
-
-// TestParallelQueryParity: Opts.Parallelism must not change results, and
-// parallel batch goroutines must merge cleanly (exercised under -race).
-func TestParallelQueryParity(t *testing.T) {
-	doc := workload.RandomTree(workload.TreeConfig{Nodes: 200, MaxFanout: 4, Vocab: 10, Seed: 7})
-	z := ring.MustIntQuotient(1, 0, 1)
-	m, err := mapping.New(z.MaxTag(), []byte("par-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := polyenc.Encode(z, doc, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := testSeed(5)
-	tree, err := sharing.Split(enc, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.NewLocal(z, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine(z, seed, m, srv, nil)
-	for _, tag := range []string{"t0", "t4", "t9"} {
-		want, err := eng.Lookup(tag, core.Opts{Verify: core.VerifyResolve})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 4, 16} {
-			got, err := eng.Lookup(tag, core.Opts{Verify: core.VerifyResolve, Parallelism: par})
-			if err != nil {
-				t.Fatalf("parallelism %d: %v", par, err)
-			}
-			if len(got.Matches) != len(want.Matches) {
-				t.Fatalf("parallelism %d: %d matches, want %d", par, len(got.Matches), len(want.Matches))
-			}
-			for i := range got.Matches {
-				if got.Matches[i].String() != want.Matches[i].String() {
-					t.Fatalf("parallelism %d: match %d differs", par, i)
-				}
-			}
-		}
 	}
 }
 
@@ -518,17 +478,19 @@ func TestMultiServerHedgedBelowThreshold(t *testing.T) {
 }
 
 // swappingMember is a member that lies by position: it answers every key it
-// is asked about, with the first two answers of a call exchanged.
+// is asked about, with the first two answers of a call exchanged. The
+// fire-all fan-out may return while it is still answering, so its tally is
+// atomic.
 type swappingMember struct {
 	core.ServerAPI
-	swapped int
+	swapped atomic.Int64
 }
 
 func (s *swappingMember) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	out, err := s.ServerAPI.EvalNodes(keys, points)
 	if err == nil && len(out) >= 2 {
 		out[0], out[1] = out[1], out[0]
-		s.swapped++
+		s.swapped.Add(1)
 	}
 	return out, err
 }
@@ -537,7 +499,7 @@ func (s *swappingMember) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error
 	out, err := s.ServerAPI.FetchPolys(keys)
 	if err == nil && len(out) >= 2 {
 		out[0], out[1] = out[1], out[0]
-		s.swapped++
+		s.swapped.Add(1)
 	}
 	return out, err
 }
@@ -571,7 +533,6 @@ func TestMultiServerNamesTheMisaddressingMember(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		strict.Sequential = true
 		want := fmt.Sprintf("member %d answered for %s where %s was asked", s.members[0].X, keys[1], keys[0])
 		if _, err := strict.EvalNodes(keys, []*big.Int{point}); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: EvalNodes through the swapping member returned %v, want an error holding %q", verify, err, want)
@@ -588,8 +549,7 @@ func TestMultiServerNamesTheMisaddressingMember(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spare.Sequential = true // the liar is asked first, every call
-		liar.swapped = 0
+		liar.swapped.Store(0) // fire-all asks the liar too, on every call
 		for _, tag := range []string{"t0", "t3", "t7"} {
 			wantRes, err := ref.Lookup(tag, core.Opts{Verify: verify})
 			if err != nil {
@@ -603,7 +563,7 @@ func TestMultiServerNamesTheMisaddressingMember(t *testing.T) {
 				t.Fatalf("%s/%s: matches %s, single server %s", verify, tag, keyStrings(got.Matches), keyStrings(wantRes.Matches))
 			}
 		}
-		if liar.swapped == 0 {
+		if liar.swapped.Load() == 0 {
 			t.Fatalf("%s: the swapping member was never asked about two keys", verify)
 		}
 	}

@@ -124,8 +124,7 @@ func countsOf(res *core.Result) protocolCounts {
 // nodes the step has already visited. It adds two values per node of the
 // step's deduplicated resolve set to NodesEvaluated and ValuesMoved and
 // nothing to NodesVisited — the paper's efficiency metric counts the
-// traversal — and nothing else moves, also when the wave is split into
-// concurrent batches. Z[x]/(r) keeps the polynomial path and fetches what
+// traversal — and nothing else moves. Z[x]/(r) keeps the polynomial path and fetches what
 // it always fetched: the resolve set, once, in one call; VerifyFull on F_p
 // recovers the same tags from polynomials and re-derives every match. The
 // chain of 200 is the worst case for tag resolution (every node but the
@@ -137,9 +136,9 @@ func TestResolveWaveCounters(t *testing.T) {
 			continue
 		}
 		doc := chainDoc(t, int(depth))
-		lookup := func(st *waveStack, api core.ServerAPI, level core.VerifyLevel, parallelism int) protocolCounts {
+		lookup := func(st *waveStack, api core.ServerAPI, level core.VerifyLevel) protocolCounts {
 			t.Helper()
-			res, err := st.engine(api, 0).Lookup("a", core.Opts{Verify: level, Parallelism: parallelism})
+			res, err := st.engine(api, 0).Lookup("a", core.Opts{Verify: level})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +149,7 @@ func TestResolveWaveCounters(t *testing.T) {
 		}
 		zst := newWaveStack(t, ring.MustIntQuotient(1, 0, 1), doc, []string{"a", "b"}, 170)
 		counted := &callCounter{ServerAPI: zst.srv}
-		zscan, zres := lookup(zst, zst.srv, core.VerifyNone, 0), lookup(zst, counted, core.VerifyResolve, 0)
+		zscan, zres := lookup(zst, zst.srv, core.VerifyNone), lookup(zst, counted, core.VerifyResolve)
 		if counted.fetches.Load() != 1 || zres.PolysFetched != depth || zres.TagsRecovered != depth-1 {
 			t.Fatalf("Z[x]/(r): %d fetches of %d polynomials for %d recoveries, want 1, %d and %d",
 				counted.fetches.Load(), zres.PolysFetched, zres.TagsRecovered, depth, depth-1)
@@ -160,22 +159,20 @@ func TestResolveWaveCounters(t *testing.T) {
 				zres.NodesVisited, zres.ValuesMoved, zscan.NodesVisited, zscan.ValuesMoved)
 		}
 		st := newWaveStack(t, ring.MustFp(257), doc, []string{"a", "b"}, 171)
-		for _, parallelism := range []int{0, 4} {
-			want, got := lookup(st, st.srv, core.VerifyNone, parallelism), lookup(st, st.srv, core.VerifyResolve, parallelism)
-			want.Rounds++
-			want.NodesEvaluated += 2 * depth
-			want.ValuesMoved += 2 * depth
-			want.TagsRecovered = depth - 1
-			if got != want {
-				t.Fatalf("parallelism %d: resolve counts\n%+v\nwant the scan's plus one round of 2×%d values\n%+v", parallelism, got, depth, want)
-			}
-			if got.NodesVisited != zres.NodesVisited || got.NodesPruned != zres.NodesPruned || got.TagsRecovered != zres.TagsRecovered {
-				t.Fatalf("parallelism %d: visited %d, pruned %d, recovered %d; the polynomial path %d, %d, %d", parallelism,
-					got.NodesVisited, got.NodesPruned, got.TagsRecovered, zres.NodesVisited, zres.NodesPruned, zres.TagsRecovered)
-			}
-			if full := lookup(st, st.srv, core.VerifyFull, parallelism); full.TagsRecovered != got.TagsRecovered+depth {
-				t.Fatalf("parallelism %d: VerifyFull recovered %d tags, want the resolve wave's %d and one per match", parallelism, full.TagsRecovered, got.TagsRecovered)
-			}
+		want, got := lookup(st, st.srv, core.VerifyNone), lookup(st, st.srv, core.VerifyResolve)
+		want.Rounds++
+		want.NodesEvaluated += 2 * depth
+		want.ValuesMoved += 2 * depth
+		want.TagsRecovered = depth - 1
+		if got != want {
+			t.Fatalf("resolve counts\n%+v\nwant the scan's plus one round of 2×%d values\n%+v", got, depth, want)
+		}
+		if got.NodesVisited != zres.NodesVisited || got.NodesPruned != zres.NodesPruned || got.TagsRecovered != zres.TagsRecovered {
+			t.Fatalf("visited %d, pruned %d, recovered %d; the polynomial path %d, %d, %d",
+				got.NodesVisited, got.NodesPruned, got.TagsRecovered, zres.NodesVisited, zres.NodesPruned, zres.TagsRecovered)
+		}
+		if full := lookup(st, st.srv, core.VerifyFull); full.TagsRecovered != got.TagsRecovered+depth {
+			t.Fatalf("VerifyFull recovered %d tags, want the resolve wave's %d and one per match", full.TagsRecovered, got.TagsRecovered)
 		}
 	}
 }
@@ -310,8 +307,8 @@ func TestResolveFallsBackToPolynomials(t *testing.T) {
 	}
 }
 
-// TestResolveAtPointsConcurrentQueries runs concurrent queries, their
-// waves split into Parallelism batches, through one Tamperer that counts
+// TestResolveAtPointsConcurrentQueries runs concurrent queries through
+// one Tamperer that counts
 // an answer of every wave (a zero delta: forged in name only). The
 // answers must be right and the race detector quiet.
 func TestResolveAtPointsConcurrentQueries(t *testing.T) {
@@ -327,7 +324,7 @@ func TestResolveAtPointsConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := eng.Query(q, core.Opts{Verify: level, Parallelism: 4})
+			res, err := eng.Query(q, core.Opts{Verify: level})
 			if err != nil {
 				t.Error(err)
 			} else if !sameSet(keySet(res.Matches), want) {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/big"
 	"slices"
-	"sync"
 	"time"
 
 	"sssearch/internal/drbg"
@@ -28,10 +27,8 @@ import (
 // A node is its index in the table: the root is 0, and a node's children
 // are created, as consecutive entries, the first time the traversal steps
 // down from it. Nothing is looked up by key, so nothing on a wave's
-// per-node path renders or hashes one. The table grows only between waves,
-// on the traversal's goroutine; the concurrent batches of a wave
-// (opts.Parallelism) write the slots of their own, distinct nodes and need
-// no lock.
+// per-node path renders or hashes one. The table grows and is written only
+// on the traversal's goroutine.
 type run struct {
 	// ctx carries the query's observability context (trace span) into
 	// every server call; it is not used for cancellation.
@@ -306,10 +303,10 @@ func (r *run) activePoints(i int) []int {
 
 // eval brings the child count of every listed node, and its client+server
 // sum at every point of pts, into the table, asking the server only about
-// the nodes that miss one. ids must be distinct: the wave's batches write
-// their nodes' slots unlocked. visit says whether the wave is the traversal
-// reaching these nodes, and counts them as visited; a wave that goes back to
-// nodes the step has already reached (resolveAtPoints) does not.
+// the nodes that miss one, in one server call. ids must be distinct. visit
+// says whether the wave is the traversal reaching these nodes, and counts
+// them as visited; a wave that goes back to nodes the step has already
+// reached (resolveAtPoints) does not.
 func (r *run) eval(ids []int, pts []int, visit bool) error {
 	var missing []int
 	for _, id := range ids {
@@ -320,8 +317,6 @@ func (r *run) eval(ids []int, pts []int, visit bool) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	// One wave = one protocol round (latency-wise), even when it is
-	// split into concurrent batches below.
 	r.e.counters.AddRound()
 	if visit {
 		r.e.counters.AddNodesVisited(len(missing))
@@ -333,29 +328,7 @@ func (r *run) eval(ids []int, pts []int, visit bool) error {
 	for j, pt := range pts {
 		points[j] = r.pts[pt]
 	}
-	// At most Parallelism near-even batches.
-	n := max(1, min(r.opts.Parallelism, len(missing)))
-	size := (len(missing) + n - 1) / n
-	if size == len(missing) {
-		return r.evalBatch(missing, keys, pts, points)
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for b := 0; b*size < len(missing); b++ {
-		lo, hi := b*size, min((b+1)*size, len(missing))
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			errs[b] = r.evalBatch(missing[lo:hi], keys[lo:hi], pts, points)
-		}(b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.evalBatch(missing, keys, pts, points)
 }
 
 // overlapMinKeys is the number of keys from which an evaluation wave (or a
@@ -412,7 +385,7 @@ func blocks(n, size int, f func(lo, hi int)) {
 	pool.Wait() // f reports through its slots
 }
 
-// summands are the client share values of a batch's keys at its points, in
+// summands are the client share values of a wave's keys at its points, in
 // the run's value form: row i of words (len(points) wide), or bigs[i]. They
 // are valid below failed, the lowest key whose share failed (with err);
 // failed is the number of keys on success.
@@ -500,14 +473,11 @@ func (r *run) boxedShares(key drbg.NodeKey, points []*big.Int) ([]*big.Int, erro
 	return vals, nil
 }
 
-// evalBatch evaluates one batch of a wave — nodes ids, whose keys are keys,
-// at pts, whose values are points — and writes the combined sums into the
-// table. The wave is two concurrent legs that meet at the sum: the server
+// evalBatch evaluates a wave — nodes ids, whose keys are keys, at pts,
+// whose values are points — and writes the combined sums into the table.
+// The wave is two concurrent legs that meet at the sum: the server
 // evaluates its shares while the client regenerates and evaluates its own,
-// for the keys it asked about. Safe to call from concurrent batch
-// goroutines (the ServerAPI and ShareSource contracts require
-// concurrent-safe implementations; batches write the slots of distinct
-// nodes).
+// for the keys it asked about.
 func (r *run) evalBatch(ids []int, keys []drbg.NodeKey, pts []int, points []*big.Int) error {
 	var (
 		answers []NodeEval
@@ -528,7 +498,7 @@ func (r *run) evalBatch(ids []int, keys []drbg.NodeKey, pts []int, points []*big
 		return err
 	}
 	// The client's own share arithmetic — the summands above plus the
-	// modular sums below — is timed as one block per batch: per-node timing
+	// modular sums below — is timed as one block per wave: per-node timing
 	// would cost more than the work it measures on cached paths. On a large
 	// wave the summands were computed beside the server's evaluation, so
 	// this time is part of what the wave waited for only where it was the
@@ -544,7 +514,7 @@ func (r *run) evalBatch(ids []int, keys []drbg.NodeKey, pts []int, points []*big
 	if err := CheckAnswered(keys, answers); err != nil {
 		return fmt.Errorf("core: server %w", err)
 	}
-	// The evaluation modulus of each point is fixed for the whole batch;
+	// The evaluation modulus of each point is fixed for the whole wave;
 	// resolve it once instead of once per (node, point). On F_p it is p
 	// wherever evaluation is defined, and the word form needs only know that.
 	var mods []*big.Int

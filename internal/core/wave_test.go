@@ -508,8 +508,7 @@ func (w *waveTap) evalsByWave(t *testing.T) [][]string {
 // wideDoc is a three-level document: width subtrees under the root,
 // alternating <a><b/><a/></a> (ambiguous for //a) and <b><a/></b>. At
 // overlappedWidth every evaluation wave below the root and the
-// tag-recovery chunks of //a are large enough to run as two legs, at twice
-// that also when Opts.Parallelism splits a wave into two server batches.
+// tag-recovery chunks of //a are large enough to run as two legs.
 const overlappedWidth = 600 // the engine's overlapMinKeys, with room
 
 func wideDoc(t *testing.T, width int) *xmltree.Node {
@@ -641,7 +640,7 @@ func TestOverlappedWaveErrors(t *testing.T) {
 	st := newWaveStack(t, r, doc, []string{"r", "a", "b"}, 130)
 	srvErr := errors.New("injected server fault")
 	// The second wave of //a holds the root's children — two legs, the
-	// client's in blocks, also when it is split into two server batches.
+	// client's in blocks.
 	early, late := drbg.NodeKey{5}, drbg.NodeKey{1100}
 	earlyErr, lateErr := errors.New("injected share fault at /5"), errors.New("injected share fault at /1100")
 	cases := []struct {
@@ -660,18 +659,16 @@ func TestOverlappedWaveErrors(t *testing.T) {
 		}, srvErr},
 	}
 	for _, tc := range cases {
-		for _, parallelism := range []int{0, 2} {
-			tap := newWaveTap(st.srv, sharing.NewSeedClient(r, st.seed))
-			tc.setup(tap)
-			eng := core.NewEngineWithShares(r, tap, st.m, tap, nil)
-			base := runtime.NumGoroutine()
-			_, err := eng.Lookup("a", core.Opts{Parallelism: parallelism})
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("%s parallelism %d: error %v, want %v", tc.name, parallelism, err, tc.want)
-			}
-			if n := settledGoroutines(base); n > base {
-				t.Fatalf("%s parallelism %d: %d goroutines after the failed query, %d before it", tc.name, parallelism, n, base)
-			}
+		tap := newWaveTap(st.srv, sharing.NewSeedClient(r, st.seed))
+		tc.setup(tap)
+		eng := core.NewEngineWithShares(r, tap, st.m, tap, nil)
+		base := runtime.NumGoroutine()
+		_, err := eng.Lookup("a", core.Opts{})
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: error %v, want %v", tc.name, err, tc.want)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Fatalf("%s: %d goroutines after the failed query, %d before it", tc.name, n, base)
 		}
 	}
 }

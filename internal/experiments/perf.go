@@ -112,7 +112,7 @@ func runPruning(w io.Writer, cfg Config) error {
 	if cfg.Quick {
 		sizes = []int{100, 300}
 	}
-	t := &Table{Headers: []string{"n", "class", "tag", "matches", "visited", "visited/n", "pruned", "srv cache h/m"}}
+	t := &Table{Headers: []string{"n", "class", "tag", "matches", "visited", "visited/n", "pruned"}}
 	for _, n := range sizes {
 		doc := workload.RandomTree(workload.TreeConfig{Nodes: n, MaxFanout: 4, Vocab: 25, Seed: int64(n) * 3})
 		r := ring.MustFp(1009)
@@ -147,7 +147,6 @@ func runPruning(w io.Writer, cfg Config) error {
 			if !ok {
 				continue
 			}
-			srvBefore := p.server.Counters().Snapshot()
 			res, err := p.engine.Lookup(q.Tag, core.Opts{Verify: core.VerifyResolve})
 			if err != nil {
 				return fmt.Errorf("lookup %s: %w", q.Tag, err)
@@ -155,18 +154,15 @@ func runPruning(w io.Writer, cfg Config) error {
 			if len(res.Matches) != q.Matches {
 				return fmt.Errorf("n=%d //%s: %d matches, oracle %d", n, q.Tag, len(res.Matches), q.Matches)
 			}
-			srv := p.server.Counters().Snapshot().Sub(srvBefore)
 			frac := float64(res.Stats.NodesVisited) / float64(n)
-			t.Add(n, string(cls), q.Tag, q.Matches, res.Stats.NodesVisited, frac, res.Stats.NodesPruned,
-				fmt.Sprintf("%d/%d", srv.EvalCacheHits, srv.EvalCacheMiss))
+			t.Add(n, string(cls), q.Tag, q.Matches, res.Stats.NodesVisited, frac, res.Stats.NodesPruned)
 			if cls == workload.ClassMiss && res.Stats.NodesVisited != 1 {
 				return fmt.Errorf("miss query visited %d nodes, want 1", res.Stats.NodesVisited)
 			}
 		}
 	}
 	t.Render(w)
-	fmt.Fprintln(w, "(miss queries die at the root; rare tags examine a small tree fraction — the §5 claim;")
-	fmt.Fprintln(w, " srv cache h/m are the server eval-cache hits/misses the query induced)")
+	fmt.Fprintln(w, "(miss queries die at the root; rare tags examine a small tree fraction — the §5 claim)")
 	return nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"sssearch/internal/core"
 	"sssearch/internal/drbg"
 	"sssearch/internal/field"
-	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
 	"sssearch/internal/server"
 	"sssearch/internal/shamir"
@@ -251,8 +250,8 @@ func (s *seedTimer) timeMaterialized() (time.Duration, int, error) {
 	return elapsed, mat.ByteSize(), nil
 }
 
-// multiServerRun builds a k-of-n deployment and validates evaluation
-// reconstruction from every k-subset on sample nodes.
+// multiServerRun builds k-of-n deployments and validates that queries
+// through core.MultiServer answer as the single server does.
 func multiServerRun(w io.Writer, n int) error {
 	doc := workload.RandomTree(workload.TreeConfig{Nodes: n, MaxFanout: 4, Vocab: 10, Seed: 31})
 	fp := ring.MustFp(257)
@@ -278,49 +277,33 @@ func multiServerRun(w io.Writer, n int) error {
 		t.Add(fmt.Sprintf("%d-of-%d Shamir", k, servers), servers, per, total,
 			float64(total)/float64(single))
 
-		// Validate: evaluations reconstruct from the first k servers on a
-		// few nodes.
-		client := sharing.NewSeedClient(fp, p.seed)
-		a := big.NewInt(5)
-		checked := 0
-		var failure error
-		enc.Walk(func(key drbg.NodeKey, node *polyenc.Node) bool {
-			if checked >= 10 {
-				return false
-			}
-			checked++
-			want, err := fp.Eval(node.Poly, a)
+		// Validate: queries through the k-of-n fan-out answer exactly as
+		// the single server does.
+		members := make([]core.MultiMember, servers)
+		for j, s := range shares {
+			local, err := server.NewLocal(fp, s.Tree)
 			if err != nil {
-				failure = err
-				return false
+				return err
 			}
-			evals := make([]sharing.ServerEval, 0, k)
-			for j := 0; j < k; j++ {
-				sn, err := shares[j].Tree.Lookup(key)
-				if err != nil {
-					failure = err
-					return false
-				}
-				v, err := shares[j].Tree.Eval(fp, sn, a)
-				if err != nil {
-					failure = err
-					return false
-				}
-				evals = append(evals, sharing.ServerEval{X: shares[j].X, Value: v})
-			}
-			got, err := sharing.MultiReconstructEval(fp, client, key, a, evals, k)
+			members[j] = core.MultiMember{X: s.X, API: local}
+		}
+		ms, err := core.NewMultiServer(fp, k, members)
+		if err != nil {
+			return err
+		}
+		eng := core.NewEngine(fp, p.seed, p.mapping, ms, nil)
+		for _, tag := range []string{"t0", "t3", "t7"} {
+			want, err := p.engine.Lookup(tag, core.Opts{Verify: core.VerifyResolve})
 			if err != nil {
-				failure = err
-				return false
+				return err
 			}
-			if got.Cmp(want) != 0 {
-				failure = fmt.Errorf("node %s: reconstructed %v, want %v", key, got, want)
-				return false
+			got, err := eng.Lookup(tag, core.Opts{Verify: core.VerifyResolve})
+			if err != nil {
+				return err
 			}
-			return true
-		})
-		if failure != nil {
-			return failure
+			if fmt.Sprint(got.Matches) != fmt.Sprint(want.Matches) {
+				return fmt.Errorf("%d-of-%d //%s: matches %v, the single server's %v", k, servers, tag, got.Matches, want.Matches)
+			}
 		}
 	}
 	t.Render(w)

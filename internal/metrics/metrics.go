@@ -25,13 +25,6 @@ type Counters struct {
 	bytesReceived  atomic.Int64 // wire bytes server→client
 	messagesSent   atomic.Int64
 	messagesRcvd   atomic.Int64
-	evalCacheHits  atomic.Int64 // server eval-cache hits (node×point reused)
-	evalCacheMiss  atomic.Int64 // server eval-cache misses (evaluations run)
-	// The client cache pairs below are tallied by nothing since the client
-	// lost its caches (share stream v4); they read 0 and stay only until
-	// the benchmark stops reading them.
-	padCacheHits atomic.Int64 // client pad-cache hits (share pads reused)
-	padCacheMiss atomic.Int64 // client pad-cache misses (regenerations)
 
 	// Coalescing tallies, counted by a coalesce.Server on its own Counters
 	// instance: merged inner evaluation passes. No default serving path
@@ -39,15 +32,6 @@ type Counters struct {
 	coalescedBatches  atomic.Int64 // shared passes that served >1 queued request
 	coalescedRequests atomic.Int64 // Eval requests absorbed into shared passes
 	coalesceDedupHits atomic.Int64 // duplicate (node, point-set) evals avoided
-
-	// The retired cross-session client cache's tallies: shared pad hits,
-	// misses and singleflight waits, and its (node, point-set) share-eval
-	// LRU. Read 0, like the pad pair above.
-	sharedPadHits         atomic.Int64
-	sharedPadMiss         atomic.Int64
-	sharedPadSingleflight atomic.Int64
-	shareEvalHits         atomic.Int64
-	shareEvalMiss         atomic.Int64
 
 	// Fault-tolerance tallies (internal/resilience and friends): calls
 	// re-attempted after transport faults, hedged spare calls launched and
@@ -63,12 +47,10 @@ type Counters struct {
 
 	// Overload-protection and live-operations tallies: requests shed by
 	// admission control, requests skipped because their propagated
-	// deadline had already expired, circuit breakers tripped open by
-	// consecutive sheds, live store swaps completed, and connections cut
-	// because the peer would not drain its responses.
+	// deadline had already expired, live store swaps completed, and
+	// connections cut because the peer would not drain its responses.
 	requestsShed    atomic.Int64 // requests answered with CodeOverloaded
 	deadlineSkips   atomic.Int64 // requests skipped, deadline already past
-	breakerTrips    atomic.Int64 // circuit breakers tripped open
 	storeSwaps      atomic.Int64 // Daemon.SwapStore epochs completed
 	slowConsumerCut atomic.Int64 // connections disconnected as slow consumers
 }
@@ -88,20 +70,10 @@ func (c *Counters) AddBytesSent(n int)      { c.bytesSent.Add(int64(n)) }
 func (c *Counters) AddBytesReceived(n int)  { c.bytesReceived.Add(int64(n)) }
 func (c *Counters) AddMessageSent()         { c.messagesSent.Add(1) }
 func (c *Counters) AddMessageReceived()     { c.messagesRcvd.Add(1) }
-func (c *Counters) AddEvalCacheHits(n int)  { c.evalCacheHits.Add(int64(n)) }
-func (c *Counters) AddEvalCacheMiss(n int)  { c.evalCacheMiss.Add(int64(n)) }
-func (c *Counters) AddPadCacheHits(n int)   { c.padCacheHits.Add(int64(n)) }
-func (c *Counters) AddPadCacheMiss(n int)   { c.padCacheMiss.Add(int64(n)) }
 
 func (c *Counters) AddCoalescedBatches(n int)  { c.coalescedBatches.Add(int64(n)) }
 func (c *Counters) AddCoalescedRequests(n int) { c.coalescedRequests.Add(int64(n)) }
 func (c *Counters) AddCoalesceDedupHits(n int) { c.coalesceDedupHits.Add(int64(n)) }
-
-func (c *Counters) AddSharedPadHits(n int)         { c.sharedPadHits.Add(int64(n)) }
-func (c *Counters) AddSharedPadMiss(n int)         { c.sharedPadMiss.Add(int64(n)) }
-func (c *Counters) AddSharedPadSingleflight(n int) { c.sharedPadSingleflight.Add(int64(n)) }
-func (c *Counters) AddShareEvalHits(n int)         { c.shareEvalHits.Add(int64(n)) }
-func (c *Counters) AddShareEvalMiss(n int)         { c.shareEvalMiss.Add(int64(n)) }
 
 func (c *Counters) AddRetries(n int)        { c.retries.Add(int64(n)) }
 func (c *Counters) AddHedgesFired(n int)    { c.hedgesFired.Add(int64(n)) }
@@ -112,11 +84,13 @@ func (c *Counters) AddConnsDrained(n int)   { c.connsDrained.Add(int64(n)) }
 
 func (c *Counters) AddRequestsShed(n int)    { c.requestsShed.Add(int64(n)) }
 func (c *Counters) AddDeadlineSkips(n int)   { c.deadlineSkips.Add(int64(n)) }
-func (c *Counters) AddBreakerTrips(n int)    { c.breakerTrips.Add(int64(n)) }
 func (c *Counters) AddStoreSwaps(n int)      { c.storeSwaps.Add(int64(n)) }
 func (c *Counters) AddSlowConsumerCut(n int) { c.slowConsumerCut.Add(int64(n)) }
 
-// Snapshot is an immutable copy of the counters.
+// Snapshot is an immutable copy of the counters. EvalCache*, PadCache*,
+// SharedPad*, ShareEval* and BreakerTrips have no counter behind them and
+// read 0; they stay so that the /metrics names and the benchmark's reads
+// are unchanged.
 type Snapshot struct {
 	NodesEvaluated int64
 	ValuesMoved    int64
@@ -176,20 +150,10 @@ func (c *Counters) Snapshot() Snapshot {
 		BytesReceived:  c.bytesReceived.Load(),
 		MessagesSent:   c.messagesSent.Load(),
 		MessagesRcvd:   c.messagesRcvd.Load(),
-		EvalCacheHits:  c.evalCacheHits.Load(),
-		EvalCacheMiss:  c.evalCacheMiss.Load(),
-		PadCacheHits:   c.padCacheHits.Load(),
-		PadCacheMiss:   c.padCacheMiss.Load(),
 
 		CoalescedBatches:  c.coalescedBatches.Load(),
 		CoalescedRequests: c.coalescedRequests.Load(),
 		CoalesceDedupHits: c.coalesceDedupHits.Load(),
-
-		SharedPadHits:         c.sharedPadHits.Load(),
-		SharedPadMiss:         c.sharedPadMiss.Load(),
-		SharedPadSingleflight: c.sharedPadSingleflight.Load(),
-		ShareEvalHits:         c.shareEvalHits.Load(),
-		ShareEvalMiss:         c.shareEvalMiss.Load(),
 
 		Retries:        c.retries.Load(),
 		HedgesFired:    c.hedgesFired.Load(),
@@ -200,7 +164,6 @@ func (c *Counters) Snapshot() Snapshot {
 
 		RequestsShed:    c.requestsShed.Load(),
 		DeadlineSkips:   c.deadlineSkips.Load(),
-		BreakerTrips:    c.breakerTrips.Load(),
 		StoreSwaps:      c.storeSwaps.Load(),
 		SlowConsumerCut: c.slowConsumerCut.Load(),
 	}
@@ -221,18 +184,9 @@ func (c *Counters) Reset() {
 	c.bytesReceived.Store(0)
 	c.messagesSent.Store(0)
 	c.messagesRcvd.Store(0)
-	c.evalCacheHits.Store(0)
-	c.evalCacheMiss.Store(0)
-	c.padCacheHits.Store(0)
-	c.padCacheMiss.Store(0)
 	c.coalescedBatches.Store(0)
 	c.coalescedRequests.Store(0)
 	c.coalesceDedupHits.Store(0)
-	c.sharedPadHits.Store(0)
-	c.sharedPadMiss.Store(0)
-	c.sharedPadSingleflight.Store(0)
-	c.shareEvalHits.Store(0)
-	c.shareEvalMiss.Store(0)
 	c.retries.Store(0)
 	c.hedgesFired.Store(0)
 	c.hedgesWon.Store(0)
@@ -241,7 +195,6 @@ func (c *Counters) Reset() {
 	c.connsDrained.Store(0)
 	c.requestsShed.Store(0)
 	c.deadlineSkips.Store(0)
-	c.breakerTrips.Store(0)
 	c.storeSwaps.Store(0)
 	c.slowConsumerCut.Store(0)
 }

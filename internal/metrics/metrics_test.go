@@ -149,18 +149,48 @@ func TestCoalesceCounters(t *testing.T) {
 	}
 }
 
-func TestSharedCacheCounters(t *testing.T) {
+// countEverything bumps every counter a Counters has.
+func countEverything() Snapshot {
 	c := &Counters{}
-	c.AddSharedPadHits(5)
-	c.AddSharedPadMiss(1)
-	c.AddSharedPadSingleflight(3)
-	c.AddShareEvalHits(7)
-	c.AddShareEvalMiss(2)
-	s := c.Snapshot()
-	if s.SharedPadHits != 5 || s.SharedPadMiss != 1 || s.SharedPadSingleflight != 3 ||
-		s.ShareEvalHits != 7 || s.ShareEvalMiss != 2 {
+	c.AddNodesEvaluated(1)
+	c.AddValuesMoved(1)
+	c.AddPolysFetched(1)
+	c.AddPolyBytes(1)
+	c.AddRound()
+	c.AddNodesVisited(1)
+	c.AddPruned(1)
+	c.AddTagRecovered()
+	c.AddVerifyFailure()
+	c.AddBytesSent(1)
+	c.AddBytesReceived(1)
+	c.AddMessageSent()
+	c.AddMessageReceived()
+	c.AddCoalescedBatches(1)
+	c.AddCoalescedRequests(1)
+	c.AddCoalesceDedupHits(1)
+	c.AddRetries(1)
+	c.AddHedgesFired(1)
+	c.AddHedgesWon(1)
+	c.AddRedials(1)
+	c.AddMembersEjected(1)
+	c.AddConnsDrained(1)
+	c.AddRequestsShed(1)
+	c.AddDeadlineSkips(1)
+	c.AddStoreSwaps(1)
+	c.AddSlowConsumerCut(1)
+	return c.Snapshot()
+}
+
+// TestSharedCacheCounters: the retired cross-session cache's fields have no
+// counter behind them — a snapshot reads 0 however much else is counted —
+// and still subtract and render under their names.
+func TestSharedCacheCounters(t *testing.T) {
+	s := countEverything()
+	if s.SharedPadHits != 0 || s.SharedPadMiss != 0 || s.SharedPadSingleflight != 0 ||
+		s.ShareEvalHits != 0 || s.ShareEvalMiss != 0 {
 		t.Errorf("snapshot = %+v", s)
 	}
+	s = Snapshot{SharedPadHits: 5, SharedPadMiss: 1, SharedPadSingleflight: 3, ShareEvalHits: 7, ShareEvalMiss: 2}
 	delta := s.Sub(Snapshot{SharedPadHits: 2, SharedPadSingleflight: 1, ShareEvalHits: 4})
 	if delta.SharedPadHits != 3 || delta.SharedPadSingleflight != 2 || delta.ShareEvalHits != 3 ||
 		delta.SharedPadMiss != 1 || delta.ShareEvalMiss != 2 {
@@ -168,31 +198,24 @@ func TestSharedCacheCounters(t *testing.T) {
 	}
 	if out := s.String(); !strings.Contains(out, "sharedHit=5") || !strings.Contains(out, "sharedFlight=3") ||
 		!strings.Contains(out, "shareEvalHit=7") {
-		t.Errorf("String() missing shared-cache counters: %s", out)
-	}
-	c.Reset()
-	if s := c.Snapshot(); s != (Snapshot{}) {
-		t.Errorf("reset snapshot = %+v", s)
+		t.Errorf("String() missing shared-cache fields: %s", out)
 	}
 }
 
+// TestPadCacheCounters: the client pad pair, the server eval-cache pair and
+// the breaker trips have no counter behind them either.
 func TestPadCacheCounters(t *testing.T) {
-	c := &Counters{}
-	c.AddPadCacheHits(3)
-	c.AddPadCacheMiss(2)
-	s := c.Snapshot()
-	if s.PadCacheHits != 3 || s.PadCacheMiss != 2 {
+	s := countEverything()
+	if s.PadCacheHits != 0 || s.PadCacheMiss != 0 || s.EvalCacheHits != 0 || s.EvalCacheMiss != 0 || s.BreakerTrips != 0 {
 		t.Errorf("snapshot = %+v", s)
 	}
-	delta := s.Sub(Snapshot{PadCacheHits: 1, PadCacheMiss: 1})
-	if delta.PadCacheHits != 2 || delta.PadCacheMiss != 1 {
+	s = Snapshot{PadCacheHits: 3, PadCacheMiss: 2, EvalCacheHits: 4, BreakerTrips: 1}
+	delta := s.Sub(Snapshot{PadCacheHits: 1, PadCacheMiss: 1, EvalCacheHits: 1})
+	if delta.PadCacheHits != 2 || delta.PadCacheMiss != 1 || delta.EvalCacheHits != 3 || delta.BreakerTrips != 1 {
 		t.Errorf("delta = %+v", delta)
 	}
-	if out := s.String(); !strings.Contains(out, "padHit=3") || !strings.Contains(out, "padMiss=2") {
-		t.Errorf("String() missing pad counters: %s", out)
-	}
-	c.Reset()
-	if s := c.Snapshot(); s.PadCacheHits != 0 || s.PadCacheMiss != 0 {
-		t.Errorf("reset snapshot = %+v", s)
+	if out := s.String(); !strings.Contains(out, "padHit=3") || !strings.Contains(out, "padMiss=2") ||
+		!strings.Contains(out, "cacheHit=4") || !strings.Contains(out, "breakerTrip=1") {
+		t.Errorf("String() missing pad, eval-cache or breaker fields: %s", out)
 	}
 }

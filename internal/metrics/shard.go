@@ -8,8 +8,8 @@ import (
 
 // ShardCounters accumulates routing statistics for a tree-partitioned
 // deployment: how many backend calls each shard absorbed and how widely
-// each routed batch fanned out. It lives beside the eval cache pair
-// in Counters but is sized by the deployment (one slot per shard), so it
+// each routed batch fanned out. It lives beside Counters but is sized by
+// the deployment (one slot per shard), so it
 // is its own type rather than more fixed fields. All methods are safe for
 // concurrent use. A nil *ShardCounters is a valid no-op sink.
 type ShardCounters struct {

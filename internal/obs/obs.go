@@ -39,9 +39,6 @@ const (
 	// StageWire is one wire round trip: request write through response
 	// read on a Remote session.
 	StageWire
-	// StageAdmitWait is the time a request waited for the daemon's
-	// admission-control slot (zero when admission is unbounded).
-	StageAdmitWait
 	// StageDispatch is the daemon-side queue/dispatch time: frame read
 	// to handler start (worker-pool wait included).
 	StageDispatch
@@ -69,7 +66,6 @@ const (
 var stageNames = [NumStages]string{
 	"share_arith",
 	"wire",
-	"admit_wait",
 	"dispatch",
 	"coalesce_wait",
 	"store_eval",

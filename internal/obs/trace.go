@@ -112,14 +112,6 @@ func (sp *Span) Add(s Stage, d time.Duration) {
 	sp.stages[s].Add(int64(d))
 }
 
-// StageTotal returns the accumulated time of one stage.
-func (sp *Span) StageTotal(s Stage) time.Duration {
-	if sp == nil || s < 0 || int(s) >= NumStages {
-		return 0
-	}
-	return time.Duration(sp.stages[s].Load())
-}
-
 // Start returns the span's start time.
 func (sp *Span) Start() time.Time { return sp.start }
 

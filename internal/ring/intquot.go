@@ -76,9 +76,6 @@ func (q *IntQuotient) Kind() Kind { return KindIntQuotient }
 // Name implements Ring.
 func (q *IntQuotient) Name() string { return fmt.Sprintf("Z[x]/(%s)", q.r) }
 
-// Modulus returns the quotient polynomial r(x).
-func (q *IntQuotient) Modulus() poly.Poly { return q.r }
-
 // Reduce implements Ring.
 func (q *IntQuotient) Reduce(p poly.Poly) poly.Poly {
 	rem, err := p.Mod(q.r)

@@ -624,9 +624,6 @@ func (d *Daemon) handleAdmitted(f wire.FramedFrame, admit chan struct{}, arrival
 		}
 		defer func() { <-admit }()
 	}
-	// Admission sheds rather than queues, so an admitted request waited for
-	// no slot.
-	d.Observer().Observe(obs.StageAdmitWait, 0)
 	typ, payload, sp, err := d.dispatch(f.Type, f.Payload, arrival, dispatchWait)
 	wire.PutBuf(f.Payload) // request fully decoded by dispatch
 	if err != nil {

@@ -17,43 +17,24 @@ import (
 
 	"sssearch/internal/core"
 	"sssearch/internal/drbg"
-	"sssearch/internal/lru"
 	"sssearch/internal/metrics"
 	"sssearch/internal/ring"
 	"sssearch/internal/sharing"
 )
 
-// DefaultEvalCacheEntries bounds the eval cache of a coefficient-form
-// store (Z[x]/(r(x))): the most recently used (node, point) evaluations
-// are kept so hot subtrees — the root levels every query walks before
-// pruning — are not re-evaluated. A value-form store (F_p) has nothing to
-// cache: an evaluation is a read.
-const DefaultEvalCacheEntries = 1 << 16
-
-// bigEvalKey identifies one cached evaluation of a coefficient-form store:
-// the share-tree node (stable for the life of the server) and the point,
-// rendered once per lookup.
-type bigEvalKey struct {
-	node *sharing.Node
-	x    string
-}
-
 // Local is an in-process server over a materialized share tree. Safe for
-// concurrent use (the tree is read-only after construction; the eval
-// cache is internally locked).
+// concurrent use: the tree is read-only after construction.
 type Local struct {
 	ring ring.Ring
 	tree *sharing.Tree
 	// fp is non-nil on F_p, where the tree is in the value form and a
 	// node's share at the point a is its value a−1.
 	fp       *ring.FpCyclotomic
-	bigCache *lru.Cache[bigEvalKey, *big.Int]
 	counters *metrics.Counters
 }
 
-// NewLocal builds a Local server with the default eval-cache bound. An F_p
-// tree in the coefficient form (hand-built fixtures) is taken into the
-// value form once, here.
+// NewLocal builds a Local server. An F_p tree in the coefficient form
+// (hand-built fixtures) is taken into the value form once, here.
 func NewLocal(r ring.Ring, tree *sharing.Tree) (*Local, error) {
 	if r == nil || tree == nil || tree.Root == nil {
 		return nil, errors.New("server: nil ring or tree")
@@ -62,21 +43,12 @@ func NewLocal(r ring.Ring, tree *sharing.Tree) (*Local, error) {
 	if fp, ok := r.(*ring.FpCyclotomic); ok {
 		s.fp, s.tree = fp, sharing.ValueTree(fp, tree)
 	}
-	s.SetEvalCacheEntries(DefaultEvalCacheEntries)
 	return s, nil
 }
 
-// SetEvalCacheEntries re-bounds the eval cache of a coefficient-form store
-// to at most n (node, point) values; 0 disables caching. A value-form
-// store has no cache to bound. Not safe to call concurrently with queries.
-func (s *Local) SetEvalCacheEntries(n int) {
-	if s.fp == nil {
-		s.bigCache = lru.New[bigEvalKey, *big.Int](n)
-	}
-}
-
-// Counters exposes the server-side metric counters (eval-cache hits and
-// misses; the protocol counters live client-side on the engine).
+// Counters exposes the server-side metric counters. Nothing increments
+// them: the protocol counters live client-side on the engine, and the set
+// stays only for the benchmark's traced eval-cache tap.
 func (s *Local) Counters() *metrics.Counters { return s.counters }
 
 // Ring returns the server's (public) ring parameters.
@@ -87,8 +59,8 @@ func (s *Local) Tree() *sharing.Tree { return s.tree }
 
 // EvalNodes implements core.ServerAPI. On F_p a node's value at each point
 // is read from its vector, and the call's values are written as words into
-// one slab the answers share; a coefficient-form store evaluates through
-// the ring, memoizing (node, point) values, and answers in big.Int.
+// one slab the answers share; a coefficient-form store evaluates each
+// (node, point) through the ring and answers in big.Int.
 func (s *Local) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
 	if s.fp != nil {
 		return s.evalValues(keys, points)
@@ -101,18 +73,10 @@ func (s *Local) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEv
 		}
 		values := make([]*big.Int, len(points))
 		for j, p := range points {
-			bk := bigEvalKey{node: node, x: p.String()}
-			if v, ok := s.bigCache.Get(bk); ok {
-				s.counters.AddEvalCacheHits(1)
-				values[j] = v
-				continue
-			}
 			v, err := s.ring.Eval(node.Poly, p)
 			if err != nil {
 				return nil, fmt.Errorf("server: evaluating %s at %s: %w", k, p, err)
 			}
-			s.counters.AddEvalCacheMiss(1)
-			s.bigCache.Add(bk, v)
 			values[j] = v
 		}
 		out[i] = core.NodeEval{Key: k, Big: values, NumChildren: len(node.Children)}

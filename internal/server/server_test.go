@@ -1,15 +1,18 @@
 package server
 
 import (
+	"crypto/sha256"
 	"math/big"
 	"sync"
 	"testing"
 
 	"sssearch/internal/drbg"
+	"sssearch/internal/mapping"
 	"sssearch/internal/paperdata"
 	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
 	"sssearch/internal/sharing"
+	"sssearch/internal/workload"
 )
 
 func testSeed(b byte) drbg.Seed {
@@ -212,5 +215,139 @@ func TestTampererConcurrentCounts(t *testing.T) {
 	wg.Wait()
 	if v, p := tam.ValueTampered.Load(), tam.PolyTampered.Load(); v != callers*calls || p != callers*calls {
 		t.Fatalf("counted %d forged values and %d forged polynomials, want %d each", v, p, callers*calls)
+	}
+}
+
+func buildEvalFixture(t *testing.T, r ring.Ring) (*Local, []drbg.NodeKey, []*big.Int) {
+	t.Helper()
+	doc := workload.RandomTree(workload.TreeConfig{Nodes: 40, MaxFanout: 3, Vocab: 8, Seed: 5})
+	m, err := mapping.New(r.MaxTag(), []byte("eval-test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := polyenc.Encode(r, doc, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := drbg.Seed(sha256.Sum256([]byte("eval-test")))
+	tree, err := sharing.Split(enc, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewLocal(r, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []drbg.NodeKey
+	enc.Walk(func(k drbg.NodeKey, _ *polyenc.Node) bool {
+		keys = append(keys, k)
+		return true
+	})
+	points := []*big.Int{big.NewInt(2), big.NewInt(3), big.NewInt(5)}
+	return srv, keys, points
+}
+
+// TestZRingEvalMatchesRingEval: a coefficient-form store answers each
+// (node, point) with ring.Eval of the node's share polynomial, on repeated
+// calls and on concurrent ones (the ServerAPI contract) — meaningful under
+// -race.
+func TestZRingEvalMatchesRingEval(t *testing.T) {
+	r := ring.MustIntQuotient(1, 0, 1)
+	srv, keys, points := buildEvalFixture(t, r)
+	want := make([][]*big.Int, len(keys))
+	for i, k := range keys {
+		node, err := srv.Tree().Lookup(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range points {
+			v, err := r.Eval(node.Poly, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], v)
+		}
+	}
+	check := func(who string) {
+		got, err := srv.EvalNodes(keys, points)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := range got {
+			for j, v := range got[i].Values() {
+				if v.Cmp(want[i][j]) != 0 {
+					t.Errorf("%s: %s at %s = %s, ring.Eval gives %s", who, keys[i], points[j], v, want[i][j])
+					return
+				}
+			}
+		}
+	}
+	check("first call")
+	check("repeated call")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				check("concurrent call")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSetFastAfterConstruction: disabling the ring's fast path after the
+// server was built must answer identically, not crash: a value-form store
+// reads its values at either setting.
+func TestSetFastAfterConstruction(t *testing.T) {
+	r := ring.MustFp(257)
+	srv, keys, points := buildEvalFixture(t, r)
+	ref, err := srv.EvalNodes(keys, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetFast(false)
+	got, err := srv.EvalNodes(keys, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		for j := range ref[i].Values() {
+			if ref[i].Values()[j].Cmp(got[i].Values()[j]) != 0 {
+				t.Fatalf("SetFast(false) changed the answer at %s", keys[i])
+			}
+		}
+	}
+}
+
+// TestWarmEvalAllocatesPerCallNotPerValue: a value-form evaluation call
+// allocates its answers, its value slab and its point indices — a handful
+// of objects however many keys and points it is asked about, where boxing
+// each value cost two a value — and every answer holds its values as
+// words, capacity-clipped: an append to one cannot reach the next one's.
+func TestWarmEvalAllocatesPerCallNotPerValue(t *testing.T) {
+	srv, keys, points := buildEvalFixture(t, ring.MustFp(257))
+	if _, err := srv.EvalNodes(keys, points); err != nil { // warm
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, len(keys)} {
+		if got := testing.AllocsPerRun(50, func() {
+			if _, err := srv.EvalNodes(keys[:n], points); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 4 {
+			t.Fatalf("a warm call about %d keys at %d points allocated %v times, want at most 4 whatever the count", n, len(points), got)
+		}
+	}
+	out, err := srv.EvalNodes(keys, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range out {
+		if len(a.Big) != 0 || len(a.Words) != len(points) || cap(a.Words) != len(points) {
+			t.Fatalf("answer %d: %d words (cap %d), %d big.Int values, want %d capacity-clipped words", i, len(a.Words), cap(a.Words), len(a.Big), len(points))
+		}
 	}
 }

@@ -86,12 +86,6 @@ func (s *Scheme) Reconstruct(shares []Share) (*big.Int, error) {
 	return InterpolateAt(s.f, shares, s.f.Zero(), s.t)
 }
 
-// ReconstructAt recovers g(x0) from at least t shares — used by the voting
-// protocols to open sums/products at points other than zero if needed.
-func (s *Scheme) ReconstructAt(shares []Share, x0 *big.Int) (*big.Int, error) {
-	return InterpolateAt(s.f, shares, x0, s.t)
-}
-
 // InterpolateAt evaluates the unique degree-<len(shares) polynomial through
 // the shares at x0, requiring at least minShares points with distinct X.
 func InterpolateAt(f *field.Field, shares []Share, x0 *big.Int, minShares int) (*big.Int, error) {

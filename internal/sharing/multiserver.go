@@ -39,8 +39,8 @@ import (
 // per-node stream from it, exactly the construction Split uses for client
 // pads. Each node's k−1 mask vectors come from its own path-keyed stream
 // via the bulk sampler, so the walk order — and hence the parwalk
-// schedule — cannot leak into the output: MultiShare is byte-identical to
-// MultiShareSequential at every Parallelism setting.
+// schedule — cannot leak into the output: MultiSplit is byte-identical to
+// MultiSplitSequential at every Parallelism setting.
 //
 // v2 moved with share stream v3: every node's masks came off its own
 // ForNode keystream through the bulk sampler. Since share stream v4 they
@@ -90,7 +90,7 @@ func MultiSplitWithOpts(enc *polyenc.Tree, seed drbg.Seed, k, n int, rng io.Read
 	if err != nil {
 		return nil, err
 	}
-	return MultiShareWithOpts(enc.Ring, rest, k, n, rng, o)
+	return multiShare(enc.Ring, rest, k, n, rng, o)
 }
 
 // MultiSplitSequential is the sequential reference implementation of
@@ -110,7 +110,11 @@ func MultiSplitSequential(enc *polyenc.Tree, seed drbg.Seed, k, n int, rng io.Re
 	if err != nil {
 		return nil, err
 	}
-	return MultiShareSequential(enc.Ring, rest, k, n, rng)
+	fpRing, mk, err := multiShareSetup(enc.Ring, rest, k, n, rng)
+	if err != nil {
+		return nil, err
+	}
+	return multiShareSequential(fpRing, mk, ValueTree(fpRing, rest), k, n)
 }
 
 // MultiShare Shamir-shares an existing single-server share tree (the
@@ -128,11 +132,11 @@ func MultiSplitSequential(enc *polyenc.Tree, seed drbg.Seed, k, n int, rng io.Re
 // sequential big.Int walk takes over and, like ring.Rand, draws the same
 // masks from the same streams.
 func MultiShare(r ring.Ring, rest *Tree, k, n int, rng io.Reader) ([]ServerShare, error) {
-	return MultiShareWithOpts(r, rest, k, n, rng, MultiOpts{})
+	return multiShare(r, rest, k, n, rng, MultiOpts{})
 }
 
-// MultiShareWithOpts is MultiShare with an explicit parallelism bound.
-func MultiShareWithOpts(r ring.Ring, rest *Tree, k, n int, rng io.Reader, o MultiOpts) ([]ServerShare, error) {
+// multiShare is MultiShare with an explicit parallelism bound.
+func multiShare(r ring.Ring, rest *Tree, k, n int, rng io.Reader, o MultiOpts) ([]ServerShare, error) {
 	fpRing, mk, err := multiShareSetup(r, rest, k, n, rng)
 	if err != nil {
 		return nil, err
@@ -160,21 +164,6 @@ func MultiShareWithOpts(r ring.Ring, rest *Tree, k, n int, rng io.Reader, o Mult
 		return nil, err
 	}
 	return wrapServerShares(roots, rest.Width), nil
-}
-
-// MultiShareSequential is the sequential big.Int reference for MultiShare:
-// identical mask streams (same label, same bulk draws on fast-path
-// rings), but every share value computed by an independent Horner
-// evaluation in big.Int field arithmetic and a plain recursive walk.
-// MultiShare at any Parallelism must reproduce its output byte for byte —
-// the differential anchor for both the vectorized share arithmetic and
-// the parallel schedule.
-func MultiShareSequential(r ring.Ring, rest *Tree, k, n int, rng io.Reader) ([]ServerShare, error) {
-	fpRing, mk, err := multiShareSetup(r, rest, k, n, rng)
-	if err != nil {
-		return nil, err
-	}
-	return multiShareSequential(fpRing, mk, ValueTree(fpRing, rest), k, n)
 }
 
 // multiShareSetup validates the arguments and derives the mask keys from
@@ -287,7 +276,7 @@ func (m *multiSharer) fill(src *Node, key drbg.NodeKey, outs []*Node) error {
 
 // drawMasks draws the node's k−1 Shamir mask vectors from its chain, in
 // bulk, in ascending degree order — the consumption pattern both
-// MultiShare and MultiShareSequential share.
+// MultiShare and MultiSplitSequential share.
 func drawMasks(fp *ring.FpCyclotomic, mk *drbg.PointKeys, key drbg.NodeKey, k int) ([][]uint64, error) {
 	stream := mk.NodeChain(key)
 	masks := make([][]uint64, k-1)
@@ -301,7 +290,9 @@ func drawMasks(fp *ring.FpCyclotomic, mk *drbg.PointKeys, key drbg.NodeKey, k in
 }
 
 // multiShareSequential is the recursive big.Int walk behind
-// MultiShareSequential and the fast-path-off fallback of MultiShare. On
+// MultiSplitSequential and the fast-path-off fallback of MultiShare: the
+// differential anchor for both the vectorized share arithmetic and the
+// parallel schedule, which must reproduce its output byte for byte. On
 // fast-path rings the masks come from the same bulk draws as the parallel
 // walk; with the fast path off ring.Rand draws the same masks one value at
 // a time (see MultiShare).
@@ -368,50 +359,4 @@ func multiShareNodeRef(fp *ring.FpCyclotomic, mk *drbg.PointKeys, rest *Tree, sr
 		}
 	}
 	return nodes, nil
-}
-
-// ServerEval is one server's scalar answer for a node.
-type ServerEval struct {
-	X     uint32
-	Value *big.Int
-}
-
-// CombineServerEvals reconstructs f_rest(a) from >= k scalar server
-// evaluations via Lagrange interpolation at zero. Fast-path rings combine
-// on fastfield words; the big.Int interpolation remains the fallback for
-// wide moduli (and the behavioral reference — both paths are
-// differentially tested against each other).
-func CombineServerEvals(r *ring.FpCyclotomic, evals []ServerEval, k int) (*big.Int, error) {
-	if ff := r.Fast(); ff != nil && len(evals) >= k {
-		xs := make([]uint64, len(evals))
-		ys := make([]uint64, len(evals))
-		for i, e := range evals {
-			xs[i] = uint64(e.X)
-			ys[i] = ff.ReduceBig(e.Value)
-		}
-		if lag, err := ff.LagrangeAtZero(xs); err == nil {
-			return new(big.Int).SetUint64(lag.Combine(ys)), nil
-		}
-		// Degenerate point sets fall through to the big.Int path for its
-		// established error reporting.
-	}
-	shares := make([]shamir.Share, len(evals))
-	for i, e := range evals {
-		shares[i] = shamir.Share{X: e.X, Y: e.Value}
-	}
-	return shamir.InterpolateAt(r.Field(), shares, big.NewInt(0), k)
-}
-
-// MultiReconstructEval computes the full f(a) from the client's seed share
-// and >= k server evaluations.
-func MultiReconstructEval(r *ring.FpCyclotomic, client *SeedClient, key drbg.NodeKey, a *big.Int, evals []ServerEval, k int) (*big.Int, error) {
-	rest, err := CombineServerEvals(r, evals, k)
-	if err != nil {
-		return nil, err
-	}
-	cv, err := client.EvalShare(key, a)
-	if err != nil {
-		return nil, err
-	}
-	return r.Field().Add(cv, rest), nil
 }

@@ -9,6 +9,7 @@ import (
 	"sssearch/internal/paperdata"
 	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
+	"sssearch/internal/shamir"
 )
 
 func bi(v int64) *big.Int { return big.NewInt(v) }
@@ -299,10 +300,15 @@ func TestMultiSplitReconstruct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every k-subset of servers must reconstruct the evaluation.
+		cv, err := client.EvalShare(key, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every k-subset of servers must reconstruct the evaluation, through
+		// the reference Lagrange combiner.
 		subsets := [][]int{{0, 1}, {0, 2}, {1, 2}}
 		for _, sub := range subsets {
-			evals := make([]ServerEval, 0, k)
+			evals := make([]shamir.Share, 0, k)
 			for _, j := range sub {
 				sn, err := servers[j].Tree.Lookup(key)
 				if err != nil {
@@ -312,13 +318,13 @@ func TestMultiSplitReconstruct(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				evals = append(evals, ServerEval{X: servers[j].X, Value: v})
+				evals = append(evals, shamir.Share{X: servers[j].X, Y: v})
 			}
-			got, err := MultiReconstructEval(r, client, key, a, evals, k)
+			rest, err := shamir.InterpolateAt(r.Field(), evals, big.NewInt(0), k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Cmp(want) != 0 {
+			if got := r.Field().Add(cv, rest); got.Cmp(want) != 0 {
 				t.Fatalf("node %s servers %v: got %v want %v", key, sub, got, want)
 			}
 		}

@@ -111,18 +111,17 @@ func TestResolveDifferentialTopologies(t *testing.T) {
 			f := apitest.NewFixtureOver(t, ring.MustFp(257), doc)
 			eng := core.NewEngine(f.Ring, f.Seed, f.Mapping, topo.mk(t, f), nil)
 			resolved := int64(0)
-			for qi, qs := range queries {
+			for _, qs := range queries {
 				q := xpath.MustParse(qs)
 				var want []NodeKey
 				for _, n := range q.Evaluate(doc) {
 					want = append(want, n.Key())
 				}
-				parallelism := 4 * (qi % 2)
-				atPoints, err := eng.Query(q, core.Opts{Verify: core.VerifyResolve, Parallelism: parallelism})
+				atPoints, err := eng.Query(q, core.Opts{Verify: core.VerifyResolve})
 				if err != nil {
 					t.Fatalf("%s: point path: %v", qs, err)
 				}
-				fromPolys, err := eng.Query(q, core.Opts{Verify: core.VerifyFull, Parallelism: parallelism})
+				fromPolys, err := eng.Query(q, core.Opts{Verify: core.VerifyFull})
 				if err != nil {
 					t.Fatalf("%s: polynomial path: %v", qs, err)
 				}
