@@ -247,14 +247,22 @@ func buildEvalFixture(t *testing.T, r ring.Ring) (*Local, []drbg.NodeKey, []*big
 	return srv, keys, points
 }
 
-// TestZRingEvalMatchesRingEval: a coefficient-form store answers each
-// (node, point) with ring.Eval of the node's share polynomial, on repeated
-// calls and on concurrent ones (the ServerAPI contract) — meaningful under
-// -race.
-func TestZRingEvalMatchesRingEval(t *testing.T) {
-	r := ring.MustIntQuotient(1, 0, 1)
-	srv, keys, points := buildEvalFixture(t, r)
+// ringEvalAnswers is what EvalNodes must answer for keys at points: ring.Eval
+// of each node's share polynomial on a coefficient-form store, the first
+// call's answer on a value-form store (whose values are the reference).
+func ringEvalAnswers(t *testing.T, r ring.Ring, srv *Local, keys []drbg.NodeKey, points []*big.Int) [][]*big.Int {
+	t.Helper()
 	want := make([][]*big.Int, len(keys))
+	if _, coeffs := r.(*ring.IntQuotient); !coeffs {
+		first, err := srv.EvalNodes(keys, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range first {
+			want[i] = first[i].Values()
+		}
+		return want
+	}
 	for i, k := range keys {
 		node, err := srv.Tree().Lookup(k)
 		if err != nil {
@@ -268,34 +276,62 @@ func TestZRingEvalMatchesRingEval(t *testing.T) {
 			want[i] = append(want[i], v)
 		}
 	}
-	check := func(who string) {
-		got, err := srv.EvalNodes(keys, points)
-		if err != nil {
-			t.Error(err)
-			return
+	return want
+}
+
+// checkEvalAnswers calls EvalNodes once and reports the first value that
+// differs from want.
+func checkEvalAnswers(t *testing.T, who string, srv *Local, keys []drbg.NodeKey, points []*big.Int, want [][]*big.Int) {
+	got, err := srv.EvalNodes(keys, points)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	for i := range got {
+		for j, v := range got[i].Values() {
+			if v.Cmp(want[i][j]) != 0 {
+				t.Errorf("%s: %s at %s = %s, want %s", who, keys[i], points[j], v, want[i][j])
+				return
+			}
 		}
-		for i := range got {
-			for j, v := range got[i].Values() {
-				if v.Cmp(want[i][j]) != 0 {
-					t.Errorf("%s: %s at %s = %s, ring.Eval gives %s", who, keys[i], points[j], v, want[i][j])
-					return
+	}
+}
+
+// TestEvalCacheHitsAndConsistency: nothing caches evaluations any more, so
+// a first and a repeated request answer the same — ring.Eval of the share
+// polynomial on a coefficient-form store, the stored values on a
+// value-form one — and the eval-cache counters the benchmark reads stay 0.
+func TestEvalCacheHitsAndConsistency(t *testing.T) {
+	for _, r := range []ring.Ring{ring.MustFp(257), ring.MustIntQuotient(1, 0, 1)} {
+		srv, keys, points := buildEvalFixture(t, r)
+		want := ringEvalAnswers(t, r, srv, keys, points)
+		checkEvalAnswers(t, r.Name()+" first call", srv, keys, points, want)
+		checkEvalAnswers(t, r.Name()+" repeated call", srv, keys, points, want)
+		if s := srv.Counters().Snapshot(); s.EvalCacheHits != 0 || s.EvalCacheMiss != 0 {
+			t.Fatalf("%s: eval cache hits = %d, misses = %d, want 0 / 0", r.Name(), s.EvalCacheHits, s.EvalCacheMiss)
+		}
+	}
+}
+
+// TestEvalCacheConcurrent: parallel EvalNodes calls (the ServerAPI
+// contract) answer as a lone call does, on both store forms — meaningful
+// under -race.
+func TestEvalCacheConcurrent(t *testing.T) {
+	for _, r := range []ring.Ring{ring.MustFp(257), ring.MustIntQuotient(1, 0, 1)} {
+		srv, keys, points := buildEvalFixture(t, r)
+		want := ringEvalAnswers(t, r, srv, keys, points)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					checkEvalAnswers(t, r.Name()+" concurrent call", srv, keys, points, want)
 				}
-			}
+			}()
 		}
+		wg.Wait()
 	}
-	check("first call")
-	check("repeated call")
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				check("concurrent call")
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestSetFastAfterConstruction: disabling the ring's fast path after the
