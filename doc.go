@@ -287,7 +287,11 @@
 // whoever consumes one reduces it first (the engine before the add, the
 // Lagrange combine in its Montgomery product, reconstructPacked for
 // fetched vectors); only a store loader, which refuses a value at or above
-// p, hands out canonical words.
+// p, hands out canonical words. It checks the file's whole value slab in
+// one pass before any node gets its view — four 16-bit values a word
+// when 2⁸ < p ≤ 2¹⁵, as on F_257, and a plain loop at other widths and
+// above 2¹⁵ — so the check costs about two checksums of the file, not a
+// call a value.
 //
 // The big.Int seam remains where a value has no word form, and as the
 // reference everywhere else. NodeEval.Big / NodePoly.Big carry an answer
@@ -450,11 +454,11 @@
 // sampled query's trace id and deadline budget ride every frame it sends.
 //
 // On F_p rings a share is its value vector from the store file to the
-// eq. (2) check: the loader hands each node a view of its values in the
-// file's slab (checked below p), server.Local reads a value or hands the
-// vector out as words, the fetch frame carries it bit-packed like an
-// evaluation's values — nine bits a value on F_257, a zero tail trimmed,
-// which reads back as zeros — core.NodePoly carries
+// eq. (2) check: the loader checks the file's slab below p in one pass and
+// hands each node a view of its values in it, server.Local reads a value
+// or hands the vector out as words, the fetch frame carries it bit-packed
+// like an evaluation's values — nine bits a value on F_257, a zero tail
+// trimmed, which reads back as zeros — core.NodePoly carries
 // Words, MultiServer Lagrange-combines the members' words in place and
 // the engine adds the client's value pads and checks. The big.Int form
 // survives where a value is negative or wider than a word (a tampering

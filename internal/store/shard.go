@@ -139,7 +139,7 @@ func ReadShard(data []byte) (ring.Ring, *sharing.Tree, *shard.Manifest, int, err
 	if len(trailing) != 0 {
 		return fail(fmt.Errorf("%w: trailing bytes", ErrBadFormat))
 	}
-	if int(id) >= man.Shards {
+	if id >= uint64(man.Shards) {
 		return fail(fmt.Errorf("%w: shard id %d outside manifest of %d", ErrBadFormat, id, man.Shards))
 	}
 	return r, tree, man, int(id), nil

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 
 	"sssearch/internal/drbg"
 	"sssearch/internal/mapping"
+	"sssearch/internal/paperdata"
 	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
 	"sssearch/internal/shard"
@@ -131,4 +134,106 @@ func TestManifestFileRoundTrip(t *testing.T) {
 	if _, err := ReadManifest(serverMagic); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("wrong magic err = %v, want ErrBadFormat", err)
 	}
+}
+
+// oneShard is the manifest of a deployment of one shard.
+func oneShard() *shard.Manifest {
+	return &shard.Manifest{Shards: 1, Entries: []shard.Entry{{Prefix: drbg.NodeKey{}, Shard: 0}}}
+}
+
+// shardFile seals a shard store around a shard id and hand-written tree
+// bytes.
+func shardFile(t testing.TB, r ring.Ring, man *shard.Manifest, id uint64, tree []byte) []byte {
+	manBytes, err := man.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := r.Params().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := binary.AppendUvarint(append([]byte(nil), shardMagic...), id)
+	body = binary.AppendUvarint(body, uint64(len(manBytes)))
+	body = append(body, manBytes...)
+	body = binary.AppendUvarint(body, uint64(len(params)))
+	body = append(append(body, params...), tree...)
+	return seal(body)
+}
+
+// hostileShardFiles are shard stores with valid checksums that ReadShard
+// must refuse with ErrBadFormat: every hostile tree, and a valid tree
+// under a shard id outside its manifest — one past the last shard, and
+// 2⁶³, which is negative as an int.
+func hostileShardFiles(t testing.TB) map[string][]byte {
+	files := make(map[string][]byte)
+	for name, h := range hostileTrees() {
+		files[name] = shardFile(t, h.r, oneShard(), 0, h.tree)
+	}
+	tree := valueTree(2, 1, []uint64{1<<1 | 1, 1}, []byte{0, 1, 2, 3, 4, 3, 2, 1})
+	files["shard id past the manifest"] = shardFile(t, ring.MustFp(5), oneShard(), 1, tree)
+	files["shard id of 2^63"] = shardFile(t, ring.MustFp(5), oneShard(), 1<<63, tree)
+	return files
+}
+
+// TestReadShardRefusesHostileFiles: every malformed tree and every shard
+// id outside the manifest, under a valid checksum, is a plain
+// ErrBadFormat. The same tree under shard id 0 loads.
+func TestReadShardRefusesHostileFiles(t *testing.T) {
+	for name, file := range hostileShardFiles(t) {
+		if _, _, _, id, err := ReadShard(file); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%s: shard %d, %v, want ErrBadFormat", name, id, err)
+		}
+	}
+	tree := valueTree(2, 1, []uint64{1<<1 | 1, 1}, []byte{0, 1, 2, 3, 4, 3, 2, 1})
+	if _, _, _, id, err := ReadShard(shardFile(t, ring.MustFp(5), oneShard(), 0, tree)); err != nil || id != 0 {
+		t.Fatalf("a valid shard 0: shard %d, %v", id, err)
+	}
+}
+
+// FuzzReadShard feeds the shard-store loader anything, both as a whole
+// file and sealed with a matching checksum so that the fuzzer reaches the
+// manifest and tree decoders. It must never panic, and what it accepts
+// must hold only values below p and a shard id inside its manifest. The
+// seeds are valid shard stores of F_7, F_257 and Z and every hostile file.
+func FuzzReadShard(f *testing.F) {
+	for _, r := range []ring.Ring{ring.MustFp(7), ring.MustFp(257), paperdata.ZRing()} {
+		trees, man, err := shard.Partition(buildTree(f, r), 2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteShard(&buf, r, trees[1], man, 1); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, file := range hostileShardFiles(f) {
+		if len(file) < 1<<16 {
+			f.Add(file)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, file := range [][]byte{data, seal(append([]byte(nil), data...))} {
+			r, tree, man, id, err := ReadShard(file)
+			if err != nil {
+				if !errors.Is(err, ErrBadFormat) {
+					t.Fatalf("refused without ErrBadFormat: %v", err)
+				}
+				continue
+			}
+			if id < 0 || id >= man.Shards {
+				t.Fatalf("accepted shard id %d of a manifest of %d", id, man.Shards)
+			}
+			if fp, ok := r.(*ring.FpCyclotomic); ok {
+				tree.Walk(func(_ drbg.NodeKey, n *sharing.Node) bool {
+					for i := 0; n.Vals != nil && i < fp.DegreeBound(); i++ {
+						if tree.Value(n, i) >= fp.P().Uint64() {
+							t.Fatalf("accepted a value at or above p")
+						}
+					}
+					return true
+				})
+			}
+		}
+	})
 }

@@ -34,9 +34,11 @@
 // the file's bytes, an evaluation is a read at offset a−1, and nothing is
 // decoded or cached. The loader builds the tree without recursing, and
 // refuses with ErrBadFormat a shape deeper than sharing.MaxDepth, a child
-// count above the nodes left, a slab width that does not match p, a
-// truncated slab and a value at or above p. Z[x]/(r(x)) trees keep their
-// polynomials in the same layout.
+// count above the nodes left, a slab width that does not match p, a slab
+// shorter than the nodes that hold values take (one length check) and a
+// value at or above p (one pass over the whole slab, four values a word
+// when they are 16 bits and p ≤ 2¹⁵, before any node gets its view).
+// Z[x]/(r(x)) trees keep their polynomials in the same layout.
 //
 // Generation 5 keeps that layout byte for byte and changes only what the
 // values mean: share stream v5 (sharing.ShareLabel) reads a node's pads

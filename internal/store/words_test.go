@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 	"unsafe"
@@ -120,73 +121,153 @@ func chain(n int) []uint64 {
 	return shape
 }
 
-// hostileServerFiles are store files with valid checksums that a loader
-// must refuse with ErrBadFormat, by what is wrong with them. F_5 takes one
-// byte a value and four values a node; the deep chain is F_101's, 100
-// bytes a node and 410 KB in all.
-func hostileServerFiles(t testing.TB) map[string][]byte {
+// hostileTree is a tree encoding that a loader must refuse, and the ring
+// it is read for.
+type hostileTree struct {
+	r    ring.Ring
+	tree []byte
+}
+
+// hostileTrees are the tree encodings a loader must refuse with
+// ErrBadFormat, by what is wrong with them. F_5 takes one byte a value and
+// four values a node; the deep chain is F_101's, 100 bytes a node and
+// 410 KB in all.
+func hostileTrees() map[string]hostileTree {
 	f5 := ring.MustFp(5)
 	two := []uint64{1<<1 | 1, 1}
 	slab := []byte{0, 1, 2, 3, 4, 3, 2, 1}
 	deep := sharing.MaxDepth + 1
-	return map[string][]byte{
-		"value at p":              serverFile(t, f5, valueTree(2, 1, two, []byte{0, 1, 2, 3, 4, 3, 5, 1})),
-		"value above p":           serverFile(t, f5, valueTree(2, 1, two, []byte{0xFF, 1, 2, 3, 4, 3, 2, 1})),
-		"width of another ring":   serverFile(t, f5, valueTree(2, 2, two, append(slab, slab...))),
-		"coefficient width on Fp": serverFile(t, f5, valueTree(2, 0, two, []byte{0, 0})),
-		"value width on Z":        serverFile(t, paperdata.ZRing(), valueTree(2, 1, two, slab)),
-		"truncated slab":          serverFile(t, f5, valueTree(2, 1, two, slab[:7])),
-		"child count above nodes": serverFile(t, f5, valueTree(2, 1, []uint64{2<<1 | 1, 1}, slab)),
-		"nodes beyond the root":   serverFile(t, f5, valueTree(3, 1, []uint64{1<<1 | 1, 1, 1}, append(slab, 0, 0, 0, 0))),
-		"node count above bytes":  serverFile(t, f5, valueTree(1<<20, 1, two, slab)),
-		"deeper than MaxDepth":    serverFile(t, ring.MustFp(101), valueTree(uint64(deep), 1, chain(deep), make([]byte, 100*deep))),
+	return map[string]hostileTree{
+		"value at p":              {f5, valueTree(2, 1, two, []byte{0, 1, 2, 3, 4, 3, 5, 1})},
+		"value above p":           {f5, valueTree(2, 1, two, []byte{0xFF, 1, 2, 3, 4, 3, 2, 1})},
+		"width of another ring":   {f5, valueTree(2, 2, two, append(slab, slab...))},
+		"coefficient width on Fp": {f5, valueTree(2, 0, two, []byte{0, 0})},
+		"value width on Z":        {paperdata.ZRing(), valueTree(2, 1, two, slab)},
+		"truncated slab":          {f5, valueTree(2, 1, two, slab[:7])},
+		"child count above nodes": {f5, valueTree(2, 1, []uint64{2<<1 | 1, 1}, slab)},
+		"nodes beyond the root":   {f5, valueTree(3, 1, []uint64{1<<1 | 1, 1, 1}, append(slab, 0, 0, 0, 0))},
+		"node count above bytes":  {f5, valueTree(1<<20, 1, two, slab)},
+		"deeper than MaxDepth":    {ring.MustFp(101), valueTree(uint64(deep), 1, chain(deep), make([]byte, 100*deep))},
 	}
+}
+
+// hostileServerFiles are the hostile trees as server store files with
+// valid checksums.
+func hostileServerFiles(t testing.TB) map[string][]byte {
+	files := make(map[string][]byte)
+	for name, h := range hostileTrees() {
+		files[name] = serverFile(t, h.r, h.tree)
+	}
+	return files
 }
 
 // TestLoadKeepsNonCanonicalPolysOffTheWordPath: a store file may hold any
 // bytes, and server.Local serves stored values as they are — so a value at
-// or above p (a non-canonical residue) must never load. Every other value
-// does, anywhere in the slab, and the loaded store serves the values that
-// were written.
+// or above p (a non-canonical residue) must never load, at any width and
+// wherever it sits in the slab. Every value below p loads, and the loaded
+// store serves the values that were written. A shard store holding the
+// same slab is refused and accepted alike.
 func TestLoadKeepsNonCanonicalPolysOffTheWordPath(t *testing.T) {
-	f11 := ring.MustFp(11)
-	tree := splitRandom(t, f11)
-	good := storeBytes(t, f11, tree)
-	slabEnd := len(good) - 4
-	slabStart := slabEnd - tree.Count()*10
-	for _, at := range []int{slabStart, slabStart + 457, slabEnd - 1} {
-		for v := byte(0); v < 0xFF; v++ {
-			body := append([]byte(nil), good[:slabEnd]...)
-			body[at] = v
-			_, _, err := ReadServer(seal(body))
-			if v < 11 && err != nil {
-				t.Fatalf("value %d at slab byte %d refused: %v", v, at-slabStart, err)
+	rng := rand.New(rand.NewSource(35))
+	for _, tc := range []struct {
+		p     uint64
+		nodes int   // a chain whose second node holds nothing
+		at    []int // the values set, by index into the slab; −1 is the last
+	}{
+		// Width 1: every byte at three places.
+		{11, 201, []int{0, 457, -1}},
+		// Width 2 on the word path: the four lanes of the first word, a lane
+		// of each other word of the kernel's first 32-byte block, and the
+		// first value of the next node.
+		{257, 5, []int{0, 1, 2, 3, 5, 10, 15, 256, -1}},
+		// Width 2 on the word path, 1572 bytes: the last two values are a
+		// tail shorter than a word.
+		{263, 4, []int{0, 3, -2, -1}},
+		// Width 2 with p above 2¹⁵: the scalar path.
+		{65521, 3, []int{0, 1, 2, 3, -1}},
+		// Width 3.
+		{65537, 3, []int{0, 1, -1}},
+	} {
+		fp := ring.MustFp(tc.p)
+		w, per := sharing.ValueWidth(fp), fp.DegreeBound()
+		shape := chain(tc.nodes)
+		shape[1] &^= 1
+		slab := make([]byte, (tc.nodes-1)*per*w)
+		value := func(i int) uint64 {
+			v := uint64(0)
+			for j := w - 1; j >= 0; j-- {
+				v = v<<8 | uint64(slab[i*w+j])
 			}
-			if v >= 11 && (!errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "at or above p")) {
-				t.Fatalf("value %d at slab byte %d: %v, want ErrBadFormat naming it", v, at-slabStart, err)
+			return v
+		}
+		put := func(i int, v uint64) {
+			for j := 0; j < w; j++ {
+				slab[i*w+j] = byte(v >> (8 * j))
 			}
 		}
-	}
-	_, loaded, err := ReadServer(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := server.NewLocal(f11, loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := []*big.Int{big.NewInt(2), big.NewInt(7)}
-	var keys []drbg.NodeKey
-	tree.Walk(func(k drbg.NodeKey, _ *sharing.Node) bool { keys = append(keys, k); return true })
-	answers, err := local.EvalNodes(keys, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		n, _ := tree.Lookup(k)
-		for j, a := range points {
-			if want := tree.Value(n, int(a.Int64()-1)); answers[i].Words[j] != want {
-				t.Fatalf("node %s at %s: the loaded store serves %d, %d was written", k, a, answers[i].Words[j], want)
+		for i := 0; i < len(slab)/w; i++ {
+			put(i, uint64(rng.Int63n(int64(tc.p))))
+		}
+		load := func() []error {
+			tree := valueTree(uint64(tc.nodes), uint64(w), shape, slab)
+			_, _, errServer := ReadServer(serverFile(t, fp, tree))
+			_, _, _, _, errShard := ReadShard(shardFile(t, fp, oneShard(), 0, tree))
+			return []error{errServer, errShard}
+		}
+		values := []uint64{0, tc.p - 1, tc.p, tc.p + 1, 0x7FFF, 0x8000, 0xFFFF, 1<<(8*w) - 1}
+		if w == 1 {
+			values = values[:0]
+			for v := uint64(0); v < 0x100; v++ {
+				values = append(values, v)
+			}
+		}
+		for _, at := range tc.at {
+			if at < 0 {
+				at += len(slab) / w
+			}
+			was := value(at)
+			for _, v := range values {
+				if v >= 1<<(8*w) {
+					continue
+				}
+				put(at, v)
+				for file, err := range load() {
+					if v < tc.p && err != nil {
+						t.Fatalf("F_%d, file %d: value %d at slab value %d refused: %v", tc.p, file, v, at, err)
+					}
+					if v >= tc.p && (!errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "at or above p")) {
+						t.Fatalf("F_%d, file %d: value %d at slab value %d: %v, want ErrBadFormat naming it", tc.p, file, v, at, err)
+					}
+				}
+			}
+			put(at, was)
+		}
+
+		_, loaded, err := ReadServer(serverFile(t, fp, valueTree(uint64(tc.nodes), uint64(w), shape, slab)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := server.NewLocal(fp, loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points := []*big.Int{big.NewInt(1), big.NewInt(int64(tc.p - 1))}
+		var keys []drbg.NodeKey
+		loaded.Walk(func(k drbg.NodeKey, _ *sharing.Node) bool { keys = append(keys, k); return true })
+		answers, err := local.EvalNodes(keys, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			for j, a := range points {
+				held := max(len(k)-1, 0) // the slab skips the second node
+				want := value(held*per + int(a.Int64()-1))
+				if len(k) == 1 {
+					want = 0
+				}
+				if answers[i].Words[j] != want {
+					t.Fatalf("F_%d, node %s at %s: the loaded store serves %d, %d was written", tc.p, k, a, answers[i].Words[j], want)
+				}
 			}
 		}
 	}
