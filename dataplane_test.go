@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
@@ -163,23 +165,21 @@ func TestRepeatedTagIsOnePoint(t *testing.T) {
 }
 
 // TestHotQueryAllocationsPerNode gates the data plane's allocation debt: a
-// warmed in-process query (shared client cache on, every LRU hitting)
-// allocates a bounded number of objects per node it evaluates — the boxed
-// scalars and rendered keys it replaced cost about 45.
+// warmed in-process query (every cache hitting, the engine's recycled
+// tables in hand) allocates a bounded number of objects and bytes per node
+// it evaluates — the boxed scalars and rendered keys it replaced cost about
+// 45 objects, and a node table allocated on every query about 530 bytes.
 func TestHotQueryAllocationsPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	doc := workload.Auction(workload.AuctionConfig{Items: 400, People: 300, Auctions: 250, Seed: 5})
-	bundle, err := Outsource(doc, Config{Kind: RingFp, P: 257})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := bundle.Key.ConnectLocal(bundle.Server)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := hotQuerySession(t, workload.AuctionConfig{Items: 400, People: 300, Auctions: 250, Seed: 5})
 	defer sess.Close()
+	// Per node visited. Before Go 1.24 every query allocates its tables.
+	maxAllocs, maxBytes := 0.3, 300.0
+	if !tablesRecycled {
+		maxAllocs, maxBytes = 0.4, 550
+	}
 	for _, qs := range []string{"//person/watches/watch", "//open_auction/bidder", "//item"} {
 		var nodes int64
 		search := func() {
@@ -189,15 +189,82 @@ func TestHotQueryAllocationsPerNode(t *testing.T) {
 			}
 			nodes = res.Stats.NodesVisited
 		}
-		search() // warm: first-use keys and pooled buffers
+		search() // warm: first-use keys and recycled tables
 		allocs := testing.AllocsPerRun(5, search)
+		bytes := allocBytesPerRun(5, search)
 		if nodes < 500 {
 			t.Fatalf("%s visited %d nodes: too small a query to measure", qs, nodes)
 		}
-		if per := allocs / float64(nodes); per > 2 {
-			t.Fatalf("%s: %.0f allocations for %d nodes visited, %.1f a node (bound 2)", qs, allocs, nodes, per)
-		} else {
-			t.Logf("%s: %.0f allocations for %d nodes visited, %.2f a node", qs, allocs, nodes, per)
+		perAllocs, perBytes := allocs/float64(nodes), bytes/float64(nodes)
+		t.Logf("%s: %.0f allocations and %.0f bytes for %d nodes visited, %.2f and %.0f a node", qs, allocs, bytes, nodes, perAllocs, perBytes)
+		if perAllocs > maxAllocs {
+			t.Errorf("%s: %.2f allocations a node visited (bound %.1f)", qs, perAllocs, maxAllocs)
+		}
+		if perBytes > maxBytes {
+			t.Errorf("%s: %.0f bytes a node visited (bound %.0f)", qs, perBytes, maxBytes)
 		}
 	}
+}
+
+// BenchmarkHotQuery reports what a warmed in-process F_257 query allocates
+// per node it visits, over three queries that visit about 19k nodes of a
+// 21k-node auction document.
+func BenchmarkHotQuery(b *testing.B) {
+	sess := hotQuerySession(b, workload.AuctionConfig{Items: 2000, People: 1500, Auctions: 1250, Seed: 5})
+	defer sess.Close()
+	queries := []string{"//person/watches/watch", "//open_auction/bidder", "//item"}
+	var nodes int64
+	pass := func() {
+		nodes = 0
+		for _, qs := range queries {
+			res, err := sess.Search(qs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes += res.Stats.NodesVisited
+		}
+	}
+	pass() // warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	visited := float64(nodes) * float64(b.N)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/visited, "allocs/node")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/visited, "B/node")
+}
+
+// hotQuerySession outsources an auction document on F_257 and opens an
+// in-process session on it.
+func hotQuerySession(tb testing.TB, cfg workload.AuctionConfig) *Session {
+	bundle, err := Outsource(workload.Auction(cfg), Config{Kind: RingFp, P: 257})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sess, err := bundle.Key.ConnectLocal(bundle.Server)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sess
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the bytes f
+// allocates, averaged over runs calls, at GOMAXPROCS 1. The collector is off
+// while it measures: a collection between two calls would free the tables
+// the engine keeps for its next query (weakly), and the count would depend
+// on when one ran.
+func allocBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -311,19 +311,29 @@
 //
 // A node, inside a query, is an index into the run's table of the nodes it
 // has reached: the root is 0, a node's children are created as consecutive
-// entries — their keys in one array — when the traversal first steps down
-// from it, and each entry holds the child count a wave learned and one sum
-// per distinct point of the query (points are interned by value, so a tag
-// two steps name is evaluated once). Nothing on a wave's per-node path
-// looks a node up by key, so nothing renders or hashes one; the concurrent
-// batches of a wave write the slots of their own nodes and take no lock.
-// Across queries, the node-keyed maps — the coalescer's merge index, the
-// shard manifest's prefix index — are keyed by the path's compact binary form
-// (drbg.NodeKey.AppendBinary, a varint per component, probed as
-// m[string(b)] without allocating); NodeKey.String is for error text and
-// people. A warmed in-process query allocates under one object per node it
-// visits (TestHotQueryAllocationsPerNode gates it at two), where boxed
-// scalars and rendered keys cost about 45.
+// entries when the traversal first steps down from it, and each entry holds
+// the child count a wave learned, the offset and length of its key in the
+// query's key arena, and one sum per distinct point of the query (points are
+// interned by value, so a tag two steps name is evaluated once). An entry
+// holds no pointer, so the collector never scans the table, and the engine
+// hands the table, the word sums and the waves' scratch from one query to
+// the next, held weakly so that an idle engine pins nothing. The key arena,
+// the key lists a wave sends and the answers stay fresh on every query: a
+// result's keys are the arena's, and a hedged or fan-out straggler may read
+// a wave's keys after the wave. A child count that would take the table or
+// the arena past 2³¹−1 entries is refused as a lie before a child is
+// created. Nothing on a wave's per-node path looks a node up by key, so
+// nothing renders or hashes one; the concurrent batches of a wave write the
+// slots of their own nodes and take no lock. Across queries, the node-keyed
+// maps — the coalescer's merge index, the shard manifest's prefix index —
+// are keyed by the path's compact binary form (drbg.NodeKey.AppendBinary, a
+// varint per component, probed as m[string(b)] without allocating);
+// NodeKey.String is for error text and people. A warmed in-process query
+// allocates about 0.1–0.2 objects and 220–230 bytes per node it visits
+// (TestHotQueryAllocationsPerNode gates them at 0.3 and 300, and
+// BenchmarkHotQuery reports them on a 21k-node document), where boxed
+// scalars and rendered keys cost about 45 objects and a table allocated on
+// every query about 530 bytes.
 //
 // # Share stream
 //

@@ -33,6 +33,9 @@ type Engine struct {
 	// resolveAt holds the two points VerifyResolve solves eq. (2) at (see
 	// resolvePoints); nil where tags are resolved from polynomials.
 	resolveAt []*big.Int
+	// spare holds the tables of the last query to finish, for the next to
+	// take: at most one, and not past a collection (see spare).
+	spare spare
 }
 
 // NewEngine assembles a query engine with a seed-derived client share
@@ -158,8 +161,14 @@ func (e *Engine) Query(q *xpath.Query, opts Opts) (*Result, error) {
 		sp = obs.StartSpan("query", tr)
 		ctx = obs.WithSpan(ctx, sp)
 	}
-	r := newRun(ctx, e, steps, points, opts)
+	// A concurrent query finds no spare and starts from empty tables.
+	t := e.spare.take()
+	if t == nil {
+		t = new(tables)
+	}
+	r := newRun(ctx, e, steps, points, opts, t)
 	matches, unresolved, err := r.execute()
+	e.spare.put(t) // nothing the query returns is in t
 	if sp != nil {
 		e.obsv.FinishSpan(sp)
 	}

@@ -23,8 +23,8 @@ func ResolvePoints(e *Engine) []*big.Int { return e.resolveAt }
 // and, where the ring has one, the word form; they must agree on the tag or
 // on refusing, else the error returned is neither's.
 func SolveAtPoints(fp *ring.FpCyclotomic, points, f []*big.Int, kids [][]*big.Int) (*big.Int, error) {
-	r := &run{e: &Engine{ring: fp}, pts: points, nodes: make([]node, 1+len(kids))}
-	r.nodes[0] = node{nch: len(kids), first: 1}
+	r := &run{e: &Engine{ring: fp}, pts: points, tables: &tables{nodes: make([]node, 1+len(kids))}}
+	r.nodes[0] = node{nch: int32(len(kids)), first: 1}
 	for j := range points {
 		r.resolvePt = append(r.resolvePt, j)
 		r.bigs = append(r.bigs, f[j])

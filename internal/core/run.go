@@ -29,6 +29,14 @@ import (
 // down from it. Nothing is looked up by key, so nothing on a wave's
 // per-node path renders or hashes one. The table grows and is written only
 // on the traversal's goroutine.
+//
+// The table, the word sums and the waves' scratch are the tables the engine
+// recycles from one query to the next (see tables); what a query hands out
+// is not among them. The key arena, the key lists a wave sends and its
+// points are fresh on every query: a MultiServer straggler may still read a
+// wave's keys after the wave has returned, Result.Matches and
+// Result.Unresolved are keys of the arena, and the answers a server returns
+// are the caller's. The big.Int sums hold pointers and are per query too.
 type run struct {
 	// ctx carries the query's observability context (trace span) into
 	// every server call; it is not used for cancellation.
@@ -53,36 +61,66 @@ type run struct {
 	// ptWords are pts reduced mod p (word form).
 	ptWords []uint64
 
-	nodes []node
-	// words / bigs hold one sum per (node, point), row id·len(pts) being
-	// node id's: unknownWord / nil until a wave has produced it.
-	words []uint64
-	bigs  []*big.Int
+	// tables holds the node table, the word sums and the waves' scratch.
+	*tables
+	// keys is the key arena: node id's key is keys[off : off+depth]. It
+	// only grows by append, and no entry is ever rewritten, so a key handed
+	// out keeps its value when a later append moves the arena.
+	keys []uint32
+	// bigs holds one big.Int sum per (node, point), as words does.
+	bigs []*big.Int
+	// promised counts the table entries and arena words the child counts
+	// learned so far would fill, the root included (see reserve).
+	promised, promisedKeys int64
 	// serial is the current generation of node.mark, see stamp.
 	serial int32
 }
 
-// node is what the run knows of one node it has reached.
+// tables is the pointer-free memory of a query, which the engine hands from
+// one query to the next (Engine.spare): the node table, the word sums and
+// the scratch of the waves. Every reader of it finishes inside the query —
+// the helpers of blocks and twoLegs are joined before a wave returns — so
+// the next query may overwrite all of it.
+type tables struct {
+	nodes []node
+	// words holds one sum per (node, point), row id·len(pts) being node
+	// id's: unknownWord until a wave has produced it.
+	words []uint64
+	// The scratch of the waves: eval's missing list, scanDescendants'
+	// frontier pair, the client summands of a wave (clientSummands), the
+	// list childrenOf builds, and classify's and resolveAtPoints' lists.
+	missing, frontier, next, children, jobs, set []int
+	summands                                     []uint64
+	ambiguous, hit                               []bool
+}
+
+// node is what the run knows of one node it has reached. It holds no
+// pointer, so the collector never scans the table.
 type node struct {
-	key drbg.NodeKey
+	// off and depth locate the node's key in the run's key arena.
+	off, depth int32
 	// nch is the child count, -1 until a wave has learned it. The children,
 	// once created (see kids), are nodes first … first+nch−1; first is 0
 	// before, which no child's index is.
-	nch, first int
+	nch, first int32
 	// mark and slot are the scratch of the pass that last stamped the node:
 	// mark == run.serial says this pass has reached it, slot is its position
 	// in the pass's key list (planChunks).
 	mark, slot int32
 }
 
+// maxEntries bounds the node table and the key arena of one query: their
+// indices are int32.
+const maxEntries = math.MaxInt32
+
 // unknownWord marks a (node, point) sum no wave has produced yet. Sums are
 // reduced mod p < 2^62, so it is not one.
 const unknownWord = math.MaxUint64
 
-// newRun assembles the per-query state: the interned point set and a table
-// holding the root.
-func newRun(ctx context.Context, e *Engine, steps []xpath.Step, points []*big.Int, opts Opts) *run {
-	r := &run{ctx: ctx, e: e, steps: steps, opts: opts, stepPt: make([]int, len(points))}
+// newRun assembles the per-query state over t, which it empties: the
+// interned point set and a table holding the root.
+func newRun(ctx context.Context, e *Engine, steps []xpath.Step, points []*big.Int, opts Opts, t *tables) *run {
+	r := &run{ctx: ctx, e: e, steps: steps, opts: opts, stepPt: make([]int, len(points)), tables: t, promised: 1}
 	for i, p := range points {
 		r.stepPt[i] = -1
 		if p != nil {
@@ -99,7 +137,8 @@ func newRun(ctx context.Context, e *Engine, steps []xpath.Step, points []*big.In
 			r.ptWords[i] = r.ff.ReduceBig(p)
 		}
 	}
-	r.nodes = []node{{key: drbg.NodeKey{}, nch: -1}}
+	r.nodes = append(r.nodes[:0], node{nch: -1})
+	r.words = r.words[:0]
 	r.growSums(1)
 	return r
 }
@@ -116,18 +155,41 @@ func (r *run) intern(p *big.Int) int {
 	return len(r.pts) - 1
 }
 
-// addChildren appends the n children of the node under key parent to the
-// table, no count and no sum known; their keys share one array.
-func (r *run) addChildren(parent drbg.NodeKey, n int) {
-	depth := len(parent) + 1
-	keys := make([]uint32, n*depth)
+// addChildren appends the n children of node parent to the table, no count
+// and no sum known, and their keys to the arena: each the parent's key and
+// its index. reserve has bounded n.
+func (r *run) addChildren(parent int, n int) {
+	pk := r.key(parent) // stays valid when the appends below move the arena
+	depth := int32(len(pk) + 1)
+	r.keys = slices.Grow(r.keys, n*int(depth))
+	r.nodes = slices.Grow(r.nodes, n)
 	for c := 0; c < n; c++ {
-		k := keys[c*depth : (c+1)*depth : (c+1)*depth]
-		copy(k, parent)
-		k[depth-1] = uint32(c)
-		r.nodes = append(r.nodes, node{key: k, nch: -1})
+		r.nodes = append(r.nodes, node{off: int32(len(r.keys)), depth: depth, nch: -1})
+		r.keys = append(append(r.keys, pk...), uint32(c))
 	}
 	r.growSums(n)
+}
+
+// reserve counts the n children a wave gave the node under key into the
+// bound of the table and the arena, and refuses a count that would take
+// either past maxEntries: the server lies, and a table of that size would
+// be gigabytes. It is checked when the count is learned, before any child
+// is created, against every count learned so far.
+func (r *run) reserve(key drbg.NodeKey, n int) error {
+	if int64(n) <= maxEntries-r.promised {
+		if keys := int64(n) * int64(len(key)+1); keys <= maxEntries-r.promisedKeys {
+			r.promised += int64(n)
+			r.promisedKeys += keys
+			return nil
+		}
+	}
+	return fmt.Errorf("core: server gave %s %d children, more than a query's table holds", key, n)
+}
+
+// key returns the key of node id, a slice of the arena.
+func (r *run) key(id int) drbg.NodeKey {
+	nd := &r.nodes[id]
+	return r.keys[nd.off : nd.off+nd.depth : nd.off+nd.depth]
 }
 
 // growSums makes room for the sums of n more nodes, all unknown.
@@ -153,11 +215,11 @@ func (r *run) kids(id int) (first, n int) {
 		return 0, 0
 	}
 	if nd.first == 0 {
-		nd.first = len(r.nodes)
+		nd.first = int32(len(r.nodes))
 		r.nodes[id].first = nd.first
-		r.addChildren(nd.key, nd.nch)
+		r.addChildren(id, int(nd.nch))
 	}
-	return nd.first, nd.nch
+	return int(nd.first), int(nd.nch)
 }
 
 // stamp marks node id as reached by the current pass (see serial) and
@@ -215,7 +277,7 @@ func (r *run) keysOf(ids []int) []drbg.NodeKey {
 	}
 	keys := make([]drbg.NodeKey, len(ids))
 	for i, id := range ids {
-		keys[i] = r.nodes[id].key
+		keys[i] = r.key(id)
 	}
 	return keys
 }
@@ -268,15 +330,17 @@ func (r *run) execute() (matches, unresolved []drbg.NodeKey, err error) {
 	return nil, nil, nil
 }
 
-// childrenOf lists the children of the given nodes, in order.
+// childrenOf lists the children of the given nodes, in order, in the
+// tables' children list: the list is valid until the next call.
 func (r *run) childrenOf(ids []int) []int {
-	var out []int
+	out := r.children[:0]
 	for _, id := range ids {
 		first, n := r.kids(id)
 		for k := first; k < first+n; k++ {
 			out = append(out, k)
 		}
 	}
+	r.children = out
 	return out
 }
 
@@ -308,12 +372,13 @@ func (r *run) activePoints(i int) []int {
 // them as visited; a wave that goes back to nodes the step has already
 // reached (resolveAtPoints) does not.
 func (r *run) eval(ids []int, pts []int, visit bool) error {
-	var missing []int
+	missing := r.missing[:0]
 	for _, id := range ids {
 		if !r.known(id, pts) {
 			missing = append(missing, id)
 		}
 	}
+	r.missing = missing
 	if len(missing) == 0 {
 		return nil
 	}
@@ -411,7 +476,8 @@ func (r *run) clientSummands(keys []drbg.NodeKey, points []*big.Int) summands {
 	}
 	ws, wordSeam := r.e.shares.(sharing.WordSource)
 	if r.ff != nil {
-		sm.words = make([]uint64, len(keys)*np)
+		r.summands = resize(r.summands, len(keys)*np)
+		sm.words = r.summands
 	} else {
 		sm.bigs, wordSeam = make([][]*big.Int, len(keys)), false
 	}
@@ -540,8 +606,11 @@ func (r *run) evalBatch(ids []int, keys []drbg.NodeKey, pts []int, points []*big
 		// server that changes it has no honest reading.
 		nd := &r.nodes[ids[i]]
 		if nch := max(ans.NumChildren, 0); nd.nch < 0 {
-			nd.nch = nch
-		} else if nd.nch != nch {
+			if err := r.reserve(ans.Key, nch); err != nil {
+				return err
+			}
+			nd.nch = int32(nch)
+		} else if int(nd.nch) != nch {
 			return fmt.Errorf("core: server gave %s %d children, then %d", ans.Key, nd.nch, nch)
 		}
 		row := ids[i] * len(r.pts)
@@ -578,7 +647,8 @@ func (r *run) scanDescendants(roots []int, pts []int) ([]int, error) {
 	var cands []int
 	pruned := 0
 	r.serial++
-	var frontier []int
+	frontier, next := r.frontier[:0], r.next[:0]
+	defer func() { r.frontier, r.next = frontier, next }() // keep the grown lists
 	for _, id := range roots {
 		if r.stamp(id) {
 			frontier = append(frontier, id)
@@ -588,7 +658,7 @@ func (r *run) scanDescendants(roots []int, pts []int) ([]int, error) {
 		if err := r.eval(frontier, pts, true); err != nil {
 			return nil, err
 		}
-		var next []int
+		next = next[:0]
 		for _, id := range frontier {
 			if !r.zeroAll(id, pts) {
 				pruned++
@@ -602,7 +672,7 @@ func (r *run) scanDescendants(roots []int, pts []int) ([]int, error) {
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	r.e.counters.AddPruned(pruned)
 	return cands, nil
@@ -631,8 +701,10 @@ func (r *run) classify(cands []int, i int) (matches, unresolved []int, err error
 	// resolved together, by one wave of tag recoveries: from evaluations
 	// where the engine has resolve points, from whole shares elsewhere and
 	// under VerifyFull, which wants the whole identity.
-	ambiguous := make([]bool, len(cands))
-	var jobs []int
+	ambiguous := resize(r.ambiguous, len(cands))
+	clear(ambiguous)
+	r.ambiguous = ambiguous
+	jobs := r.jobs[:0]
 	for ci, c := range cands {
 		first, n := r.kids(c)
 		for k := first; k < first+n && !ambiguous[ci]; k++ {
@@ -642,6 +714,7 @@ func (r *run) classify(cands []int, i int) (matches, unresolved []int, err error
 			jobs = append(jobs, c)
 		}
 	}
+	r.jobs = jobs
 	var hit []bool // per job: the node's tag is the step's
 	var failed int
 	if r.opts.Verify == VerifyResolve && r.resolvePt != nil {
@@ -655,7 +728,7 @@ func (r *run) classify(cands []int, i int) (matches, unresolved []int, err error
 		}
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: resolving %s: %w", r.nodes[jobs[failed]].key, err)
+		return nil, nil, fmt.Errorf("core: resolving %s: %w", r.key(jobs[failed]), err)
 	}
 	ji := 0
 	for ci, c := range cands {
@@ -691,7 +764,7 @@ func (r *run) resolveAtPoints(jobs []int, cur int) (hit []bool, failed int, err 
 		return nil, 0, nil
 	}
 	r.serial++
-	var set []int
+	set := r.set[:0]
 	for _, job := range jobs {
 		if r.stamp(job) {
 			set = append(set, job)
@@ -703,6 +776,7 @@ func (r *run) resolveAtPoints(jobs []int, cur int) (hit []bool, failed int, err 
 			}
 		}
 	}
+	r.set = set
 	if err := r.eval(set, r.resolvePt, false); err != nil {
 		return nil, 0, err
 	}
@@ -712,7 +786,8 @@ func (r *run) resolveAtPoints(jobs []int, cur int) (hit []bool, failed int, err 
 		r.e.obsv.Observe(obs.StageTagRecover, d)
 		obs.SpanFrom(r.ctx).Add(obs.StageTagRecover, d)
 	}()
-	hit = make([]bool, len(jobs))
+	hit = resize(r.hit, len(jobs))
+	r.hit = hit
 	for ji, job := range jobs {
 		r.e.counters.AddTagRecovered()
 		if r.ff != nil {
@@ -736,7 +811,7 @@ func (r *run) resolveAtPoints(jobs []int, cur int) (hit []bool, failed int, err 
 // resolve point a, from the table's sums of the node (f) and its children
 // (qᵢ), and returns the t the points agree on.
 func (r *run) solveWords(id int) (uint64, error) {
-	first, n := r.nodes[id].first, max(r.nodes[id].nch, 0)
+	first, n := int(r.nodes[id].first), int(max(r.nodes[id].nch, 0))
 	np := len(r.pts)
 	var tag uint64
 	for j, pt := range r.resolvePt {
@@ -762,7 +837,7 @@ func (r *run) solveWords(id int) (uint64, error) {
 func (r *run) solveBig(id int) (*big.Int, error) {
 	fp := r.e.ring.(*ring.FpCyclotomic) // resolvePoints chose points for it
 	p := fp.P()
-	first, n := r.nodes[id].first, max(r.nodes[id].nch, 0)
+	first, n := int(r.nodes[id].first), int(max(r.nodes[id].nch, 0))
 	np := len(r.pts)
 	var tag *big.Int
 	for _, pt := range r.resolvePt {
@@ -846,9 +921,9 @@ func (r *run) planChunks(jobs []int, budget int) []fetchChunk {
 		}
 		set := make([]int, 0, n+1)
 		add := func(id int) {
-			if nd := &r.nodes[id]; r.stamp(id) {
-				nd.slot = int32(len(cur.keys))
-				cur.keys = append(cur.keys, nd.key)
+			if r.stamp(id) {
+				r.nodes[id].slot = int32(len(cur.keys))
+				cur.keys = append(cur.keys, r.key(id))
 			}
 			set = append(set, int(r.nodes[id].slot))
 		}
@@ -1077,11 +1152,20 @@ func (r *run) verifyMatches(ids []int, pt int) error {
 	for i, id := range ids[:checked] {
 		if pt >= 0 && tags[i].Cmp(r.pts[pt]) != 0 {
 			r.e.counters.AddVerifyFailure()
-			return fmt.Errorf("core: server cheated: node %s has tag %s, query point %s", r.nodes[id].key, tags[i], r.pts[pt])
+			return fmt.Errorf("core: server cheated: node %s has tag %s, query point %s", r.key(id), tags[i], r.pts[pt])
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("core: verification of %s failed: %w", r.nodes[ids[failed]].key, err)
+		return fmt.Errorf("core: verification of %s failed: %w", r.key(ids[failed]), err)
 	}
 	return nil
+}
+
+// resize returns buf at length n, over its own array when that is large
+// enough; the contents are whatever the array held.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -296,66 +296,59 @@ type respHead struct {
 	w        uint
 }
 
-// readHead parses the head of a response (with a values-per-answer count
-// when perAnswer is set) and the n child counts after it. Given the request
-// it answers, it first checks the head against it: a response that does
-// not answer the request is refused before anything is allocated for what
-// it claims to hold.
-func readHead(data []byte, perAnswer bool, req *asked, what string) (h respHead, nch []int, rest []byte, err error) {
+// readHead parses the head of a response, with a values-per-answer count
+// when perAnswer is set, and returns the bytes after it, where the n child
+// counts begin. Given the request it answers, it first checks the head
+// against it: a response that does not answer the request is refused
+// before anything is allocated for what it claims to hold. So is an n the
+// bytes cannot back: a count takes a byte at least.
+func readHead(data []byte, perAnswer bool, req *asked, what string) (h respHead, rest []byte, err error) {
 	var k int
 	if h.id, k = binary.Uvarint(data); k <= 0 {
-		return h, nil, nil, errors.New("wire: bad id in " + what)
+		return h, nil, errors.New("wire: bad id in " + what)
 	}
 	data = data[k:]
 	if h.n, k = binary.Uvarint(data); k <= 0 || h.n > maxListLen {
-		return h, nil, nil, errors.New("wire: bad answer count in " + what)
+		return h, nil, errors.New("wire: bad answer count in " + what)
 	}
 	data = data[k:]
 	if perAnswer {
 		if h.m, k = binary.Uvarint(data); k <= 0 || h.m > maxListLen {
-			return h, nil, nil, errors.New("wire: bad value count in " + what)
+			return h, nil, errors.New("wire: bad value count in " + what)
 		}
 		data = data[k:]
 	}
 	if len(data) < 8 {
-		return h, nil, nil, errors.New("wire: truncated digest in " + what)
+		return h, nil, errors.New("wire: truncated digest in " + what)
 	}
 	h.digest = binary.BigEndian.Uint64(data)
 	data = data[8:]
 	if kappa, k := binary.Uvarint(data); k != 1 || kappa != 0 {
-		return h, nil, nil, errors.New("wire: bad tag count in " + what)
+		return h, nil, errors.New("wire: bad tag count in " + what)
 	}
 	data = data[1:]
 	if len(data) == 0 || data[0] > 64 {
-		return h, nil, nil, errors.New("wire: bad value width in " + what)
+		return h, nil, errors.New("wire: bad value width in " + what)
 	}
 	h.w = uint(data[0])
 	if req != nil {
 		if err := req.answeredBy(h); err != nil {
-			return h, nil, nil, err
+			return h, nil, err
 		}
 	}
-	nch, rest, err = readCounts(data[1:], h.n, "child count in "+what)
-	return h, nch, rest, err
+	if h.n > uint64(len(data)-1) {
+		return h, nil, errors.New("wire: truncated child count in " + what)
+	}
+	return h, data[1:], nil
 }
 
-// readCounts reads n counts, each at most maxListLen. A count takes a byte
-// at least: n the bytes cannot back is refused before anything is
-// allocated for it.
-func readCounts(data []byte, n uint64, what string) ([]int, []byte, error) {
-	if n > uint64(len(data)) {
-		return nil, nil, errors.New("wire: truncated " + what)
+// readCount reads one count, at most maxListLen, off data.
+func readCount(data []byte, what string) (int, []byte, error) {
+	c, k := binary.Uvarint(data)
+	if k <= 0 || c > maxListLen {
+		return 0, nil, errors.New("wire: bad " + what)
 	}
-	counts := make([]int, n)
-	for i := range counts {
-		c, k := binary.Uvarint(data)
-		if k <= 0 || c > maxListLen {
-			return nil, nil, errors.New("wire: bad " + what)
-		}
-		counts[i] = int(c)
-		data = data[k:]
-	}
-	return counts, data, nil
+	return int(c), data[k:], nil
 }
 
 // ErrMismatch reports a response that does not answer the request it came
@@ -413,13 +406,15 @@ func DecodeEvalRespFor(data []byte, keys []drbg.NodeKey, keyDigest uint64, point
 }
 
 func decodeEvalResp(data []byte, req *asked) (EvalResp, respHead, error) {
-	h, nch, data, err := readHead(data, true, req, "eval response")
+	h, data, err := readHead(data, true, req, "eval response")
 	if err != nil {
 		return EvalResp{}, h, err
 	}
 	out := EvalResp{ID: h.id, Answers: make([]core.NodeEval, h.n)}
-	for i, c := range nch {
-		out.Answers[i].NumChildren = c
+	for i := range out.Answers {
+		if out.Answers[i].NumChildren, data, err = readCount(data, "child count in eval response"); err != nil {
+			return EvalResp{}, h, err
+		}
 	}
 	m, total := int(h.m), h.n*h.m
 	if h.w > 0 {
@@ -646,21 +641,34 @@ func DecodeFetchRespFor(data []byte, keys []drbg.NodeKey, keyDigest uint64) (Fet
 }
 
 func decodeFetchResp(data []byte, req *asked) (FetchResp, respHead, error) {
-	h, nch, data, err := readHead(data, false, req, "fetch response")
+	h, data, err := readHead(data, false, req, "fetch response")
 	if err != nil {
 		return FetchResp{}, h, err
-	}
-	ms, data, err := readCounts(data, h.n, "value count in fetch response")
-	if err != nil {
-		return FetchResp{}, h, err
-	}
-	var total uint64
-	for _, m := range ms {
-		total += uint64(m)
 	}
 	out := FetchResp{ID: h.id, Answers: make([]core.NodePoly, h.n)}
-	for i, c := range nch {
-		out.Answers[i].NumChildren = c
+	for i := range out.Answers {
+		if out.Answers[i].NumChildren, data, err = readCount(data, "child count in fetch response"); err != nil {
+			return FetchResp{}, h, err
+		}
+	}
+	// The value counts are read twice: here for their total, below to cut
+	// the values; a count takes a byte at least.
+	if h.n > uint64(len(data)) {
+		return FetchResp{}, h, errors.New("wire: truncated value count in fetch response")
+	}
+	counts, total := data, uint64(0)
+	for range out.Answers {
+		var m int
+		if m, data, err = readCount(data, "value count in fetch response"); err != nil {
+			return FetchResp{}, h, err
+		}
+		total += uint64(m)
+	}
+	// next returns the next value count, which the loop above has checked.
+	next := func() int {
+		m, k := binary.Uvarint(counts)
+		counts = counts[k:]
+		return int(m)
 	}
 	if h.w > 0 {
 		if packedLen(total, uint64(h.w)) != uint64(len(data)) {
@@ -670,7 +678,8 @@ func decodeFetchResp(data []byte, req *asked) (FetchResp, respHead, error) {
 		if !unpack(slab, data, h.w) {
 			return FetchResp{}, h, errors.New("wire: padding bits set in fetch response")
 		}
-		for i, m := range ms {
+		for i := range out.Answers {
+			m := next()
 			out.Answers[i].Words = trimZeros(slab[:m:m])
 			slab = slab[m:]
 		}
@@ -682,8 +691,8 @@ func decodeFetchResp(data []byte, req *asked) (FetchResp, respHead, error) {
 	}
 	var slab poly.WordSlab
 	slab.Reserve(int(total))
-	for i, m := range ms {
-		if c, k := binary.Uvarint(data); k <= 0 || c != uint64(m) {
+	for i := range out.Answers {
+		if c, k := binary.Uvarint(data); k <= 0 || c != uint64(next()) {
 			return FetchResp{}, h, errors.New("wire: share holds another value count in fetch response")
 		}
 		a, rest := &out.Answers[i], data
