@@ -86,16 +86,37 @@
 // request lists its keys as runs of siblings, and the response answers
 // key i in place i, naming no key but carrying a digest of the request's
 // key list; the package comment of internal/wire has the layouts. A key
-// list may expand to only so many keys for the bytes it takes, so a few
-// bytes cannot make the daemon allocate much; client.Remote sends a wave
-// of siblings past that bound in parts. A peer offering another protocol
-// version — 3, the keyed frames, included — or speaking the retired
-// legacy framing, is refused at the handshake. On the client side,
-// client.Remote routes responses back to callers from a single reader
-// goroutine, refuses a response whose digest, answer count or value count
-// is not its request's before it decodes the answers, and offers
-// context-aware calls (EvalNodesCtx); client.Pool spreads calls across a
-// fixed set of connections.
+// list may expand to only so many keys for the bytes it takes, and
+// client.Remote sends a wave of siblings past that bound in parts.
+//
+// The daemon answers an eval request on one of two paths. Served a bare
+// value-form server.Local — what ServerStore.ServeTCP builds on F_p — it
+// takes the run path: the request's key list stays encoded, each sibling
+// run costs one lookup of its parent, and the child counts and
+// bit-packed values go straight into the response frame, byte for byte
+// what the keyed path sends. Every other store takes the keyed path: the
+// keys are expanded, the store answers them, and the daemon checks that
+// it answered exactly the keys asked, with a value for each point, before
+// it encodes. The Z ring's coefficient-form Local, shard.Guard (a run of
+// siblings can straddle its manifest ranges, and it checks keys one by
+// one), server.Tamperer and any wrapper, a coalescer or the benchmark's
+// traced tap among them, keep that path and its checks, since the daemon
+// cannot trust them to answer exactly what was asked. What a request can
+// make the daemon allocate is bounded: a request whose answer could not
+// fit one frame (wire.MaxFrameSize) even at one bit a value and one byte
+// a child count is refused before any store is asked; the run path
+// allocates one word a point beyond its frame and refuses a frame past
+// the bound before writing a value; and a value-form Local looks up every
+// key before it allocates the keys × points words of its answers, which
+// the first bound holds to 64 times wire.MaxFrameSize.
+//
+// A peer offering another protocol version — 3, the keyed frames,
+// included — or speaking the retired legacy framing, is refused at the
+// handshake. On the client side, client.Remote routes responses back to
+// callers from a single reader goroutine, refuses a response whose
+// digest, answer count or value count is not its request's before it
+// decodes the answers, and offers context-aware calls (EvalNodesCtx);
+// client.Pool spreads calls across a fixed set of connections.
 //
 // Inside a query, a large evaluation wave (512 keys and up) is two
 // concurrent legs that meet at the sum (§4.3 only needs both numbers at

@@ -225,8 +225,8 @@ func (fs *fakeServer) run() {
 			return
 		}
 		answer := func() {
-			answers := make([]core.NodeEval, len(req.Keys))
-			for i, k := range req.Keys {
+			answers := make([]core.NodeEval, req.Runs.Len())
+			for i, k := range req.Runs.Keys() {
 				answers[i] = core.NodeEval{Key: k, Big: req.Points}
 			}
 			_, _ = wire.WriteFramed(fs.conn, wire.FramedFrame{

@@ -105,7 +105,7 @@ func (m misframing) serve(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			answers, err := m.store.EvalNodes(req.Keys, req.Points)
+			answers, err := m.store.EvalNodes(req.Runs.Keys(), req.Points)
 			if err != nil {
 				return
 			}

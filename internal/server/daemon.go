@@ -661,6 +661,18 @@ func (d *Daemon) drainConn(conn *daemonConn, sendBye func() error) error {
 // stopped waiting) and answered with CodeDeadlineExpired instead of
 // burning worker time on an answer nobody will read.
 //
+// An eval request whose answer could not fit one frame even at one bit a
+// value and one byte a child count (wire.CheckEvalRespSize) is refused
+// before any store is asked, so a few bytes of keys and points cannot
+// make a store allocate keys × points words past 64 times
+// wire.MaxFrameSize. A bare value-form Local then answers on the run path
+// (Local.AppendEvalResp): straight from the encoded key list into the
+// frame, allocating one word a point beyond it. Every other store answers the expanded keys on the
+// keyed path, and the daemon checks that it answered exactly the keys
+// asked, with a value at every point, before it encodes; an encoded answer
+// past wire.MaxFrameSize is refused rather than written. The store-eval
+// stage times the store call, and on the run path the encoding with it.
+//
 // A request carrying a sampled trace gets a server span rooted at arrival,
 // credited with the pre-measured dispatch wait, and — for Eval —
 // propagated into the store via context so a coalescing or sharded store
@@ -718,11 +730,25 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, d
 		if t, p, skip := expired(req.ID, req.TimeoutMillis); skip {
 			return t, p, sp, nil
 		}
+		if err := wire.CheckEvalRespSize(req.Runs.Len(), len(req.Points)); err != nil {
+			return fail(req.ID, fmt.Errorf("server: %w", err))
+		}
 		evalStart := time.Now()
-		answers, err := core.EvalNodesWithCtx(obs.WithSpan(context.Background(), sp), store, req.Keys, req.Points)
+		if local, ok := store.(*Local); ok && local.fp != nil {
+			// A value-form Local answers exactly the keys asked: the run path.
+			out, err := local.AppendEvalResp(wire.GetBuf(), &req)
+			observeEval(evalStart)
+			if err != nil {
+				wire.PutBuf(out)
+				return fail(req.ID, err)
+			}
+			return wire.MsgEvalResp, out, sp, nil
+		}
+		keys := req.Runs.Keys()
+		answers, err := core.EvalNodesWithCtx(obs.WithSpan(context.Background(), sp), store, keys, req.Points)
 		observeEval(evalStart)
 		if err == nil {
-			err = storeAnswered(core.CheckAnswered(req.Keys, answers))
+			err = storeAnswered(core.CheckAnswered(keys, answers))
 		}
 		for i := 0; err == nil && i < len(answers); i++ {
 			if n := answers[i].Len(); n != len(req.Points) {
@@ -732,7 +758,12 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, d
 		if err != nil {
 			return fail(req.ID, err)
 		}
-		return wire.MsgEvalResp, wire.AppendEvalRespFor(wire.GetBuf(), wire.EvalResp{ID: req.ID, Answers: answers}, req.KeyDigest), sp, nil
+		out := wire.AppendEvalRespFor(wire.GetBuf(), wire.EvalResp{ID: req.ID, Answers: answers}, req.KeyDigest)
+		if len(out) > wire.MaxFrameSize {
+			wire.PutBuf(out)
+			return fail(req.ID, fmt.Errorf("server: eval response of %d bytes passes the %d-byte frame bound", len(out), wire.MaxFrameSize))
+		}
+		return wire.MsgEvalResp, out, sp, nil
 	case wire.MsgFetch:
 		req, err := wire.DecodeFetchReq(payload)
 		if err != nil {

@@ -14,12 +14,15 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
+	"slices"
 
 	"sssearch/internal/core"
 	"sssearch/internal/drbg"
 	"sssearch/internal/metrics"
 	"sssearch/internal/ring"
 	"sssearch/internal/sharing"
+	"sssearch/internal/wire"
 )
 
 // Local is an in-process server over a materialized share tree. Safe for
@@ -29,8 +32,10 @@ type Local struct {
 	tree *sharing.Tree
 	// fp is non-nil on F_p, where the tree is in the value form and a
 	// node's share at the point a is its value a−1.
-	fp       *ring.FpCyclotomic
-	counters *metrics.Counters
+	fp *ring.FpCyclotomic
+	// valueBits is the bit length of p−1, the widest value on F_p.
+	valueBits int
+	counters  *metrics.Counters
 }
 
 // NewLocal builds a Local server. An F_p tree in the coefficient form
@@ -42,6 +47,7 @@ func NewLocal(r ring.Ring, tree *sharing.Tree) (*Local, error) {
 	s := &Local{ring: r, tree: tree, counters: &metrics.Counters{}}
 	if fp, ok := r.(*ring.FpCyclotomic); ok {
 		s.fp, s.tree = fp, sharing.ValueTree(fp, tree)
+		s.valueBits = min(64, new(big.Int).Sub(fp.P(), big.NewInt(1)).BitLen())
 	}
 	return s, nil
 }
@@ -85,10 +91,35 @@ func (s *Local) EvalNodes(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEv
 }
 
 // evalValues is EvalNodes on a value-form store: the points become value
-// indices once per call, and each (node, point) is one read.
+// indices once per call, and each (node, point) is one read. Every key is
+// looked up before the value slab is allocated, so a request for keys that
+// do not exist is refused before it costs keys × points words.
 func (s *Local) evalValues(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeEval, error) {
-	np := len(points)
-	xs := make([]int, np)
+	xs, err := s.valueIndices(points)
+	if err != nil {
+		return nil, err
+	}
+	nodes := make([]*sharing.Node, len(keys))
+	for i, k := range keys {
+		if nodes[i], err = s.tree.Lookup(k); err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
+	}
+	np := len(xs)
+	out := make([]core.NodeEval, len(keys))
+	slab := make([]uint64, len(keys)*np)
+	for i, node := range nodes {
+		values := slab[i*np : (i+1)*np : (i+1)*np]
+		s.values(values, node, xs)
+		out[i] = core.NodeEval{Key: keys[i], Words: values, NumChildren: len(node.Children)}
+	}
+	return out, nil
+}
+
+// valueIndices turns points into the indices of their values in a node's
+// vector.
+func (s *Local) valueIndices(points []*big.Int) ([]int, error) {
+	xs := make([]int, len(points))
 	for j, p := range points {
 		x, err := s.fp.PackPoint(p)
 		if err != nil {
@@ -96,20 +127,104 @@ func (s *Local) evalValues(keys []drbg.NodeKey, points []*big.Int) ([]core.NodeE
 		}
 		xs[j] = int(x - 1)
 	}
-	out := make([]core.NodeEval, len(keys))
-	slab := make([]uint64, len(keys)*np)
-	for i, k := range keys {
-		node, err := s.tree.Lookup(k)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		values := slab[i*np : (i+1)*np : (i+1)*np]
-		for j, x := range xs {
-			values[j] = s.tree.Value(node, x)
-		}
-		out[i] = core.NodeEval{Key: k, Words: values, NumChildren: len(node.Children)}
+	return xs, nil
+}
+
+// values writes node's share at the value indices xs into dst: the one
+// read both evaluation paths make of a value-form store.
+func (s *Local) values(dst []uint64, node *sharing.Node, xs []int) {
+	for j, x := range xs {
+		dst[j] = s.tree.Value(node, x)
 	}
-	return out, nil
+}
+
+// AppendEvalResp answers req on a value-form store straight into a
+// response frame appended to dst: byte for byte what AppendEvalRespFor
+// writes of EvalNodes' answers to req.Runs.Keys(), with no key expanded and
+// no answer built. It resolves each sibling run with one lookup of its
+// parent and takes the children by index. A first walk over the runs
+// writes the child counts, and refuses a key that does not exist with the
+// error EvalNodes gives it; a second reads each value once and packs it.
+// Beyond the frame it allocates one word a point, and it refuses a frame
+// that would pass wire.MaxFrameSize before writing a value. dst holds the
+// frame so far on error.
+func (s *Local) AppendEvalResp(dst []byte, req *wire.EvalReq) ([]byte, error) {
+	if s.fp == nil {
+		return dst, errors.New("server: run-by-run evaluation needs a value-form store")
+	}
+	xs, err := s.valueIndices(req.Points)
+	if err != nil {
+		return dst, err
+	}
+	resp := wire.NewEvalRespWriter(dst, req.ID, req.Runs.Len(), len(xs), req.KeyDigest)
+	if err := s.eachRun(req.Runs, func(nodes []*sharing.Node) {
+		for _, node := range nodes {
+			resp.Count(len(node.Children))
+		}
+	}); err != nil {
+		return resp.Bytes(), err
+	}
+	row := make([]uint64, len(xs))
+	put := func(nodes []*sharing.Node) {
+		for _, node := range nodes {
+			s.values(row, node, xs)
+			resp.Put(row)
+		}
+	}
+	var or uint64
+	orValues := func(nodes []*sharing.Node) {
+		for _, node := range nodes {
+			s.values(row, node, xs)
+			for _, v := range row {
+				or |= v
+			}
+		}
+	}
+	// Packed at the width of p−1 as they are ORed, the values are the
+	// frame's when one of them needs every bit, as one nearly always does
+	// in a wave of more than a few keys. A frame too large at that width is
+	// ORed first; narrower values are packed again at their own width.
+	if resp.Values(s.valueBits) == nil {
+		s.eachRun(req.Runs, func(nodes []*sharing.Node) {
+			orValues(nodes)
+			put(nodes)
+		})
+		if max(1, bits.Len64(or)) == s.valueBits {
+			return resp.Bytes(), nil
+		}
+	} else {
+		s.eachRun(req.Runs, orValues)
+	}
+	if err := resp.Values(max(1, bits.Len64(or))); err != nil {
+		return resp.Bytes(), fmt.Errorf("server: %w", err)
+	}
+	s.eachRun(req.Runs, put)
+	return resp.Bytes(), nil
+}
+
+// eachRun calls fn with the nodes of each sibling run of runs, in order:
+// one lookup of a run's parent, then its children by index. A key that
+// does not exist is refused with the error EvalNodes gives it.
+func (s *Local) eachRun(runs wire.KeyRuns, fn func([]*sharing.Node)) error {
+	return runs.Each(func(first drbg.NodeKey, r int) error {
+		d := len(first)
+		if d == 0 {
+			fn([]*sharing.Node{s.tree.Root})
+			return nil
+		}
+		parent, err := s.tree.Lookup(first[:d-1])
+		if c := int(first[d-1]); err == nil && c+r <= len(parent.Children) {
+			fn(parent.Children[c : c+r])
+			return nil
+		}
+		// The run's first missing key, refused as EvalNodes refuses it.
+		bad := slices.Clone(first)
+		if err == nil {
+			bad[d-1] = uint32(max(int(first[d-1]), len(parent.Children)))
+		}
+		_, err = s.tree.Lookup(bad)
+		return fmt.Errorf("server: %w", err)
+	})
 }
 
 // FetchPolys implements core.ServerAPI: on F_p a node's value vector in

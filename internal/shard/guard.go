@@ -18,10 +18,13 @@ import (
 //
 // It implements core.ServerAPI (plus Ring, so server.Daemon can announce
 // parameters) over any inner API. Safe for concurrent use if the inner
-// API is. A coalesce.Server composes on either side: wrapped OVER the
-// guard (the sss-server default) merged passes stay inside the shard's
-// ownership fence, since every merged key came from a request this guard
-// would have checked anyway.
+// API is. sss-server and the shard daemons put the daemon directly in
+// front of a Guard over a Local, on the daemon's keyed path: it checks
+// each key it is asked, where the run path would need a check of whole
+// sibling runs, which can straddle a manifest range. A coalesce.Server
+// may still wrap the guard (only tests and the traced benchmark build
+// one): merged passes then stay inside the ownership fence, since every
+// merged key came from a request this guard would have checked anyway.
 type Guard struct {
 	inner core.ServerAPI
 	ring  ring.Ring

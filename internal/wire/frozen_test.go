@@ -103,8 +103,9 @@ func TestRequestFramesGolden(t *testing.T) {
 	if _, err := DecodeHello(frames[0].Payload); err != nil {
 		t.Fatal(err)
 	}
-	if req, err := DecodeEvalReq(frames[1].Payload); err != nil || req.TimeoutMillis != 1500 || !req.TraceSampled ||
-		req.Points[3].Int64() != -5 || len(req.Keys) != 10 || !slices.Equal(req.Keys[8], drbg.NodeKey{127, 128, 1<<32 - 1}) {
+	req, err := DecodeEvalReq(frames[1].Payload)
+	if keys := req.Runs.Keys(); err != nil || req.TimeoutMillis != 1500 || !req.TraceSampled ||
+		req.Points[3].Int64() != -5 || len(keys) != 10 || !slices.Equal(keys[8], drbg.NodeKey{127, 128, 1<<32 - 1}) {
 		t.Fatalf("golden eval request decoded to %+v (%v)", req, err)
 	}
 	if req, err := DecodeFetchReq(frames[2].Payload); err != nil || req.TimeoutMillis != 0 || req.TraceID != 0 || len(req.Keys) != 4 {
@@ -244,11 +245,12 @@ func FuzzReadAny(f *testing.F) {
 	})
 }
 
-// sameEvalReq reports whether a and b are the same request: points by
-// value, since a zero decodes with or without a magnitude slice.
+// sameEvalReq reports whether the decoded requests a and b are the same
+// request: keys expanded, points by value, since a zero decodes with or
+// without a magnitude slice.
 func sameEvalReq(a, b EvalReq) bool {
 	return a.ID == b.ID && a.TimeoutMillis == b.TimeoutMillis && a.TraceID == b.TraceID &&
-		a.TraceSampled == b.TraceSampled && slices.EqualFunc(a.Keys, b.Keys, slices.Equal[drbg.NodeKey]) &&
+		a.TraceSampled == b.TraceSampled && slices.EqualFunc(a.Runs.Keys(), b.Runs.Keys(), slices.Equal[drbg.NodeKey]) &&
 		slices.EqualFunc(a.Points, b.Points, func(x, y *big.Int) bool { return x.Cmp(y) == 0 })
 }
 
@@ -322,9 +324,15 @@ func fetchReqSeeds() []seed {
 	return seeds
 }
 
+// AnswerEvalReq, when set, answers an accepted request on both of a
+// daemon's evaluation paths and fails t unless they agree. The external
+// test package sets it (answer_test.go): this one cannot import the
+// server, which imports it.
+var AnswerEvalReq func(t *testing.T, req EvalReq)
+
 // FuzzDecodeEvalReq: an accepted request re-encodes to bytes that decode
 // to the same request, with the digest the encoder returned, and encode to
-// themselves.
+// themselves; both of a daemon's evaluation paths answer it alike.
 func FuzzDecodeEvalReq(f *testing.F) {
 	f.Add(goldenRequests()[1].Payload)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -334,10 +342,15 @@ func FuzzDecodeEvalReq(f *testing.F) {
 		if err != nil {
 			return
 		}
+		req.Keys = req.Runs.Keys()
 		enc, sent := AppendEvalReq(nil, req)
 		again, err := DecodeEvalReq(enc)
+		again.Keys = again.Runs.Keys()
 		if err != nil || !sameEvalReq(req, again) || !bytes.Equal(EncodeEvalReq(again), enc) || again.KeyDigest != sent {
 			t.Fatalf("%x decoded to %+v, which re-encodes to %x (%v)", data, req, enc, err)
+		}
+		if AnswerEvalReq != nil {
+			AnswerEvalReq(t, req)
 		}
 	})
 }

@@ -122,7 +122,7 @@ func TestFramedTruncationRejected(t *testing.T) {
 		t.Fatalf("framed header mangled: %+v", f)
 	}
 	dec, err := DecodeEvalReq(f.Payload)
-	if err != nil || dec.ID != 42 || len(dec.Keys) != 2 {
+	if err != nil || dec.ID != 42 || dec.Runs.Len() != 2 {
 		t.Fatalf("framed payload mangled: %+v, %v", dec, err)
 	}
 }
@@ -217,7 +217,7 @@ func TestDecodeEncodedRandomMessages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("well-formed message rejected: %v", err)
 		}
-		if dec.ID != req.ID || len(dec.Keys) != len(req.Keys) {
+		if dec.ID != req.ID || len(dec.Runs.Keys()) != len(req.Keys) {
 			t.Fatal("round trip changed message")
 		}
 	}

@@ -127,8 +127,12 @@ func decodeDepth(data []byte, what string) ([]byte, error) {
 
 // EvalReq asks for evaluations of keys at points.
 type EvalReq struct {
-	ID     uint64
+	ID uint64
+	// Keys are the keys an encoder writes. A decoded request leaves them
+	// nil and holds its key list in Runs, checked and still encoded:
+	// Runs.Keys() expands it.
 	Keys   []drbg.NodeKey
+	Runs   KeyRuns
 	Points []*big.Int
 
 	// TimeoutMillis is the client's remaining deadline budget when the
@@ -171,7 +175,8 @@ func AppendEvalReq(dst []byte, r EvalReq) (payload []byte, keyDigest uint64) {
 	return appendTail(dst, r.TimeoutMillis, r.TraceID, r.TraceSampled), keyDigest
 }
 
-// DecodeEvalReq unmarshals an EvalReq payload.
+// DecodeEvalReq unmarshals an EvalReq payload. Its key list is checked as
+// DecodeKeys checks one, but left encoded in Runs, a view of data.
 func DecodeEvalReq(data []byte) (EvalReq, error) {
 	id, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -192,7 +197,7 @@ func DecodeEvalReq(data []byte) (EvalReq, error) {
 	if err != nil {
 		return EvalReq{}, err
 	}
-	return EvalReq{ID: id, Keys: keys.expand(), Points: points, TimeoutMillis: timeout,
+	return EvalReq{ID: id, Runs: keys, Points: points, TimeoutMillis: timeout,
 		TraceID: traceID, TraceSampled: sampled, KeyDigest: digest(keys.enc)}, nil
 }
 
@@ -231,12 +236,7 @@ func AppendEvalRespFor(dst []byte, r EvalResp, keyDigest uint64) []byte {
 	for i := range r.Answers {
 		size += uvarintLen(uint64(r.Answers[i].NumChildren))
 	}
-	dst = slices.Grow(dst, size)
-	dst = binary.AppendUvarint(dst, r.ID)
-	dst = binary.AppendUvarint(dst, uint64(n))
-	dst = binary.AppendUvarint(dst, uint64(m))
-	dst = binary.BigEndian.AppendUint64(dst, keyDigest)
-	dst = append(dst, 0, w) // κ, w
+	dst = appendEvalHead(slices.Grow(dst, size), r.ID, n, m, keyDigest, w)
 	for i := range r.Answers {
 		dst = binary.AppendUvarint(dst, uint64(r.Answers[i].NumChildren))
 	}
@@ -264,6 +264,84 @@ func AppendEvalRespFor(dst []byte, r EvalResp, keyDigest uint64) []byte {
 	}
 	return b.flush()
 }
+
+// appendEvalHead appends what leads an eval response: id, n, m, digest, κ
+// and w.
+func appendEvalHead(dst []byte, id uint64, n, m int, keyDigest uint64, w byte) []byte {
+	dst = binary.AppendUvarint(dst, id)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(dst, uint64(m))
+	dst = binary.BigEndian.AppendUint64(dst, keyDigest)
+	return append(dst, 0, w) // κ, w
+}
+
+// CheckEvalRespSize refuses a request for n keys at m points whose
+// answer cannot fit one frame, whatever its values: at one bit a value
+// and one byte a child count it would still pass MaxFrameSize.
+func CheckEvalRespSize(n, m int) error {
+	if n == 0 {
+		return nil
+	}
+	if least := uint64(n) + packedLen(uint64(n)*uint64(m), 1); least > MaxFrameSize {
+		return fmt.Errorf("wire: an answer to %d keys at %d points takes at least %d bytes, past the %d-byte frame bound",
+			n, m, least, MaxFrameSize)
+	}
+	return nil
+}
+
+// EvalRespWriter writes an eval response in place, for a server that
+// answers a key list without building its answers: the head, each
+// answer's child count in order, then, once Values has set their width,
+// each answer's values. For the same answers its frame is byte for byte
+// what AppendEvalRespFor writes in the packed form.
+type EvalRespWriter struct {
+	b        bitWriter
+	wAt      int    // where the width byte is
+	valuesAt int    // where the values begin once the counts end, 0 before
+	vals     uint64 // n·m
+}
+
+// NewEvalRespWriter starts, on dst, the response to the request with id
+// and key digest keyDigest for n keys at m points (m counts as 0 when n
+// is).
+func NewEvalRespWriter(dst []byte, id uint64, n, m int, keyDigest uint64) EvalRespWriter {
+	if n == 0 {
+		m = 0
+	}
+	dst = appendEvalHead(slices.Grow(dst, 3*binary.MaxVarintLen64+10+n), id, n, m, keyDigest, 0)
+	return EvalRespWriter{b: bitWriter{dst: dst}, wAt: len(dst) - 1, vals: uint64(n) * uint64(m)}
+}
+
+// Count appends the next answer's child count.
+func (r *EvalRespWriter) Count(c int) { r.b.dst = binary.AppendUvarint(r.b.dst, uint64(c)) }
+
+// Values ends the child counts and starts the values at w bits, 1 to 64:
+// the bit length of the OR of every value, at least 1, makes the frame
+// AppendEvalRespFor writes. It refuses a frame that would pass
+// MaxFrameSize, before any value is written. Called again, it drops the
+// values written so far and starts them over at the new width.
+func (r *EvalRespWriter) Values(w int) error {
+	if r.valuesAt == 0 {
+		r.valuesAt = len(r.b.dst)
+	}
+	values := packedLen(r.vals, uint64(w))
+	if size := uint64(r.valuesAt) + values; size > MaxFrameSize {
+		return fmt.Errorf("wire: eval response of %d bytes passes the %d-byte frame bound", size, MaxFrameSize)
+	}
+	r.b = bitWriter{dst: slices.Grow(r.b.dst[:r.valuesAt], int(values)), w: uint(w)}
+	r.b.dst[r.wAt] = byte(w)
+	return nil
+}
+
+// Put appends the next answer's values, each below 2^w.
+func (r *EvalRespWriter) Put(values []uint64) {
+	for _, v := range values {
+		r.b.put(v)
+	}
+}
+
+// Bytes ends the response and returns it.
+func (r *EvalRespWriter) Bytes() []byte { return r.b.flush() }
 
 // evalWidth is the bit width that packs every value of answers, each m
 // of them: the bit length of the largest, at least 1. It is 0 — the
@@ -507,7 +585,7 @@ func DecodeFetchReq(data []byte) (FetchReq, error) {
 	if err != nil {
 		return FetchReq{}, err
 	}
-	return FetchReq{ID: id, Keys: keys.expand(), TimeoutMillis: timeout,
+	return FetchReq{ID: id, Keys: keys.Keys(), TimeoutMillis: timeout,
 		TraceID: traceID, TraceSampled: sampled, KeyDigest: digest(keys.enc)}, nil
 }
 

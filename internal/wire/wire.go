@@ -71,7 +71,9 @@
 // response whose digest, answer count or value count differs from what
 // it asked, and only then gives answer i the key it asked as key i. The
 // daemon checks that its store answered for exactly the keys asked before
-// it encodes. Neither stops a lying server, which computes the digest of
+// it encodes, except over a value-form server.Local, which writes the
+// frame itself from the key list's runs (KeyRuns, EvalRespWriter).
+// Neither stops a lying server, which computes the digest of
 // the request it got as easily as an honest one: detecting forged values
 // takes a MAC over the store, not a frame field.
 package wire
@@ -376,112 +378,150 @@ func DecodeKeys(data []byte) ([]drbg.NodeKey, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return l.expand(), rest, nil
+	return l.Keys(), rest, nil
 }
 
-// keyList is a key list checked but not yet expanded: a request decoder
-// checks the rest of its frame before it allocates for the keys.
-type keyList struct {
+// KeyRuns is a key list checked but left encoded: a request decoder checks
+// the whole frame before anything is allocated for its keys, and a server
+// that walks the tree run by run never expands them.
+type KeyRuns struct {
 	enc      []byte // the list's encoding
 	n, comps int    // the keys and components it expands to
 }
 
 // readKeyList checks the key list at the front of data and returns it with
 // the bytes after it, allocating nothing for its keys.
-func readKeyList(data []byte) (keyList, []byte, error) {
-	n, comps, rest, err := keyRuns(data, nil, nil)
+func readKeyList(data []byte) (KeyRuns, []byte, error) {
+	rd, err := newRunReader(data)
 	if err != nil {
-		return keyList{}, nil, err
+		return KeyRuns{}, nil, err
 	}
-	return keyList{enc: data[:len(data)-len(rest)], n: n, comps: comps}, rest, nil
+	var stack [16]uint32
+	key := stack[:0]
+	for rd.left > 0 {
+		var r int
+		if key, r, err = rd.next(key, key); err != nil {
+			return KeyRuns{}, nil, err
+		}
+		toLast(key, r)
+	}
+	size := len(data) - len(rd.data)
+	if uint64(rd.n+rd.comps) > keyListBudget(size) {
+		return KeyRuns{}, nil, errors.New("wire: key list expands past what its bytes may ask for")
+	}
+	return KeyRuns{enc: data[:size], n: rd.n, comps: rd.comps}, rd.data, nil
 }
 
-// expand decodes the keys, as capacity-clipped views of one array.
-func (l keyList) expand() []drbg.NodeKey {
-	keys := make([]drbg.NodeKey, l.n)
-	keyRuns(l.enc, keys, make([]uint32, l.comps))
+// Len is the number of keys the list expands to.
+func (l KeyRuns) Len() int { return l.n }
+
+// Keys decodes the keys, as capacity-clipped views of one array, building
+// each run's first key in its place there.
+func (l KeyRuns) Keys() []drbg.NodeKey {
+	keys := make([]drbg.NodeKey, 0, l.n)
+	slab := make([]uint32, 0, l.comps)
+	rd, _ := newRunReader(l.enc)
+	var last []uint32
+	for rd.left > 0 {
+		at := len(slab)
+		first, r, _ := rd.next(last, slab[at:])
+		slab = slab[:at+len(first)]
+		keys = append(keys, slab[at:len(slab):len(slab)])
+		for j := 1; j < r; j++ {
+			at := len(slab)
+			slab = append(slab, first...)
+			slab[len(slab)-1] += uint32(j)
+			keys = append(keys, slab[at:len(slab):len(slab)])
+		}
+		last = keys[len(keys)-1]
+	}
 	return keys
+}
+
+// Each calls fn with each sibling run of the list, in order: the run's
+// first key, a view that fn must not modify or keep past the call, and its
+// length r. The run stands for the keys that add 0 … r−1 to first's last
+// component; the root, which has no component, is a run of one. Each
+// stops at the first error fn returns and returns it.
+func (l KeyRuns) Each(fn func(first drbg.NodeKey, r int) error) error {
+	rd, _ := newRunReader(l.enc)
+	key := make([]uint32, 0, 16)
+	for rd.left > 0 {
+		var r int
+		key, r, _ = rd.next(key, key)
+		if err := fn(key, r); err != nil {
+			return err
+		}
+		toLast(key, r)
+	}
+	return nil
+}
+
+// toLast turns the first key of a run of r into its last: the base the
+// next run shares a prefix of.
+func toLast(first []uint32, r int) {
+	if d := len(first); d > 0 {
+		first[d-1] += uint32(r - 1)
+	}
+}
+
+// runReader reads the sibling runs of a key list in order, refusing a
+// malformed one and one over the caps.
+type runReader struct {
+	data     []byte // what is left to read
+	left     uint64 // the keys still to read
+	n, comps int    // the keys and components read so far
+}
+
+func newRunReader(data []byte) (runReader, error) {
+	total, k := binary.Uvarint(data)
+	if k <= 0 || total > maxListLen {
+		return runReader{}, errors.New("wire: bad key count")
+	}
+	return runReader{data: data[k:], left: total}, nil
 }
 
 var errKeyList = errors.New("wire: bad key list")
 
-// keyRuns reads the key list at the front of data, refusing one that is
-// malformed or over the caps or its budget, and counts the keys and
-// components it expands to. Given room for them — keys and slab of those
-// lengths — it also writes the keys, as capacity-clipped views of slab.
-func keyRuns(data []byte, keys []drbg.NodeKey, slab []uint32) (n, comps int, rest []byte, err error) {
-	size := len(data)
-	total, k := binary.Uvarint(data)
-	if k <= 0 || total > maxListLen {
-		return 0, 0, nil, errors.New("wire: bad key count")
+// next reads the next run and returns its first key and its length. last
+// is the previous run's last key (empty before the first), whose prefix
+// the run shares; the first key is built in key's storage, grown when it
+// does not fit, and key may be last itself.
+func (rd *runReader) next(last, key []uint32) ([]uint32, int, error) {
+	data := rd.data
+	shared, k1 := binary.Uvarint(data)
+	if k1 <= 0 || shared > uint64(len(last)) {
+		return nil, 0, errKeyList
 	}
-	data = data[k:]
-	var stack [16]uint32
-	scratch := stack[:0]
-	var prev []uint32 // the previous run's last key: in scratch when counting, in slab when writing
-	for uint64(n) < total {
-		shared, k1 := binary.Uvarint(data)
-		if k1 <= 0 || shared > uint64(len(prev)) {
-			return 0, 0, nil, errKeyList
+	s, k2 := binary.Uvarint(data[k1:])
+	// A component takes a byte at least: a suffix the bytes cannot hold
+	// is refused before it is read.
+	if k2 <= 0 || s > uint64(len(data)-k1-k2) || shared+s > maxKeyLen {
+		return nil, 0, errKeyList
+	}
+	data = data[k1+k2:]
+	depth := int(shared + s)
+	key = slices.Grow(key[:0], depth)[:depth]
+	copy(key, last[:shared])
+	for i := int(shared); i < depth; i++ {
+		c, k := binary.Uvarint(data)
+		if k <= 0 || c > 1<<32-1 {
+			return nil, 0, errKeyList
 		}
-		s, k2 := binary.Uvarint(data[k1:])
-		// A component takes a byte at least: a suffix the bytes cannot hold
-		// is refused before it is read.
-		if k2 <= 0 || s > uint64(len(data)-k1-k2) || shared+s > maxKeyLen {
-			return 0, 0, nil, errKeyList
-		}
-		data = data[k1+k2:]
-		depth := int(shared + s)
-		// The run's first key: built over the previous one in scratch when
-		// counting, in its place in slab when writing.
-		var key []uint32
-		if keys == nil {
-			scratch = slices.Grow(scratch[:shared], int(s))[:depth]
-			key = scratch
-		} else {
-			key = slab[comps : comps+depth : comps+depth]
-			copy(key, prev[:shared])
-		}
-		for i := int(shared); i < depth; i++ {
-			c, k := binary.Uvarint(data)
-			if k <= 0 || c > 1<<32-1 {
-				return 0, 0, nil, errKeyList
-			}
-			key[i] = uint32(c)
-			data = data[k:]
-		}
-		r, k := binary.Uvarint(data)
-		if k <= 0 || r == 0 || r > total-uint64(n) || r > 1 && depth == 0 ||
-			depth > 0 && uint64(key[depth-1])+r-1 > 1<<32-1 {
-			return 0, 0, nil, errors.New("wire: bad key run")
-		}
+		key[i] = uint32(c)
 		data = data[k:]
-		if uint64(comps)+r*uint64(depth) > maxKeyComponents {
-			return 0, 0, nil, errors.New("wire: key list expands past the component cap")
-		}
-		if keys == nil {
-			n, comps = n+int(r), comps+int(r)*depth
-			if depth > 0 {
-				key[depth-1] += uint32(r - 1)
-			}
-			prev = key
-			continue
-		}
-		keys[n] = slab[comps : comps+depth : comps+depth] // key, from the slab it was read into
-		n, comps = n+1, comps+depth
-		for j := uint32(1); uint64(j) < r; j++ {
-			next := slab[comps : comps+depth : comps+depth]
-			copy(next, key)
-			next[depth-1] += j
-			keys[n] = next
-			n, comps = n+1, comps+depth
-		}
-		prev = keys[n-1]
 	}
-	if uint64(n+comps) > keyListBudget(size-len(data)) {
-		return 0, 0, nil, errors.New("wire: key list expands past what its bytes may ask for")
+	r, k := binary.Uvarint(data)
+	if k <= 0 || r == 0 || r > rd.left || r > 1 && depth == 0 ||
+		depth > 0 && uint64(key[depth-1])+r-1 > 1<<32-1 {
+		return nil, 0, errors.New("wire: bad key run")
 	}
-	return n, comps, data, nil
+	if uint64(rd.comps)+r*uint64(depth) > maxKeyComponents {
+		return nil, 0, errors.New("wire: key list expands past the component cap")
+	}
+	rd.data, rd.left = data[k:], rd.left-r
+	rd.n, rd.comps = rd.n+int(r), rd.comps+int(r)*depth
+	return key, int(r), nil
 }
 
 // digestOf is the digest a response carries of the keys it answers:

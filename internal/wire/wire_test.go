@@ -203,7 +203,7 @@ func TestEvalMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.ID != 42 || len(dec.Keys) != 2 || len(dec.Points) != 2 {
+	if dec.ID != 42 || len(dec.Runs.Keys()) != 2 || len(dec.Points) != 2 {
 		t.Errorf("eval req = %+v", dec)
 	}
 	resp := EvalResp{
