@@ -89,26 +89,24 @@
 // list may expand to only so many keys for the bytes it takes, and
 // client.Remote sends a wave of siblings past that bound in parts.
 //
-// The daemon answers an eval request on one of two paths. Served a bare
-// value-form server.Local — what ServerStore.ServeTCP builds on F_p — it
-// takes the run path: the request's key list stays encoded, each sibling
-// run costs one lookup of its parent, and the child counts and
-// bit-packed values go straight into the response frame, byte for byte
-// what the keyed path sends. Every other store takes the keyed path: the
-// keys are expanded, the store answers them, and the daemon checks that
-// it answered exactly the keys asked, with a value for each point, before
-// it encodes. The Z ring's coefficient-form Local, shard.Guard (a run of
-// siblings can straddle its manifest ranges, and it checks keys one by
-// one), server.Tamperer and any wrapper, a coalescer or the benchmark's
-// traced tap among them, keep that path and its checks, since the daemon
-// cannot trust them to answer exactly what was asked. What a request can
-// make the daemon allocate is bounded: a request whose answer could not
-// fit one frame (wire.MaxFrameSize) even at one bit a value and one byte
-// a child count is refused before any store is asked; the run path
-// allocates one word a point beyond its frame and refuses a frame past
-// the bound before writing a value; and a value-form Local looks up every
-// key before it allocates the keys × points words of its answers, which
-// the first bound holds to 64 times wire.MaxFrameSize.
+// The daemon answers every eval request through server.AppendEvalResp.
+// A server.RunStore answers the request's key runs itself, straight into
+// the response frame: a value-form server.Local looks up each sibling
+// run's parent once and packs the child counts and values as it reads
+// them, and shard.Guard checks every key of every run against its manifest
+// before the store it fences answers any. Every other store goes through
+// one keyed adapter, which expands the keys, has the store answer them,
+// and checks that it answered exactly the keys asked, with a value at each
+// point, before it encodes: the Z ring's coefficient-form Local,
+// server.Tamperer, a coalescer, the benchmark's traced tap, and any
+// wrapper, even one that embeds a Local. Both write the same frame byte
+// for byte. What a request can make the daemon allocate is bounded. A
+// request whose answer could not fit one frame (wire.MaxFrameSize) at one
+// bit a value and one byte a child count is refused before any store is
+// asked. The adapter refuses, before it asks its store, one that could not
+// fit at the width of the ring's values at its points (p−1's on F_p). The
+// run stores allocate one word a point beyond their frame and refuse a
+// frame past the bound before writing a value.
 //
 // A peer offering another protocol version — 3, the keyed frames,
 // included — or speaking the retired legacy framing, is refused at the

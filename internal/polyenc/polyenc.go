@@ -211,7 +211,7 @@ func (e *valueEncoder) walk(x *xmltree.Node, out *Node) {
 	out.Children = make([]*Node, len(x.Children))
 	var wg sync.WaitGroup
 	for i, c := range x.Children {
-		c, child := c, &Node{} // pre-1.22 loop-var capture
+		child := &Node{}
 		out.Children[i] = child
 		wg.Add(1)
 		e.pool.Do(func() {

@@ -88,7 +88,6 @@ func TestEvalIsHomomorphismProperty(t *testing.T) {
 		{MustIntQuotient(1, 1, 0, 1), 2}, // mod r(2)=11
 	}
 	for _, c := range cases {
-		c := c
 		a := big.NewInt(c.point)
 		mod, err := c.r.EvalModulus(a)
 		if err != nil {

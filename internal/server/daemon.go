@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/big"
 	"net"
 	"os"
 	"sync"
@@ -663,15 +664,8 @@ func (d *Daemon) drainConn(conn *daemonConn, sendBye func() error) error {
 //
 // An eval request whose answer could not fit one frame even at one bit a
 // value and one byte a child count (wire.CheckEvalRespSize) is refused
-// before any store is asked, so a few bytes of keys and points cannot
-// make a store allocate keys × points words past 64 times
-// wire.MaxFrameSize. A bare value-form Local then answers on the run path
-// (Local.AppendEvalResp): straight from the encoded key list into the
-// frame, allocating one word a point beyond it. Every other store answers the expanded keys on the
-// keyed path, and the daemon checks that it answered exactly the keys
-// asked, with a value at every point, before it encodes; an encoded answer
-// past wire.MaxFrameSize is refused rather than written. The store-eval
-// stage times the store call, and on the run path the encoding with it.
+// before any store is asked; AppendEvalResp then answers it, and the
+// store-eval stage times that call, encoding included.
 //
 // A request carrying a sampled trace gets a server span rooted at arrival,
 // credited with the pre-measured dispatch wait, and — for Eval —
@@ -730,38 +724,15 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, d
 		if t, p, skip := expired(req.ID, req.TimeoutMillis); skip {
 			return t, p, sp, nil
 		}
-		if err := wire.CheckEvalRespSize(req.Runs.Len(), len(req.Points)); err != nil {
+		if err := wire.CheckEvalRespSize(req.Runs.Len(), len(req.Points), 1); err != nil {
 			return fail(req.ID, fmt.Errorf("server: %w", err))
 		}
 		evalStart := time.Now()
-		if local, ok := store.(*Local); ok && local.fp != nil {
-			// A value-form Local answers exactly the keys asked: the run path.
-			out, err := local.AppendEvalResp(wire.GetBuf(), &req)
-			observeEval(evalStart)
-			if err != nil {
-				wire.PutBuf(out)
-				return fail(req.ID, err)
-			}
-			return wire.MsgEvalResp, out, sp, nil
-		}
-		keys := req.Runs.Keys()
-		answers, err := core.EvalNodesWithCtx(obs.WithSpan(context.Background(), sp), store, keys, req.Points)
+		out, err := AppendEvalResp(obs.WithSpan(context.Background(), sp), store, store.Ring(), wire.GetBuf(), req)
 		observeEval(evalStart)
-		if err == nil {
-			err = storeAnswered(core.CheckAnswered(keys, answers))
-		}
-		for i := 0; err == nil && i < len(answers); i++ {
-			if n := answers[i].Len(); n != len(req.Points) {
-				err = fmt.Errorf("server: store returned %d values for %d points", n, len(req.Points))
-			}
-		}
 		if err != nil {
-			return fail(req.ID, err)
-		}
-		out := wire.AppendEvalRespFor(wire.GetBuf(), wire.EvalResp{ID: req.ID, Answers: answers}, req.KeyDigest)
-		if len(out) > wire.MaxFrameSize {
 			wire.PutBuf(out)
-			return fail(req.ID, fmt.Errorf("server: eval response of %d bytes passes the %d-byte frame bound", len(out), wire.MaxFrameSize))
+			return fail(req.ID, err)
 		}
 		return wire.MsgEvalResp, out, sp, nil
 	case wire.MsgFetch:
@@ -790,6 +761,60 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, d
 	default:
 		return 0, nil, nil, fmt.Errorf("server: unexpected frame %s", typ)
 	}
+}
+
+// RunStore is a store that answers an eval request's key runs itself,
+// straight into the response frame: a Local, or a shard guard.
+type RunStore interface {
+	AppendEvalResp(ctx context.Context, dst []byte, req wire.EvalReq) ([]byte, error)
+	// Self returns the receiver, so that a wrapper embedding a RunStore,
+	// which has both methods promoted, is answered through its own EvalNodes.
+	Self() core.ServerAPI
+}
+
+// AppendEvalResp appends to dst the frame answering req from store over r,
+// the daemon's one eval path: a RunStore answers its runs, and any other
+// store goes through the keyed adapter. Before the adapter asks store, it
+// refuses a request whose answer could not fit one frame at the width of
+// r's values at its points. It checks that store answered exactly the keys
+// asked, in order, with a value at every point, and it refuses an encoded
+// answer past wire.MaxFrameSize. dst holds the frame so far on error.
+func AppendEvalResp(ctx context.Context, store core.ServerAPI, r ring.Ring, dst []byte, req wire.EvalReq) ([]byte, error) {
+	if rs, ok := store.(RunStore); ok && rs.Self() == store {
+		return rs.AppendEvalResp(ctx, dst, req)
+	}
+	return appendKeyed(ctx, store, r, dst, req)
+}
+
+// appendKeyed is AppendEvalResp's keyed adapter.
+func appendKeyed(ctx context.Context, store core.ServerAPI, r ring.Ring, dst []byte, req wire.EvalReq) ([]byte, error) {
+	w := 1 // the values' width: the bit length of the largest EvalModulus(a)−1
+	for _, a := range req.Points {
+		if m, err := r.EvalModulus(a); err == nil { // store refuses the others
+			w = max(w, new(big.Int).Sub(m, big.NewInt(1)).BitLen())
+		}
+	}
+	if err := wire.CheckEvalRespSize(req.Runs.Len(), len(req.Points), w); err != nil {
+		return dst, fmt.Errorf("server: %w", err)
+	}
+	keys := req.Runs.Keys()
+	answers, err := core.EvalNodesWithCtx(ctx, store, keys, req.Points)
+	if err == nil {
+		err = storeAnswered(core.CheckAnswered(keys, answers))
+	}
+	for i := 0; err == nil && i < len(answers); i++ {
+		if n := answers[i].Len(); n != len(req.Points) {
+			err = fmt.Errorf("server: store returned %d values for %d points", n, len(req.Points))
+		}
+	}
+	if err != nil {
+		return dst, err
+	}
+	out := wire.AppendEvalRespFor(dst, wire.EvalResp{ID: req.ID, Answers: answers}, req.KeyDigest)
+	if err := wire.CheckEvalFrame(uint64(len(out))); err != nil {
+		return out, fmt.Errorf("server: %w", err)
+	}
+	return out, nil
 }
 
 // storeAnswered words a core.CheckAnswered error as the store's. A store

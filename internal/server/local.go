@@ -11,6 +11,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -138,19 +139,18 @@ func (s *Local) values(dst []uint64, node *sharing.Node, xs []int) {
 	}
 }
 
-// AppendEvalResp answers req on a value-form store straight into a
-// response frame appended to dst: byte for byte what AppendEvalRespFor
-// writes of EvalNodes' answers to req.Runs.Keys(), with no key expanded and
+// AppendEvalResp implements RunStore. On a value-form store it answers req
+// straight into a response frame appended to dst, with no key expanded and
 // no answer built. It resolves each sibling run with one lookup of its
 // parent and takes the children by index. A first walk over the runs
 // writes the child counts, and refuses a key that does not exist with the
 // error EvalNodes gives it; a second reads each value once and packs it.
 // Beyond the frame it allocates one word a point, and it refuses a frame
-// that would pass wire.MaxFrameSize before writing a value. dst holds the
-// frame so far on error.
-func (s *Local) AppendEvalResp(dst []byte, req *wire.EvalReq) ([]byte, error) {
+// that would pass wire.MaxFrameSize before writing a value. The Z ring's
+// coefficient-form store answers through the keyed adapter.
+func (s *Local) AppendEvalResp(ctx context.Context, dst []byte, req wire.EvalReq) ([]byte, error) {
 	if s.fp == nil {
-		return dst, errors.New("server: run-by-run evaluation needs a value-form store")
+		return appendKeyed(ctx, s, s.ring, dst, req)
 	}
 	xs, err := s.valueIndices(req.Points)
 	if err != nil {
@@ -201,6 +201,9 @@ func (s *Local) AppendEvalResp(dst []byte, req *wire.EvalReq) ([]byte, error) {
 	s.eachRun(req.Runs, put)
 	return resp.Bytes(), nil
 }
+
+// Self implements RunStore.
+func (s *Local) Self() core.ServerAPI { return s }
 
 // eachRun calls fn with the nodes of each sibling run of runs, in order:
 // one lookup of a run's parent, then its children by index. A key that

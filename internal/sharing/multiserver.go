@@ -239,7 +239,6 @@ func (m *multiSharer) walk(src *Node, key drbg.NodeKey, outs []*Node) {
 		outs[j].Children = make([]*Node, len(src.Children))
 	}
 	for i, c := range src.Children {
-		c := c // pre-1.22 loop-var capture
 		ck := key.Child(uint32(i))
 		childOuts := make([]*Node, m.n)
 		for j := range childOuts {

@@ -309,7 +309,7 @@ func (s *splitter) walk(n *polyenc.Node, key drbg.NodeKey, out *Node) {
 	}
 	out.Children = make([]*Node, len(n.Children))
 	for i, c := range n.Children {
-		c, child := c, &Node{} // pre-1.22 loop-var capture
+		child := &Node{}
 		ck := key.Child(uint32(i))
 		out.Children[i] = child
 		s.pool.Do(func() { s.walk(c, ck, child) })

@@ -276,15 +276,19 @@ func appendEvalHead(dst []byte, id uint64, n, m int, keyDigest uint64, w byte) [
 }
 
 // CheckEvalRespSize refuses a request for n keys at m points whose
-// answer cannot fit one frame, whatever its values: at one bit a value
-// and one byte a child count it would still pass MaxFrameSize.
-func CheckEvalRespSize(n, m int) error {
+// answer cannot fit one frame at w bits a value: with one byte a child
+// count it would still pass MaxFrameSize.
+func CheckEvalRespSize(n, m, w int) error {
 	if n == 0 {
 		return nil
 	}
-	if least := uint64(n) + packedLen(uint64(n)*uint64(m), 1); least > MaxFrameSize {
-		return fmt.Errorf("wire: an answer to %d keys at %d points takes at least %d bytes, past the %d-byte frame bound",
-			n, m, least, MaxFrameSize)
+	return CheckEvalFrame(uint64(n) + packedLen(uint64(n)*uint64(m), uint64(w)))
+}
+
+// CheckEvalFrame refuses an eval response of size bytes past MaxFrameSize.
+func CheckEvalFrame(size uint64) error {
+	if size > MaxFrameSize {
+		return fmt.Errorf("wire: eval response of %d bytes passes the %d-byte frame bound", size, MaxFrameSize)
 	}
 	return nil
 }
@@ -325,8 +329,8 @@ func (r *EvalRespWriter) Values(w int) error {
 		r.valuesAt = len(r.b.dst)
 	}
 	values := packedLen(r.vals, uint64(w))
-	if size := uint64(r.valuesAt) + values; size > MaxFrameSize {
-		return fmt.Errorf("wire: eval response of %d bytes passes the %d-byte frame bound", size, MaxFrameSize)
+	if err := CheckEvalFrame(uint64(r.valuesAt) + values); err != nil {
+		return err
 	}
 	r.b = bitWriter{dst: slices.Grow(r.b.dst[:r.valuesAt], int(values)), w: uint(w)}
 	r.b.dst[r.wAt] = byte(w)

@@ -724,7 +724,6 @@ func (k *ClientKey) DialShardedReplicated(man *ShardManifest, threshold int, gro
 	for s, group := range groups {
 		members := make([]core.MultiMember, 0, len(group))
 		for j, addr := range group {
-			addr := addr // the re-dial runs after the loop has moved on
 			pool, err := client.NewPoolDial(func() (*client.Remote, error) { return client.Dial(addr, counters) }, 1, counters)
 			if err != nil {
 				return fail(fmt.Errorf("sssearch: shard %d replica %d: %w", s, j, err))
